@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-obs bench-planner bench-planner-smoke bench-pipeline bench-scale bench-serve bench-tpch bench-tpch-smoke serve-demo
+.PHONY: check build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke bench-tpch-smoke serve-demo
 
 # check is the tier-1 verification gate: everything must compile, pass
 # vet, and pass the full test suite under the race detector, with the
 # observability-layer, morsel-executor, prefetch, serving-layer, and
 # relational-executor race tests called out explicitly, the crash-point
 # matrix for the durable write path, the observability overhead guards,
-# plus one iteration of the planner pipeline and engine-vs-legacy
-# benchmarks as smoke tests.
-check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-tpch-smoke
+# one iteration of the planner pipeline and engine-vs-legacy benchmarks
+# as smoke tests, and the benchmark module's own vet + toy-scale run.
+check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-tpch-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -81,88 +81,16 @@ crash:
 	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestCrashMatrixDoubleCrash|TestIngest' .
 	$(GO) test -race -count=1 ./internal/shard/ ./internal/wal/ ./internal/memtable/
 
-# bench refreshes the "current" section of BENCH_PR2.json with the scan
-# hot-path benchmarks (ns/op, B/op, allocs/op, pages pruned/read/skipped
-# per op); the checked-in "baseline" section is preserved.
-BENCHOUT ?= BENCH_PR2.json
+# bench runs the repository's benchmark (bench/README.md): all five
+# workloads, every result checked, every metric printed by name.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkAblationDataSkipping|BenchmarkSBoostScanVsScalar|BenchmarkFig7TPCH|BenchmarkFilterHotPath$$' \
-		-benchmem . | $(GO) run ./cmd/benchjson -o $(BENCHOUT) -section current
+	bash bench/run.sh --workload all
 
-# bench-obs writes BENCH_PR3.json: the filter hot path through the
-# instrumented ApplyFilter seam, tracer off (bare context) vs tracer on
-# (span per op), plus the end-to-end count with the flight recorder off
-# vs on, so the observability overhead stays visible across PRs.
-OBSBENCHOUT ?= BENCH_PR3.json
-bench-obs:
-	$(GO) test -run xxx -bench 'BenchmarkFilterHotPathTraced/.*/Off' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(OBSBENCHOUT) -section tracer-off
-	$(GO) test -run xxx -bench 'BenchmarkFilterHotPathTraced/.*/On' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(OBSBENCHOUT) -section tracer-on
-	$(GO) test -run xxx -bench 'BenchmarkQueryRecorder/Off' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(OBSBENCHOUT) -section recorder-off
-	$(GO) test -run xxx -bench 'BenchmarkQueryRecorder/On' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(OBSBENCHOUT) -section recorder-on
-
-# bench-planner writes BENCH_PR4.json: the selection-threaded planned
-# pipeline with the selective conjunct written first vs last (the planner
-# normalizes both to the same page IO), the filter-at-a-time baseline
-# (every filter scans the full table), and an AND+OR mix — pagesRead/op
-# makes the pushdown visible.
-PLANNERBENCHOUT ?= BENCH_PR4.json
-bench-planner:
-	$(GO) test -run xxx -bench BenchmarkPlannerPipeline -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(PLANNERBENCHOUT) -section current
-
-# bench-pipeline writes BENCH_PR5.json: the same two-conjunct query on
-# an 8+ row-group table through the morsel pipeline vs the
-# operator-at-a-time barrier engine, for Count, SumFloat, and
-# GroupCount — wall time, allocs/op, and pagesRead/op side by side.
-# One invocation measures both engines so the comparison shares process
-# state.
-PIPELINEBENCHOUT ?= BENCH_PR5.json
-bench-pipeline:
-	$(GO) test -run xxx -bench BenchmarkPipelineVsBarrier -benchmem . \
-		| $(GO) run ./cmd/benchjson -o $(PIPELINEBENCHOUT) -section current
-
-# bench-scale writes BENCH_PR7.json: the SF 1→10 full-scan sweep with
-# the async page prefetcher on vs off (ns/row, query-phase peak RSS,
-# max bytes-in-flight), the cold-I/O variant charging seek-scale
-# latency per read request (where coalescing + overlap dominate), and
-# the two-lane vs one-lane SWAR kernel micro-benchmark. benchjson
-# surfaces the section's peak RSS as a synthetic "_peakRSS" entry.
-SCALEBENCHOUT ?= BENCH_PR7.json
-bench-scale:
-	$(GO) test -run xxx -bench 'BenchmarkScaleScan/SF' -benchtime 5x -timeout 1800s . \
-		| $(GO) run ./cmd/benchjson -o $(SCALEBENCHOUT) -section scale
-	$(GO) test -run xxx -bench BenchmarkScaleScanColdIO -benchtime 3x -timeout 1800s . \
-		| $(GO) run ./cmd/benchjson -o $(SCALEBENCHOUT) -section cold-io
-	$(GO) test -run xxx -bench BenchmarkScanLanes ./internal/sboost/ \
-		| $(GO) run ./cmd/benchjson -o $(SCALEBENCHOUT) -section swar-lanes
-	$(GO) test -run xxx -bench BenchmarkParallelDictReaders -cpu 1,4 ./internal/colstore/ \
-		| $(GO) run ./cmd/benchjson -o $(SCALEBENCHOUT) -section dict-readers
-
-# bench-serve writes BENCH_PR9.json: K=1/8/64 concurrent clients
-# looping mixed terminals through the full serving path (admission,
-# wave batching, page cache), reporting p50/p99 latency, the shed
-# rate, and pages read per request — the sharing signal is
-# pagesRead/req falling as K grows while each wave stays one scan.
-SERVEBENCHOUT ?= BENCH_PR9.json
-bench-serve:
-	$(GO) test -run xxx -bench BenchmarkServeConcurrency -benchtime 50x ./internal/serve/ \
-		| $(GO) run ./cmd/benchjson -o $(SERVEBENCHOUT) -section current
-
-# bench-tpch writes BENCH_PR10.json: every TPC-H query and SSB flight
-# through the engine-compiled relational plan (relq + morsel pipeline)
-# vs the legacy hand-coded operator-at-a-time plan — ns/op, allocs/op,
-# and pagesRead/op side by side. The engine must match or beat legacy
-# on pages read for the filter-heavy queries.
-TPCHBENCHOUT ?= BENCH_PR10.json
-bench-tpch:
-	$(GO) test -run xxx -bench BenchmarkTPCHEngineVsLegacy -benchmem -benchtime 10x -timeout 1800s ./internal/tpch/ \
-		| $(GO) run ./cmd/benchjson -o $(TPCHBENCHOUT) -section tpch
-	$(GO) test -run xxx -bench BenchmarkSSBEngineVsLegacy -benchmem -benchtime 10x -timeout 1800s ./internal/ssb/ \
-		| $(GO) run ./cmd/benchjson -o $(TPCHBENCHOUT) -section ssb
+# bench-smoke vets and tests the benchmark module at toy scale. bench/ is
+# a module of its own, so `go test ./...` from the root never reaches it;
+# this is what keeps it compiling against the engine's internal packages.
+bench-smoke:
+	(cd bench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench-tpch-smoke runs one iteration of every engine-vs-legacy pair
 # (each plan self-checks by executing end to end, so this doubles as a

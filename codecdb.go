@@ -39,6 +39,7 @@ import (
 	"codecdb/internal/core"
 	"codecdb/internal/encoding"
 	"codecdb/internal/memtable"
+	"codecdb/internal/ops"
 	"codecdb/internal/selector"
 	"codecdb/internal/vfs"
 )
@@ -230,6 +231,44 @@ type Table struct {
 // Name returns the table name.
 func (t *Table) Name() string { return t.inner.Name }
 
+// parts resolves the table to the ordered reader list every terminal
+// scans: a static table is its one reader; an ingest table is a
+// consistent snapshot — live shards in ingest order, then the in-memory
+// tail as PLAIN column images. Row ids run across the parts in order.
+func (t *Table) parts() ([]ops.Part, error) {
+	if t.inner.S == nil {
+		return ops.PartsOf(t.inner.R), nil
+	}
+	readers, err := t.inner.S.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return ops.PartsOf(readers...), nil
+}
+
+// schemaReader returns a reader carrying the table's column names and
+// types for build-time validation: the static reader, or an ingest
+// table's empty PLAIN image (its parts' encodings differ, so only names
+// and types can be checked before a terminal binds to each part).
+func (t *Table) schemaReader() *colstore.Reader {
+	if t.inner.S == nil {
+		return t.inner.R
+	}
+	return t.inner.S.Schema()
+}
+
+// Epoch identifies the table's current data version. Two calls returning
+// the same epoch saw the same rows, so epoch-keyed caches (results,
+// decompressed pages) may serve stale-free hits; ingest tables bump the
+// epoch on every durable append and flush. For static tables the epoch
+// is the open reader's identity.
+func (t *Table) Epoch() uint64 {
+	if t.inner.S != nil {
+		return t.inner.S.Epoch()
+	}
+	return t.inner.R.ID()
+}
+
 // NumRows returns the row count; for ingest tables that is live shards
 // plus every in-memory row.
 func (t *Table) NumRows() int64 {
@@ -259,7 +298,7 @@ func (t *Table) Columns() []string {
 
 // ColumnType reports a column's logical type name — "INT64", "FLOAT64",
 // or "STRING" — and whether the column exists. Terminal validation
-// (SumFloat needs FLOAT64, GroupCount needs a dictionary column) keys
+// (SumFloat needs FLOAT64, GroupCount an integer or string column) keys
 // off this, so callers building requests dynamically can check up front.
 func (t *Table) ColumnType(col string) (string, bool) {
 	if t.inner.S != nil {
@@ -294,26 +333,11 @@ func (t *Table) ColumnType(col string) (string, bool) {
 type IOStats = colstore.IOStats
 
 // IOStats returns the table's accumulated IO instrumentation; for
-// ingest tables, summed over the live shard readers.
+// ingest tables, summed over every part queries have read — live shards
+// and the in-memory tail images alike.
 func (t *Table) IOStats() IOStats {
 	if t.inner.S != nil {
-		var sum IOStats
-		for _, sv := range t.inner.S.Snapshot().Shards {
-			st := sv.Reader.Stats()
-			sum.PagesRead += st.PagesRead
-			sum.PagesPruned += st.PagesPruned
-			sum.PagesSkipped += st.PagesSkipped
-			sum.BytesRead += st.BytesRead
-			sum.BytesDecompressed += st.BytesDecompressed
-			sum.IONanos += st.IONanos
-			sum.PagesCoalesced += st.PagesCoalesced
-			sum.PrefetchHits += st.PrefetchHits
-			sum.PrefetchMisses += st.PrefetchMisses
-			sum.BytesInFlight += st.BytesInFlight
-			sum.PageCacheHits += st.PageCacheHits
-			sum.PageCacheMisses += st.PageCacheMisses
-		}
-		return sum
+		return t.inner.S.IOStats()
 	}
 	return t.inner.R.Stats()
 }
@@ -327,9 +351,7 @@ func (db *DB) PageCacheStats() colstore.PageCacheStats {
 // ResetIOStats zeroes the table's IO instrumentation counters.
 func (t *Table) ResetIOStats() {
 	if t.inner.S != nil {
-		for _, sv := range t.inner.S.Snapshot().Shards {
-			sv.Reader.ResetStats()
-		}
+		t.inner.S.ResetIOStats()
 		return
 	}
 	t.inner.R.ResetStats()

@@ -18,6 +18,17 @@ func openTestDB(t *testing.T) *DB {
 
 func loadEvents(t *testing.T, db *DB, n int) *Table {
 	t.Helper()
+	tbl, err := db.LoadTable("events", eventColumns(n), eventsLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+var eventsLoad = LoadOptions{RowGroupRows: 1024, PageRows: 256}
+
+// eventColumns generates the events test table's rows.
+func eventColumns(n int) []Column {
 	ts := make([]int64, n)
 	status := make([][]byte, n)
 	level := make([]int64, n)
@@ -29,16 +40,12 @@ func loadEvents(t *testing.T, db *DB, n int) *Table {
 		level[i] = int64(i % 5)
 		lat[i] = float64(i%100) / 10
 	}
-	tbl, err := db.LoadTable("events", []Column{
+	return []Column{
 		{Name: "ts", Ints: ts},
 		{Name: "status", Strings: status, ForceEncoding: Dictionary, Forced: true},
 		{Name: "level", Ints: level, ForceEncoding: Dictionary, Forced: true},
 		{Name: "latency", Floats: lat},
-	}, LoadOptions{RowGroupRows: 1024, PageRows: 256})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return tbl
 }
 
 func TestOpenLoadQuery(t *testing.T) {

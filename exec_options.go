@@ -17,8 +17,8 @@ const (
 	// EnginePipeline forces the morsel pipeline explicitly.
 	EnginePipeline
 	// EngineLegacy evaluates through the operator-at-a-time barrier path.
-	// Kept for the property tests that compare the two engines
-	// result-for-result; ingest tables are not supported.
+	// Kept as the reference the property tests compare the pipeline
+	// against result-for-result; it reads static tables only.
 	EngineLegacy
 )
 
@@ -61,7 +61,7 @@ func (q *Query) WithExec(o ExecOptions) *Query {
 
 // Context lowers the options onto ctx: deadline, prefetch switch, and
 // worker cap all travel as context values/deadlines so every layer below
-// (pipeline, shared wave, sharded fan-out, legacy barrier) sees one
+// (pipeline, shared wave, legacy barrier) sees one
 // consistent budget. This is the entry point for APIs that take a
 // context rather than a Query (Table.Wave). The returned cancel must be
 // called when the work finishes to release the deadline timer.

@@ -13,34 +13,40 @@ import (
 // chosen execution order, with each node's estimated selectivity and cost
 // and the plan choices each filter will make — dictionary predicate
 // rewrites, the SBoost kernel selected, zone-map applicability — without
-// executing anything or reading any page.
+// executing anything or reading any page. A table with several parts (an
+// ingest table's shards and tail) plans once per part, each against its
+// own encodings, and renders one tree per part.
 func (q *Query) Explain() (string, error) {
-	if q.err != nil {
-		return "", q.err
+	parts, err := q.t.parts()
+	if err != nil {
+		return "", err
 	}
-	if q.t.inner.S != nil {
-		return "", fmt.Errorf("codecdb: Explain is per-reader; ingest tables plan per shard at run time (use ExplainAnalyze)")
-	}
-	pl, err := q.plan()
+	plans, err := q.plans(parts)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query(%s)  rows=%d filters=%d\n", q.t.Name(), q.t.NumRows(), len(q.conjuncts))
-	kids := []*ops.PlanNode{pl.Root}
-	if pl.Root.Pred.Kind == ops.PredAnd {
-		kids = pl.Root.Kids
-		if len(kids) > 1 {
-			fmt.Fprintf(&b, "planned order: %d conjuncts, most selective per cost first  est-sel=%.4f\n",
-				len(kids), pl.Root.Est.Sel)
+	for i, pl := range plans {
+		r := parts[i].R
+		if len(parts) > 1 {
+			fmt.Fprintf(&b, "part %d/%d  rows=%d\n", i+1, len(parts), r.NumRows())
 		}
-	}
-	for i, n := range kids {
-		head, tail := "├─ ", "│  "
-		if i == len(kids)-1 {
-			head, tail = "└─ ", "   "
+		kids := []*ops.PlanNode{pl.Root}
+		if pl.Root.Pred.Kind == ops.PredAnd {
+			kids = pl.Root.Kids
+			if len(kids) > 1 {
+				fmt.Fprintf(&b, "planned order: %d conjuncts, most selective per cost first  est-sel=%.4f\n",
+					len(kids), pl.Root.Est.Sel)
+			}
 		}
-		explainNode(&b, n, head, tail, q.t.inner.R)
+		for k, n := range kids {
+			head, tail := "├─ ", "│  "
+			if k == len(kids)-1 {
+				head, tail = "└─ ", "   "
+			}
+			explainNode(&b, n, head, tail, r)
+		}
 	}
 	return b.String(), nil
 }

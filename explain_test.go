@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"codecdb/internal/obs"
+	"codecdb/internal/ops"
 )
 
 // TestExplainStatic checks Explain renders the operator tree and the
@@ -104,13 +105,7 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 	// The invariant, now at two levels: the root's direct children (Plan +
 	// Pipeline) sum to the IOStats delta, and within the pipeline the
 	// stage children account every page of the pipeline's own delta.
-	delta := obs.SpanIO{
-		PagesRead:         after.PagesRead - before.PagesRead,
-		PagesPruned:       after.PagesPruned - before.PagesPruned,
-		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-	}
+	delta := ops.IODelta(before, after)
 	if sum := root.SumIO(); sum != delta {
 		t.Fatalf("span IO sum %+v != IOStats delta %+v (before=%+v after=%+v)", sum, delta, before, after)
 	}
@@ -127,6 +122,77 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
 	}
+}
+
+// checkSpanIOSums walks a trace and requires every span below the root
+// that has children to own exactly the IO its children account for.
+func checkSpanIOSums(t *testing.T, root *obs.Span) {
+	t.Helper()
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		if kids := s.Children(); len(kids) > 0 && s != root && s.SumIO() != s.IO() {
+			t.Errorf("span %s owns IO %+v, its children account %+v\n%s", s.Name(), s.IO(), s.SumIO(), root.Render())
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+}
+
+// TestExplainAnalyzeIngestIOConsistent is the same accounting identity on
+// the ingest source kinds: tail images are readers like any shard, so the
+// pages scanned from a sealed memtable or the active buffer appear both in
+// the span tree (one Part span per part) and in Table.IOStats.
+func TestExplainAnalyzeIngestIOConsistent(t *testing.T) {
+	forEachSource(t, "events", eventColumns(4000), eventsLoad, func(t *testing.T, tbl *Table) {
+		tbl.ResetIOStats()
+		before := tbl.IOStats()
+		root, n, err := tbl.Where("status", Eq, "ERROR").And("level", Lt, 2).AnalyzeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 400 {
+			t.Fatalf("count = %d, want 400", n)
+		}
+		if sum, delta := root.SumIO(), ops.IODelta(before, tbl.IOStats()); sum != delta || delta.PagesRead == 0 {
+			t.Fatalf("span IO sum %+v != IOStats delta %+v\n%s", sum, delta, root.Render())
+		}
+		checkSpanIOSums(t, root)
+		pipe := findSpan(root, "Pipeline[count]")
+		parts, err := tbl.parts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) > 1 {
+			kids := pipe.Children()
+			if len(kids) != len(parts) {
+				t.Fatalf("%d parts, %d pipeline children\n%s", len(parts), len(kids), root.Render())
+			}
+			for i, part := range kids {
+				if !strings.HasPrefix(part.Name(), "Part[") {
+					t.Fatalf("pipeline child %s, want one Part span per part\n%s", part.Name(), root.Render())
+				}
+				// ERROR rows are everywhere: every non-empty part, shard or
+				// memory image, had pages read.
+				if parts[i].R.NumRows() > 0 && part.IO().PagesRead == 0 {
+					t.Fatalf("%s read no pages\n%s", part.Name(), root.Render())
+				}
+			}
+		}
+		// Explain plans every part without reading a page.
+		io := tbl.IOStats()
+		out, err := tbl.Where("status", Eq, "ERROR").And("level", Lt, 2).Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Count(out, "planned order:") != len(parts) {
+			t.Fatalf("Explain rendered %d plans for %d parts:\n%s", strings.Count(out, "planned order:"), len(parts), out)
+		}
+		if after := tbl.IOStats(); after.PagesRead != io.PagesRead {
+			t.Fatalf("Explain read pages: %+v -> %+v", io, after)
+		}
+	})
 }
 
 // TestExplainAnalyzeGather checks gathers run under AnalyzeTrace's

@@ -212,9 +212,19 @@ func TestDictRLEChunkRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %d != %d", i, got[i], vals[i])
 		}
 	}
-	// RLE-keyed chunks are not packed-scannable; the caller must fall back.
-	if _, err := r.Chunk(0, 0).PackedPages(); err == nil {
-		t.Fatal("Dict-RLE pages should not be packed-scannable")
+	// RLE-keyed pages have no packed region on disk; PackedPages expands
+	// the runs into one, so the packed scan kernels apply.
+	pages, err := r.Chunk(0, 0).PackedPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pp := range pages {
+		br := bitutil.NewReader(pp.Data)
+		for i := 0; i < pp.N; i++ {
+			if key, want := int64(br.ReadBits(pp.Width)), vals[pp.FirstRow+i]; key != want {
+				t.Fatalf("packed key at row %d = %d, want %d", pp.FirstRow+i, key, want)
+			}
+		}
 	}
 	// Gather through the RLE branch.
 	sel := bitutil.NewBitmap(1000)

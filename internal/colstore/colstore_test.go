@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"codecdb/internal/bitutil"
 	"codecdb/internal/encoding"
+	"codecdb/internal/vfs"
 )
 
 func tmpFile(t *testing.T) string {
@@ -414,5 +416,63 @@ func TestColumnLookup(t *testing.T) {
 	}
 	if _, _, err := r.Column("nope"); err == nil {
 		t.Fatal("missing column should error")
+	}
+}
+
+// TestWriteDeterministic: writing the same input twice produces the same
+// bytes for every encoding. Several dictionary groups of different sizes
+// make an order-dependent layout show (their blobs precede the pages, so
+// a reordering moves every later offset).
+func TestWriteDeterministic(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(11))
+	ints := make([]int64, n)
+	strs := make([][]byte, n)
+	flts := make([]float64, n)
+	for i := range ints {
+		ints[i] = int64(rng.Intn(97))
+		strs[i] = []byte{'v', byte('a' + rng.Intn(26)), byte('a' + rng.Intn(7))}
+		flts[i] = float64(rng.Intn(1000)) / 8
+	}
+	var schema Schema
+	var data []ColumnData
+	add := func(c Column, d ColumnData) {
+		c.Name = fmt.Sprintf("c%d", len(schema.Columns))
+		schema.Columns = append(schema.Columns, c)
+		data = append(data, d)
+	}
+	for _, k := range encoding.AllIntKinds() {
+		add(Column{Type: TypeInt64, Encoding: k}, ColumnData{Ints: ints})
+	}
+	for _, k := range encoding.AllStringKinds() {
+		add(Column{Type: TypeString, Encoding: k, Compression: "snappy"}, ColumnData{Strings: strs})
+	}
+	add(Column{Type: TypeFloat64, Encoding: encoding.KindPlain}, ColumnData{Floats: flts})
+	add(Column{Type: TypeFloat64, Encoding: encoding.KindXorFloat, Compression: "gzip"}, ColumnData{Floats: flts})
+	for _, g := range []string{"g1", "g1", "g2"} {
+		add(Column{Type: TypeString, Encoding: encoding.KindDict, DictGroup: g}, ColumnData{Strings: strs})
+	}
+
+	write := func() []byte {
+		fsys := vfs.NewMemFS()
+		if err := WriteFileFS(fsys, "t.cdb", schema, data, Options{RowGroupRows: 1024, PageRows: 256}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fsys.Open("t.cdb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := f.Size()
+		buf := make([]byte, size)
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	first := write()
+	for i := 0; i < 8; i++ {
+		if again := write(); !bytes.Equal(first, again) {
+			t.Fatalf("write %d differs from the first: %d vs %d bytes", i+2, len(again), len(first))
+		}
 	}
 }

@@ -121,6 +121,23 @@ type IOStats struct {
 	PageCacheMisses int64
 }
 
+// Add folds another snapshot's counters into s (summing a table's
+// readers).
+func (s *IOStats) Add(o IOStats) {
+	s.PagesRead += o.PagesRead
+	s.PagesPruned += o.PagesPruned
+	s.PagesSkipped += o.PagesSkipped
+	s.BytesRead += o.BytesRead
+	s.BytesDecompressed += o.BytesDecompressed
+	s.IONanos += o.IONanos
+	s.PagesCoalesced += o.PagesCoalesced
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchMisses += o.PrefetchMisses
+	s.BytesInFlight += o.BytesInFlight
+	s.PageCacheHits += o.PageCacheHits
+	s.PageCacheMisses += o.PageCacheMisses
+}
+
 // Stats returns a snapshot of the reader's IO instrumentation. The
 // snapshot is consistent with respect to ResetStats: a concurrent reset
 // either precedes the whole snapshot or follows it, never tears it.
@@ -873,7 +890,7 @@ type PackedPage struct {
 // PackedScannable reports whether the chunk's pages have an in-situ
 // scannable packed representation (PackedPageAt will succeed).
 func (c *Chunk) PackedScannable() bool {
-	return c.column.Encoding == encoding.KindDict ||
+	return usesDict(c.column.Encoding) ||
 		(c.column.Encoding == encoding.KindBitPacked && c.column.Type == TypeInt64)
 }
 
@@ -895,6 +912,28 @@ func (c *Chunk) PackedPageAt(p int, sc *arena.Scratch) (PackedPage, error) {
 			return PackedPage{}, err
 		}
 		return PackedPage{Data: packed, N: n, Width: width,
+			FirstRow: int(c.meta.Pages[p].FirstRow)}, nil
+	case c.column.Encoding == encoding.KindDictRLE:
+		// RLE-keyed pages have no packed region on disk: expand the runs
+		// and pack the keys at the dictionary's width, so every packed
+		// kernel evaluates them like a DICTIONARY page.
+		body, err := c.pageBodyScratch(p, sc)
+		if err != nil {
+			return PackedPage{}, err
+		}
+		keys, err := (encoding.RLEInt{}).Decode(body)
+		if err != nil {
+			return PackedPage{}, err
+		}
+		width, err := c.r.KeyWidth(c.col)
+		if err != nil {
+			return PackedPage{}, err
+		}
+		w := bitutil.NewWriter()
+		for _, k := range keys {
+			w.WriteBits(uint64(k), width)
+		}
+		return PackedPage{Data: w.Bytes(), N: len(keys), Width: width,
 			FirstRow: int(c.meta.Pages[p].FirstRow)}, nil
 	case c.column.Encoding == encoding.KindBitPacked && c.column.Type == TypeInt64:
 		body, err := c.pageBodyScratch(p, sc)

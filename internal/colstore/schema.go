@@ -193,6 +193,9 @@ func dictGroupOf(c Column, i int) string {
 	return fmt.Sprintf("__col%d", i)
 }
 
+// HasDict reports whether the column's pages store dictionary keys.
+func (c *Column) HasDict() bool { return usesDict(c.Encoding) }
+
 // usesDict reports whether the column's encoding stores dictionary keys in
 // its pages.
 func usesDict(k encoding.Kind) bool {

@@ -119,8 +119,17 @@ func WriteFileFS(fsys vfs.FS, path string, schema Schema, data []ColumnData, opt
 		meta.Version = opts.FormatVersion
 	}
 
-	// Serialise global dictionaries up front.
-	for group, d := range dicts {
+	// Serialise global dictionaries up front, in sorted group order: map
+	// iteration would move the blobs (and with them every later offset's
+	// digit count in the footer) from one write of the same input to the
+	// next.
+	groups := make([]string, 0, len(dicts))
+	for group := range dicts {
+		groups = append(groups, group)
+	}
+	sort.Strings(groups)
+	for _, group := range groups {
+		d := dicts[group]
 		var buf []byte
 		var err error
 		if d.intEntries != nil {
@@ -437,20 +446,22 @@ func pageStats(col Column, ci int, data ColumnData, p, pe int, keyCols map[int][
 		return packedPageStats(data.Ints[p:pe], zigzagOf)
 	case TypeString:
 		vals := data.Strings[p:pe]
-		st := &PageStats{MinStr: string(vals[0]), MaxStr: string(vals[0])}
-		distinct := make(map[string]struct{}, len(vals))
+		lo, hi := vals[0], vals[0]
+		// Looking a []byte up converts without allocating; only a value
+		// seen for the first time pays for its key.
+		distinct := map[string]struct{}{}
 		for _, v := range vals {
-			s := string(v)
-			if s < st.MinStr {
-				st.MinStr = s
+			if bytes.Compare(v, lo) < 0 {
+				lo = v
 			}
-			if s > st.MaxStr {
-				st.MaxStr = s
+			if bytes.Compare(v, hi) > 0 {
+				hi = v
 			}
-			distinct[s] = struct{}{}
+			if _, seen := distinct[string(v)]; !seen {
+				distinct[string(v)] = struct{}{}
+			}
 		}
-		st.Distinct = int32(len(distinct))
-		return st
+		return &PageStats{MinStr: string(lo), MaxStr: string(hi), Distinct: int32(len(distinct))}
 	}
 	return nil
 }
@@ -458,7 +469,6 @@ func pageStats(col Column, ci int, data ColumnData, p, pe int, keyCols map[int][
 // packedPageStats ranges vals mapped through pack into the packed domain.
 func packedPageStats(vals []int64, pack func(int64) uint64) *PageStats {
 	st := &PageStats{Min: pack(vals[0]), Max: pack(vals[0])}
-	distinct := make(map[uint64]struct{}, len(vals))
 	for _, v := range vals {
 		u := pack(v)
 		if u < st.Min {
@@ -467,7 +477,20 @@ func packedPageStats(vals []int64, pack func(int64) uint64) *PageStats {
 		if u > st.Max {
 			st.Max = u
 		}
-		distinct[u] = struct{}{}
+	}
+	// Count distinct values in a bitmap over [Min, Max] where that is small
+	// (dictionary keys, narrow or clustered integers), in a set otherwise.
+	if span := st.Max - st.Min; span < 1<<20 {
+		seen := bitutil.NewBitmap(int(span) + 1)
+		for _, v := range vals {
+			seen.Set(int(pack(v) - st.Min))
+		}
+		st.Distinct = int32(seen.Cardinality())
+		return st
+	}
+	distinct := make(map[uint64]struct{}, len(vals))
+	for _, v := range vals {
+		distinct[pack(v)] = struct{}{}
 	}
 	st.Distinct = int32(len(distinct))
 	return st

@@ -120,9 +120,9 @@ type LiveQuery struct {
 	slot int32 // index into rec.live, -1 when the registry was full
 }
 
-// AddMorsels accumulates the morsel (row-group) total once a pipeline
-// has sized its scan; sharded terminals call it once per shard, so the
-// total grows as the query advances through the snapshot. Nil-safe.
+// AddMorsels accumulates the morsel (row-group) total once a scan has
+// sized its pass; a terminal that runs several scans (a join's build
+// sides, then its probe) calls it once per scan. Nil-safe.
 func (q *LiveQuery) AddMorsels(total, workers int) {
 	if q == nil {
 		return

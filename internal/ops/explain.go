@@ -183,8 +183,8 @@ func describeKeysIn(keys int) []string {
 	}
 }
 
-// ioDelta converts a before/after pair of reader snapshots into span IO.
-func ioDelta(before, after colstore.IOStats) obs.SpanIO {
+// IODelta converts a before/after pair of reader snapshots into span IO.
+func IODelta(before, after colstore.IOStats) obs.SpanIO {
 	return obs.SpanIO{
 		PagesRead:         after.PagesRead - before.PagesRead,
 		PagesPruned:       after.PagesPruned - before.PagesPruned,
@@ -227,7 +227,7 @@ func applyFilterTracedEst(ctx context.Context, parent *obs.Span, f Filter, r *co
 	bm, err := applyFilterRaw(ctx, f, r, pool, sel)
 
 	runtime.ReadMemStats(&msAfter)
-	child.AddIO(ioDelta(ioBefore, r.Stats()))
+	child.AddIO(IODelta(ioBefore, r.Stats()))
 	child.AddTasks(pool.Completed() - tasksBefore)
 	child.SetAllocBytes(msAfter.TotalAlloc - msBefore.TotalAlloc)
 	if err != nil {

@@ -82,7 +82,7 @@ func gatherCtx[T any](ctx context.Context, r *colstore.Reader, col string, sel *
 	ioBefore := r.Stats()
 	tasksBefore := pool.Completed()
 	vals, err := gatherCtxImpl(ctx, r, col, sel, pool, fetch)
-	child.AddIO(ioDelta(ioBefore, r.Stats()))
+	child.AddIO(IODelta(ioBefore, r.Stats()))
 	child.AddTasks(pool.Completed() - tasksBefore)
 	in := r.NumRows()
 	if sel != nil {

@@ -1,11 +1,11 @@
 package ops
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
-
-	"context"
 
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
@@ -39,7 +39,10 @@ const (
 	TermFloats
 	// TermStrings gathers a string column.
 	TermStrings
-	// TermGroupCount array-aggregates counts by dictionary key.
+	// TermGroupCount counts selected rows per distinct value of an integer
+	// or string column: array aggregation over dictionary keys where the
+	// part's column has a dictionary, a hash count over gathered values
+	// where it does not.
 	TermGroupCount
 	// TermSumFloat sums a float column over the selection.
 	TermSumFloat
@@ -79,9 +82,11 @@ type PipelineResult struct {
 	Ints    []int64
 	Floats  []float64
 	Strings [][]byte
-	Group   *AggResult
-	Sum     float64
-	Rel     *Batch
+	// Groups maps each value's label (decimal for integers) to its count:
+	// value space, so parts with different dictionaries merge.
+	Groups map[string]int64
+	Sum    float64
+	Rel    *Batch
 }
 
 // pipeLeaf is one compiled filter stage: the prepared filter plus the
@@ -114,14 +119,15 @@ var errNotPreparable = errors.New("ops: filter has no row-group kernel")
 // per-query constants every worker shares read-only.
 type pipeline struct {
 	r    *colstore.Reader
-	pool *exec.Pool
 	plan *Plan
 
 	root   *pipeNode
 	leaves []*pipeLeaf
 	// fallback routes selection through plan.Execute (operator-at-a-time)
-	// when some leaf has no kernel; the terminal still runs morsel-wise.
+	// when some leaf has no kernel; the scan computes fsel before its pass
+	// and the terminal still runs morsel-wise.
 	fallback bool
+	fsel     *bitutil.SectionalBitmap
 
 	term TermKind
 	col  string
@@ -132,13 +138,16 @@ type pipeline struct {
 	// a grouped or collected sink.
 	rel *RelPlan
 
-	// fetch is the per-query page prefetcher (nil when prefetch is off,
-	// the plan fell back to the barrier path, or nothing is worth
-	// scheduling). It is started before the morsel loop and closed when
-	// the run returns.
+	// fetch is the part's page prefetcher, shared by every member of the
+	// scan (nil when prefetch is off or nothing is worth scheduling). The
+	// scan starts it when the part's first morsel is claimed and closes it
+	// when the last one finishes.
 	fetch *colstore.PageFetcher
 
+	// TermGroupCount: keySpace > 0 selects array aggregation over the
+	// column's dictionary keys; 0 the hash count over gathered values.
 	keySpace int
+	colType  colstore.Type
 	aggKinds []AggKind
 	aggSpecs []VecAgg
 
@@ -186,6 +195,8 @@ type pipeWorker struct {
 	kernels []filterRG
 	count   int64
 	agg     *PartialArrayAgg
+	groupI  map[int64]int64  // TermGroupCount on a non-dictionary int column
+	groupS  map[string]int64 // ... on a non-dictionary string column
 	taps    []colstore.IOTap
 	stats   []stageStats
 
@@ -210,13 +221,14 @@ type pipeParts struct {
 	rel []*Batch
 }
 
-// buildPipeline compiles a planned query against one reader: every plan
+// buildPipeline compiles a planned query against one part: every plan
 // leaf is prepared into a kernel (or the whole selection falls back to the
 // barrier path), terminal columns are resolved, and — because lazy
 // dictionary faults bypass the per-stage IO taps — every dictionary any
 // stage could touch is faulted now, inside the Prepare window.
-func buildPipeline(r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
-	p := &pipeline{r: r, pool: pool, plan: pl, term: term, col: col, ci: -1, traced: traced}
+func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
+	r := part.R
+	p := &pipeline{r: r, plan: pl, term: term, col: col, ci: -1, traced: traced}
 	if pl != nil {
 		nLeaves, nNodes := countPlan(pl.Root)
 		if nLeaves <= len(p.leafArr) {
@@ -259,20 +271,25 @@ func buildPipeline(r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind,
 		if err != nil {
 			return nil, err
 		}
-		p.ci = ci
-		ks, err := dictLength(r, ci, c)
-		if err != nil {
-			return nil, err
+		p.ci, p.colType = ci, c.Type
+		if c.Type == colstore.TypeFloat64 {
+			return nil, fmt.Errorf("ops: GroupCount needs an integer or string column, %s is %v", col, c.Type)
 		}
-		if ks <= 0 {
-			return nil, fmt.Errorf("ops: non-positive key space %d", ks)
+		if c.HasDict() {
+			ks, err := dictLength(r, ci, c)
+			if err != nil {
+				return nil, err
+			}
+			if ks <= 0 {
+				return nil, fmt.Errorf("ops: non-positive key space %d", ks)
+			}
+			p.keySpace = ks
+			p.aggKinds = []AggKind{AggCount}
+			p.aggSpecs = []VecAgg{{Kind: AggCount}}
 		}
-		p.keySpace = ks
-		p.aggKinds = []AggKind{AggCount}
-		p.aggSpecs = []VecAgg{{Kind: AggCount}}
 	case TermRowIDs:
 		p.rgStart = make([]int64, r.NumRowGroups())
-		var off int64
+		off := part.Base
 		for i := range p.rgStart {
 			p.rgStart[i] = off
 			off += int64(r.RowGroupRows(i))
@@ -438,15 +455,17 @@ func dictLength(r *colstore.Reader, ci int, c *colstore.Column) (int, error) {
 }
 
 // newWorker builds one worker's private state in slot wi of the worker
-// slab: scratch, one kernel instance per stage (lazily built lookup
-// tables live in the kernel closure), a partial aggregate table, and
-// per-stage taps when traced. Slots are disjoint slices of shared
-// backing arrays; each is written by exactly one worker goroutine.
-func (p *pipeline) newWorker(wi int) *pipeWorker {
+// slab: one kernel instance per stage (lazily built lookup tables live in
+// the kernel closure), a partial aggregate table, and per-stage taps when
+// traced. sc is the pool worker's scratch, shared by every pipeline that
+// worker drives (it runs one morsel through one pipeline at a time).
+// Slots are disjoint slices of shared backing arrays; each is written by
+// exactly one worker goroutine.
+func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
 	nk := len(p.leaves)
 	w := &p.wbuf[wi]
 	w.p = p
-	w.sc = arena.Get()
+	w.sc = sc
 	w.kernels = p.kbuf[wi*nk : (wi+1)*nk : (wi+1)*nk]
 	for i, lf := range p.leaves {
 		if !lf.pf.empty && lf.pf.newKernel != nil {
@@ -454,7 +473,14 @@ func (p *pipeline) newWorker(wi int) *pipeWorker {
 		}
 	}
 	if p.term == TermGroupCount {
-		w.agg = NewPartialArrayAgg(p.keySpace, p.aggKinds)
+		switch {
+		case p.keySpace > 0:
+			w.agg = NewPartialArrayAgg(p.keySpace, p.aggKinds)
+		case p.colType == colstore.TypeInt64:
+			w.groupI = map[int64]int64{}
+		default:
+			w.groupS = map[string]int64{}
+		}
 	}
 	if p.rel != nil {
 		switch {
@@ -469,64 +495,6 @@ func (p *pipeline) newWorker(wi int) *pipeWorker {
 		w.stats = make([]stageStats, nk+p.relStageCount()+1)
 	}
 	return w
-}
-
-// run executes the compiled pipeline: one fallback barrier pass when some
-// filter has no kernel, then every row group claimed morsel-at-a-time and
-// driven through filters and terminal by one worker, then a final merge of
-// the worker partials.
-func (p *pipeline) run(ctx context.Context) (*PipelineResult, error) {
-	var fsel *bitutil.SectionalBitmap
-	if p.fallback {
-		var err error
-		fsel, err = p.plan.Execute(ctx, p.r, p.pool)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n := p.r.NumRowGroups()
-	parts := p.initParts(n)
-	nw := p.pool.Size()
-	if lim := MaxWorkersFrom(ctx); lim > 0 && nw > lim {
-		nw = lim
-	}
-	if nw > n {
-		nw = n
-	}
-	p.initWorkers(nw)
-	var hooks exec.MorselHooks
-	if f := p.buildFetcher(ctx); f != nil {
-		p.fetch = f
-		defer f.Close()
-		ctx = colstore.ContextWithFetcher(ctx, f)
-		// Release a row group's staged pages the moment its morsel
-		// finishes, so the budget recycles into lookahead.
-		hooks.OnDone = f.FinishGroup
-	}
-	if lq := obs.QueryFrom(ctx); lq != nil {
-		// Flight-recorder progress: the live entry learns the scan size
-		// here and ticks per finished morsel. One atomic add per morsel;
-		// queries outside a recorded terminal skip the whole block.
-		lq.AddMorsels(n, nw)
-		prev := hooks.OnDone
-		hooks.OnDone = func(m int) {
-			if prev != nil {
-				prev(m)
-			}
-			lq.MorselDone()
-		}
-	}
-	workers, err := exec.ParallelMorselsLimited(ctx, p.pool, n, nw,
-		p.newWorker,
-		func(mctx context.Context, w *pipeWorker, rg int) error {
-			return p.runMorsel(mctx, w, rg, fsel, parts)
-		}, hooks)
-	p.workers = workers
-	p.releaseWorkers(workers)
-	if err != nil {
-		return nil, err
-	}
-	return p.merge(workers), nil
 }
 
 // initParts sizes the per-row-group output slots for n morsels and
@@ -559,24 +527,13 @@ func (p *pipeline) initWorkers(nw int) {
 	p.kbuf = make([]filterRG, nw*len(p.leaves))
 }
 
-// releaseWorkers returns every worker's scratch arena to the pool. Safe
-// on the partial slices an errored run leaves behind.
-func (p *pipeline) releaseWorkers(workers []*pipeWorker) {
-	for _, w := range workers {
-		if w != nil && w.sc != nil {
-			arena.Put(w.sc)
-			w.sc = nil
-		}
-	}
-}
-
-// merge folds the worker partials and per-row-group parts into the final
-// result: counts sum, ordered outputs concatenate in row-group order (so
-// the result is independent of which worker claimed which morsel), and
-// aggregate tables merge.
-func (p *pipeline) merge(workers []*pipeWorker) *PipelineResult {
-	parts := &p.parts
-	res := &p.res
+// merge folds the worker partials and per-row-group parts into the part's
+// result (p.res): counts sum, ordered outputs concatenate in row-group
+// order (so the result is independent of which worker claimed which
+// morsel), and aggregate tables merge. The scan calls it exactly once —
+// merging consumes the partials.
+func (p *pipeline) merge() {
+	parts, res, workers := &p.parts, &p.res, p.workers
 	for _, w := range workers {
 		if w == nil {
 			continue
@@ -597,17 +554,52 @@ func (p *pipeline) merge(workers []*pipeWorker) *PipelineResult {
 			res.Sum += s
 		}
 	case TermGroupCount:
+		res.Groups = p.mergeGroups(workers)
+	case TermRel:
+		res.Rel = p.mergeRel(workers)
+	}
+}
+
+// mergeGroups folds the workers' group-count partials into value space:
+// dictionary keys label through the part's dictionary, gathered values
+// label directly.
+func (p *pipeline) mergeGroups(workers []*pipeWorker) map[string]int64 {
+	out := map[string]int64{}
+	if p.keySpace > 0 {
 		total := NewPartialArrayAgg(p.keySpace, p.aggKinds)
 		for _, w := range workers {
 			if w != nil && w.agg != nil {
 				total.Merge(w.agg)
 			}
 		}
-		res.Group = total.Result()
-	case TermRel:
-		res.Rel = p.mergeRel(workers)
+		// The dictionary was loaded when the pipeline was built (dictLength):
+		// a cache hit that cannot fail now.
+		var label func(k int64) string
+		if p.colType == colstore.TypeInt64 {
+			dict, _ := p.r.IntDict(p.ci)
+			label = func(k int64) string { return strconv.FormatInt(dict[k], 10) }
+		} else {
+			dict, _ := p.r.StrDict(p.ci)
+			label = func(k int64) string { return string(dict[k]) }
+		}
+		res := total.Result()
+		for g, k := range res.Keys {
+			out[label(k)] = res.Counts[g]
+		}
+		return out
 	}
-	return res
+	for _, w := range workers {
+		if w == nil {
+			continue
+		}
+		for v, n := range w.groupI {
+			out[strconv.FormatInt(v, 10)] += n
+		}
+		for v, n := range w.groupS {
+			out[v] += n
+		}
+	}
+	return out
 }
 
 // schedSet is one column's surviving pages for one row group — the unit
@@ -675,56 +667,16 @@ func MaxWorkersFrom(ctx context.Context) int {
 	return n
 }
 
-// buildFetcher computes the query's page schedule and starts the
-// background prefetcher, or returns nil when there is nothing to gain:
-// prefetch disabled, barrier fallback (the legacy path owns its own
-// reads), a provably-empty first stage, or a terminal that reads no
-// pages. Only the first planned stage is scheduled — it is the one stage
-// guaranteed to run over the unrestricted selection, so its metadata
-// disposition exactly predicts its kernel's page fetches; later stages
-// see selections that depend on data, which metadata cannot predict
-// without risking speculative reads of pages the query never touches.
-func (p *pipeline) buildFetcher(ctx context.Context) *colstore.PageFetcher {
-	opt, _ := ctx.Value(prefetchKey{}).(prefetchOpt)
-	if opt.off || p.fallback {
-		return nil
-	}
-	var sched func(rg int) []schedSet
-	switch {
-	case len(p.leaves) > 0:
-		lf := p.leaves[0]
-		if lf.pf.empty || lf.pf.sched == nil {
-			return nil
-		}
-		sched = lf.pf.sched
-	case p.ci >= 0:
-		sched = schedAllPages(p.r, p.ci)
-	default:
-		return nil
-	}
-	f := colstore.NewPageFetcher(p.r, opt.cfg)
-	scheduled := false
-	for rg := 0; rg < p.r.NumRowGroups(); rg++ {
-		for _, s := range sched(rg) {
-			if len(s.pages) > 0 {
-				f.Schedule(rg, s.col, s.pages)
-				scheduled = true
-			}
-		}
-	}
-	if !scheduled {
-		return nil
-	}
-	f.Start(ctx)
-	return f
-}
-
 // runMorsel drives one row group through the whole pipeline on one worker.
-func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int, fsel *bitutil.SectionalBitmap, parts *pipeParts) error {
+func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
+	parts := &p.parts
+	if p.r.RowGroupRows(rg) == 0 {
+		return nil // an empty table's one row group: nothing to select
+	}
 	var bm *bitutil.Bitmap
 	switch {
 	case p.fallback:
-		sec, skip := sectionSelection(fsel, rg)
+		sec, skip := sectionSelection(p.fsel, rg)
 		if !skip {
 			if sec == nil {
 				bm = fullGroupBitmap(p.r.RowGroupRows(rg))
@@ -790,12 +742,30 @@ func (p *pipeline) terminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pi
 			parts.strs[rg] = vals
 			produced = int64(len(vals))
 		case TermGroupCount:
-			var keys []int64
-			keys, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherKeys(bm)
-			if err == nil {
-				err = w.agg.Accumulate(keys, p.aggSpecs)
+			chunk := p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch)
+			switch {
+			case w.agg != nil:
+				var keys []int64
+				keys, err = chunk.GatherKeys(bm)
+				if err == nil {
+					err = w.agg.Accumulate(keys, p.aggSpecs)
+				}
+				produced = int64(len(keys))
+			case w.groupI != nil:
+				var vals []int64
+				vals, err = chunk.GatherInts(bm)
+				for _, v := range vals {
+					w.groupI[v]++
+				}
+				produced = int64(len(vals))
+			default:
+				var vals [][]byte
+				vals, err = chunk.GatherStrings(bm)
+				for _, v := range vals {
+					w.groupS[string(v)]++
+				}
+				produced = int64(len(vals))
 			}
-			produced = int64(len(keys))
 		case TermSumFloat:
 			var vals []float64
 			vals, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherFloats(bm)
@@ -947,168 +917,252 @@ func fullGroupBitmap(rows int) *bitutil.Bitmap {
 	return bm
 }
 
-// RunPipeline compiles and executes a planned query against one terminal.
-// pl nil means no predicate (every row selected). When ctx carries an
-// obs.Span, the run is traced as a "Pipeline[...]" child whose stage
-// children (Prepare, one per filter, the terminal) account every page the
-// reader touched: the stage IO sums to the pipeline span's own delta, the
-// invariant ExplainAnalyze verifies against Table.IOStats.
-func RunPipeline(ctx context.Context, r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind, col string) (*PipelineResult, error) {
-	sp := obs.SpanFrom(ctx)
-	if sp == nil {
-		p, err := buildPipeline(r, pool, pl, term, col, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		return p.run(ctx)
-	}
-	return runPipelineTraced(ctx, sp, r, pool, pl, term, col, nil)
-}
-
-// RunRelPipeline compiles and executes a relational plan: the predicate
-// plan's filter stages, then rp's join/filter stages and sink, all per row
-// group on the morsel pipeline. Traced runs render each join stage and
-// the sink as stage spans whose IO keeps the Σ-stages = pipeline-delta
-// invariant (joins on dictionary keys book only key-page reads — build
-// and probe never touch string pages).
-func RunRelPipeline(ctx context.Context, r *colstore.Reader, pool *exec.Pool, pl *Plan, rp *RelPlan) (*Batch, error) {
-	sp := obs.SpanFrom(ctx)
-	var res *PipelineResult
-	var err error
-	if sp == nil {
-		var p *pipeline
-		p, err = buildPipeline(r, pool, pl, TermRel, "", rp, false)
-		if err != nil {
-			return nil, err
-		}
-		res, err = p.run(ctx)
-	} else {
-		res, err = runPipelineTraced(ctx, sp, r, pool, pl, TermRel, "", rp)
-	}
+// RunPipeline compiles a query against every part of a table and runs it
+// as one morsel pass over all their row groups. plans holds the predicate
+// plan bound to each part (nil means no predicate: every row selected).
+// Results merge in (part, row-group) order, so RowIDs and gathered values
+// read as one table; group counts merge in value space. When ctx carries
+// an obs.Span the run is traced as a "Pipeline[...]" child whose stage
+// children (Prepare, one per filter, the terminal — grouped under one
+// Part span each when the table has several parts) account every page the
+// readers touched: the invariant ExplainAnalyze verifies against
+// Table.IOStats.
+func RunPipeline(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, term TermKind, col string) (*PipelineResult, error) {
+	pipes, err := runScan(ctx, parts, pool, plans, term, col, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res.Rel, nil
+	return mergeParts(pipes), nil
 }
 
-// runPipelineTraced is RunPipeline under a span: per-stage taps and stats
-// are merged across workers into one stage child each after the run, with
-// summed worker busy time as each stage's duration (wall clock cannot
-// express work interleaved across morsels).
-func runPipelineTraced(ctx context.Context, sp *obs.Span, r *colstore.Reader, pool *exec.Pool, pl *Plan, term TermKind, col string, rp *RelPlan) (*PipelineResult, error) {
-	child := sp.StartChild("Pipeline[" + pipelineLabel(term, col) + "]")
-	cctx := obs.ContextWithSpan(ctx, child)
-	ioBefore := r.Stats()
-	tasksBefore := pool.Completed()
-	prepStart := time.Now()
-	p, err := buildPipeline(r, pool, pl, term, col, rp, true)
-	prepIO := ioDelta(ioBefore, r.Stats())
-	prepDur := time.Since(prepStart)
-	var res *PipelineResult
-	if err == nil {
-		res, err = p.run(cctx)
+// RunRelPipeline compiles and executes a relational plan: each part's
+// predicate plan's filter stages, then its RelPlan's join/filter stages
+// and sink, all per row group in one morsel pass. It returns one batch per
+// part — dictionary codes mean something only within their part, so the
+// caller decodes and then merges in value space. Traced runs render each
+// join stage and the sink as stage spans whose IO keeps the Σ-stages =
+// pipeline-delta invariant (joins on dictionary keys book only key-page
+// reads — build and probe never touch string pages).
+func RunRelPipeline(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, rps []*RelPlan) ([]*Batch, error) {
+	pipes, err := runScan(ctx, parts, pool, plans, TermRel, "", rps)
+	if err != nil {
+		return nil, err
 	}
-	ioAfter := r.Stats()
+	out := make([]*Batch, len(pipes))
+	for i, p := range pipes {
+		out[i] = p.res.Rel
+	}
+	return out, nil
+}
 
-	prep := child.StartChild("Prepare")
-	prep.AddIO(prepIO)
-	prep.End()
-	prep.SetDuration(prepDur)
-	if p != nil {
-		if !p.fallback {
-			for _, lf := range p.leaves {
-				fs := child.StartChild("Filter[" + lf.name + "]")
-				for _, d := range DescribeFilter(lf.f, r) {
-					fs.AddDetail("%s", d)
+// mergeParts folds the per-part results (merged by the scan) into the
+// table's, in part order.
+func mergeParts(pipes []*pipeline) *PipelineResult {
+	res := &pipes[0].res
+	for _, p := range pipes[1:] {
+		pr := &p.res
+		res.Count += pr.Count
+		res.RowIDs = append(res.RowIDs, pr.RowIDs...)
+		res.Ints = append(res.Ints, pr.Ints...)
+		res.Floats = append(res.Floats, pr.Floats...)
+		res.Strings = append(res.Strings, pr.Strings...)
+		res.Sum += pr.Sum
+		for v, n := range pr.Groups {
+			res.Groups[v] += n
+		}
+	}
+	return res
+}
+
+// runScan compiles one query against every part and drives the pass,
+// traced when ctx carries a span: per-stage taps and stats are merged
+// across workers into one stage child each after the run, with summed
+// worker busy time as each stage's duration (wall clock cannot express
+// work interleaved across morsels).
+func runScan(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, term TermKind, col string, rps []*RelPlan) ([]*pipeline, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("ops: scan over a table with no parts")
+	}
+	sp := obs.SpanFrom(ctx)
+	var child *obs.Span
+	var tasksBefore int64
+	if sp != nil {
+		child = sp.StartChild("Pipeline[" + pipelineLabel(term, col) + "]")
+		ctx = obs.ContextWithSpan(ctx, child)
+		tasksBefore = pool.Completed()
+	}
+	pipes := make([]*pipeline, len(parts))
+	var (
+		ioBefore []colstore.IOStats
+		prepIO   []obs.SpanIO
+		prepDur  []time.Duration
+		err      error
+	)
+	if sp != nil {
+		ioBefore = make([]colstore.IOStats, len(parts))
+		prepIO = make([]obs.SpanIO, len(parts))
+		prepDur = make([]time.Duration, len(parts))
+	}
+	for i, part := range parts {
+		var pl *Plan
+		if plans != nil {
+			pl = plans[i]
+		}
+		var rp *RelPlan
+		if rps != nil {
+			rp = rps[i]
+		}
+		var prepStart time.Time
+		if sp != nil {
+			ioBefore[i] = part.R.Stats()
+			prepStart = time.Now()
+		}
+		pipes[i], err = buildPipeline(part, pl, term, col, rp, sp != nil)
+		if sp != nil {
+			prepIO[i] = IODelta(ioBefore[i], part.R.Stats())
+			prepDur[i] = time.Since(prepStart)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = scanParts(ctx, pool, parts, [][]*pipeline{pipes}, nil)
+	}
+	if sp == nil {
+		return pipes, err
+	}
+
+	var rowsIn, rowsOut int64
+	var total obs.SpanIO
+	morsels := 0
+	for i, part := range parts {
+		p := pipes[i]
+		parent := child
+		if len(parts) > 1 {
+			parent = child.StartChild(fmt.Sprintf("Part[%d/%d]", i+1, len(parts)))
+		}
+		prep := parent.StartChild("Prepare")
+		prep.AddIO(prepIO[i])
+		prep.End()
+		prep.SetDuration(prepDur[i])
+		busy := prepDur[i]
+		var count int64
+		if p != nil {
+			busy += p.traceStages(parent, term, col)
+			for _, w := range p.workers {
+				if w != nil {
+					count += w.count
 				}
-				st := p.mergedStats(lf.idx)
-				if st.pushed {
-					fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, r.NumRows())
-				}
-				if st.rowsIn > 0 {
-					fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
-				}
-				fs.SetRows(st.rowsIn, st.rowsOut)
-				tap := p.mergedIOTap(lf.idx)
-				addStageTimeDetails(fs, &tap, st.nanos)
-				fs.AddIO(spanIOFromTap(&tap))
-				fs.End()
-				fs.SetDuration(time.Duration(st.nanos))
 			}
 		}
-		if p.rel != nil {
-			for si := range p.rel.Stages {
-				stg := &p.rel.Stages[si]
-				js := child.StartChild(relStageSpanName(stg))
-				if stg.Kind != RelRowFilter {
-					js.AddDetail("build rows=%d", stg.Table.Len())
-					for _, k := range stg.Keys {
-						if k.Kind == RelKey {
-							js.AddDetail("probe key %s: dictionary codes", k.Col)
-						} else {
-							js.AddDetail("probe key %s: int values", k.Col)
-						}
-					}
-				}
-				st := p.mergedStats(len(p.leaves) + si)
-				js.SetRows(st.rowsIn, st.rowsOut)
-				tap := p.mergedIOTap(len(p.leaves) + si)
-				addStageTimeDetails(js, &tap, st.nanos)
-				js.AddIO(spanIOFromTap(&tap))
-				js.End()
-				js.SetDuration(time.Duration(st.nanos))
-			}
+		delta := IODelta(ioBefore[i], part.R.Stats())
+		if parent != child {
+			parent.SetRows(part.R.NumRows(), count)
+			parent.AddIO(delta)
+			parent.End()
+			parent.SetDuration(busy)
 		}
-		termIdx := len(p.leaves) + p.relStageCount()
-		name := terminalSpanName(term, col)
-		if p.rel != nil {
-			name = relSinkSpanName(p.rel)
-		}
-		ts := child.StartChild(name)
-		st := p.mergedStats(termIdx)
-		rowsOut := st.rowsOut
-		if term == TermRel && res != nil && res.Rel != nil {
-			// Worker partials over-count sink output (each worker's top-K
-			// buffer and group cells merge later); report the merged size.
-			rowsOut = int64(res.Rel.N)
-		}
-		ts.SetRows(st.rowsIn, rowsOut)
-		tap := p.mergedIOTap(termIdx)
-		addStageTimeDetails(ts, &tap, st.nanos)
-		ts.AddIO(spanIOFromTap(&tap))
-		ts.End()
-		ts.SetDuration(time.Duration(st.nanos))
+		total.Add(delta)
+		rowsIn += part.R.NumRows()
+		rowsOut += count
+		morsels += part.R.NumRowGroups()
 	}
 	if err != nil {
 		child.AddDetail("error=%v", err)
-	}
-	if res != nil {
-		child.SetRows(r.NumRows(), res.Count)
+	} else {
+		child.SetRows(rowsIn, rowsOut)
 	}
 	workers := pool.Size()
-	if n := r.NumRowGroups(); n < workers {
-		workers = n
+	if morsels < workers {
+		workers = morsels
 	}
-	child.AddDetail("morsels=%d workers<=%d", r.NumRowGroups(), workers)
-	child.AddIO(ioDelta(ioBefore, ioAfter))
+	child.AddDetail("morsels=%d workers<=%d", morsels, workers)
+	child.AddIO(total)
 	child.AddTasks(pool.Completed() - tasksBefore)
 	child.End()
-	if lq := obs.QueryFrom(ctx); lq != nil && p != nil {
+	if lq := obs.QueryFrom(ctx); lq != nil {
 		// Traced runs carry per-stage IO taps; total their wait and
 		// decompress time into the live entry so the finished record can
 		// split wall time into wait/decompress/scan.
 		var wait, dec int64
-		for i := 0; i <= len(p.leaves)+p.relStageCount(); i++ {
-			tap := p.mergedIOTap(i)
-			wait += tap.WaitNanos
-			dec += tap.DecompressNanos
+		for _, p := range pipes {
+			if p == nil {
+				continue
+			}
+			for i := 0; i <= len(p.leaves)+p.relStageCount(); i++ {
+				tap := p.mergedIOTap(i)
+				wait += tap.WaitNanos
+				dec += tap.DecompressNanos
+			}
 		}
 		lq.AddIOTimes(wait, dec)
 	}
-	if err != nil {
-		return nil, err
+	return pipes, err
+}
+
+// traceStages renders one part's stages — filters, relational stages, the
+// terminal — as children of parent and returns their summed busy time.
+func (p *pipeline) traceStages(parent *obs.Span, term TermKind, col string) time.Duration {
+	var busy int64
+	stage := func(s *obs.Span, idx int, rowsOut int64) {
+		st := p.mergedStats(idx)
+		if rowsOut < 0 {
+			rowsOut = st.rowsOut
+		}
+		s.SetRows(st.rowsIn, rowsOut)
+		tap := p.mergedIOTap(idx)
+		addStageTimeDetails(s, &tap, st.nanos)
+		s.AddIO(spanIOFromTap(&tap))
+		s.End()
+		s.SetDuration(time.Duration(st.nanos))
+		busy += st.nanos
 	}
-	return res, nil
+	if !p.fallback {
+		for _, lf := range p.leaves {
+			fs := parent.StartChild("Filter[" + lf.name + "]")
+			for _, d := range DescribeFilter(lf.f, p.r) {
+				fs.AddDetail("%s", d)
+			}
+			st := p.mergedStats(lf.idx)
+			if st.pushed {
+				fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, p.r.NumRows())
+			}
+			if st.rowsIn > 0 {
+				fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
+			}
+			stage(fs, lf.idx, -1)
+		}
+	}
+	if p.rel != nil {
+		for si := range p.rel.Stages {
+			stg := &p.rel.Stages[si]
+			js := parent.StartChild(relStageSpanName(stg))
+			if stg.Kind != RelRowFilter {
+				js.AddDetail("build rows=%d", stg.Table.Len())
+				for _, k := range stg.Keys {
+					if k.Kind == RelKey {
+						js.AddDetail("probe key %s: dictionary codes", k.Col)
+					} else {
+						js.AddDetail("probe key %s: values", k.Col)
+					}
+				}
+			}
+			stage(js, len(p.leaves)+si, -1)
+		}
+	}
+	name := terminalSpanName(term, col)
+	rowsOut := int64(-1)
+	if p.rel != nil {
+		name = relSinkSpanName(p.rel)
+		// Worker partials over-count sink output (each worker's top-K
+		// buffer and group cells merge later); report the merged size.
+		if p.res.Rel != nil {
+			rowsOut = int64(p.res.Rel.N)
+		}
+	}
+	stage(parent.StartChild(name), len(p.leaves)+p.relStageCount(), rowsOut)
+	return time.Duration(busy)
 }
 
 // mergedIOTap sums one stage's IO across workers, keeping the prefetch

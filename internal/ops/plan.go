@@ -546,7 +546,7 @@ func execOr(ctx context.Context, node *PlanNode, r *colstore.Reader, pool *exec.
 		child = sp.StartChild(fmt.Sprintf("Or[%d branches]", len(node.Kids)))
 		ioBefore := r.Stats()
 		defer func() {
-			child.AddIO(ioDelta(ioBefore, r.Stats()))
+			child.AddIO(IODelta(ioBefore, r.Stats()))
 			child.End()
 		}()
 		ctx = obs.ContextWithSpan(ctx, child)

@@ -210,9 +210,12 @@ type RelStage struct {
 	Kind RelJoinKind
 
 	// Join stages: probe keys are int-typed scan inputs (RelInt/RelKey),
-	// combined by KeyFn (nil means the single first key).
+	// combined by KeyFn (nil means the single first key) — or one RelStr
+	// input whose values map to build keys through StrKeys (absent values
+	// probe as -1), for string columns a part stores without a dictionary.
 	Keys    []RelInput
 	KeyFn   func(keys [][]int64, i int) int64
+	StrKeys map[string]int64
 	Table   *JoinTable
 	Payload *Batch
 
@@ -389,7 +392,8 @@ func (p *pipeline) buildRel(rp *RelPlan) error {
 				if in.FromStage >= 0 {
 					return fmt.Errorf("ops: join stage %q probes a payload column", st.Name)
 				}
-				if in.Kind != RelInt && in.Kind != RelKey {
+				strKey := in.Kind == RelStr && st.StrKeys != nil && len(st.Keys) == 1
+				if in.Kind != RelInt && in.Kind != RelKey && !strKey {
 					return fmt.Errorf("ops: join stage %q key %q is not int-typed", st.Name, in.Col)
 				}
 				if err := resolveRelInput(p.r, rp.Stages, in); err != nil {
@@ -657,9 +661,21 @@ func (m *relMorsel) probeKeys(st *RelStage, rows *relRows, tap *colstore.IOTap) 
 		in := &st.Keys[j]
 		var base []int64
 		var err error
-		if in.Kind == RelKey {
+		switch in.Kind {
+		case RelKey:
 			base, err = m.scanKeys(in.ci, tap)
-		} else {
+		case RelStr:
+			var strs [][]byte
+			strs, err = m.scanStrs(in.ci, tap)
+			base = make([]int64, len(strs))
+			for i, v := range strs {
+				k, ok := st.StrKeys[string(v)]
+				if !ok {
+					k = -1
+				}
+				base[i] = k
+			}
+		default:
 			base, err = m.scanInts(in.ci, tap)
 		}
 		if err != nil {
@@ -921,6 +937,130 @@ func sinkInputKind(in *RelInput) RelValKind {
 		return RelInt
 	}
 	return in.Kind
+}
+
+// Truncate cuts the batch to its first k rows.
+func (b *Batch) Truncate(k int) {
+	if k >= b.N {
+		return
+	}
+	b.N = k
+	for j := range b.Names {
+		switch b.Kinds[j] {
+		case RelFloat:
+			b.Floats[j] = b.Floats[j][:k]
+		case RelStr:
+			b.Strs[j] = b.Strs[j][:k]
+		default:
+			b.Ints[j] = b.Ints[j][:k]
+		}
+	}
+}
+
+// concatParts appends per-part result batches (same columns, values
+// already decoded) in part order.
+func concatParts(parts []*Batch) *Batch {
+	out := &Batch{}
+	for j, name := range parts[0].Names {
+		switch parts[0].Kinds[j] {
+		case RelFloat:
+			var col []float64
+			for _, b := range parts {
+				col = append(col, b.Floats[j]...)
+			}
+			out.AddFloats(name, col)
+		case RelStr:
+			var col [][]byte
+			for _, b := range parts {
+				col = append(col, b.Strs[j]...)
+			}
+			out.AddStrs(name, col)
+		default:
+			var col []int64
+			for _, b := range parts {
+				col = append(col, b.Ints[j]...)
+			}
+			out.AddInts(name, col)
+		}
+	}
+	out.N = 0
+	for _, b := range parts {
+		out.N += b.N
+	}
+	return out
+}
+
+// MergeCollected merges the per-part batches of a collect sink in value
+// space: concatenated in part order, then — each part having sorted and
+// cut only its own rows — stably re-sorted and cut to k (0 = no limit).
+func MergeCollected(parts []*Batch, by []RelSortKey, k int) *Batch {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	out := concatParts(parts)
+	if len(by) > 0 {
+		sortBatch(out, by)
+	}
+	if k > 0 {
+		out.Truncate(k)
+	}
+	return out
+}
+
+// MergeGrouped merges the per-part batches of a grouped sink (nKeys key
+// columns, then one column per aggregate) in value space: rows sort by
+// key tuple and each run of equal tuples folds into one row.
+func MergeGrouped(parts []*Batch, nKeys int, aggs []RelAggKind) (*Batch, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	for _, kind := range aggs {
+		if kind == RelAggCountDistinct {
+			return nil, fmt.Errorf("ops: count-distinct partials do not merge across table parts")
+		}
+	}
+	all := concatParts(parts)
+	keys := make([]RelSortKey, nKeys)
+	for j := range keys {
+		keys[j].Input = j
+	}
+	sortBatch(all, keys)
+	n := 0
+	for i := 0; i < all.N; i++ {
+		if n > 0 && compareBatchRows(all, keys, n-1, i) == 0 {
+			for a, kind := range aggs {
+				j := nKeys + a
+				switch kind {
+				case RelAggCount, RelAggSumInt:
+					all.Ints[j][n-1] += all.Ints[j][i]
+				case RelAggSumFloat:
+					all.Floats[j][n-1] += all.Floats[j][i]
+				case RelAggMinInt:
+					all.Ints[j][n-1] = min(all.Ints[j][n-1], all.Ints[j][i])
+				case RelAggMaxInt:
+					all.Ints[j][n-1] = max(all.Ints[j][n-1], all.Ints[j][i])
+				case RelAggMinFloat:
+					all.Floats[j][n-1] = min(all.Floats[j][n-1], all.Floats[j][i])
+				case RelAggMaxFloat:
+					all.Floats[j][n-1] = max(all.Floats[j][n-1], all.Floats[j][i])
+				}
+			}
+			continue
+		}
+		for j := range all.Names {
+			switch all.Kinds[j] {
+			case RelFloat:
+				all.Floats[j][n] = all.Floats[j][i]
+			case RelStr:
+				all.Strs[j][n] = all.Strs[j][i]
+			default:
+				all.Ints[j][n] = all.Ints[j][i]
+			}
+		}
+		n++
+	}
+	all.Truncate(n)
+	return all, nil
 }
 
 // SortBatch stable-sorts a batch in place by the given keys (post-

@@ -54,11 +54,15 @@ func relTestReader(t *testing.T, n int) (*colstore.Reader, string, [][]byte, []i
 func runRel(t *testing.T, r *colstore.Reader, pl *Plan, rp *RelPlan) *Batch {
 	t.Helper()
 	pool := exec.NewPool(4)
-	b, err := RunRelPipeline(context.Background(), r, pool, pl, rp)
+	var plans []*Plan
+	if pl != nil {
+		plans = []*Plan{pl}
+	}
+	bs, err := RunRelPipeline(context.Background(), PartsOf(r), pool, plans, []*RelPlan{rp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return bs[0]
 }
 
 // TestRelSemiJoinOnDictKeys checks a semi join probing on dict codes
@@ -339,10 +343,10 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 				Keys:  []RelInput{{FromStage: -1, Col: "cust", Kind: RelKey}},
 				Table: NewJoinTable(buildKeys),
 			}},
-			Sink: RelSink{Group: &RelGroup{Aggs: []RelAgg{{Kind: RelAggCount}}}},
+			Sink:  RelSink{Group: &RelGroup{Aggs: []RelAgg{{Kind: RelAggCount}}}},
 			Names: []string{"count"},
 		}
-		if _, err := RunRelPipeline(context.Background(), rr, pool, nil, rp); err != nil {
+		if _, err := RunRelPipeline(context.Background(), PartsOf(rr), pool, nil, []*RelPlan{rp}); err != nil {
 			t.Fatal(err)
 		}
 	})

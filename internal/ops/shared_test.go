@@ -14,7 +14,7 @@ import (
 // terminals, one select-all.
 func sharedItems() []SharedItem {
 	return []SharedItem{
-		{Plan: nil, Term: TermCount},
+		{Plans: nil, Term: TermCount},
 		{Term: TermCount},
 		{Term: TermRowIDs},
 		{Term: TermGroupCount, Col: "shipmode"},
@@ -39,7 +39,7 @@ func sharedPlans(r *colstore.Reader, items []SharedItem) []SharedItem {
 	for i, it := range items {
 		out[i] = it
 		if preds[i] != nil {
-			out[i].Plan = BuildPlan(preds[i], r)
+			out[i].Plans = []*Plan{BuildPlan(preds[i], r)}
 		}
 	}
 	return out
@@ -55,7 +55,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 
 	items := sharedPlans(r, sharedItems())
-	got, errs, fatal := RunShared(ctx, r, pool, items)
+	got, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
@@ -67,7 +67,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 	want := make([]*PipelineResult, len(items))
 	serial := sharedPlans(r, sharedItems())
 	for i, it := range serial {
-		res, err := RunPipeline(ctx, r, pool, it.Plan, it.Term, it.Col)
+		res, err := RunPipeline(ctx, PartsOf(r), pool, it.Plans, it.Term, it.Col)
 		if err != nil {
 			t.Fatalf("serial %d: %v", i, err)
 		}
@@ -84,10 +84,8 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 		if fmt.Sprint(g.Ints) != fmt.Sprint(w.Ints) {
 			t.Fatalf("item %d: ints differ", i)
 		}
-		if g.Group != nil || w.Group != nil {
-			if fmt.Sprint(g.Group) != fmt.Sprint(w.Group) {
-				t.Fatalf("item %d: groups differ:\n got %v\nwant %v", i, g.Group, w.Group)
-			}
+		if fmt.Sprint(g.Groups) != fmt.Sprint(w.Groups) {
+			t.Fatalf("item %d: groups differ:\n got %v\nwant %v", i, g.Groups, w.Groups)
 		}
 	}
 }
@@ -106,12 +104,12 @@ func TestRunSharedDecompressOnce(t *testing.T) {
 		items := make([]SharedItem, k)
 		for i := range items {
 			items[i] = SharedItem{
-				Plan: BuildPlan(LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 800}), r),
-				Term: TermCount,
+				Plans: []*Plan{BuildPlan(LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 800}), r)},
+				Term:  TermCount,
 			}
 		}
 		before := r.Stats().BytesDecompressed
-		_, errs, fatal := RunShared(ctx, r, pool, items)
+		_, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
 		if fatal != nil {
 			t.Fatal(fatal)
 		}
@@ -141,7 +139,7 @@ func TestRunSharedMemberFailure(t *testing.T) {
 		{Term: TermCount},
 		{Term: TermInts, Col: "no_such_column"},
 	}
-	got, errs, fatal := RunShared(context.Background(), r, pool, items)
+	got, errs, fatal := RunShared(context.Background(), PartsOf(r), pool, items)
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
@@ -161,7 +159,7 @@ func TestRunSharedWorkerCap(t *testing.T) {
 	pool := exec.NewPool(8)
 	ctx := ContextWithMaxWorkers(context.Background(), 1)
 	items := sharedPlans(r, sharedItems())
-	got, errs, fatal := RunShared(ctx, r, pool, items)
+	got, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
@@ -170,7 +168,7 @@ func TestRunSharedWorkerCap(t *testing.T) {
 			t.Fatalf("item %d: %v", i, errs[i])
 		}
 	}
-	res, err := RunPipeline(context.Background(), r, pool, nil, TermCount, "")
+	res, err := RunPipeline(context.Background(), PartsOf(r), pool, nil, TermCount, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,17 @@
 //
 // The central trick is the dictionary key space: a column name prefixed
 // with "#" denotes the dict-code view of a dict-encoded column. Joins
-// probe on those codes, and build sides are translated into the probe
-// side's code space once per query (TranslateStr/TranslateInt), so
-// equi-joins over encoded columns never decode a string. Group-by keys on
-// "#col" automatically learn the dictionary cardinality as their packed
-// domain.
+// probe on those codes, so equi-joins over encoded columns never decode a
+// string, and group-by keys on "#col" automatically learn the dictionary
+// cardinality as their packed domain.
+//
+// A probe table is an ordered list of parts (ops.Part) whose encodings —
+// and therefore code spaces — may differ: a query compiles once per part,
+// runs as one morsel pass over all of them, and the per-part results merge
+// in value space. "#col" hands raw codes back to the caller and is only
+// meaningful on a single-part table; "@col" is the part-agnostic form —
+// codes wherever the part has a dictionary, plain values where it does
+// not, decoded to values before the merge either way.
 package relq
 
 import (
@@ -30,17 +36,32 @@ import (
 // Builder methods accumulate; the first error sticks and surfaces at the
 // terminal.
 type Q struct {
-	r      *colstore.Reader
+	parts  []ops.Part
 	pool   *exec.Pool
 	ctx    context.Context
-	preds  []*ops.Pred
-	stages []ops.RelStage
+	preds  [][]*ops.Pred // per part
+	stages []stage
 	err    error
 }
 
-// Scan starts a query over one table.
+// stage is one probe or residual-filter stage before it is bound to a
+// part: the RelStage template plus the refs its inputs resolve from.
+type stage struct {
+	ops.RelStage
+	refs []string
+	// strIDs is set by JoinStrs: the build side's distinct values numbered
+	// in first-seen order — the key space Table is built over.
+	strIDs map[string]int64
+}
+
+// Scan starts a query over a single-reader table.
 func Scan(r *colstore.Reader, pool *exec.Pool) *Q {
-	return &Q{r: r, pool: pool, ctx: context.Background()}
+	return ScanParts(ops.PartsOf(r), pool)
+}
+
+// ScanParts starts a query over a table's ordered parts.
+func ScanParts(parts []ops.Part, pool *exec.Pool) *Q {
+	return &Q{parts: parts, pool: pool, ctx: context.Background(), preds: make([][]*ops.Pred, len(parts))}
 }
 
 // WithContext sets the execution context (tracing spans, prefetch and
@@ -59,23 +80,45 @@ func (q *Q) fail(err error) *Q {
 
 // Where adds a scan filter conjunct (planned and morselized with the rest
 // of the predicate tree, ahead of every join stage).
-func (q *Q) Where(f ops.Filter) *Q {
-	q.preds = append(q.preds, ops.LeafPred(f))
-	return q
-}
+func (q *Q) Where(f ops.Filter) *Q { return q.WherePred(ops.LeafPred(f)) }
 
-// WherePred adds an arbitrary predicate tree conjunct.
+// WherePred adds an arbitrary predicate tree conjunct, the same tree for
+// every part (its filters bind to each part's reader when prepared).
 func (q *Q) WherePred(p *ops.Pred) *Q {
-	q.preds = append(q.preds, p)
+	for i := range q.preds {
+		q.preds[i] = append(q.preds[i], p)
+	}
 	return q
 }
 
-// input parses a column reference: "#name" is the dictionary-code view of
-// a dict-encoded scan column, "stage.name" a payload column of an earlier
-// join stage, plain "name" a scan column typed from the schema.
-func (q *Q) input(ref string) (ops.RelInput, error) {
+// WherePartPreds adds a conjunct lowered separately for each part:
+// perPart[i] is the tree bound to part i's encodings.
+func (q *Q) WherePartPreds(perPart []*ops.Pred) *Q {
+	for i := range q.preds {
+		q.preds[i] = append(q.preds[i], perPart[i])
+	}
+	return q
+}
+
+// input parses a column reference against part pi: "#name" is the
+// dictionary-code view of a dict-encoded scan column, "@name" the same
+// where the part has a dictionary and the plain column where it does not
+// (decoded before results leave relq either way), "stage.name" a payload
+// column of an earlier join stage, plain "name" a scan column typed from
+// the schema.
+func (q *Q) input(pi int, ref string) (ops.RelInput, error) {
+	r := q.parts[pi].R
 	if strings.HasPrefix(ref, "#") {
+		if len(q.parts) > 1 {
+			return ops.RelInput{}, fmt.Errorf("relq: code-space ref %q needs a single-part table (use @%s)", ref, ref[1:])
+		}
 		return ops.RelInput{FromStage: -1, Col: ref[1:], Kind: ops.RelKey}, nil
+	}
+	if strings.HasPrefix(ref, "@") {
+		if _, c, err := r.Column(ref[1:]); err == nil && c.HasDict() {
+			return ops.RelInput{FromStage: -1, Col: ref[1:], Kind: ops.RelKey}, nil
+		}
+		ref = ref[1:]
 	}
 	if dot := strings.IndexByte(ref, '.'); dot >= 0 {
 		stage, col := ref[:dot], ref[dot+1:]
@@ -92,7 +135,7 @@ func (q *Q) input(ref string) (ops.RelInput, error) {
 		}
 		return ops.RelInput{}, fmt.Errorf("relq: no stage %q for input %q", stage, ref)
 	}
-	_, c, err := q.r.Column(ref)
+	_, c, err := r.Column(ref)
 	if err != nil {
 		return ops.RelInput{}, err
 	}
@@ -106,10 +149,10 @@ func (q *Q) input(ref string) (ops.RelInput, error) {
 	return ops.RelInput{FromStage: -1, Col: ref, Kind: kind}, nil
 }
 
-func (q *Q) inputs(refs []string) ([]ops.RelInput, error) {
+func (q *Q) inputs(pi int, refs []string) ([]ops.RelInput, error) {
 	out := make([]ops.RelInput, len(refs))
 	for i, ref := range refs {
-		in, err := q.input(ref)
+		in, err := q.input(pi, ref)
 		if err != nil {
 			return nil, err
 		}
@@ -120,23 +163,59 @@ func (q *Q) inputs(refs []string) ([]ops.RelInput, error) {
 
 // join appends one probe stage keyed on a single probe column.
 func (q *Q) join(kind ops.RelJoinKind, name string, keys []int64, payload *ops.Batch, probeKey string) *Q {
+	return q.JoinOn(kind, name, keys, payload, []string{probeKey}, nil)
+}
+
+// JoinStrs appends a probe stage on a string column, build side given as
+// values: they are numbered once, the one hash table is built over those
+// numbers, and each part probes through its own translation — its
+// dictionary's codes mapped to the numbers where the part has a
+// dictionary, its gathered values looked up directly where it does not.
+func (q *Q) JoinStrs(kind ops.RelJoinKind, name string, vals [][]byte, payload *ops.Batch, col string) *Q {
+	ids := make(map[string]int64)
+	keys := make([]int64, len(vals))
+	for i, v := range vals {
+		id, ok := ids[string(v)]
+		if !ok {
+			id = int64(len(ids))
+			ids[string(v)] = id
+		}
+		keys[i] = id
+	}
+	return q.addStage(stage{refs: []string{"@" + col}, strIDs: ids, RelStage: ops.RelStage{
+		Name: name, Kind: kind, Table: ops.NewJoinTable(keys), Payload: payload,
+	}})
+}
+
+// addStage appends a stage once its inputs resolve against the first
+// part, so a bad ref fails at the builder call that introduced it.
+func (q *Q) addStage(st stage) *Q {
 	if q.err != nil {
 		return q
 	}
-	in, err := q.input(probeKey)
-	if err != nil {
+	if _, err := q.stageInputs(0, &st); err != nil {
 		return q.fail(err)
 	}
-	if in.Kind != ops.RelInt && in.Kind != ops.RelKey {
-		return q.fail(fmt.Errorf("relq: join key %q is not int-typed", probeKey))
-	}
-	q.stages = append(q.stages, ops.RelStage{
-		Name: name, Kind: kind,
-		Keys:    []ops.RelInput{in},
-		Table:   ops.NewJoinTable(keys),
-		Payload: payload,
-	})
+	q.stages = append(q.stages, st)
 	return q
+}
+
+// stageInputs resolves a stage's refs against part pi and checks a join's
+// probe keys have a kind the stage can probe on. Metadata only.
+func (q *Q) stageInputs(pi int, st *stage) ([]ops.RelInput, error) {
+	ins, err := q.inputs(pi, st.refs)
+	if err != nil || st.Kind == ops.RelRowFilter {
+		return ins, err
+	}
+	for j, in := range ins {
+		switch {
+		case st.strIDs == nil && in.Kind != ops.RelInt && in.Kind != ops.RelKey:
+			return nil, fmt.Errorf("relq: join key %q is not int-typed", st.refs[j])
+		case st.strIDs != nil && in.Kind != ops.RelStr && in.Kind != ops.RelKey:
+			return nil, fmt.Errorf("relq: join key %q is not a string column", st.refs[j])
+		}
+	}
+	return ins, nil
 }
 
 // Semi keeps probe rows whose probeKey value appears in keys.
@@ -166,24 +245,52 @@ func (q *Q) LeftJoin(name string, keys []int64, payload *ops.Batch, probeKey str
 // build keys live in.
 func (q *Q) JoinOn(kind ops.RelJoinKind, name string, keys []int64, payload *ops.Batch,
 	probeKeys []string, fn func(vecs [][]int64, i int) int64) *Q {
-	if q.err != nil {
-		return q
+	return q.addStage(stage{refs: probeKeys, RelStage: ops.RelStage{
+		Name: name, Kind: kind, KeyFn: fn, Table: ops.NewJoinTable(keys), Payload: payload,
+	}})
+}
+
+// bindStage binds stage si to part pi: its inputs resolved, and — for a
+// JoinStrs stage — the part's own way from a probe value to a build key.
+func (q *Q) bindStage(pi, si int) (ops.RelStage, error) {
+	st := &q.stages[si]
+	out := st.RelStage
+	ins, err := q.stageInputs(pi, st)
+	if err != nil {
+		return out, err
 	}
-	ins := make([]ops.RelInput, len(probeKeys))
-	for j, ref := range probeKeys {
-		in, err := q.input(ref)
+	if st.Kind == ops.RelRowFilter {
+		out.Inputs = ins
+		return out, nil
+	}
+	out.Keys = ins
+	switch {
+	case st.strIDs == nil:
+	case ins[0].Kind == ops.RelStr:
+		out.StrKeys = st.strIDs
+	default:
+		// This part stores the column as dictionary codes: number each
+		// dictionary entry once, then probe code → number.
+		r := q.parts[pi].R
+		ci, _, err := r.Column(ins[0].Col)
 		if err != nil {
-			return q.fail(err)
+			return out, err
 		}
-		ins[j] = in
+		dict, err := r.StrDict(ci)
+		if err != nil {
+			return out, err
+		}
+		ofCode := make([]int64, len(dict))
+		for k, v := range dict {
+			id, ok := st.strIDs[string(v)]
+			if !ok {
+				id = -1 // a key no build row carries
+			}
+			ofCode[k] = id
+		}
+		out.KeyFn = func(vecs [][]int64, i int) int64 { return ofCode[vecs[0][i]] }
 	}
-	q.stages = append(q.stages, ops.RelStage{
-		Name: name, Kind: kind,
-		Keys: ins, KeyFn: fn,
-		Table:   ops.NewJoinTable(keys),
-		Payload: payload,
-	})
-	return q
+	return out, nil
 }
 
 // Row is a positional row view over a residual filter's or sink's inputs.
@@ -205,19 +312,10 @@ func (r Row) Str(j int) []byte { return r.E.S[j][r.I] }
 // (non-equi join conditions, cross-column predicates). It runs after
 // every earlier stage, in input order.
 func (q *Q) WhereRow(name string, refs []string, keep func(Row) bool) *Q {
-	if q.err != nil {
-		return q
-	}
-	ins, err := q.inputs(refs)
-	if err != nil {
-		return q.fail(err)
-	}
-	q.stages = append(q.stages, ops.RelStage{
+	return q.addStage(stage{refs: refs, RelStage: ops.RelStage{
 		Name: name, Kind: ops.RelRowFilter,
-		Inputs: ins,
-		Keep:   func(e *ops.RelEnv, i int) bool { return keep(Row{E: e, I: i}) },
-	})
-	return q
+		Keep: func(e *ops.RelEnv, i int) bool { return keep(Row{E: e, I: i}) },
+	}})
 }
 
 // GKey is one group-by key. Ref names a sink input; a "#col" ref groups
@@ -252,17 +350,36 @@ func (q *Q) GroupBy(keys []GKey, aggs []GAgg) (*ops.Batch, error) {
 // aggregates can address them positionally via Row.Int/Float/Str. Ref-based
 // keys and aggregates dedupe against the same slots.
 func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	sink := ops.RelSink{Group: &ops.RelGroup{}}
 	names := make([]string, 0, len(keys)+len(aggs))
+	for _, k := range keys {
+		names = append(names, k.Name)
+	}
+	kinds := make([]ops.RelAggKind, len(aggs))
+	for i, a := range aggs {
+		names = append(names, a.Name)
+		kinds[i] = a.Kind
+	}
+	batches, err := q.run(names, func(pi int) (ops.RelSink, map[int]string, error) {
+		return q.groupSink(pi, refs, keys, aggs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ops.MergeGrouped(batches, len(keys), kinds)
+}
+
+// groupSink binds a grouped sink to part pi; decode names, per output
+// column holding this part's dictionary codes for an "@" key, the column
+// whose dictionary decodes them.
+func (q *Q) groupSink(pi int, refs []string, keys []GKey, aggs []GAgg) (sink ops.RelSink, decode map[int]string, err error) {
+	sink.Group = &ops.RelGroup{}
+	decode = map[int]string{}
 	refIdx := map[string]int{}
 	addInput := func(ref string) (int, error) {
 		if j, ok := refIdx[ref]; ok {
 			return j, nil
 		}
-		in, err := q.input(ref)
+		in, err := q.input(pi, ref)
 		if err != nil {
 			return 0, err
 		}
@@ -272,10 +389,10 @@ func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, er
 	}
 	for _, ref := range refs {
 		if _, err := addInput(ref); err != nil {
-			return nil, err
+			return sink, nil, err
 		}
 	}
-	for _, k := range keys {
+	for ki, k := range keys {
 		gk := ops.RelGroupKey{Lo: k.Lo, Hi: k.Hi, Input: -1}
 		if k.Fn != nil {
 			fn := k.Fn
@@ -283,23 +400,25 @@ func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, er
 		} else {
 			j, err := addInput(k.Ref)
 			if err != nil {
-				return nil, err
+				return sink, nil, err
 			}
 			gk.Input = j
 			in := sink.Inputs[j]
+			if in.Kind == ops.RelKey && strings.HasPrefix(k.Ref, "@") {
+				decode[ki] = in.Col
+			}
 			switch {
 			case in.Kind == ops.RelStr:
 				gk.Str = true
 			case in.Kind == ops.RelKey && gk.Hi <= gk.Lo:
-				card, err := q.dictCard(in.Col)
+				card, err := dictCard(q.parts[pi].R, in.Col)
 				if err != nil {
-					return nil, err
+					return sink, nil, err
 				}
 				gk.Lo, gk.Hi = 0, int64(card)
 			}
 		}
 		sink.Group.Keys = append(sink.Group.Keys, gk)
-		names = append(names, k.Name)
 	}
 	for _, a := range aggs {
 		ga := ops.RelAgg{Kind: a.Kind, Input: -1}
@@ -313,14 +432,13 @@ func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, er
 		case a.Kind != ops.RelAggCount:
 			j, err := addInput(a.Ref)
 			if err != nil {
-				return nil, err
+				return sink, nil, err
 			}
 			ga.Input = j
 		}
 		sink.Group.Aggs = append(sink.Group.Aggs, ga)
-		names = append(names, a.Name)
 	}
-	return q.run(sink, names)
+	return sink, decode, nil
 }
 
 // SortBy orders a collected output by one column.
@@ -354,14 +472,7 @@ func (q *Q) TopK(refs []string, k int, by ...SortBy) (*ops.Batch, error) {
 }
 
 func (q *Q) collect(refs []string, by []SortBy, k int) (*ops.Batch, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	ins, err := q.inputs(refs)
-	if err != nil {
-		return nil, err
-	}
-	sink := ops.RelSink{Inputs: ins, Collect: &ops.RelCollect{K: k}}
+	collect := &ops.RelCollect{K: k}
 	for _, s := range by {
 		found := -1
 		for j, ref := range refs {
@@ -373,13 +484,26 @@ func (q *Q) collect(refs []string, by []SortBy, k int) (*ops.Batch, error) {
 		if found < 0 {
 			return nil, fmt.Errorf("relq: sort key %q is not a collected column", s.Ref)
 		}
-		sink.Collect.Sort = append(sink.Collect.Sort, ops.RelSortKey{Input: found, Desc: s.Desc})
+		collect.Sort = append(collect.Sort, ops.RelSortKey{Input: found, Desc: s.Desc})
 	}
 	names := make([]string, len(refs))
 	for i, ref := range refs {
-		names[i] = strings.TrimPrefix(ref, "#")
+		names[i] = strings.TrimLeft(ref, "#@")
 	}
-	return q.run(sink, names)
+	batches, err := q.run(names, func(pi int) (ops.RelSink, map[int]string, error) {
+		ins, err := q.inputs(pi, refs)
+		decode := map[int]string{}
+		for j, in := range ins {
+			if in.Kind == ops.RelKey && strings.HasPrefix(refs[j], "@") {
+				decode[j] = in.Col
+			}
+		}
+		return ops.RelSink{Inputs: ins, Collect: collect}, decode, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ops.MergeCollected(batches, collect.Sort, k), nil
 }
 
 // Count executes the plan and returns the number of rows reaching the
@@ -395,49 +519,88 @@ func (q *Q) Count() (int64, error) {
 	return b.Ints[0][0], nil
 }
 
-// run assembles the RelPlan and executes it on the morsel pipeline.
-func (q *Q) run(sink ops.RelSink, names []string) (*ops.Batch, error) {
-	var plan *ops.Plan
-	if len(q.preds) > 0 {
-		// Planning can read dictionaries and column stats (dict rewrites,
-		// conjunct ordering); under a trace that IO is booked on a Plan
-		// child so the span tree still sums to the reader's IOStats delta.
-		sp := obs.SpanFrom(q.ctx)
-		var ps *obs.Span
-		var before colstore.IOStats
-		if sp != nil {
-			ps = sp.StartChild("Plan")
-			before = q.r.Stats()
-		}
-		plan = ops.BuildPlan(ops.AndPred(q.preds...), q.r)
-		if ps != nil {
-			after := q.r.Stats()
-			ps.AddIO(obs.SpanIO{
-				PagesRead:         after.PagesRead - before.PagesRead,
-				PagesPruned:       after.PagesPruned - before.PagesPruned,
-				PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-				BytesRead:         after.BytesRead - before.BytesRead,
-				BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-			})
-			ps.End()
+// run binds the query to every part — predicate plan, stages, and the
+// sink sinkOf yields, along with the output columns that will hold that
+// part's dictionary codes (output column → column name) — and executes
+// them as one morsel pass. It returns one batch per part with those
+// columns decoded to values, ready to merge.
+func (q *Q) run(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) ([]*ops.Batch, error) {
+	if q.err != nil {
+		return nil, q.err
+	}
+	// Binding can read dictionaries and column stats (dict rewrites,
+	// conjunct ordering, join-key translation, group-key domains); under a
+	// trace that IO is booked on a Plan child so the span tree still sums
+	// to the readers' IOStats deltas.
+	var ps *obs.Span
+	var before []colstore.IOStats
+	if sp := obs.SpanFrom(q.ctx); sp != nil {
+		ps = sp.StartChild("Plan")
+		for _, part := range q.parts {
+			before = append(before, part.R.Stats())
 		}
 	}
-	rp := &ops.RelPlan{Stages: q.stages, Sink: sink, Names: names}
-	return ops.RunRelPipeline(q.ctx, q.r, q.pool, plan, rp)
+	plans, rps, decode, err := q.bind(names, sinkOf)
+	if ps != nil {
+		for pi, part := range q.parts {
+			ps.AddIO(ops.IODelta(before[pi], part.R.Stats()))
+		}
+		ps.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	batches, err := ops.RunRelPipeline(q.ctx, q.parts, q.pool, plans, rps)
+	if err != nil {
+		return nil, err
+	}
+	for pi, b := range batches {
+		for out, col := range decode[pi] {
+			if err := decodeBatchKeys(q.parts[pi].R, b, out, col); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return batches, nil
+}
+
+// bind compiles one predicate plan, relational plan and decode list per
+// part.
+func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) (
+	plans []*ops.Plan, rps []*ops.RelPlan, decode []map[int]string, err error) {
+	plans = make([]*ops.Plan, len(q.parts))
+	rps = make([]*ops.RelPlan, len(q.parts))
+	decode = make([]map[int]string, len(q.parts))
+	for pi, part := range q.parts {
+		if len(q.preds[pi]) > 0 {
+			plans[pi] = ops.BuildPlan(ops.AndPred(q.preds[pi]...), part.R)
+		}
+		rp := &ops.RelPlan{Stages: make([]ops.RelStage, len(q.stages)), Names: names}
+		for si := range q.stages {
+			if rp.Stages[si], err = q.bindStage(pi, si); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if rp.Sink, decode[pi], err = sinkOf(pi); err != nil {
+			return nil, nil, nil, err
+		}
+		rps[pi] = rp
+	}
+	return plans, rps, decode, nil
 }
 
 // dictCard reports the dictionary cardinality of a dict-encoded column.
-func (q *Q) dictCard(col string) (int, error) {
-	ci, c, err := q.r.Column(col)
+func dictCard(r *colstore.Reader, col string) (int, error) {
+	ci, c, err := r.Column(col)
 	if err != nil {
 		return 0, err
 	}
 	switch c.Type {
 	case colstore.TypeInt64:
-		d, err := q.r.IntDict(ci)
+		d, err := r.IntDict(ci)
 		return len(d), err
 	case colstore.TypeString:
-		d, err := q.r.StrDict(ci)
+		d, err := r.StrDict(ci)
 		return len(d), err
 	}
 	return 0, fmt.Errorf("relq: column %q has no dictionary", col)

@@ -1,83 +1,11 @@
 package relq
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"codecdb/internal/colstore"
-	"codecdb/internal/encoding"
 	"codecdb/internal/ops"
 )
-
-// Key-space translation: to probe a join on dictionary codes, build-side
-// values must first be mapped into the probe column's dict space. The
-// dictionaries are order-preserving (sorted), so each value binary-
-// searches to its code; absent values map to -1, a code no probe row
-// carries, making the miss semantics of semi/anti/inner joins fall out
-// naturally. This runs once per query over the (small) build side — the
-// probe side never decodes a value.
-
-// TranslateStr maps build-side string values into col's dictionary code
-// space; values absent from the dictionary become -1.
-func TranslateStr(r *colstore.Reader, col string, vals [][]byte) ([]int64, error) {
-	ci, c, err := r.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Encoding != encoding.KindDict && c.Encoding != encoding.KindDictRLE {
-		return nil, fmt.Errorf("relq: %q is not dictionary-encoded", col)
-	}
-	dict, err := r.StrDict(ci)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		k := sort.Search(len(dict), func(j int) bool { return bytes.Compare(dict[j], v) >= 0 })
-		if k < len(dict) && bytes.Equal(dict[k], v) {
-			out[i] = int64(k)
-		} else {
-			out[i] = -1
-		}
-	}
-	return out, nil
-}
-
-// TranslateInt maps build-side int values into col's dictionary code
-// space; values absent from the dictionary become -1.
-func TranslateInt(r *colstore.Reader, col string, vals []int64) ([]int64, error) {
-	ci, c, err := r.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Encoding != encoding.KindDict && c.Encoding != encoding.KindDictRLE {
-		return nil, fmt.Errorf("relq: %q is not dictionary-encoded", col)
-	}
-	dict, err := r.IntDict(ci)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		k := sort.Search(len(dict), func(j int) bool { return dict[j] >= v })
-		if k < len(dict) && dict[k] == v {
-			out[i] = int64(k)
-		} else {
-			out[i] = -1
-		}
-	}
-	return out, nil
-}
-
-// StrCode returns one string's code in col's dictionary, or -1.
-func StrCode(r *colstore.Reader, col string, v []byte) int64 {
-	codes, err := TranslateStr(r, col, [][]byte{v})
-	if err != nil {
-		return -1
-	}
-	return codes[0]
-}
 
 // DecodeKeys maps an int64 batch column of dict codes for col back to
 // values (the final projection of a late-materialized plan). Code -1
@@ -100,15 +28,11 @@ func DecodeKeys(r *colstore.Reader, col string, codes []int64) ([][]byte, error)
 	return out, nil
 }
 
-// DecodeBatchKeys rewrites batch column name (dict codes for col) into
-// its decoded string values in place.
-func DecodeBatchKeys(r *colstore.Reader, b *ops.Batch, name, col string) error {
-	j := b.Col(name)
-	if j < 0 {
-		return fmt.Errorf("relq: batch has no column %q", name)
-	}
+// decodeBatchKeys rewrites batch column j (dict codes for col) into its
+// decoded string values in place.
+func decodeBatchKeys(r *colstore.Reader, b *ops.Batch, j int, col string) error {
 	if b.Kinds[j] != ops.RelInt {
-		return fmt.Errorf("relq: batch column %q is not int-typed", name)
+		return fmt.Errorf("relq: batch column %q is not int-typed", b.Names[j])
 	}
 	vals, err := DecodeKeys(r, col, b.Ints[j])
 	if err != nil {

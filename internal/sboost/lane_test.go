@@ -1,7 +1,6 @@
 package sboost
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,55 +44,5 @@ func TestTwoLaneMatchesOneLane(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkScanLanes compares the two-lane scanWindows against the
-// one-lane baseline on the same packed stream, reporting ns/row. The
-// selective case (few hits) exercises the verdict-accumulation skip, the
-// dense case the full compaction+commit path.
-func BenchmarkScanLanes(b *testing.B) {
-	const n = 1 << 16
-	rng := rand.New(rand.NewSource(7))
-	for _, width := range []uint{8, 13, 16} {
-		max := uint64(1)<<width - 1
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = rng.Uint64() & max
-		}
-		data := pack(vals, width)
-		m := masksFor(width)
-		for _, tc := range []struct {
-			name   string
-			target uint64
-		}{
-			{"selective", 3},       // ~0% of rows match v < 3
-			{"dense", max/2 + max/4}, // ~75% match
-		} {
-			bc := m.broadcast(tc.target)
-			cmp := func(x uint64) uint64 { return m.lt(x, bc) }
-			out := bitutil.NewBitmap(n)
-			b.Run(fmt.Sprintf("w%d/%s/two-lane", width, tc.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					clearBitmap(out)
-					scanWindows(data, n, m, cmp, out)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-			})
-			b.Run(fmt.Sprintf("w%d/%s/one-lane", width, tc.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					clearBitmap(out)
-					scanWindows1(data, n, m, cmp, out)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
-			})
-		}
-	}
-}
-
-func clearBitmap(bm *bitutil.Bitmap) {
-	w := bm.Words()
-	for i := range w {
-		w[i] = 0
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"codecdb"
@@ -154,8 +153,9 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		return nil, wireErr(CodeBadPredicate, "unknown column %q", req.Column)
 	}
 	// Type-check the measured column the same way: sum reinterprets the
-	// column's pages as float bits and group_count needs a dictionary, so
-	// a mistyped column is a client error, not an execution failure.
+	// column's pages as float bits and the wire's group_count is defined
+	// over string columns, so a mistyped column is a client error, not an
+	// execution failure.
 	if term == codecdb.TerminalSum {
 		if typ, ok := tbl.ColumnType(req.Column); ok && typ != "FLOAT64" {
 			return nil, wireErr(CodeBadPredicate, "terminal \"sum\" needs a FLOAT64 column, %q is %s", req.Column, typ)
@@ -486,11 +486,6 @@ func classifyExecErr(err error) string {
 		return CodeCorruption
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return CodeCanceled
-	// group_count on a string column stored without a dictionary (the
-	// type pre-check can't see encodings) is still the client's request
-	// shape, not a server fault.
-	case strings.Contains(err.Error(), "needs a dictionary column"):
-		return CodeBadPredicate
 	}
 	return CodeInternal
 }

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"codecdb/internal/colstore"
+	"codecdb/internal/encoding"
 	"codecdb/internal/memtable"
 	"codecdb/internal/obs"
 	"codecdb/internal/vfs"
@@ -119,10 +120,14 @@ type shardHandle struct {
 // sealedEntry is a sealed memtable awaiting flush. start is the WAL
 // segment that was active when its buffer started accepting rows: every
 // row in mem lives in segments [start, sealing rotation), so once mem
-// is flushed, segments below the *next* entry's start are dead.
+// is flushed, segments below the *next* entry's start are dead. img is
+// the memtable's column image, built by the first query that needs it.
 type sealedEntry struct {
 	mem   *memtable.ColumnTable
 	start uint64
+
+	imgMu sync.Mutex
+	img   *colstore.Reader
 }
 
 // Table is a sharded, WAL-backed table.
@@ -150,16 +155,34 @@ type Table struct {
 	shards      []*shardHandle
 	quarantined []QuarantinedShard
 	buf         *memtable.Buffer
-	sealedQ     []sealedEntry
+	sealedQ     []*sealedEntry
+	sealGen     uint64 // bumped at every seal: names the active buffer's generation
 	w           *wal.Writer
 	walSeq      uint64 // active segment sequence
 	activeStart uint64 // segment holding the active buffer's oldest row
 	flushErr    error
 	trimmedTo   uint64 // segments below this are already deleted
 	kicks       int    // flush wake generation; failed flushes wait for the next kick
+	flushing    bool   // the flusher is inside flushOne (its record and log not yet written)
 	closed      bool
 	flusherDone chan struct{}
 	lastFlush   string // rendered span tree of the last committed flush
+
+	// schema is an empty tail image: a reader that carries the column
+	// names and types and nothing else.
+	schema *colstore.Reader
+
+	// active caches the active buffer's column image; it is rebuilt only
+	// when the buffer's generation or row count moved. tailIO keeps the
+	// IO counters of images already dropped, so IOStats never runs
+	// backwards when a flush or a rebuild retires one.
+	tailMu sync.Mutex
+	active struct {
+		gen  uint64
+		rows int
+		img  *colstore.Reader
+	}
+	tailIO colstore.IOStats
 }
 
 // Open opens (or creates) a sharded table in dir, recovering it to the
@@ -187,6 +210,9 @@ func Open(fsys vfs.FS, dir string, cols []Column, opts Options, flushFn FlushFun
 	// The buffer never self-seals: sealing must rotate the WAL in the
 	// same critical section, so the table drives it off SizeBytes.
 	t.buf = memtable.NewBuffer(names, types, math.MaxInt)
+	if t.schema, err = tailImage(cols, memtable.NewColumnTable(names, types)); err != nil {
+		return nil, err
+	}
 
 	if err := t.openShards(); err != nil {
 		return nil, err
@@ -343,6 +369,10 @@ var errStopReplay = fmt.Errorf("shard: stop replay")
 // Cols returns the schema.
 func (t *Table) Cols() []Column { return t.cols }
 
+// Schema returns an empty reader over the table's columns, for checking
+// names and types without taking a snapshot.
+func (t *Table) Schema() *colstore.Reader { return t.schema }
+
 // Dir returns the table directory.
 func (t *Table) Dir() string { return t.dir }
 
@@ -422,7 +452,8 @@ func (t *Table) sealAndRotateLocked() {
 	}
 	t.w.Close()
 	t.w, t.walSeq = nw, newSeq
-	t.sealedQ = append(t.sealedQ, sealedEntry{mem: sealed, start: t.activeStart})
+	t.sealedQ = append(t.sealedQ, &sealedEntry{mem: sealed, start: t.activeStart})
+	t.sealGen++
 	t.activeStart = newSeq
 	t.kicks++
 	t.cond.Broadcast()
@@ -452,7 +483,11 @@ func (t *Table) Flush() error {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.sealedQ) > 0 && t.flushErr == nil && !t.closed {
+	// Wait for the queue to drain and for the flusher to finish its last
+	// flush's bookkeeping: the shard commits (and leaves the queue) before
+	// flushOne writes the flight-recorder entry and the log event, and a
+	// caller that reads either right after Flush must find them.
+	for (len(t.sealedQ) > 0 || t.flushing) && t.flushErr == nil && !t.closed {
 		t.cond.Wait()
 	}
 	return t.flushErr
@@ -475,17 +510,19 @@ func (t *Table) flusher() {
 		}
 		e := t.sealedQ[0]
 		kick := t.kicks
+		t.flushing = true
 		t.mu.Unlock()
 
-		if err := t.flushOne(e); err != nil {
-			t.mu.Lock()
+		err := t.flushOne(e)
+		t.mu.Lock()
+		t.flushing = false
+		lastFailedKick = -1
+		if err != nil {
 			t.flushErr = err
 			lastFailedKick = kick
-			t.cond.Broadcast()
-			t.mu.Unlock()
-			continue
 		}
-		lastFailedKick = -1
+		t.cond.Broadcast()
+		t.mu.Unlock()
 	}
 }
 
@@ -493,7 +530,7 @@ func (t *Table) flusher() {
 // a process-wide ID, its duration lands in the flush histogram, its
 // span tree is kept on the completed record, and one structured log
 // event reports the outcome.
-func (t *Table) flushOne(e sealedEntry) error {
+func (t *Table) flushOne(e *sealedEntry) error {
 	rows := int64(e.mem.NumRows())
 	fr := obs.DefaultRecorder()
 	lq := fr.Begin(obs.KindFlush, t.name(), "Flush", "")
@@ -522,7 +559,7 @@ func (t *Table) flushOne(e sealedEntry) error {
 // rename, commits the manifest, and trims dead WAL segments. Traced as
 // a Flush span (Encode → Publish → Manifest → Trim) retrievable via
 // LastFlushTrace.
-func (t *Table) flushShard(e sealedEntry, id uint64) (*obs.Span, string, error) {
+func (t *Table) flushShard(e *sealedEntry, id uint64) (*obs.Span, string, error) {
 	sp := obs.NewSpan("Flush")
 	sp.SetRows(int64(e.mem.NumRows()), int64(e.mem.NumRows()))
 
@@ -617,6 +654,7 @@ func (t *Table) flushShard(e sealedEntry, id uint64) (*obs.Span, string, error) 
 	t.lastFlush = sp.Render()
 	t.cond.Broadcast()
 	t.mu.Unlock()
+	t.retire(e.built())
 	flushesTotal.Inc()
 	flushRowsTotal.Add(int64(e.mem.NumRows()))
 	if obs.EventsEnabled() {
@@ -682,48 +720,157 @@ func (t *Table) NumRows() int64 {
 	return n + int64(t.buf.Rows())
 }
 
-// ShardView is one immutable shard in a snapshot.
-type ShardView struct {
-	File   string
-	Rows   int64
-	Reader *colstore.Reader
-}
-
-// View is a consistent snapshot of the table for one query: the live
-// shards in ingest order followed by the in-memory tail (sealed
-// memtables, then a frozen view of the active buffer). Row IDs are
-// assigned in that order. The shards and sealed tables are immutable;
-// the active view is stable by construction.
-type View struct {
-	Shards []ShardView
-	Tail   []*memtable.ColumnTable
-}
-
-// NumRows is the snapshot's total row count.
-func (v *View) NumRows() int64 {
-	var n int64
-	for _, s := range v.Shards {
-		n += s.Rows
-	}
-	for _, m := range v.Tail {
-		n += int64(m.NumRows())
-	}
-	return n
-}
-
-// Snapshot captures a consistent view for query execution.
-func (t *Table) Snapshot() *View {
+// Snapshot captures a consistent view for query execution as an ordered
+// list of column readers: the live shards in ingest order, then the
+// in-memory tail — every sealed memtable, then the active buffer — each
+// presented as an uncompressed PLAIN column image held in memory (see
+// tailImage). Row ids are assigned in that order. Shards and sealed
+// images are immutable; the active image covers exactly the rows the
+// buffer held when the snapshot was taken.
+func (t *Table) Snapshot() ([]*colstore.Reader, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := &View{}
+	parts := make([]*colstore.Reader, 0, len(t.shards)+len(t.sealedQ)+1)
 	for _, h := range t.shards {
-		v.Shards = append(v.Shards, ShardView{File: h.meta.File, Rows: h.meta.Rows, Reader: h.r})
+		parts = append(parts, h.r)
 	}
-	for _, e := range t.sealedQ {
-		v.Tail = append(v.Tail, e.mem)
+	sealed := append([]*sealedEntry(nil), t.sealedQ...)
+	active, gen := t.buf.Snapshot(), t.sealGen
+	t.mu.Unlock()
+
+	for _, e := range sealed {
+		img, err := e.image(t.cols)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, img)
 	}
-	v.Tail = append(v.Tail, t.buf.Snapshot())
-	return v
+	t.tailMu.Lock()
+	defer t.tailMu.Unlock()
+	if a := &t.active; a.img == nil || a.gen != gen || a.rows != active.NumRows() {
+		img, err := tailImage(t.cols, active)
+		if err != nil {
+			return nil, err
+		}
+		if a.img != nil {
+			t.tailIO.Add(a.img.Stats())
+		}
+		a.gen, a.rows, a.img = gen, active.NumRows(), img
+	}
+	return append(parts, t.active.img), nil
+}
+
+// image returns the entry's column image, building it on first use.
+func (e *sealedEntry) image(cols []Column) (*colstore.Reader, error) {
+	e.imgMu.Lock()
+	defer e.imgMu.Unlock()
+	if e.img == nil {
+		img, err := tailImage(cols, e.mem)
+		if err != nil {
+			return nil, err
+		}
+		e.img = img
+	}
+	return e.img, nil
+}
+
+// built returns the entry's column image if a query built one.
+func (e *sealedEntry) built() *colstore.Reader {
+	e.imgMu.Lock()
+	defer e.imgMu.Unlock()
+	return e.img
+}
+
+// retire folds a dropped tail image's IO counters into the table's
+// running total. Queries still scanning the image keep it alive; what
+// they read after this point is not counted.
+func (t *Table) retire(img *colstore.Reader) {
+	if img == nil {
+		return
+	}
+	t.tailMu.Lock()
+	t.tailIO.Add(img.Stats())
+	t.tailMu.Unlock()
+}
+
+// tailImage writes a memtable once as an uncompressed PLAIN column file
+// into memory and opens it, so the tail is scanned by the same filters,
+// zone maps and gathers as a shard. It is written in the v2 framing —
+// chunk statistics but no page statistics: building a page's zone map
+// costs more than skipping a memory-resident PLAIN page ever saves, and
+// the image of a busy active buffer is rebuilt for every query. The image
+// is never persisted: the rows it holds are durable in the WAL, and it is
+// rebuilt from the memtable whenever it is needed again.
+func tailImage(cols []Column, mem *memtable.ColumnTable) (*colstore.Reader, error) {
+	schema := colstore.Schema{Columns: make([]colstore.Column, len(cols))}
+	data := make([]colstore.ColumnData, len(cols))
+	for i, c := range cols {
+		col := colstore.Column{Name: c.Name, Encoding: encoding.KindPlain}
+		switch c.Type {
+		case memtable.ColInt64:
+			col.Type, data[i].Ints = colstore.TypeInt64, mem.Ints(i)
+		case memtable.ColFloat64:
+			col.Type, data[i].Floats = colstore.TypeFloat64, mem.Floats(i)
+		case memtable.ColBinary:
+			bins := mem.Binaries(i)
+			strs := make([][]byte, len(bins))
+			for j, b := range bins {
+				strs[j] = b
+			}
+			col.Type, data[i].Strings = colstore.TypeString, strs
+		}
+		schema.Columns[i] = col
+	}
+	fsys := vfs.NewMemFS()
+	if err := colstore.WriteFileFS(fsys, "tail", schema, data, colstore.Options{FormatVersion: colstore.FormatV2}); err != nil {
+		return nil, fmt.Errorf("shard: tail image: %w", err)
+	}
+	return colstore.OpenFS(fsys, "tail")
+}
+
+// statReaders lists every reader currently serving queries: live shards
+// and the tail images already built (none is built for the asking).
+func (t *Table) statReaders() []*colstore.Reader {
+	t.mu.Lock()
+	var rs []*colstore.Reader
+	for _, h := range t.shards {
+		rs = append(rs, h.r)
+	}
+	sealed := append([]*sealedEntry(nil), t.sealedQ...)
+	t.mu.Unlock()
+	for _, e := range sealed {
+		if img := e.built(); img != nil {
+			rs = append(rs, img)
+		}
+	}
+	t.tailMu.Lock()
+	defer t.tailMu.Unlock()
+	if t.active.img != nil {
+		rs = append(rs, t.active.img)
+	}
+	return rs
+}
+
+// IOStats sums the IO counters of every reader the table has served
+// queries from: live shards, cached tail images, and retired ones.
+func (t *Table) IOStats() colstore.IOStats {
+	var sum colstore.IOStats
+	for _, r := range t.statReaders() {
+		sum.Add(r.Stats())
+	}
+	t.tailMu.Lock()
+	defer t.tailMu.Unlock()
+	sum.Add(t.tailIO)
+	return sum
+}
+
+// ResetIOStats zeroes the counters IOStats sums.
+func (t *Table) ResetIOStats() {
+	for _, r := range t.statReaders() {
+		r.ResetStats()
+	}
+	t.tailMu.Lock()
+	defer t.tailMu.Unlock()
+	t.tailIO = colstore.IOStats{}
 }
 
 // ScrubReport is the result of a full integrity scrub.

@@ -63,18 +63,34 @@ func collectIDs(t *testing.T, tbl *Table) []int64 {
 	t.Helper()
 	pool := exec.NewPool(2)
 	var ids []int64
-	v := tbl.Snapshot()
-	for _, sv := range v.Shards {
-		vals, err := ops.GatherInts(sv.Reader, "id", ops.FullTableBitmap(sv.Reader), pool)
+	parts, err := tbl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range parts {
+		if r.NumRows() == 0 {
+			continue // the empty active buffer's image
+		}
+		vals, err := ops.GatherInts(r, "id", ops.FullTableBitmap(r), pool)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, vals...)
 	}
-	for _, mem := range v.Tail {
-		ids = append(ids, mem.Ints(0)...)
-	}
 	return ids
+}
+
+// shardFiles lists the table directory's shard files in ingest order.
+func shardFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.cdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range files {
+		files[i] = filepath.Base(f)
+	}
+	return files
 }
 
 func appendN(t *testing.T, tbl *Table, from, n int) {
@@ -143,9 +159,8 @@ func TestSizeSealRotatesWAL(t *testing.T) {
 	if err := tbl.Flush(); err != nil { // drain whatever is queued
 		t.Fatal(err)
 	}
-	v := tbl.Snapshot()
-	if len(v.Shards) < 2 {
-		t.Fatalf("size seal produced %d shards, want >= 2", len(v.Shards))
+	if n := len(shardFiles(t, dir)); n < 2 {
+		t.Fatalf("size seal produced %d shards, want >= 2", n)
 	}
 	wantIDs(t, collectIDs(t, tbl), 500)
 	if err := tbl.Close(); err != nil {
@@ -270,7 +285,7 @@ func TestQuarantineMissingShard(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	first := tbl.Snapshot().Shards[0].File
+	first := shardFiles(t, dir)[0]
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +323,7 @@ func TestQuarantineCorruptShard(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	file := tbl.Snapshot().Shards[0].File
+	file := shardFiles(t, dir)[0]
 	if err := tbl.Close(); err != nil {
 		t.Fatal(err)
 	}

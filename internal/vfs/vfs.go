@@ -15,9 +15,12 @@
 package vfs
 
 import (
+	"bytes"
 	"io"
 	"os"
+	"path"
 	"sort"
+	"sync"
 )
 
 // File is a readable handle: random-access reads plus size, the two
@@ -105,4 +108,87 @@ func (f osFile) Size() (int64, error) {
 		return 0, err
 	}
 	return st.Size(), nil
+}
+
+// MemFS is an in-memory FS: a file is a byte slice that becomes visible
+// to Open when its writer closes. It holds images that are rebuilt from
+// other state and never need to survive the process (the ingest tail's
+// column image), so Sync and SyncDir have nothing to do.
+type MemFS struct {
+	mu    sync.Mutex
+	files map[string][]byte
+}
+
+// NewMemFS returns an empty in-memory filesystem.
+func NewMemFS() *MemFS { return &MemFS{files: map[string][]byte{}} }
+
+func (m *MemFS) Open(path string) (File, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[path]
+	if !ok {
+		return nil, &os.PathError{Op: "open", Path: path, Err: os.ErrNotExist}
+	}
+	return memFile{bytes.NewReader(data)}, nil
+}
+
+func (m *MemFS) Create(path string) (WFile, error) { return &memWriter{fs: m, path: path}, nil }
+
+func (m *MemFS) Rename(oldpath, newpath string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	data, ok := m.files[oldpath]
+	if !ok {
+		return &os.PathError{Op: "rename", Path: oldpath, Err: os.ErrNotExist}
+	}
+	delete(m.files, oldpath)
+	m.files[newpath] = data
+	return nil
+}
+
+func (m *MemFS) Remove(path string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.files, path)
+	return nil
+}
+
+func (m *MemFS) ReadDir(dir string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var names []string
+	for p := range m.files {
+		if path.Dir(p) == path.Clean(dir) {
+			names = append(names, path.Base(p))
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+func (m *MemFS) SyncDir(string) error { return nil }
+
+type memFile struct{ *bytes.Reader }
+
+func (memFile) Close() error           { return nil }
+func (f memFile) Size() (int64, error) { return f.Reader.Size(), nil }
+
+type memWriter struct {
+	buf  []byte
+	fs   *MemFS
+	path string
+}
+
+func (w *memWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+func (w *memWriter) Sync() error { return nil }
+
+func (w *memWriter) Close() error {
+	w.fs.mu.Lock()
+	defer w.fs.mu.Unlock()
+	w.fs.files[w.path] = w.buf
+	return nil
 }

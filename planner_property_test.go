@@ -12,46 +12,71 @@ import (
 // propData holds the raw arrays behind the property-test table, so the
 // reference evaluator can full-scan them in memory.
 type propData struct {
-	cat, tag     [][]byte
-	grade, small []int64
-	seq          []int64
-	score        []float64
+	cat, tag, run [][]byte
+	grade, small  []int64
+	seq           []int64
+	score         []float64
+	// noCols keeps two-column predicates out of generated trees: they need
+	// a dictionary shared across parts, which ingest tables do not have.
+	noCols bool
 }
 
 var propCats = [][]byte{
 	[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte("delta"), []byte("omega"),
 }
 
-// propTable loads a table covering every planner-relevant encoding: two
-// dictionary string columns sharing one dictionary (two-column compares),
-// a dictionary int, a delta int, a bit-packed int, and a float column.
-func propTable(t *testing.T, db *DB, name string, n, formatVersion int) *propData {
-	t.Helper()
+// propRows generates the property-test rows: columns for every
+// planner-relevant encoding, including a run-heavy string column for
+// DICTIONARY_RLE.
+func propRows(n int) *propData {
 	rng := rand.New(rand.NewSource(7))
 	d := &propData{
-		cat: make([][]byte, n), tag: make([][]byte, n),
+		cat: make([][]byte, n), tag: make([][]byte, n), run: make([][]byte, n),
 		grade: make([]int64, n), small: make([]int64, n),
 		seq: make([]int64, n), score: make([]float64, n),
 	}
 	seq := int64(100)
+	run := propCats[0]
 	for i := 0; i < n; i++ {
 		d.cat[i] = propCats[rng.Intn(len(propCats))]
 		d.tag[i] = propCats[rng.Intn(len(propCats))]
+		if rng.Intn(40) == 0 {
+			run = propCats[rng.Intn(len(propCats))]
+		}
+		d.run[i] = run
 		d.grade[i] = int64(rng.Intn(7))
 		d.small[i] = rng.Int63n(1000)
 		seq += rng.Int63n(5)
 		d.seq[i] = seq
 		d.score[i] = float64(rng.Intn(100)) / 10
 	}
-	_, err := db.LoadTable(name, []Column{
+	return d
+}
+
+// columns lays the rows out as a load: two dictionary string columns
+// sharing one dictionary (two-column compares), a DICTIONARY_RLE string, a
+// dictionary int, a delta int, a bit-packed int, and a float column.
+func (d *propData) columns() []Column {
+	return []Column{
 		{Name: "cat", Strings: d.cat, ForceEncoding: Dictionary, Forced: true, DictGroup: "g"},
 		{Name: "tag", Strings: d.tag, ForceEncoding: Dictionary, Forced: true, DictGroup: "g"},
+		{Name: "run", Strings: d.run, ForceEncoding: DictRLE, Forced: true},
 		{Name: "grade", Ints: d.grade, ForceEncoding: Dictionary, Forced: true},
 		{Name: "seq", Ints: d.seq, ForceEncoding: Delta, Forced: true},
 		{Name: "small", Ints: d.small, ForceEncoding: BitPacked, Forced: true},
 		{Name: "score", Floats: d.score},
-	}, LoadOptions{RowGroupRows: 512, PageRows: 128, FormatVersion: formatVersion})
-	if err != nil {
+	}
+}
+
+var propLoad = LoadOptions{RowGroupRows: 512, PageRows: 128}
+
+// propTable loads the property-test rows as a static table.
+func propTable(t *testing.T, db *DB, name string, n, formatVersion int) *propData {
+	t.Helper()
+	d := propRows(n)
+	opts := propLoad
+	opts.FormatVersion = formatVersion
+	if _, err := db.LoadTable(name, d.columns(), opts); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -63,7 +88,11 @@ func propTable(t *testing.T, db *DB, name string, n, formatVersion int) *propDat
 func genLeaf(rng *rand.Rand, d *propData) (Pred, func(i int) bool) {
 	ops := []CmpOp{Eq, Ne, Lt, Le, Gt, Ge}
 	op := ops[rng.Intn(len(ops))]
-	switch rng.Intn(8) {
+	kind := rng.Intn(11)
+	if kind == 10 && d.noCols {
+		kind = rng.Intn(10)
+	}
+	switch kind {
 	case 0: // dict string compare, occasionally off-dictionary
 		v := propCats[rng.Intn(len(propCats))]
 		if rng.Intn(5) == 0 {
@@ -101,6 +130,19 @@ func genLeaf(rng *rand.Rand, d *propData) (Pred, func(i int) bool) {
 		letter := []byte{byte('a' + rng.Intn(26))}
 		match := func(v []byte) bool { return bytes.Contains(v, letter) }
 		return Like("cat", match), func(i int) bool { return match(d.cat[i]) }
+	case 7: // DICTIONARY_RLE string compare
+		v := propCats[rng.Intn(len(propCats))]
+		pred := bytesPred(op, v)
+		return Col("run", op, string(v)), func(i int) bool { return pred(d.run[i]) }
+	case 8: // IN over RLE-keyed pages
+		a, b := propCats[rng.Intn(len(propCats))], propCats[rng.Intn(len(propCats))]
+		return In("run", string(a), string(b)), func(i int) bool {
+			return bytes.Equal(d.run[i], a) || bytes.Equal(d.run[i], b)
+		}
+	case 9: // LIKE over RLE-keyed pages
+		letter := []byte{byte('a' + rng.Intn(26))}
+		match := func(v []byte) bool { return bytes.Contains(v, letter) }
+		return Like("run", match), func(i int) bool { return match(d.run[i]) }
 	default: // two-column compare through the shared dictionary
 		pred := func(i int) bool { return cmpMatch(bytes.Compare(d.cat[i], d.tag[i]), op) }
 		return Cols("cat", op, "tag"), pred
@@ -205,4 +247,33 @@ func TestPlannerMatchesNaiveFullScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPlannerMatchesNaiveAcrossSources runs the same property over the
+// three source kinds: whatever mix of shards, sealed memtables and active
+// buffer holds the rows, every random tree returns the naive scan's row
+// ids — global ones, numbered across the parts.
+func TestPlannerMatchesNaiveAcrossSources(t *testing.T) {
+	const n = 3000
+	d := propRows(n)
+	d.noCols = true
+	forEachSource(t, "prop", d.columns(), propLoad, func(t *testing.T, tbl *Table) {
+		for iter := 0; iter < 40; iter++ {
+			rng := rand.New(rand.NewSource(int64(5000 + iter)))
+			p, ref := genPred(rng, d, 1+rng.Intn(2))
+			got, err := tbl.Query(p).RowIDs()
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			var want []int64
+			for i := 0; i < n; i++ {
+				if ref(i) {
+					want = append(want, int64(i))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("iter %d: %d rows, naive scan %d rows (or ids differ)", iter, len(got), len(want))
+			}
+		}
+	})
 }

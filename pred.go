@@ -57,16 +57,17 @@ func Col(col string, op CmpOp, value any) Pred {
 // ColEq is Col with the equality operator.
 func ColEq(col string, value any) Pred { return Col(col, Eq, value) }
 
-// In matches rows whose column value is one of values. The column must be
-// dictionary-encoded; values must be strings/[]byte for string columns and
-// integers for integer columns.
+// In matches rows whose column value is one of values: strings/[]byte for
+// string columns, integers for integer columns. On a dictionary-encoded
+// column the set is resolved to keys once and scanned in place; elsewhere
+// it runs as an OR of equality filters.
 func In(col string, values ...any) Pred {
 	return Pred{kind: predIn, col: col, values: values}
 }
 
-// Like matches rows of a dictionary-encoded string column whose value
-// satisfies match; match runs once per distinct dictionary entry, not once
-// per row.
+// Like matches rows of a string column whose value satisfies match. On a
+// dictionary-encoded column match runs once per distinct dictionary entry,
+// not once per row.
 func Like(col string, match func([]byte) bool) Pred {
 	return Pred{kind: predLike, col: col, match: match}
 }
@@ -106,30 +107,43 @@ func Not(p Pred) Pred { return Pred{kind: predNot, kids: []Pred{p}} }
 // or panicking predicates) the public surface refuses to build.
 func rawPred(f ops.Filter) Pred { return Pred{kind: predRaw, raw: f} }
 
-// bindPred validates p against the table's schema and encodings and lowers
-// it to the operator-layer predicate IR. All validation happens here — at
-// build time, against metadata only — so malformed predicates surface from
-// Query/And* (via Query.Err) rather than mid-scan with a worse message.
-//
-// Sharded (ingest) tables have no single reader, so binding there only
-// validates against the schema; terminals re-bind per shard (each shard's
-// encodings may differ) and evaluate the in-memory tail row-wise.
-func (t *Table) bindPred(p Pred) (*ops.Pred, error) {
-	if t.inner.S != nil {
-		if err := validateShardedPred(t.inner.S.Cols(), p); err != nil {
-			return nil, err
-		}
-		return ops.AndPred(), nil // placeholder; sharded terminals bind per shard
+// checkPred validates p when it joins a query — against metadata only —
+// so malformed predicates surface from Query/And* (via Query.Err) rather
+// than mid-scan with a worse message. Validation is bindPred against the
+// table's schema reader, result discarded; terminals bind again, once per
+// part, for the filters each part's encodings allow.
+func (t *Table) checkPred(p Pred) error {
+	if t.IsIngest() && usesCols(p) {
+		// A two-column comparison runs on the key streams of one shared
+		// order-preserving dictionary. Shards are encoded independently at
+		// flush time and the tail has no dictionary at all, so no dictionary
+		// spans an ingest table's parts until compaction builds one.
+		return fmt.Errorf("codecdb: two-column predicates need a dictionary shared across the table's parts; ingest table %s has none", t.Name())
 	}
-	return bindPredOn(t.inner.R, p, false)
+	_, err := bindPred(t.schemaReader(), p)
+	return err
 }
 
-// bindPredOn lowers p against one reader. perShard enables the sharded
-// fallbacks for encoding-dependent predicates: IN rewrites to an OR of
-// equality filters on shards whose column the selector did not
-// dictionary-encode, and LIKE falls back to a row-wise string filter —
-// each shard gets the fastest plan its own encodings allow.
-func bindPredOn(r *colstore.Reader, p Pred, perShard bool) (*ops.Pred, error) {
+// usesCols reports whether the tree contains a two-column comparison.
+func usesCols(p Pred) bool {
+	if p.kind == predCols {
+		return true
+	}
+	for _, k := range p.kids {
+		if usesCols(k) {
+			return true
+		}
+	}
+	return false
+}
+
+// bindPred validates p against one reader's schema and lowers it to the
+// operator-layer predicate IR — the one place a Pred becomes an ops.Pred.
+// Encoding-dependent predicates take the fastest form the reader's column
+// allows: IN and LIKE run on dictionary keys where the column has a
+// dictionary, and fall back to an OR of equality filters and a row-wise
+// string match where it does not.
+func bindPred(r *colstore.Reader, p Pred) (*ops.Pred, error) {
 	switch p.kind {
 	case predZero:
 		return ops.AndPred(), nil // empty conjunction: all rows
@@ -142,36 +156,11 @@ func bindPredOn(r *colstore.Reader, p Pred, perShard bool) (*ops.Pred, error) {
 		}
 		return ops.LeafPred(f), nil
 	case predIn:
-		f, err := inFilterFor(r, p.col, p.values)
-		if err != nil {
-			if !perShard {
-				return nil, err
-			}
-			kids := make([]*ops.Pred, len(p.values))
-			for i, v := range p.values {
-				ef, err := filterFor(r, p.col, Eq, v)
-				if err != nil {
-					return nil, err
-				}
-				kids[i] = ops.LeafPred(ef)
-			}
-			if len(kids) == 0 {
-				return nil, fmt.Errorf("codecdb: IN on %s needs at least one value", p.col)
-			}
-			return ops.OrPred(kids...), nil
-		}
-		return ops.LeafPred(f), nil
+		return bindIn(r, p.col, p.values)
 	case predLike:
 		f, err := likeFilterFor(r, p.col, p.match)
 		if err != nil {
-			if !perShard {
-				return nil, err
-			}
-			_, c, cerr := r.Column(p.col)
-			if cerr != nil || c.Type != colstore.TypeString || p.match == nil {
-				return nil, err
-			}
-			return ops.LeafPred(&ops.StrPredicateFilter{Col: p.col, Pred: p.match}), nil
+			return nil, err
 		}
 		return ops.LeafPred(f), nil
 	case predCols:
@@ -180,52 +169,53 @@ func bindPredOn(r *colstore.Reader, p Pred, perShard bool) (*ops.Pred, error) {
 			return nil, err
 		}
 		return ops.LeafPred(f), nil
-	case predAll:
-		kids := make([]*ops.Pred, len(p.kids))
-		for i, k := range p.kids {
-			kp, err := bindPredOn(r, k, perShard)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = kp
-		}
-		return ops.AndPred(kids...), nil
-	case predAny:
-		if len(p.kids) == 0 {
+	case predAll, predAny:
+		if p.kind == predAny && len(p.kids) == 0 {
 			return nil, fmt.Errorf("codecdb: AnyOf needs at least one predicate")
 		}
 		kids := make([]*ops.Pred, len(p.kids))
 		for i, k := range p.kids {
-			kp, err := bindPredOn(r, k, perShard)
+			kp, err := bindPred(r, k)
 			if err != nil {
 				return nil, err
 			}
 			kids[i] = kp
 		}
-		return ops.OrPred(kids...), nil
+		if p.kind == predAny {
+			return ops.OrPred(kids...), nil
+		}
+		return ops.AndPred(kids...), nil
 	case predNot:
-		inner, err := bindPredOn(r, p.kids[0], perShard)
+		inner, err := bindPred(r, p.kids[0])
 		if err != nil {
 			return nil, err
 		}
-		if inner.Kind != ops.PredLeaf {
-			return nil, fmt.Errorf("codecdb: Not supports only leaf predicates (Col/In/Like/Cols); rewrite composites with De Morgan's laws")
+		switch {
+		case inner.Kind == ops.PredLeaf:
+			return ops.NotPred(inner.Leaf), nil
+		case p.kids[0].kind == predIn:
+			// IN lowered to an OR of equality leaves: NOT distributes over it.
+			kids := make([]*ops.Pred, len(inner.Kids))
+			for i, k := range inner.Kids {
+				kids[i] = ops.NotPred(k.Leaf)
+			}
+			return ops.AndPred(kids...), nil
 		}
-		return ops.NotPred(inner.Leaf), nil
+		return nil, fmt.Errorf("codecdb: Not supports only leaf predicates (Col/In/Like/Cols); rewrite composites with De Morgan's laws")
 	}
 	return nil, fmt.Errorf("codecdb: invalid predicate")
 }
 
-// inFilterFor validates an IN predicate at build time — column exists, is
-// dictionary-encoded, and the value types match the column type — and
-// constructs the filter.
-func inFilterFor(r *colstore.Reader, col string, values []any) (ops.Filter, error) {
+// bindIn validates an IN predicate — column exists, value types match the
+// column type — and lowers it: one key-set filter on a dictionary-encoded
+// column, an OR of equality filters otherwise.
+func bindIn(r *colstore.Reader, col string, values []any) (*ops.Pred, error) {
 	_, c, err := r.Column(col)
 	if err != nil {
 		return nil, err
 	}
-	if c.Encoding != Dictionary && c.Encoding != DictRLE {
-		return nil, fmt.Errorf("codecdb: IN needs a dictionary-encoded column; %s is %v", col, c.Encoding)
+	if len(values) == 0 {
+		return nil, fmt.Errorf("codecdb: IN on %s needs at least one value", col)
 	}
 	var strs [][]byte
 	var ints []int64
@@ -249,11 +239,23 @@ func inFilterFor(r *colstore.Reader, col string, values []any) (ops.Filter, erro
 	case c.Type == colstore.TypeString && len(ints) > 0:
 		return nil, fmt.Errorf("codecdb: integer IN values for string column %s", col)
 	}
-	return &ops.DictInFilter{Col: col, StrValues: strs, IntValues: ints}, nil
+	if c.HasDict() {
+		return ops.LeafPred(&ops.DictInFilter{Col: col, StrValues: strs, IntValues: ints}), nil
+	}
+	kids := make([]*ops.Pred, len(values))
+	for i, v := range values {
+		f, err := filterFor(r, col, Eq, v)
+		if err != nil {
+			return nil, err
+		}
+		kids[i] = ops.LeafPred(f)
+	}
+	return ops.OrPred(kids...), nil
 }
 
-// likeFilterFor validates a LIKE predicate at build time: the column must
-// exist and be a dictionary-encoded string column.
+// likeFilterFor validates a LIKE predicate — the column must exist and be
+// a string column — and picks its filter: match runs once per dictionary
+// entry on a dictionary-encoded column, once per row otherwise.
 func likeFilterFor(r *colstore.Reader, col string, match func([]byte) bool) (ops.Filter, error) {
 	_, c, err := r.Column(col)
 	if err != nil {
@@ -262,13 +264,13 @@ func likeFilterFor(r *colstore.Reader, col string, match func([]byte) bool) (ops
 	if c.Type != colstore.TypeString {
 		return nil, fmt.Errorf("codecdb: LIKE needs a string column; %s is %v", col, c.Type)
 	}
-	if c.Encoding != Dictionary && c.Encoding != DictRLE {
-		return nil, fmt.Errorf("codecdb: LIKE needs a dictionary-encoded column; %s is %v", col, c.Encoding)
-	}
 	if match == nil {
 		return nil, fmt.Errorf("codecdb: LIKE on %s needs a non-nil match function", col)
 	}
-	return &ops.DictLikeFilter{Col: col, Match: match}, nil
+	if c.HasDict() {
+		return &ops.DictLikeFilter{Col: col, Match: match}, nil
+	}
+	return &ops.StrPredicateFilter{Col: col, Pred: match}, nil
 }
 
 // twoColFilterFor validates a two-column comparison at build time: both

@@ -57,7 +57,6 @@ func TestQueryErrSurfacesAtBuildTime(t *testing.T) {
 		{"type mismatch int on string", tbl.Where("status", Eq, 7), "integer predicate"},
 		{"type mismatch string on int", tbl.Where("level", Eq, "three"), "string predicate"},
 		{"float on int column", tbl.Where("level", Eq, 1.5), "float predicate"},
-		{"IN on non-dict column", tbl.All().AndIn("ts", 1, 2), "dictionary-encoded"},
 		{"IN cross-typed values", tbl.All().AndIn("status", "OK", 3), "integer IN values for string column"},
 		{"IN unsupported value type", tbl.All().AndIn("status", 1.5), "unsupported IN value"},
 		{"LIKE on int column", tbl.All().AndLike("level", func([]byte) bool { return true }), "string column"},
@@ -79,6 +78,19 @@ func TestQueryErrSurfacesAtBuildTime(t *testing.T) {
 				t.Fatal("Count() succeeded on an invalid query")
 			}
 		})
+	}
+
+	// IN, LIKE's int twin NOT IN, and GroupCount need no dictionary: on a
+	// delta-encoded column they run as equality ORs / a hash count.
+	base := int64(1_700_000_000)
+	if n, err := tbl.All().AndIn("ts", base+1, base+2, base+5000).Count(); err != nil || n != 2 {
+		t.Fatalf("IN on a non-dictionary column = %d, %v; want 2", n, err)
+	}
+	if n, err := tbl.Query(Not(In("ts", base+1, base+2))).Count(); err != nil || n != 998 {
+		t.Fatalf("NOT IN on a non-dictionary column = %d, %v; want 998", n, err)
+	}
+	if g, err := tbl.Where("ts", Lt, base+3).GroupCount("ts"); err != nil || len(g) != 3 || g["1700000001"] != 1 {
+		t.Fatalf("GroupCount on a non-dictionary column = %v, %v", g, err)
 	}
 
 	// A bad conjunct poisons the query but must not poison the prefix it

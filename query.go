@@ -125,7 +125,7 @@ func (q *Query) withPred(p Pred) *Query {
 	if cp.err != nil {
 		return cp
 	}
-	if _, err := cp.t.bindPred(p); err != nil {
+	if err := cp.t.checkPred(p); err != nil {
 		cp.err = err
 		return cp
 	}
@@ -165,14 +165,13 @@ func (q *Query) And(col string, op CmpOp, value any) *Query {
 func (q *Query) AndPred(p Pred) *Query { return q.withPred(p) }
 
 // AndIn adds `col IN (values...)`; values must be strings or []bytes for
-// string columns, integers for integer columns, and the column must be
-// dictionary-encoded.
+// string columns, integers for integer columns.
 func (q *Query) AndIn(col string, values ...any) *Query {
 	return q.withPred(In(col, values...))
 }
 
-// AndLike adds a dictionary-rewritten pattern predicate: match is
-// evaluated once per distinct value.
+// AndLike adds a pattern predicate on a string column; on a
+// dictionary-encoded column match is evaluated once per distinct value.
 func (q *Query) AndLike(col string, match func([]byte) bool) *Query {
 	return q.withPred(Like(col, match))
 }
@@ -282,22 +281,36 @@ func cmpMatch(c int, op CmpOp) bool {
 	return false
 }
 
-// plan binds the accumulated conjuncts into the operator-layer predicate
-// IR and builds the ordered execution plan. Metadata only — Explain calls
-// this without reading any page.
-func (q *Query) plan() (*ops.Plan, error) {
+// plans lowers the accumulated conjuncts against every part — each part
+// gets the fastest filters its own encodings allow — and builds one
+// ordered execution plan per part; nil when the query has no predicate.
+// Metadata only — Explain calls this without reading any page.
+func (q *Query) plans(parts []ops.Part) ([]*ops.Plan, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	root, err := q.t.bindPred(AllOf(q.conjuncts...))
-	if err != nil {
-		return nil, err
+	if len(q.conjuncts) == 0 {
+		return nil, nil
 	}
-	return ops.BuildPlan(root, q.t.inner.R), nil
+	return bindPlans(parts, AllOf(q.conjuncts...))
 }
 
-// eval plans and runs the predicate pipeline, observing the per-query
-// metrics (count + latency histogram) and the flight recorder around it.
+// bindPlans is plans for one predicate tree.
+func bindPlans(parts []ops.Part, p Pred) ([]*ops.Plan, error) {
+	plans := make([]*ops.Plan, len(parts))
+	for i, part := range parts {
+		bp, err := bindPred(part.R, p)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = ops.BuildPlan(bp, part.R)
+	}
+	return plans, nil
+}
+
+// eval plans and runs the predicate pipeline of the legacy reference
+// engine, observing the per-query metrics (count + latency histogram) and
+// the flight recorder around it.
 func (q *Query) eval() (*bitutil.SectionalBitmap, error) {
 	start := time.Now()
 	ectx, cancel := q.execContext()
@@ -327,55 +340,50 @@ func (q *Query) evalFilters() (*bitutil.SectionalBitmap, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	r := q.t.inner.R
 	if len(q.conjuncts) == 0 {
-		return ops.FullTableBitmap(q.t.inner.R), nil
+		return ops.FullTableBitmap(r), nil
 	}
-	pl, err := q.planTraced(ctx)
+	plans, err := q.plansTraced(ctx, ops.PartsOf(r))
 	if err != nil {
 		return nil, err
 	}
-	return pl.Execute(ctx, q.t.inner.R, q.t.db.inner.DataPool())
+	return plans[0].Execute(ctx, r, q.t.db.inner.DataPool())
 }
 
-// planTraced builds the plan, and — when the context carries a span —
-// records the chosen order under a Plan child span along with any metadata
-// IO the estimator caused (lazily faulted dictionaries), so the span
-// tree's per-node IO still sums exactly to the reader's IOStats delta.
-func (q *Query) planTraced(ctx context.Context) (*ops.Plan, error) {
+// plansTraced builds the plans, and — when the context carries a span —
+// records the chosen orders under a Plan child span along with any
+// metadata IO the estimator caused (lazily faulted dictionaries), so the
+// span tree's per-node IO still sums exactly to the table's IOStats delta.
+func (q *Query) plansTraced(ctx context.Context, parts []ops.Part) ([]*ops.Plan, error) {
 	sp := obs.SpanFrom(ctx)
-	if sp == nil {
-		return q.plan()
+	if sp == nil || len(q.conjuncts) == 0 {
+		return q.plans(parts)
 	}
 	child := sp.StartChild("Plan")
-	before := q.t.inner.R.Stats()
-	pl, err := q.plan()
-	if err == nil {
+	before := q.t.IOStats()
+	plans, err := q.plans(parts)
+	for i, pl := range plans {
+		if len(plans) > 1 {
+			child.AddDetail("part %d/%d", i+1, len(plans))
+		}
 		for _, line := range pl.Describe() {
 			child.AddDetail("%s", line)
 		}
 	}
-	after := q.t.inner.R.Stats()
-	child.AddIO(obs.SpanIO{
-		PagesRead:         after.PagesRead - before.PagesRead,
-		PagesPruned:       after.PagesPruned - before.PagesPruned,
-		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-	})
+	child.AddIO(ops.IODelta(before, q.t.IOStats()))
 	child.End()
-	return pl, err
+	return plans, err
 }
 
-// run plans the accumulated conjuncts and drives the morsel pipeline for
-// one terminal, observing the per-query metrics (count + latency
-// histogram) around the whole evaluation. A query with no predicate runs
-// the terminal over every row (nil plan).
+// run resolves the table to its parts, plans the accumulated conjuncts
+// against each, and drives one morsel pass over all of them for one
+// terminal, observing the per-query metrics (count + latency histogram)
+// around the whole evaluation. A query with no predicate runs the terminal
+// over every row (nil plans).
 func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err error) {
 	if q.err != nil {
 		return nil, q.err
-	}
-	if q.t.inner.S != nil {
-		return q.runSharded(term, col)
 	}
 	ctx, cancel := q.execContext()
 	defer cancel()
@@ -393,14 +401,15 @@ func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err
 		}
 		fin(out, err)
 	}()
-	var pl *ops.Plan
-	if len(q.conjuncts) > 0 {
-		pl, err = q.planTraced(ctx)
-		if err != nil {
-			return nil, err
-		}
+	parts, err := q.t.parts()
+	if err != nil {
+		return nil, err
 	}
-	return ops.RunPipeline(ctx, q.t.inner.R, q.t.db.inner.DataPool(), pl, term, col)
+	plans, err := q.plansTraced(ctx, parts)
+	if err != nil {
+		return nil, err
+	}
+	return ops.RunPipeline(ctx, parts, q.t.db.inner.DataPool(), plans, term, col)
 }
 
 // Count evaluates the query and returns the matching row count.
@@ -488,102 +497,53 @@ func (q *Query) Strings(col string) ([][]byte, error) {
 	return res.Strings, nil
 }
 
-// groupLabels renders a dictionary column's entries as result-map keys.
-func (q *Query) groupLabels(col string) (int, *colstore.Column, []string, error) {
-	return groupLabelsOn(q.t.inner.R, col)
-}
-
-func groupLabelsOn(r *colstore.Reader, col string) (int, *colstore.Column, []string, error) {
-	ci, c, err := r.Column(col)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if c.Encoding != Dictionary && c.Encoding != DictRLE {
-		return 0, nil, nil, fmt.Errorf("codecdb: GroupCount needs a dictionary column, %s is %v", col, c.Encoding)
-	}
-	var labels []string
-	switch {
-	case c.Type == colstore.TypeInt64:
-		dict, err := r.IntDict(ci)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		labels = make([]string, len(dict))
-		for i, v := range dict {
-			labels[i] = strconv.FormatInt(v, 10)
-		}
-	default:
-		dict, err := r.StrDict(ci)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		labels = make([]string, len(dict))
-		for i, v := range dict {
-			labels[i] = string(v)
-		}
-	}
-	return ci, c, labels, nil
-}
-
 // GroupCount evaluates the query and counts matching rows per distinct
-// value of a dictionary-encoded column: each worker accumulates partial
-// counts over the dictionary codes of its row groups, and the partial
-// tables merge at the end.
+// value of an integer or string column, keyed by the value's label
+// (decimal for integers). Where a part stores the column with a
+// dictionary each worker array-aggregates over the dictionary codes of its
+// row groups; elsewhere it hash-counts the gathered values; the partial
+// tables merge in value space at the end.
 func (q *Query) GroupCount(col string) (map[string]int64, error) {
-	if q.t.inner.S != nil {
-		return q.groupCountSharded(col)
-	}
 	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		pool := q.t.db.inner.DataPool()
-		_, _, labels, err := q.groupLabels(col)
-		if err != nil {
-			return nil, err
-		}
-		keys, err := ops.GatherKeysCtx(q.context(), q.t.inner.R, col, sel, pool)
-		if err != nil {
-			return nil, err
-		}
-		res, err := ops.ArrayAggregate(pool, keys, len(labels), []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return nil, err
-		}
-		return groupMap(res, labels), nil
-	}
-	if q.err != nil {
-		return nil, q.err
-	}
-	// Validate the encoding on metadata alone, but build the label table
-	// only after the run: the pipeline faults the dictionary inside its
-	// Prepare window, so reading it here is a cache hit and the traced IO
-	// sums stay exact.
-	_, c, err := q.t.inner.R.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Encoding != Dictionary && c.Encoding != DictRLE {
-		return nil, fmt.Errorf("codecdb: GroupCount needs a dictionary column, %s is %v", col, c.Encoding)
+		return q.legacyGroupCount(col)
 	}
 	res, err := q.run(ops.TermGroupCount, col)
 	if err != nil {
 		return nil, err
 	}
-	_, _, labels, err := q.groupLabels(col)
+	return res.Groups, nil
+}
+
+// legacyGroupCount is the reference GroupCount: gather the selected
+// values, count them in a map.
+func (q *Query) legacyGroupCount(col string) (map[string]int64, error) {
+	sel, err := q.eval()
 	if err != nil {
 		return nil, err
 	}
-	return groupMap(res.Group, labels), nil
-}
-
-func groupMap(res *ops.AggResult, labels []string) map[string]int64 {
-	out := make(map[string]int64, res.NumGroups())
-	for g, k := range res.Keys {
-		out[labels[k]] = res.Counts[g]
+	r, pool := q.t.inner.R, q.t.db.inner.DataPool()
+	counts := map[string]int64{}
+	switch typ, _ := q.t.ColumnType(col); typ {
+	case "INT64":
+		vals, err := ops.GatherIntsCtx(q.context(), r, col, sel, pool)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range vals {
+			counts[strconv.FormatInt(v, 10)]++
+		}
+	case "STRING":
+		vals, err := ops.GatherStringsCtx(q.context(), r, col, sel, pool)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range vals {
+			counts[string(v)]++
+		}
+	default:
+		return nil, fmt.Errorf("codecdb: GroupCount needs an integer or string column, %q is %s", col, typ)
 	}
-	return out
+	return counts, nil
 }
 
 // SumFloat evaluates the query and sums a float column at matching rows.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"codecdb/internal/colstore"
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
 	"codecdb/internal/relq"
@@ -14,10 +13,11 @@ import (
 // This file is the public relational surface of the Query API: joins,
 // multi-column group-by, and order-by/limit, compiled through the same
 // relq builder the TPC-H and SSB suites use and executed as per-row-group
-// stages on the morsel pipeline. Equi-joins between dictionary-encoded
-// columns run on dictionary codes — the build side is translated into the
-// probe side's key space once, and neither build nor probe ever decodes a
-// string value.
+// stages on the morsel pipeline, once per part of the probe table.
+// Equi-joins on a string column run on dictionary codes wherever a part
+// stores the column with a dictionary — the build side's values are
+// numbered once, each part maps its own dictionary onto those numbers, and
+// the probe never decodes a string value.
 
 // joinSpec records one declared join against a build-side query.
 type joinSpec struct {
@@ -72,8 +72,6 @@ func (q *Query) addJoin(kind ops.RelJoinKind, other *Query, leftCol, rightCol st
 		cp.err = other.err
 	case other.rel():
 		cp.err = fmt.Errorf("codecdb: the build side of a join must be a single-table query")
-	case other.t.inner.S != nil || q.t.inner.S != nil:
-		cp.err = fmt.Errorf("codecdb: joins are not supported on ingest tables")
 	default:
 		if _, ok := q.t.ColumnType(leftCol); !ok {
 			cp.err = fmt.Errorf("codecdb: join column %q not in table %s", leftCol, q.t.Name())
@@ -151,22 +149,19 @@ func (a AggSpec) As(name string) AggSpec { a.name = name; return a }
 type relCompiler struct {
 	q      *Query
 	rq     *relq.Q
-	stages []string            // stage name per join
-	pay    []map[string]bool   // payload columns each join must carry
-	decode map[string]string   // output name -> probe dict column to decode
+	stages []string          // stage name per join
+	pay    []map[string]bool // payload columns each join must carry
 }
 
 // colRef resolves one column name to a relq input reference. Probe-table
-// columns win; otherwise the first inner join whose build table has the
-// column claims it (and learns it must carry it as payload).
+// columns win (strings as "@col": dictionary codes wherever a part has
+// them, decoded before the parts merge); otherwise the first inner join
+// whose build table has the column claims it (and learns it must carry it
+// as payload).
 func (c *relCompiler) colRef(col string) (string, error) {
 	if typ, ok := c.q.t.ColumnType(col); ok {
 		if typ == "STRING" {
-			if _, cc, err := c.q.t.inner.R.Column(col); err == nil &&
-				(cc.Encoding == Dictionary || cc.Encoding == DictRLE) {
-				c.decode[col] = col
-				return "#" + col, nil
-			}
+			return "@" + col, nil
 		}
 		return col, nil
 	}
@@ -182,53 +177,40 @@ func (c *relCompiler) colRef(col string) (string, error) {
 	return "", fmt.Errorf("codecdb: column %q not found in %s or any joined table", col, c.q.t.Name())
 }
 
-// buildSide materializes one join's build table: the translated key
-// vector plus any payload columns later references claimed. When bs is
-// non-nil the other table's queries are traced as its children.
-func (c *relCompiler) buildSide(i int, bs *obs.Span) ([]int64, *ops.Batch, string, error) {
+// addJoinStage materializes join i's build side through the other query's
+// ordinary gather terminals — its key column plus any payload columns
+// later references claimed — and appends the probe stage. When bs is
+// non-nil the other table's queries are traced as its children. It
+// returns the build row count.
+func (c *relCompiler) addJoinStage(i int, bs *obs.Span) (int, error) {
 	j := c.q.joins[i]
-	r := c.q.t.inner.R
-	_, lc, err := r.Column(j.leftCol)
-	if err != nil {
-		return nil, nil, "", err
-	}
 	other := j.other
 	if bs != nil {
 		other = other.WithContext(obs.ContextWithSpan(c.q.context(), bs))
 	} else if c.q.ctx != nil {
 		other = other.WithContext(c.q.ctx)
 	}
-	var keys []int64
-	probeRef := j.leftCol
-	dictLeft := lc.Encoding == Dictionary || lc.Encoding == DictRLE
-	switch {
-	case lc.Type == colstore.TypeString && dictLeft:
-		vals, err := other.Strings(j.rightCol)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		keys, err = relq.TranslateStr(r, j.leftCol, vals)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		probeRef = "#" + j.leftCol
-	case lc.Type == colstore.TypeString:
-		return nil, nil, "", fmt.Errorf("codecdb: join on non-dictionary string column %q", j.leftCol)
-	case dictLeft:
-		vals, err := other.Ints(j.rightCol)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		keys, err = relq.TranslateInt(r, j.leftCol, vals)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		probeRef = "#" + j.leftCol
+	// Key column first, payload after: each gather takes its own snapshot
+	// of the build table, and one taken later may see more rows. Rows only
+	// ever append, so cutting each payload column to the keys' length
+	// realigns it with them.
+	var ints []int64
+	var strs [][]byte
+	var n int
+	var err error
+	keyType, _ := c.q.t.ColumnType(j.leftCol)
+	switch keyType {
+	case "STRING":
+		strs, err = other.Strings(j.rightCol)
+		n = len(strs)
+	case "INT64":
+		ints, err = other.Ints(j.rightCol)
+		n = len(ints)
 	default:
-		keys, err = other.Ints(j.rightCol)
-		if err != nil {
-			return nil, nil, "", err
-		}
+		err = fmt.Errorf("codecdb: join on float column %q", j.leftCol)
+	}
+	if err != nil {
+		return 0, err
 	}
 	var pay *ops.Batch
 	if len(c.pay[i]) > 0 {
@@ -244,51 +226,47 @@ func (c *relCompiler) buildSide(i int, bs *obs.Span) ([]int64, *ops.Batch, strin
 			case "INT64":
 				vals, err := other.Ints(col)
 				if err != nil {
-					return nil, nil, "", err
+					return 0, err
 				}
-				pay.AddInts(col, vals)
+				pay.AddInts(col, vals[:n])
 			case "FLOAT64":
 				vals, err := other.Floats(col)
 				if err != nil {
-					return nil, nil, "", err
+					return 0, err
 				}
-				pay.AddFloats(col, vals)
+				pay.AddFloats(col, vals[:n])
 			default:
 				vals, err := other.Strings(col)
 				if err != nil {
-					return nil, nil, "", err
+					return 0, err
 				}
-				pay.AddStrs(col, vals)
+				pay.AddStrs(col, vals[:n])
 			}
 		}
 	}
-	return keys, pay, probeRef, nil
+	if keyType == "STRING" {
+		c.rq.JoinStrs(j.kind, c.stages[i], strs, pay, j.leftCol)
+	} else {
+		c.rq.JoinOn(j.kind, c.stages[i], ints, pay, []string{j.leftCol}, nil)
+	}
+	return n, nil
 }
 
-// compile assembles the relq query: probe filters, then one stage per
-// declared join with its build side materialized and key-translated.
+// compileRel assembles the relq query over the probe table's parts: probe
+// filters bound per part, then one stage per declared join with its build
+// side materialized.
 func (q *Query) compileRel(refs []string) (*relCompiler, []string, error) {
 	if q.err != nil {
 		return nil, nil, q.err
-	}
-	if q.t.inner.S != nil {
-		return nil, nil, fmt.Errorf("codecdb: relational queries are not supported on ingest tables")
 	}
 	c := &relCompiler{
 		q:      q,
 		stages: make([]string, len(q.joins)),
 		pay:    make([]map[string]bool, len(q.joins)),
-		decode: map[string]string{},
 	}
 	for i := range q.joins {
 		c.stages[i] = fmt.Sprintf("j%d", i+1)
 		c.pay[i] = map[string]bool{}
-	}
-	sp := obs.SpanFrom(q.context())
-	probeR := q.t.inner.R
-	var planBefore colstore.IOStats
-	if sp != nil {
-		planBefore = probeR.Stats()
 	}
 	// Resolve every referenced column first so each join knows which
 	// payload columns to carry before its build side materializes.
@@ -300,89 +278,46 @@ func (q *Query) compileRel(refs []string) (*relCompiler, []string, error) {
 		}
 		resolved[i] = ref
 	}
-	rq := relq.Scan(q.t.inner.R, q.t.db.inner.DataPool())
+	parts, err := q.t.parts()
+	if err != nil {
+		return nil, nil, err
+	}
+	c.rq = relq.ScanParts(parts, q.t.db.inner.DataPool()).WithContext(q.context())
 	if len(q.conjuncts) > 0 {
-		root, err := q.t.bindPred(AllOf(q.conjuncts...))
-		if err != nil {
-			return nil, nil, err
+		root := AllOf(q.conjuncts...)
+		preds := make([]*ops.Pred, len(parts))
+		for i, part := range parts {
+			if preds[i], err = bindPred(part.R, root); err != nil {
+				return nil, nil, err
+			}
 		}
-		rq.WherePred(root)
+		c.rq.WherePartPreds(preds)
 	}
-	if sp != nil {
-		// Ref resolution and predicate binding can load dictionaries
-		// (string Eq lookups, dict-code views); when they did, book that
-		// IO on a Bind child so the span tree still sums to the tables'
-		// IOStats deltas. Conjunct ordering books under the pipeline's
-		// own Plan child.
-		if d := ioStatsDelta(planBefore, probeR.Stats()); d != (obs.SpanIO{}) {
-			ps := sp.StartChild("Bind")
-			ps.AddIO(d)
-			ps.End()
-		}
-	}
-	for i := range q.joins {
+	sp := obs.SpanFrom(q.context())
+	for i, j := range q.joins {
 		// The Build span wraps build-side preparation: the other table's
 		// scan/gather nests under it, and its own IO books every page the
-		// preparation touched on either reader — including the probe-side
-		// dictionary pages the key translation loads — so the trace's
-		// per-stage IO still sums exactly to the tables' IOStats deltas.
+		// preparation touched there, so the trace's per-stage IO still sums
+		// exactly to the tables' IOStats deltas. (What each probe part
+		// reads to map its dictionary onto the build keys books under the
+		// probe's Plan span.)
 		var bs *obs.Span
-		var probeBefore, otherBefore colstore.IOStats
-		otherR := q.joins[i].other.t.inner.R
+		var before IOStats
 		if sp != nil {
 			bs = sp.StartChild("Build[" + c.stages[i] + "]")
-			probeBefore = probeR.Stats()
-			otherBefore = otherR.Stats()
+			before = j.other.t.IOStats()
 		}
-		keys, pay, probeRef, err := c.buildSide(i, bs)
+		n, err := c.addJoinStage(i, bs)
 		if bs != nil {
-			io := ioStatsDelta(probeBefore, probeR.Stats())
-			if otherR != probeR {
-				io = addIOStats(io, ioStatsDelta(otherBefore, otherR.Stats()))
-			}
-			bs.AddIO(io)
-			bs.SetRows(int64(len(keys)), int64(len(keys)))
-			if len(probeRef) > 0 && probeRef[0] == '#' {
-				bs.AddDetail("build keys translated into %s's dictionary space", q.joins[i].leftCol)
-			}
+			bs.AddIO(ops.IODelta(before, j.other.t.IOStats()))
+			bs.SetRows(int64(n), int64(n))
 			bs.End()
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		switch q.joins[i].kind {
-		case ops.RelSemi:
-			rq.Semi(c.stages[i], keys, probeRef)
-		case ops.RelAnti:
-			rq.Anti(c.stages[i], keys, probeRef)
-		case ops.RelLeft:
-			rq.LeftJoin(c.stages[i], keys, pay, probeRef)
-		default:
-			rq.Join(c.stages[i], keys, pay, probeRef)
-		}
 	}
-	c.rq = rq
 	return c, resolved, nil
-}
-
-// refName is the output column name a resolved ref produces.
-func refName(ref string) string {
-	if len(ref) > 0 && ref[0] == '#' {
-		return ref[1:]
-	}
-	if dot := indexByte(ref, '.'); dot >= 0 {
-		return ref[dot+1:]
-	}
-	return ref
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // relRecord wraps a relational terminal with the same metrics and flight
@@ -424,7 +359,7 @@ func (q *Query) Rows(cols ...string) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		rq := c.rq.WithContext(cq.context())
+		rq := c.rq
 		var by []relq.SortBy
 		for _, o := range cq.orders {
 			ref, err := c.colRef(o.col)
@@ -455,15 +390,8 @@ func (q *Query) Rows(cols ...string) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cq.limitN > 0 && len(by) == 0 && batch.N > cq.limitN {
-			truncateBatch(batch, cq.limitN)
-		}
-		for name, col := range c.decode {
-			if batch.Col(name) >= 0 {
-				if err := relq.DecodeBatchKeys(cq.t.inner.R, batch, name, col); err != nil {
-					return nil, err
-				}
-			}
+		if cq.limitN > 0 && len(by) == 0 {
+			batch.Truncate(cq.limitN)
 		}
 		return batch, nil
 	})
@@ -492,7 +420,6 @@ func (q *Query) AggRows(aggs ...AggSpec) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		rq := c.rq.WithContext(cq.context())
 		gkeys := make([]relq.GKey, len(cq.groupCols))
 		for i, col := range cq.groupCols {
 			gkeys[i] = relq.GKey{Name: col, Ref: refs[i]}
@@ -519,24 +446,17 @@ func (q *Query) AggRows(aggs ...AggSpec) (*Rows, error) {
 			}
 			gaggs[i] = ga
 		}
-		batch, err := rq.GroupBy(gkeys, gaggs)
+		batch, err := c.rq.GroupBy(gkeys, gaggs)
 		if err != nil {
 			return nil, err
-		}
-		for name, col := range c.decode {
-			if batch.Col(name) >= 0 {
-				if err := relq.DecodeBatchKeys(cq.t.inner.R, batch, name, col); err != nil {
-					return nil, err
-				}
-			}
 		}
 		if len(cq.orders) > 0 {
 			if err := sortBatchByNames(batch, cq.orders); err != nil {
 				return nil, err
 			}
 		}
-		if cq.limitN > 0 && batch.N > cq.limitN {
-			truncateBatch(batch, cq.limitN)
+		if cq.limitN > 0 {
+			batch.Truncate(cq.limitN)
 		}
 		return batch, nil
 	})
@@ -556,7 +476,7 @@ func (q *Query) relCount() (int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, err := c.rq.WithContext(cq.context()).Count()
+		n, err := c.rq.Count()
 		if err != nil {
 			return nil, err
 		}
@@ -594,41 +514,6 @@ func sortBatchByNames(b *ops.Batch, orders []orderSpec) error {
 	}
 	ops.SortBatch(b, keys)
 	return nil
-}
-
-func truncateBatch(b *ops.Batch, k int) {
-	b.N = k
-	for j := range b.Names {
-		switch {
-		case b.Ints[j] != nil:
-			b.Ints[j] = b.Ints[j][:k]
-		case b.Floats[j] != nil:
-			b.Floats[j] = b.Floats[j][:k]
-		default:
-			b.Strs[j] = b.Strs[j][:k]
-		}
-	}
-}
-
-// ioStatsDelta converts a reader-stats delta to the span IO shape.
-func ioStatsDelta(before, after colstore.IOStats) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         after.PagesRead - before.PagesRead,
-		PagesPruned:       after.PagesPruned - before.PagesPruned,
-		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-	}
-}
-
-func addIOStats(a, b obs.SpanIO) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         a.PagesRead + b.PagesRead,
-		PagesPruned:       a.PagesPruned + b.PagesPruned,
-		PagesSkipped:      a.PagesSkipped + b.PagesSkipped,
-		BytesRead:         a.BytesRead + b.BytesRead,
-		BytesDecompressed: a.BytesDecompressed + b.BytesDecompressed,
-	}
 }
 
 // batchRows converts an internal batch to the public Rows shape.

@@ -8,16 +8,30 @@ import (
 	"testing"
 
 	"codecdb/internal/obs"
+	"codecdb/internal/ops"
 )
 
-// relAPITables loads an orders/customers pair for relational API tests.
+// relAPITables loads an orders/customers pair for relational API tests as
+// static tables.
 func relAPITables(t *testing.T) (*Table, *Table, []string, []int64, []float64, map[string]string) {
-	t.Helper()
-	db, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	return relAPITablesAs(t, "static")
+}
+
+// forEachRelSource runs fn over the orders/customers pair built as each
+// source kind — probe and build side alike — so joins, group-by and
+// ordering are checked against the same oracle on all three.
+func forEachRelSource(t *testing.T, fn func(t *testing.T, ot, ct *Table, cust []string, year []int64, price []float64, nationOf map[string]string)) {
+	for _, kind := range sourceKinds {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			ot, ct, cust, year, price, nationOf := relAPITablesAs(t, kind)
+			fn(t, ot, ct, cust, year, price, nationOf)
+		})
 	}
-	t.Cleanup(func() { db.Close() })
+}
+
+func relAPITablesAs(t *testing.T, kind string) (*Table, *Table, []string, []int64, []float64, map[string]string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	const nc, no = 30, 4000
 	names := make([][]byte, nc)
@@ -28,12 +42,10 @@ func relAPITables(t *testing.T) (*Table, *Table, []string, []int64, []float64, m
 		nations[i] = []byte(fmt.Sprintf("NATION%d", i%5))
 		nationOf[string(names[i])] = string(nations[i])
 	}
-	if _, err := db.LoadTable("customers", []Column{
+	ct := loadSource(t, kind, "customers", []Column{
 		{Name: "c_name", Strings: names},
 		{Name: "c_nation", Strings: nations},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}, LoadOptions{})
 	cust := make([]string, no)
 	year := make([]int64, no)
 	price := make([]float64, no)
@@ -43,28 +55,23 @@ func relAPITables(t *testing.T) (*Table, *Table, []string, []int64, []float64, m
 		cust[i] = fmt.Sprintf("cust#%02d", rng.Intn(40))
 		oCust[i] = []byte(cust[i])
 		year[i] = int64(1992 + rng.Intn(7))
-		price[i] = float64(rng.Intn(100000)) / 100
+		// Quarter units: sums are exact in any order, so every source kind
+		// must produce the same float to the last bit.
+		price[i] = float64(rng.Intn(400000)) / 4
 	}
-	if _, err := db.LoadTable("orders", []Column{
+	ot := loadSource(t, kind, "orders", []Column{
 		{Name: "o_cust", Strings: oCust},
 		{Name: "o_year", Ints: year},
 		{Name: "o_price", Floats: price},
-	}, LoadOptions{RowGroupRows: 512, PageRows: 128}); err != nil {
-		t.Fatal(err)
-	}
-	ot, err := db.Table("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := db.Table("customers")
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, LoadOptions{RowGroupRows: 512, PageRows: 128})
 	return ot, ct, cust, year, price, nationOf
 }
 
 func TestQueryJoinGroupByAggRows(t *testing.T) {
-	ot, ct, cust, year, price, nationOf := relAPITables(t)
+	forEachRelSource(t, checkJoinGroupByAggRows)
+}
+
+func checkJoinGroupByAggRows(t *testing.T, ot, ct *Table, cust []string, year []int64, price []float64, nationOf map[string]string) {
 	got, err := ot.Where("o_year", Ge, 1995).
 		JoinOn(ct.All(), "o_cust", "c_name").
 		GroupBy("c_nation").
@@ -93,14 +100,39 @@ func TestQueryJoinGroupByAggRows(t *testing.T) {
 		if row[1].(int64) != wantCount[nation] {
 			t.Errorf("%s count = %d, want %d", nation, row[1], wantCount[nation])
 		}
-		if d := row[2].(float64) - wantSum[nation]; d > 1e-6 || d < -1e-6 {
+		if row[2].(float64) != wantSum[nation] {
 			t.Errorf("%s sum = %v, want %v", nation, row[2], wantSum[nation])
+		}
+	}
+	// Group on a probe-side column too: an int key, Min/Max partials, and
+	// an explicit order merged across the parts.
+	byYear, err := ot.All().GroupBy("o_year").OrderBy("o_year", true).AggRows(CountAll(), Min("o_price"), Max("o_price"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(byYear.Data) != 7 || byYear.Data[0][0].(int64) != 1998 {
+		t.Fatalf("group by o_year desc = %v", byYear.Data)
+	}
+	for _, row := range byYear.Data {
+		var n int64
+		lo, hi := 1e18, -1.0
+		for i := range year {
+			if year[i] == row[0].(int64) {
+				n++
+				lo, hi = min(lo, price[i]), max(hi, price[i])
+			}
+		}
+		if row[1].(int64) != n || row[2].(float64) != lo || row[3].(float64) != hi {
+			t.Errorf("year %d = %v, want count %d min %v max %v", row[0], row[1:], n, lo, hi)
 		}
 	}
 }
 
 func TestQueryRowsOrderByLimit(t *testing.T) {
-	ot, _, _, year, price, _ := relAPITables(t)
+	forEachRelSource(t, checkRowsOrderByLimit)
+}
+
+func checkRowsOrderByLimit(t *testing.T, ot, ct *Table, cust []string, year []int64, price []float64, nationOf map[string]string) {
 	got, err := ot.Where("o_year", Eq, 1993).
 		OrderBy("o_price", true).
 		Limit(10).
@@ -123,14 +155,44 @@ func TestQueryRowsOrderByLimit(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(got.Data))
 	}
 	for i, row := range got.Data {
-		if row[0].(float64) != want[i].p {
-			t.Fatalf("row %d price = %v, want %v", i, row[0], want[i].p)
+		if row[0].(float64) != want[i].p || row[1].(string) != cust[want[i].i] {
+			t.Fatalf("row %d = %v, want %v %s", i, row, want[i].p, cust[want[i].i])
+		}
+	}
+	// Ordered by a string column the parts dictionary-encode differently
+	// (or not at all): the merge compares values, not codes. Ties keep
+	// table order.
+	byCust, err := ot.Where("o_year", Eq, 1993).OrderBy("o_cust", false).Rows("o_cust", "o_price")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].i < want[b].i })
+	sort.SliceStable(want, func(a, b int) bool { return cust[want[a].i] < cust[want[b].i] })
+	if len(byCust.Data) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(byCust.Data), len(want))
+	}
+	for i, row := range byCust.Data {
+		if row[0].(string) != cust[want[i].i] || row[1].(float64) != want[i].p {
+			t.Fatalf("row %d = %v, want %s %v", i, row, cust[want[i].i], want[i].p)
+		}
+	}
+	// Unordered Rows with a Limit keep table order across the parts.
+	first, err := ot.All().Limit(5).Rows("o_year", "o_cust")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range first.Data {
+		if row[0].(int64) != year[i] || row[1].(string) != cust[i] {
+			t.Fatalf("limit row %d = %v, want %d %s", i, row, year[i], cust[i])
 		}
 	}
 }
 
 func TestQuerySemiAntiJoinCount(t *testing.T) {
-	ot, ct, cust, _, _, nationOf := relAPITables(t)
+	forEachRelSource(t, checkSemiAntiJoinCount)
+}
+
+func checkSemiAntiJoinCount(t *testing.T, ot, ct *Table, cust []string, year []int64, price []float64, nationOf map[string]string) {
 	nation0 := ct.Where("c_nation", Eq, "NATION0")
 	semi, err := ot.All().SemiJoin(nation0, "o_cust", "c_name").Count()
 	if err != nil {
@@ -151,6 +213,21 @@ func TestQuerySemiAntiJoinCount(t *testing.T) {
 	}
 	if semi+anti != int64(len(cust)) {
 		t.Fatalf("semi %d + anti %d != total %d", semi, anti, len(cust))
+	}
+	// An int key: one hash table over values serves every part, whatever
+	// encoding each chose for o_year.
+	n94, err := ot.All().SemiJoin(ot.Where("o_year", Eq, 1994), "o_year", "o_year").Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want94 int64
+	for _, y := range year {
+		if y == 1994 {
+			want94++
+		}
+	}
+	if n94 != want94 {
+		t.Fatalf("self semi join on o_year = %d, want %d", n94, want94)
 	}
 }
 
@@ -175,27 +252,6 @@ func TestQueryJoinValidation(t *testing.T) {
 	}
 }
 
-// relSpanDelta converts an IOStats delta to the span IO shape.
-func relSpanDelta(before, after IOStats) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         after.PagesRead - before.PagesRead,
-		PagesPruned:       after.PagesPruned - before.PagesPruned,
-		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-	}
-}
-
-func addSpanIO(a, b obs.SpanIO) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         a.PagesRead + b.PagesRead,
-		PagesPruned:       a.PagesPruned + b.PagesPruned,
-		PagesSkipped:      a.PagesSkipped + b.PagesSkipped,
-		BytesRead:         a.BytesRead + b.BytesRead,
-		BytesDecompressed: a.BytesDecompressed + b.BytesDecompressed,
-	}
-}
-
 // TestExplainAnalyzeRelIOConsistent extends the IO-sum acceptance check
 // to relational plans: on a joined query, the span tree's page counters
 // must account exactly for the IOStats deltas of BOTH tables — the
@@ -204,7 +260,10 @@ func addSpanIO(a, b obs.SpanIO) obs.SpanIO {
 // children (Prepare, filters, Join, sink) must sum to the pipeline's own
 // delta.
 func TestExplainAnalyzeRelIOConsistent(t *testing.T) {
-	ot, ct, _, _, _, _ := relAPITables(t)
+	forEachRelSource(t, checkExplainAnalyzeRelIO)
+}
+
+func checkExplainAnalyzeRelIO(t *testing.T, ot, ct *Table, _ []string, _ []int64, _ []float64, _ map[string]string) {
 	ot.ResetIOStats()
 	ct.ResetIOStats()
 	oBefore, cBefore := ot.IOStats(), ct.IOStats()
@@ -217,7 +276,8 @@ func TestExplainAnalyzeRelIOConsistent(t *testing.T) {
 	if n <= 0 {
 		t.Fatal("joined count is zero; the check would be vacuous")
 	}
-	delta := addSpanIO(relSpanDelta(oBefore, ot.IOStats()), relSpanDelta(cBefore, ct.IOStats()))
+	delta := ops.IODelta(oBefore, ot.IOStats())
+	delta.Add(ops.IODelta(cBefore, ct.IOStats()))
 	if sum := root.SumIO(); sum != delta {
 		t.Fatalf("span IO sum %+v != combined IOStats delta %+v\n%s", sum, delta, root.Render())
 	}
@@ -225,18 +285,25 @@ func TestExplainAnalyzeRelIOConsistent(t *testing.T) {
 	if pipe == nil {
 		t.Fatalf("no relational pipeline span:\n%s", root.Render())
 	}
-	if sum := pipe.SumIO(); sum != pipe.IO() {
-		t.Fatalf("pipeline stage IO sum %+v != pipeline delta %+v\n%s", sum, pipe.IO(), root.Render())
-	}
+	checkSpanIOSums(t, root)
 	if pipe.IO().PagesRead == 0 {
 		t.Fatal("relational pipeline recorded no page reads")
 	}
-	join := findSpan(pipe, "Join[j1 inner]")
-	if join == nil {
-		t.Fatalf("no join stage span:\n%s", root.Render())
+	// One join stage span per part; together they emit the joined rows.
+	var joinIn, joinOut int64
+	var sumJoins func(s *obs.Span)
+	sumJoins = func(s *obs.Span) {
+		if s.Name() == "Join[j1 inner]" {
+			in, out := s.Rows()
+			joinIn, joinOut = joinIn+in, joinOut+out
+		}
+		for _, c := range s.Children() {
+			sumJoins(c)
+		}
 	}
-	if in, out := join.Rows(); in == 0 || out != n {
-		t.Fatalf("join rows = %d→%d, want →%d", in, out, n)
+	sumJoins(pipe)
+	if joinIn == 0 || joinOut != n {
+		t.Fatalf("join rows = %d→%d, want →%d\n%s", joinIn, joinOut, n, root.Render())
 	}
 }
 

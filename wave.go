@@ -74,74 +74,38 @@ type WaveResult struct {
 }
 
 // Wave evaluates several queries against the table in one cooperative
-// scan: all members run as a single morsel-driven pass, so each page is
-// fetched and decompressed once per wave, not once per query (with a
-// page cache configured, repeat waves skip even that). This is the
-// decompress-once primitive a multi-user serving layer batches
-// concurrent queries onto.
+// scan: all members run as a single morsel-driven pass over the table's
+// parts, so each page is fetched and decompressed once per wave, not once
+// per query (with a page cache configured, repeat waves skip even that).
+// This is the decompress-once primitive a multi-user serving layer batches
+// concurrent queries onto; on an ingest table the wave sees one consistent
+// snapshot of shards and tail.
 //
 // Budgets (deadline, worker cap, prefetch) travel on ctx the same way
 // ExecOptions lowers them — use ExecOptions.Context to derive one.
-// Ingest tables have no single shared reader; their members currently
-// evaluate sequentially through the regular per-query path, preserving
-// the API contract if not the IO bound.
 func (t *Table) Wave(ctx context.Context, qs []WaveQuery) ([]WaveResult, error) {
 	out := make([]WaveResult, len(qs))
 	if len(qs) == 0 {
 		return out, nil
 	}
-	if t.inner.S != nil {
-		return t.waveSharded(ctx, qs)
-	}
 	start := time.Now()
-	items := make([]ops.SharedItem, len(qs))
+	parts, err := t.parts()
+	if err != nil {
+		return out, err
+	}
+	// Members that fail validation sit the wave out.
+	run := make([]ops.SharedItem, 0, len(qs))
+	runIdx := make([]int, 0, len(qs))
 	for i, wq := range qs {
-		term, ok := wq.Terminal.term()
-		if !ok {
-			out[i].Err = fmt.Errorf("codecdb: unknown terminal %d", wq.Terminal)
+		item, err := t.waveItem(parts, wq)
+		if err != nil {
+			out[i].Err = err
 			continue
 		}
-		items[i] = ops.SharedItem{Term: term, Col: wq.Col}
-		if wq.Terminal == TerminalSum {
-			// Reject non-float measures before the scan; the shared gather
-			// would otherwise reinterpret their pages as float bits.
-			typ, ok := t.ColumnType(wq.Col)
-			if !ok {
-				out[i].Err = fmt.Errorf("codecdb: unknown column %q", wq.Col)
-				continue
-			}
-			if typ != "FLOAT64" {
-				out[i].Err = fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", wq.Col, typ)
-				continue
-			}
-		}
-		if wq.Terminal == TerminalGroupCount {
-			// Validate the encoding up front so the member fails with the
-			// same message the solo path gives.
-			if _, _, _, err := groupLabelsOn(t.inner.R, wq.Col); err != nil {
-				out[i].Err = err
-				continue
-			}
-		}
-		if !isZeroPred(wq.Pred) {
-			bp, err := bindPredOn(t.inner.R, wq.Pred, false)
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			items[i].Plan = ops.BuildPlan(bp, t.inner.R)
-		}
+		run = append(run, item)
+		runIdx = append(runIdx, i)
 	}
-	// Members that failed validation sit the wave out as no-op items.
-	run := make([]ops.SharedItem, 0, len(items))
-	runIdx := make([]int, 0, len(items))
-	for i := range items {
-		if out[i].Err == nil {
-			run = append(run, items[i])
-			runIdx = append(runIdx, i)
-		}
-	}
-	results, errs, fatal := ops.RunShared(ctx, t.inner.R, t.db.inner.DataPool(), run)
+	results, errs, fatal := ops.RunShared(ctx, parts, t.db.inner.DataPool(), run)
 	if fatal != nil {
 		return out, fatal
 	}
@@ -150,76 +114,47 @@ func (t *Table) Wave(ctx context.Context, qs []WaveQuery) ([]WaveResult, error) 
 			out[i].Err = errs[j]
 			continue
 		}
-		out[i] = waveResultFrom(t, qs[i], results[j])
+		res := results[j]
+		out[i] = WaveResult{Count: res.Count, RowIDs: res.RowIDs, Sum: res.Sum, Groups: res.Groups}
 	}
 	queriesTotal.Add(int64(len(qs)))
 	queryLatency.Observe(time.Since(start).Seconds())
 	return out, nil
 }
 
-// waveResultFrom lowers one pipeline result into the member's terminal
-// shape.
-func waveResultFrom(t *Table, wq WaveQuery, res *ops.PipelineResult) WaveResult {
-	wr := WaveResult{Count: res.Count}
-	switch wq.Terminal {
-	case TerminalRowIDs:
-		wr.RowIDs = res.RowIDs
-	case TerminalSum:
-		wr.Sum = res.Sum
-	case TerminalGroupCount:
-		_, _, labels, err := groupLabelsOn(t.inner.R, wq.Col)
+// waveItem validates one member and binds its predicate to every part.
+func (t *Table) waveItem(parts []ops.Part, wq WaveQuery) (ops.SharedItem, error) {
+	term, ok := wq.Terminal.term()
+	if !ok {
+		return ops.SharedItem{}, fmt.Errorf("codecdb: unknown terminal %d", wq.Terminal)
+	}
+	item := ops.SharedItem{Term: term, Col: wq.Col}
+	if wq.Terminal == TerminalSum {
+		// Reject non-float measures before the scan; the shared gather
+		// would otherwise reinterpret their pages as float bits.
+		typ, ok := t.ColumnType(wq.Col)
+		if !ok {
+			return item, fmt.Errorf("codecdb: unknown column %q", wq.Col)
+		}
+		if typ != "FLOAT64" {
+			return item, fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", wq.Col, typ)
+		}
+	}
+	if !isZeroPred(wq.Pred) {
+		if err := t.checkPred(wq.Pred); err != nil {
+			return item, err
+		}
+		plans, err := bindPlans(parts, wq.Pred)
 		if err != nil {
-			wr.Err = err
-			break
+			return item, err
 		}
-		wr.Groups = groupMap(res.Group, labels)
+		item.Plans = plans
 	}
-	return wr
-}
-
-// waveSharded is the ingest-table arm: no shared static reader exists,
-// so members evaluate sequentially through the regular sharded path.
-func (t *Table) waveSharded(ctx context.Context, qs []WaveQuery) ([]WaveResult, error) {
-	out := make([]WaveResult, len(qs))
-	for i, wq := range qs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		q := t.All().WithContext(ctx)
-		if !isZeroPred(wq.Pred) {
-			q = q.AndPred(wq.Pred)
-		}
-		switch wq.Terminal {
-		case TerminalCount:
-			out[i].Count, out[i].Err = q.Count()
-		case TerminalRowIDs:
-			out[i].RowIDs, out[i].Err = q.RowIDs()
-			out[i].Count = int64(len(out[i].RowIDs))
-		case TerminalSum:
-			out[i].Sum, out[i].Err = q.SumFloat(wq.Col)
-		case TerminalGroupCount:
-			out[i].Groups, out[i].Err = q.GroupCount(wq.Col)
-		default:
-			out[i].Err = fmt.Errorf("codecdb: unknown terminal %d", wq.Terminal)
-		}
-	}
-	return out, nil
+	return item, nil
 }
 
 // isZeroPred reports whether p is the match-everything zero value (or an
 // empty conjunction, which means the same).
 func isZeroPred(p Pred) bool {
 	return p.kind == predZero || (p.kind == predAll && len(p.kids) == 0)
-}
-
-// Epoch identifies the table's current data version. Two calls returning
-// the same epoch saw the same rows, so epoch-keyed caches (results,
-// decompressed pages) may serve stale-free hits; ingest tables bump the
-// epoch on every durable append and flush. For static tables the epoch
-// is the open reader's identity.
-func (t *Table) Epoch() uint64 {
-	if t.inner.S != nil {
-		return t.inner.S.Epoch()
-	}
-	return t.inner.R.ID()
 }

@@ -9,11 +9,14 @@ import (
 )
 
 // TestWaveMatchesSerial: a wave of mixed terminals returns exactly what
-// the solo query API returns for each member.
+// the solo query API returns for each member — over every source kind, so
+// an ingest table's wave is one shared pass over shards and tail, not a
+// loop of solo queries.
 func TestWaveMatchesSerial(t *testing.T) {
-	db := openTestDB(t)
-	tbl := loadEvents(t, db, 6000)
+	forEachSource(t, "events", eventColumns(6000), eventsLoad, checkWaveMatchesSerial)
+}
 
+func checkWaveMatchesSerial(t *testing.T, tbl *Table) {
 	qs := []WaveQuery{
 		{Terminal: TerminalCount},
 		{Pred: ColEq("status", "ERROR"), Terminal: TerminalCount},
@@ -111,7 +114,8 @@ func TestSumFloatTypeChecked(t *testing.T) {
 	}
 }
 
-// TestWaveOnIngestTable: the sequential-fallback arm answers correctly.
+// TestWaveOnIngestTable: a wave over an unflushed ingest table scans the
+// active buffer's image.
 func TestWaveOnIngestTable(t *testing.T) {
 	db := openTestDB(t)
 	tbl, err := db.CreateIngestTable("logs", []Field{
