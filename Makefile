@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke bench-tpch-smoke serve-demo
+.PHONY: check build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
 
 # check is the tier-1 verification gate: everything must compile, pass
 # vet, and pass the full test suite under the race detector, with the
 # observability-layer, morsel-executor, prefetch, serving-layer, and
 # relational-executor race tests called out explicitly, the crash-point
-# matrix for the durable write path, the observability overhead guards,
-# one iteration of the planner pipeline and engine-vs-legacy benchmarks
-# as smoke tests, and the benchmark module's own vet + toy-scale run.
-check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-tpch-smoke bench-smoke
+# matrix for the durable write path, the allocation guards, one iteration
+# of the planner pipeline benchmarks as a smoke test, and the benchmark
+# module's own vet + toy-scale run.
+check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -31,17 +31,17 @@ race-obs:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/exec/ ./internal/colstore/
 	$(GO) test -race -count=1 -run 'TestRecorder' .
 
-# guard-obs runs the observability overhead guards outside the race
-# detector (alloc counts change under -race): the tracer's zero-alloc
-# guard on the filter seam and the flight recorder's
+# guard-obs runs the allocation guards outside the race detector (alloc
+# counts change under -race): the fixed per-call bound on the whole-table
+# filter driver (ops.ApplyFilter) and the flight recorder's
 # constant-per-query alloc guard (recorder on vs off; the constant must
 # not scale with morsel count).
 guard-obs:
-	$(GO) test -count=1 -run 'TestApplyFilterNoTracerAddsZeroAllocs|TestQueryRecorderConstantAllocOverhead' .
+	$(GO) test -count=1 -run 'TestApplyFilterAllocsBounded|TestQueryRecorderConstantAllocOverhead' .
 
 # race-pipeline focuses the race detector on the morsel executor: the
-# worker-local-state scheduler tests and the pipelined-vs-legacy
-# equivalence, fallback, and acceptance tests.
+# worker-local-state scheduler tests and the pipeline ≡ naive-scan
+# property, IO acceptance, and trace tests.
 race-pipeline:
 	$(GO) test -race -count=1 -run TestParallelMorsels ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestTracedGatherSpans' .
@@ -64,13 +64,15 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestWave|TestEpoch|TestWithExec|TestPageCacheOption' .
 
 # race-join focuses the race detector on the relational executor: the
-# join/group/sort kernels and their oracle property tests, the
-# engine-compiled ≡ legacy equivalence suites for TPC-H and SSB, and
-# the public relational Query API (joins, order-by/limit, trace spans).
+# join/group/sort kernels and their oracle property tests, the relq
+# builder against its nested-loop references, the engine-compiled ≡
+# oblivious equivalence suites for TPC-H and SSB, and the public
+# relational Query API (joins, order-by/limit, trace spans).
 race-join:
 	$(GO) test -race -count=1 -run 'TestHashJoin|TestRel|TestExternalSort|TestSortRows|TestTopN' ./internal/ops/
-	$(GO) test -race -count=1 -run 'TestEngineMatchesLegacy' ./internal/tpch/ ./internal/ssb/
-	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestExplainAnalyzeRel|TestTracedTopK|TestRelDict' .
+	$(GO) test -race -count=1 ./internal/relq/
+	$(GO) test -race -count=1 -run 'TestEngineMatchesOblivious' ./internal/tpch/ ./internal/ssb/
+	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestExplainAnalyzeRel|TestTracedTopK|TestRelDict' .
 
 # crash runs the write-path fault-injection suite under the race
 # detector: the crash-point matrix (every write-side filesystem
@@ -92,13 +94,6 @@ bench:
 bench-smoke:
 	(cd bench && $(GO) vet ./... && $(GO) test ./...)
 
-# bench-tpch-smoke runs one iteration of every engine-vs-legacy pair
-# (each plan self-checks by executing end to end, so this doubles as a
-# correctness gate in check).
-bench-tpch-smoke:
-	$(GO) test -run xxx -bench BenchmarkTPCHEngineVsLegacy -benchtime 1x ./internal/tpch/
-	$(GO) test -run xxx -bench BenchmarkSSBEngineVsLegacy -benchtime 1x ./internal/ssb/
-
 # bench-planner-smoke runs one iteration of each planner pipeline
 # benchmark (they self-check counts, so this doubles as a correctness
 # gate in check).
@@ -116,3 +111,9 @@ serve-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
+
+# loc prints the two line counts every simplicity PR states its delta in:
+# non-test Go lines of the root package, and of the repo outside bench/.
+loc:
+	@printf 'root package, non-test Go lines: '; cat $$(ls *.go | grep -v _test.go) | wc -l
+	@printf 'repo outside bench/, non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

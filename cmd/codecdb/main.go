@@ -393,8 +393,8 @@ commands:
   serve   -db DIR [-metrics :8080]        serve POST /v1/query (JSON query API with admission
           [-warm] [-log]                  control, shared scans, result cache), /metrics,
           [-page-cache N] [-result-cache N]  /debug/vars, /debug/pprof, /debug/queries{,/recent,
-          [-admit-concurrent N]           /slow,/trace}, /healthz, and the deprecated GET /query;
-          [-admit-queued N]               -log emits structured JSON logs to stderr
+          [-admit-concurrent N]           /slow,/trace}, /healthz; -log emits structured JSON
+          [-admit-queued N]               logs to stderr
           [-admit-memory N] [-admit-wait D]
   advise  -csvcol v1,v2,...               suggest an encoding for a column
   train   [-out model.json] [-seed N]     train the encoding selector`)

@@ -30,12 +30,11 @@ type serveConfig struct {
 // serve mounts the multi-user query API and the engine's observability
 // endpoints over one database: POST /v1/query (the versioned JSON query
 // API with admission control, cooperative shared scans, and the result
-// cache), the deprecated GET /query alias, /metrics (Prometheus text
-// exposition of the codecdb_* registry), /debug/vars (the same registry
-// published through expvar), the standard /debug/pprof profiling
-// handlers, the flight-recorder views (/debug/queries live progress,
-// /recent ring, /slow, /trace Perfetto export), and a /healthz
-// readiness probe. It blocks until interrupted.
+// cache), /metrics (Prometheus text exposition of the codecdb_*
+// registry), /debug/vars (the same registry published through expvar),
+// the standard /debug/pprof profiling handlers, the flight-recorder views
+// (/debug/queries live progress, /recent ring, /slow, /trace Perfetto
+// export), and a /healthz readiness probe. It blocks until interrupted.
 func serve(dir, addr string, warm, logJSON bool, sc serveConfig) error {
 	if dir == "" {
 		return fmt.Errorf("-db is required")
@@ -101,20 +100,13 @@ func serve(dir, addr string, warm, logJSON bool, sc serveConfig) error {
 		})
 		defer api.Close()
 		api.Register(mux)
-		// The pre-v1 count endpoint survives as a deprecated alias; new
-		// clients should POST /v1/query.
-		mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1/query>; rel="successor-version"`)
-			serveQuery(db, w, r)
-		})
 
 		srv := &http.Server{Addr: addr, Handler: mux}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		errc := make(chan error, 1)
 		go func() { errc <- srv.ListenAndServe() }()
-		fmt.Printf("serving /v1/query, /metrics, /debug/vars, /debug/pprof, /debug/queries{,/recent,/slow,/trace}, /healthz, /query (deprecated) on %s (tables: %s)\n",
+		fmt.Printf("serving /v1/query, /metrics, /debug/vars, /debug/pprof, /debug/queries{,/recent,/slow,/trace}, /healthz on %s (tables: %s)\n",
 			addr, strings.Join(db.TableNames(), ", "))
 		select {
 		case err := <-errc:
@@ -125,39 +117,6 @@ func serve(dir, addr string, warm, logJSON bool, sc serveConfig) error {
 		defer cancel()
 		return srv.Shutdown(shutCtx)
 	}(db)
-}
-
-// serveQuery runs a count over ?table=T with repeatable ?where=
-// predicates (same grammar as the -where flag). While it executes, the
-// query is visible in /debug/queries with row-group progress; once done
-// it lands in /debug/queries/recent.
-func serveQuery(db *codecdb.DB, w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("table")
-	if name == "" {
-		http.Error(w, "table parameter is required", http.StatusBadRequest)
-		return
-	}
-	t, err := db.Table(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	q := t.All().WithContext(r.Context())
-	for _, s := range r.URL.Query()["where"] {
-		p, err := parseWhere(s)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		q = q.AndPred(p)
-	}
-	n, err := q.Count()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%d\n", n)
 }
 
 // whereFlags collects repeatable -where flags, each parsed into a

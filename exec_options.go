@@ -7,30 +7,13 @@ import (
 	"codecdb/internal/ops"
 )
 
-// Engine selects the terminal evaluation strategy.
-type Engine int
-
-const (
-	// EngineAuto (the zero value) is the default: the morsel-driven
-	// pipelined executor.
-	EngineAuto Engine = iota
-	// EnginePipeline forces the morsel pipeline explicitly.
-	EnginePipeline
-	// EngineLegacy evaluates through the operator-at-a-time barrier path.
-	// Kept as the reference the property tests compare the pipeline
-	// against result-for-result; it reads static tables only.
-	EngineLegacy
-)
-
 // ExecOptions are per-query execution budgets and switches. The zero
-// value means "current defaults": pipelined engine, prefetch on, no
-// worker cap, no deadline. A serving layer threads its admission-control
-// budgets (deadline, worker cap, memory hint) through this same struct,
-// so a query behaves identically whether the budget came from the caller
-// or from the server.
+// value means "current defaults": prefetch on, no worker cap, no
+// deadline. A serving layer threads its admission-control budgets
+// (deadline, worker cap, memory hint) through this same struct, so a query
+// behaves identically whether the budget came from the caller or from the
+// server.
 type ExecOptions struct {
-	// Engine picks the evaluation strategy (zero = pipelined).
-	Engine Engine
 	// DisablePrefetch turns off async page prefetch; every page is read
 	// synchronously at first touch.
 	DisablePrefetch bool
@@ -60,8 +43,8 @@ func (q *Query) WithExec(o ExecOptions) *Query {
 }
 
 // Context lowers the options onto ctx: deadline, prefetch switch, and
-// worker cap all travel as context values/deadlines so every layer below
-// (pipeline, shared wave, legacy barrier) sees one
+// worker cap all travel as context values/deadlines so every scan below —
+// a query's morsel pass, a shared wave, a join's build side — sees one
 // consistent budget. This is the entry point for APIs that take a
 // context rather than a Query (Table.Wave). The returned cancel must be
 // called when the work finishes to release the deadline timer.

@@ -236,7 +236,7 @@ func findSpan(s *obs.Span, prefix string) *obs.Span {
 	return nil
 }
 
-// TestQueryMetricsObserved checks eval() feeds the process-wide query
+// TestQueryMetricsObserved checks a terminal feeds the process-wide query
 // counter and latency histogram.
 func TestQueryMetricsObserved(t *testing.T) {
 	db := openTestDB(t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -149,7 +150,7 @@ func TestEndToEndFilterOnLoadedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &ops.DictFilter{Col: "status", Op: sboost.OpEq, IntValue: 3}
-	bm, err := f.Apply(tbl.R, db.DataPool())
+	bm, err := ops.ApplyFilter(context.Background(), f, tbl.R, db.DataPool(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestMeasureAttributesCosts(t *testing.T) {
 	}
 	st, err := Measure([]*colstore.Reader{tbl.R}, func() error {
 		pool := exec.NewPool(2)
-		_, err := (&ops.StrPredicateFilter{Col: "mode", Pred: func(b []byte) bool { return len(b) > 0 }}).Apply(tbl.R, pool)
+		_, err := ops.ApplyFilter(context.Background(), &ops.StrPredicateFilter{Col: "mode", Pred: func(b []byte) bool { return len(b) > 0 }}, tbl.R, pool, nil)
 		return err
 	})
 	if err != nil {

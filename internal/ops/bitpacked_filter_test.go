@@ -39,7 +39,7 @@ func TestBitPackedFilterNonNegative(t *testing.T) {
 	pool := exec.NewPool(4)
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpNe, sboost.OpLt, sboost.OpLe, sboost.OpGt, sboost.OpGe} {
 		for _, target := range []int64{0, 123, 499, 600, -5} {
-			bm, err := (&BitPackedFilter{Col: "v", Op: op, Value: target}).Apply(r, pool)
+			bm, err := applyAll(&BitPackedFilter{Col: "v", Op: op, Value: target}, r, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestBitPackedFilterWithNegatives(t *testing.T) {
 	pool := exec.NewPool(4)
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpLt, sboost.OpGe} {
 		for _, target := range []int64{-150, -1, 0, 7, 180} {
-			bm, err := (&BitPackedFilter{Col: "v", Op: op, Value: target}).Apply(r, pool)
+			bm, err := applyAll(&BitPackedFilter{Col: "v", Op: op, Value: target}, r, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestBitPackedFilterWrongEncodingRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := (&BitPackedFilter{Col: "v", Op: sboost.OpEq, Value: 1}).Apply(r, exec.NewPool(1)); err == nil {
+	if _, err := applyAll(&BitPackedFilter{Col: "v", Op: sboost.OpEq, Value: 1}, r, exec.NewPool(1)); err == nil {
 		t.Fatal("plain column should be rejected")
 	}
 }

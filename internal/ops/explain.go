@@ -2,24 +2,16 @@ package ops
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"runtime"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/exec"
 	"codecdb/internal/obs"
 )
 
-// This file is the observability seam for the operator layer: filter and
-// gather calls route through traced wrappers when the context carries an
-// obs.Span, and stay byte-for-byte on the untraced path otherwise. IO is
-// attributed to spans by before/after deltas of the reader's counters, so
-// per-node page totals always sum to the reader's IOStats for the query.
-// Instrumentation lives here in the wrappers — never inside ApplyCtx —
-// which keeps the kernels clean and lets tests assert the disabled-tracer
-// path adds zero allocations.
+// This file is the descriptive half of EXPLAIN for the operator layer:
+// filter names, the static plan choices each filter will make, and the
+// IO-delta helper the traced pipeline attributes reader counters to spans
+// with.
 
 // FilterName returns a short operator label for a filter, e.g.
 // "DictFilter(shipdate < 40)".
@@ -60,8 +52,8 @@ func FilterName(f Filter) string {
 // DescribeFilter reports the plan choices the filter will make against r:
 // dictionary predicate rewrites (including provably-empty/all outcomes),
 // the SBoost kernel selected, and whether zone maps can dispose pages.
-// It re-runs the same decision procedures the apply paths use, without
-// touching any packed data.
+// It re-runs the same decision procedures prepare uses, without touching
+// any packed data.
 func DescribeFilter(f Filter, r *colstore.Reader) []string {
 	switch f := f.(type) {
 	case *DictFilter:
@@ -135,7 +127,7 @@ func DescribeFilter(f Filter, r *colstore.Reader) []string {
 }
 
 // describeResolveIn counts how many IN values resolve to dictionary keys,
-// mirroring DictInFilter.ApplyCtx's resolution.
+// mirroring DictInFilter.prepare's resolution.
 func describeResolveIn(f *DictInFilter, r *colstore.Reader) (int, error) {
 	ci, col, err := r.Column(f.Col)
 	if err != nil {
@@ -169,7 +161,7 @@ func describeResolveIn(f *DictInFilter, r *colstore.Reader) (int, error) {
 	return n, nil
 }
 
-// describeKeysIn names the scan strategy scanKeysIn will pick for a key
+// describeKeysIn names the scan strategy prepareKeysIn will pick for a key
 // set of the given size (the contiguity and width checks are data-
 // dependent, so the description covers the candidates).
 func describeKeysIn(keys int) []string {
@@ -192,52 +184,4 @@ func IODelta(before, after colstore.IOStats) obs.SpanIO {
 		BytesRead:         after.BytesRead - before.BytesRead,
 		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
 	}
-}
-
-// applyFilterTraced is ApplyFilter with a span: it opens a child span
-// named for the filter, records the plan choices, runs the filter, and
-// attributes the IO delta, pool task count, row counts, and alloc bytes.
-// With a selection the span's rows-in is the selection cardinality — the
-// rows this operator actually had to consider — rather than the table size.
-func applyFilterTraced(ctx context.Context, parent *obs.Span, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	return applyFilterTracedEst(ctx, parent, f, r, pool, sel, nil)
-}
-
-// applyFilterTracedEst is applyFilterTraced plus the planner's estimate:
-// when est is non-nil the span carries an estimated-vs-actual selectivity
-// line, the EXPLAIN ANALYZE evidence for the chosen conjunct order.
-func applyFilterTracedEst(ctx context.Context, parent *obs.Span, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap, est *PredEstimate) (*bitutil.SectionalBitmap, error) {
-	child := parent.StartChild("Filter[" + FilterName(f) + "]")
-	// Snapshot before describing: plan resolution may lazily fault in the
-	// column dictionary, and that IO belongs to this operator's span (the
-	// span sums must equal the reader's IOStats delta for the query).
-	ioBefore := r.Stats()
-	tasksBefore := pool.Completed()
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	for _, d := range DescribeFilter(f, r) {
-		child.AddDetail("%s", d)
-	}
-	rowsIn := r.NumRows()
-	if sel != nil {
-		rowsIn = int64(sel.Cardinality())
-		child.AddDetail("selection-pushed: %d of %d rows remain", rowsIn, r.NumRows())
-	}
-
-	bm, err := applyFilterRaw(ctx, f, r, pool, sel)
-
-	runtime.ReadMemStats(&msAfter)
-	child.AddIO(IODelta(ioBefore, r.Stats()))
-	child.AddTasks(pool.Completed() - tasksBefore)
-	child.SetAllocBytes(msAfter.TotalAlloc - msBefore.TotalAlloc)
-	if err != nil {
-		child.AddDetail("error=%v", err)
-	} else if bm != nil {
-		if est != nil {
-			child.AddDetail("selectivity est=%.4f actual=%.4f", est.Sel, actualSel(bm, rowsIn))
-		}
-		child.SetRows(rowsIn, int64(bm.Cardinality()))
-	}
-	child.End()
-	return bm, err
 }

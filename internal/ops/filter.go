@@ -21,7 +21,6 @@ import (
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
 	"codecdb/internal/exec"
-	"codecdb/internal/obs"
 	"codecdb/internal/sboost"
 )
 
@@ -38,74 +37,29 @@ func NewTableBitmap(r *colstore.Reader) *bitutil.SectionalBitmap {
 	return bitutil.NewSectionalBitmap(int(r.NumRows()), section)
 }
 
-// FullTableBitmap creates an all-ones sectional bitmap (no predicate).
-func FullTableBitmap(r *colstore.Reader) *bitutil.SectionalBitmap {
-	s := NewTableBitmap(r)
-	for rg := 0; rg < r.NumRowGroups(); rg++ {
-		bm := bitutil.NewBitmap(r.RowGroupRows(rg))
-		bm.SetAll()
-		s.SetSection(rg, bm)
-	}
-	return s
-}
-
-// Filter evaluates a predicate over one table and yields a sectional
-// bitmap.
+// Filter is a predicate over one table. Every filter resolves against a
+// reader into a prepared per-row-group kernel (prepare); the morsel
+// pipeline compiles plan leaves through it and ApplyFilter sweeps it over a
+// whole table. The method is unexported: the filters are the ones in this
+// package.
 type Filter interface {
-	Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error)
+	prepare(r *colstore.Reader) (preparedFilter, error)
 }
 
-// ContextFilter is implemented by filters that honor cancellation and
-// deadlines mid-scan. All filters in this package implement it; Apply is
-// ApplyCtx with context.Background().
-type ContextFilter interface {
-	Filter
-	ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error)
-}
-
-// SelectionFilter is implemented by filters that consume an input selection
-// (paper §5.2's lazy pipelined evaluation): rows outside sel are never
-// evaluated, row groups and pages whose selection is empty are never
-// fetched, and the result is always a subset of sel. A nil selection means
-// "all rows" and degrades to ApplyCtx behaviour. All filters in this
-// package implement it.
-type SelectionFilter interface {
-	Filter
-	ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error)
-}
-
-// ApplyFilter runs f under ctx, pushing the selection sel into the scan
-// when f supports it (nil sel means no restriction). External Filter
-// implementations without selection or context support still work: their
-// result is intersected with sel afterwards, preserving the subset
-// invariant the pipelined executor relies on. When ctx carries an obs.Span
-// the call is traced as a child span (see explain.go); with no span the
-// only added cost is one context lookup.
+// ApplyFilter evaluates f over the whole table under ctx and returns the
+// matches as a sectional bitmap — the operator-at-a-time driver the
+// paper-figure code (Fig 6 micro-benchmarks, the Q3 DAG) runs single
+// operators with. sel restricts the scan (paper §5.2's lazy evaluation):
+// rows outside it are never evaluated, row groups and pages whose
+// selection is empty are never fetched, and the result is a subset of it;
+// nil means all rows. Queries do not come through here — they run the
+// same kernels row group by row group on the morsel pipeline.
 func ApplyFilter(ctx context.Context, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		return applyFilterTraced(ctx, sp, f, r, pool, sel)
+	pf, err := f.prepare(r)
+	if err != nil {
+		return nil, err
 	}
-	return applyFilterRaw(ctx, f, r, pool, sel)
-}
-
-// applyFilterRaw is ApplyFilter without the tracing wrapper.
-func applyFilterRaw(ctx context.Context, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	if sel != nil {
-		if sf, ok := f.(SelectionFilter); ok {
-			return sf.ApplySel(ctx, r, pool, sel)
-		}
-	}
-	var bm *bitutil.SectionalBitmap
-	var err error
-	if cf, ok := f.(ContextFilter); ok {
-		bm, err = cf.ApplyCtx(ctx, r, pool)
-	} else {
-		bm, err = f.Apply(r, pool)
-	}
-	if err == nil && sel != nil && bm != nil {
-		bm.And(sel)
-	}
-	return bm, err
+	return applyPrepared(ctx, r, pool, sel, pf)
 }
 
 // filterRG is the single-row-group filter kernel: evaluate one prepared
@@ -120,8 +74,8 @@ type filterRG func(ctx context.Context, rg int, sc *arena.Scratch, secSel *bitut
 // preparedFilter is a filter resolved against one reader: per-query work
 // (column lookup, dictionary probes, predicate rewrites) is done once at
 // prepare time, leaving a kernel that any worker can run against any row
-// group. It is the unit both execution strategies consume — the legacy
-// barrier sweep (applyPrepared) and the morsel pipeline (pipeline.go).
+// group. It is the unit both drivers consume — the whole-table sweep
+// (applyPrepared, under ApplyFilter) and the morsel pipeline (pipeline.go).
 type preparedFilter struct {
 	// empty marks the whole predicate provably false (e.g. equality on a
 	// value absent from the dictionary): no row group is visited and no
@@ -144,13 +98,6 @@ type preparedFilter struct {
 	sched func(rg int) []schedSet
 }
 
-// preparable is implemented by every filter in this package; the morsel
-// pipeline compiles plan leaves through it.
-type preparable interface {
-	Filter
-	prepare(r *colstore.Reader) (preparedFilter, error)
-}
-
 // skipWholeChunk is the common skip behaviour: mark every page of the
 // row group's chunk as bypassed by selection pushdown.
 func skipWholeChunk(r *colstore.Reader, ci int) func(rg int, tap *colstore.IOTap) {
@@ -160,11 +107,10 @@ func skipWholeChunk(r *colstore.Reader, ci int) func(rg int, tap *colstore.IOTap
 	}
 }
 
-// applyPrepared runs a prepared filter over all row groups with the
-// operator-at-a-time barrier strategy: one parallel sweep, one kernel and
-// one scratch per worker, sections installed as they complete. Every
-// ApplySel entry point is a thin wrapper over this — the same kernels the
-// morsel pipeline drives row group by row group.
+// applyPrepared runs a prepared filter over all row groups: one parallel
+// sweep, one kernel and one scratch per worker, sections installed as they
+// complete — the same kernels the morsel pipeline drives row group by row
+// group.
 func applyPrepared(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap, pf preparedFilter) (*bitutil.SectionalBitmap, error) {
 	out := NewTableBitmap(r)
 	if pf.empty {
@@ -223,25 +169,6 @@ type DictFilter struct {
 	// Exactly one of IntValue/StrValue is used, matching the column type.
 	IntValue int64
 	StrValue []byte
-}
-
-// Apply runs the filter.
-func (f *DictFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *DictFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *DictFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
 }
 
 // prepare resolves the predicate value through the dictionary once and
@@ -453,25 +380,6 @@ type DictInFilter struct {
 	StrValues [][]byte
 }
 
-// Apply runs the filter.
-func (f *DictInFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *DictInFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *DictInFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare resolves each IN value to its dictionary key once.
 func (f *DictInFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, col, err := r.Column(f.Col)
@@ -518,25 +426,6 @@ type DictLikeFilter struct {
 	Match func([]byte) bool
 }
 
-// Apply runs the filter.
-func (f *DictLikeFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *DictLikeFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *DictLikeFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare evaluates the pattern over the dictionary once.
 func (f *DictLikeFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, col, err := r.Column(f.Col)
@@ -569,25 +458,6 @@ type BitPackedFilter struct {
 	Col   string
 	Op    sboost.Op
 	Value int64
-}
-
-// Apply runs the filter.
-func (f *BitPackedFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *BitPackedFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *BitPackedFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
 }
 
 // prepare validates the column and yields the per-row-group kernel. The
@@ -745,25 +615,6 @@ type DictIntPredFilter struct {
 	Pred func(int64) bool
 }
 
-// Apply runs the filter.
-func (f *DictIntPredFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *DictIntPredFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *DictIntPredFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare evaluates the predicate over the dictionary once.
 func (f *DictIntPredFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, col, err := r.Column(f.Col)
@@ -789,12 +640,6 @@ func (f *DictIntPredFilter) prepare(r *colstore.Reader) (preparedFilter, error) 
 // swarInThreshold is the IN-set size above which the per-target SWAR
 // disjunction loses to a single lookup-table pass.
 const swarInThreshold = 8
-
-// scanKeysIn scans packed keys for membership in keys. A non-nil sel
-// restricts the scan to the selected rows.
-func scanKeysIn(ctx context.Context, r *colstore.Reader, ci int, keys []uint64, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	return applyPrepared(ctx, r, pool, sel, prepareKeysIn(r, ci, keys))
-}
 
 // prepareKeysIn builds the IN-set membership kernel, choosing the cheapest
 // strategy: a contiguous key set becomes one SWAR range scan, a small set
@@ -901,25 +746,6 @@ type TwoColumnFilter struct {
 	Op         sboost.Op
 }
 
-// Apply runs the filter.
-func (f *TwoColumnFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *TwoColumnFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *TwoColumnFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare validates the shared dictionary once. The kernel borrows a
 // second scratch per row group: two pages are live at once.
 func (f *TwoColumnFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
@@ -1020,31 +846,12 @@ type DeltaFilter struct {
 	Value int64
 }
 
-// Apply runs the filter.
-func (f *DeltaFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *DeltaFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows). Delta
-// pages are self-contained (header value plus deltas), so deselected pages
-// are skipped whole; a selected page still reconstructs every row in it —
-// the running sum needs them — but only rows the section keeps survive.
-func (f *DeltaFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare validates the column and yields the per-row-group kernel. The
 // zigzag rewrite stays inside the kernel: whether the zone maps apply
-// depends on each chunk's statistics.
+// depends on each chunk's statistics. Delta pages are self-contained
+// (header value plus deltas), so deselected pages are skipped whole; a
+// selected page still reconstructs every row in it — the running sum needs
+// them — but only rows the section keeps survive.
 func (f *DeltaFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, col, err := r.Column(f.Col)
 	if err != nil {
@@ -1188,27 +995,6 @@ type IntPredicateFilter struct {
 	Pred func(int64) bool
 }
 
-// Apply runs the filter.
-func (f *IntPredicateFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *IntPredicateFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows). With a
-// selection the chunk is read through the gathering decoder, which skips
-// pages holding no selected row and decodes only surviving entries.
-func (f *IntPredicateFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare yields the decode-and-test kernel.
 func (f *IntPredicateFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, _, err := r.Column(f.Col)
@@ -1271,25 +1057,6 @@ type StrPredicateFilter struct {
 	Pred func([]byte) bool
 }
 
-// Apply runs the filter.
-func (f *StrPredicateFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *StrPredicateFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *StrPredicateFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
-}
-
 // prepare yields the decode-and-test kernel.
 func (f *StrPredicateFilter) prepare(r *colstore.Reader) (preparedFilter, error) {
 	ci, _, err := r.Column(f.Col)
@@ -1306,25 +1073,6 @@ func (f *StrPredicateFilter) prepare(r *colstore.Reader) (preparedFilter, error)
 type FloatPredicateFilter struct {
 	Col  string
 	Pred func(float64) bool
-}
-
-// Apply runs the filter.
-func (f *FloatPredicateFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplyCtx(context.Background(), r, pool)
-}
-
-// ApplyCtx runs the filter under ctx.
-func (f *FloatPredicateFilter) ApplyCtx(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.ApplySel(ctx, r, pool, nil)
-}
-
-// ApplySel runs the filter restricted to sel (nil means all rows).
-func (f *FloatPredicateFilter) ApplySel(ctx context.Context, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	pf, err := f.prepare(r)
-	if err != nil {
-		return nil, err
-	}
-	return applyPrepared(ctx, r, pool, sel, pf)
 }
 
 // prepare yields the decode-and-test kernel.

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,11 @@ import (
 	"codecdb/internal/exec"
 	"codecdb/internal/sboost"
 )
+
+// applyAll sweeps f over the whole table with no input selection.
+func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
+	return ApplyFilter(context.Background(), f, r, pool, nil)
+}
 
 // testReader writes a small lineitem-like table and opens it.
 func testReader(t *testing.T, n int) (*colstore.Reader, []int64, []int64, [][]byte) {
@@ -71,7 +77,7 @@ func TestDictFilterAllOps(t *testing.T) {
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpNe, sboost.OpLt, sboost.OpLe, sboost.OpGt, sboost.OpGe} {
 		target := ship[42]
 		f := &DictFilter{Col: "shipdate", Op: op, IntValue: target}
-		bm, err := f.Apply(r, pool)
+		bm, err := applyAll(f, r, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +104,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := &DictFilter{Col: "shipdate", Op: c.op, IntValue: 1500}
-		bm, err := f.Apply(r, pool)
+		bm, err := applyAll(f, r, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +112,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 	}
 	// Absent but in range: e.g. -1 (below all): Ge = all, Lt = none.
 	f := &DictFilter{Col: "shipdate", Op: sboost.OpGe, IntValue: -1}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestDictFilterPowerOfTwoDictOverflow(t *testing.T) {
 		{sboost.OpEq, 5000, 0},
 		{sboost.OpNe, 5000, n},
 	} {
-		bm, err := (&DictFilter{Col: "v", Op: c.op, IntValue: c.v}).Apply(r, pool)
+		bm, err := applyAll(&DictFilter{Col: "v", Op: c.op, IntValue: c.v}, r, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,14 +172,14 @@ func TestDictFilterString(t *testing.T) {
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DictFilter{Col: "shipmode", Op: sboost.OpEq, StrValue: []byte("MAIL")}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return bytes.Equal(mode[i], []byte("MAIL")) })
 	// Range on order-preserving string dict: < "RAIL" means AIR, MAIL.
 	f2 := &DictFilter{Col: "shipmode", Op: sboost.OpLt, StrValue: []byte("RAIL")}
-	bm2, err := f2.Apply(r, pool)
+	bm2, err := applyAll(f2, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +191,7 @@ func TestDictInFilter(t *testing.T) {
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP"), []byte("HOVERCRAFT")}}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +200,7 @@ func TestDictInFilter(t *testing.T) {
 	})
 	// All absent: empty result.
 	f2 := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("X")}}
-	bm2, err := f2.Apply(r, pool)
+	bm2, err := applyAll(f2, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestDictLikeFilter(t *testing.T) {
 	pool := exec.NewPool(4)
 	// LIKE '%AIL' — matches MAIL and RAIL.
 	f := &DictLikeFilter{Col: "shipmode", Match: func(e []byte) bool { return bytes.HasSuffix(e, []byte("AIL")) }}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +236,14 @@ func TestTwoColumnFilter(t *testing.T) {
 		all = append(all, vals...)
 	}
 	f := &TwoColumnFilter{ColA: "commitdate", ColB: "receiptdate", Op: sboost.OpLt}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return commit[i] < all[i] })
 	// Columns without a shared dictionary must be rejected.
 	bad := &TwoColumnFilter{ColA: "shipdate", ColB: "commitdate", Op: sboost.OpLt}
-	if _, err := bad.Apply(r, pool); err == nil {
+	if _, err := applyAll(bad, r, pool); err == nil {
 		t.Fatal("unshared dictionaries should error")
 	}
 }
@@ -247,14 +253,14 @@ func TestDeltaFilter(t *testing.T) {
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(4)
 	f := &DeltaFilter{Col: "qty", Op: sboost.OpLe, Value: 1234}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return int64(i) <= 1234 })
 	// Wrong encoding rejected.
 	bad := &DeltaFilter{Col: "shipdate", Op: sboost.OpEq, Value: 1}
-	if _, err := bad.Apply(r, pool); err == nil {
+	if _, err := applyAll(bad, r, pool); err == nil {
 		t.Fatal("delta filter on dict column should error")
 	}
 }
@@ -263,11 +269,11 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 	const n = 2500
 	r, ship, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
-	aware, err := (&DictFilter{Col: "shipdate", Op: sboost.OpLe, IntValue: 500}).Apply(r, pool)
+	aware, err := applyAll(&DictFilter{Col: "shipdate", Op: sboost.OpLe, IntValue: 500}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := (&IntPredicateFilter{Col: "shipdate", Pred: func(v int64) bool { return v <= 500 }}).Apply(r, pool)
+	obliv, err := applyAll(&IntPredicateFilter{Col: "shipdate", Pred: func(v int64) bool { return v <= 500 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,29 +282,25 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 			t.Fatalf("row %d: aware %v oblivious %v (value %d)", i, aware.Get(i), obliv.Get(i), ship[i])
 		}
 	}
-	strBm, err := (&StrPredicateFilter{Col: "shipmode", Pred: func(v []byte) bool { return len(v) == 4 }}).Apply(r, pool)
+	strBm, err := applyAll(&StrPredicateFilter{Col: "shipmode", Pred: func(v []byte) bool { return len(v) == 4 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, strBm, n, func(i int) bool { return len(mode[i]) == 4 })
 }
 
-func TestFullAndEmptyTableBitmaps(t *testing.T) {
+func TestNewTableBitmapEmpty(t *testing.T) {
 	r, _, _, _ := testReader(t, 1000)
-	full := FullTableBitmap(r)
-	if full.Cardinality() != 1000 {
-		t.Fatalf("full bitmap has %d bits", full.Cardinality())
-	}
 	empty := NewTableBitmap(r)
-	if empty.Cardinality() != 0 {
-		t.Fatal("new bitmap should be empty")
+	if empty.Len() != 1000 || empty.Cardinality() != 0 {
+		t.Fatalf("new bitmap: len %d, %d bits set", empty.Len(), empty.Cardinality())
 	}
 }
 
 func TestFilterUnknownColumn(t *testing.T) {
 	r, _, _, _ := testReader(t, 100)
 	pool := exec.NewPool(1)
-	if _, err := (&DictFilter{Col: "nope", Op: sboost.OpEq, IntValue: 1}).Apply(r, pool); err == nil {
+	if _, err := applyAll(&DictFilter{Col: "nope", Op: sboost.OpEq, IntValue: 1}, r, pool); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }

@@ -48,7 +48,7 @@ func gatherFixture(t *testing.T) (*colstore.Reader, []int64, []float64, [][]byte
 }
 
 func TestGatherHelpersAgainstReference(t *testing.T) {
-	r, ints, floats, strs := gatherFixture(t)
+	r, ints, floats, _ := gatherFixture(t)
 	pool := exec.NewPool(4)
 	n := int(r.NumRows())
 	sel := bitutil.NewSectionalBitmap(n, 1500)
@@ -68,10 +68,6 @@ func TestGatherHelpersAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := GatherStrings(r, "s", sel, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gp, err := GatherInts(r, "p", sel, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -85,16 +81,6 @@ func TestGatherHelpersAgainstReference(t *testing.T) {
 		}
 		if gf[k] != floats[row] {
 			t.Fatalf("float row %d mismatch", row)
-		}
-		if !bytes.Equal(gs[k], strs[row]) {
-			t.Fatalf("string row %d mismatch", row)
-		}
-	}
-	// SelectedRows must align with the gathered vectors.
-	rows := SelectedRows(sel)
-	for k, row := range wantRows {
-		if rows[k] != int64(row) {
-			t.Fatalf("SelectedRows[%d] = %d, want %d", k, rows[k], row)
 		}
 	}
 	// Keys gather maps through the dictionary consistently.
@@ -149,7 +135,6 @@ func TestGatherUnknownColumn(t *testing.T) {
 	for _, err := range []error{
 		errOf(GatherInts(r, "nope", nil, pool)),
 		errOf(GatherFloats(r, "nope", nil, pool)),
-		errOf(GatherStrings(r, "nope", nil, pool)),
 		errOf(GatherKeys(r, "nope", nil, pool)),
 		errOf(ReadAllInts(r, "nope", pool)),
 		errOf(ReadAllFloats(r, "nope", pool)),
@@ -167,7 +152,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 	r, ints, _, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
 	f := &DictIntPredFilter{Col: "i", Pred: func(v int64) bool { return v%7 == 0 }}
-	bm, err := f.Apply(r, pool)
+	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +162,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 		}
 	}
 	// Predicate on a string column must be rejected.
-	if _, err := (&DictIntPredFilter{Col: "s", Pred: func(int64) bool { return true }}).Apply(r, pool); err == nil {
+	if _, err := applyAll(&DictIntPredFilter{Col: "s", Pred: func(int64) bool { return true }}, r, pool); err == nil {
 		t.Fatal("string column should be rejected")
 	}
 }
@@ -185,7 +170,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 func TestFloatPredicateFilterDirect(t *testing.T) {
 	r, _, floats, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
-	bm, err := (&FloatPredicateFilter{Col: "f", Pred: func(v float64) bool { return v > 1000 }}).Apply(r, pool)
+	bm, err := applyAll(&FloatPredicateFilter{Col: "f", Pred: func(v float64) bool { return v > 1000 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +178,6 @@ func TestFloatPredicateFilterDirect(t *testing.T) {
 		if bm.Get(i) != (v > 1000) {
 			t.Fatalf("row %d", i)
 		}
-	}
-}
-
-func TestPCHKeysAccessor(t *testing.T) {
-	m := NewPCH(8)
-	m.Insert(10, 1)
-	m.Insert(20, 2)
-	m.Delete(10)
-	keys := m.Keys()
-	if len(keys) != 1 || keys[0] != 20 {
-		t.Fatalf("Keys = %v", keys)
 	}
 }
 

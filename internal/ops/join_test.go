@@ -3,116 +3,10 @@ package ops
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"codecdb/internal/exec"
 )
-
-func TestPCHBasic(t *testing.T) {
-	m := NewPCH(100)
-	for i := int64(0); i < 100; i++ {
-		m.Insert(i*3, i)
-	}
-	if m.Len() != 100 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	for i := int64(0); i < 100; i++ {
-		v, ok := m.Get(i * 3)
-		if !ok || v != i {
-			t.Fatalf("Get(%d) = %d, %v", i*3, v, ok)
-		}
-	}
-	if _, ok := m.Get(1); ok {
-		t.Fatal("missing key found")
-	}
-	if !m.Delete(3) {
-		t.Fatal("delete failed")
-	}
-	if _, ok := m.Get(3); ok {
-		t.Fatal("deleted key still found")
-	}
-	// Keys past a tombstone must remain reachable (linear probing).
-	if _, ok := m.Get(6); !ok {
-		t.Fatal("probe chain broken after delete")
-	}
-	if m.Delete(3) {
-		t.Fatal("double delete should fail")
-	}
-}
-
-func TestPCHDuplicateInsertKeepsFirst(t *testing.T) {
-	m := NewPCH(10)
-	m.Insert(7, 100)
-	m.Insert(7, 200)
-	v, ok := m.Get(7)
-	if !ok || v != 100 {
-		t.Fatalf("Get = %d, want first value 100", v)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-}
-
-func TestPCHConcurrentPhases(t *testing.T) {
-	const n = 50000
-	m := NewPCH(n)
-	// Phase 1: concurrent inserts.
-	var wg sync.WaitGroup
-	workers := 8
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				m.Insert(int64(i), int64(i)*2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
-	}
-	// Phase 2: concurrent searches.
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if v, ok := m.Get(int64(i)); !ok || v != int64(i)*2 {
-					select {
-					case errs <- "bad get":
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-	// Phase 3: concurrent deletes of the even keys.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if i%2 == 0 {
-					m.Delete(int64(i))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m.Len() != n/2 {
-		t.Fatalf("after deletes Len = %d, want %d", m.Len(), n/2)
-	}
-}
 
 func TestPCHMultiDuplicates(t *testing.T) {
 	m := NewPCHMulti(10)
@@ -136,7 +30,7 @@ func TestPCHReservedKeysPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewPCH(4).Insert(emptyKey, 1)
+	NewPCHMulti(4).Insert(emptyKey, 1)
 }
 
 func joinToSet(j *JoinPairs) map[[2]int64]int {

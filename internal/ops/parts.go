@@ -89,19 +89,10 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 		}
 		return true
 	}
-	for j, pipes := range members {
+	for _, pipes := range members {
 		for i, p := range pipes {
 			p.initParts(parts[i].R.NumRowGroups())
 			p.initWorkers(nw)
-			if p.fallback && !failed[j].Load() {
-				// A filter with no row-group kernel: its selection comes from
-				// the barrier path, computed before the pass.
-				fsel, err := p.plan.Execute(ctx, p.r, pool)
-				if err != nil && !report(j, err) {
-					return err
-				}
-				p.fsel = fsel
-			}
 		}
 	}
 	locate := func(m int) (part, rg int) {
@@ -202,14 +193,13 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 // startFetcher computes one part's page schedule — the union, over the
 // members, of each one's first planned stage — and starts the part's
 // prefetcher, or returns nil when there is nothing to gain: prefetch
-// disabled, a barrier-fallback member (the legacy path owns its reads), a
-// provably-empty first stage, or terminals that read no pages. Only the
-// first planned stage is scheduled: it is the one stage guaranteed to run
-// over the unrestricted selection, so its metadata disposition exactly
-// predicts its kernel's page fetches; later stages see selections that
-// depend on data, which metadata cannot predict without risking
-// speculative reads of pages the query never touches. Pages wanted by
-// several members are scheduled once.
+// disabled, a provably-empty first stage, or terminals that read no
+// pages. Only the first planned stage is scheduled: it is the one stage
+// guaranteed to run over the unrestricted selection, so its metadata
+// disposition exactly predicts its kernel's page fetches; later stages see
+// selections that depend on data, which metadata cannot predict without
+// risking speculative reads of pages the query never touches. Pages wanted
+// by several members are scheduled once.
 func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline, part int) *colstore.PageFetcher {
 	opt, _ := ctx.Value(prefetchKey{}).(prefetchOpt)
 	if opt.off {
@@ -219,7 +209,6 @@ func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline
 	for _, pipes := range members {
 		p := pipes[part]
 		switch {
-		case p.fallback:
 		case len(p.leaves) > 0:
 			if lf := p.leaves[0]; !lf.pf.empty && lf.pf.sched != nil {
 				scheds = append(scheds, lf.pf.sched)

@@ -5,43 +5,31 @@ import (
 	"sync/atomic"
 )
 
-// PCH is a phase-concurrent hash map for int64 keys (Shun & Blelloch,
-// SPAA'14; paper §5.5): operations of one type — insert-only, search-only,
-// or delete-only — may run from many goroutines at once with no locks.
+// PCHMulti is a phase-concurrent hash multi-map for int64 keys (Shun &
+// Blelloch, SPAA'14; paper §5.5): operations of one type — insert-only or
+// search-only — may run from many goroutines at once with no locks.
 // CodecDB's hash joins are naturally phased: the build phase only inserts,
-// the probe phase only searches, and hash-based exist-joins only delete.
+// the probe phase only searches.
 //
 // The table is open-addressed with linear probing over a power-of-two slot
-// array. Insert claims a slot with a CAS on the key word; the value word
-// is written only by the claiming goroutine. A deleted slot becomes a
-// tombstone that searches probe through.
-type PCH struct {
-	keys []int64 // emptyKey = free, tombKey = deleted
-	vals []int64
-	mask uint64
-	size atomic.Int64
+// array; Insert claims a slot with a CAS on the key word. Each key maps to
+// the list of rows inserted under it (build keys may repeat); lists are
+// lock-free linked lists threaded through preallocated arrays.
+type PCHMulti struct {
+	slots  []int64 // key per slot, emptyKey = free
+	heads  []int64 // head index+1 into rows/next; 0 = empty
+	rows   []int64
+	next   []int64
+	cursor atomic.Int64
+	mask   uint64
 }
 
+// Keys MinInt64 and MinInt64+1 are reserved (Insert panics on them): the
+// first marks a free slot.
 const (
 	emptyKey int64 = math.MinInt64
 	tombKey  int64 = math.MinInt64 + 1
 )
-
-// NewPCH creates a map sized for about n entries.
-func NewPCH(n int) *PCH {
-	capacity := 16
-	for capacity < n*2 {
-		capacity *= 2
-	}
-	m := &PCH{keys: make([]int64, capacity), vals: make([]int64, capacity), mask: uint64(capacity - 1)}
-	for i := range m.keys {
-		m.keys[i] = emptyKey
-	}
-	return m
-}
-
-// Len returns the number of live entries.
-func (m *PCH) Len() int { return int(m.size.Load()) }
 
 func hash64(k int64) uint64 {
 	// Fibonacci-style mix; good dispersion for sequential keys.
@@ -52,92 +40,6 @@ func hash64(k int64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// Insert adds (k, v), keeping the first value when the key is already
-// present. Keys MinInt64 and MinInt64+1 are reserved. Insert may run
-// concurrently with other Inserts only (phase-concurrency contract).
-func (m *PCH) Insert(k, v int64) {
-	if k == emptyKey || k == tombKey {
-		panic("ops: reserved key")
-	}
-	i := hash64(k) & m.mask
-	for {
-		cur := atomic.LoadInt64(&m.keys[i])
-		if cur == k {
-			return // first writer wins
-		}
-		if cur == emptyKey {
-			if atomic.CompareAndSwapInt64(&m.keys[i], emptyKey, k) {
-				atomic.StoreInt64(&m.vals[i], v)
-				m.size.Add(1)
-				return
-			}
-			continue // lost the race: re-read this slot
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-// Get returns the value for k. It may run concurrently with other Gets.
-func (m *PCH) Get(k int64) (int64, bool) {
-	i := hash64(k) & m.mask
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		cur := atomic.LoadInt64(&m.keys[i])
-		if cur == k {
-			return atomic.LoadInt64(&m.vals[i]), true
-		}
-		if cur == emptyKey {
-			return 0, false
-		}
-		i = (i + 1) & m.mask
-	}
-	return 0, false
-}
-
-// Delete removes k, returning whether it was present. It may run
-// concurrently with other Deletes (hash-based exist join, §5.5).
-func (m *PCH) Delete(k int64) bool {
-	i := hash64(k) & m.mask
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		cur := atomic.LoadInt64(&m.keys[i])
-		if cur == k {
-			if atomic.CompareAndSwapInt64(&m.keys[i], k, tombKey) {
-				m.size.Add(-1)
-				return true
-			}
-			return false // another deleter got it
-		}
-		if cur == emptyKey {
-			return false
-		}
-		i = (i + 1) & m.mask
-	}
-	return false
-}
-
-// Keys returns the live keys (single-threaded use, for result collection).
-func (m *PCH) Keys() []int64 {
-	out := make([]int64, 0, m.Len())
-	for i, k := range m.keys {
-		if k != emptyKey && k != tombKey {
-			_ = i
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// PCHMulti is the multi-value variant: each key maps to the list of rows
-// inserted under it, for joins with duplicate build keys. Lists are
-// lock-free linked lists threaded through preallocated arrays.
-type PCHMulti struct {
-	slots  []int64 // key per slot, emptyKey = free
-	heads  []int64 // head index+1 into rows/next; 0 = empty
-	rows   []int64
-	next   []int64
-	cursor atomic.Int64
-	mask   uint64
 }
 
 // NewPCHMulti creates a multi-map for up to n insertions.

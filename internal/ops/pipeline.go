@@ -2,7 +2,6 @@ package ops
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -109,25 +108,13 @@ type pipeNode struct {
 	kids []*pipeNode
 }
 
-// errNotPreparable flags a plan leaf whose filter does not implement the
-// kernel interface (an external Filter); the pipeline then computes the
-// selection through the legacy barrier path and morselizes only the
-// terminal.
-var errNotPreparable = errors.New("ops: filter has no row-group kernel")
-
 // pipeline is one compiled query: the filter tree, the terminal, and the
 // per-query constants every worker shares read-only.
 type pipeline struct {
-	r    *colstore.Reader
-	plan *Plan
+	r *colstore.Reader
 
 	root   *pipeNode
 	leaves []*pipeLeaf
-	// fallback routes selection through plan.Execute (operator-at-a-time)
-	// when some leaf has no kernel; the scan computes fsel before its pass
-	// and the terminal still runs morsel-wise.
-	fallback bool
-	fsel     *bitutil.SectionalBitmap
 
 	term TermKind
 	col  string
@@ -222,13 +209,13 @@ type pipeParts struct {
 }
 
 // buildPipeline compiles a planned query against one part: every plan
-// leaf is prepared into a kernel (or the whole selection falls back to the
-// barrier path), terminal columns are resolved, and — because lazy
-// dictionary faults bypass the per-stage IO taps — every dictionary any
-// stage could touch is faulted now, inside the Prepare window.
+// leaf is prepared into a kernel, terminal columns are resolved, and —
+// because lazy dictionary faults bypass the per-stage IO taps — every
+// dictionary any stage could touch is faulted now, inside the Prepare
+// window.
 func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
 	r := part.R
-	p := &pipeline{r: r, plan: pl, term: term, col: col, ci: -1, traced: traced}
+	p := &pipeline{r: r, term: term, col: col, ci: -1, traced: traced}
 	if pl != nil {
 		nLeaves, nNodes := countPlan(pl.Root)
 		if nLeaves <= len(p.leafArr) {
@@ -244,16 +231,10 @@ func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, 
 			p.nodeBuf = make([]pipeNode, 0, nNodes)
 		}
 		root, err := p.compileNode(pl.Root)
-		switch {
-		case errors.Is(err, errNotPreparable):
-			p.fallback = true
-			p.root = nil
-			p.leaves = nil
-		case err != nil:
+		if err != nil {
 			return nil, err
-		default:
-			p.root = root
 		}
+		p.root = root
 		if traced {
 			p.prefaultDicts(pl.Root.Pred)
 		}
@@ -339,11 +320,7 @@ func countPlan(n *PlanNode) (leaves, nodes int) {
 func (p *pipeline) compileNode(n *PlanNode) (*pipeNode, error) {
 	switch n.Pred.Kind {
 	case PredLeaf, PredNot:
-		pb, ok := n.Pred.Leaf.(preparable)
-		if !ok {
-			return nil, errNotPreparable
-		}
-		pf, err := pb.prepare(p.r)
+		pf, err := n.Pred.Leaf.prepare(p.r)
 		if err != nil {
 			return nil, err
 		}
@@ -674,23 +651,13 @@ func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
 		return nil // an empty table's one row group: nothing to select
 	}
 	var bm *bitutil.Bitmap
-	switch {
-	case p.fallback:
-		sec, skip := sectionSelection(p.fsel, rg)
-		if !skip {
-			if sec == nil {
-				bm = fullGroupBitmap(p.r.RowGroupRows(rg))
-			} else {
-				bm = sec
-			}
-		}
-	case p.root != nil:
+	if p.root != nil {
 		var err error
 		bm, err = w.evalNode(ctx, rg, p.root, nil)
 		if err != nil {
 			return err
 		}
-	default:
+	} else {
 		bm = fullGroupBitmap(p.r.RowGroupRows(rg))
 	}
 	if p.term == TermRel {
@@ -787,12 +754,12 @@ func (p *pipeline) terminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pi
 }
 
 // evalNode evaluates one pipeline subtree over one row group, restricted
-// to secSel (nil means every row of the group). The section-level algebra
-// mirrors execNode/execOr exactly: AND threads the shrinking selection and
-// stops when it empties, OR evaluates each branch only over rows no
-// earlier branch matched, NOT subtracts the leaf from its selection. When
-// a short-circuit strands later filters, their pages are marked
-// selection-skipped just as their own sweep would have.
+// to secSel (nil means every row of the group): AND threads the shrinking
+// selection and stops when it empties, OR evaluates each branch only over
+// rows no earlier branch matched (rows already in the union need no
+// retesting), NOT subtracts the leaf from its selection. When a
+// short-circuit strands later filters, their pages are marked
+// selection-skipped.
 func (w *pipeWorker) evalNode(ctx context.Context, rg int, n *pipeNode, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
 	switch n.kind {
 	case PredLeaf:
@@ -1118,21 +1085,19 @@ func (p *pipeline) traceStages(parent *obs.Span, term TermKind, col string) time
 		s.SetDuration(time.Duration(st.nanos))
 		busy += st.nanos
 	}
-	if !p.fallback {
-		for _, lf := range p.leaves {
-			fs := parent.StartChild("Filter[" + lf.name + "]")
-			for _, d := range DescribeFilter(lf.f, p.r) {
-				fs.AddDetail("%s", d)
-			}
-			st := p.mergedStats(lf.idx)
-			if st.pushed {
-				fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, p.r.NumRows())
-			}
-			if st.rowsIn > 0 {
-				fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
-			}
-			stage(fs, lf.idx, -1)
+	for _, lf := range p.leaves {
+		fs := parent.StartChild("Filter[" + lf.name + "]")
+		for _, d := range DescribeFilter(lf.f, p.r) {
+			fs.AddDetail("%s", d)
 		}
+		st := p.mergedStats(lf.idx)
+		if st.pushed {
+			fs.AddDetail("selection-pushed: %d of %d rows remain", st.rowsIn, p.r.NumRows())
+		}
+		if st.rowsIn > 0 {
+			fs.AddDetail("selectivity est=%.4f actual=%.4f", lf.est, float64(st.rowsOut)/float64(st.rowsIn))
+		}
+		stage(fs, lf.idx, -1)
 	}
 	if p.rel != nil {
 		for si := range p.rel.Stages {

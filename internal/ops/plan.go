@@ -1,14 +1,10 @@
 package ops
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/exec"
-	"codecdb/internal/obs"
 	"codecdb/internal/sboost"
 )
 
@@ -16,9 +12,10 @@ import (
 // small IR of filters composed with AND/OR/NOT, the planner orders AND
 // conjuncts by estimated selectivity per unit cost using metadata the files
 // already carry for free (encoding kind, dictionary size, page zone maps,
-// column byte volume), and the executor threads the accumulated selection
-// into each subsequent filter so row groups and pages whose selection is
-// already empty are never fetched, CRC-verified, or decompressed.
+// column byte volume), and the morsel pipeline (pipeline.go) threads the
+// accumulated selection into each subsequent filter, row group by row
+// group, so pages whose selection is already empty are never fetched,
+// CRC-verified, or decompressed.
 
 // PredKind discriminates predicate-tree nodes.
 type PredKind int
@@ -109,7 +106,8 @@ type PlanNode struct {
 	Kids []*PlanNode
 }
 
-// Plan is an ordered, executable predicate pipeline over one table.
+// Plan is a predicate tree over one table with its execution order fixed;
+// the morsel pipeline compiles it into per-row-group filter stages.
 type Plan struct {
 	Root *PlanNode
 }
@@ -276,8 +274,7 @@ func keySetEstimate(f Filter, r *colstore.Reader) PredEstimate {
 }
 
 // resolveKeyCount counts dictionary keys the filter's predicate keeps —
-// the same resolution the apply path performs, against the cached
-// dictionary.
+// the same resolution prepare performs, against the cached dictionary.
 func resolveKeyCount(f Filter, r *colstore.Reader, ci int) (keys, dictLen int, err error) {
 	switch f := f.(type) {
 	case *DictInFilter:
@@ -478,129 +475,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// Execute runs the planned pipeline. AND children run in planned order,
-// each receiving the selection accumulated so far, so later filters skip
-// row groups and pages already eliminated; an empty accumulated selection
-// stops the chain. OR children run against the rows not yet matched, so a
-// branch that saturates the selection short-circuits the rest. The result
-// of every node is a subset of the selection it received.
-func (pl *Plan) Execute(ctx context.Context, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return execNode(ctx, pl.Root, r, pool, nil)
-}
-
-// execNode evaluates node restricted to sel (nil means all rows).
-func execNode(ctx context.Context, node *PlanNode, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	switch node.Pred.Kind {
-	case PredLeaf:
-		return applyPlannedLeaf(ctx, node, r, pool, sel)
-	case PredNot:
-		bm, err := applyPlannedLeaf(ctx, node, r, pool, sel)
-		if err != nil {
-			return nil, err
-		}
-		base := sel
-		if base == nil {
-			base = FullTableBitmap(r)
-		} else {
-			base = base.Clone()
-		}
-		return base.AndNot(bm), nil
-	case PredAnd:
-		acc := sel
-		for _, kid := range node.Kids {
-			bm, err := execNode(ctx, kid, r, pool, acc)
-			if err != nil {
-				return nil, err
-			}
-			acc = bm
-			if acc.Cardinality() == 0 {
-				break
-			}
-		}
-		if acc == nil {
-			// Conjunction of zero predicates keeps everything.
-			acc = FullTableBitmap(r)
-		}
-		return acc, nil
-	case PredOr:
-		return execOr(ctx, node, r, pool, sel)
-	}
-	return nil, fmt.Errorf("ops: unknown predicate kind %d", node.Pred.Kind)
-}
-
-// execOr unions the branches of a disjunction. Each branch is evaluated
-// only over the rows no earlier branch matched: rows already in the result
-// need no retesting (the union cannot lose them), so a cheap high-coverage
-// first branch shrinks — and with clustered data often empties — the
-// selection the remaining branches see. An empty remainder short-circuits.
-func execOr(ctx context.Context, node *PlanNode, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	sp := obs.SpanFrom(ctx)
-	var child *obs.Span
-	if sp != nil {
-		// The OR node gets one span covering the whole union: its IO delta
-		// accounts every branch, so the one-level sum over a parent span's
-		// children still equals the reader's IOStats delta; branch spans
-		// nest inside for drill-down.
-		child = sp.StartChild(fmt.Sprintf("Or[%d branches]", len(node.Kids)))
-		ioBefore := r.Stats()
-		defer func() {
-			child.AddIO(IODelta(ioBefore, r.Stats()))
-			child.End()
-		}()
-		ctx = obs.ContextWithSpan(ctx, child)
-	}
-	result := NewTableBitmap(r)
-	remaining := sel // nil = all rows
-	for i, kid := range node.Kids {
-		if remaining != nil && remaining.Cardinality() == 0 {
-			if child != nil {
-				child.AddDetail("short-circuit: %d of %d branches skipped, selection saturated", len(node.Kids)-i, len(node.Kids))
-			}
-			break
-		}
-		bm, err := execNode(ctx, kid, r, pool, remaining)
-		if err != nil {
-			return nil, err
-		}
-		result.Or(bm)
-		if remaining == nil {
-			remaining = FullTableBitmap(r)
-			if sel != nil {
-				remaining = sel.Clone()
-			}
-		} else {
-			remaining = remaining.Clone()
-		}
-		remaining.AndNot(bm)
-	}
-	if child != nil {
-		rowsIn := r.NumRows()
-		if sel != nil {
-			rowsIn = int64(sel.Cardinality())
-		}
-		child.AddDetail("selectivity est=%.4f actual=%.4f", node.Est.Sel, actualSel(result, rowsIn))
-		child.SetRows(rowsIn, int64(result.Cardinality()))
-	}
-	return result, nil
-}
-
-// applyPlannedLeaf is the leaf execution path: ApplyFilter with the
-// selection, plus the planner's estimate-vs-actual annotation on the
-// filter's span when tracing is on.
-func applyPlannedLeaf(ctx context.Context, node *PlanNode, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		return applyFilterTracedEst(ctx, sp, node.Pred.Leaf, r, pool, sel, &node.Est)
-	}
-	return applyFilterRaw(ctx, node.Pred.Leaf, r, pool, sel)
-}
-
-func actualSel(bm *bitutil.SectionalBitmap, rowsIn int64) float64 {
-	if rowsIn == 0 {
-		return 0
-	}
-	return float64(bm.Cardinality()) / float64(rowsIn)
 }
 
 // Describe renders the plan as an indented tree, one line per node, with

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
 	"codecdb/internal/exec"
@@ -93,23 +92,19 @@ func TestRewriteDictPredicateEdges(t *testing.T) {
 	}
 }
 
-type appliable interface {
-	Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error)
-}
-
 // runPrunedAndUnpruned applies the filter twice — with page pruning on and
 // off — and fails unless the bitmaps agree bit-for-bit and the pruned run
 // actually consulted the zone maps.
-func runPrunedAndUnpruned(t *testing.T, r *colstore.Reader, pool *exec.Pool, f appliable, label string) {
+func runPrunedAndUnpruned(t *testing.T, r *colstore.Reader, pool *exec.Pool, f Filter, label string) {
 	t.Helper()
 	r.SetPagePruning(false)
-	want, err := f.Apply(r, pool)
+	want, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatalf("%s unpruned: %v", label, err)
 	}
 	r.SetPagePruning(true)
 	r.ResetStats()
-	got, err := f.Apply(r, pool)
+	got, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatalf("%s pruned: %v", label, err)
 	}
@@ -196,7 +191,7 @@ func TestZoneMapPruningMatchesFullScan(t *testing.T) {
 	// The zone maps must actually fire on this layout: a point probe in
 	// the lowest band cannot touch pages of the higher bands.
 	r.ResetStats()
-	if _, err := (&DictFilter{Col: "dict", Op: sboost.OpEq, IntValue: 10}).Apply(r, pool); err != nil {
+	if _, err := applyAll(&DictFilter{Col: "dict", Op: sboost.OpEq, IntValue: 10}, r, pool); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.PagesPruned == 0 {

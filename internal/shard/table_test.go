@@ -71,7 +71,7 @@ func collectIDs(t *testing.T, tbl *Table) []int64 {
 		if r.NumRows() == 0 {
 			continue // the empty active buffer's image
 		}
-		vals, err := ops.GatherInts(r, "id", ops.FullTableBitmap(r), pool)
+		vals, err := ops.ReadAllInts(r, "id", pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,9 @@ import (
 // qualifying dimension rows (attribute strings travel as join payloads),
 // and a multi-column group-by whose keys mix a packed year domain with
 // string dimension attributes. Dimension prep (loadDims) is shared with
-// the legacy engines, and the grouped batch is folded through the same
-// groupAgg/emit path so output ordering is byte-identical. The
-// hand-coded plans stay available as LegacyCodecDB, the oracle for the
-// equivalence tests.
+// the Morph and Oblivious baselines, and the grouped batch is folded
+// through the same groupAgg/emit path so output ordering is
+// byte-identical across the three.
 
 func (t *Tables) engineFlight1(spec flight1Spec) (Result, error) {
 	b, err := relq.Scan(t.LO, t.Pool).

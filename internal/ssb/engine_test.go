@@ -7,12 +7,14 @@ import (
 	"codecdb/internal/core"
 )
 
-// TestEngineMatchesLegacyAllFormats is the engine-equivalence property:
+// TestEngineMatchesObliviousAllFormats is the engine-equivalence property:
 // every SSB query compiled through the relational engine must produce
-// results byte-identical to the legacy hand-coded CodecDB plan, on both
-// the v1 and the current file format. SSB measures are int64 sums, so
-// equality is exact.
-func TestEngineMatchesLegacyAllFormats(t *testing.T) {
+// results byte-identical to the decode-first Oblivious plan — plain Go
+// loops over fully decoded columns, sharing no operator with the engine —
+// on both the v1 and the current file format. SSB measures are int64
+// sums, so equality is exact. (TestAllEnginesAgree runs the same
+// comparison on the shared tables and their different layout parameters.)
+func TestEngineMatchesObliviousAllFormats(t *testing.T) {
 	for _, f := range []struct {
 		name string
 		ver  int
@@ -42,28 +44,12 @@ func TestEngineMatchesLegacyAllFormats(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s engine: %v", q, err)
 				}
-				leg, err := ts.LegacyCodecDB(q)
+				obl, err := ts.Oblivious(q)
 				if err != nil {
-					t.Fatalf("%s legacy: %v", q, err)
+					t.Fatalf("%s oblivious: %v", q, err)
 				}
-				tablesEqual(t, q, eng.Table, leg.Table)
+				tablesEqual(t, q, eng.Table, obl.Table)
 			}
 		})
-	}
-}
-
-// TestEngineMatchesLegacyShared reruns the equivalence check on the
-// shared tables with their different layout parameters.
-func TestEngineMatchesLegacyShared(t *testing.T) {
-	for _, q := range QueryIDs() {
-		eng, err := sharedTables.CodecDB(q)
-		if err != nil {
-			t.Fatalf("%s engine: %v", q, err)
-		}
-		leg, err := sharedTables.LegacyCodecDB(q)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", q, err)
-		}
-		tablesEqual(t, q, eng.Table, leg.Table)
 	}
 }

@@ -3,7 +3,6 @@ package ssb
 import (
 	"fmt"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/memtable"
 	"codecdb/internal/morph"
 	"codecdb/internal/ops"
@@ -22,18 +21,6 @@ func (t *Tables) CodecDB(q string) (Result, error) {
 	}
 	if spec, ok := factSpecs[q]; ok {
 		return t.engineFact(&spec)
-	}
-	return Result{}, fmt.Errorf("ssb: unknown query %q", q)
-}
-
-// LegacyCodecDB runs the hand-coded encoding-aware plan, kept as the
-// test oracle for the engine-compiled plans.
-func (t *Tables) LegacyCodecDB(q string) (Result, error) {
-	if spec, ok := flight1Specs[q]; ok {
-		return t.codecFlight1(spec)
-	}
-	if spec, ok := factSpecs[q]; ok {
-		return t.codecFact(&spec)
 	}
 	return Result{}, fmt.Errorf("ssb: unknown query %q", q)
 }
@@ -62,45 +49,7 @@ func (t *Tables) Oblivious(q string) (Result, error) {
 	return Result{}, fmt.Errorf("ssb: unknown query %q", q)
 }
 
-func sbmBytes(s *bitutil.SectionalBitmap) int64 { return int64(s.CompressedSizeBytes()) }
-
 // ---- flight 1 ----
-
-func (t *Tables) codecFlight1(spec flight1Spec) (Result, error) {
-	dateSel, err := (&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}).Apply(t.LO, t.Pool)
-	if err != nil {
-		return Result{}, err
-	}
-	discSel, err := (&ops.DictIntPredFilter{Col: "lo_discount", Pred: func(v int64) bool {
-		return v >= spec.discLo && v <= spec.discHi
-	}}).Apply(t.LO, t.Pool)
-	if err != nil {
-		return Result{}, err
-	}
-	qtySel, err := (&ops.DictIntPredFilter{Col: "lo_quantity", Pred: func(v int64) bool {
-		return v >= spec.qtyLo && v <= spec.qtyHi
-	}}).Apply(t.LO, t.Pool)
-	if err != nil {
-		return Result{}, err
-	}
-	inter := sbmBytes(dateSel) + sbmBytes(discSel) + sbmBytes(qtySel)
-	dateSel.And(discSel).And(qtySel)
-	price, err := ops.GatherInts(t.LO, "lo_extendedprice", dateSel, t.Pool)
-	if err != nil {
-		return Result{}, err
-	}
-	disc, err := ops.GatherInts(t.LO, "lo_discount", dateSel, t.Pool)
-	if err != nil {
-		return Result{}, err
-	}
-	var revenue int64
-	for i := range price {
-		revenue += price[i] * disc[i]
-	}
-	out := memtable.NewRowTable(revenueNames, revenueTypes)
-	out.Append(revenue)
-	return Result{Table: out, IntermediateBytes: inter}, nil
-}
 
 func (t *Tables) morphFlight1(spec flight1Spec) (Result, error) {
 	var r morph.Runner
@@ -196,66 +145,6 @@ func attrOf(d *dims, key int64) []byte {
 		return nil
 	}
 	return d.attr[key-1]
-}
-
-func (t *Tables) codecFact(spec *factSpec) (Result, error) {
-	cust, supp, part, err := t.loadAllDims(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	var sel *bitutil.SectionalBitmap
-	var inter int64
-	if spec.datePred != nil {
-		sel, err = (&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}).Apply(t.LO, t.Pool)
-		if err != nil {
-			return Result{}, err
-		}
-		inter += sbmBytes(sel)
-	} else {
-		// No fact predicate: the selection vector is a full-table bitmap.
-		inter += int64(t.LO.NumRows()+7) / 8
-	}
-	gather := func(col string) ([]int64, error) { return ops.GatherInts(t.LO, col, sel, t.Pool) }
-	custK, err := gather("lo_custkey")
-	if err != nil {
-		return Result{}, err
-	}
-	suppK, err := gather("lo_suppkey")
-	if err != nil {
-		return Result{}, err
-	}
-	partK, err := gather("lo_partkey")
-	if err != nil {
-		return Result{}, err
-	}
-	odate, err := gather("lo_orderdate")
-	if err != nil {
-		return Result{}, err
-	}
-	revenue, err := gather("lo_revenue")
-	if err != nil {
-		return Result{}, err
-	}
-	var cost []int64
-	if spec.profit {
-		if cost, err = gather("lo_supplycost"); err != nil {
-			return Result{}, err
-		}
-	}
-	agg := newGroupAgg()
-	for i := range custK {
-		if !cust.ok[custK[i]-1] || !supp.ok[suppK[i]-1] || !part.ok[partK[i]-1] {
-			continue
-		}
-		v := revenue[i]
-		if spec.profit {
-			v -= cost[i]
-		}
-		key, row := groupRowOf(spec, YearOf(odate[i]),
-			attrOf(cust, custK[i]), attrOf(supp, suppK[i]), attrOf(part, partK[i]))
-		agg.add(key, row, v)
-	}
-	return Result{Table: agg.emit(spec), IntermediateBytes: inter}, nil
 }
 
 func (t *Tables) morphFact(spec *factSpec) (Result, error) {

@@ -10,8 +10,9 @@ import (
 // row predicates, multi-column group-by — and execute it on the morsel
 // pipeline. Small dimension prep (nation/region lookups, dense-key build
 // sides) stays in plain Go; everything touching a fact table runs through
-// the relational executor. The legacy hand-coded plans remain registered
-// as the oracle (LegacyCodecDB) for the equivalence tests.
+// the relational executor. The decode-first Oblivious plans
+// (queries_{a,b,c}.go) are the independent reference the equivalence
+// tests compare against.
 
 func init() {
 	registerEngine(1, q1Engine)

@@ -8,11 +8,13 @@ import (
 	"codecdb/internal/core"
 )
 
-// TestEngineMatchesLegacyAllFormats is the engine-equivalence property:
+// TestEngineMatchesObliviousAllFormats is the engine-equivalence property:
 // every TPC-H query compiled through the relational engine must produce
-// the same result as the legacy hand-coded plan, on both the v1 and the
-// current file format.
-func TestEngineMatchesLegacyAllFormats(t *testing.T) {
+// the same result as the decode-first Oblivious plan — plain Go loops over
+// fully decoded columns, sharing no operator with the engine — on both the
+// v1 and the current file format. (TestAllQueriesPlansAgree runs the same
+// comparison on the shared tables and their different layout parameters.)
+func TestEngineMatchesObliviousAllFormats(t *testing.T) {
 	if len(enginePlans) != QueryCount {
 		t.Fatalf("only %d of %d queries have engine plans", len(enginePlans), QueryCount)
 	}
@@ -47,30 +49,13 @@ func TestEngineMatchesLegacyAllFormats(t *testing.T) {
 					if err != nil {
 						t.Fatalf("engine plan: %v", err)
 					}
-					leg, err := ts.LegacyCodecDB(q)
+					obl, err := ts.Oblivious(q)
 					if err != nil {
-						t.Fatalf("legacy plan: %v", err)
+						t.Fatalf("oblivious plan: %v", err)
 					}
-					rowsEqual(t, q, eng, leg)
+					rowsEqual(t, q, eng, obl)
 				})
 			}
 		})
-	}
-}
-
-// TestEngineMatchesLegacyShared reruns the equivalence check on the
-// shared tables, which use different layout parameters than the
-// cross-format instances.
-func TestEngineMatchesLegacyShared(t *testing.T) {
-	for q := 1; q <= QueryCount; q++ {
-		eng, err := sharedTables.CodecDB(q)
-		if err != nil {
-			t.Fatalf("Q%d engine: %v", q, err)
-		}
-		leg, err := sharedTables.LegacyCodecDB(q)
-		if err != nil {
-			t.Fatalf("Q%d legacy: %v", q, err)
-		}
-		rowsEqual(t, q, eng, leg)
 	}
 }

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"codecdb/internal/ops"
@@ -44,23 +45,24 @@ func (m MicroOp) String() string {
 // RunMicro executes the encoding-aware version of op and returns a scalar
 // result (match count, group count, or pair count) for validation.
 func (t *Tables) RunMicro(op MicroOp) (int64, error) {
+	ctx := context.Background()
 	switch op {
 	case MicroSingleColumnCompare:
-		bm, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1998, 9, 1)}).Apply(t.L, t.Pool)
+		bm, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1998, 9, 1)}, t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
 		return int64(bm.Cardinality()), nil
 	case MicroTwoColumnsCompare:
-		bm, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
+		bm, err := ops.ApplyFilter(ctx, &ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
 		return int64(bm.Cardinality()), nil
 	case MicroSingleColumnLike:
-		bm, err := (&ops.DictLikeFilter{Col: "p_container", Match: func(e []byte) bool {
+		bm, err := ops.ApplyFilter(ctx, &ops.DictLikeFilter{Col: "p_container", Match: func(e []byte) bool {
 			return bytes.HasPrefix(e, []byte("LG"))
-		}}).Apply(t.P, t.Pool)
+		}}, t.P, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +96,7 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 		}
 		return int64(res.NumGroups()), nil
 	case MicroJoin:
-		sel, err := (&ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("HOUSEHOLD")}).Apply(t.C, t.Pool)
+		sel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("HOUSEHOLD")}, t.C, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -115,10 +117,11 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 
 // RunMicroOblivious executes the decode-first competitor version of op.
 func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
+	ctx := context.Background()
 	switch op {
 	case MicroSingleColumnCompare:
 		cutoff := Date(1998, 9, 1)
-		bm, err := (&ops.IntPredicateFilter{Col: "l_shipdate", Pred: func(v int64) bool { return v <= cutoff }}).Apply(t.L, t.Pool)
+		bm, err := ops.ApplyFilter(ctx, &ops.IntPredicateFilter{Col: "l_shipdate", Pred: func(v int64) bool { return v <= cutoff }}, t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -140,9 +143,9 @@ func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
 		}
 		return n, nil
 	case MicroSingleColumnLike:
-		bm, err := (&ops.StrPredicateFilter{Col: "p_container", Pred: func(v []byte) bool {
+		bm, err := ops.ApplyFilter(ctx, &ops.StrPredicateFilter{Col: "p_container", Pred: func(v []byte) bool {
 			return bytes.HasPrefix(v, []byte("LG"))
-		}}).Apply(t.P, t.Pool)
+		}}, t.P, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}

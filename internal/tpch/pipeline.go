@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"sync"
 
 	"codecdb/internal/bitutil"
@@ -16,8 +17,9 @@ import (
 // stage consumes the customer stage; the join/aggregate stage blocks on
 // both sides. A shared batch cache deduplicates the two reads of
 // l_orderkey-adjacent columns. The result is checked equal to the
-// sequential q3Codec plan in tests.
+// engine plan and the oblivious plan in tests.
 func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
+	ctx := context.Background()
 	cutoff := Date(1995, 3, 15)
 	cache := exec.NewBatchCache()
 
@@ -36,7 +38,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// Stage 1: filter customers on segment, build the key set. This stage
 	// ends at a blocking operator (hash-table build).
 	err := g.AddStage("customer", func() error {
-		cSel, err := (&ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}).Apply(t.C, t.Pool)
+		cSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}, t.C, t.Pool, nil)
 		if err != nil {
 			return err
 		}
@@ -56,7 +58,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// gather the join keys and payload. Column reads go through the batch
 	// cache so a second operator needing l_orderkey reuses the load.
 	err = g.AddStage("lineitem", func() error {
-		lSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}).Apply(t.L, t.Pool)
+		lSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}, t.L, t.Pool, nil)
 		if err != nil {
 			return err
 		}
@@ -83,7 +85,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// Stage 3: filter orders on date, semi-join against the customer set,
 	// build the order hash table. Depends on stage 1 only.
 	err = g.AddStage("orders", func() error {
-		oSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}).Apply(t.O, t.Pool)
+		oSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}, t.O, t.Pool, nil)
 		if err != nil {
 			return err
 		}

@@ -67,21 +67,10 @@ func (t *Tables) Readers() []*colstore.Reader {
 // QueryCount is the number of TPC-H queries.
 const QueryCount = 22
 
-// CodecDB runs query q (1-22) with the encoding-aware plan. Queries with
-// an engine-compiled relational plan (built through internal/relq and run
-// on the morsel pipeline) use it; anything unregistered falls back to the
-// legacy hand-coded plan.
+// CodecDB runs query q (1-22) with the encoding-aware plan: compiled
+// through internal/relq and run on the morsel pipeline.
 func (t *Tables) CodecDB(q int) (*memtable.RowTable, error) {
 	if fn := enginePlans[q]; fn != nil {
-		return fn(t)
-	}
-	return t.LegacyCodecDB(q)
-}
-
-// LegacyCodecDB runs the hand-coded encoding-aware plan, kept as the test
-// oracle for the engine-compiled plans.
-func (t *Tables) LegacyCodecDB(q int) (*memtable.RowTable, error) {
-	if fn := codecdbPlans[q]; fn != nil {
 		return fn(t)
 	}
 	return nil, fmt.Errorf("tpch: no CodecDB plan for query %d", q)
@@ -98,13 +87,11 @@ func (t *Tables) Oblivious(q int) (*memtable.RowTable, error) {
 type planFn func(*Tables) (*memtable.RowTable, error)
 
 var (
-	codecdbPlans   = map[int]planFn{}
 	obliviousPlans = map[int]planFn{}
 	enginePlans    = map[int]planFn{}
 )
 
-func register(q int, codec, obliv planFn) {
-	codecdbPlans[q] = codec
+func register(q int, obliv planFn) {
 	obliviousPlans[q] = obliv
 }
 

@@ -5,18 +5,17 @@ import (
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
-	"codecdb/internal/sboost"
 )
 
 func init() {
-	register(1, q1Codec, q1Obliv)
-	register(2, q2Codec, q2Obliv)
-	register(3, q3Codec, q3Obliv)
-	register(4, q4Codec, q4Obliv)
-	register(5, q5Codec, q5Obliv)
-	register(6, q6Codec, q6Obliv)
-	register(7, q7Codec, q7Obliv)
-	register(8, q8Codec, q8Obliv)
+	register(1, q1Obliv)
+	register(2, q2Obliv)
+	register(3, q3Obliv)
+	register(4, q4Obliv)
+	register(5, q5Obliv)
+	register(6, q6Obliv)
+	register(7, q7Obliv)
+	register(8, q8Obliv)
 }
 
 // ---- Q1: pricing summary report ----
@@ -63,39 +62,6 @@ func q1Rows(rf, ls [][]byte, qty []int64, price, disc, tax []float64, match func
 	}
 	sortRows(rows, 0, 1)
 	return emit(q1Names, q1Types, rows, 0)
-}
-
-func q1Codec(t *Tables) (*memtable.RowTable, error) {
-	cutoff := Date(1998, 9, 2)
-	sel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: cutoff}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := ops.GatherStrings(t.L, "l_returnflag", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := ops.GatherStrings(t.L, "l_linestatus", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	qty, err := ops.GatherInts(t.L, "l_quantity", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	tax, err := ops.GatherFloats(t.L, "l_tax", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	return q1Rows(rf, ls, qty, price, disc, tax, func(int) bool { return true }), nil
 }
 
 func q1Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -231,29 +197,6 @@ func nationsOfRegion(t *Tables, region string) (map[int64]bool, map[int64][]byte
 	return inRegion, names, nil
 }
 
-func q2Codec(t *Tables) (*memtable.RowTable, error) {
-	typeSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
-		return bytes.HasSuffix(e, []byte("BRASS"))
-	}}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sizeSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return v == 15 }}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	typeSel.And(sizeSel)
-	pk, err := ops.GatherInts(t.P, "p_partkey", typeSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	partSet := make(map[int64]bool, len(pk))
-	for _, k := range pk {
-		partSet[k] = true
-	}
-	return q2Assemble(t, partSet)
-}
-
 func q2Obliv(t *Tables) (*memtable.RowTable, error) {
 	pType, err := ops.ReadAllStrings(t.P, "p_type", t.Pool)
 	if err != nil {
@@ -288,65 +231,6 @@ func q3Finish(t *Tables, orderRevenue map[int64]float64, orderDate map[int64]int
 	}
 	sortRows(rows, -2, 2, 0)
 	return emit(q3Names, q3Types, rows, 10)
-}
-
-func q3Codec(t *Tables) (*memtable.RowTable, error) {
-	cutoff := Date(1995, 3, 15)
-	cSel, err := (&ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}).Apply(t.C, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	custKeys, err := ops.GatherInts(t.C, "c_custkey", cSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	custMap := ops.HashJoinBuild(t.Pool, custKeys, nil)
-	oSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.GatherInts(t.O, "o_custkey", oSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oKey, err := ops.GatherInts(t.O, "o_orderkey", oSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oDate, err := ops.GatherInts(t.O, "o_orderdate", oSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	semi := ops.SemiJoinBitmap(t.Pool, custMap, oCust)
-	orderDate := map[int64]int64{}
-	orderKeys := make([]int64, 0, semi.Cardinality())
-	semi.ForEach(func(i int) {
-		orderDate[oKey[i]] = oDate[i]
-		orderKeys = append(orderKeys, oKey[i])
-	})
-	orderMap := ops.HashJoinBuild(t.Pool, orderKeys, nil)
-	lSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lOrder, err := ops.GatherInts(t.L, "l_orderkey", lSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", lSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", lSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lmatch := ops.SemiJoinBitmap(t.Pool, orderMap, lOrder)
-	orderRevenue := map[int64]float64{}
-	lmatch.ForEach(func(i int) {
-		orderRevenue[lOrder[i]] += price[i] * (1 - disc[i])
-	})
-	return q3Finish(t, orderRevenue, orderDate), nil
 }
 
 func q3Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -422,40 +306,6 @@ func q4Finish(counts map[string]int64) *memtable.RowTable {
 	}
 	sortRows(rows, 0)
 	return emit(q4Names, q4Types, rows, 0)
-}
-
-func q4Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1993, 7, 1), Date(1993, 10, 1)
-	lateSel, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lOrder, err := ops.GatherInts(t.L, "l_orderkey", lateSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lateOrders := ops.HashJoinBuild(t.Pool, lOrder, nil)
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	geSel.And(ltSel)
-	oKey, err := ops.GatherInts(t.O, "o_orderkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	prio, err := ops.GatherStrings(t.O, "o_orderpriority", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	match := ops.SemiJoinBitmap(t.Pool, lateOrders, oKey)
-	counts := map[string]int64{}
-	match.ForEach(func(i int) { counts[string(prio[i])]++ })
-	return q4Finish(counts), nil
 }
 
 func q4Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -547,43 +397,6 @@ func q5Inputs(t *Tables) (lOrder, lSupp []int64, price, disc []float64, sNation,
 	return
 }
 
-func q5Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	asia, nationName, err := nationsOfRegion(t, "ASIA")
-	if err != nil {
-		return nil, err
-	}
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	geSel.And(ltSel)
-	oKey, err := ops.GatherInts(t.O, "o_orderkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.GatherInts(t.O, "o_custkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lOrder, lSupp, price, disc, sNation, cNation, err := q5Inputs(t)
-	if err != nil {
-		return nil, err
-	}
-	orderNation := map[int64]int64{}
-	for i := range oKey {
-		cn := cNation[oCust[i]-1]
-		if asia[cn] {
-			orderNation[oKey[i]] = cn
-		}
-	}
-	return q5Shared(t, orderNation, nationName, lOrder, lSupp, price, disc, sNation), nil
-}
-
 func q5Obliv(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
 	asia, nationName, err := nationsOfRegion(t, "ASIA")
@@ -622,40 +435,6 @@ func q5Obliv(t *Tables) (*memtable.RowTable, error) {
 
 var q6Names = []string{"revenue"}
 var q6Types = []memtable.ColType{memtable.ColFloat64}
-
-func q6Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	geSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ltSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	geSel.And(ltSel)
-	qty, err := ops.GatherInts(t.L, "l_quantity", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var revenue float64
-	for i := range qty {
-		if disc[i] >= 0.05 && disc[i] <= 0.07 && qty[i] < 24 {
-			revenue += price[i] * disc[i]
-		}
-	}
-	out := memtable.NewRowTable(q6Names, q6Types)
-	out.Append(round2(revenue))
-	return out, nil
-}
 
 func q6Obliv(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
@@ -741,39 +520,6 @@ func q7Shared(t *Tables, lOrder, lSupp, ship []int64, price, disc []float64) (*m
 	}
 	sortRows(rows, 0, 1, 2)
 	return emit(q7Names, q7Types, rows, 0), nil
-}
-
-func q7Codec(t *Tables) (*memtable.RowTable, error) {
-	geSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: Date(1995, 1, 1)}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	leSel, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1996, 12, 31)}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	geSel.And(leSel)
-	lOrder, err := ops.GatherInts(t.L, "l_orderkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lSupp, err := ops.GatherInts(t.L, "l_suppkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ship, err := ops.GatherInts(t.L, "l_shipdate", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	return q7Shared(t, lOrder, lSupp, ship, price, disc)
 }
 
 func q7Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -903,22 +649,6 @@ func q8Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 	}
 	sortRows(rows, 0)
 	return emit(q8Names, q8Types, rows, 0), nil
-}
-
-func q8Codec(t *Tables) (*memtable.RowTable, error) {
-	pSel, err := (&ops.DictFilter{Col: "p_type", Op: sboost.OpEq, StrValue: []byte("ECONOMY ANODIZED STEEL")}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	pk, err := ops.GatherInts(t.P, "p_partkey", pSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	partSet := make(map[int64]bool, len(pk))
-	for _, k := range pk {
-		partSet[k] = true
-	}
-	return q8Shared(t, partSet)
 }
 
 func q8Obliv(t *Tables) (*memtable.RowTable, error) {

@@ -5,17 +5,16 @@ import (
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
-	"codecdb/internal/sboost"
 )
 
 func init() {
-	register(9, q9Codec, q9Obliv)
-	register(10, q10Codec, q10Obliv)
-	register(11, q11Codec, q11Obliv)
-	register(12, q12Codec, q12Obliv)
-	register(13, q13Codec, q13Obliv)
-	register(14, q14Codec, q14Obliv)
-	register(15, q15Codec, q15Obliv)
+	register(9, q9Obliv)
+	register(10, q10Obliv)
+	register(11, q11Obliv)
+	register(12, q12Obliv)
+	register(13, q13Obliv)
+	register(14, q14Obliv)
+	register(15, q15Obliv)
 }
 
 // ---- Q9: product type profit measure ----
@@ -103,26 +102,6 @@ func q9Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 	return emit(q9Names, q9Types, rows, 0), nil
 }
 
-func q9Codec(t *Tables) (*memtable.RowTable, error) {
-	// p_name is plain-encoded; the contains predicate runs obliviously but
-	// only over the small part table.
-	sel, err := (&ops.StrPredicateFilter{Col: "p_name", Pred: func(v []byte) bool {
-		return bytes.Contains(v, []byte("green"))
-	}}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	pk, err := ops.GatherInts(t.P, "p_partkey", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	partSet := make(map[int64]bool, len(pk))
-	for _, k := range pk {
-		partSet[k] = true
-	}
-	return q9Shared(t, partSet)
-}
-
 func q9Obliv(t *Tables) (*memtable.RowTable, error) {
 	pName, err := ops.ReadAllStrings(t.P, "p_name", t.Pool)
 	if err != nil {
@@ -173,56 +152,6 @@ func q10Finish(t *Tables, revenue map[int64]float64) (*memtable.RowTable, error)
 	}
 	sortRows(rows, -3, 0)
 	return emit(q10Names, q10Types, rows, 20), nil
-}
-
-func q10Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1993, 10, 1), Date(1994, 1, 1)
-	geSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ltSel, err := (&ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	geSel.And(ltSel)
-	oKey, err := ops.GatherInts(t.O, "o_orderkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.GatherInts(t.O, "o_custkey", geSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	orderCust := ops.NewPCH(len(oKey))
-	t.Pool.ParallelChunks(len(oKey), func(start, end int) {
-		for i := start; i < end; i++ {
-			orderCust.Insert(oKey[i], oCust[i])
-		}
-	})
-	rSel, err := (&ops.DictFilter{Col: "l_returnflag", Op: sboost.OpEq, StrValue: []byte("R")}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lOrder, err := ops.GatherInts(t.L, "l_orderkey", rSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", rSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", rSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	revenue := map[int64]float64{}
-	for i := range lOrder {
-		if ck, ok := orderCust.Get(lOrder[i]); ok {
-			revenue[ck] += price[i] * (1 - disc[i])
-		}
-	}
-	return q10Finish(t, revenue)
 }
 
 func q10Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -351,14 +280,6 @@ func germanSuppliers(t *Tables) (map[int64]bool, error) {
 	return out, nil
 }
 
-func q11Codec(t *Tables) (*memtable.RowTable, error) {
-	supp, err := germanSuppliers(t)
-	if err != nil {
-		return nil, err
-	}
-	return q11Shared(t, supp)
-}
-
 func q11Obliv(t *Tables) (*memtable.RowTable, error) {
 	supp, err := germanSuppliers(t)
 	if err != nil {
@@ -383,54 +304,6 @@ func q12Finish(counts map[string][2]int64) *memtable.RowTable {
 
 func isHighPriority(p []byte) bool {
 	return bytes.HasPrefix(p, []byte("1-URGENT")) || bytes.HasPrefix(p, []byte("2-HIGH"))
-}
-
-func q12Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	sel, err := (&ops.DictInFilter{Col: "l_shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP")}}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := (&ops.TwoColumnFilter{ColA: "l_shipdate", ColB: "l_commitdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ge, err := (&ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lt, err := (&ops.DictFilter{Col: "l_receiptdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sel.And(cr).And(sc).And(ge).And(lt)
-	lOrder, err := ops.GatherInts(t.L, "l_orderkey", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := ops.GatherStrings(t.L, "l_shipmode", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	prio, err := ops.ReadAllStrings(t.O, "o_orderpriority", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	counts := map[string][2]int64{}
-	for i := range lOrder {
-		c := counts[string(mode[i])]
-		if isHighPriority(prio[lOrder[i]-1]) {
-			c[0]++
-		} else {
-			c[1]++
-		}
-		counts[string(mode[i])] = c
-	}
-	return q12Finish(counts), nil
 }
 
 func q12Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -498,31 +371,6 @@ func q13Shared(t *Tables, orderCounts map[int64]int64, numCustomers int) *memtab
 	return emit(q13Names, q13Types, rows, 0)
 }
 
-func q13Codec(t *Tables) (*memtable.RowTable, error) {
-	// The NOT LIKE '%special%requests%' predicate runs on the plain
-	// comment column; CodecDB's win is the stripe aggregation over custkey.
-	sel, err := (&ops.StrPredicateFilter{Col: "o_comment", Pred: func(v []byte) bool {
-		i := bytes.Index(v, []byte("special"))
-		return i < 0 || !bytes.Contains(v[i:], []byte("requests"))
-	}}).Apply(t.O, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.GatherInts(t.O, "o_custkey", sel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ops.StripeHashAggregate(t.Pool, oCust, []ops.VecAgg{{Kind: ops.AggCount}})
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[int64]int64, res.NumGroups())
-	for g, k := range res.Keys {
-		counts[k] = res.Counts[g]
-	}
-	return q13Shared(t, counts, int(t.C.NumRows())), nil
-}
-
 func q13Obliv(t *Tables) (*memtable.RowTable, error) {
 	comment, err := ops.ReadAllStrings(t.O, "o_comment", t.Pool)
 	if err != nil {
@@ -557,51 +405,6 @@ func q14Finish(promo, total float64) *memtable.RowTable {
 	}
 	out.Append(round2(share))
 	return out
-}
-
-func q14Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1995, 9, 1), Date(1995, 10, 1)
-	pSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
-		return bytes.HasPrefix(e, []byte("PROMO"))
-	}}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	pk, err := ops.GatherInts(t.P, "p_partkey", pSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	promoSet := ops.HashJoinBuild(t.Pool, pk, nil)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ge.And(lt)
-	lPart, err := ops.GatherInts(t.L, "l_partkey", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var promo, total float64
-	for i := range lPart {
-		v := price[i] * (1 - disc[i])
-		total += v
-		if promoSet.Contains(lPart[i]) {
-			promo += v
-		}
-	}
-	return q14Finish(promo, total), nil
 }
 
 func q14Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -674,44 +477,6 @@ func q15Finish(t *Tables, revenue map[int64]float64) (*memtable.RowTable, error)
 	}
 	sortRows(rows, 0)
 	return emit(q15Names, q15Types, rows, 0), nil
-}
-
-func q15Codec(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1996, 1, 1), Date(1996, 4, 1)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ge.And(lt)
-	lSupp, err := ops.GatherInts(t.L, "l_suppkey", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	price, err := ops.GatherFloats(t.L, "l_extendedprice", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	disc, err := ops.GatherFloats(t.L, "l_discount", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	rev := make([]float64, len(lSupp))
-	for i := range lSupp {
-		rev[i] = price[i] * (1 - disc[i])
-	}
-	res, err := ops.StripeHashAggregate(t.Pool, lSupp, []ops.VecAgg{{Kind: ops.AggSumFloat, Floats: rev}})
-	if err != nil {
-		return nil, err
-	}
-	revenue := make(map[int64]float64, res.NumGroups())
-	for g, k := range res.Keys {
-		revenue[k] = res.Out[0][g]
-	}
-	return q15Finish(t, revenue)
 }
 
 func q15Obliv(t *Tables) (*memtable.RowTable, error) {

@@ -5,17 +5,16 @@ import (
 
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
-	"codecdb/internal/sboost"
 )
 
 func init() {
-	register(16, q16Codec, q16Obliv)
-	register(17, q17Codec, q17Obliv)
-	register(18, q18Codec, q18Obliv)
-	register(19, q19Codec, q19Obliv)
-	register(20, q20Codec, q20Obliv)
-	register(21, q21Codec, q21Obliv)
-	register(22, q22Codec, q22Obliv)
+	register(16, q16Obliv)
+	register(17, q17Obliv)
+	register(18, q18Obliv)
+	register(19, q19Obliv)
+	register(20, q20Obliv)
+	register(21, q21Obliv)
+	register(22, q22Obliv)
 }
 
 // ---- Q16: parts/supplier relationship ----
@@ -87,34 +86,6 @@ func q16PartPred(brand, ptype []byte, size int64) bool {
 		q16Sizes[size]
 }
 
-func q16Codec(t *Tables) (*memtable.RowTable, error) {
-	bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpNe, StrValue: []byte("Brand#45")}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	tSel, err := (&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
-		return !bytes.HasPrefix(e, []byte("MEDIUM POLISHED"))
-	}}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	zSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return q16Sizes[v] }}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	bSel.And(tSel).And(zSel)
-	pk, err := ops.GatherInts(t.P, "p_partkey", bSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	rows := ops.SelectedRows(bSel)
-	partRows := make(map[int64]int, len(pk))
-	for i, k := range pk {
-		partRows[k] = int(rows[i])
-	}
-	return q16Shared(t, partRows)
-}
-
 func q16Obliv(t *Tables) (*memtable.RowTable, error) {
 	brand, err := ops.ReadAllStrings(t.P, "p_brand", t.Pool)
 	if err != nil {
@@ -182,27 +153,6 @@ func q17Shared(t *Tables, partSet map[int64]bool) (*memtable.RowTable, error) {
 	return out, nil
 }
 
-func q17Codec(t *Tables) (*memtable.RowTable, error) {
-	bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte("Brand#23")}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	cSel, err := (&ops.DictFilter{Col: "p_container", Op: sboost.OpEq, StrValue: []byte("MED BOX")}).Apply(t.P, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	bSel.And(cSel)
-	pk, err := ops.GatherInts(t.P, "p_partkey", bSel, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	partSet := make(map[int64]bool, len(pk))
-	for _, k := range pk {
-		partSet[k] = true
-	}
-	return q17Shared(t, partSet)
-}
-
 func q17Obliv(t *Tables) (*memtable.RowTable, error) {
 	brand, err := ops.ReadAllStrings(t.P, "p_brand", t.Pool)
 	if err != nil {
@@ -254,30 +204,6 @@ func q18Finish(t *Tables, orderQty map[int64]float64) (*memtable.RowTable, error
 	}
 	sortRows(rows, -4, 2, 1)
 	return emit(q18Names, q18Types, rows, 100), nil
-}
-
-func q18Codec(t *Tables) (*memtable.RowTable, error) {
-	// Dense order keys let CodecDB use array aggregation over the whole
-	// lineitem with keySpace = |orders|+1 (§5.4).
-	lOrder, err := ops.ReadAllInts(t.L, "l_orderkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	qty, err := ops.ReadAllInts(t.L, "l_quantity", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ops.ArrayAggregate(t.Pool, lOrder, int(t.O.NumRows())+1, []ops.VecAgg{{Kind: ops.AggSumInt, Ints: qty}})
-	if err != nil {
-		return nil, err
-	}
-	orderQty := make(map[int64]float64, res.NumGroups())
-	for g, k := range res.Keys {
-		if res.Out[0][g] > q18Threshold {
-			orderQty[k] = res.Out[0][g]
-		}
-	}
-	return q18Finish(t, orderQty)
 }
 
 func q18Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -385,39 +311,6 @@ func q19Shared(t *Tables, partBranch map[int64]int) (*memtable.RowTable, error) 
 	out := memtable.NewRowTable(q19Names, q19Types)
 	out.Append(round2(revenue))
 	return out, nil
-}
-
-func q19Codec(t *Tables) (*memtable.RowTable, error) {
-	partBranch := map[int64]int{}
-	for bi, b := range q19Branches {
-		bSel, err := (&ops.DictFilter{Col: "p_brand", Op: sboost.OpEq, StrValue: []byte(b.brand)}).Apply(t.P, t.Pool)
-		if err != nil {
-			return nil, err
-		}
-		var conts [][]byte
-		for c := range b.containers {
-			conts = append(conts, []byte(c))
-		}
-		cSel, err := (&ops.DictInFilter{Col: "p_container", StrValues: conts}).Apply(t.P, t.Pool)
-		if err != nil {
-			return nil, err
-		}
-		zSel, err := (&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool {
-			return v >= 1 && v <= b.sizeHi
-		}}).Apply(t.P, t.Pool)
-		if err != nil {
-			return nil, err
-		}
-		bSel.And(cSel).And(zSel)
-		pk, err := ops.GatherInts(t.P, "p_partkey", bSel, t.Pool)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range pk {
-			partBranch[k] = bi
-		}
-	}
-	return q19Shared(t, partBranch)
 }
 
 func q19Obliv(t *Tables) (*memtable.RowTable, error) {
@@ -528,42 +421,6 @@ func q20ForestParts(t *Tables) (map[int64]bool, error) {
 	return out, nil
 }
 
-func q20Codec(t *Tables) (*memtable.RowTable, error) {
-	forest, err := q20ForestParts(t)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	ge, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGe, IntValue: lo}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lt, err := (&ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLt, IntValue: hi}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ge.And(lt)
-	lPart, err := ops.GatherInts(t.L, "l_partkey", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lSupp, err := ops.GatherInts(t.L, "l_suppkey", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	qty, err := ops.GatherInts(t.L, "l_quantity", ge, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	shipped := map[[2]int64]float64{}
-	for i := range lPart {
-		if forest[lPart[i]] {
-			shipped[[2]int64{lPart[i], lSupp[i]}] += float64(qty[i])
-		}
-	}
-	return q20Shared(t, forest, shipped)
-}
-
 func q20Obliv(t *Tables) (*memtable.RowTable, error) {
 	forest, err := q20ForestParts(t)
 	if err != nil {
@@ -671,23 +528,6 @@ func q21Shared(t *Tables, lOrder, lSupp []int64, late func(i int) bool) (*memtab
 	return emit(q21Names, q21Types, rows, 100), nil
 }
 
-func q21Codec(t *Tables) (*memtable.RowTable, error) {
-	lateSel, err := (&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).Apply(t.L, t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lOrder, err := ops.ReadAllInts(t.L, "l_orderkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	lSupp, err := ops.ReadAllInts(t.L, "l_suppkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	flat := lateSel.Flatten()
-	return q21Shared(t, lOrder, lSupp, func(i int) bool { return flat.Get(i) })
-}
-
 func q21Obliv(t *Tables) (*memtable.RowTable, error) {
 	commit, err := ops.ReadAllInts(t.L, "l_commitdate", t.Pool)
 	if err != nil {
@@ -765,15 +605,6 @@ func q22Shared(t *Tables, hasOrders func(custkey int64) bool) (*memtable.RowTabl
 	}
 	sortRows(rows, 0)
 	return emit(q22Names, q22Types, rows, 0), nil
-}
-
-func q22Codec(t *Tables) (*memtable.RowTable, error) {
-	oCust, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	m := ops.HashJoinBuild(t.Pool, oCust, nil)
-	return q22Shared(t, func(ck int64) bool { return m.Contains(ck) })
 }
 
 func q22Obliv(t *Tables) (*memtable.RowTable, error) {

@@ -1,9 +1,8 @@
 package codecdb
 
-// Guards for the observability layer's "unmeasurable when off" promise:
-// the instrumented ApplyFilter entry point must add zero allocations over
-// the raw ApplyCtx call when no span is in the context, and the traced
-// benchmarks in obs_bench_test.go track the wall-time cost of both modes.
+// Alloc guard for the whole-table filter driver: ops.ApplyFilter prepares
+// one kernel and sweeps it, and nothing around that — context lookups,
+// wrappers, instrumentation — may add heap allocations to the call.
 
 import (
 	"context"
@@ -40,13 +39,15 @@ func guardTable(t *testing.T, n int) *colstore.Reader {
 	return r
 }
 
-// TestApplyFilterNoTracerAddsZeroAllocs asserts the pooled DictFilter
-// scan pays nothing for the instrumentation when no tracer is attached:
-// routing through ops.ApplyFilter (the instrumented seam) must allocate
-// exactly as much as calling the filter's ApplyCtx directly. Pool size 1
-// keeps goroutine scheduling deterministic.
-func TestApplyFilterNoTracerAddsZeroAllocs(t *testing.T) {
+// TestApplyFilterAllocsBounded holds an ops.ApplyFilter call to the
+// allocation count measured when it became the only whole-table driver:
+// 23 on this table (the result bitmap and its four sections, the prepared
+// kernel's closures, the pool dispatch), 24 under the race detector, which
+// `go test -race ./...` also runs this with. Pool size 1 keeps goroutine
+// scheduling deterministic.
+func TestApplyFilterAllocsBounded(t *testing.T) {
 	const n = 1 << 16
+	const maxAllocs = 24
 	r := guardTable(t, n)
 	pool := exec.NewPool(1)
 	f := &ops.DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 40}
@@ -56,19 +57,12 @@ func TestApplyFilterNoTracerAddsZeroAllocs(t *testing.T) {
 	if _, err := ops.ApplyFilter(ctx, f, r, pool, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	direct := testing.AllocsPerRun(100, func() {
-		if _, err := f.ApplyCtx(ctx, r, pool); err != nil {
-			t.Fatal(err)
-		}
-	})
-	wrapped := testing.AllocsPerRun(100, func() {
+	got := testing.AllocsPerRun(100, func() {
 		if _, err := ops.ApplyFilter(ctx, f, r, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if wrapped > direct {
-		t.Fatalf("ApplyFilter with no tracer allocates more than ApplyCtx: %.1f > %.1f allocs/op",
-			wrapped, direct)
+	if got > maxAllocs {
+		t.Fatalf("ApplyFilter allocates %.1f times per call, want <= %d", got, maxAllocs)
 	}
 }

@@ -7,174 +7,13 @@ import (
 	"reflect"
 	"testing"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/exec"
-	"codecdb/internal/ops"
 )
 
-// checkEnginesAgree runs every terminal on both engines and fails on any
-// mismatch. Count, Ints, and GroupCount must be byte-identical; SumFloat
-// is compared to within float reassociation error, since the pipelined
-// path folds per-row-group partial sums (in deterministic row-group
-// order) while the legacy path sums one flat vector.
-func checkEnginesAgree(t *testing.T, iter int, q *Query) {
-	t.Helper()
-	lq := q.withLegacyEngine()
-
-	gotN, err := q.Count()
-	if err != nil {
-		t.Fatalf("iter %d: pipelined Count: %v", iter, err)
-	}
-	wantN, err := lq.Count()
-	if err != nil {
-		t.Fatalf("iter %d: legacy Count: %v", iter, err)
-	}
-	if gotN != wantN {
-		t.Fatalf("iter %d: Count = %d, legacy = %d", iter, gotN, wantN)
-	}
-
-	gotIDs, err := q.RowIDs()
-	if err != nil {
-		t.Fatalf("iter %d: pipelined RowIDs: %v", iter, err)
-	}
-	wantIDs, err := lq.RowIDs()
-	if err != nil {
-		t.Fatalf("iter %d: legacy RowIDs: %v", iter, err)
-	}
-	if !reflect.DeepEqual(gotIDs, wantIDs) {
-		t.Fatalf("iter %d: RowIDs diverge: pipelined %d rows, legacy %d rows", iter, len(gotIDs), len(wantIDs))
-	}
-
-	gotInts, err := q.Ints("small")
-	if err != nil {
-		t.Fatalf("iter %d: pipelined Ints: %v", iter, err)
-	}
-	wantInts, err := lq.Ints("small")
-	if err != nil {
-		t.Fatalf("iter %d: legacy Ints: %v", iter, err)
-	}
-	if !reflect.DeepEqual(gotInts, wantInts) {
-		t.Fatalf("iter %d: Ints diverge: pipelined %d vals, legacy %d vals", iter, len(gotInts), len(wantInts))
-	}
-
-	gotStrs, err := q.Strings("cat")
-	if err != nil {
-		t.Fatalf("iter %d: pipelined Strings: %v", iter, err)
-	}
-	wantStrs, err := lq.Strings("cat")
-	if err != nil {
-		t.Fatalf("iter %d: legacy Strings: %v", iter, err)
-	}
-	if len(gotStrs) != len(wantStrs) {
-		t.Fatalf("iter %d: Strings diverge: pipelined %d vals, legacy %d vals", iter, len(gotStrs), len(wantStrs))
-	}
-	for i := range gotStrs {
-		if string(gotStrs[i]) != string(wantStrs[i]) {
-			t.Fatalf("iter %d: Strings[%d] = %q, legacy %q", iter, i, gotStrs[i], wantStrs[i])
-		}
-	}
-
-	gotG, err := q.GroupCount("cat")
-	if err != nil {
-		t.Fatalf("iter %d: pipelined GroupCount: %v", iter, err)
-	}
-	wantG, err := lq.GroupCount("cat")
-	if err != nil {
-		t.Fatalf("iter %d: legacy GroupCount: %v", iter, err)
-	}
-	if !reflect.DeepEqual(gotG, wantG) {
-		t.Fatalf("iter %d: GroupCount = %v, legacy = %v", iter, gotG, wantG)
-	}
-
-	gotS, err := q.SumFloat("score")
-	if err != nil {
-		t.Fatalf("iter %d: pipelined SumFloat: %v", iter, err)
-	}
-	wantS, err := lq.SumFloat("score")
-	if err != nil {
-		t.Fatalf("iter %d: legacy SumFloat: %v", iter, err)
-	}
-	if tol := 1e-9 * math.Max(1, math.Abs(wantS)); math.Abs(gotS-wantS) > tol {
-		t.Fatalf("iter %d: SumFloat = %v, legacy = %v (diff %v > tol %v)", iter, gotS, wantS, gotS-wantS, tol)
-	}
-}
-
-// TestPipelineMatchesLegacyEngine is the executor-equivalence property:
-// for random predicate trees over every encoding, every terminal of the
-// morsel pipeline agrees with the operator-at-a-time barrier engine — on
-// v2.1 files and on legacy v1 files.
-func TestPipelineMatchesLegacyEngine(t *testing.T) {
-	const n = 3000
-	db := openTestDB(t)
-	formats := []struct {
-		name    string
-		version int
-	}{
-		{"v2.1", 0},
-		{"v1", colstore.FormatV1},
-	}
-	for fi, f := range formats {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			d := propTable(t, db, fmt.Sprintf("pipeprop%d", fi), n, f.version)
-			tbl, err := db.Table(fmt.Sprintf("pipeprop%d", fi))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The degenerate query: no predicate at all.
-			checkEnginesAgree(t, -1, tbl.All())
-			for iter := 0; iter < 25; iter++ {
-				rng := rand.New(rand.NewSource(int64(7000*fi + iter)))
-				p, _ := genPred(rng, d, 1+rng.Intn(2))
-				q := tbl.Query(p)
-				if err := q.Err(); err != nil {
-					t.Fatalf("iter %d: build error: %v", iter, err)
-				}
-				checkEnginesAgree(t, iter, q)
-			}
-		})
-	}
-}
-
-// nonKernelFilter hides its inner filter's row-group kernel, so the
-// pipeline cannot compile it and must fall back to the barrier selection
-// pass (the path external Filter implementations take).
-type nonKernelFilter struct{ inner ops.Filter }
-
-func (f *nonKernelFilter) Apply(r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return f.inner.Apply(r, pool)
-}
-
-// TestPipelineFallbackForExternalFilters checks a predicate tree holding
-// a filter with no kernel still runs every terminal correctly: the
-// selection comes from the legacy pass, the terminal still runs
-// morsel-wise, and both engines agree.
-func TestPipelineFallbackForExternalFilters(t *testing.T) {
-	const n = 2500
-	db := openTestDB(t)
-	d := propTable(t, db, "pipefall", n, 0)
-	_ = d
-	tbl, err := db.Table("pipefall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := rawPred(&nonKernelFilter{inner: &ops.IntPredicateFilter{
-		Col:  "small",
-		Pred: func(v int64) bool { return v%3 == 0 },
-	}})
-	for iter, q := range []*Query{
-		tbl.Query(raw),
-		tbl.Query(raw).And("grade", Ge, 2),
-		tbl.Where("cat", Eq, "alpha").AndPred(raw),
-	} {
-		checkEnginesAgree(t, iter, q)
-	}
-}
-
 // checkAgainstNaive runs every terminal and compares it with a full scan
-// of the raw arrays — the reference for tables the legacy engine cannot
-// read.
+// of the raw arrays by ref, the row-at-a-time evaluator genPred builds
+// beside each predicate tree — a reference that shares no code with the
+// engine.
 func checkAgainstNaive(t *testing.T, iter int, q *Query, d *propData, ref func(i int) bool) {
 	t.Helper()
 	var ids, ints []int64
@@ -218,9 +57,53 @@ func checkAgainstNaive(t *testing.T, iter int, q *Query, d *propData, ref func(i
 	}
 }
 
-// TestPipelineMatchesNaiveAcrossSources is the executor property over the
-// three source kinds: the legacy engine's predicate generator, every
-// terminal, checked against the naive scan.
+// TestPipelineMatchesNaiveAllFormats is the executor property on static
+// tables: for random predicate trees over every encoding — two-column
+// compares through the shared dictionary included — every terminal of the
+// morsel pipeline agrees with the naive scan, on v2.1 files (page
+// statistics, checksums) and on v1 files (neither).
+func TestPipelineMatchesNaiveAllFormats(t *testing.T) {
+	const n = 3000
+	db := openTestDB(t)
+	formats := []struct {
+		name    string
+		version int
+	}{
+		{"v2.1", 0},
+		{"v1", colstore.FormatV1},
+	}
+	for fi, f := range formats {
+		fi, f := fi, f
+		t.Run(f.name, func(t *testing.T) {
+			name := fmt.Sprintf("pipeprop%d", fi)
+			d := propTable(t, db, name, n, f.version)
+			tbl, err := db.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The degenerate query: no predicate at all.
+			checkAgainstNaive(t, -1, tbl.All(), d, func(int) bool { return true })
+			sawCols := false
+			for iter := 0; iter < 25; iter++ {
+				rng := rand.New(rand.NewSource(int64(7000*fi + iter)))
+				p, ref := genPred(rng, d, 1+rng.Intn(2))
+				sawCols = sawCols || usesCols(p)
+				q := tbl.Query(p)
+				if err := q.Err(); err != nil {
+					t.Fatalf("iter %d: build error: %v", iter, err)
+				}
+				checkAgainstNaive(t, iter, q, d, ref)
+			}
+			if !sawCols {
+				t.Fatal("no generated tree held a two-column predicate; the seeds no longer cover Cols")
+			}
+		})
+	}
+}
+
+// TestPipelineMatchesNaiveAcrossSources is the same property over the
+// three source kinds (two-column predicates left out: they need a
+// dictionary shared across parts, which ingest tables lack).
 func TestPipelineMatchesNaiveAcrossSources(t *testing.T) {
 	const n = 3000
 	d := propRows(n)

@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strconv"
+	"strings"
 	"time"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
@@ -45,8 +44,8 @@ type Query struct {
 	ctx       context.Context
 	conjuncts []Pred
 	err       error
-	// exec carries the per-query execution budgets and engine choice
-	// (see ExecOptions); the zero value is the default behavior.
+	// exec carries the per-query execution budgets (see ExecOptions); the
+	// zero value is the default behavior.
 	exec ExecOptions
 	// relational extensions (see rel.go): join stages against build-side
 	// queries, group-by keys, and output ordering. When any is set,
@@ -63,9 +62,29 @@ func (q *Query) rel() bool {
 	return len(q.joins) > 0 || len(q.groupCols) > 0 || len(q.orders) > 0 || q.limitN > 0
 }
 
-// legacy reports whether terminals route through the operator-at-a-time
-// barrier path instead of the morsel pipeline.
-func (q *Query) legacy() bool { return q.exec.Engine == EngineLegacy }
+// composeErr is the one error a terminal returns for relational structure
+// it cannot express and would otherwise silently drop: every scalar
+// terminal for any of it, Count (which does count a join's output, so
+// joins false) for the rest. Nil when the query carries none of it.
+func (q *Query) composeErr(terminal string, joins bool) error {
+	var has []string
+	if joins && len(q.joins) > 0 {
+		has = append(has, "Join")
+	}
+	if len(q.groupCols) > 0 {
+		has = append(has, "GroupBy")
+	}
+	if len(q.orders) > 0 {
+		has = append(has, "OrderBy")
+	}
+	if q.limitN > 0 {
+		has = append(has, "Limit")
+	}
+	if len(has) == 0 {
+		return nil
+	}
+	return fmt.Errorf("codecdb: %s does not compose with %s; use Rows or AggRows", terminal, strings.Join(has, "/"))
+}
 
 // WithContext attaches ctx to the query: terminal calls stop promptly with
 // ctx.Err() when it is cancelled or its deadline passes, including mid-scan
@@ -77,16 +96,6 @@ func (q *Query) WithContext(ctx context.Context) *Query {
 	cp := q.clone()
 	cp.ctx = ctx
 	return cp
-}
-
-// withLegacyEngine returns a copy that evaluates terminals with the
-// pre-pipeline barrier strategy — shorthand for WithExec with
-// EngineLegacy. The two engines must agree byte-for-byte on every
-// terminal (see the engine property tests).
-func (q *Query) withLegacyEngine() *Query {
-	o := q.exec
-	o.Engine = EngineLegacy
-	return q.WithExec(o)
 }
 
 // withoutPrefetch returns a copy whose terminals run the pipeline with
@@ -308,49 +317,6 @@ func bindPlans(parts []ops.Part, p Pred) ([]*ops.Plan, error) {
 	return plans, nil
 }
 
-// eval plans and runs the predicate pipeline of the legacy reference
-// engine, observing the per-query metrics (count + latency histogram) and
-// the flight recorder around it.
-func (q *Query) eval() (*bitutil.SectionalBitmap, error) {
-	start := time.Now()
-	ectx, cancel := q.execContext()
-	defer cancel()
-	ctx, fin := q.record(ectx, "Eval[legacy]")
-	cp := q.clone()
-	cp.ctx = ctx
-	sel, err := cp.evalFilters()
-	queriesTotal.Inc()
-	queryLatency.Observe(time.Since(start).Seconds())
-	var out int64
-	if sel != nil {
-		out = int64(sel.Cardinality())
-	}
-	fin(out, err)
-	return sel, err
-}
-
-func (q *Query) evalFilters() (*bitutil.SectionalBitmap, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	if q.t.inner.S != nil {
-		return nil, fmt.Errorf("codecdb: the legacy engine does not support ingest tables")
-	}
-	ctx := q.context()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := q.t.inner.R
-	if len(q.conjuncts) == 0 {
-		return ops.FullTableBitmap(r), nil
-	}
-	plans, err := q.plansTraced(ctx, ops.PartsOf(r))
-	if err != nil {
-		return nil, err
-	}
-	return plans[0].Execute(ctx, r, q.t.db.inner.DataPool())
-}
-
 // plansTraced builds the plans, and — when the context carries a span —
 // records the chosen orders under a Plan child span along with any
 // metadata IO the estimator caused (lazily faulted dictionaries), so the
@@ -380,10 +346,15 @@ func (q *Query) plansTraced(ctx context.Context, parts []ops.Part) ([]*ops.Plan,
 // against each, and drives one morsel pass over all of them for one
 // terminal, observing the per-query metrics (count + latency histogram)
 // around the whole evaluation. A query with no predicate runs the terminal
-// over every row (nil plans).
+// over every row (nil plans). Relational structure is an error here: these
+// terminals have no way to express it (Count routes joins to relCount
+// before calling run).
 func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err error) {
 	if q.err != nil {
 		return nil, q.err
+	}
+	if err := q.composeErr(term.String(), true); err != nil {
+		return nil, err
 	}
 	ctx, cancel := q.execContext()
 	defer cancel()
@@ -412,17 +383,11 @@ func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err
 	return ops.RunPipeline(ctx, parts, q.t.db.inner.DataPool(), plans, term, col)
 }
 
-// Count evaluates the query and returns the matching row count.
+// Count evaluates the query and returns the matching row count; with
+// joins declared, the number of rows surviving them.
 func (q *Query) Count() (int64, error) {
 	if q.rel() {
 		return q.relCount()
-	}
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return 0, err
-		}
-		return int64(sel.Cardinality()), nil
 	}
 	res, err := q.run(ops.TermCount, "")
 	if err != nil {
@@ -433,13 +398,6 @@ func (q *Query) Count() (int64, error) {
 
 // RowIDs evaluates the query and returns the matching row positions.
 func (q *Query) RowIDs() ([]int64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.SelectedRows(sel), nil
-	}
 	res, err := q.run(ops.TermRowIDs, "")
 	if err != nil {
 		return nil, err
@@ -450,13 +408,6 @@ func (q *Query) RowIDs() ([]int64, error) {
 // Ints evaluates the query and gathers an integer column at the matching
 // rows (late materialization with data skipping).
 func (q *Query) Ints(col string) ([]int64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherIntsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermInts, col)
 	if err != nil {
 		return nil, err
@@ -466,13 +417,6 @@ func (q *Query) Ints(col string) ([]int64, error) {
 
 // Floats gathers a float column at the matching rows.
 func (q *Query) Floats(col string) ([]float64, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherFloatsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermFloats, col)
 	if err != nil {
 		return nil, err
@@ -483,13 +427,6 @@ func (q *Query) Floats(col string) ([]float64, error) {
 // Strings gathers a string column at the matching rows. The returned
 // slices alias internal buffers; do not mutate them.
 func (q *Query) Strings(col string) ([][]byte, error) {
-	if q.legacy() {
-		sel, err := q.eval()
-		if err != nil {
-			return nil, err
-		}
-		return ops.GatherStringsCtx(q.context(), q.t.inner.R, col, sel, q.t.db.inner.DataPool())
-	}
 	res, err := q.run(ops.TermStrings, col)
 	if err != nil {
 		return nil, err
@@ -504,9 +441,6 @@ func (q *Query) Strings(col string) ([][]byte, error) {
 // row groups; elsewhere it hash-counts the gathered values; the partial
 // tables merge in value space at the end.
 func (q *Query) GroupCount(col string) (map[string]int64, error) {
-	if q.legacy() {
-		return q.legacyGroupCount(col)
-	}
 	res, err := q.run(ops.TermGroupCount, col)
 	if err != nil {
 		return nil, err
@@ -514,57 +448,14 @@ func (q *Query) GroupCount(col string) (map[string]int64, error) {
 	return res.Groups, nil
 }
 
-// legacyGroupCount is the reference GroupCount: gather the selected
-// values, count them in a map.
-func (q *Query) legacyGroupCount(col string) (map[string]int64, error) {
-	sel, err := q.eval()
-	if err != nil {
-		return nil, err
-	}
-	r, pool := q.t.inner.R, q.t.db.inner.DataPool()
-	counts := map[string]int64{}
-	switch typ, _ := q.t.ColumnType(col); typ {
-	case "INT64":
-		vals, err := ops.GatherIntsCtx(q.context(), r, col, sel, pool)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range vals {
-			counts[strconv.FormatInt(v, 10)]++
-		}
-	case "STRING":
-		vals, err := ops.GatherStringsCtx(q.context(), r, col, sel, pool)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range vals {
-			counts[string(v)]++
-		}
-	default:
-		return nil, fmt.Errorf("codecdb: GroupCount needs an integer or string column, %q is %s", col, typ)
-	}
-	return counts, nil
-}
-
-// SumFloat evaluates the query and sums a float column at matching rows.
-// The pipelined path never materializes the full value vector: each worker
-// folds its row groups' gathered values into a running sum. Non-float
-// columns are rejected up front (the gather path would otherwise
-// reinterpret their pages as float bits).
+// SumFloat evaluates the query and sums a float column at matching rows
+// without materializing the value vector: each worker folds its row
+// groups' gathered values into a running sum. Non-float columns are
+// rejected up front (the gather would otherwise reinterpret their pages as
+// float bits).
 func (q *Query) SumFloat(col string) (float64, error) {
 	if typ, ok := q.t.ColumnType(col); ok && typ != "FLOAT64" {
 		return 0, fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", col, typ)
-	}
-	if q.legacy() {
-		vals, err := q.Floats(col)
-		if err != nil {
-			return 0, err
-		}
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return s, nil
 	}
 	res, err := q.run(ops.TermSumFloat, col)
 	if err != nil {

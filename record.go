@@ -10,9 +10,9 @@ import (
 	"codecdb/internal/obs"
 )
 
-// Flight-recorder plumbing for query terminals. Every terminal (both
-// engines, both table kinds) registers with the process recorder: an ID
-// and a live entry at start, a completed QueryRecord at finish whose IO
+// Flight-recorder plumbing for query terminals. Every terminal (scalar or
+// relational, on either table kind) registers with the process recorder:
+// an ID and a live entry at start, a completed QueryRecord at finish whose IO
 // fields are the Table.IOStats delta across the run — the same delta an
 // external observer snapshotting around the call would measure.
 

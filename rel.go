@@ -107,7 +107,9 @@ func (q *Query) OrderBy(col string, desc bool) *Query {
 func (q *Query) Limit(k int) *Query {
 	cp := q.clone()
 	if k <= 0 {
-		cp.err = fmt.Errorf("codecdb: Limit needs k > 0, got %d", k)
+		if cp.err == nil {
+			cp.err = fmt.Errorf("codecdb: Limit needs k > 0, got %d", k)
+		}
 		return cp
 	}
 	cp.limitN = k
@@ -468,8 +470,8 @@ func (q *Query) AggRows(aggs ...AggSpec) (*Rows, error) {
 
 // relCount counts rows surviving the relational stages.
 func (q *Query) relCount() (int64, error) {
-	if len(q.groupCols) > 0 || len(q.orders) > 0 || q.limitN > 0 {
-		return 0, fmt.Errorf("codecdb: Count does not compose with GroupBy/OrderBy/Limit; use AggRows or Rows")
+	if err := q.composeErr("Count", false); err != nil {
+		return 0, err
 	}
 	b, err := q.relRecord("Rel[count]", func(cq *Query) (*ops.Batch, error) {
 		c, _, err := cq.compileRel(nil)

@@ -252,6 +252,80 @@ func TestQueryJoinValidation(t *testing.T) {
 	}
 }
 
+// TestScalarTerminalsRejectRelationalStructure: a scalar terminal has no
+// way to express a join, grouping, ordering or limit, so a query carrying
+// one must fail with the compose error instead of silently dropping it
+// (Ints used to return every row of an ordered, limited query). Count is
+// not in the table: it counts a join's output, and rejects the rest
+// through the same helper.
+func TestScalarTerminalsRejectRelationalStructure(t *testing.T) {
+	ot, ct, _, _, _, _ := relAPITables(t)
+	shapes := []struct {
+		name string
+		q    *Query
+		want string
+	}{
+		{"join", ot.All().JoinOn(ct.All(), "o_cust", "c_name"), "Join"},
+		{"semijoin", ot.All().SemiJoin(ct.All(), "o_cust", "c_name"), "Join"},
+		{"antijoin", ot.All().AntiJoin(ct.All(), "o_cust", "c_name"), "Join"},
+		{"group", ot.All().GroupBy("o_year"), "GroupBy"},
+		{"order", ot.All().OrderBy("o_price", true), "OrderBy"},
+		{"limit", ot.All().Limit(3), "Limit"},
+		{"order+limit", ot.All().OrderBy("o_price", true).Limit(3), "OrderBy/Limit"},
+	}
+	terminals := []struct {
+		name string
+		run  func(q *Query) (any, error)
+	}{
+		{"RowIDs", func(q *Query) (any, error) { return q.RowIDs() }},
+		{"Ints", func(q *Query) (any, error) { return q.Ints("o_year") }},
+		{"Floats", func(q *Query) (any, error) { return q.Floats("o_price") }},
+		{"Strings", func(q *Query) (any, error) { return q.Strings("o_cust") }},
+		{"GroupCount", func(q *Query) (any, error) { return q.GroupCount("o_cust") }},
+		{"SumFloat", func(q *Query) (any, error) { return q.SumFloat("o_price") }},
+	}
+	for _, sh := range shapes {
+		for _, term := range terminals {
+			_, err := term.run(sh.q)
+			if err == nil {
+				t.Errorf("%s on a %s query returned a result, want the compose error", term.name, sh.name)
+				continue
+			}
+			want := term.name + " does not compose with " + sh.want + "; use Rows or AggRows"
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on a %s query: %v, want %q", term.name, sh.name, err, want)
+			}
+		}
+	}
+	for _, sh := range shapes {
+		if sh.want == "Join" {
+			continue // Count counts a join's output
+		}
+		if _, err := sh.q.Count(); err == nil || !strings.Contains(err.Error(), "Count does not compose with "+sh.want) {
+			t.Errorf("Count on a %s query: %v, want the compose error", sh.name, err)
+		}
+	}
+	// The same terminals still run on the plain query.
+	for _, term := range terminals {
+		if _, err := term.run(ot.All()); err != nil {
+			t.Errorf("%s on a plain query: %v", term.name, err)
+		}
+	}
+}
+
+// TestLimitKeepsEarlierBuilderError: Err documents first-error-wins, so a
+// bad Limit must not replace the error an earlier builder call recorded.
+func TestLimitKeepsEarlierBuilderError(t *testing.T) {
+	ot, _, _, _, _, _ := relAPITables(t)
+	err := ot.Where("nope", Eq, 1).Limit(0).Err()
+	if err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("Err() = %v, want the unknown-column error from Where", err)
+	}
+	if err := ot.All().Limit(0).Err(); err == nil || !strings.Contains(err.Error(), "Limit needs k > 0") {
+		t.Fatalf("Err() = %v, want the Limit error", err)
+	}
+}
+
 // TestExplainAnalyzeRelIOConsistent extends the IO-sum acceptance check
 // to relational plans: on a joined query, the span tree's page counters
 // must account exactly for the IOStats deltas of BOTH tables — the

@@ -184,9 +184,9 @@ func TestWithExecDeadline(t *testing.T) {
 	}
 }
 
-// TestWithExecEngineAndWorkers: engine choice and worker caps agree with
-// defaults result-for-result.
-func TestWithExecEngineAndWorkers(t *testing.T) {
+// TestWithExecWorkersAndPrefetch: worker caps and the prefetch switch
+// agree with defaults result-for-result.
+func TestWithExecWorkersAndPrefetch(t *testing.T) {
 	db := openTestDB(t)
 	tbl := loadEvents(t, db, 3000)
 	base := tbl.Where("status", Eq, "ERROR").And("level", Ge, 2)
@@ -195,8 +195,6 @@ func TestWithExecEngineAndWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []ExecOptions{
-		{Engine: EnginePipeline},
-		{Engine: EngineLegacy},
 		{DisablePrefetch: true},
 		{MaxWorkers: 1},
 		{MaxWorkers: 2, DisablePrefetch: true},
