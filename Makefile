@@ -41,17 +41,20 @@ guard-obs:
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
-# property, IO acceptance, and trace tests.
+# property, IO acceptance, and trace tests, plus the two bound-leaf
+# Explain ≡ kernel cases (signed data, INT64 DICTIONARY_RLE).
 race-pipeline:
 	$(GO) test -race -count=1 -run TestParallelMorsels ./internal/exec/
-	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestTracedGatherSpans' .
+	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestExplainSigned|TestExplainDictRLE|TestTracedGatherSpans' .
 
 # race-prefetch focuses the race detector on the async page fetcher:
 # concurrent queries with mid-scan cancellation sharing the prefetch
 # machinery, the prefetch-on ≡ prefetch-off equivalence property, and
-# the fetcher's fault-injection fallback test.
+# the fetcher's fault-injection fallback test, and the bound leaf's
+# schedule ≡ kernel reads property the prefetcher relies on.
 race-prefetch:
 	$(GO) test -race -count=1 -run 'TestPrefetch' .
+	$(GO) test -race -count=1 -run 'TestBoundLeafScheduleMatchesReads' ./internal/ops/
 	$(GO) test -race -count=1 -run 'TestPrefetch' ./internal/colstore/
 
 # race-serve focuses the race detector on the serving layer: admission
@@ -112,8 +115,10 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
 
-# loc prints the two line counts every simplicity PR states its delta in:
-# non-test Go lines of the root package, and of the repo outside bench/.
+# loc prints the line counts every simplicity PR states its delta in:
+# non-test Go lines of the root package, of internal/ops, and of the repo
+# outside bench/.
 loc:
 	@printf 'root package, non-test Go lines: '; cat $$(ls *.go | grep -v _test.go) | wc -l
+	@printf 'internal/ops, non-test Go lines: '; cat $$(ls internal/ops/*.go | grep -v _test.go) | wc -l
 	@printf 'repo outside bench/, non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

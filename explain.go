@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"codecdb/internal/colstore"
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
 )
@@ -28,9 +27,8 @@ func (q *Query) Explain() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Query(%s)  rows=%d filters=%d\n", q.t.Name(), q.t.NumRows(), len(q.conjuncts))
 	for i, pl := range plans {
-		r := parts[i].R
 		if len(parts) > 1 {
-			fmt.Fprintf(&b, "part %d/%d  rows=%d\n", i+1, len(parts), r.NumRows())
+			fmt.Fprintf(&b, "part %d/%d  rows=%d\n", i+1, len(parts), parts[i].R.NumRows())
 		}
 		kids := []*ops.PlanNode{pl.Root}
 		if pl.Root.Pred.Kind == ops.PredAnd {
@@ -45,7 +43,7 @@ func (q *Query) Explain() (string, error) {
 			if k == len(kids)-1 {
 				head, tail = "└─ ", "   "
 			}
-			explainNode(&b, n, head, tail, r)
+			explainNode(&b, n, head, tail)
 		}
 	}
 	return b.String(), nil
@@ -53,43 +51,42 @@ func (q *Query) Explain() (string, error) {
 
 // explainNode renders one plan node with tree connectors: leaves carry the
 // filter's static plan choices, composites recurse in planned order.
-func explainNode(b *strings.Builder, n *ops.PlanNode, head, tail string, r *colstore.Reader) {
+func explainNode(b *strings.Builder, n *ops.PlanNode, head, tail string) {
 	switch n.Pred.Kind {
 	case ops.PredLeaf, ops.PredNot:
-		name := "Filter[" + ops.FilterName(n.Pred.Leaf) + "]"
+		name, details := n.LeafText()
 		if n.Pred.Kind == ops.PredNot {
-			name = "Filter[Not " + ops.FilterName(n.Pred.Leaf) + "]"
+			name = "Not " + name
 		}
-		fmt.Fprintf(b, "%s%s  est-sel=%.4f cost=%.0f\n", head, name, n.Est.Sel, n.Est.Cost)
-		for _, d := range ops.DescribeFilter(n.Pred.Leaf, r) {
+		fmt.Fprintf(b, "%sFilter[%s]  est-sel=%.4f cost=%.0f\n", head, name, n.Est.Sel, n.Est.Cost)
+		for _, d := range details {
 			b.WriteString(tail + "    " + d + "\n")
 		}
 	case ops.PredAnd:
 		fmt.Fprintf(b, "%sAnd[%d conjuncts, planned order]  est-sel=%.4f\n", head, len(n.Kids), n.Est.Sel)
-		explainKids(b, n, tail, r)
+		explainKids(b, n, tail)
 	case ops.PredOr:
 		fmt.Fprintf(b, "%sOr[%d branches, cheap-first]  est-sel=%.4f\n", head, len(n.Kids), n.Est.Sel)
-		explainKids(b, n, tail, r)
+		explainKids(b, n, tail)
 	}
 }
 
-func explainKids(b *strings.Builder, n *ops.PlanNode, tail string, r *colstore.Reader) {
+func explainKids(b *strings.Builder, n *ops.PlanNode, tail string) {
 	for i, k := range n.Kids {
 		head2, tail2 := tail+"├─ ", tail+"│  "
 		if i == len(n.Kids)-1 {
 			head2, tail2 = tail+"└─ ", tail+"   "
 		}
-		explainNode(b, k, head2, tail2, r)
+		explainNode(b, k, head2, tail2)
 	}
 }
 
 // ExplainAnalyze executes the query under a tracer and renders the
 // operator tree with per-node wall time, row counts, page-level IO,
-// pool task counts, allocation bytes, and each planned conjunct's
-// estimated vs actual selectivity. Evaluation runs the filter pipeline
-// to completion (the equivalent of Count); gathers only appear when a
-// terminal that materializes columns runs under AnalyzeTrace's context
-// instead.
+// pool task counts, and each planned conjunct's estimated vs actual
+// selectivity. Evaluation runs the filter pipeline to completion (the
+// equivalent of Count); gathers only appear when a terminal that
+// materializes columns runs under AnalyzeTrace's context instead.
 func (q *Query) ExplainAnalyze() (string, error) {
 	root, _, err := q.AnalyzeTrace()
 	if err != nil {

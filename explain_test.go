@@ -1,6 +1,7 @@
 package codecdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,6 +122,107 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// filterSpan runs q under a tracer and returns its single filter stage's
+// span together with the match count.
+func filterSpan(t *testing.T, q *Query) (*obs.Span, int64) {
+	t.Helper()
+	root, n, err := q.AnalyzeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipe := range root.Children() {
+		for _, s := range pipe.Children() {
+			if strings.HasPrefix(s.Name(), "Filter[") {
+				return s, n
+			}
+		}
+	}
+	t.Fatalf("no filter stage in:\n%s", root.Render())
+	return nil, 0
+}
+
+// TestExplainSignedDataAgreesWithKernel pins the estimator and Explain to
+// the kernel on signed data: a negative bound against a zigzag-packed
+// column is provably all/none only on chunks whose statistics show no
+// negatives. On a column holding -10..10 every chunk has them, so the plan
+// must claim nothing — 0 < est-sel < 1, no "provably"/"no scan" — and the
+// kernel reads all 16 pages.
+func TestExplainSignedDataAgreesWithKernel(t *testing.T) {
+	const n = 4000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i%21) - 10
+	}
+	for _, enc := range []Encoding{BitPacked, Delta} {
+		for _, c := range []struct {
+			op   CmpOp
+			want int64
+		}{{Gt, 2854}, {Lt, 955}} {
+			db := openTestDB(t)
+			tbl, err := db.LoadTable("signed", []Column{{Name: "v", Ints: vals, ForceEncoding: enc, Forced: true}}, eventsLoad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := tbl.Where("v", c.op, -5)
+			out, err := q.Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(out, "provably") || strings.Contains(out, "no scan") {
+				t.Errorf("%v v %s -5: Explain claims a metadata-only result on signed data:\n%s", enc, c.op, out)
+			}
+			var sel float64
+			if _, err := fmt.Sscanf(out[strings.Index(out, "est-sel="):], "est-sel=%f", &sel); err != nil || sel <= 0 || sel >= 1 {
+				t.Errorf("%v v %s -5: est-sel = %v (%v), want strictly between 0 and 1:\n%s", enc, c.op, sel, err, out)
+			}
+			count, err := q.Count()
+			if err != nil || count != c.want {
+				t.Fatalf("%v v %s -5: Count = %d, %v; want %d", enc, c.op, count, err, c.want)
+			}
+			fs, traced := filterSpan(t, q)
+			if _, rowsOut := fs.Rows(); traced != count || rowsOut != count {
+				t.Errorf("%v v %s -5: traced count %d, filter rows out %d, Count %d", enc, c.op, traced, rowsOut, count)
+			}
+			if io := fs.IO(); io.PagesRead != 16 || io.PagesPruned != 0 {
+				t.Errorf("%v v %s -5: filter IO %+v, want all 16 pages read and none pruned", enc, c.op, io)
+			}
+		}
+	}
+}
+
+// TestExplainDictRLEIntComparisonRunsInSitu: a comparison on an INT64
+// DICTIONARY_RLE column binds the dictionary kernel, like IN and like
+// string comparisons do, and prunes pages from the key-domain zone maps.
+func TestExplainDictRLEIntComparisonRunsInSitu(t *testing.T) {
+	const n = 4000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i / 250) // clustered: 16 runs over 16 pages
+	}
+	db := openTestDB(t)
+	tbl, err := db.LoadTable("runs", []Column{{Name: "v", Ints: vals, ForceEncoding: DictRLE, Forced: true}}, eventsLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tbl.Where("v", Lt, 3)
+	out, err := q.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"DictFilter(v < 3)", "kernel=sboost.ScanPacked", "zone-maps=key-domain"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Explain missing %q in:\n%s", want, out)
+		}
+	}
+	fs, count := filterSpan(t, q)
+	if count != 750 {
+		t.Fatalf("count = %d, want 750", count)
+	}
+	if io := fs.IO(); io.PagesPruned == 0 || io.PagesRead+io.PagesPruned != 16 {
+		t.Errorf("filter IO %+v, want pages pruned from the key-domain zone maps", io)
 	}
 }
 

@@ -207,10 +207,6 @@ func TestSectionalBitmapBasics(t *testing.T) {
 	if s.SectionEmpty(0) || !s.SectionEmpty(2) {
 		t.Fatal("SectionEmpty wrong")
 	}
-	flat := s.Flatten()
-	if flat.Cardinality() != 4 || !flat.Get(249) {
-		t.Fatal("Flatten wrong")
-	}
 }
 
 func TestSectionalBitmapOps(t *testing.T) {
@@ -288,22 +284,5 @@ func TestSectionalBitmapCompressRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSectionalBitmapCompressedSize(t *testing.T) {
-	s := NewSectionalBitmap(4096, 1024)
-	// One long run in section 0: should compress to a single run (16 bytes).
-	for i := 0; i < 100; i++ {
-		s.Set(i)
-	}
-	uncompressed := s.CompressedSizeBytes()
-	s.Compress(0)
-	compressed := s.CompressedSizeBytes()
-	if compressed >= uncompressed {
-		t.Fatalf("RLE did not shrink: %d -> %d", uncompressed, compressed)
-	}
-	if compressed != 16 {
-		t.Fatalf("one run should cost 16 bytes, got %d", compressed)
 	}
 }

@@ -193,20 +193,6 @@ func (s *SectionalBitmap) AndNot(other *SectionalBitmap) *SectionalBitmap {
 	return s
 }
 
-// Flatten concatenates all sections into one contiguous bitmap.
-func (s *SectionalBitmap) Flatten() *Bitmap {
-	out := NewBitmap(s.n)
-	for i := range s.sections {
-		sec := s.Section(i)
-		if sec == nil {
-			continue
-		}
-		base := i * s.sectionBits
-		sec.ForEach(func(j int) { out.Set(base + j) })
-	}
-	return out
-}
-
 // ForEach invokes fn for every set bit in ascending global order.
 func (s *SectionalBitmap) ForEach(fn func(i int)) {
 	for i := range s.sections {
@@ -241,22 +227,6 @@ func (s *SectionalBitmap) Compress(idx int) {
 	}
 	s.compressed[idx].runs = runs
 	s.sections[idx] = nil
-}
-
-// CompressedSizeBytes estimates the in-memory footprint of the sectional
-// bitmap, counting 16 bytes per RLE run for compressed sections and
-// 8 bytes per word for uncompressed ones. Used by the intermediate-result
-// accounting in the SSB experiments.
-func (s *SectionalBitmap) CompressedSizeBytes() int {
-	total := 0
-	for i := range s.sections {
-		if s.compressed[i].runs != nil {
-			total += 16 * len(s.compressed[i].runs)
-		} else if s.sections[i] != nil {
-			total += 8 * len(s.sections[i].words)
-		}
-	}
-	return total
 }
 
 func (s *SectionalBitmap) decompress(idx int) {

@@ -149,7 +149,7 @@ func TestEndToEndFilterOnLoadedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &ops.DictFilter{Col: "status", Op: sboost.OpEq, IntValue: 3}
+	f := &ops.Cmp{Col: "status", Op: sboost.OpEq, Value: 3}
 	bm, err := ops.ApplyFilter(context.Background(), f, tbl.R, db.DataPool(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestMeasureAttributesCosts(t *testing.T) {
 	}
 	st, err := Measure([]*colstore.Reader{tbl.R}, func() error {
 		pool := exec.NewPool(2)
-		_, err := ops.ApplyFilter(context.Background(), &ops.StrPredicateFilter{Col: "mode", Pred: func(b []byte) bool { return len(b) > 0 }}, tbl.R, pool, nil)
+		_, err := ops.ApplyFilter(context.Background(), &ops.Decode{Col: "mode", Str: func(b []byte) bool { return len(b) > 0 }}, tbl.R, pool, nil)
 		return err
 	})
 	if err != nil {

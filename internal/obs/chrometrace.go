@@ -73,9 +73,6 @@ func spanArgs(s *Span) map[string]any {
 	if t := s.Tasks(); t > 0 {
 		args["tasks"] = t
 	}
-	if a := s.AllocBytes(); a > 0 {
-		args["allocBytes"] = a
-	}
 	if d := s.Details(); len(d) > 0 {
 		args["details"] = strings.Join(d, "; ")
 	}

@@ -139,7 +139,6 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	s.SetRows(1, 2)
 	s.AddIO(SpanIO{PagesRead: 1})
 	s.AddTasks(1)
-	s.SetAllocBytes(1)
 	if s.Name() != "" || s.Tasks() != 0 || len(s.Children()) != 0 {
 		t.Fatal("nil span accessors must return zero values")
 	}

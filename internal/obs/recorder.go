@@ -80,16 +80,12 @@ type QueryRecord struct {
 	Decompress time.Duration `json:"decompressNs"`
 	Scan       time.Duration `json:"scanNs"`
 
-	RowsIn  int64    `json:"rowsIn"`
-	RowsOut int64    `json:"rowsOut"`
-	IO      RecordIO `json:"io"`
-	// AllocBytes is the traced allocation attribution from the span
-	// tree (zero on untraced runs — the recorder itself never calls
-	// ReadMemStats on the hot path).
-	AllocBytes   int64 `json:"allocBytes"`
-	Workers      int   `json:"workers"`
-	MorselsTotal int32 `json:"morselsTotal"`
-	MorselsDone  int32 `json:"morselsDone"`
+	RowsIn       int64    `json:"rowsIn"`
+	RowsOut      int64    `json:"rowsOut"`
+	IO           RecordIO `json:"io"`
+	Workers      int      `json:"workers"`
+	MorselsTotal int32    `json:"morselsTotal"`
+	MorselsDone  int32    `json:"morselsDone"`
 
 	Err       string `json:"error,omitempty"`
 	Cancelled bool   `json:"cancelled,omitempty"`

@@ -45,7 +45,6 @@ type Span struct {
 	rowsOut  int64
 	io       SpanIO
 	tasks    int64
-	allocB   uint64
 	children []*Span
 }
 
@@ -120,16 +119,6 @@ func (s *Span) AddTasks(n int64) {
 	s.tasks += n
 }
 
-// SetAllocBytes records heap bytes allocated while the span was open
-// (process-wide TotalAlloc delta — a working-set proxy, not an exact
-// attribution under concurrent queries).
-func (s *Span) SetAllocBytes(b uint64) {
-	if s == nil {
-		return
-	}
-	s.allocB = b
-}
-
 // Name returns the span name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {
@@ -176,14 +165,6 @@ func (s *Span) Tasks() int64 {
 		return 0
 	}
 	return s.tasks
-}
-
-// AllocBytes returns the recorded allocation delta.
-func (s *Span) AllocBytes() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.allocB
 }
 
 // Details returns the plan-choice notes.
@@ -283,9 +264,6 @@ func (s *Span) statLine() string {
 	}
 	if s.tasks > 0 {
 		parts = append(parts, fmt.Sprintf("tasks=%d", s.tasks))
-	}
-	if s.allocB > 0 {
-		parts = append(parts, fmt.Sprintf("alloc=%dB", s.allocB))
 	}
 	return strings.Join(parts, " ")
 }

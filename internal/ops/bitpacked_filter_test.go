@@ -39,7 +39,7 @@ func TestBitPackedFilterNonNegative(t *testing.T) {
 	pool := exec.NewPool(4)
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpNe, sboost.OpLt, sboost.OpLe, sboost.OpGt, sboost.OpGe} {
 		for _, target := range []int64{0, 123, 499, 600, -5} {
-			bm, err := applyAll(&BitPackedFilter{Col: "v", Op: op, Value: target}, r, pool)
+			bm, err := applyAll(&Cmp{Col: "v", Op: op, Value: target}, r, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestBitPackedFilterWithNegatives(t *testing.T) {
 	pool := exec.NewPool(4)
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpLt, sboost.OpGe} {
 		for _, target := range []int64{-150, -1, 0, 7, 180} {
-			bm, err := applyAll(&BitPackedFilter{Col: "v", Op: op, Value: target}, r, pool)
+			bm, err := applyAll(&Cmp{Col: "v", Op: op, Value: target}, r, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,24 +81,5 @@ func TestBitPackedFilterWithNegatives(t *testing.T) {
 				t.Fatalf("cardinality mismatch")
 			}
 		}
-	}
-}
-
-func TestBitPackedFilterWrongEncodingRejected(t *testing.T) {
-	vals := []int64{1, 2, 3}
-	schema := colstore.Schema{Columns: []colstore.Column{
-		{Name: "v", Type: colstore.TypeInt64, Encoding: encoding.KindPlain},
-	}}
-	path := filepath.Join(t.TempDir(), "p.cdb")
-	if err := colstore.WriteFile(path, schema, []colstore.ColumnData{{Ints: vals}}, colstore.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := colstore.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := applyAll(&BitPackedFilter{Col: "v", Op: sboost.OpEq, Value: 1}, r, exec.NewPool(1)); err == nil {
-		t.Fatal("plain column should be rejected")
 	}
 }

@@ -19,6 +19,15 @@ func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) (*bitutil.Sectional
 	return ApplyFilter(context.Background(), f, r, pool, nil)
 }
 
+// mustPlan is BuildPlan for predicates the test knows fit the reader.
+func mustPlan(p *Pred, r *colstore.Reader) *Plan {
+	pl, err := BuildPlan(p, r)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
 // testReader writes a small lineitem-like table and opens it.
 func testReader(t *testing.T, n int) (*colstore.Reader, []int64, []int64, [][]byte) {
 	t.Helper()
@@ -76,7 +85,7 @@ func TestDictFilterAllOps(t *testing.T) {
 	pool := exec.NewPool(4)
 	for _, op := range []sboost.Op{sboost.OpEq, sboost.OpNe, sboost.OpLt, sboost.OpLe, sboost.OpGt, sboost.OpGe} {
 		target := ship[42]
-		f := &DictFilter{Col: "shipdate", Op: op, IntValue: target}
+		f := &Cmp{Col: "shipdate", Op: op, Value: target}
 		bm, err := applyAll(f, r, pool)
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +112,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 		{sboost.OpGe, func(v int64) bool { return v >= 1500 }},
 	}
 	for _, c := range cases {
-		f := &DictFilter{Col: "shipdate", Op: c.op, IntValue: 1500}
+		f := &Cmp{Col: "shipdate", Op: c.op, Value: 1500}
 		bm, err := applyAll(f, r, pool)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +120,7 @@ func TestDictFilterAbsentValue(t *testing.T) {
 		checkBitmap(t, bm, n, func(i int) bool { return c.want(ship[i]) })
 	}
 	// Absent but in range: e.g. -1 (below all): Ge = all, Lt = none.
-	f := &DictFilter{Col: "shipdate", Op: sboost.OpGe, IntValue: -1}
+	f := &Cmp{Col: "shipdate", Op: sboost.OpGe, Value: -1}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +166,7 @@ func TestDictFilterPowerOfTwoDictOverflow(t *testing.T) {
 		{sboost.OpEq, 5000, 0},
 		{sboost.OpNe, 5000, n},
 	} {
-		bm, err := applyAll(&DictFilter{Col: "v", Op: c.op, IntValue: c.v}, r, pool)
+		bm, err := applyAll(&Cmp{Col: "v", Op: c.op, Value: c.v}, r, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +180,14 @@ func TestDictFilterString(t *testing.T) {
 	const n = 2500
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
-	f := &DictFilter{Col: "shipmode", Op: sboost.OpEq, StrValue: []byte("MAIL")}
+	f := &Cmp{Col: "shipmode", Op: sboost.OpEq, Value: []byte("MAIL")}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return bytes.Equal(mode[i], []byte("MAIL")) })
 	// Range on order-preserving string dict: < "RAIL" means AIR, MAIL.
-	f2 := &DictFilter{Col: "shipmode", Op: sboost.OpLt, StrValue: []byte("RAIL")}
+	f2 := &Cmp{Col: "shipmode", Op: sboost.OpLt, Value: []byte("RAIL")}
 	bm2, err := applyAll(f2, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +199,7 @@ func TestDictInFilter(t *testing.T) {
 	const n = 2500
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
-	f := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP"), []byte("HOVERCRAFT")}}
+	f := &In{Col: "shipmode", Values: []any{"MAIL", "SHIP", "HOVERCRAFT"}}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +208,7 @@ func TestDictInFilter(t *testing.T) {
 		return bytes.Equal(mode[i], []byte("MAIL")) || bytes.Equal(mode[i], []byte("SHIP"))
 	})
 	// All absent: empty result.
-	f2 := &DictInFilter{Col: "shipmode", StrValues: [][]byte{[]byte("X")}}
+	f2 := &In{Col: "shipmode", Values: []any{"X"}}
 	bm2, err := applyAll(f2, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +223,7 @@ func TestDictLikeFilter(t *testing.T) {
 	r, _, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
 	// LIKE '%AIL' — matches MAIL and RAIL.
-	f := &DictLikeFilter{Col: "shipmode", Match: func(e []byte) bool { return bytes.HasSuffix(e, []byte("AIL")) }}
+	f := &Match{Col: "shipmode", Str: func(e []byte) bool { return bytes.HasSuffix(e, []byte("AIL")) }}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -235,14 +244,14 @@ func TestTwoColumnFilter(t *testing.T) {
 		vals, _ := r.Chunk(rg, 2).Ints()
 		all = append(all, vals...)
 	}
-	f := &TwoColumnFilter{ColA: "commitdate", ColB: "receiptdate", Op: sboost.OpLt}
+	f := &Cols{A: "commitdate", B: "receiptdate", Op: sboost.OpLt}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return commit[i] < all[i] })
 	// Columns without a shared dictionary must be rejected.
-	bad := &TwoColumnFilter{ColA: "shipdate", ColB: "commitdate", Op: sboost.OpLt}
+	bad := &Cols{A: "shipdate", B: "commitdate", Op: sboost.OpLt}
 	if _, err := applyAll(bad, r, pool); err == nil {
 		t.Fatal("unshared dictionaries should error")
 	}
@@ -252,28 +261,23 @@ func TestDeltaFilter(t *testing.T) {
 	const n = 3000
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(4)
-	f := &DeltaFilter{Col: "qty", Op: sboost.OpLe, Value: 1234}
+	f := &Cmp{Col: "qty", Op: sboost.OpLe, Value: 1234}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBitmap(t, bm, n, func(i int) bool { return int64(i) <= 1234 })
-	// Wrong encoding rejected.
-	bad := &DeltaFilter{Col: "shipdate", Op: sboost.OpEq, Value: 1}
-	if _, err := applyAll(bad, r, pool); err == nil {
-		t.Fatal("delta filter on dict column should error")
-	}
 }
 
 func TestObliviousFiltersMatchAware(t *testing.T) {
 	const n = 2500
 	r, ship, _, mode := testReader(t, n)
 	pool := exec.NewPool(4)
-	aware, err := applyAll(&DictFilter{Col: "shipdate", Op: sboost.OpLe, IntValue: 500}, r, pool)
+	aware, err := applyAll(&Cmp{Col: "shipdate", Op: sboost.OpLe, Value: 500}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := applyAll(&IntPredicateFilter{Col: "shipdate", Pred: func(v int64) bool { return v <= 500 }}, r, pool)
+	obliv, err := applyAll(&Decode{Col: "shipdate", Int: func(v int64) bool { return v <= 500 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +286,7 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 			t.Fatalf("row %d: aware %v oblivious %v (value %d)", i, aware.Get(i), obliv.Get(i), ship[i])
 		}
 	}
-	strBm, err := applyAll(&StrPredicateFilter{Col: "shipmode", Pred: func(v []byte) bool { return len(v) == 4 }}, r, pool)
+	strBm, err := applyAll(&Decode{Col: "shipmode", Str: func(v []byte) bool { return len(v) == 4 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +304,7 @@ func TestNewTableBitmapEmpty(t *testing.T) {
 func TestFilterUnknownColumn(t *testing.T) {
 	r, _, _, _ := testReader(t, 100)
 	pool := exec.NewPool(1)
-	if _, err := applyAll(&DictFilter{Col: "nope", Op: sboost.OpEq, IntValue: 1}, r, pool); err == nil {
+	if _, err := applyAll(&Cmp{Col: "nope", Op: sboost.OpEq, Value: 1}, r, pool); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }

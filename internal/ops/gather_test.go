@@ -151,7 +151,7 @@ func errOf[T any](_ T, err error) error { return err }
 func TestDictIntPredFilterDirect(t *testing.T) {
 	r, ints, _, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
-	f := &DictIntPredFilter{Col: "i", Pred: func(v int64) bool { return v%7 == 0 }}
+	f := &Match{Col: "i", Int: func(v int64) bool { return v%7 == 0 }}
 	bm, err := applyAll(f, r, pool)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 		}
 	}
 	// Predicate on a string column must be rejected.
-	if _, err := applyAll(&DictIntPredFilter{Col: "s", Pred: func(int64) bool { return true }}, r, pool); err == nil {
+	if _, err := applyAll(&Match{Col: "s", Int: func(int64) bool { return true }}, r, pool); err == nil {
 		t.Fatal("string column should be rejected")
 	}
 }
@@ -170,7 +170,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 func TestFloatPredicateFilterDirect(t *testing.T) {
 	r, _, floats, _ := gatherFixture(t)
 	pool := exec.NewPool(2)
-	bm, err := applyAll(&FloatPredicateFilter{Col: "f", Pred: func(v float64) bool { return v > 1000 }}, r, pool)
+	bm, err := applyAll(&Decode{Col: "f", Float: func(v float64) bool { return v > 1000 }}, r, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,8 +201,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 // risking speculative reads of pages the query never touches. Pages wanted
 // by several members are scheduled once.
 func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline, part int) *colstore.PageFetcher {
-	opt, _ := ctx.Value(prefetchKey{}).(prefetchOpt)
-	if opt.off {
+	if off, _ := ctx.Value(prefetchKey{}).(bool); off {
 		return nil
 	}
 	var scheds []func(rg int) []schedSet
@@ -210,9 +209,7 @@ func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline
 		p := pipes[part]
 		switch {
 		case len(p.leaves) > 0:
-			if lf := p.leaves[0]; !lf.pf.empty && lf.pf.sched != nil {
-				scheds = append(scheds, lf.pf.sched)
-			}
+			scheds = append(scheds, p.leaves[0].b.pages)
 		case p.ci >= 0:
 			scheds = append(scheds, schedAllPages(r, p.ci))
 		}
@@ -220,7 +217,7 @@ func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline
 	if len(scheds) == 0 {
 		return nil
 	}
-	f := colstore.NewPageFetcher(r, opt.cfg)
+	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
 	scheduled := false
 	for rg := 0; rg < r.NumRowGroups(); rg++ {
 		sets := scheds[0](rg)

@@ -9,7 +9,6 @@ import (
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/encoding"
 	"codecdb/internal/exec"
 	"codecdb/internal/obs"
 )
@@ -88,16 +87,12 @@ type PipelineResult struct {
 	Rel    *Batch
 }
 
-// pipeLeaf is one compiled filter stage: the prepared filter plus the
-// bookkeeping the traced path needs (stable stage index, display name,
-// planner estimate). name is only rendered when traced, so untraced
-// builds leave it empty rather than paying a format per query.
+// pipeLeaf is one compiled filter stage: the plan's bound leaf plus its
+// stable stage index and the planner's estimate for the node.
 type pipeLeaf struct {
-	idx  int
-	name string
-	f    Filter
-	est  float64
-	pf   preparedFilter
+	idx int
+	est float64
+	b   *boundLeaf
 }
 
 // pipeNode mirrors the plan tree over compiled leaves, preserving the
@@ -152,7 +147,7 @@ type pipeline struct {
 	leafBuf []pipeLeaf
 	nodeBuf []pipeNode
 	wbuf    []pipeWorker
-	kbuf    []filterRG
+	kbuf    []kernel
 	leafArr [4]pipeLeaf
 	nodeArr [8]pipeNode
 	lptrArr [4]*pipeLeaf
@@ -179,7 +174,7 @@ type stageStats struct {
 type pipeWorker struct {
 	p       *pipeline
 	sc      *arena.Scratch
-	kernels []filterRG
+	kernels []kernel
 	count   int64
 	agg     *PartialArrayAgg
 	groupI  map[int64]int64  // TermGroupCount on a non-dictionary int column
@@ -208,11 +203,11 @@ type pipeParts struct {
 	rel []*Batch
 }
 
-// buildPipeline compiles a planned query against one part: every plan
-// leaf is prepared into a kernel, terminal columns are resolved, and —
-// because lazy dictionary faults bypass the per-stage IO taps — every
-// dictionary any stage could touch is faulted now, inside the Prepare
-// window.
+// buildPipeline compiles a planned query against one part: plan leaves
+// arrive bound (the planner faulted their dictionaries inside its own IO
+// window), terminal columns are resolved here, and — because lazy
+// dictionary faults bypass the per-stage IO taps — a traced build faults
+// the terminal's dictionary now, inside the Prepare window.
 func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
 	r := part.R
 	p := &pipeline{r: r, term: term, col: col, ci: -1, traced: traced}
@@ -230,14 +225,7 @@ func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, 
 		} else {
 			p.nodeBuf = make([]pipeNode, 0, nNodes)
 		}
-		root, err := p.compileNode(pl.Root)
-		if err != nil {
-			return nil, err
-		}
-		p.root = root
-		if traced {
-			p.prefaultDicts(pl.Root.Pred)
-		}
+		p.root = p.compileNode(pl.Root)
 	}
 	switch term {
 	case TermInts, TermFloats, TermStrings, TermSumFloat:
@@ -317,103 +305,29 @@ func countPlan(n *PlanNode) (leaves, nodes int) {
 // leaves depth-first in planned order so stage indices follow execution
 // order. Nodes and leaves come out of the pre-sized slabs, so the
 // returned pointers stay valid for the pipeline's lifetime.
-func (p *pipeline) compileNode(n *PlanNode) (*pipeNode, error) {
-	switch n.Pred.Kind {
-	case PredLeaf, PredNot:
-		pf, err := n.Pred.Leaf.prepare(p.r)
-		if err != nil {
-			return nil, err
-		}
-		name := ""
-		if p.traced {
-			name = FilterName(n.Pred.Leaf)
-		}
-		p.leafBuf = append(p.leafBuf, pipeLeaf{idx: len(p.leaves), name: name, f: n.Pred.Leaf, est: n.Est.Sel, pf: pf})
+func (p *pipeline) compileNode(n *PlanNode) *pipeNode {
+	if n.leaf != nil {
+		p.leafBuf = append(p.leafBuf, pipeLeaf{idx: len(p.leaves), est: n.Est.Sel, b: n.leaf})
 		lf := &p.leafBuf[len(p.leafBuf)-1]
 		p.leaves = append(p.leaves, lf)
 		p.nodeBuf = append(p.nodeBuf, pipeNode{kind: n.Pred.Kind, leaf: lf})
-		return &p.nodeBuf[len(p.nodeBuf)-1], nil
-	case PredAnd, PredOr:
-		p.nodeBuf = append(p.nodeBuf, pipeNode{kind: n.Pred.Kind, kids: make([]*pipeNode, 0, len(n.Kids))})
-		node := &p.nodeBuf[len(p.nodeBuf)-1]
-		for _, kid := range n.Kids {
-			cn, err := p.compileNode(kid)
-			if err != nil {
-				return nil, err
-			}
-			node.kids = append(node.kids, cn)
-		}
-		return node, nil
+		return &p.nodeBuf[len(p.nodeBuf)-1]
 	}
-	return nil, fmt.Errorf("ops: unknown predicate kind %d", n.Pred.Kind)
+	p.nodeBuf = append(p.nodeBuf, pipeNode{kind: n.Pred.Kind, kids: make([]*pipeNode, 0, len(n.Kids))})
+	node := &p.nodeBuf[len(p.nodeBuf)-1]
+	for _, kid := range n.Kids {
+		node.kids = append(node.kids, p.compileNode(kid))
+	}
+	return node
 }
 
-// filterColumns lists the columns a package filter reads.
-func filterColumns(f Filter) []string {
-	switch t := f.(type) {
-	case *DictFilter:
-		return []string{t.Col}
-	case *DictInFilter:
-		return []string{t.Col}
-	case *DictLikeFilter:
-		return []string{t.Col}
-	case *BitPackedFilter:
-		return []string{t.Col}
-	case *DictIntPredFilter:
-		return []string{t.Col}
-	case *TwoColumnFilter:
-		return []string{t.ColA, t.ColB}
-	case *DeltaFilter:
-		return []string{t.Col}
-	case *IntPredicateFilter:
-		return []string{t.Col}
-	case *StrPredicateFilter:
-		return []string{t.Col}
-	case *FloatPredicateFilter:
-		return []string{t.Col}
-	}
-	return nil
-}
-
-// prefaultDicts faults the dictionary of every dict-encoded column the
-// predicate tree touches. Dictionary reads bump the reader's byte counters
-// without flowing through any chunk tap, so letting a worker fault one
-// mid-morsel would leave IO the stage taps cannot account for; faulting
-// during build keeps the traced invariant (Prepare + Σ stages = pipeline)
-// exact. Errors are ignored — the owning filter surfaces them with its own
-// message when it runs.
-func (p *pipeline) prefaultDicts(pred *Pred) {
-	switch pred.Kind {
-	case PredLeaf, PredNot:
-		for _, name := range filterColumns(pred.Leaf) {
-			if ci, c, err := p.r.Column(name); err == nil {
-				p.faultDict(ci, c)
-			}
-		}
-	case PredAnd, PredOr:
-		for _, kid := range pred.Kids {
-			p.prefaultDicts(kid)
-		}
-	}
-}
-
-// faultDict loads a dict-encoded column's dictionary into the reader's
-// cache, attributing the read to the caller's window. Untraced runs skip
-// it: a lazy fault mid-morsel books into the global counters correctly,
-// and only the traced per-stage invariant needs the read pinned to the
-// Prepare window.
+// faultDict pins a terminal column's dictionary read to the Prepare window
+// of a traced run. Untraced runs skip it: a lazy fault mid-morsel books
+// into the global counters correctly, and only the traced per-stage
+// invariant (Prepare + Σ stages = pipeline) needs the read pinned.
 func (p *pipeline) faultDict(ci int, c *colstore.Column) {
-	if !p.traced {
-		return
-	}
-	if c.Encoding != encoding.KindDict && c.Encoding != encoding.KindDictRLE {
-		return
-	}
-	switch c.Type {
-	case colstore.TypeInt64:
-		_, _ = p.r.IntDict(ci)
-	case colstore.TypeString:
-		_, _ = p.r.StrDict(ci)
+	if p.traced {
+		faultDict(p.r, ci, c)
 	}
 }
 
@@ -433,7 +347,7 @@ func dictLength(r *colstore.Reader, ci int, c *colstore.Column) (int, error) {
 
 // newWorker builds one worker's private state in slot wi of the worker
 // slab: one kernel instance per stage (lazily built lookup tables live in
-// the kernel closure), a partial aggregate table, and per-stage taps when
+// it), a partial aggregate table, and per-stage taps when
 // traced. sc is the pool worker's scratch, shared by every pipeline that
 // worker drives (it runs one morsel through one pipeline at a time).
 // Slots are disjoint slices of shared backing arrays; each is written by
@@ -445,9 +359,7 @@ func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
 	w.sc = sc
 	w.kernels = p.kbuf[wi*nk : (wi+1)*nk : (wi+1)*nk]
 	for i, lf := range p.leaves {
-		if !lf.pf.empty && lf.pf.newKernel != nil {
-			w.kernels[i] = lf.pf.newKernel()
-		}
+		w.kernels[i].leaf = lf.b
 	}
 	if p.term == TermGroupCount {
 		switch {
@@ -501,7 +413,7 @@ func (p *pipeline) initParts(n int) *pipeParts {
 // then carves its slot out of them.
 func (p *pipeline) initWorkers(nw int) {
 	p.wbuf = make([]pipeWorker, nw)
-	p.kbuf = make([]filterRG, nw*len(p.leaves))
+	p.kbuf = make([]kernel, nw*len(p.leaves))
 }
 
 // merge folds the worker partials and per-row-group parts into the part's
@@ -580,9 +492,8 @@ func (p *pipeline) mergeGroups(workers []*pipeWorker) map[string]int64 {
 }
 
 // schedSet is one column's surviving pages for one row group — the unit
-// of the prefetch schedule a prepared filter can predict from metadata
-// alone (zone maps, page row ranges), mirroring the dispositions its
-// kernel will make.
+// of the prefetch schedule (boundLeaf.pages derives a filter's from its
+// verdict function).
 type schedSet struct {
 	col   int
 	pages []int
@@ -601,25 +512,14 @@ func schedAllPages(r *colstore.Reader, ci int) func(rg int) []schedSet {
 	}
 }
 
-// prefetchKey carries per-query prefetch overrides through the context.
+// prefetchKey carries the per-query prefetch-off switch through the context.
 type prefetchKey struct{}
-
-type prefetchOpt struct {
-	off bool
-	cfg colstore.FetchConfig
-}
 
 // ContextWithoutPrefetch disables async page prefetch for pipelines run
 // under the returned context. Prefetch is on by default; the equivalence
 // property tests run both arms.
 func ContextWithoutPrefetch(ctx context.Context) context.Context {
-	return context.WithValue(ctx, prefetchKey{}, prefetchOpt{off: true})
-}
-
-// ContextWithPrefetchConfig overrides the prefetcher's budget/slop for
-// pipelines run under the returned context (bench and test hook).
-func ContextWithPrefetchConfig(ctx context.Context, cfg colstore.FetchConfig) context.Context {
-	return context.WithValue(ctx, prefetchKey{}, prefetchOpt{cfg: cfg})
+	return context.WithValue(ctx, prefetchKey{}, true)
 }
 
 // maxWorkersKey carries a per-query parallelism budget through the
@@ -833,14 +733,14 @@ func (w *pipeWorker) runLeaf(ctx context.Context, rg int, lf *pipeLeaf, secSel *
 	rows := w.p.r.RowGroupRows(rg)
 	var bm *bitutil.Bitmap
 	switch {
-	case lf.pf.empty:
+	case lf.b.empty:
 		bm = bitutil.NewBitmap(rows)
 	case secSel != nil && !secSel.Any():
-		lf.pf.skip(rg, tap)
+		lf.b.skip(rg, tap)
 		bm = bitutil.NewBitmap(rows)
 	default:
 		var err error
-		bm, err = w.kernels[lf.idx](ctx, rg, w.sc, secSel, tap)
+		bm, err = w.kernels[lf.idx].run(ctx, rg, w.sc, secSel, tap)
 		if err != nil {
 			return nil, err
 		}
@@ -867,12 +767,12 @@ func (w *pipeWorker) runLeaf(ctx context.Context, rg int, lf *pipeLeaf, secSel *
 // have made on an empty section.
 func (w *pipeWorker) markSkipped(nodes []*pipeNode, rg int) {
 	for _, n := range nodes {
-		if n.leaf != nil && !n.leaf.pf.empty && n.leaf.pf.skip != nil {
+		if n.leaf != nil && !n.leaf.b.empty {
 			var tap *colstore.IOTap
 			if w.taps != nil {
 				tap = &w.taps[n.leaf.idx]
 			}
-			n.leaf.pf.skip(rg, tap)
+			n.leaf.b.skip(rg, tap)
 		}
 		w.markSkipped(n.kids, rg)
 	}
@@ -1086,8 +986,9 @@ func (p *pipeline) traceStages(parent *obs.Span, term TermKind, col string) time
 		busy += st.nanos
 	}
 	for _, lf := range p.leaves {
-		fs := parent.StartChild("Filter[" + lf.name + "]")
-		for _, d := range DescribeFilter(lf.f, p.r) {
+		name, details := lf.b.text()
+		fs := parent.StartChild("Filter[" + name + "]")
+		for _, d := range details {
 			fs.AddDetail("%s", d)
 		}
 		st := p.mergedStats(lf.idx)
@@ -1140,6 +1041,17 @@ func (p *pipeline) mergedIOTap(idx int) colstore.IOTap {
 		}
 	}
 	return t
+}
+
+// IODelta converts a before/after pair of reader snapshots into span IO.
+func IODelta(before, after colstore.IOStats) obs.SpanIO {
+	return obs.SpanIO{
+		PagesRead:         after.PagesRead - before.PagesRead,
+		PagesPruned:       after.PagesPruned - before.PagesPruned,
+		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
+		BytesRead:         after.BytesRead - before.BytesRead,
+		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
+	}
 }
 
 func spanIOFromTap(t *colstore.IOTap) obs.SpanIO {

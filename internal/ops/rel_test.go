@@ -87,7 +87,7 @@ func TestRelSemiJoinOnDictKeys(t *testing.T) {
 			inBuild[string(dict[k])] = true
 		}
 	}
-	pl := BuildPlan(LeafPred(&DictFilter{Col: "date", Op: sboost.OpGe, IntValue: 1995}), r)
+	pl := mustPlan(LeafPred(&Cmp{Col: "date", Op: sboost.OpGe, Value: 1995}), r)
 	rp := &RelPlan{
 		Stages: []RelStage{{
 			Name: "build", Kind: RelSemi,

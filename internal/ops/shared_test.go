@@ -27,19 +27,19 @@ func sharedItems() []SharedItem {
 func sharedPlans(r *colstore.Reader, items []SharedItem) []SharedItem {
 	preds := []*Pred{
 		nil,
-		LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 500}),
+		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 500}),
 		AndPred(
-			LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 700}),
-			LeafPred(&DictFilter{Col: "commitdate", Op: sboost.OpGe, IntValue: 100}),
+			LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 700}),
+			LeafPred(&Cmp{Col: "commitdate", Op: sboost.OpGe, Value: 100}),
 		),
-		LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpGe, IntValue: 200}),
-		LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 900}),
+		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpGe, Value: 200}),
+		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 900}),
 	}
 	out := make([]SharedItem, len(items))
 	for i, it := range items {
 		out[i] = it
 		if preds[i] != nil {
-			out[i].Plans = []*Plan{BuildPlan(preds[i], r)}
+			out[i].Plans = []*Plan{mustPlan(preds[i], r)}
 		}
 	}
 	return out
@@ -104,7 +104,7 @@ func TestRunSharedDecompressOnce(t *testing.T) {
 		items := make([]SharedItem, k)
 		for i := range items {
 			items[i] = SharedItem{
-				Plans: []*Plan{BuildPlan(LeafPred(&DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 800}), r)},
+				Plans: []*Plan{mustPlan(LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 800}), r)},
 				Term:  TermCount,
 			}
 		}

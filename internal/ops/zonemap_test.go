@@ -170,28 +170,28 @@ func TestZoneMapPruningMatchesFullScan(t *testing.T) {
 	for _, op := range ops {
 		for _, v := range targets {
 			runPrunedAndUnpruned(t, r, pool,
-				&DictFilter{Col: "dict", Op: op, IntValue: v}, fmt.Sprintf("dict op=%v v=%d", op, v))
+				&Cmp{Col: "dict", Op: op, Value: v}, fmt.Sprintf("dict op=%v v=%d", op, v))
 			runPrunedAndUnpruned(t, r, pool,
-				&BitPackedFilter{Col: "bp", Op: op, Value: v}, fmt.Sprintf("bp op=%v v=%d", op, v))
+				&Cmp{Col: "bp", Op: op, Value: v}, fmt.Sprintf("bp op=%v v=%d", op, v))
 			runPrunedAndUnpruned(t, r, pool,
-				&BitPackedFilter{Col: "neg", Op: op, Value: v - 150}, fmt.Sprintf("neg op=%v v=%d", op, v-150))
+				&Cmp{Col: "neg", Op: op, Value: v - 150}, fmt.Sprintf("neg op=%v v=%d", op, v-150))
 			runPrunedAndUnpruned(t, r, pool,
-				&DeltaFilter{Col: "delta", Op: op, Value: v}, fmt.Sprintf("delta op=%v v=%d", op, v))
+				&Cmp{Col: "delta", Op: op, Value: v}, fmt.Sprintf("delta op=%v v=%d", op, v))
 		}
 		runPrunedAndUnpruned(t, r, pool,
-			&DictFilter{Col: "str", Op: op, StrValue: []byte("key-035")}, fmt.Sprintf("str op=%v", op))
+			&Cmp{Col: "str", Op: op, Value: []byte("key-035")}, fmt.Sprintf("str op=%v", op))
 		runPrunedAndUnpruned(t, r, pool,
-			&TwoColumnFilter{ColA: "a", ColB: "b", Op: op}, fmt.Sprintf("two op=%v", op))
+			&Cols{A: "a", B: "b", Op: op}, fmt.Sprintf("two op=%v", op))
 	}
 	runPrunedAndUnpruned(t, r, pool,
-		&DictInFilter{Col: "dict", IntValues: []int64{3, 120, 121, 655, 9999}}, "in scattered")
+		&In{Col: "dict", Values: []any{3, 120, 121, 655, 9999}}, "in scattered")
 	runPrunedAndUnpruned(t, r, pool,
-		&DictInFilter{Col: "dict", IntValues: []int64{100, 101, 102, 103}}, "in contiguous")
+		&In{Col: "dict", Values: []any{100, 101, 102, 103}}, "in contiguous")
 
 	// The zone maps must actually fire on this layout: a point probe in
 	// the lowest band cannot touch pages of the higher bands.
 	r.ResetStats()
-	if _, err := applyAll(&DictFilter{Col: "dict", Op: sboost.OpEq, IntValue: 10}, r, pool); err != nil {
+	if _, err := applyAll(&Cmp{Col: "dict", Op: sboost.OpEq, Value: 10}, r, pool); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.PagesPruned == 0 {
@@ -229,8 +229,8 @@ func TestZoneMapPruningRandomProperty(t *testing.T) {
 		op := ops[rng.Intn(len(ops))]
 		v := rng.Int63n(2400) - 200
 		runPrunedAndUnpruned(t, r, pool,
-			&DictFilter{Col: "d", Op: op, IntValue: v}, fmt.Sprintf("trial %d dict op=%v v=%d", trial, op, v))
+			&Cmp{Col: "d", Op: op, Value: v}, fmt.Sprintf("trial %d dict op=%v v=%d", trial, op, v))
 		runPrunedAndUnpruned(t, r, pool,
-			&BitPackedFilter{Col: "p", Op: op, Value: v}, fmt.Sprintf("trial %d bp op=%v v=%d", trial, op, v))
+			&Cmp{Col: "p", Op: op, Value: v}, fmt.Sprintf("trial %d bp op=%v v=%d", trial, op, v))
 	}
 }

@@ -39,7 +39,7 @@ type Q struct {
 	parts  []ops.Part
 	pool   *exec.Pool
 	ctx    context.Context
-	preds  [][]*ops.Pred // per part
+	preds  []*ops.Pred
 	stages []stage
 	err    error
 }
@@ -61,7 +61,7 @@ func Scan(r *colstore.Reader, pool *exec.Pool) *Q {
 
 // ScanParts starts a query over a table's ordered parts.
 func ScanParts(parts []ops.Part, pool *exec.Pool) *Q {
-	return &Q{parts: parts, pool: pool, ctx: context.Background(), preds: make([][]*ops.Pred, len(parts))}
+	return &Q{parts: parts, pool: pool, ctx: context.Background()}
 }
 
 // WithContext sets the execution context (tracing spans, prefetch and
@@ -82,21 +82,10 @@ func (q *Q) fail(err error) *Q {
 // of the predicate tree, ahead of every join stage).
 func (q *Q) Where(f ops.Filter) *Q { return q.WherePred(ops.LeafPred(f)) }
 
-// WherePred adds an arbitrary predicate tree conjunct, the same tree for
-// every part (its filters bind to each part's reader when prepared).
+// WherePred adds an arbitrary predicate tree conjunct. The tree is logical:
+// its leaves bind to each part's encodings when the query is planned.
 func (q *Q) WherePred(p *ops.Pred) *Q {
-	for i := range q.preds {
-		q.preds[i] = append(q.preds[i], p)
-	}
-	return q
-}
-
-// WherePartPreds adds a conjunct lowered separately for each part:
-// perPart[i] is the tree bound to part i's encodings.
-func (q *Q) WherePartPreds(perPart []*ops.Pred) *Q {
-	for i := range q.preds {
-		q.preds[i] = append(q.preds[i], perPart[i])
-	}
+	q.preds = append(q.preds, p)
 	return q
 }
 
@@ -571,9 +560,15 @@ func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]strin
 	plans = make([]*ops.Plan, len(q.parts))
 	rps = make([]*ops.RelPlan, len(q.parts))
 	decode = make([]map[int]string, len(q.parts))
+	var pred *ops.Pred
+	if len(q.preds) > 0 {
+		pred = ops.AndPred(q.preds...)
+	}
 	for pi, part := range q.parts {
-		if len(q.preds[pi]) > 0 {
-			plans[pi] = ops.BuildPlan(ops.AndPred(q.preds[pi]...), part.R)
+		if pred != nil {
+			if plans[pi], err = ops.BuildPlan(pred, part.R); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 		rp := &ops.RelPlan{Stages: make([]ops.RelStage, len(q.stages)), Names: names}
 		for si := range q.stages {

@@ -119,7 +119,7 @@ func newFixture(t *testing.T) *fixture {
 // check shares: o_year >= 1994, lowered per part (a dictionary filter on
 // the dict-encoded year column).
 func (fx *fixture) scan() *Q {
-	return ScanParts(fx.parts, fx.pool).Where(&ops.DictFilter{Col: "o_year", Op: sboost.OpGe, IntValue: 1994})
+	return ScanParts(fx.parts, fx.pool).Where(&ops.Cmp{Col: "o_year", Op: sboost.OpGe, Value: 1994})
 }
 
 func keepOrder(o orderRow) bool { return o.year >= 1994 }
@@ -130,7 +130,7 @@ func keepOrder(o orderRow) bool { return o.year >= 1994 }
 func (fx *fixture) buildSide(t *testing.T) (names [][]byte, keys []int64, payload *ops.Batch, want []custRow) {
 	t.Helper()
 	b, err := Scan(fx.cr, fx.pool).
-		Where(&ops.DictFilter{Col: "c_nation", Op: sboost.OpLt, StrValue: []byte("N3")}).
+		Where(&ops.Cmp{Col: "c_nation", Op: sboost.OpLt, Value: []byte("N3")}).
 		Rows("c_name", "c_key", "c_nation")
 	if err != nil {
 		t.Fatal(err)

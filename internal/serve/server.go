@@ -177,54 +177,18 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		}
 	}
 
-	// The request deadline covers admission wait plus execution.
-	timeout := s.cfg.DefaultTimeout
-	if req.Budget.TimeoutMS > 0 {
-		timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-
-	waitStart := time.Now()
-	grant, err := s.admit.Acquire(ctx, req.Client, req.Budget.MemoryBytes)
-	admissionWait.Observe(time.Since(waitStart).Seconds())
-	if err != nil {
-		errorsTotal.Inc()
-		return nil, wireErr(admissionCode(err), "%v", err)
-	}
-	defer grant.Release()
-
-	var lq *obs.LiveQuery
-	fr := obs.DefaultRecorder()
-	if fr.Enabled() {
-		lq = fr.Begin(obs.KindQuery, req.Table, "v1/"+req.Terminal, req.Predicate.Canonical())
-	}
-
-	workers := s.cfg.MaxWorkersPerQuery
-	if req.Budget.MaxWorkers > 0 && (workers == 0 || req.Budget.MaxWorkers < workers) {
-		workers = req.Budget.MaxWorkers
-	}
-	wq := codecdb.WaveQuery{Pred: pred, Terminal: term, Col: req.Column}
-	res, werr := s.waves.run(s.base, tbl, wq, deadline, codecdb.ExecOptions{MaxWorkers: workers})
-	if werr == nil {
-		werr = res.Err
-	}
-	if lq != nil {
-		rec := &obs.QueryRecord{Wall: time.Since(lq.Start), RowsOut: res.Count}
-		if werr != nil {
-			rec.Err = werr.Error()
-			rec.Cancelled = errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)
+	var res codecdb.WaveResult
+	queryID, werr := s.execute(ctx, req, func(_ context.Context, deadline time.Time, workers int) (int64, error) {
+		wq := codecdb.WaveQuery{Pred: pred, Terminal: term, Col: req.Column}
+		var err error
+		res, err = s.waves.run(s.base, tbl, wq, deadline, codecdb.ExecOptions{MaxWorkers: workers})
+		if err == nil {
+			err = res.Err
 		}
-		fr.Finish(lq, rec)
-	}
+		return res.Count, err
+	})
 	if werr != nil {
-		errorsTotal.Inc()
-		return nil, wireErr(classifyExecErr(werr), "%v", werr)
+		return nil, werr
 	}
 
 	resp := &QueryResponse{
@@ -235,9 +199,7 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 		RowIDs:   res.RowIDs,
 		Sum:      res.Sum,
 		Groups:   res.Groups,
-	}
-	if lq != nil {
-		resp.QueryID = lq.ID
+		QueryID:  queryID,
 	}
 	if !req.NoCache {
 		s.cache.Put(key, resp)
@@ -367,8 +329,42 @@ func (s *Server) relQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 		q = q.Limit(req.Limit)
 	}
 
-	// The request deadline covers admission wait plus execution, exactly
-	// like the wave path.
+	resp := &QueryResponse{Table: req.Table, Epoch: tbl.Epoch(), Terminal: req.Terminal}
+	var werr *WireError
+	resp.QueryID, werr = s.execute(ctx, req, func(ctx context.Context, deadline time.Time, workers int) (int64, error) {
+		q := q.WithContext(ctx).WithExec(codecdb.ExecOptions{
+			MaxWorkers:  workers,
+			Deadline:    deadline,
+			MemoryBytes: req.Budget.MemoryBytes,
+		})
+		if req.Terminal != "rows" {
+			var err error
+			resp.Count, err = q.Count()
+			return resp.Count, err
+		}
+		rows, err := q.Rows(req.Columns...)
+		if err == nil {
+			resp.Columns = rows.Cols
+			resp.Rows = rows.Data
+			resp.Count = int64(len(rows.Data))
+		}
+		return resp.Count, err
+	})
+	if werr != nil {
+		return nil, werr
+	}
+	return resp, nil
+}
+
+// execute is the one path every request shape runs under its budget: the
+// deadline covers admission wait plus execution, fair admission grants the
+// slot, the flight recorder gets one entry, the per-query worker cap is
+// resolved, and run's outcome is finished into the record and classified
+// onto a wire code — so admission, deadlines and records cannot drift
+// between scalar and relational requests. It returns the recorded query id
+// (0 when the recorder is off).
+func (s *Server) execute(ctx context.Context, req *QueryRequest,
+	run func(ctx context.Context, deadline time.Time, workers int) (rowsOut int64, err error)) (uint64, *WireError) {
 	timeout := s.cfg.DefaultTimeout
 	if req.Budget.TimeoutMS > 0 {
 		timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
@@ -380,12 +376,13 @@ func (s *Server) relQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
+
 	waitStart := time.Now()
 	grant, err := s.admit.Acquire(ctx, req.Client, req.Budget.MemoryBytes)
 	admissionWait.Observe(time.Since(waitStart).Seconds())
 	if err != nil {
 		errorsTotal.Inc()
-		return nil, wireErr(admissionCode(err), "%v", err)
+		return 0, wireErr(admissionCode(err), "%v", err)
 	}
 	defer grant.Release()
 
@@ -399,40 +396,22 @@ func (s *Server) relQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	if req.Budget.MaxWorkers > 0 && (workers == 0 || req.Budget.MaxWorkers < workers) {
 		workers = req.Budget.MaxWorkers
 	}
-	q = q.WithContext(ctx).WithExec(codecdb.ExecOptions{
-		MaxWorkers:  workers,
-		Deadline:    deadline,
-		MemoryBytes: req.Budget.MemoryBytes,
-	})
-
-	resp := &QueryResponse{Table: req.Table, Epoch: tbl.Epoch(), Terminal: req.Terminal}
-	var execErr error
-	switch req.Terminal {
-	case "rows":
-		var rows *codecdb.Rows
-		rows, execErr = q.Rows(req.Columns...)
-		if execErr == nil {
-			resp.Columns = rows.Cols
-			resp.Rows = rows.Data
-			resp.Count = int64(len(rows.Data))
-		}
-	default:
-		resp.Count, execErr = q.Count()
-	}
+	rowsOut, execErr := run(ctx, deadline, workers)
+	var id uint64
 	if lq != nil {
-		rec := &obs.QueryRecord{Wall: time.Since(lq.Start), RowsOut: resp.Count}
+		rec := &obs.QueryRecord{Wall: time.Since(lq.Start), RowsOut: rowsOut}
 		if execErr != nil {
 			rec.Err = execErr.Error()
 			rec.Cancelled = errors.Is(execErr, context.Canceled) || errors.Is(execErr, context.DeadlineExceeded)
 		}
 		fr.Finish(lq, rec)
-		resp.QueryID = lq.ID
+		id = lq.ID
 	}
 	if execErr != nil {
 		errorsTotal.Inc()
-		return nil, wireErr(classifyExecErr(execErr), "%v", execErr)
+		return 0, wireErr(classifyExecErr(execErr), "%v", execErr)
 	}
-	return resp, nil
+	return id, nil
 }
 
 // checkColumns maps unknown referenced columns onto bad_predicate.

@@ -18,11 +18,11 @@ import (
 
 func (t *Tables) engineFlight1(spec flight1Spec) (Result, error) {
 	b, err := relq.Scan(t.LO, t.Pool).
-		Where(&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred}).
-		Where(&ops.DictIntPredFilter{Col: "lo_discount", Pred: func(v int64) bool {
+		Where(&ops.Match{Col: "lo_orderdate", Int: spec.datePred}).
+		Where(&ops.Match{Col: "lo_discount", Int: func(v int64) bool {
 			return v >= spec.discLo && v <= spec.discHi
 		}}).
-		Where(&ops.DictIntPredFilter{Col: "lo_quantity", Pred: func(v int64) bool {
+		Where(&ops.Match{Col: "lo_quantity", Int: func(v int64) bool {
 			return v >= spec.qtyLo && v <= spec.qtyHi
 		}}).
 		GroupByOver([]string{"lo_extendedprice", "lo_discount"}, nil,
@@ -49,7 +49,7 @@ func (t *Tables) engineFact(spec *factSpec) (Result, error) {
 	}
 	q := relq.Scan(t.LO, t.Pool)
 	if spec.datePred != nil {
-		q = q.Where(&ops.DictIntPredFilter{Col: "lo_orderdate", Pred: spec.datePred})
+		q = q.Where(&ops.Match{Col: "lo_orderdate", Int: spec.datePred})
 	}
 	bitmaps := int64(1) // scan selection (full-table when unfiltered)
 

@@ -41,25 +41,17 @@ func init() {
 
 // ---- engine plan helpers ----
 
-func dGe(col string, v int64) ops.Filter {
-	return &ops.DictFilter{Col: col, Op: sboost.OpGe, IntValue: v}
+// cmp states `col op v` logically; the engine picks the kernel from
+// whatever encoding the loader's selector chose for col.
+func cmp(col string, op sboost.Op, v any) ops.Filter {
+	return &ops.Cmp{Col: col, Op: op, Value: v}
 }
 
-func dGt(col string, v int64) ops.Filter {
-	return &ops.DictFilter{Col: col, Op: sboost.OpGt, IntValue: v}
-}
-
-func dLt(col string, v int64) ops.Filter {
-	return &ops.DictFilter{Col: col, Op: sboost.OpLt, IntValue: v}
-}
-
-func dLe(col string, v int64) ops.Filter {
-	return &ops.DictFilter{Col: col, Op: sboost.OpLe, IntValue: v}
-}
-
-func dEqS(col, v string) ops.Filter {
-	return &ops.DictFilter{Col: col, Op: sboost.OpEq, StrValue: []byte(v)}
-}
+func ge(col string, v int64) ops.Filter { return cmp(col, sboost.OpGe, v) }
+func gt(col string, v int64) ops.Filter { return cmp(col, sboost.OpGt, v) }
+func lt(col string, v int64) ops.Filter { return cmp(col, sboost.OpLt, v) }
+func le(col string, v int64) ops.Filter { return cmp(col, sboost.OpLe, v) }
+func eqS(col, v string) ops.Filter      { return cmp(col, sboost.OpEq, v) }
 
 func bInts(b *ops.Batch, name string) []int64 { return b.Ints[b.Col(name)] }
 

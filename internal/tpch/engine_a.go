@@ -12,7 +12,7 @@ import (
 func q1Engine(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1998, 9, 2)
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dLe("l_shipdate", cutoff)).
+		Where(le("l_shipdate", cutoff)).
 		GroupByOver(
 			[]string{"l_quantity", "l_extendedprice", "l_discount", "l_tax"},
 			[]relq.GKey{{Name: "rf", Ref: "#l_returnflag"}, {Name: "ls", Ref: "#l_linestatus"}},
@@ -57,10 +57,10 @@ func q1Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q2Engine(t *Tables) (*memtable.RowTable, error) {
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return bytes.HasSuffix(e, []byte("BRASS"))
 		}}).
-		Where(&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return v == 15 }}).
+		Where(cmp("p_size", sboost.OpEq, 15)).
 		Rows("p_partkey")
 	if err != nil {
 		return nil, err
@@ -121,13 +121,13 @@ func q2Engine(t *Tables) (*memtable.RowTable, error) {
 func q3Engine(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1995, 3, 15)
 	cb, err := relq.Scan(t.C, t.Pool).
-		Where(dEqS("c_mktsegment", "BUILDING")).
+		Where(eqS("c_mktsegment", "BUILDING")).
 		Rows("c_custkey")
 	if err != nil {
 		return nil, err
 	}
 	ob, err := relq.Scan(t.O, t.Pool).
-		Where(dLt("o_orderdate", cutoff)).
+		Where(lt("o_orderdate", cutoff)).
 		Semi("c", bInts(cb, "c_custkey"), "o_custkey").
 		Rows("o_orderkey", "o_orderdate")
 	if err != nil {
@@ -139,7 +139,7 @@ func q3Engine(t *Tables) (*memtable.RowTable, error) {
 		orderDate[orderKeys[i]] = oDate[i]
 	}
 	lb, err := relq.Scan(t.L, t.Pool).
-		Where(dGt("l_shipdate", cutoff)).
+		Where(gt("l_shipdate", cutoff)).
 		Semi("o", orderKeys, "l_orderkey").
 		GroupByOver(
 			[]string{"l_orderkey", "l_extendedprice", "l_discount"},
@@ -161,14 +161,14 @@ func q3Engine(t *Tables) (*memtable.RowTable, error) {
 func q4Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1993, 7, 1), Date(1993, 10, 1)
 	lb, err := relq.Scan(t.L, t.Pool).
-		Where(&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).
+		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
 		Rows("l_orderkey")
 	if err != nil {
 		return nil, err
 	}
 	ob, err := relq.Scan(t.O, t.Pool).
-		Where(dGe("o_orderdate", lo)).
-		Where(dLt("o_orderdate", hi)).
+		Where(ge("o_orderdate", lo)).
+		Where(lt("o_orderdate", hi)).
 		Semi("late", bInts(lb, "l_orderkey"), "o_orderkey").
 		GroupBy(
 			[]relq.GKey{{Name: "prio", Ref: "#o_orderpriority"}},
@@ -195,8 +195,8 @@ func q5Engine(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	ob, err := relq.Scan(t.O, t.Pool).
-		Where(dGe("o_orderdate", lo)).
-		Where(dLt("o_orderdate", hi)).
+		Where(ge("o_orderdate", lo)).
+		Where(lt("o_orderdate", hi)).
 		Rows("o_orderkey", "o_custkey")
 	if err != nil {
 		return nil, err
@@ -245,10 +245,10 @@ func q5Engine(t *Tables) (*memtable.RowTable, error) {
 func q6Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dGe("l_shipdate", lo)).
-		Where(dLt("l_shipdate", hi)).
-		Where(&ops.IntPredicateFilter{Col: "l_quantity", Pred: func(v int64) bool { return v < 24 }}).
-		Where(&ops.FloatPredicateFilter{Col: "l_discount", Pred: func(v float64) bool {
+		Where(ge("l_shipdate", lo)).
+		Where(lt("l_shipdate", hi)).
+		Where(lt("l_quantity", 24)).
+		Where(&ops.Match{Col: "l_discount", Float: func(v float64) bool {
 			return v >= 0.05 && v <= 0.07
 		}}).
 		GroupByOver(
@@ -309,8 +309,8 @@ func q7Engine(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dGe("l_shipdate", Date(1995, 1, 1))).
-		Where(dLe("l_shipdate", Date(1996, 12, 31))).
+		Where(ge("l_shipdate", Date(1995, 1, 1))).
+		Where(le("l_shipdate", Date(1996, 12, 31))).
 		Join("o", oKey, (&ops.Batch{}).AddInts("cn", ocn), "l_orderkey").
 		Join("s", sKey, sSide, "l_suppkey").
 		WhereRow("pair", []string{"s.sn", "o.cn"}, func(r relq.Row) bool {
@@ -343,7 +343,7 @@ func q7Engine(t *Tables) (*memtable.RowTable, error) {
 func q8Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 1, 1), Date(1996, 12, 31)
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(dEqS("p_type", "ECONOMY ANODIZED STEEL")).
+		Where(eqS("p_type", "ECONOMY ANODIZED STEEL")).
 		Rows("p_partkey")
 	if err != nil {
 		return nil, err

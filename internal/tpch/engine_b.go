@@ -11,7 +11,7 @@ import (
 
 func q9Engine(t *Tables) (*memtable.RowTable, error) {
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(&ops.StrPredicateFilter{Col: "p_name", Pred: func(v []byte) bool {
+		Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
 			return bytes.Contains(v, []byte("green"))
 		}}).
 		Rows("p_partkey")
@@ -90,14 +90,14 @@ func q9Engine(t *Tables) (*memtable.RowTable, error) {
 func q10Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1993, 10, 1), Date(1994, 1, 1)
 	ob, err := relq.Scan(t.O, t.Pool).
-		Where(dGe("o_orderdate", lo)).
-		Where(dLt("o_orderdate", hi)).
+		Where(ge("o_orderdate", lo)).
+		Where(lt("o_orderdate", hi)).
 		Rows("o_orderkey", "o_custkey")
 	if err != nil {
 		return nil, err
 	}
 	lb, err := relq.Scan(t.L, t.Pool).
-		Where(dEqS("l_returnflag", "R")).
+		Where(eqS("l_returnflag", "R")).
 		Join("o", bInts(ob, "o_orderkey"),
 			(&ops.Batch{}).AddInts("ck", bInts(ob, "o_custkey")), "l_orderkey").
 		GroupByOver(
@@ -164,11 +164,11 @@ func q12Engine(t *Tables) (*memtable.RowTable, error) {
 		return nil, err
 	}
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(&ops.DictInFilter{Col: "l_shipmode", StrValues: [][]byte{[]byte("MAIL"), []byte("SHIP")}}).
-		Where(&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).
-		Where(&ops.TwoColumnFilter{ColA: "l_shipdate", ColB: "l_commitdate", Op: sboost.OpLt}).
-		Where(dGe("l_receiptdate", lo)).
-		Where(dLt("l_receiptdate", hi)).
+		Where(&ops.In{Col: "l_shipmode", Values: []any{"MAIL", "SHIP"}}).
+		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
+		Where(&ops.Cols{A: "l_shipdate", B: "l_commitdate", Op: sboost.OpLt}).
+		Where(ge("l_receiptdate", lo)).
+		Where(lt("l_receiptdate", hi)).
 		Join("o", oKey, (&ops.Batch{}).AddStrs("prio", prio), "l_orderkey").
 		GroupByOver(
 			[]string{"o.prio"},
@@ -204,7 +204,7 @@ func q12Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q13Engine(t *Tables) (*memtable.RowTable, error) {
 	b, err := relq.Scan(t.O, t.Pool).
-		Where(&ops.StrPredicateFilter{Col: "o_comment", Pred: func(v []byte) bool {
+		Where(&ops.Match{Col: "o_comment", Str: func(v []byte) bool {
 			i := bytes.Index(v, []byte("special"))
 			return i < 0 || !bytes.Contains(v[i:], []byte("requests"))
 		}}).
@@ -225,7 +225,7 @@ func q13Engine(t *Tables) (*memtable.RowTable, error) {
 func q14Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 9, 1), Date(1995, 10, 1)
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return bytes.HasPrefix(e, []byte("PROMO"))
 		}}).
 		Rows("p_partkey")
@@ -238,8 +238,8 @@ func q14Engine(t *Tables) (*memtable.RowTable, error) {
 		flags[i] = 1
 	}
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dGe("l_shipdate", lo)).
-		Where(dLt("l_shipdate", hi)).
+		Where(ge("l_shipdate", lo)).
+		Where(lt("l_shipdate", hi)).
 		LeftJoin("p", promoKeys, (&ops.Batch{}).AddInts("flag", flags), "l_partkey").
 		GroupByOver(
 			[]string{"l_extendedprice", "l_discount", "p.flag"}, nil,
@@ -265,8 +265,8 @@ func q14Engine(t *Tables) (*memtable.RowTable, error) {
 func q15Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1996, 1, 1), Date(1996, 4, 1)
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dGe("l_shipdate", lo)).
-		Where(dLt("l_shipdate", hi)).
+		Where(ge("l_shipdate", lo)).
+		Where(lt("l_shipdate", hi)).
 		GroupByOver(
 			[]string{"l_extendedprice", "l_discount"},
 			[]relq.GKey{{Name: "sk", Ref: "l_suppkey", Lo: 0, Hi: t.S.NumRows() + 1}},

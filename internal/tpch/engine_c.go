@@ -11,11 +11,11 @@ import (
 
 func q16Engine(t *Tables) (*memtable.RowTable, error) {
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(&ops.DictFilter{Col: "p_brand", Op: sboost.OpNe, StrValue: []byte("Brand#45")}).
-		Where(&ops.DictLikeFilter{Col: "p_type", Match: func(e []byte) bool {
+		Where(cmp("p_brand", sboost.OpNe, "Brand#45")).
+		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return !bytes.HasPrefix(e, []byte("MEDIUM POLISHED"))
 		}}).
-		Where(&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool { return q16Sizes[v] }}).
+		Where(&ops.Match{Col: "p_size", Int: func(v int64) bool { return q16Sizes[v] }}).
 		Rows("p_partkey", "#p_brand", "#p_type", "p_size")
 	if err != nil {
 		return nil, err
@@ -34,7 +34,7 @@ func q16Engine(t *Tables) (*memtable.RowTable, error) {
 		partRow[pk[i]] = i
 	}
 	sb, err := relq.Scan(t.S, t.Pool).
-		Where(&ops.StrPredicateFilter{Col: "s_comment", Pred: func(v []byte) bool {
+		Where(&ops.Match{Col: "s_comment", Str: func(v []byte) bool {
 			return bytes.Contains(v, []byte("Customer Complaints"))
 		}}).
 		Rows("s_suppkey")
@@ -72,8 +72,8 @@ func q16Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q17Engine(t *Tables) (*memtable.RowTable, error) {
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(dEqS("p_brand", "Brand#23")).
-		Where(dEqS("p_container", "MED BOX")).
+		Where(eqS("p_brand", "Brand#23")).
+		Where(eqS("p_container", "MED BOX")).
 		Rows("p_partkey")
 	if err != nil {
 		return nil, err
@@ -125,15 +125,15 @@ func q18Engine(t *Tables) (*memtable.RowTable, error) {
 func q19Engine(t *Tables) (*memtable.RowTable, error) {
 	var pKeys, qtyLo, qtyHi []int64
 	for _, br := range q19Branches {
-		var conts [][]byte
+		var conts []any
 		for c := range br.containers {
-			conts = append(conts, []byte(c))
+			conts = append(conts, c)
 		}
 		sizeHi := br.sizeHi
 		pb, err := relq.Scan(t.P, t.Pool).
-			Where(dEqS("p_brand", br.brand)).
-			Where(&ops.DictInFilter{Col: "p_container", StrValues: conts}).
-			Where(&ops.IntPredicateFilter{Col: "p_size", Pred: func(v int64) bool {
+			Where(eqS("p_brand", br.brand)).
+			Where(&ops.In{Col: "p_container", Values: conts}).
+			Where(&ops.Match{Col: "p_size", Int: func(v int64) bool {
 				return v >= 1 && v <= sizeHi
 			}}).
 			Rows("p_partkey")
@@ -148,8 +148,8 @@ func q19Engine(t *Tables) (*memtable.RowTable, error) {
 	}
 	payload := (&ops.Batch{}).AddInts("lo", qtyLo).AddInts("hi", qtyHi)
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(&ops.DictInFilter{Col: "l_shipmode", StrValues: [][]byte{[]byte("AIR"), []byte("REG AIR")}}).
-		Where(dEqS("l_shipinstruct", "DELIVER IN PERSON")).
+		Where(&ops.In{Col: "l_shipmode", Values: []any{"AIR", "REG AIR"}}).
+		Where(eqS("l_shipinstruct", "DELIVER IN PERSON")).
 		Join("p", pKeys, payload, "l_partkey").
 		WhereRow("qty", []string{"l_quantity", "p.lo", "p.hi"}, func(r relq.Row) bool {
 			q := r.Int(0)
@@ -175,7 +175,7 @@ func q19Engine(t *Tables) (*memtable.RowTable, error) {
 func q20Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
 	pb, err := relq.Scan(t.P, t.Pool).
-		Where(&ops.StrPredicateFilter{Col: "p_name", Pred: func(v []byte) bool {
+		Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
 			return bytes.HasPrefix(v, []byte("forest"))
 		}}).
 		Rows("p_partkey")
@@ -188,8 +188,8 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 		forest[k] = true
 	}
 	b, err := relq.Scan(t.L, t.Pool).
-		Where(dGe("l_shipdate", lo)).
-		Where(dLt("l_shipdate", hi)).
+		Where(ge("l_shipdate", lo)).
+		Where(lt("l_shipdate", hi)).
 		Semi("f", forestKeys, "l_partkey").
 		GroupBy(
 			[]relq.GKey{
@@ -210,7 +210,7 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q21Engine(t *Tables) (*memtable.RowTable, error) {
 	lateb, err := relq.Scan(t.L, t.Pool).
-		Where(&ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}).
+		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
 		Rows("l_orderkey", "l_suppkey")
 	if err != nil {
 		return nil, err

@@ -48,19 +48,19 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 	ctx := context.Background()
 	switch op {
 	case MicroSingleColumnCompare:
-		bm, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpLe, IntValue: Date(1998, 9, 1)}, t.L, t.Pool, nil)
+		bm, err := ops.ApplyFilter(ctx, le("l_shipdate", Date(1998, 9, 1)), t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
 		return int64(bm.Cardinality()), nil
 	case MicroTwoColumnsCompare:
-		bm, err := ops.ApplyFilter(ctx, &ops.TwoColumnFilter{ColA: "l_commitdate", ColB: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
+		bm, err := ops.ApplyFilter(ctx, &ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
 		return int64(bm.Cardinality()), nil
 	case MicroSingleColumnLike:
-		bm, err := ops.ApplyFilter(ctx, &ops.DictLikeFilter{Col: "p_container", Match: func(e []byte) bool {
+		bm, err := ops.ApplyFilter(ctx, &ops.Match{Col: "p_container", Str: func(e []byte) bool {
 			return bytes.HasPrefix(e, []byte("LG"))
 		}}, t.P, t.Pool, nil)
 		if err != nil {
@@ -96,7 +96,7 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 		}
 		return int64(res.NumGroups()), nil
 	case MicroJoin:
-		sel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("HOUSEHOLD")}, t.C, t.Pool, nil)
+		sel, err := ops.ApplyFilter(ctx, eqS("c_mktsegment", "HOUSEHOLD"), t.C, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -121,7 +121,7 @@ func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
 	switch op {
 	case MicroSingleColumnCompare:
 		cutoff := Date(1998, 9, 1)
-		bm, err := ops.ApplyFilter(ctx, &ops.IntPredicateFilter{Col: "l_shipdate", Pred: func(v int64) bool { return v <= cutoff }}, t.L, t.Pool, nil)
+		bm, err := ops.ApplyFilter(ctx, &ops.Decode{Col: "l_shipdate", Int: func(v int64) bool { return v <= cutoff }}, t.L, t.Pool, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +143,7 @@ func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
 		}
 		return n, nil
 	case MicroSingleColumnLike:
-		bm, err := ops.ApplyFilter(ctx, &ops.StrPredicateFilter{Col: "p_container", Pred: func(v []byte) bool {
+		bm, err := ops.ApplyFilter(ctx, &ops.Decode{Col: "p_container", Str: func(v []byte) bool {
 			return bytes.HasPrefix(v, []byte("LG"))
 		}}, t.P, t.Pool, nil)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"codecdb/internal/exec"
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
-	"codecdb/internal/sboost"
 )
 
 // Q3Pipelined is TPC-H Q3 expressed as an operator DAG of pipeline stages
@@ -38,7 +37,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// Stage 1: filter customers on segment, build the key set. This stage
 	// ends at a blocking operator (hash-table build).
 	err := g.AddStage("customer", func() error {
-		cSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "c_mktsegment", Op: sboost.OpEq, StrValue: []byte("BUILDING")}, t.C, t.Pool, nil)
+		cSel, err := ops.ApplyFilter(ctx, eqS("c_mktsegment", "BUILDING"), t.C, t.Pool, nil)
 		if err != nil {
 			return err
 		}
@@ -58,7 +57,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// gather the join keys and payload. Column reads go through the batch
 	// cache so a second operator needing l_orderkey reuses the load.
 	err = g.AddStage("lineitem", func() error {
-		lSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "l_shipdate", Op: sboost.OpGt, IntValue: cutoff}, t.L, t.Pool, nil)
+		lSel, err := ops.ApplyFilter(ctx, gt("l_shipdate", cutoff), t.L, t.Pool, nil)
 		if err != nil {
 			return err
 		}
@@ -85,7 +84,7 @@ func (t *Tables) Q3Pipelined(opPool *exec.Pool) (*memtable.RowTable, error) {
 	// Stage 3: filter orders on date, semi-join against the customer set,
 	// build the order hash table. Depends on stage 1 only.
 	err = g.AddStage("orders", func() error {
-		oSel, err := ops.ApplyFilter(ctx, &ops.DictFilter{Col: "o_orderdate", Op: sboost.OpLt, IntValue: cutoff}, t.O, t.Pool, nil)
+		oSel, err := ops.ApplyFilter(ctx, lt("o_orderdate", cutoff), t.O, t.Pool, nil)
 		if err != nil {
 			return err
 		}

@@ -50,7 +50,7 @@ func TestApplyFilterAllocsBounded(t *testing.T) {
 	const maxAllocs = 24
 	r := guardTable(t, n)
 	pool := exec.NewPool(1)
-	f := &ops.DictFilter{Col: "shipdate", Op: sboost.OpLt, IntValue: 40}
+	f := &ops.Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 40}
 	ctx := context.Background()
 
 	// Warm lazily-initialised state (dictionary cache, arena pools).

@@ -98,14 +98,8 @@ func BenchmarkPlannerPipeline(b *testing.B) {
 		// selection threaded between them, intersect at the end.
 		r := tbl.inner.R
 		pool := tbl.db.inner.DataPool()
-		fTag, err := filterFor(tbl.inner.R, "tag", Eq, "needle")
-		if err != nil {
-			b.Fatal(err)
-		}
-		fLevel, err := filterFor(tbl.inner.R, "level", Ge, int64(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		fTag := &ops.Cmp{Col: "tag", Op: Eq, Value: "needle"}
+		fLevel := &ops.Cmp{Col: "level", Op: Ge, Value: 1}
 		ctx := context.Background()
 		tbl.ResetIOStats()
 		b.ResetTimer()

@@ -3,7 +3,6 @@ package codecdb
 import (
 	"fmt"
 
-	"codecdb/internal/colstore"
 	"codecdb/internal/ops"
 )
 
@@ -50,6 +49,8 @@ const (
 
 // Col compares a column against a constant: `col op value`. Value may be
 // int, int64, float64, string, or []byte and must match the column type.
+// Each part picks its kernel from its own encoding: dictionary, bit-packed
+// and delta columns are compared in place, others decode and test.
 func Col(col string, op CmpOp, value any) Pred {
 	return Pred{kind: predCmp, col: col, op: op, value: value}
 }
@@ -58,9 +59,10 @@ func Col(col string, op CmpOp, value any) Pred {
 func ColEq(col string, value any) Pred { return Col(col, Eq, value) }
 
 // In matches rows whose column value is one of values: strings/[]byte for
-// string columns, integers for integer columns. On a dictionary-encoded
-// column the set is resolved to keys once and scanned in place; elsewhere
-// it runs as an OR of equality filters.
+// string columns, integers for integer columns. Each part picks its kernel
+// from its own encoding: a dictionary resolves the set to keys once and
+// scans them in place, bit-packed and delta columns scan for the zigzag
+// key set, anything else decodes and tests membership.
 func In(col string, values ...any) Pred {
 	return Pred{kind: predIn, col: col, values: values}
 }
@@ -107,21 +109,46 @@ func Not(p Pred) Pred { return Pred{kind: predNot, kids: []Pred{p}} }
 // or panicking predicates) the public surface refuses to build.
 func rawPred(f ops.Filter) Pred { return Pred{kind: predRaw, raw: f} }
 
-// checkPred validates p when it joins a query — against metadata only —
-// so malformed predicates surface from Query/And* (via Query.Err) rather
-// than mid-scan with a worse message. Validation is bindPred against the
-// table's schema reader, result discarded; terminals bind again, once per
-// part, for the filters each part's encodings allow.
+// checkPred validates p when it joins a query — against the schema only,
+// no dictionary or page is read — so malformed predicates surface from
+// Query/And* (via Query.Err) rather than mid-scan with a worse message.
+// Terminals then plan once per part, and each part's encodings pick the
+// kernels.
 func (t *Table) checkPred(p Pred) error {
+	lp, err := t.lower(p)
+	if err != nil {
+		return err
+	}
+	return ops.CheckPred(lp, t.schemaReader())
+}
+
+// bindPlans lowers p and plans it against every part: the operator layer
+// binds each leaf to the part's columns, so each part runs the fastest
+// kernels its own encodings allow.
+func (t *Table) bindPlans(parts []ops.Part, p Pred) ([]*ops.Plan, error) {
+	lp, err := t.lower(p)
+	if err != nil {
+		return nil, err
+	}
+	plans := make([]*ops.Plan, len(parts))
+	for i, part := range parts {
+		if plans[i], err = ops.BuildPlan(lp, part.R); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
+}
+
+// lower is lowerPred for a predicate over this table.
+func (t *Table) lower(p Pred) (*ops.Pred, error) {
 	if t.IsIngest() && usesCols(p) {
 		// A two-column comparison runs on the key streams of one shared
 		// order-preserving dictionary. Shards are encoded independently at
 		// flush time and the tail has no dictionary at all, so no dictionary
 		// spans an ingest table's parts until compaction builds one.
-		return fmt.Errorf("codecdb: two-column predicates need a dictionary shared across the table's parts; ingest table %s has none", t.Name())
+		return nil, fmt.Errorf("codecdb: two-column predicates need a dictionary shared across the table's parts; ingest table %s has none", t.Name())
 	}
-	_, err := bindPred(t.schemaReader(), p)
-	return err
+	return lowerPred(p)
 }
 
 // usesCols reports whether the tree contains a two-column comparison.
@@ -137,45 +164,30 @@ func usesCols(p Pred) bool {
 	return false
 }
 
-// bindPred validates p against one reader's schema and lowers it to the
-// operator-layer predicate IR — the one place a Pred becomes an ops.Pred.
-// Encoding-dependent predicates take the fastest form the reader's column
-// allows: IN and LIKE run on dictionary keys where the column has a
-// dictionary, and fall back to an OR of equality filters and a row-wise
-// string match where it does not.
-func bindPred(r *colstore.Reader, p Pred) (*ops.Pred, error) {
+// lowerPred maps a Pred onto the operator layer's predicate IR, kind for
+// kind. The leaves stay logical: nothing here looks at a schema or an
+// encoding.
+func lowerPred(p Pred) (*ops.Pred, error) {
 	switch p.kind {
 	case predZero:
 		return ops.AndPred(), nil // empty conjunction: all rows
 	case predRaw:
 		return ops.LeafPred(p.raw), nil
 	case predCmp:
-		f, err := filterFor(r, p.col, p.op, p.value)
-		if err != nil {
-			return nil, err
-		}
-		return ops.LeafPred(f), nil
+		return ops.LeafPred(&ops.Cmp{Col: p.col, Op: p.op, Value: p.value}), nil
 	case predIn:
-		return bindIn(r, p.col, p.values)
+		return ops.LeafPred(&ops.In{Col: p.col, Values: p.values}), nil
 	case predLike:
-		f, err := likeFilterFor(r, p.col, p.match)
-		if err != nil {
-			return nil, err
-		}
-		return ops.LeafPred(f), nil
+		return ops.LeafPred(&ops.Match{Col: p.col, Str: p.match}), nil
 	case predCols:
-		f, err := twoColFilterFor(r, p.col, p.op, p.colB)
-		if err != nil {
-			return nil, err
-		}
-		return ops.LeafPred(f), nil
+		return ops.LeafPred(&ops.Cols{A: p.col, B: p.colB, Op: p.op}), nil
 	case predAll, predAny:
 		if p.kind == predAny && len(p.kids) == 0 {
 			return nil, fmt.Errorf("codecdb: AnyOf needs at least one predicate")
 		}
 		kids := make([]*ops.Pred, len(p.kids))
 		for i, k := range p.kids {
-			kp, err := bindPred(r, k)
+			kp, err := lowerPred(k)
 			if err != nil {
 				return nil, err
 			}
@@ -186,106 +198,14 @@ func bindPred(r *colstore.Reader, p Pred) (*ops.Pred, error) {
 		}
 		return ops.AndPred(kids...), nil
 	case predNot:
-		inner, err := bindPred(r, p.kids[0])
+		inner, err := lowerPred(p.kids[0])
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case inner.Kind == ops.PredLeaf:
-			return ops.NotPred(inner.Leaf), nil
-		case p.kids[0].kind == predIn:
-			// IN lowered to an OR of equality leaves: NOT distributes over it.
-			kids := make([]*ops.Pred, len(inner.Kids))
-			for i, k := range inner.Kids {
-				kids[i] = ops.NotPred(k.Leaf)
-			}
-			return ops.AndPred(kids...), nil
+		if inner.Kind != ops.PredLeaf {
+			return nil, fmt.Errorf("codecdb: Not supports only leaf predicates (Col/In/Like/Cols); rewrite composites with De Morgan's laws")
 		}
-		return nil, fmt.Errorf("codecdb: Not supports only leaf predicates (Col/In/Like/Cols); rewrite composites with De Morgan's laws")
+		return ops.NotPred(inner.Leaf), nil
 	}
 	return nil, fmt.Errorf("codecdb: invalid predicate")
-}
-
-// bindIn validates an IN predicate — column exists, value types match the
-// column type — and lowers it: one key-set filter on a dictionary-encoded
-// column, an OR of equality filters otherwise.
-func bindIn(r *colstore.Reader, col string, values []any) (*ops.Pred, error) {
-	_, c, err := r.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("codecdb: IN on %s needs at least one value", col)
-	}
-	var strs [][]byte
-	var ints []int64
-	for _, v := range values {
-		switch x := v.(type) {
-		case string:
-			strs = append(strs, []byte(x))
-		case []byte:
-			strs = append(strs, x)
-		case int:
-			ints = append(ints, int64(x))
-		case int64:
-			ints = append(ints, x)
-		default:
-			return nil, fmt.Errorf("codecdb: unsupported IN value %T for column %s", v, col)
-		}
-	}
-	switch {
-	case c.Type == colstore.TypeInt64 && len(strs) > 0:
-		return nil, fmt.Errorf("codecdb: string IN values for integer column %s", col)
-	case c.Type == colstore.TypeString && len(ints) > 0:
-		return nil, fmt.Errorf("codecdb: integer IN values for string column %s", col)
-	}
-	if c.HasDict() {
-		return ops.LeafPred(&ops.DictInFilter{Col: col, StrValues: strs, IntValues: ints}), nil
-	}
-	kids := make([]*ops.Pred, len(values))
-	for i, v := range values {
-		f, err := filterFor(r, col, Eq, v)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = ops.LeafPred(f)
-	}
-	return ops.OrPred(kids...), nil
-}
-
-// likeFilterFor validates a LIKE predicate — the column must exist and be
-// a string column — and picks its filter: match runs once per dictionary
-// entry on a dictionary-encoded column, once per row otherwise.
-func likeFilterFor(r *colstore.Reader, col string, match func([]byte) bool) (ops.Filter, error) {
-	_, c, err := r.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type != colstore.TypeString {
-		return nil, fmt.Errorf("codecdb: LIKE needs a string column; %s is %v", col, c.Type)
-	}
-	if match == nil {
-		return nil, fmt.Errorf("codecdb: LIKE on %s needs a non-nil match function", col)
-	}
-	if c.HasDict() {
-		return &ops.DictLikeFilter{Col: col, Match: match}, nil
-	}
-	return &ops.StrPredicateFilter{Col: col, Pred: match}, nil
-}
-
-// twoColFilterFor validates a two-column comparison at build time: both
-// columns must exist and share one order-preserving dictionary.
-func twoColFilterFor(r *colstore.Reader, colA string, op CmpOp, colB string) (ops.Filter, error) {
-	ca, _, err := r.Column(colA)
-	if err != nil {
-		return nil, err
-	}
-	cb, _, err := r.Column(colB)
-	if err != nil {
-		return nil, err
-	}
-	if !r.SharedDict(ca, cb) {
-		return nil, fmt.Errorf("codecdb: %s and %s do not share a dictionary (load both with the same DictGroup)", colA, colB)
-	}
-	return &ops.TwoColumnFilter{ColA: colA, ColB: colB, Op: op}, nil
 }

@@ -1,13 +1,11 @@
 package codecdb
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"codecdb/internal/colstore"
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
 	"codecdb/internal/sboost"
@@ -148,9 +146,8 @@ func (q *Query) withPred(p Pred) *Query {
 func (q *Query) Err() error { return q.err }
 
 // Where starts a query with `col op value`. Value may be int64, int,
-// float64, string, or []byte and must match the column type.
-// Dictionary-encoded columns are filtered in place on the packed keys;
-// others fall back to decode-and-test.
+// float64, string, or []byte and must match the column type. Every part of
+// the table picks the kernel its own encoding allows (see Col).
 func (t *Table) Where(col string, op CmpOp, value any) *Query {
 	return t.All().And(col, op, value)
 }
@@ -191,107 +188,7 @@ func (q *Query) AndColumns(colA string, op CmpOp, colB string) *Query {
 	return q.withPred(Cols(colA, op, colB))
 }
 
-func filterFor(r *colstore.Reader, col string, op CmpOp, value any) (ops.Filter, error) {
-	_, c, err := r.Column(col)
-	if err != nil {
-		return nil, err
-	}
-	switch v := value.(type) {
-	case int:
-		return intFilterChecked(c, col, op, int64(v))
-	case int64:
-		return intFilterChecked(c, col, op, v)
-	case string:
-		return strFilterChecked(c, col, op, []byte(v))
-	case []byte:
-		return strFilterChecked(c, col, op, v)
-	case float64:
-		if c.Type != colstore.TypeFloat64 {
-			return nil, fmt.Errorf("codecdb: float predicate on %v column %q", c.Type, col)
-		}
-		return &ops.FloatPredicateFilter{Col: col, Pred: floatPred(op, v)}, nil
-	default:
-		return nil, fmt.Errorf("codecdb: unsupported predicate value %T", value)
-	}
-}
-
-func intFilterChecked(c *colstore.Column, col string, op CmpOp, v int64) (ops.Filter, error) {
-	if c.Type != colstore.TypeInt64 {
-		return nil, fmt.Errorf("codecdb: integer predicate on %v column %q", c.Type, col)
-	}
-	switch c.Encoding {
-	case Dictionary:
-		return &ops.DictFilter{Col: col, Op: op, IntValue: v}, nil
-	case Delta:
-		return &ops.DeltaFilter{Col: col, Op: op, Value: v}, nil
-	case BitPacked:
-		return &ops.BitPackedFilter{Col: col, Op: op, Value: v}, nil
-	default:
-		return &ops.IntPredicateFilter{Col: col, Pred: intPred(op, v)}, nil
-	}
-}
-
-func strFilterChecked(c *colstore.Column, col string, op CmpOp, v []byte) (ops.Filter, error) {
-	if c.Type != colstore.TypeString {
-		return nil, fmt.Errorf("codecdb: string predicate on %v column %q", c.Type, col)
-	}
-	if c.Encoding == Dictionary || c.Encoding == DictRLE {
-		return &ops.DictFilter{Col: col, Op: op, StrValue: v}, nil
-	}
-	return &ops.StrPredicateFilter{Col: col, Pred: bytesPred(op, v)}, nil
-}
-
-func intPred(op CmpOp, target int64) func(int64) bool {
-	return func(v int64) bool { return cmpMatch(compareInt(v, target), op) }
-}
-
-func floatPred(op CmpOp, target float64) func(float64) bool {
-	return func(v float64) bool {
-		switch {
-		case v < target:
-			return cmpMatch(-1, op)
-		case v > target:
-			return cmpMatch(1, op)
-		default:
-			return cmpMatch(0, op)
-		}
-	}
-}
-
-func bytesPred(op CmpOp, target []byte) func([]byte) bool {
-	return func(v []byte) bool { return cmpMatch(bytes.Compare(v, target), op) }
-}
-
-func compareInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpMatch(c int, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return c == 0
-	case Ne:
-		return c != 0
-	case Lt:
-		return c < 0
-	case Le:
-		return c <= 0
-	case Gt:
-		return c > 0
-	case Ge:
-		return c >= 0
-	}
-	return false
-}
-
-// plans lowers the accumulated conjuncts against every part — each part
-// gets the fastest filters its own encodings allow — and builds one
+// plans binds the accumulated conjuncts to every part and builds one
 // ordered execution plan per part; nil when the query has no predicate.
 // Metadata only — Explain calls this without reading any page.
 func (q *Query) plans(parts []ops.Part) ([]*ops.Plan, error) {
@@ -301,20 +198,7 @@ func (q *Query) plans(parts []ops.Part) ([]*ops.Plan, error) {
 	if len(q.conjuncts) == 0 {
 		return nil, nil
 	}
-	return bindPlans(parts, AllOf(q.conjuncts...))
-}
-
-// bindPlans is plans for one predicate tree.
-func bindPlans(parts []ops.Part, p Pred) ([]*ops.Plan, error) {
-	plans := make([]*ops.Plan, len(parts))
-	for i, part := range parts {
-		bp, err := bindPred(part.R, p)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = ops.BuildPlan(bp, part.R)
-	}
-	return plans, nil
+	return q.t.bindPlans(parts, AllOf(q.conjuncts...))
 }
 
 // plansTraced builds the plans, and — when the context carries a span —

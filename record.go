@@ -62,7 +62,6 @@ func (q *Query) record(ctx context.Context, terminal string) (context.Context, f
 		rec.Decompress = time.Duration(dec)
 		if sp != nil {
 			rec.TraceRoot = sp
-			rec.AllocBytes = int64(sp.AllocBytes())
 		}
 		if err != nil {
 			rec.Err = err.Error()

@@ -63,9 +63,9 @@ func TestRecorderInFlightProgress(t *testing.T) {
 	reached := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	q := tbl.All().AndPred(rawPred(&ops.IntPredicateFilter{
+	q := tbl.All().AndPred(rawPred(&ops.Decode{
 		Col: "v",
-		Pred: func(v int64) bool {
+		Int: func(v int64) bool {
 			if v == n-rgRows { // first row of the last row group
 				once.Do(func() {
 					close(reached)
@@ -197,9 +197,9 @@ func TestRecorderCancellationDrains(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var once sync.Once
-			q := tbl.All().WithContext(ctx).AndPred(rawPred(&ops.IntPredicateFilter{
+			q := tbl.All().WithContext(ctx).AndPred(rawPred(&ops.Decode{
 				Col: "v",
-				Pred: func(v int64) bool {
+				Int: func(v int64) bool {
 					once.Do(func() { started <- struct{}{} })
 					time.Sleep(20 * time.Microsecond)
 					return v%7 == 0

@@ -286,14 +286,11 @@ func (q *Query) compileRel(refs []string) (*relCompiler, []string, error) {
 	}
 	c.rq = relq.ScanParts(parts, q.t.db.inner.DataPool()).WithContext(q.context())
 	if len(q.conjuncts) > 0 {
-		root := AllOf(q.conjuncts...)
-		preds := make([]*ops.Pred, len(parts))
-		for i, part := range parts {
-			if preds[i], err = bindPred(part.R, root); err != nil {
-				return nil, nil, err
-			}
+		lp, err := lowerPred(AllOf(q.conjuncts...))
+		if err != nil {
+			return nil, nil, err
 		}
-		c.rq.WherePartPreds(preds)
+		c.rq.WherePred(lp)
 	}
 	sp := obs.SpanFrom(q.context())
 	for i, j := range q.joins {

@@ -56,9 +56,9 @@ func TestQueryCancellation(t *testing.T) {
 	// A filter slow enough that the deadline always lands mid-scan.
 	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer dcancel()
-	slow := tbl.All().WithContext(dctx).AndPred(rawPred(&ops.IntPredicateFilter{
+	slow := tbl.All().WithContext(dctx).AndPred(rawPred(&ops.Decode{
 		Col: "v",
-		Pred: func(v int64) bool {
+		Int: func(v int64) bool {
 			time.Sleep(50 * time.Microsecond)
 			return v == 3
 		},
@@ -82,9 +82,9 @@ func TestQueryCancellation(t *testing.T) {
 // and a stack trace — the process does not crash.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	_, tbl := robustnessDB(t)
-	q := tbl.All().AndPred(rawPred(&ops.IntPredicateFilter{
-		Col:  "v",
-		Pred: func(v int64) bool { panic("predicate exploded") },
+	q := tbl.All().AndPred(rawPred(&ops.Decode{
+		Col: "v",
+		Int: func(v int64) bool { panic("predicate exploded") },
 	}))
 	_, err := q.Count()
 	if err == nil {

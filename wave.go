@@ -141,10 +141,7 @@ func (t *Table) waveItem(parts []ops.Part, wq WaveQuery) (ops.SharedItem, error)
 		}
 	}
 	if !isZeroPred(wq.Pred) {
-		if err := t.checkPred(wq.Pred); err != nil {
-			return item, err
-		}
-		plans, err := bindPlans(parts, wq.Pred)
+		plans, err := t.bindPlans(parts, wq.Pred)
 		if err != nil {
 			return item, err
 		}
