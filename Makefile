@@ -33,11 +33,12 @@ race-obs:
 
 # guard-obs runs the allocation guards outside the race detector (alloc
 # counts change under -race): the fixed per-call bound on the whole-table
-# filter driver (ops.ApplyFilter) and the flight recorder's
+# filter driver (ops.ApplyFilter), the flight recorder's
 # constant-per-query alloc guard (recorder on vs off; the constant must
-# not scale with morsel count).
+# not scale with morsel count), and the per-extra-row-group bound on the
+# sinks every terminal is made of (per-morsel sink state is worker-local).
 guard-obs:
-	$(GO) test -count=1 -run 'TestApplyFilterAllocsBounded|TestQueryRecorderConstantAllocOverhead' .
+	$(GO) test -count=1 -run 'TestApplyFilterAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded' .
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
@@ -67,15 +68,16 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestWave|TestEpoch|TestWithExec|TestPageCacheOption' .
 
 # race-join focuses the race detector on the relational executor: the
-# join/group/sort kernels and their oracle property tests, the relq
-# builder against its nested-loop references, the engine-compiled ≡
-# oblivious equivalence suites for TPC-H and SSB, and the public
-# relational Query API (joins, order-by/limit, trace spans).
+# join/group/sort kernels and their oracle property tests, members of one
+# pass against their solo runs, the relq builder against its nested-loop
+# references, the engine-compiled ≡ oblivious equivalence suites for TPC-H
+# and SSB, and the public relational Query API (joins under every
+# terminal, order-by/limit, trace spans).
 race-join:
-	$(GO) test -race -count=1 -run 'TestHashJoin|TestRel|TestExternalSort|TestSortRows|TestTopN' ./internal/ops/
+	$(GO) test -race -count=1 -run 'TestHashJoin|TestRel|TestRunWave|TestArrayAggregate|TestExternalSort' ./internal/ops/
 	$(GO) test -race -count=1 ./internal/relq/
 	$(GO) test -race -count=1 -run 'TestEngineMatchesOblivious' ./internal/tpch/ ./internal/ssb/
-	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestExplainAnalyzeRel|TestTracedTopK|TestRelDict' .
+	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestJoinWithEmptyBuildSide|TestAggRowsOverNoRows|TestExplainAnalyzeRel|TestTracedTopK|TestRelDict' .
 
 # crash runs the write-path fault-injection suite under the race
 # detector: the crash-point matrix (every write-side filesystem

@@ -3,40 +3,8 @@ package exec_test
 import (
 	"fmt"
 
-	"codecdb/internal/bitutil"
 	"codecdb/internal/exec"
 )
-
-// Example_streamPipeline reproduces the paper's §5.2 walkthrough: build a
-// demand-driven pipeline that scans integer blocks into bitmaps of
-// positive positions, then folds the bitmap cardinalities into a count.
-// Nothing executes until the terminal Reduce call.
-func Example_streamPipeline() {
-	blocks := [][]int64{
-		{3, -1, 4, -1, 5},
-		{-9, 2, -6, 5, -3},
-		{5, 8, -9, 7, 9},
-	}
-	// Stage 1: stream the data blocks.
-	s := exec.FromSlice(blocks)
-	// Stage 2: map each block to a bitmap marking positive values.
-	bitmaps := exec.Map(s, func(block []int64) *bitutil.Bitmap {
-		bm := bitutil.NewBitmap(len(block))
-		for i, v := range block {
-			if v > 0 {
-				bm.Set(i)
-			}
-		}
-		return bm
-	})
-	// Terminal stage: fold cardinalities; this triggers the pipeline.
-	total := exec.Reduce(bitmaps, 0, func(acc int, bm *bitutil.Bitmap) int {
-		return acc + bm.Cardinality()
-	})
-	fmt.Println("positive values:", total)
-	// Output:
-	// positive values: 9
-}
 
 // Example_operatorGraph shows the Figure 3 shape: two independent scan
 // stages feed a blocking join stage, which feeds an aggregation stage.

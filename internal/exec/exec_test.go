@@ -180,39 +180,6 @@ func TestParallelChunksErrHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-func TestStreamLazyAndFused(t *testing.T) {
-	calls := 0
-	s := Map(Generate(10, func(i int) int { calls++; return i }), func(v int) int { return v * 2 })
-	if calls != 0 {
-		t.Fatal("building a pipeline must not evaluate it (lazy)")
-	}
-	sum := Reduce(s, 0, func(a, v int) int { return a + v })
-	if sum != 90 {
-		t.Fatalf("sum = %d", sum)
-	}
-	if calls != 10 {
-		t.Fatalf("generator called %d times", calls)
-	}
-}
-
-func TestStreamFilterCollect(t *testing.T) {
-	got := Filter(FromSlice([]int{1, 2, 3, 4, 5, 6}), func(v int) bool { return v%2 == 0 }).Collect()
-	if len(got) != 3 || got[0] != 2 || got[2] != 6 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestStreamParallelForEach(t *testing.T) {
-	p := NewPool(4)
-	var sum int64
-	FromSlice([]int{1, 2, 3, 4, 5}).ParallelForEach(p, func(v int) {
-		atomic.AddInt64(&sum, int64(v))
-	})
-	if sum != 15 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
 func TestGraphRespectsDependencies(t *testing.T) {
 	g := NewGraph()
 	var mu sync.Mutex

@@ -40,132 +40,77 @@ type AggResult struct {
 // NumGroups returns the number of populated groups.
 func (r *AggResult) NumGroups() int { return len(r.Keys) }
 
-// PartialArrayAgg is a worker-local partial array aggregation (§5.4):
-// group keys are dictionary codes in [0, keySpace), so each aggregate
+// relAggOf maps a vector aggregate onto the grouped sink's kind.
+var relAggOf = [...]RelAggKind{
+	AggCount: RelAggCount, AggSumInt: RelAggSumInt, AggSumFloat: RelAggSumFloat,
+	AggMinInt: RelAggMinInt, AggMaxInt: RelAggMaxInt,
+}
+
+// ArrayAggregate is the whole-table array aggregation operator (§5.4, Fig
+// 6): group keys are dictionary codes in [0, keySpace), so each aggregate
 // lives in a flat array indexed by key — no hashing, no collisions, and
-// block-level partials merge with one addition per slot. A pipeline worker
-// accumulates each of its row groups into one PartialArrayAgg; the final
-// merge folds the per-worker partials together.
-type PartialArrayAgg struct {
-	kinds  []AggKind
-	counts []int64
-	accs   [][]float64
-}
-
-// NewPartialArrayAgg builds an empty partial for keySpace groups and one
-// accumulator per aggregate kind.
-func NewPartialArrayAgg(keySpace int, kinds []AggKind) *PartialArrayAgg {
-	p := &PartialArrayAgg{
-		kinds:  kinds,
-		counts: make([]int64, keySpace),
-		accs:   make([][]float64, len(kinds)),
-	}
-	for j, k := range kinds {
-		p.accs[j] = newAccArray(k, keySpace)
-	}
-	return p
-}
-
-// Accumulate folds one block of keys into the partial. specs must align
-// with the partial's kinds and carry value vectors matching len(keys).
-func (p *PartialArrayAgg) Accumulate(keys []int64, specs []VecAgg) error {
-	if len(specs) != len(p.kinds) {
-		return fmt.Errorf("ops: %d specs, want %d", len(specs), len(p.kinds))
-	}
-	for j, s := range specs {
-		if s.Kind != p.kinds[j] {
-			return fmt.Errorf("ops: spec %d kind %d, want %d", j, s.Kind, p.kinds[j])
-		}
-		if err := s.validate(len(keys)); err != nil {
-			return fmt.Errorf("ops: spec %d: %w", j, err)
-		}
-	}
-	for i, k := range keys {
-		p.counts[k]++
-		for j, spec := range specs {
-			accumulate(p.accs[j], spec, k, i)
-		}
-	}
-	return nil
-}
-
-// Merge folds another partial into p (§5.4: merging arrays is one pass,
-// unlike merging hash tables). Both must come from NewPartialArrayAgg with
-// the same keySpace and kinds.
-func (p *PartialArrayAgg) Merge(o *PartialArrayAgg) {
-	for k := range o.counts {
-		if o.counts[k] == 0 {
-			continue
-		}
-		p.counts[k] += o.counts[k]
-		for j, kind := range p.kinds {
-			mergeSlot(p.accs[j], o.accs[j], kind, k)
-		}
-	}
-}
-
-// Result compacts the partial into the grouped result, dropping empty
-// groups; keys come out ascending.
-func (p *PartialArrayAgg) Result() *AggResult {
-	specs := make([]VecAgg, len(p.kinds))
-	for j, k := range p.kinds {
-		specs[j] = VecAgg{Kind: k}
-	}
-	return compactResult(p.counts, p.accs, specs)
-}
-
-// ArrayAggregate is the whole-table array aggregation entry point, now a
-// thin wrapper over the partial-aggregate kernels: the key vector splits
-// into morsels, each worker accumulates its morsels into one private
-// partial, and the partials merge.
+// partials merge with one addition per slot. It is a thin wrapper over the
+// grouped sink's accumulator (relgroup.go), the one array-aggregation
+// kernel: the key vector splits into morsels, each worker accumulates its
+// morsels into one private dense partial, and the partials merge.
 func ArrayAggregate(pool *exec.Pool, keys []int64, keySpace int, specs []VecAgg) (*AggResult, error) {
 	if keySpace <= 0 {
 		return nil, fmt.Errorf("ops: non-positive key space %d", keySpace)
 	}
-	for i, s := range specs {
-		if err := s.validate(len(keys)); err != nil {
-			return nil, fmt.Errorf("ops: spec %d: %w", i, err)
-		}
-	}
-	kinds := make([]AggKind, len(specs))
+	// Sink inputs: the keys, then one per spec; a trailing count feeds
+	// AggResult.Counts.
+	g := &RelGroup{Keys: []RelGroupKey{{Input: 0, Hi: int64(keySpace)}}}
 	for j, s := range specs {
-		kinds[j] = s.Kind
+		if err := s.validate(len(keys)); err != nil {
+			return nil, fmt.Errorf("ops: spec %d: %w", j, err)
+		}
+		g.Aggs = append(g.Aggs, RelAgg{Kind: relAggOf[s.Kind], Input: j + 1})
 	}
+	g.Aggs = append(g.Aggs, RelAgg{Kind: RelAggCount})
+	lay := planGroupLayout(g, int64(keySpace), 0) // dense at any key space
 	chunk := (len(keys) + pool.Size() - 1) / pool.Size()
 	if chunk == 0 {
 		chunk = 1
 	}
 	nMorsels := (len(keys) + chunk - 1) / chunk
 	parts, err := exec.ParallelMorsels(context.Background(), pool, nMorsels,
-		func(worker int) *PartialArrayAgg { return NewPartialArrayAgg(keySpace, kinds) },
-		func(ctx context.Context, p *PartialArrayAgg, m int) error {
+		func(worker int) *relGroupAcc { return newRelGroupAcc(g, &lay) },
+		func(ctx context.Context, a *relGroupAcc, m int) error {
 			s := m * chunk
-			e := s + chunk
-			if e > len(keys) {
-				e = len(keys)
-			}
-			sub := make([]VecAgg, len(specs))
+			e := min(s+chunk, len(keys))
+			env := &RelEnv{N: e - s, I: make([][]int64, len(specs)+1), F: make([][]float64, len(specs)+1)}
+			env.I[0] = keys[s:e]
 			for j, sp := range specs {
-				sub[j] = VecAgg{Kind: sp.Kind}
 				if sp.Ints != nil {
-					sub[j].Ints = sp.Ints[s:e]
+					env.I[j+1] = sp.Ints[s:e]
 				}
 				if sp.Floats != nil {
-					sub[j].Floats = sp.Floats[s:e]
+					env.F[j+1] = sp.Floats[s:e]
 				}
 			}
-			return p.Accumulate(keys[s:e], sub)
+			return a.accumulate(env, 0)
 		})
 	if err != nil {
 		return nil, err
 	}
-	total := NewPartialArrayAgg(keySpace, kinds)
+	total := newRelGroupAcc(g, &lay)
 	for _, p := range parts {
 		if p != nil {
-			total.Merge(p)
+			total.merge(p)
 		}
 	}
-	return total.Result(), nil
+	b := total.result(make([]string, len(specs)+2))
+	res := &AggResult{Keys: b.Ints[0], Counts: b.Ints[len(specs)+1], Out: make([][]float64, len(specs))}
+	for j := range specs {
+		res.Out[j] = b.Floats[j+1]
+		if res.Out[j] == nil {
+			res.Out[j] = make([]float64, b.N)
+			for i, v := range b.Ints[j+1] {
+				res.Out[j][i] = float64(v)
+			}
+		}
+	}
+	return res, nil
 }
 
 func (s VecAgg) validate(n int) error {
@@ -182,70 +127,6 @@ func (s VecAgg) validate(n int) error {
 		}
 	}
 	return nil
-}
-
-func newAccArray(kind AggKind, n int) []float64 {
-	acc := make([]float64, n)
-	switch kind {
-	case AggMinInt:
-		for i := range acc {
-			acc[i] = float64(int64(^uint64(0) >> 1)) // +inf sentinel
-		}
-	case AggMaxInt:
-		for i := range acc {
-			acc[i] = -float64(int64(^uint64(0) >> 1))
-		}
-	}
-	return acc
-}
-
-func accumulate(acc []float64, spec VecAgg, k int64, i int) {
-	switch spec.Kind {
-	case AggCount:
-		acc[k]++
-	case AggSumInt:
-		acc[k] += float64(spec.Ints[i])
-	case AggSumFloat:
-		acc[k] += spec.Floats[i]
-	case AggMinInt:
-		if v := float64(spec.Ints[i]); v < acc[k] {
-			acc[k] = v
-		}
-	case AggMaxInt:
-		if v := float64(spec.Ints[i]); v > acc[k] {
-			acc[k] = v
-		}
-	}
-}
-
-func mergeSlot(dst, src []float64, kind AggKind, k int) {
-	switch kind {
-	case AggMinInt:
-		if src[k] < dst[k] {
-			dst[k] = src[k]
-		}
-	case AggMaxInt:
-		if src[k] > dst[k] {
-			dst[k] = src[k]
-		}
-	default:
-		dst[k] += src[k]
-	}
-}
-
-func compactResult(counts []int64, accs [][]float64, specs []VecAgg) *AggResult {
-	res := &AggResult{Out: make([][]float64, len(specs))}
-	for k, c := range counts {
-		if c == 0 {
-			continue
-		}
-		res.Keys = append(res.Keys, int64(k))
-		res.Counts = append(res.Counts, c)
-		for j := range specs {
-			res.Out[j] = append(res.Out[j], accs[j][k])
-		}
-	}
-	return res
 }
 
 // stripeCount is the default stripe fan-out for stripe hash aggregation

@@ -1,13 +1,18 @@
-// Package ops implements CodecDB's query operators (paper §5.3–§5.5):
-// encoding-aware filters built on the SBoost in-situ scan kernels
-// (dictionary predicates, LIKE/IN rewriting, two-column packed comparison,
-// delta filtering via SWAR cumulative sum), array and stripe-hash
-// aggregation, phase-concurrent hash joins, sorts, and top-n — plus the
-// encoding-oblivious versions of each operator that the micro-benchmarks
-// (Fig 6) compare against.
+// Package ops implements CodecDB's query operators (paper §5.3–§5.5) and
+// the one executor that runs them. A query is (predicate plan, stages,
+// sink): logical filter leaves (this file) bound once per part to the
+// SBoost in-situ scan kernels their column's encoding allows (bind.go,
+// plan.go), hash-join probe stages and residual row filters, and exactly
+// one sink — a collect or a group (rel.go, relgroup.go) — compiled into a
+// per-row-group pipeline (pipeline.go) and driven by one morsel pass over
+// a table's parts (parts.go) behind one entry point, Run.
 //
-// Filter operators return sectional bitmaps with one section per row
-// group, the shape the data-skipping column readers consume (§5.1, §5.2).
+// Beside the executor live the whole-table operators the paper-figure
+// code runs one at a time — ApplyFilter, the gathers, array / stripe-hash
+// / oblivious hash aggregation (Fig 6), phase-concurrent and nested-loop
+// hash joins, external merge sort — whose filters return sectional
+// bitmaps with one section per row group, the shape the data-skipping
+// column readers consume (§5.1, §5.2).
 package ops
 
 import (

@@ -12,7 +12,7 @@ import (
 	"codecdb/internal/obs"
 )
 
-// This file is the one scan driver under every terminal. A table is an
+// This file is the one scan driver under every query. A table is an
 // ordered list of parts — a static table is one, an ingest snapshot is its
 // shards followed by its tail images — and a scan is a set of member
 // queries, each compiled once per part. The driver runs ONE morsel pass
@@ -61,10 +61,9 @@ type partScan struct {
 
 // scanParts runs members[j][i] — member j's pipeline over parts[i] — for
 // every member over every row group of every part, in one morsel pass,
-// then merges each pipeline's partials into its res. With fail nil a
-// member error aborts the pass; otherwise the member is reported through
-// fail (once), sits out the rest of the pass, and is not merged. Only
-// cancellation or a panic aborts a pass that has a fail sink.
+// then merges each pipeline's partials into its out and rows. A member
+// that errors is reported through fail (once), sits out the rest of the
+// pass, and is not merged; only cancellation or a panic aborts the pass.
 func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*pipeline, fail func(member int, err error)) error {
 	np := len(parts)
 	starts := make([]int, np+1) // starts[i] is part i's first morsel
@@ -80,19 +79,9 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 		nw = n
 	}
 	failed := make([]atomic.Bool, len(members))
-	report := func(j int, err error) bool {
-		if fail == nil {
-			return false
-		}
-		if failed[j].CompareAndSwap(false, true) {
-			fail(j, err)
-		}
-		return true
-	}
 	for _, pipes := range members {
 		for i, p := range pipes {
-			p.initParts(parts[i].R.NumRowGroups())
-			p.initWorkers(nw)
+			p.initRun(nw, parts[i].R.NumRowGroups())
 		}
 	}
 	locate := func(m int) (part, rg int) {
@@ -161,8 +150,11 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 				if merr := p.runMorsel(ps.ctx, w, rg); merr != nil {
 					// Cancellation surfaces through every member at once:
 					// abort the pass instead of failing them all.
-					if mctx.Err() != nil || !report(j, merr) {
+					if mctx.Err() != nil {
 						return merr
+					}
+					if failed[j].CompareAndSwap(false, true) {
+						fail(j, merr)
 					}
 				}
 			}
@@ -210,8 +202,13 @@ func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline
 		switch {
 		case len(p.leaves) > 0:
 			scheds = append(scheds, p.leaves[0].b.pages)
-		case p.ci >= 0:
-			scheds = append(scheds, schedAllPages(r, p.ci))
+		case len(p.rel.Stages) == 0:
+			// Every row reaches the sink: it will read its scan columns whole.
+			for j := range p.rel.Sink.Inputs {
+				if in := &p.rel.Sink.Inputs[j]; in.FromStage < 0 && in.ci >= 0 {
+					scheds = append(scheds, schedAllPages(r, in.ci))
+				}
+			}
 		}
 	}
 	if len(scheds) == 0 {

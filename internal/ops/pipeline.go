@@ -3,7 +3,7 @@ package ops
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"codecdb/internal/arena"
@@ -16,76 +16,12 @@ import (
 // This file is the morsel-driven pipelined executor (paper §5.2 taken to
 // its conclusion): instead of running each operator over the whole table
 // behind a barrier, a planned query compiles into a per-row-group pipeline
-// — filter conjuncts in planned order, then the terminal's selective
-// gather and partial aggregation — and pool workers each claim one row
+// — filter conjuncts in planned order, then the relational plan's probe
+// stages and its one sink (rel.go) — and pool workers each claim one row
 // group at a time and run it through the entire pipeline with
 // worker-local state. Every selected page is fetched, verified, and
 // decompressed at most once per query, intermediates never exceed one row
 // group, and no operator waits for another to finish the table.
-
-// TermKind names the terminal a pipeline feeds.
-type TermKind int
-
-const (
-	// TermCount counts selected rows.
-	TermCount TermKind = iota
-	// TermRowIDs collects global ids of selected rows.
-	TermRowIDs
-	// TermInts gathers an integer column.
-	TermInts
-	// TermFloats gathers a float column.
-	TermFloats
-	// TermStrings gathers a string column.
-	TermStrings
-	// TermGroupCount counts selected rows per distinct value of an integer
-	// or string column: array aggregation over dictionary keys where the
-	// part's column has a dictionary, a hash count over gathered values
-	// where it does not.
-	TermGroupCount
-	// TermSumFloat sums a float column over the selection.
-	TermSumFloat
-	// TermRel feeds a relational plan: join/filter stages then a grouped
-	// or collected sink (see RelPlan).
-	TermRel
-)
-
-// String names the terminal for display (flight recorder, debug pages).
-func (t TermKind) String() string {
-	switch t {
-	case TermCount:
-		return "Count"
-	case TermRowIDs:
-		return "RowIDs"
-	case TermInts:
-		return "Ints"
-	case TermFloats:
-		return "Floats"
-	case TermStrings:
-		return "Strings"
-	case TermGroupCount:
-		return "GroupCount"
-	case TermSumFloat:
-		return "SumFloat"
-	case TermRel:
-		return "Rel"
-	}
-	return "?"
-}
-
-// PipelineResult carries whichever output the terminal produced; Count is
-// always the selected-row cardinality.
-type PipelineResult struct {
-	Count   int64
-	RowIDs  []int64
-	Ints    []int64
-	Floats  []float64
-	Strings [][]byte
-	// Groups maps each value's label (decimal for integers) to its count:
-	// value space, so parts with different dictionaries merge.
-	Groups map[string]int64
-	Sum    float64
-	Rel    *Batch
-}
 
 // pipeLeaf is one compiled filter stage: the plan's bound leaf plus its
 // stable stage index and the planner's estimate for the node.
@@ -103,38 +39,26 @@ type pipeNode struct {
 	kids []*pipeNode
 }
 
-// pipeline is one compiled query: the filter tree, the terminal, and the
-// per-query constants every worker shares read-only.
+// pipeline is one compiled query on one part: the filter tree, the
+// relational plan, and the per-query constants every worker shares
+// read-only.
 type pipeline struct {
 	r *colstore.Reader
 
 	root   *pipeNode
 	leaves []*pipeLeaf
 
-	term TermKind
-	col  string
-	ci   int
-
-	// rel is the relational plan a TermRel pipeline executes after its
-	// filter stages: per-row-group join probes and residual filters, then
-	// a grouped or collected sink.
+	// rel is what happens to a row group's selection: per-row-group join
+	// probes and residual filters, then a grouped or collected sink. lay is
+	// a grouped sink's cell addressing on this part.
 	rel *RelPlan
+	lay groupLayout
 
 	// fetch is the part's page prefetcher, shared by every member of the
 	// scan (nil when prefetch is off or nothing is worth scheduling). The
 	// scan starts it when the part's first morsel is claimed and closes it
 	// when the last one finishes.
 	fetch *colstore.PageFetcher
-
-	// TermGroupCount: keySpace > 0 selects array aggregation over the
-	// column's dictionary keys; 0 the hash count over gathered values.
-	keySpace int
-	colType  colstore.Type
-	aggKinds []AggKind
-	aggSpecs []VecAgg
-
-	// rgStart is each row group's first global row id (TermRowIDs).
-	rgStart []int64
 
 	traced  bool
 	workers []*pipeWorker
@@ -152,9 +76,12 @@ type pipeline struct {
 	nodeArr [8]pipeNode
 	lptrArr [4]*pipeLeaf
 
-	// parts and res live in the pipeline so a run allocates neither.
-	parts pipeParts
-	res   PipelineResult
+	// frags holds a collect sink's per-row-group output; out and rows are
+	// the part's merged result: the sink's batch and the rows that reached
+	// it.
+	frags sinkFrags
+	out   *Batch
+	rows  int64
 }
 
 // stageStats is one stage's merged-across-morsels measurement: row flow,
@@ -168,49 +95,29 @@ type stageStats struct {
 }
 
 // pipeWorker is the worker-local execution state: one scratch arena, one
-// kernel instance per filter stage, partial terminal accumulators, and —
-// when traced — per-stage IO taps and row/time stats. Nothing here is
-// shared between workers, so morsels run lock-free.
+// kernel instance per filter stage, the per-morsel relational state, the
+// sink's partial, and — when traced — per-stage IO taps and row/time stats.
+// Nothing here is shared between workers, so morsels run lock-free.
 type pipeWorker struct {
 	p       *pipeline
 	sc      *arena.Scratch
 	kernels []kernel
-	count   int64
-	agg     *PartialArrayAgg
-	groupI  map[int64]int64  // TermGroupCount on a non-dictionary int column
-	groupS  map[string]int64 // ... on a non-dictionary string column
+	count   int64 // rows that reached the sink
 	taps    []colstore.IOTap
 	stats   []stageStats
 
-	// relational sink partials (TermRel): one of these per worker.
-	relGroup *relGroupAcc
-	relTop   *relTopK
+	m     relMorsel
+	group *relGroupAcc
+	top   *relTopK
 }
 
-// pipeParts holds per-row-group output slots; workers write disjoint
-// indices, so the final concatenation needs no synchronization.
-type pipeParts struct {
-	rowIDs [][]int64
-	ints   [][]int64
-	floats [][]float64
-	strs   [][][]byte
-	// sums holds one partial sum per row group; the merge folds them in
-	// row-group order, so the result does not depend on which worker
-	// claimed which morsel.
-	sums []float64
-	// rel holds one collected batch fragment per row group (TermRel with
-	// an unsorted or fully-sorted collect sink).
-	rel []*Batch
-}
-
-// buildPipeline compiles a planned query against one part: plan leaves
-// arrive bound (the planner faulted their dictionaries inside its own IO
-// window), terminal columns are resolved here, and — because lazy
+// buildPipeline compiles a query against one part: plan leaves arrive
+// bound (the planner faulted their dictionaries inside its own IO window),
+// the relational plan's inputs are resolved here, and — because lazy
 // dictionary faults bypass the per-stage IO taps — a traced build faults
-// the terminal's dictionary now, inside the Prepare window.
-func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, traced bool) (*pipeline, error) {
-	r := part.R
-	p := &pipeline{r: r, term: term, col: col, ci: -1, traced: traced}
+// their dictionaries now, inside the Prepare window.
+func buildPipeline(part Part, pl *Plan, rp *RelPlan, traced bool) (*pipeline, error) {
+	p := &pipeline{r: part.R, rel: rp, traced: traced}
 	if pl != nil {
 		nLeaves, nNodes := countPlan(pl.Root)
 		if nLeaves <= len(p.leafArr) {
@@ -227,61 +134,10 @@ func buildPipeline(part Part, pl *Plan, term TermKind, col string, rp *RelPlan, 
 		}
 		p.root = p.compileNode(pl.Root)
 	}
-	switch term {
-	case TermInts, TermFloats, TermStrings, TermSumFloat:
-		ci, c, err := r.Column(col)
-		if err != nil {
-			return nil, err
-		}
-		p.ci = ci
-		p.faultDict(ci, c)
-	case TermGroupCount:
-		ci, c, err := r.Column(col)
-		if err != nil {
-			return nil, err
-		}
-		p.ci, p.colType = ci, c.Type
-		if c.Type == colstore.TypeFloat64 {
-			return nil, fmt.Errorf("ops: GroupCount needs an integer or string column, %s is %v", col, c.Type)
-		}
-		if c.HasDict() {
-			ks, err := dictLength(r, ci, c)
-			if err != nil {
-				return nil, err
-			}
-			if ks <= 0 {
-				return nil, fmt.Errorf("ops: non-positive key space %d", ks)
-			}
-			p.keySpace = ks
-			p.aggKinds = []AggKind{AggCount}
-			p.aggSpecs = []VecAgg{{Kind: AggCount}}
-		}
-	case TermRowIDs:
-		p.rgStart = make([]int64, r.NumRowGroups())
-		off := part.Base
-		for i := range p.rgStart {
-			p.rgStart[i] = off
-			off += int64(r.RowGroupRows(i))
-		}
-	case TermRel:
-		if rp == nil {
-			return nil, fmt.Errorf("ops: TermRel pipeline without a relational plan")
-		}
-		p.rel = rp
-		if err := p.buildRel(rp); err != nil {
-			return nil, err
-		}
+	if err := p.buildRel(part); err != nil {
+		return nil, err
 	}
 	return p, nil
-}
-
-// relStageCount reports how many relational stages sit between the filter
-// stages and the sink (0 for scalar terminals).
-func (p *pipeline) relStageCount() int {
-	if p.rel == nil {
-		return 0
-	}
-	return len(p.rel.Stages)
 }
 
 // countPlan sizes the compile slabs: leaves and total nodes in the plan
@@ -321,37 +177,12 @@ func (p *pipeline) compileNode(n *PlanNode) *pipeNode {
 	return node
 }
 
-// faultDict pins a terminal column's dictionary read to the Prepare window
-// of a traced run. Untraced runs skip it: a lazy fault mid-morsel books
-// into the global counters correctly, and only the traced per-stage
-// invariant (Prepare + Σ stages = pipeline) needs the read pinned.
-func (p *pipeline) faultDict(ci int, c *colstore.Column) {
-	if p.traced {
-		faultDict(p.r, ci, c)
-	}
-}
-
-// dictLength returns the dictionary cardinality — the array-aggregation
-// key space.
-func dictLength(r *colstore.Reader, ci int, c *colstore.Column) (int, error) {
-	switch c.Type {
-	case colstore.TypeInt64:
-		dict, err := r.IntDict(ci)
-		return len(dict), err
-	case colstore.TypeString:
-		dict, err := r.StrDict(ci)
-		return len(dict), err
-	}
-	return 0, fmt.Errorf("ops: column %s has no dictionary", c.Name)
-}
-
 // newWorker builds one worker's private state in slot wi of the worker
 // slab: one kernel instance per stage (lazily built lookup tables live in
-// it), a partial aggregate table, and per-stage taps when
-// traced. sc is the pool worker's scratch, shared by every pipeline that
-// worker drives (it runs one morsel through one pipeline at a time).
-// Slots are disjoint slices of shared backing arrays; each is written by
-// exactly one worker goroutine.
+// it), the sink's partial, and per-stage taps when traced. sc is the pool
+// worker's scratch, shared by every pipeline that worker drives (it runs
+// one morsel through one pipeline at a time). Slots are disjoint slices of
+// shared backing arrays; each is written by exactly one worker goroutine.
 func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
 	nk := len(p.leaves)
 	w := &p.wbuf[wi]
@@ -361,134 +192,28 @@ func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
 	for i, lf := range p.leaves {
 		w.kernels[i].leaf = lf.b
 	}
-	if p.term == TermGroupCount {
-		switch {
-		case p.keySpace > 0:
-			w.agg = NewPartialArrayAgg(p.keySpace, p.aggKinds)
-		case p.colType == colstore.TypeInt64:
-			w.groupI = map[int64]int64{}
-		default:
-			w.groupS = map[string]int64{}
-		}
-	}
-	if p.rel != nil {
-		switch {
-		case p.rel.Sink.Group != nil:
-			w.relGroup = newRelGroupAcc(p.rel.Sink.Group, p.rel.Sink.Inputs)
-		case p.rel.Sink.Collect != nil && p.rel.Sink.Collect.K > 0:
-			w.relTop = newRelTopK(&p.rel.Sink)
-		}
+	switch sk := &p.rel.Sink; {
+	case sk.Group != nil:
+		w.group = newRelGroupAcc(sk.Group, &p.lay)
+	case sk.Collect.K > 0:
+		w.top = newRelTopK(sk)
 	}
 	if p.traced {
-		w.taps = make([]colstore.IOTap, nk+p.relStageCount()+1)
-		w.stats = make([]stageStats, nk+p.relStageCount()+1)
+		w.taps = make([]colstore.IOTap, nk+len(p.rel.Stages)+1)
+		w.stats = make([]stageStats, nk+len(p.rel.Stages)+1)
 	}
 	return w
 }
 
-// initParts sizes the per-row-group output slots for n morsels and
-// returns them; workers write disjoint indices.
-func (p *pipeline) initParts(n int) *pipeParts {
-	parts := &p.parts
-	switch p.term {
-	case TermRowIDs:
-		parts.rowIDs = make([][]int64, n)
-	case TermInts:
-		parts.ints = make([][]int64, n)
-	case TermFloats:
-		parts.floats = make([][]float64, n)
-	case TermStrings:
-		parts.strs = make([][][]byte, n)
-	case TermSumFloat:
-		parts.sums = make([]float64, n)
-	case TermRel:
-		if p.rel.Sink.Collect != nil && p.rel.Sink.Collect.K == 0 {
-			parts.rel = make([]*Batch, n)
-		}
-	}
-	return parts
-}
-
-// initWorkers sizes the worker and kernel slabs for nw workers; newWorker
-// then carves its slot out of them.
-func (p *pipeline) initWorkers(nw int) {
+// initRun sizes the worker and kernel slabs for nw workers (newWorker then
+// carves its slot out of them) and an unreduced collect sink's output
+// slots for the part's n row groups.
+func (p *pipeline) initRun(nw, n int) {
 	p.wbuf = make([]pipeWorker, nw)
 	p.kbuf = make([]kernel, nw*len(p.leaves))
-}
-
-// merge folds the worker partials and per-row-group parts into the part's
-// result (p.res): counts sum, ordered outputs concatenate in row-group
-// order (so the result is independent of which worker claimed which
-// morsel), and aggregate tables merge. The scan calls it exactly once —
-// merging consumes the partials.
-func (p *pipeline) merge() {
-	parts, res, workers := &p.parts, &p.res, p.workers
-	for _, w := range workers {
-		if w == nil {
-			continue
-		}
-		res.Count += w.count
+	if c := p.rel.Sink.Collect; c != nil && c.K == 0 {
+		p.frags.init(n, p.rel.Sink.Inputs)
 	}
-	switch p.term {
-	case TermRowIDs:
-		res.RowIDs = concat(parts.rowIDs)
-	case TermInts:
-		res.Ints = concat(parts.ints)
-	case TermFloats:
-		res.Floats = concat(parts.floats)
-	case TermStrings:
-		res.Strings = concat(parts.strs)
-	case TermSumFloat:
-		for _, s := range parts.sums {
-			res.Sum += s
-		}
-	case TermGroupCount:
-		res.Groups = p.mergeGroups(workers)
-	case TermRel:
-		res.Rel = p.mergeRel(workers)
-	}
-}
-
-// mergeGroups folds the workers' group-count partials into value space:
-// dictionary keys label through the part's dictionary, gathered values
-// label directly.
-func (p *pipeline) mergeGroups(workers []*pipeWorker) map[string]int64 {
-	out := map[string]int64{}
-	if p.keySpace > 0 {
-		total := NewPartialArrayAgg(p.keySpace, p.aggKinds)
-		for _, w := range workers {
-			if w != nil && w.agg != nil {
-				total.Merge(w.agg)
-			}
-		}
-		// The dictionary was loaded when the pipeline was built (dictLength):
-		// a cache hit that cannot fail now.
-		var label func(k int64) string
-		if p.colType == colstore.TypeInt64 {
-			dict, _ := p.r.IntDict(p.ci)
-			label = func(k int64) string { return strconv.FormatInt(dict[k], 10) }
-		} else {
-			dict, _ := p.r.StrDict(p.ci)
-			label = func(k int64) string { return string(dict[k]) }
-		}
-		res := total.Result()
-		for g, k := range res.Keys {
-			out[label(k)] = res.Counts[g]
-		}
-		return out
-	}
-	for _, w := range workers {
-		if w == nil {
-			continue
-		}
-		for v, n := range w.groupI {
-			out[strconv.FormatInt(v, 10)] += n
-		}
-		for v, n := range w.groupS {
-			out[v] += n
-		}
-	}
-	return out
 }
 
 // schedSet is one column's surviving pages for one row group — the unit
@@ -546,111 +271,18 @@ func MaxWorkersFrom(ctx context.Context) int {
 
 // runMorsel drives one row group through the whole pipeline on one worker.
 func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
-	parts := &p.parts
-	if p.r.RowGroupRows(rg) == 0 {
+	rows := p.r.RowGroupRows(rg)
+	if rows == 0 {
 		return nil // an empty table's one row group: nothing to select
 	}
-	var bm *bitutil.Bitmap
-	if p.root != nil {
-		var err error
-		bm, err = w.evalNode(ctx, rg, p.root, nil)
-		if err != nil {
-			return err
-		}
-	} else {
-		bm = fullGroupBitmap(p.r.RowGroupRows(rg))
+	if p.root == nil {
+		return w.sink(rg, fullGroupBitmap(rows))
 	}
-	if p.term == TermRel {
-		return p.relTerminal(w, rg, bm, parts)
+	bm, err := w.evalNode(ctx, rg, p.root, nil)
+	if err != nil {
+		return err
 	}
-	return p.terminal(w, rg, bm, parts)
-}
-
-// terminal runs the pipeline's sink over one row group's selection: count,
-// row-id collection, a selective gather, or partial aggregation into the
-// worker's table. An empty selection touches no chunk — no pages, no skip
-// marks — matching the historical sweep.
-func (p *pipeline) terminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pipeParts) error {
-	var start time.Time
-	if w.stats != nil {
-		start = time.Now()
-	}
-	card := 0
-	if bm != nil {
-		card = bm.Cardinality()
-	}
-	w.count += int64(card)
-	var tap *colstore.IOTap
-	if w.taps != nil {
-		tap = &w.taps[len(w.taps)-1]
-	}
-	produced := int64(card)
-	var err error
-	if card > 0 {
-		switch p.term {
-		case TermRowIDs:
-			base := p.rgStart[rg]
-			ids := make([]int64, 0, card)
-			bm.ForEach(func(i int) { ids = append(ids, base+int64(i)) })
-			parts.rowIDs[rg] = ids
-		case TermInts:
-			var vals []int64
-			vals, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherInts(bm)
-			parts.ints[rg] = vals
-			produced = int64(len(vals))
-		case TermFloats:
-			var vals []float64
-			vals, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherFloats(bm)
-			parts.floats[rg] = vals
-			produced = int64(len(vals))
-		case TermStrings:
-			var vals [][]byte
-			vals, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherStrings(bm)
-			parts.strs[rg] = vals
-			produced = int64(len(vals))
-		case TermGroupCount:
-			chunk := p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch)
-			switch {
-			case w.agg != nil:
-				var keys []int64
-				keys, err = chunk.GatherKeys(bm)
-				if err == nil {
-					err = w.agg.Accumulate(keys, p.aggSpecs)
-				}
-				produced = int64(len(keys))
-			case w.groupI != nil:
-				var vals []int64
-				vals, err = chunk.GatherInts(bm)
-				for _, v := range vals {
-					w.groupI[v]++
-				}
-				produced = int64(len(vals))
-			default:
-				var vals [][]byte
-				vals, err = chunk.GatherStrings(bm)
-				for _, v := range vals {
-					w.groupS[string(v)]++
-				}
-				produced = int64(len(vals))
-			}
-		case TermSumFloat:
-			var vals []float64
-			vals, err = p.r.Chunk(rg, p.ci).Tap(tap).Fetch(p.fetch).GatherFloats(bm)
-			var s float64
-			for _, v := range vals {
-				s += v
-			}
-			parts.sums[rg] = s
-			produced = int64(len(vals))
-		}
-	}
-	if w.stats != nil {
-		st := &w.stats[len(w.stats)-1]
-		st.rowsIn += int64(card)
-		st.rowsOut += produced
-		st.nanos += time.Since(start).Nanoseconds()
-	}
-	return err
+	return w.sink(rg, bm)
 }
 
 // evalNode evaluates one pipeline subtree over one row group, restricted
@@ -784,146 +416,162 @@ func fullGroupBitmap(rows int) *bitutil.Bitmap {
 	return bm
 }
 
-// RunPipeline compiles a query against every part of a table and runs it
-// as one morsel pass over all their row groups. plans holds the predicate
-// plan bound to each part (nil means no predicate: every row selected).
-// Results merge in (part, row-group) order, so RowIDs and gathered values
-// read as one table; group counts merge in value space. When ctx carries
-// an obs.Span the run is traced as a "Pipeline[...]" child whose stage
-// children (Prepare, one per filter, the terminal — grouped under one
-// Part span each when the table has several parts) account every page the
-// readers touched: the invariant ExplainAnalyze verifies against
-// Table.IOStats.
-func RunPipeline(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, term TermKind, col string) (*PipelineResult, error) {
-	pipes, err := runScan(ctx, parts, pool, plans, term, col, nil)
-	if err != nil {
-		return nil, err
-	}
-	return mergeParts(pipes), nil
+// Member is one query of a pass: per part of the table, the predicate
+// plan bound to it (Plans nil: every row selected) and the relational plan
+// — stages and sink — its selections flow into.
+type Member struct {
+	Plans []*Plan
+	Rels  []*RelPlan
 }
 
-// RunRelPipeline compiles and executes a relational plan: each part's
-// predicate plan's filter stages, then its RelPlan's join/filter stages
-// and sink, all per row group in one morsel pass. It returns one batch per
-// part — dictionary codes mean something only within their part, so the
-// caller decodes and then merges in value space. Traced runs render each
-// join stage and the sink as stage spans whose IO keeps the Σ-stages =
-// pipeline-delta invariant (joins on dictionary keys book only key-page
-// reads — build and probe never touch string pages).
-func RunRelPipeline(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, rps []*RelPlan) ([]*Batch, error) {
-	pipes, err := runScan(ctx, parts, pool, plans, TermRel, "", rps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Batch, len(pipes))
-	for i, p := range pipes {
-		out[i] = p.res.Rel
-	}
-	return out, nil
+// Result is one member's answer: the sink's batch per part — dictionary
+// codes mean something only within their part, so the caller decodes and
+// then merges in value space — and the rows that reached the sink across
+// all of them. Err is that member's own failure.
+type Result struct {
+	Parts []*Batch
+	Rows  int64
+	Err   error
 }
 
-// mergeParts folds the per-part results (merged by the scan) into the
-// table's, in part order.
-func mergeParts(pipes []*pipeline) *PipelineResult {
-	res := &pipes[0].res
-	for _, p := range pipes[1:] {
-		pr := &p.res
-		res.Count += pr.Count
-		res.RowIDs = append(res.RowIDs, pr.RowIDs...)
-		res.Ints = append(res.Ints, pr.Ints...)
-		res.Floats = append(res.Floats, pr.Floats...)
-		res.Strings = append(res.Strings, pr.Strings...)
-		res.Sum += pr.Sum
-		for v, n := range pr.Groups {
-			res.Groups[v] += n
-		}
-	}
-	return res
-}
-
-// runScan compiles one query against every part and drives the pass,
-// traced when ctx carries a span: per-stage taps and stats are merged
-// across workers into one stage child each after the run, with summed
-// worker busy time as each stage's duration (wall clock cannot express
-// work interleaved across morsels).
-func runScan(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, term TermKind, col string, rps []*RelPlan) ([]*pipeline, error) {
+// Run compiles every member against every part of the table and executes
+// them all in ONE morsel pass over the parts' row groups (see scanParts):
+// each page is fetched and decompressed once per pass however many members
+// share it — K concurrent scans cost ~one scan of IO plus K filter/sink
+// passes over morsels already hot in cache — and a solo query is the pass
+// of one member. A member that fails to build or errors mid-scan fails
+// alone (Result.Err); the returned error is fatal — pool submission
+// failure, worker panic, or context cancellation — and leaves no result
+// meaningful.
+//
+// When ctx carries an obs.Span a solo member's run is traced as a
+// "Pipeline[...]" child whose stage children (Prepare, one per filter, one
+// per join stage, the sink — grouped under one Part span each when the
+// table has several parts) account every page the readers touched: the
+// invariant ExplainAnalyze verifies against Table.IOStats. Per-stage taps
+// and stats are merged across workers into one stage child each after the
+// run, with summed worker busy time as each stage's duration (wall clock
+// cannot express work interleaved across morsels).
+func Run(ctx context.Context, parts []Part, pool *exec.Pool, members []Member) ([]Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("ops: scan over a table with no parts")
 	}
-	sp := obs.SpanFrom(ctx)
-	var child *obs.Span
-	var tasksBefore int64
-	if sp != nil {
-		child = sp.StartChild("Pipeline[" + pipelineLabel(term, col) + "]")
-		ctx = obs.ContextWithSpan(ctx, child)
-		tasksBefore = pool.Completed()
+	for _, m := range members {
+		if len(m.Rels) != len(parts) || slices.Contains(m.Rels, nil) || (m.Plans != nil && len(m.Plans) != len(parts)) {
+			return nil, fmt.Errorf("ops: a member needs one relational plan (and one predicate plan, if any) per part: %d and %d for %d parts",
+				len(m.Rels), len(m.Plans), len(parts))
+		}
 	}
-	pipes := make([]*pipeline, len(parts))
+	var tr *runTrace
+	if sp := obs.SpanFrom(ctx); sp != nil && len(members) == 1 {
+		tr = &runTrace{
+			span:     sp.StartChild("Pipeline[" + sinkLabel(members[0].Rels[0]) + "]"),
+			tasks:    pool.Completed(),
+			ioBefore: make([]colstore.IOStats, len(parts)),
+			prepIO:   make([]obs.SpanIO, len(parts)),
+			prepDur:  make([]time.Duration, len(parts)),
+		}
+		ctx = obs.ContextWithSpan(ctx, tr.span)
+	}
+	results := make([]Result, len(members))
 	var (
-		ioBefore []colstore.IOStats
-		prepIO   []obs.SpanIO
-		prepDur  []time.Duration
-		err      error
+		live    [][]*pipeline
+		liveIdx []int
 	)
-	if sp != nil {
-		ioBefore = make([]colstore.IOStats, len(parts))
-		prepIO = make([]obs.SpanIO, len(parts))
-		prepDur = make([]time.Duration, len(parts))
+	for j, m := range members {
+		pipes := make([]*pipeline, len(parts))
+		for i, part := range parts {
+			var pl *Plan
+			if m.Plans != nil {
+				pl = m.Plans[i]
+			}
+			var prepStart time.Time
+			if tr != nil {
+				tr.ioBefore[i] = part.R.Stats()
+				prepStart = time.Now()
+			}
+			pipes[i], results[j].Err = buildPipeline(part, pl, m.Rels[i], tr != nil)
+			if tr != nil {
+				tr.prepIO[i] = IODelta(tr.ioBefore[i], part.R.Stats())
+				tr.prepDur[i] = time.Since(prepStart)
+			}
+			if results[j].Err != nil {
+				break
+			}
+		}
+		if results[j].Err == nil {
+			live = append(live, pipes)
+			liveIdx = append(liveIdx, j)
+		}
+		if tr != nil {
+			tr.pipes = pipes
+		}
 	}
-	for i, part := range parts {
-		var pl *Plan
-		if plans != nil {
-			pl = plans[i]
+	var fatal error
+	if len(live) > 0 {
+		fatal = scanParts(ctx, pool, parts, live, func(k int, err error) { results[liveIdx[k]].Err = err })
+	}
+	for k, pipes := range live {
+		res := &results[liveIdx[k]]
+		if fatal != nil || res.Err != nil {
+			continue
 		}
-		var rp *RelPlan
-		if rps != nil {
-			rp = rps[i]
-		}
-		var prepStart time.Time
-		if sp != nil {
-			ioBefore[i] = part.R.Stats()
-			prepStart = time.Now()
-		}
-		pipes[i], err = buildPipeline(part, pl, term, col, rp, sp != nil)
-		if sp != nil {
-			prepIO[i] = IODelta(ioBefore[i], part.R.Stats())
-			prepDur[i] = time.Since(prepStart)
-		}
-		if err != nil {
-			break
+		res.Parts = make([]*Batch, len(pipes))
+		for i, p := range pipes {
+			res.Parts[i] = p.out
+			res.Rows += p.rows
 		}
 	}
-	if err == nil {
-		err = scanParts(ctx, pool, parts, [][]*pipeline{pipes}, nil)
+	if tr != nil {
+		err := fatal
+		if err == nil {
+			err = results[0].Err
+		}
+		tr.finish(ctx, parts, pool, err)
 	}
-	if sp == nil {
-		return pipes, err
+	if fatal == nil {
+		fatal = ctx.Err()
 	}
+	return results, fatal
+}
 
+// runTrace is a traced solo run's bookkeeping: the Pipeline span and the
+// per-part reader snapshots and Prepare measurements taken while building.
+type runTrace struct {
+	span     *obs.Span
+	tasks    int64
+	pipes    []*pipeline // per part; nil past a part that failed to build
+	ioBefore []colstore.IOStats
+	prepIO   []obs.SpanIO
+	prepDur  []time.Duration
+}
+
+// finish renders the run under the Pipeline span: per part a Prepare child
+// and one child per stage, then the pass totals.
+func (tr *runTrace) finish(ctx context.Context, parts []Part, pool *exec.Pool, err error) {
+	child := tr.span
 	var rowsIn, rowsOut int64
 	var total obs.SpanIO
 	morsels := 0
 	for i, part := range parts {
-		p := pipes[i]
+		p := tr.pipes[i]
 		parent := child
 		if len(parts) > 1 {
 			parent = child.StartChild(fmt.Sprintf("Part[%d/%d]", i+1, len(parts)))
 		}
 		prep := parent.StartChild("Prepare")
-		prep.AddIO(prepIO[i])
+		prep.AddIO(tr.prepIO[i])
 		prep.End()
-		prep.SetDuration(prepDur[i])
-		busy := prepDur[i]
+		prep.SetDuration(tr.prepDur[i])
+		busy := tr.prepDur[i]
 		var count int64
 		if p != nil {
-			busy += p.traceStages(parent, term, col)
+			busy += p.traceStages(parent)
 			for _, w := range p.workers {
-				if w != nil {
-					count += w.count
-				}
+				count += w.count
 			}
 		}
-		delta := IODelta(ioBefore[i], part.R.Stats())
+		delta := IODelta(tr.ioBefore[i], part.R.Stats())
 		if parent != child {
 			parent.SetRows(part.R.NumRows(), count)
 			parent.AddIO(delta)
@@ -946,18 +594,18 @@ func runScan(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, 
 	}
 	child.AddDetail("morsels=%d workers<=%d", morsels, workers)
 	child.AddIO(total)
-	child.AddTasks(pool.Completed() - tasksBefore)
+	child.AddTasks(pool.Completed() - tr.tasks)
 	child.End()
 	if lq := obs.QueryFrom(ctx); lq != nil {
 		// Traced runs carry per-stage IO taps; total their wait and
 		// decompress time into the live entry so the finished record can
 		// split wall time into wait/decompress/scan.
 		var wait, dec int64
-		for _, p := range pipes {
+		for _, p := range tr.pipes {
 			if p == nil {
 				continue
 			}
-			for i := 0; i <= len(p.leaves)+p.relStageCount(); i++ {
+			for i := 0; i <= len(p.leaves)+len(p.rel.Stages); i++ {
 				tap := p.mergedIOTap(i)
 				wait += tap.WaitNanos
 				dec += tap.DecompressNanos
@@ -965,12 +613,11 @@ func runScan(ctx context.Context, parts []Part, pool *exec.Pool, plans []*Plan, 
 		}
 		lq.AddIOTimes(wait, dec)
 	}
-	return pipes, err
 }
 
 // traceStages renders one part's stages — filters, relational stages, the
-// terminal — as children of parent and returns their summed busy time.
-func (p *pipeline) traceStages(parent *obs.Span, term TermKind, col string) time.Duration {
+// sink — as children of parent and returns their summed busy time.
+func (p *pipeline) traceStages(parent *obs.Span) time.Duration {
 	var busy int64
 	stage := func(s *obs.Span, idx int, rowsOut int64) {
 		st := p.mergedStats(idx)
@@ -1000,34 +647,28 @@ func (p *pipeline) traceStages(parent *obs.Span, term TermKind, col string) time
 		}
 		stage(fs, lf.idx, -1)
 	}
-	if p.rel != nil {
-		for si := range p.rel.Stages {
-			stg := &p.rel.Stages[si]
-			js := parent.StartChild(relStageSpanName(stg))
-			if stg.Kind != RelRowFilter {
-				js.AddDetail("build rows=%d", stg.Table.Len())
-				for _, k := range stg.Keys {
-					if k.Kind == RelKey {
-						js.AddDetail("probe key %s: dictionary codes", k.Col)
-					} else {
-						js.AddDetail("probe key %s: values", k.Col)
-					}
+	for si := range p.rel.Stages {
+		stg := &p.rel.Stages[si]
+		js := parent.StartChild(relStageSpanName(stg))
+		if stg.Kind != RelRowFilter {
+			js.AddDetail("build rows=%d", stg.Table.Len())
+			for _, k := range stg.Keys {
+				if k.Kind == RelKey {
+					js.AddDetail("probe key %s: dictionary codes", k.Col)
+				} else {
+					js.AddDetail("probe key %s: values", k.Col)
 				}
 			}
-			stage(js, len(p.leaves)+si, -1)
 		}
+		stage(js, len(p.leaves)+si, -1)
 	}
-	name := terminalSpanName(term, col)
+	// Worker partials over-count sink output (each worker's top-K buffer
+	// and group cells merge later); report the merged size.
 	rowsOut := int64(-1)
-	if p.rel != nil {
-		name = relSinkSpanName(p.rel)
-		// Worker partials over-count sink output (each worker's top-K
-		// buffer and group cells merge later); report the merged size.
-		if p.res.Rel != nil {
-			rowsOut = int64(p.res.Rel.N)
-		}
+	if p.out != nil {
+		rowsOut = int64(p.out.N)
 	}
-	stage(parent.StartChild(name), len(p.leaves)+p.relStageCount(), rowsOut)
+	stage(parent.StartChild(sinkSpanName(p.rel)), len(p.leaves)+len(p.rel.Stages), rowsOut)
 	return time.Duration(busy)
 }
 
@@ -1096,44 +737,6 @@ func (p *pipeline) mergedStats(idx int) stageStats {
 	return st
 }
 
-// pipelineLabel names the pipeline span after its terminal.
-func pipelineLabel(term TermKind, col string) string {
-	switch term {
-	case TermCount:
-		return "count"
-	case TermRowIDs:
-		return "rowids"
-	case TermInts, TermFloats, TermStrings:
-		return "gather " + col
-	case TermGroupCount:
-		return "group " + col
-	case TermSumFloat:
-		return "sum " + col
-	case TermRel:
-		return "relational"
-	}
-	return "?"
-}
-
-// terminalSpanName names the terminal stage span.
-func terminalSpanName(term TermKind, col string) string {
-	switch term {
-	case TermCount:
-		return "Count"
-	case TermRowIDs:
-		return "Collect[rowids]"
-	case TermInts, TermFloats, TermStrings:
-		return "Gather[" + col + "]"
-	case TermGroupCount:
-		return "Aggregate[count by " + col + "]"
-	case TermSumFloat:
-		return "Sum[" + col + "]"
-	case TermRel:
-		return "Sink"
-	}
-	return "?"
-}
-
 // relStageSpanName names one relational stage's span.
 func relStageSpanName(st *RelStage) string {
 	if st.Kind == RelRowFilter {
@@ -1142,13 +745,73 @@ func relStageSpanName(st *RelStage) string {
 	return "Join[" + st.Name + " " + st.Kind.String() + "]"
 }
 
-// relSinkSpanName names the relational sink's span after what it does.
-func relSinkSpanName(rp *RelPlan) string {
+// sinkShape recognises the degenerate sinks — the scalar terminals — by
+// what the sink is made of: a collect of nothing (count), of the row
+// ordinal (rowids) or of one input (gather), a key-less group of one float
+// sum (sum), a one-key group of one count (group). col is the input the
+// shape is over. It runs on plans not yet validated.
+func sinkShape(rp *RelPlan) (shape, col string) {
+	sk := &rp.Sink
+	if c := sk.Collect; c != nil {
+		switch {
+		case len(c.Sort) > 0 || len(sk.Inputs) > 1:
+			return "", ""
+		case len(sk.Inputs) == 0:
+			return "count", ""
+		case sk.Inputs[0].Kind == RelRowID:
+			return "rowids", ""
+		}
+		return "gather", sk.Inputs[0].Col
+	}
+	g := sk.Group
+	if g == nil || len(g.Aggs) != 1 || g.Aggs[0].FnI != nil || g.Aggs[0].FnF != nil {
+		return "", ""
+	}
+	over := -1
+	switch a := &g.Aggs[0]; {
+	case len(g.Keys) == 0 && a.Kind == RelAggSumFloat:
+		shape, over = "sum", a.Input
+	case len(g.Keys) == 1 && g.Keys[0].Fn == nil && a.Kind == RelAggCount:
+		shape, over = "group", g.Keys[0].Input
+	}
+	if over < 0 || over >= len(sk.Inputs) {
+		return "", ""
+	}
+	return shape, sk.Inputs[over].Col
+}
+
+// sinkLabel names the pipeline span after what the plan does: a
+// degenerate sink with no stages before it reads as the scalar terminal
+// it is, anything else as relational.
+func sinkLabel(rp *RelPlan) string {
+	shape, col := sinkShape(rp)
+	switch {
+	case len(rp.Stages) > 0 || shape == "":
+		return "relational"
+	case col == "":
+		return shape
+	}
+	return shape + " " + col
+}
+
+// sinkSpanName names the sink's span from the sink's shape.
+func sinkSpanName(rp *RelPlan) string {
+	switch shape, col := sinkShape(rp); shape {
+	case "count":
+		return "Count"
+	case "rowids":
+		return "Collect[rowids]"
+	case "gather":
+		return "Gather[" + col + "]"
+	case "sum":
+		return "Sum[" + col + "]"
+	case "group":
+		return "Aggregate[count by " + col + "]"
+	}
 	if g := rp.Sink.Group; g != nil {
 		return fmt.Sprintf("GroupBy[%d keys, %d aggs]", len(g.Keys), len(g.Aggs))
 	}
-	c := rp.Sink.Collect
-	switch {
+	switch c := rp.Sink.Collect; {
 	case c.K > 0:
 		return fmt.Sprintf("Sort[top %d]", c.K)
 	case len(c.Sort) > 0:

@@ -10,13 +10,15 @@ import (
 	"codecdb/internal/encoding"
 )
 
-// This file extends the morsel pipeline from single-table predicates to
-// relational plans: late-materialized hash-join probe stages, row-level
-// residual filters, multi-column group-by with packed composite keys, and
-// order-by/limit with a per-worker top-K short-circuit. A RelPlan rides on
-// the same compiled pipeline as the filter stages (TermRel), so every row
-// group flows filter → probes → sink on one worker with worker-local
-// partials merged deterministically in row-group order.
+// This file is what a pipeline does with a row group's selection: a query
+// is (predicate plan, stages, sink), and a RelPlan is the last two —
+// late-materialized hash-join probe stages and row-level residual filters,
+// then exactly one sink: a collect (of no inputs: a count; of the row
+// ordinal: row ids; of columns: a gather, optionally sorted or top-K
+// reduced per worker) or a group (multi-column group-by over packed
+// composite keys; with no keys, a plain aggregate). Every row group flows
+// filter → probes → sink on one worker with worker-local partials merged
+// deterministically in row-group order.
 
 // RelValKind types one relational input vector.
 type RelValKind int
@@ -31,6 +33,9 @@ const (
 	// RelKey is the dictionary-code view of a dict-encoded scan column:
 	// the join and group fast path that never touches value pages.
 	RelKey
+	// RelRowID is the row's ordinal in the table — part base + row-group
+	// start + position in the row group — an int vector read from no column.
+	RelRowID
 )
 
 // RelJoinKind discriminates probe-stage semantics.
@@ -77,6 +82,14 @@ type Batch struct {
 	Ints   [][]int64
 	Floats [][]float64
 	Strs   [][][]byte
+}
+
+// newBatch returns an empty batch with room for cols columns.
+func newBatch(cols int) *Batch {
+	return &Batch{
+		Names: make([]string, 0, cols), Kinds: make([]RelValKind, 0, cols),
+		Ints: make([][]int64, 0, cols), Floats: make([][]float64, 0, cols), Strs: make([][][]byte, 0, cols),
+	}
 }
 
 // Col returns the index of the named column, -1 if absent.
@@ -183,15 +196,17 @@ func (t *JoinTable) Each(k int64, fn func(row int32)) {
 }
 
 // RelInput names one value vector a stage or sink consumes: a scan column
-// of the probe table (FromStage -1) in one of the four kinds, or a payload
-// column of an earlier inner/left join stage's build batch.
+// of the probe table (FromStage -1) in one of the four column kinds, the
+// row ordinal (FromStage -1, RelRowID, no Col), or a payload column of an
+// earlier inner/left join stage's build batch.
 type RelInput struct {
 	FromStage int
 	Col       string
 	Kind      RelValKind
 
-	ci   int // resolved scan column index
-	bcol int // resolved batch column index
+	ci     int     // resolved scan column index; -1 for RelRowID
+	bcol   int     // resolved batch column index
+	starts []int64 // RelRowID: each row group's first row ordinal
 }
 
 // RelEnv is the materialized row-aligned view of a stage's or sink's
@@ -255,11 +270,22 @@ func (k RelAggKind) intAgg() bool {
 	return false
 }
 
+// extremum reports whether the aggregate is a minimum or maximum, whose
+// fold identity is not a value.
+func (k RelAggKind) extremum() bool {
+	switch k {
+	case RelAggMinInt, RelAggMaxInt, RelAggMinFloat, RelAggMaxFloat:
+		return true
+	}
+	return false
+}
+
 // RelGroupKey is one group-by key: a sink input (int or string typed) or a
 // computed int expression over the sink env. [Lo,Hi) is the declared value
-// domain; when every key has one and the widths pack into 62 bits the
-// accumulator runs on packed int64 composite keys, otherwise on an encoded
-// byte-string fallback.
+// domain; when every key has one the keys pack into one int64 — indexing
+// flat cell arrays where the packed domain is small, a map otherwise —
+// and without one they fall back to an encoded byte-string map key (see
+// groupLayout).
 type RelGroupKey struct {
 	Input  int
 	Fn     func(e *RelEnv, i int) int64
@@ -295,7 +321,8 @@ type RelCollect struct {
 	K    int
 }
 
-// RelSink is the plan's terminal: exactly one of Group or Collect.
+// RelSink is the plan's terminal: exactly one of Group or Collect. A
+// Collect over no Inputs yields no columns, only the row count (Batch.N).
 type RelSink struct {
 	Inputs  []RelInput
 	Group   *RelGroup
@@ -311,9 +338,20 @@ type RelPlan struct {
 	Names  []string
 }
 
-// resolveRelInput binds one input against the probe reader and the plan's
+// resolveRelInput binds one input against the probe part and the plan's
 // stage payload batches.
-func resolveRelInput(r *colstore.Reader, stages []RelStage, in *RelInput) error {
+func resolveRelInput(part Part, stages []RelStage, in *RelInput) error {
+	r := part.R
+	if in.FromStage < 0 && in.Kind == RelRowID {
+		in.ci = -1
+		in.starts = make([]int64, r.NumRowGroups())
+		off := part.Base
+		for rg := range in.starts {
+			in.starts[rg] = off
+			off += int64(r.RowGroupRows(rg))
+		}
+		return nil
+	}
 	if in.FromStage < 0 {
 		ci, c, err := r.Column(in.Col)
 		if err != nil {
@@ -359,10 +397,11 @@ func resolveRelInput(r *colstore.Reader, stages []RelStage, in *RelInput) error 
 	return nil
 }
 
-// buildRel validates and resolves a relational plan against the probe
-// reader, and (traced) prefaults every dictionary its gathers could touch
-// so stage taps account all IO.
-func (p *pipeline) buildRel(rp *RelPlan) error {
+// buildRel validates and resolves the pipeline's relational plan against
+// its part, fixes a grouped sink's cell layout, and (traced) prefaults
+// every dictionary its gathers could touch so stage taps account all IO.
+func (p *pipeline) buildRel(part Part) error {
+	rp := p.rel
 	for si := range rp.Stages {
 		st := &rp.Stages[si]
 		switch st.Kind {
@@ -375,10 +414,9 @@ func (p *pipeline) buildRel(rp *RelPlan) error {
 				if in.FromStage >= si {
 					return fmt.Errorf("ops: stage %q input %q references a later stage", st.Name, in.Col)
 				}
-				if err := resolveRelInput(p.r, rp.Stages, in); err != nil {
+				if err := p.resolve(part, in); err != nil {
 					return err
 				}
-				p.prefaultRelInput(in)
 			}
 		default:
 			if st.Table == nil {
@@ -396,10 +434,9 @@ func (p *pipeline) buildRel(rp *RelPlan) error {
 				if in.Kind != RelInt && in.Kind != RelKey && !strKey {
 					return fmt.Errorf("ops: join stage %q key %q is not int-typed", st.Name, in.Col)
 				}
-				if err := resolveRelInput(p.r, rp.Stages, in); err != nil {
+				if err := p.resolve(part, in); err != nil {
 					return err
 				}
-				p.prefaultRelInput(in)
 			}
 		}
 	}
@@ -408,23 +445,37 @@ func (p *pipeline) buildRel(rp *RelPlan) error {
 		return fmt.Errorf("ops: relational sink needs exactly one of Group/Collect")
 	}
 	for j := range sk.Inputs {
-		if err := resolveRelInput(p.r, rp.Stages, &sk.Inputs[j]); err != nil {
+		if err := p.resolve(part, &sk.Inputs[j]); err != nil {
 			return err
 		}
-		p.prefaultRelInput(&sk.Inputs[j])
 	}
 	if g := sk.Group; g != nil {
+		// A key or aggregate reads its input's vector by the type its kind
+		// implies; a mismatch would index a nil slice mid-scan.
 		for _, k := range g.Keys {
-			if k.Fn == nil && (k.Input < 0 || k.Input >= len(sk.Inputs)) {
+			if k.Fn != nil {
+				continue
+			}
+			if k.Input < 0 || k.Input >= len(sk.Inputs) {
 				return fmt.Errorf("ops: group key input %d out of range", k.Input)
+			}
+			if in := &sk.Inputs[k.Input]; in.Kind == RelFloat || k.Str != (in.Kind == RelStr) {
+				return fmt.Errorf("ops: group key %q does not match its %s input", in.Col, relKindWord(in.Kind))
 			}
 		}
 		for _, a := range g.Aggs {
-			if a.Kind != RelAggCount && a.FnI == nil && a.FnF == nil &&
-				(a.Input < 0 || a.Input >= len(sk.Inputs)) {
+			if a.Kind == RelAggCount || a.FnI != nil || a.FnF != nil {
+				continue
+			}
+			if a.Input < 0 || a.Input >= len(sk.Inputs) {
 				return fmt.Errorf("ops: aggregate input %d out of range", a.Input)
 			}
+			in := &sk.Inputs[a.Input]
+			if isFloat := in.Kind == RelFloat; in.Kind == RelStr || a.Kind.intAgg() == isFloat {
+				return fmt.Errorf("ops: aggregate over %q does not match its %s input", in.Col, relKindWord(in.Kind))
+			}
 		}
+		p.lay = planGroupLayout(g, part.R.NumRows(), part.R.NumRowGroups())
 	}
 	if c := sk.Collect; c != nil {
 		for _, s := range c.Sort {
@@ -436,15 +487,26 @@ func (p *pipeline) buildRel(rp *RelPlan) error {
 	return nil
 }
 
-// prefaultRelInput faults the dictionary behind one scan input (traced
-// runs only — see faultDict).
-func (p *pipeline) prefaultRelInput(in *RelInput) {
-	if in.FromStage >= 0 {
-		return
+func relKindWord(k RelValKind) string {
+	switch k {
+	case RelFloat:
+		return "float"
+	case RelStr:
+		return "string"
 	}
-	if _, c, err := p.r.Column(in.Col); err == nil {
-		p.faultDict(in.ci, c)
+	return "integer"
+}
+
+// resolve binds one input to the part and faults the dictionary behind a
+// scan input inside a traced run's Prepare window (see faultDict).
+func (p *pipeline) resolve(part Part, in *RelInput) error {
+	if err := resolveRelInput(part, p.rel.Stages, in); err != nil {
+		return err
 	}
+	if p.traced && in.FromStage < 0 && in.ci >= 0 {
+		faultDict(p.r, in.ci, &p.r.Schema().Columns[in.ci])
+	}
+	return nil
 }
 
 // relRows tracks the current row set of one morsel through the probe
@@ -482,206 +544,150 @@ func (st *relRows) apply(perm []int32) {
 	st.n = len(perm)
 }
 
-// relMorsel is the per-row-group execution state: the basis bitmap and a
-// cache of gathered basis vectors, so a column any number of stages and
-// the sink consume is fetched and decoded exactly once per row group (by
-// the first stage to touch it, which books the IO on its tap).
+// relVec is one gathered basis vector of a morsel.
+type relVec struct {
+	ci   int
+	kind RelValKind
+	i    []int64
+	f    []float64
+	s    [][]byte
+}
+
+// relMorsel is the per-row-group execution state — the basis bitmap, the
+// row set, the env handed to stages and sink, and a cache of gathered
+// basis vectors, so a column any number of stages and the sink consume is
+// fetched and decoded exactly once per row group (by the first stage to
+// touch it, which books the IO on its tap). It lives on the worker and is
+// reset per morsel; only the gathered vectors themselves are new memory.
 type relMorsel struct {
-	p      *pipeline
-	w      *pipeWorker
-	rg     int
-	bm     *bitutil.Bitmap
-	ints   map[int][]int64
-	keys   map[int][]int64
-	floats map[int][]float64
-	strs   map[int][][]byte
+	rg   int
+	bm   *bitutil.Bitmap
+	rows relRows
+	vecs []relVec
+	e    RelEnv
 }
 
-func (m *relMorsel) scanInts(ci int, tap *colstore.IOTap) ([]int64, error) {
-	if v, ok := m.ints[ci]; ok {
-		return v, nil
-	}
-	v, err := m.p.r.Chunk(m.rg, ci).Tap(tap).Fetch(m.p.fetch).GatherInts(m.bm)
-	if err != nil {
-		return nil, err
-	}
-	m.ints[ci] = v
-	return v, nil
+func (m *relMorsel) reset(rg int, bm *bitutil.Bitmap, card, stages int) {
+	m.rg, m.bm = rg, bm
+	clear(m.vecs)
+	m.vecs = m.vecs[:0]
+	m.rows.n, m.rows.src = card, nil
+	m.rows.builds = sized(m.rows.builds, stages)
+	clear(m.rows.builds)
 }
 
-func (m *relMorsel) scanKeys(ci int, tap *colstore.IOTap) ([]int64, error) {
-	if v, ok := m.keys[ci]; ok {
-		return v, nil
+// scan gathers (once per morsel) the basis vector behind a scan input.
+func (w *pipeWorker) scan(in *RelInput, tap *colstore.IOTap) (relVec, error) {
+	m := &w.m
+	for _, v := range m.vecs {
+		if v.ci == in.ci && v.kind == in.Kind {
+			return v, nil
+		}
 	}
-	v, err := m.p.r.Chunk(m.rg, ci).Tap(tap).Fetch(m.p.fetch).GatherKeys(m.bm)
+	v := relVec{ci: in.ci, kind: in.Kind}
+	var err error
+	if in.Kind == RelRowID {
+		base := in.starts[m.rg]
+		v.i = make([]int64, 0, m.rows.n)
+		m.bm.ForEach(func(i int) { v.i = append(v.i, base+int64(i)) })
+	} else {
+		chunk := w.p.r.Chunk(m.rg, in.ci).Tap(tap).Fetch(w.p.fetch)
+		switch in.Kind {
+		case RelInt:
+			v.i, err = chunk.GatherInts(m.bm)
+		case RelKey:
+			v.i, err = chunk.GatherKeys(m.bm)
+		case RelFloat:
+			v.f, err = chunk.GatherFloats(m.bm)
+		case RelStr:
+			v.s, err = chunk.GatherStrings(m.bm)
+		}
+	}
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	m.keys[ci] = v
-	return v, nil
-}
-
-func (m *relMorsel) scanFloats(ci int, tap *colstore.IOTap) ([]float64, error) {
-	if v, ok := m.floats[ci]; ok {
-		return v, nil
-	}
-	v, err := m.p.r.Chunk(m.rg, ci).Tap(tap).Fetch(m.p.fetch).GatherFloats(m.bm)
-	if err != nil {
-		return nil, err
-	}
-	m.floats[ci] = v
-	return v, nil
-}
-
-func (m *relMorsel) scanStrs(ci int, tap *colstore.IOTap) ([][]byte, error) {
-	if v, ok := m.strs[ci]; ok {
-		return v, nil
-	}
-	v, err := m.p.r.Chunk(m.rg, ci).Tap(tap).Fetch(m.p.fetch).GatherStrings(m.bm)
-	if err != nil {
-		return nil, err
-	}
-	m.strs[ci] = v
+	m.vecs = append(m.vecs, v)
 	return v, nil
 }
 
 // env materializes inputs row-aligned to the current row set: scan vectors
 // are indexed through src, payload columns through the owning stage's
-// build attachment (left misses read zero values).
-func (m *relMorsel) env(inputs []RelInput, st *relRows, tap *colstore.IOTap) (*RelEnv, error) {
-	e := &RelEnv{
-		N: st.n,
-		I: make([][]int64, len(inputs)),
-		F: make([][]float64, len(inputs)),
-		S: make([][][]byte, len(inputs)),
-	}
+// build attachment (left misses read zero values). The env is the
+// worker's, valid until the next call.
+func (w *pipeWorker) env(inputs []RelInput, tap *colstore.IOTap) (*RelEnv, error) {
+	st, e := &w.m.rows, &w.m.e
+	e.N = st.n
+	e.I, e.F, e.S = sized(e.I, len(inputs)), sized(e.F, len(inputs)), sized(e.S, len(inputs))
+	clear(e.I)
+	clear(e.F)
+	clear(e.S)
 	for j := range inputs {
 		in := &inputs[j]
 		if in.FromStage < 0 {
-			switch in.Kind {
-			case RelInt:
-				base, err := m.scanInts(in.ci, tap)
-				if err != nil {
-					return nil, err
-				}
-				e.I[j] = indexInts(base, st.src)
-			case RelKey:
-				base, err := m.scanKeys(in.ci, tap)
-				if err != nil {
-					return nil, err
-				}
-				e.I[j] = indexInts(base, st.src)
-			case RelFloat:
-				base, err := m.scanFloats(in.ci, tap)
-				if err != nil {
-					return nil, err
-				}
-				e.F[j] = indexFloats(base, st.src)
-			case RelStr:
-				base, err := m.scanStrs(in.ci, tap)
-				if err != nil {
-					return nil, err
-				}
-				e.S[j] = indexStrs(base, st.src)
+			v, err := w.scan(in, tap)
+			if err != nil {
+				return nil, err
 			}
+			e.I[j], e.F[j], e.S[j] = index(v.i, st.src), index(v.f, st.src), index(v.s, st.src)
 			continue
 		}
 		b := st.builds[in.FromStage]
-		pay := m.p.rel.Stages[in.FromStage].Payload
+		pay := w.p.rel.Stages[in.FromStage].Payload
 		switch pay.Kinds[in.bcol] {
 		case RelInt:
-			src := pay.Ints[in.bcol]
-			out := make([]int64, st.n)
-			for i, r := range b {
-				if r >= 0 {
-					out[i] = src[r]
-				}
-			}
-			e.I[j] = out
+			e.I[j] = attach(pay.Ints[in.bcol], b)
 		case RelFloat:
-			src := pay.Floats[in.bcol]
-			out := make([]float64, st.n)
-			for i, r := range b {
-				if r >= 0 {
-					out[i] = src[r]
-				}
-			}
-			e.F[j] = out
+			e.F[j] = attach(pay.Floats[in.bcol], b)
 		case RelStr:
-			src := pay.Strs[in.bcol]
-			out := make([][]byte, st.n)
-			for i, r := range b {
-				if r >= 0 {
-					out[i] = src[r]
-				}
-			}
-			e.S[j] = out
+			e.S[j] = attach(pay.Strs[in.bcol], b)
 		}
 	}
 	return e, nil
 }
 
-func indexInts(base []int64, src []int32) []int64 {
-	if src == nil {
+// index reads a basis vector through the row set's source map.
+func index[T any](base []T, src []int32) []T {
+	if src == nil || base == nil {
 		return base
 	}
-	out := make([]int64, len(src))
+	out := make([]T, len(src))
 	for i, o := range src {
 		out[i] = base[o]
 	}
 	return out
 }
 
-func indexFloats(base []float64, src []int32) []float64 {
-	if src == nil {
-		return base
-	}
-	out := make([]float64, len(src))
-	for i, o := range src {
-		out[i] = base[o]
-	}
-	return out
-}
-
-func indexStrs(base [][]byte, src []int32) [][]byte {
-	if src == nil {
-		return base
-	}
-	out := make([][]byte, len(src))
-	for i, o := range src {
-		out[i] = base[o]
+// attach reads a payload column through a stage's build attachment.
+func attach[T any](col []T, build []int32) []T {
+	out := make([]T, len(build))
+	for i, r := range build {
+		if r >= 0 {
+			out[i] = col[r]
+		}
 	}
 	return out
 }
 
 // probeKeys computes the probe key per live row for one join stage.
-func (m *relMorsel) probeKeys(st *RelStage, rows *relRows, tap *colstore.IOTap) ([]int64, error) {
+func (w *pipeWorker) probeKeys(st *RelStage, tap *colstore.IOTap) ([]int64, error) {
+	rows := &w.m.rows
 	vecs := make([][]int64, len(st.Keys))
 	for j := range st.Keys {
-		in := &st.Keys[j]
-		var base []int64
-		var err error
-		switch in.Kind {
-		case RelKey:
-			base, err = m.scanKeys(in.ci, tap)
-		case RelStr:
-			var strs [][]byte
-			strs, err = m.scanStrs(in.ci, tap)
-			base = make([]int64, len(strs))
-			for i, v := range strs {
-				k, ok := st.StrKeys[string(v)]
-				if !ok {
-					k = -1
-				}
-				base[i] = k
-			}
-		default:
-			base, err = m.scanInts(in.ci, tap)
-		}
+		v, err := w.scan(&st.Keys[j], tap)
 		if err != nil {
 			return nil, err
 		}
-		vecs[j] = base
+		vecs[j] = v.i
+		if v.kind == RelStr {
+			vecs[j] = make([]int64, len(v.s))
+			for i, s := range v.s {
+				k, ok := st.StrKeys[string(s)]
+				if !ok {
+					k = -1
+				}
+				vecs[j][i] = k
+			}
+		}
 	}
 	keys := make([]int64, rows.n)
 	for i := 0; i < rows.n; i++ {
@@ -700,8 +706,8 @@ func (m *relMorsel) probeKeys(st *RelStage, rows *relRows, tap *colstore.IOTap) 
 
 // runRelStage executes one probe/filter stage over the morsel's current
 // row set, recording row flow on the stage's stats slot.
-func (m *relMorsel) runRelStage(si int, rows *relRows) error {
-	p, w := m.p, m.w
+func (w *pipeWorker) runRelStage(si int) error {
+	p, rows := w.p, &w.m.rows
 	st := &p.rel.Stages[si]
 	var start time.Time
 	if w.stats != nil {
@@ -716,7 +722,7 @@ func (m *relMorsel) runRelStage(si int, rows *relRows) error {
 	switch st.Kind {
 	case RelSemi, RelAnti:
 		var keys []int64
-		keys, err = m.probeKeys(st, rows, tap)
+		keys, err = w.probeKeys(st, tap)
 		if err == nil {
 			want := st.Kind == RelSemi
 			perm := make([]int32, 0, rows.n)
@@ -729,7 +735,7 @@ func (m *relMorsel) runRelStage(si int, rows *relRows) error {
 		}
 	case RelInner, RelLeft:
 		var keys []int64
-		keys, err = m.probeKeys(st, rows, tap)
+		keys, err = w.probeKeys(st, tap)
 		if err == nil {
 			perm := make([]int32, 0, rows.n)
 			build := make([]int32, 0, rows.n)
@@ -750,7 +756,7 @@ func (m *relMorsel) runRelStage(si int, rows *relRows) error {
 		}
 	case RelRowFilter:
 		var e *RelEnv
-		e, err = m.env(st.Inputs, rows, tap)
+		e, err = w.env(st.Inputs, tap)
 		if err == nil {
 			perm := make([]int32, 0, rows.n)
 			for i := 0; i < rows.n; i++ {
@@ -770,27 +776,20 @@ func (m *relMorsel) runRelStage(si int, rows *relRows) error {
 	return err
 }
 
-// relTerminal drives one row group's selection through the plan's probe
-// stages and sink. An empty selection touches nothing, like the scalar
-// terminals.
-func (p *pipeline) relTerminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts *pipeParts) error {
-	card := 0
-	if bm != nil {
-		card = bm.Cardinality()
-	}
+// sink drives one row group's selection through the plan's probe stages
+// into its sink. An empty selection touches no chunk — no pages, no skip
+// marks. A collect of no inputs only counts: the rows reaching the sink
+// are its whole answer, so it does no per-row work.
+func (w *pipeWorker) sink(rg int, bm *bitutil.Bitmap) error {
+	p := w.p
+	card := bm.Cardinality()
 	if card == 0 {
 		return nil
 	}
-	m := &relMorsel{
-		p: p, w: w, rg: rg, bm: bm,
-		ints:   map[int][]int64{},
-		keys:   map[int][]int64{},
-		floats: map[int][]float64{},
-		strs:   map[int][][]byte{},
-	}
-	rows := &relRows{n: card, builds: make([][]int32, len(p.rel.Stages))}
+	rows := &w.m.rows
+	w.m.reset(rg, bm, card, len(p.rel.Stages))
 	for si := range p.rel.Stages {
-		if err := m.runRelStage(si, rows); err != nil {
+		if err := w.runRelStage(si); err != nil {
 			return err
 		}
 		if rows.n == 0 {
@@ -805,23 +804,23 @@ func (p *pipeline) relTerminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts 
 	if w.taps != nil {
 		tap = &w.taps[len(w.taps)-1]
 	}
+	sk := &p.rel.Sink
 	var err error
-	if rows.n > 0 {
+	if rows.n > 0 && (sk.Group != nil || len(sk.Inputs) > 0) {
 		var e *RelEnv
-		e, err = m.env(p.rel.Sink.Inputs, rows, tap)
-		if err == nil {
-			w.count += int64(rows.n)
+		if e, err = w.env(sk.Inputs, tap); err == nil {
 			switch {
-			case p.rel.Sink.Group != nil:
-				w.relGroup.accumulate(e)
-			case p.rel.Sink.Collect != nil:
-				if w.relTop != nil {
-					w.relTop.add(e, rg)
-				} else {
-					parts.rel[rg] = collectBatch(e, &p.rel.Sink)
-				}
+			case w.group != nil:
+				err = w.group.accumulate(e, rg)
+			case w.top != nil:
+				w.top.add(e, rg)
+			default:
+				p.frags.put(rg, e)
 			}
 		}
+	}
+	if err == nil {
+		w.count += int64(rows.n)
 	}
 	if w.stats != nil {
 		s := &w.stats[len(w.stats)-1]
@@ -832,108 +831,104 @@ func (p *pipeline) relTerminal(w *pipeWorker, rg int, bm *bitutil.Bitmap, parts 
 	return err
 }
 
-// collectBatch freezes one row group's sink env as a batch fragment.
-func collectBatch(e *RelEnv, sk *RelSink) *Batch {
-	b := &Batch{N: e.N}
-	for j := range sk.Inputs {
-		name := sk.Inputs[j].Col
-		switch {
-		case e.I[j] != nil:
-			b.Names = append(b.Names, name)
-			b.Kinds = append(b.Kinds, RelInt)
-			b.Ints = append(b.Ints, e.I[j])
-			b.Floats = append(b.Floats, nil)
-			b.Strs = append(b.Strs, nil)
-		case e.F[j] != nil:
-			b.AddFloats(name, e.F[j])
-		default:
-			b.AddStrs(name, e.S[j])
-		}
-		b.N = e.N
-	}
-	return b
+// sinkFrags holds an unsorted or fully sorted collect sink's output per
+// row group: slot j*n+rg is sink input j's vector for row group rg.
+// Workers write disjoint row groups, so the concatenation in row-group
+// order needs no synchronization and does not depend on which worker
+// claimed which morsel.
+type sinkFrags struct {
+	n      int
+	inputs []RelInput
+	i      [][]int64
+	f      [][]float64
+	s      [][][]byte
 }
 
-// mergeRel folds the worker partials into the final batch: grouped cells
-// merge then sort by key; collected fragments concatenate in row-group
-// order then sort (and truncate) when requested.
-func (p *pipeline) mergeRel(workers []*pipeWorker) *Batch {
+// init sizes the slots for n row groups of the sink's inputs, one array
+// per value type the sink actually collects.
+func (fr *sinkFrags) init(n int, inputs []RelInput) {
+	fr.n, fr.inputs = n, inputs
+	for j := range inputs {
+		switch sinkInputKind(&inputs[j]) {
+		case RelFloat:
+			fr.f = sized(fr.f, n*len(inputs))
+		case RelStr:
+			fr.s = sized(fr.s, n*len(inputs))
+		default:
+			fr.i = sized(fr.i, n*len(inputs))
+		}
+	}
+}
+
+func (fr *sinkFrags) put(rg int, e *RelEnv) {
+	for j := range fr.inputs {
+		switch sinkInputKind(&fr.inputs[j]) {
+		case RelFloat:
+			fr.f[j*fr.n+rg] = e.F[j]
+		case RelStr:
+			fr.s[j*fr.n+rg] = e.S[j]
+		default:
+			fr.i[j*fr.n+rg] = e.I[j]
+		}
+	}
+}
+
+// merge folds the worker partials into the part's output batch (p.out)
+// and its sink row count: grouped cells merge and lay out in key order;
+// top-K buffers merge and trim; collected fragments concatenate in
+// row-group order then sort when requested. The scan calls it exactly once
+// — merging consumes the partials.
+func (p *pipeline) merge() {
 	sk := &p.rel.Sink
-	if sk.Group != nil {
-		total := newRelGroupAcc(sk.Group, sk.Inputs)
-		for _, w := range workers {
-			if w != nil && w.relGroup != nil {
-				total.merge(w.relGroup)
+	for _, w := range p.workers {
+		p.rows += w.count
+	}
+	switch {
+	case sk.Group != nil:
+		// Fold into the first worker's partial: a dense domain is neither
+		// allocated nor swept once more than there are workers.
+		var total *relGroupAcc
+		for _, w := range p.workers {
+			if total == nil {
+				total = w.group
+			} else {
+				total.merge(w.group)
 			}
 		}
-		return total.result(p.rel)
-	}
-	if sk.Collect.K > 0 {
+		if total == nil {
+			total = newRelGroupAcc(sk.Group, &p.lay)
+		}
+		p.out = total.result(p.rel.Names)
+	case sk.Collect.K > 0:
 		top := newRelTopK(sk)
-		for _, w := range workers {
-			if w != nil && w.relTop != nil {
-				top.rows = append(top.rows, w.relTop.rows...)
-			}
+		for _, w := range p.workers {
+			top.rows = append(top.rows, w.top.rows...)
 		}
 		top.trim(sk.Collect.K)
-		return top.batch(p.rel)
-	}
-	frags := make([]*Batch, 0, len(p.parts.rel))
-	for _, f := range p.parts.rel {
-		if f != nil && f.N > 0 {
-			frags = append(frags, f)
-		}
-	}
-	out := concatBatches(frags, sk, p.rel)
-	if len(sk.Collect.Sort) > 0 {
-		sortBatch(out, sk.Collect.Sort)
-	}
-	return out
-}
-
-// concatBatches concatenates fragments (already in row-group order) into
-// one output batch named by the plan.
-func concatBatches(frags []*Batch, sk *RelSink, rp *RelPlan) *Batch {
-	out := &Batch{}
-	total := 0
-	for _, f := range frags {
-		total += f.N
-	}
-	for j := range sk.Inputs {
-		name := rp.Names[j]
-		kind := RelInt
-		if len(frags) > 0 {
-			kind = frags[0].Kinds[j]
-		} else {
-			kind = sinkInputKind(&sk.Inputs[j])
-		}
-		switch kind {
-		case RelFloat:
-			col := make([]float64, 0, total)
-			for _, f := range frags {
-				col = append(col, f.Floats[j]...)
+		p.out = top.batch(p.rel)
+	default:
+		out := newBatch(len(sk.Inputs))
+		n := p.frags.n
+		for j := range sk.Inputs {
+			switch sinkInputKind(&sk.Inputs[j]) {
+			case RelFloat:
+				out.AddFloats(p.rel.Names[j], concat(p.frags.f[j*n:(j+1)*n]))
+			case RelStr:
+				out.AddStrs(p.rel.Names[j], concat(p.frags.s[j*n:(j+1)*n]))
+			default:
+				out.AddInts(p.rel.Names[j], concat(p.frags.i[j*n:(j+1)*n]))
 			}
-			out.AddFloats(name, col)
-		case RelStr:
-			col := make([][]byte, 0, total)
-			for _, f := range frags {
-				col = append(col, f.Strs[j]...)
-			}
-			out.AddStrs(name, col)
-		default:
-			col := make([]int64, 0, total)
-			for _, f := range frags {
-				col = append(col, f.Ints[j]...)
-			}
-			out.AddInts(name, col)
 		}
+		out.N = int(p.rows)
+		if len(sk.Collect.Sort) > 0 {
+			sortBatch(out, sk.Collect.Sort)
+		}
+		p.out = out
 	}
-	out.N = total
-	return out
 }
 
 func sinkInputKind(in *RelInput) RelValKind {
-	if in.Kind == RelKey {
+	if in.Kind == RelKey || in.Kind == RelRowID {
 		return RelInt
 	}
 	return in.Kind

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -58,11 +59,14 @@ func runRel(t *testing.T, r *colstore.Reader, pl *Plan, rp *RelPlan) *Batch {
 	if pl != nil {
 		plans = []*Plan{pl}
 	}
-	bs, err := RunRelPipeline(context.Background(), PartsOf(r), pool, plans, []*RelPlan{rp})
+	res, err := Run(context.Background(), PartsOf(r), pool, []Member{{Plans: plans, Rels: []*RelPlan{rp}}})
+	if err == nil {
+		err = res[0].Err
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bs[0]
+	return res[0].Parts[0]
 }
 
 // TestRelSemiJoinOnDictKeys checks a semi join probing on dict codes
@@ -346,7 +350,11 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 			Sink:  RelSink{Group: &RelGroup{Aggs: []RelAgg{{Kind: RelAggCount}}}},
 			Names: []string{"count"},
 		}
-		if _, err := RunRelPipeline(context.Background(), PartsOf(rr), pool, nil, []*RelPlan{rp}); err != nil {
+		res, err := Run(context.Background(), PartsOf(rr), pool, []Member{{Rels: []*RelPlan{rp}}})
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -384,6 +392,54 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 	if strsIO.BytesRead <= keysIO.BytesRead {
 		t.Fatalf("string gather bytes %d not > key gather bytes %d: assertion has no teeth",
 			strsIO.BytesRead, keysIO.BytesRead)
+	}
+}
+
+// TestGroupLayoutRule pins the one rule that picks a grouped sink's
+// accumulator: flat arrays where every key has a domain and the packed
+// domain is at most max(denseCellFloor, part rows) — so a dictionary key,
+// whose domain never exceeds the rows, is dense at any cardinality — one
+// cell per row group with no keys at all, a map over packed keys for
+// larger domains, a map over encoded bytes without one.
+func TestGroupLayoutRule(t *testing.T) {
+	key := func(lo, hi int64) RelGroupKey { return RelGroupKey{Lo: lo, Hi: hi} }
+	for _, tc := range []struct {
+		name string
+		keys []RelGroupKey
+		rows int64
+		mode groupMode
+		n    int
+	}{
+		{"no keys", nil, 1000, groupDense, 7},
+		{"small domain, tiny part", []RelGroupKey{key(0, denseCellFloor)}, 10, groupDense, denseCellFloor},
+		{"dictionary as large as the part", []RelGroupKey{key(0, 1<<20)}, 1 << 20, groupDense, 1 << 20},
+		{"two keys multiply", []RelGroupKey{key(-5, 5), key(1992, 1999)}, 0, groupDense, 70},
+		{"domain beyond floor and rows", []RelGroupKey{key(0, 1<<20)}, 1 << 19, groupPacked, 0},
+		{"no declared domain", []RelGroupKey{key(0, 0)}, 1000, groupBytes, 0},
+		{"string key", []RelGroupKey{{Str: true}, key(0, 4)}, 1000, groupBytes, 0},
+		{"domain overflows", []RelGroupKey{key(0, 1<<40), key(0, 1<<40)}, 1000, groupBytes, 0},
+	} {
+		if l := planGroupLayout(&RelGroup{Keys: tc.keys}, tc.rows, 7); l.mode != tc.mode || l.cells != tc.n {
+			t.Errorf("%s: mode %d cells %d, want mode %d cells %d", tc.name, l.mode, l.cells, tc.mode, tc.n)
+		}
+	}
+}
+
+// TestRelGroupKeyOutsideDomain: a key value outside its declared domain
+// would index another group's cell (or past the arrays); it fails the
+// member with an error instead.
+func TestRelGroupKeyOutsideDomain(t *testing.T) {
+	r, _, _, _, _ := relTestReader(t, 1000)
+	rp := &RelPlan{
+		Sink: RelSink{
+			Inputs: []RelInput{{FromStage: -1, Col: "date", Kind: RelInt}},
+			Group:  &RelGroup{Keys: []RelGroupKey{{Input: 0, Lo: 1992, Hi: 1995}}, Aggs: []RelAgg{{Kind: RelAggCount}}},
+		},
+		Names: []string{"date", "rows"},
+	}
+	res, err := Run(context.Background(), PartsOf(r), exec.NewPool(2), []Member{{Rels: []*RelPlan{rp}}})
+	if err != nil || res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "outside its domain [1992,1995)") {
+		t.Fatalf("fatal %v, member error %v; want the domain error", err, res[0].Err)
 	}
 }
 

@@ -10,21 +10,30 @@ import (
 	"codecdb/internal/sboost"
 )
 
-// sharedItems builds a mixed wave: different predicates, different
-// terminals, one select-all.
-func sharedItems() []SharedItem {
-	return []SharedItem{
-		{Plans: nil, Term: TermCount},
-		{Term: TermCount},
-		{Term: TermRowIDs},
-		{Term: TermGroupCount, Col: "shipmode"},
-		{Term: TermInts, Col: "qty"},
+// Degenerate sinks: the scalar terminals as relational plans.
+func countSink() *RelPlan { return &RelPlan{Sink: RelSink{Collect: &RelCollect{}}} }
+
+func gatherSink(col string, kind RelValKind) *RelPlan {
+	return &RelPlan{
+		Sink:  RelSink{Inputs: []RelInput{{FromStage: -1, Col: col, Kind: kind}}, Collect: &RelCollect{}},
+		Names: []string{col},
 	}
 }
 
-// sharedPlans attaches per-item plans against r (plans bind to a reader,
-// so they are rebuilt per call).
-func sharedPlans(r *colstore.Reader, items []SharedItem) []SharedItem {
+func groupCountSink(col string, card int64) *RelPlan {
+	return &RelPlan{
+		Sink: RelSink{
+			Inputs: []RelInput{{FromStage: -1, Col: col, Kind: RelKey}},
+			Group:  &RelGroup{Keys: []RelGroupKey{{Input: 0, Hi: card}}, Aggs: []RelAgg{{Kind: RelAggCount}}},
+		},
+		Names: []string{col, "count"},
+	}
+}
+
+// sharedMembers builds a mixed wave against r: different predicates,
+// different sinks, one select-all. Plans bind to a reader and sinks resolve
+// in place, so members are rebuilt per call.
+func sharedMembers(r *colstore.Reader) []Member {
 	preds := []*Pred{
 		nil,
 		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 500}),
@@ -35,9 +44,16 @@ func sharedPlans(r *colstore.Reader, items []SharedItem) []SharedItem {
 		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpGe, Value: 200}),
 		LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 900}),
 	}
-	out := make([]SharedItem, len(items))
-	for i, it := range items {
-		out[i] = it
+	sinks := []*RelPlan{
+		countSink(),
+		countSink(),
+		gatherSink("", RelRowID),
+		groupCountSink("shipmode", 64),
+		gatherSink("qty", RelInt),
+	}
+	out := make([]Member, len(sinks))
+	for i, rp := range sinks {
+		out[i].Rels = []*RelPlan{rp}
 		if preds[i] != nil {
 			out[i].Plans = []*Plan{mustPlan(preds[i], r)}
 		}
@@ -45,55 +61,43 @@ func sharedPlans(r *colstore.Reader, items []SharedItem) []SharedItem {
 	return out
 }
 
-// TestRunSharedMatchesSerial is the shared-scan correctness property: a
-// wave of K queries returns exactly what K serial RunPipeline calls
-// return.
-func TestRunSharedMatchesSerial(t *testing.T) {
+// TestRunWaveMatchesSolo is the shared-scan correctness property: a wave
+// of K members returns exactly what K solo Run calls return.
+func TestRunWaveMatchesSolo(t *testing.T) {
 	const n = 5000
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(4)
 	ctx := context.Background()
 
-	items := sharedPlans(r, sharedItems())
-	got, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
+	got, fatal := Run(ctx, PartsOf(r), pool, sharedMembers(r))
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
-	for i := range items {
-		if errs[i] != nil {
-			t.Fatalf("item %d: %v", i, errs[i])
+	for i, m := range sharedMembers(r) {
+		if got[i].Err != nil {
+			t.Fatalf("member %d: %v", i, got[i].Err)
 		}
-	}
-	want := make([]*PipelineResult, len(items))
-	serial := sharedPlans(r, sharedItems())
-	for i, it := range serial {
-		res, err := RunPipeline(ctx, PartsOf(r), pool, it.Plans, it.Term, it.Col)
+		solo, err := Run(ctx, PartsOf(r), pool, []Member{m})
+		if err == nil {
+			err = solo[0].Err
+		}
 		if err != nil {
-			t.Fatalf("serial %d: %v", i, err)
+			t.Fatalf("solo %d: %v", i, err)
 		}
-		want[i] = res
-	}
-	for i := range items {
-		g, w := got[i], want[i]
-		if g.Count != w.Count {
-			t.Fatalf("item %d: count %d, want %d", i, g.Count, w.Count)
+		g, w := got[i], solo[0]
+		if g.Rows != w.Rows || g.Rows == 0 {
+			t.Fatalf("member %d: rows %d, want %d (non-zero)", i, g.Rows, w.Rows)
 		}
-		if fmt.Sprint(g.RowIDs) != fmt.Sprint(w.RowIDs) {
-			t.Fatalf("item %d: rowids differ", i)
-		}
-		if fmt.Sprint(g.Ints) != fmt.Sprint(w.Ints) {
-			t.Fatalf("item %d: ints differ", i)
-		}
-		if fmt.Sprint(g.Groups) != fmt.Sprint(w.Groups) {
-			t.Fatalf("item %d: groups differ:\n got %v\nwant %v", i, g.Groups, w.Groups)
+		if fmt.Sprint(*g.Parts[0]) != fmt.Sprint(*w.Parts[0]) {
+			t.Fatalf("member %d: batches differ:\n got %v\nwant %v", i, *g.Parts[0], *w.Parts[0])
 		}
 	}
 }
 
-// TestRunSharedDecompressOnce is the decompress-once property: with a
+// TestRunWaveDecompressOnce is the decompress-once property: with a
 // page cache attached, a wave of K identical scans decompresses each
 // page once — bytesDecompressed grows with the table, not with K.
-func TestRunSharedDecompressOnce(t *testing.T) {
+func TestRunWaveDecompressOnce(t *testing.T) {
 	const n = 8000
 	r, _, _, _ := testReader(t, n)
 	r.SetPageCache(colstore.NewPageCache(32 << 20))
@@ -101,21 +105,21 @@ func TestRunSharedDecompressOnce(t *testing.T) {
 	ctx := context.Background()
 
 	runWaveOf := func(k int) int64 {
-		items := make([]SharedItem, k)
-		for i := range items {
-			items[i] = SharedItem{
+		members := make([]Member, k)
+		for i := range members {
+			members[i] = Member{
 				Plans: []*Plan{mustPlan(LeafPred(&Cmp{Col: "shipdate", Op: sboost.OpLt, Value: 800}), r)},
-				Term:  TermCount,
+				Rels:  []*RelPlan{countSink()},
 			}
 		}
 		before := r.Stats().BytesDecompressed
-		_, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
+		res, fatal := Run(ctx, PartsOf(r), pool, members)
 		if fatal != nil {
 			t.Fatal(fatal)
 		}
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("item %d: %v", i, e)
+		for i := range res {
+			if res[i].Err != nil {
+				t.Fatalf("member %d: %v", i, res[i].Err)
 			}
 		}
 		return r.Stats().BytesDecompressed - before
@@ -129,50 +133,44 @@ func TestRunSharedDecompressOnce(t *testing.T) {
 	}
 }
 
-// TestRunSharedMemberFailure proves error isolation: one member with an
+// TestRunWaveMemberFailure proves error isolation: one member with an
 // unknown column fails alone; the rest of the wave completes.
-func TestRunSharedMemberFailure(t *testing.T) {
+func TestRunWaveMemberFailure(t *testing.T) {
 	const n = 3000
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(4)
-	items := []SharedItem{
-		{Term: TermCount},
-		{Term: TermInts, Col: "no_such_column"},
-	}
-	got, errs, fatal := RunShared(context.Background(), PartsOf(r), pool, items)
+	got, fatal := Run(context.Background(), PartsOf(r), pool, []Member{
+		{Rels: []*RelPlan{countSink()}},
+		{Rels: []*RelPlan{gatherSink("no_such_column", RelInt)}},
+	})
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
-	if errs[0] != nil || got[0] == nil || got[0].Count != int64(n) {
-		t.Fatalf("healthy member: res=%v err=%v", got[0], errs[0])
+	if got[0].Err != nil || got[0].Rows != int64(n) {
+		t.Fatalf("healthy member: %+v", got[0])
 	}
-	if errs[1] == nil {
+	if got[1].Err == nil {
 		t.Fatal("bad member did not error")
 	}
 }
 
-// TestRunSharedWorkerCap: the MaxWorkers context budget flows into the
+// TestRunWaveWorkerCap: the MaxWorkers context budget flows into the
 // wave (smoke — correctness under a cap of 1, the serial degeneration).
-func TestRunSharedWorkerCap(t *testing.T) {
+func TestRunWaveWorkerCap(t *testing.T) {
 	const n = 4000
 	r, _, _, _ := testReader(t, n)
 	pool := exec.NewPool(8)
 	ctx := ContextWithMaxWorkers(context.Background(), 1)
-	items := sharedPlans(r, sharedItems())
-	got, errs, fatal := RunShared(ctx, PartsOf(r), pool, items)
+	got, fatal := Run(ctx, PartsOf(r), pool, sharedMembers(r))
 	if fatal != nil {
 		t.Fatal(fatal)
 	}
-	for i := range items {
-		if errs[i] != nil {
-			t.Fatalf("item %d: %v", i, errs[i])
+	for i := range got {
+		if got[i].Err != nil {
+			t.Fatalf("member %d: %v", i, got[i].Err)
 		}
 	}
-	res, err := RunPipeline(context.Background(), PartsOf(r), pool, nil, TermCount, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Count != res.Count {
-		t.Fatalf("capped wave count %d, want %d", got[0].Count, res.Count)
+	if got[0].Rows != n {
+		t.Fatalf("capped wave count %d, want %d", got[0].Rows, n)
 	}
 }

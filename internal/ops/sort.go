@@ -11,121 +11,6 @@ import (
 	"sort"
 )
 
-// SortKey describes one sort column by index into the comparators given to
-// SortRows.
-type SortKey struct {
-	Col  int
-	Desc bool
-}
-
-// RowComparator compares two row indexes on one column.
-type RowComparator func(i, j int) int
-
-// SortRows returns the permutation ordering rows by keys, with cmp[c]
-// comparing column c. It is the in-memory sort operator (§5.5).
-func SortRows(n int, keys []SortKey, cmp []RowComparator) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, k := range keys {
-			c := cmp[k.Col](idx[a], idx[b])
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return idx
-}
-
-// IntComparator adapts an int column to a RowComparator.
-func IntComparator(vals []int64) RowComparator {
-	return func(i, j int) int {
-		switch {
-		case vals[i] < vals[j]:
-			return -1
-		case vals[i] > vals[j]:
-			return 1
-		default:
-			return 0
-		}
-	}
-}
-
-// FloatComparator adapts a float column to a RowComparator.
-func FloatComparator(vals []float64) RowComparator {
-	return func(i, j int) int {
-		switch {
-		case vals[i] < vals[j]:
-			return -1
-		case vals[i] > vals[j]:
-			return 1
-		default:
-			return 0
-		}
-	}
-}
-
-// BytesComparator adapts a byte-string column to a RowComparator.
-func BytesComparator(vals [][]byte) RowComparator {
-	return func(i, j int) int {
-		a, b := vals[i], vals[j]
-		switch {
-		case string(a) < string(b):
-			return -1
-		case string(a) > string(b):
-			return 1
-		default:
-			return 0
-		}
-	}
-}
-
-// TopN is the heap-based top-n operator (§5.5): it retains the n smallest
-// rows under less without sorting the full input.
-func TopN(total, n int, less func(i, j int) bool) []int {
-	if n <= 0 || total == 0 {
-		return nil
-	}
-	if n > total {
-		n = total
-	}
-	h := &rowHeap{less: func(i, j int) bool { return less(j, i) }} // max-heap of the kept set
-	for i := 0; i < total; i++ {
-		if h.Len() < n {
-			heap.Push(h, i)
-		} else if less(i, h.rows[0]) {
-			h.rows[0] = i
-			heap.Fix(h, 0)
-		}
-	}
-	out := make([]int, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(int)
-	}
-	return out
-}
-
-type rowHeap struct {
-	rows []int
-	less func(i, j int) bool
-}
-
-func (h *rowHeap) Len() int           { return len(h.rows) }
-func (h *rowHeap) Less(a, b int) bool { return h.less(h.rows[a], h.rows[b]) }
-func (h *rowHeap) Swap(a, b int)      { h.rows[a], h.rows[b] = h.rows[b], h.rows[a] }
-func (h *rowHeap) Push(x any)         { h.rows = append(h.rows, x.(int)) }
-func (h *rowHeap) Pop() any {
-	x := h.rows[len(h.rows)-1]
-	h.rows = h.rows[:len(h.rows)-1]
-	return x
-}
-
 // ExternalSortInts sorts vals using at most memBudget values in memory at
 // once, spilling sorted runs to tmpDir and k-way merging them — the
 // external merge sort operator (§5.5).

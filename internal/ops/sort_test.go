@@ -7,79 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"testing/quick"
 )
-
-func TestSortRowsSingleKey(t *testing.T) {
-	vals := []int64{5, 1, 9, 3}
-	idx := SortRows(4, []SortKey{{Col: 0}}, []RowComparator{IntComparator(vals)})
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("idx = %v", idx)
-		}
-	}
-	desc := SortRows(4, []SortKey{{Col: 0, Desc: true}}, []RowComparator{IntComparator(vals)})
-	if desc[0] != 2 || desc[3] != 1 {
-		t.Fatalf("desc = %v", desc)
-	}
-}
-
-func TestSortRowsMultiKeyStable(t *testing.T) {
-	groups := [][]byte{[]byte("b"), []byte("a"), []byte("b"), []byte("a")}
-	vals := []float64{2, 9, 1, 9}
-	idx := SortRows(4, []SortKey{{Col: 0}, {Col: 1, Desc: true}},
-		[]RowComparator{BytesComparator(groups), FloatComparator(vals)})
-	// a/9, a/9 (stable: row 1 before 3), b/2, b/1
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("idx = %v, want %v", idx, want)
-		}
-	}
-}
-
-func TestTopN(t *testing.T) {
-	vals := []int64{50, 10, 40, 20, 30}
-	less := func(i, j int) bool { return vals[i] < vals[j] }
-	top := TopN(5, 3, less)
-	if len(top) != 3 || vals[top[0]] != 10 || vals[top[1]] != 20 || vals[top[2]] != 30 {
-		t.Fatalf("top = %v", top)
-	}
-	if got := TopN(5, 10, less); len(got) != 5 {
-		t.Fatalf("n>total should clamp: %v", got)
-	}
-	if TopN(0, 3, less) != nil || TopN(5, 0, less) != nil {
-		t.Fatal("degenerate cases should be nil")
-	}
-}
-
-func TestTopNMatchesFullSortProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(500)
-		k := 1 + rng.Intn(20)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = rng.Int63n(1000)
-		}
-		less := func(i, j int) bool { return vals[i] < vals[j] }
-		top := TopN(n, k, less)
-		full := SortRows(n, []SortKey{{Col: 0}}, []RowComparator{IntComparator(vals)})
-		if k > n {
-			k = n
-		}
-		for i := 0; i < k; i++ {
-			if vals[top[i]] != vals[full[i]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestExternalSortSmallStaysInMemory(t *testing.T) {
 	vals := []int64{3, 1, 2}

@@ -1,10 +1,13 @@
-// Package relq is the relational query builder over the morsel pipeline:
-// it compiles filters, late-materialized hash joins, residual row
-// predicates, multi-column group-by, and order-by/limit into an
-// ops.RelPlan and runs it through ops.RunRelPipeline. Both benchmark
-// suites (internal/tpch, internal/ssb) and the public codecdb.Query API
-// compile through this package, so there is exactly one relational
-// executor in the engine.
+// Package relq is the query builder over the morsel pipeline. A query is
+// (predicate plan, stages, sink): filters, then late-materialized hash
+// joins and residual row predicates, then exactly one sink — a collect
+// (Rows/Sorted/TopK; of no columns, a Count) or a group (multi-column
+// group-by; with no keys, a plain aggregate). Binding a sink (Collect,
+// Group) compiles the query per part into an ops.Member; Exec runs any
+// number of bound queries over the same table as one morsel pass through
+// ops.Run. Both benchmark suites (internal/tpch, internal/ssb) and every
+// terminal of the public codecdb.Query API compile through this package,
+// so there is exactly one executor in the engine.
 //
 // The central trick is the dictionary key space: a column name prefixed
 // with "#" denotes the dict-code view of a dict-encoded column. Joins
@@ -24,6 +27,8 @@ package relq
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"codecdb/internal/colstore"
@@ -89,14 +94,21 @@ func (q *Q) WherePred(p *ops.Pred) *Q {
 	return q
 }
 
+// RowID is the ref of a row's ordinal in the table (across its parts, in
+// order): an int input read from no column.
+const RowID = "$rowid"
+
 // input parses a column reference against part pi: "#name" is the
 // dictionary-code view of a dict-encoded scan column, "@name" the same
 // where the part has a dictionary and the plain column where it does not
 // (decoded before results leave relq either way), "stage.name" a payload
-// column of an earlier join stage, plain "name" a scan column typed from
-// the schema.
+// column of an earlier join stage, RowID the row ordinal, plain "name" a
+// scan column typed from the schema.
 func (q *Q) input(pi int, ref string) (ops.RelInput, error) {
 	r := q.parts[pi].R
+	if ref == RowID {
+		return ops.RelInput{FromStage: -1, Kind: ops.RelRowID}, nil
+	}
 	if strings.HasPrefix(ref, "#") {
 		if len(q.parts) > 1 {
 			return ops.RelInput{}, fmt.Errorf("relq: code-space ref %q needs a single-part table (use @%s)", ref, ref[1:])
@@ -329,7 +341,9 @@ type GAgg struct {
 
 // GroupBy executes the plan with a grouped sink and returns the result
 // batch: key columns first (sorted ascending by key tuple), then one
-// column per aggregate.
+// column per aggregate. With no keys it yields exactly one row, also over
+// no rows at all (count 0, sums 0) — except that a min or max over no rows
+// has no value, so a key-less group asking for one then yields no row.
 func (q *Q) GroupBy(keys []GKey, aggs []GAgg) (*ops.Batch, error) {
 	return q.GroupByOver(nil, keys, aggs)
 }
@@ -339,6 +353,12 @@ func (q *Q) GroupBy(keys []GKey, aggs []GAgg) (*ops.Batch, error) {
 // aggregates can address them positionally via Row.Int/Float/Str. Ref-based
 // keys and aggregates dedupe against the same slots.
 func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, error) {
+	return q.Group(refs, keys, aggs).run()
+}
+
+// Group binds the query to a grouped sink (see GroupByOver) without
+// running it.
+func (q *Q) Group(refs []string, keys []GKey, aggs []GAgg) *Bound {
 	names := make([]string, 0, len(keys)+len(aggs))
 	for _, k := range keys {
 		names = append(names, k.Name)
@@ -348,24 +368,24 @@ func (q *Q) GroupByOver(refs []string, keys []GKey, aggs []GAgg) (*ops.Batch, er
 		names = append(names, a.Name)
 		kinds[i] = a.Kind
 	}
-	batches, err := q.run(names, func(pi int) (ops.RelSink, map[int]string, error) {
+	return q.bind(names, func(pi int) (ops.RelSink, map[int]string, error) {
 		return q.groupSink(pi, refs, keys, aggs)
+	}, func(parts []*ops.Batch) (*ops.Batch, error) {
+		return ops.MergeGrouped(parts, len(keys), kinds)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ops.MergeGrouped(batches, len(keys), kinds)
 }
 
 // groupSink binds a grouped sink to part pi; decode names, per output
 // column holding this part's dictionary codes for an "@" key, the column
 // whose dictionary decodes them.
 func (q *Q) groupSink(pi int, refs []string, keys []GKey, aggs []GAgg) (sink ops.RelSink, decode map[int]string, err error) {
-	sink.Group = &ops.RelGroup{}
-	decode = map[int]string{}
-	refIdx := map[string]int{}
+	sink.Group = &ops.RelGroup{
+		Keys: make([]ops.RelGroupKey, 0, len(keys)),
+		Aggs: make([]ops.RelAgg, 0, len(aggs)),
+	}
+	var seen []string // seen[j] is the ref sink input j resolved from
 	addInput := func(ref string) (int, error) {
-		if j, ok := refIdx[ref]; ok {
+		if j := slices.Index(seen, ref); j >= 0 {
 			return j, nil
 		}
 		in, err := q.input(pi, ref)
@@ -373,8 +393,8 @@ func (q *Q) groupSink(pi int, refs []string, keys []GKey, aggs []GAgg) (sink ops
 			return 0, err
 		}
 		sink.Inputs = append(sink.Inputs, in)
-		refIdx[ref] = len(sink.Inputs) - 1
-		return len(sink.Inputs) - 1, nil
+		seen = append(seen, ref)
+		return len(seen) - 1, nil
 	}
 	for _, ref := range refs {
 		if _, err := addInput(ref); err != nil {
@@ -394,6 +414,9 @@ func (q *Q) groupSink(pi int, refs []string, keys []GKey, aggs []GAgg) (sink ops
 			gk.Input = j
 			in := sink.Inputs[j]
 			if in.Kind == ops.RelKey && strings.HasPrefix(k.Ref, "@") {
+				if decode == nil {
+					decode = map[int]string{}
+				}
 				decode[ki] = in.Col
 			}
 			switch {
@@ -405,6 +428,8 @@ func (q *Q) groupSink(pi int, refs []string, keys []GKey, aggs []GAgg) (sink ops
 					return sink, nil, err
 				}
 				gk.Lo, gk.Hi = 0, int64(card)
+			case in.Kind == ops.RelInt && in.FromStage < 0 && gk.Hi <= gk.Lo:
+				gk.Lo, gk.Hi = intDomain(q.parts[pi].R, in.Col)
 			}
 		}
 		sink.Group.Keys = append(sink.Group.Keys, gk)
@@ -439,12 +464,12 @@ type SortBy struct {
 // Rows executes the plan with a collect sink and returns the named inputs
 // as output columns in table order.
 func (q *Q) Rows(refs ...string) (*ops.Batch, error) {
-	return q.collect(refs, nil, 0)
+	return q.Collect(refs, nil, 0).run()
 }
 
 // Sorted is Rows ordered by the given keys (full sort at merge).
 func (q *Q) Sorted(refs []string, by ...SortBy) (*ops.Batch, error) {
-	return q.collect(refs, by, 0)
+	return q.Collect(refs, by, 0).run()
 }
 
 // TopK is Sorted with a per-worker top-k short-circuit: each worker keeps
@@ -457,10 +482,22 @@ func (q *Q) TopK(refs []string, k int, by ...SortBy) (*ops.Batch, error) {
 	if len(by) == 0 {
 		return nil, fmt.Errorf("relq: TopK needs at least one sort key")
 	}
-	return q.collect(refs, by, k)
+	return q.Collect(refs, by, k).run()
 }
 
-func (q *Q) collect(refs []string, by []SortBy, k int) (*ops.Batch, error) {
+// Count executes the plan and returns the number of rows reaching the
+// sink: a collect of no columns.
+func (q *Q) Count() (int64, error) {
+	b := q.Collect(nil, nil, 0)
+	_, err := b.run()
+	return b.Rows, err
+}
+
+// Collect binds the query to a collect sink without running it: the named
+// inputs as output columns in table order, sorted by the given keys when
+// there are any, reduced to the first k rows of that order per worker
+// before the merge when k > 0.
+func (q *Q) Collect(refs []string, by []SortBy, k int) *Bound {
 	collect := &ops.RelCollect{K: k}
 	for _, s := range by {
 		found := -1
@@ -471,7 +508,7 @@ func (q *Q) collect(refs []string, by []SortBy, k int) (*ops.Batch, error) {
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("relq: sort key %q is not a collected column", s.Ref)
+			return &Bound{q: q, Err: fmt.Errorf("relq: sort key %q is not a collected column", s.Ref)}
 		}
 		collect.Sort = append(collect.Sort, ops.RelSortKey{Input: found, Desc: s.Desc})
 	}
@@ -479,48 +516,63 @@ func (q *Q) collect(refs []string, by []SortBy, k int) (*ops.Batch, error) {
 	for i, ref := range refs {
 		names[i] = strings.TrimLeft(ref, "#@")
 	}
-	batches, err := q.run(names, func(pi int) (ops.RelSink, map[int]string, error) {
+	return q.bind(names, func(pi int) (ops.RelSink, map[int]string, error) {
 		ins, err := q.inputs(pi, refs)
-		decode := map[int]string{}
+		var decode map[int]string
 		for j, in := range ins {
 			if in.Kind == ops.RelKey && strings.HasPrefix(refs[j], "@") {
+				if decode == nil {
+					decode = map[int]string{}
+				}
 				decode[j] = in.Col
 			}
 		}
 		return ops.RelSink{Inputs: ins, Collect: collect}, decode, err
+	}, func(parts []*ops.Batch) (*ops.Batch, error) {
+		return ops.MergeCollected(parts, collect.Sort, k), nil
 	})
-	if err != nil {
+}
+
+// Bound is a query bound to a sink and compiled against every part of its
+// table: what Exec runs. After Exec, Batch is the sink's merged output,
+// Rows the number of rows that reached the sink, and Err the query's own
+// failure — at bind time or mid-scan — which never fails the queries
+// executed alongside it.
+type Bound struct {
+	Batch *ops.Batch
+	Rows  int64
+	Err   error
+
+	q      *Q
+	member ops.Member
+	// decode names, per part, the output columns holding that part's
+	// dictionary codes (output column → the column whose dictionary decodes
+	// them); merge folds the decoded per-part batches in value space.
+	decode []map[int]string
+	merge  func(parts []*ops.Batch) (*ops.Batch, error)
+}
+
+func (b *Bound) run() (*ops.Batch, error) {
+	if err := Exec(b); err != nil {
 		return nil, err
 	}
-	return ops.MergeCollected(batches, collect.Sort, k), nil
+	return b.Batch, b.Err
 }
 
-// Count executes the plan and returns the number of rows reaching the
-// sink.
-func (q *Q) Count() (int64, error) {
-	b, err := q.GroupBy(nil, []GAgg{{Name: "count", Kind: ops.RelAggCount}})
-	if err != nil {
-		return 0, err
+// bind compiles the query against every part — predicate plan, stages,
+// and the sink sinkOf yields, along with the output columns that will hold
+// that part's dictionary codes — into a Bound whose per-part results merge
+// folds. Binding can read dictionaries and column
+// stats (dict rewrites, conjunct ordering, join-key translation, group-key
+// domains); under a trace that IO is booked on a Plan child, next to the
+// chosen conjunct orders, so the span tree still sums to the readers'
+// IOStats deltas.
+func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error),
+	merge func(parts []*ops.Batch) (*ops.Batch, error)) *Bound {
+	b := &Bound{q: q, Err: q.err, merge: merge}
+	if b.Err != nil {
+		return b
 	}
-	if b.N == 0 {
-		return 0, nil
-	}
-	return b.Ints[0][0], nil
-}
-
-// run binds the query to every part — predicate plan, stages, and the
-// sink sinkOf yields, along with the output columns that will hold that
-// part's dictionary codes (output column → column name) — and executes
-// them as one morsel pass. It returns one batch per part with those
-// columns decoded to values, ready to merge.
-func (q *Q) run(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) ([]*ops.Batch, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	// Binding can read dictionaries and column stats (dict rewrites,
-	// conjunct ordering, join-key translation, group-key domains); under a
-	// trace that IO is booked on a Plan child so the span tree still sums
-	// to the readers' IOStats deltas.
 	var ps *obs.Span
 	var before []colstore.IOStats
 	if sp := obs.SpanFrom(q.ctx); sp != nil {
@@ -529,59 +581,118 @@ func (q *Q) run(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string
 			before = append(before, part.R.Stats())
 		}
 	}
-	plans, rps, decode, err := q.bind(names, sinkOf)
+	b.Err = q.bindParts(b, names, sinkOf)
 	if ps != nil {
 		for pi, part := range q.parts {
+			if pl := b.member.Plans; pl != nil && pl[pi] != nil {
+				if len(q.parts) > 1 {
+					ps.AddDetail("part %d/%d", pi+1, len(q.parts))
+				}
+				for _, line := range pl[pi].Describe() {
+					ps.AddDetail("%s", line)
+				}
+			}
 			ps.AddIO(ops.IODelta(before[pi], part.R.Stats()))
 		}
 		ps.End()
 	}
-	if err != nil {
-		return nil, err
-	}
-	batches, err := ops.RunRelPipeline(q.ctx, q.parts, q.pool, plans, rps)
-	if err != nil {
-		return nil, err
-	}
-	for pi, b := range batches {
-		for out, col := range decode[pi] {
-			if err := decodeBatchKeys(q.parts[pi].R, b, out, col); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return batches, nil
+	return b
 }
 
-// bind compiles one predicate plan, relational plan and decode list per
-// part.
-func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) (
-	plans []*ops.Plan, rps []*ops.RelPlan, decode []map[int]string, err error) {
-	plans = make([]*ops.Plan, len(q.parts))
-	rps = make([]*ops.RelPlan, len(q.parts))
-	decode = make([]map[int]string, len(q.parts))
+// bindParts fills b with one predicate plan, relational plan and decode
+// list per part.
+func (q *Q) bindParts(b *Bound, names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) (err error) {
+	n := len(q.parts)
+	b.member.Rels = make([]*ops.RelPlan, n)
+	b.decode = make([]map[int]string, n)
 	var pred *ops.Pred
 	if len(q.preds) > 0 {
 		pred = ops.AndPred(q.preds...)
+		b.member.Plans = make([]*ops.Plan, n)
 	}
 	for pi, part := range q.parts {
 		if pred != nil {
-			if plans[pi], err = ops.BuildPlan(pred, part.R); err != nil {
-				return nil, nil, nil, err
+			if b.member.Plans[pi], err = ops.BuildPlan(pred, part.R); err != nil {
+				return err
 			}
 		}
-		rp := &ops.RelPlan{Stages: make([]ops.RelStage, len(q.stages)), Names: names}
+		rp := &ops.RelPlan{Names: names}
+		if len(q.stages) > 0 {
+			rp.Stages = make([]ops.RelStage, len(q.stages))
+		}
 		for si := range q.stages {
 			if rp.Stages[si], err = q.bindStage(pi, si); err != nil {
-				return nil, nil, nil, err
+				return err
 			}
 		}
-		if rp.Sink, decode[pi], err = sinkOf(pi); err != nil {
-			return nil, nil, nil, err
+		if rp.Sink, b.decode[pi], err = sinkOf(pi); err != nil {
+			return err
 		}
-		rps[pi] = rp
+		b.member.Rels[pi] = rp
 	}
-	return plans, rps, decode, nil
+	return nil
+}
+
+// Exec runs bound queries — all over the same table's parts, pool and
+// context as the first — as one morsel pass, then decodes each one's
+// per-part batches to values and merges them. A query that failed to bind
+// sits the pass out; one that fails mid-scan fails alone. The returned
+// error is fatal to all of them: cancellation, a worker panic.
+func Exec(bounds ...*Bound) error {
+	var run []*Bound
+	var members []ops.Member
+	for _, b := range bounds {
+		if b.Err == nil {
+			run = append(run, b)
+			members = append(members, b.member)
+		}
+	}
+	if len(run) == 0 {
+		return nil
+	}
+	q := run[0].q
+	results, err := ops.Run(q.ctx, q.parts, q.pool, members)
+	if err != nil {
+		return err
+	}
+	for i, b := range run {
+		res := &results[i]
+		if b.Err = res.Err; b.Err != nil {
+			continue
+		}
+		for pi, batch := range res.Parts {
+			for out, col := range b.decode[pi] {
+				if b.Err == nil {
+					b.Err = decodeBatchKeys(b.q.parts[pi].R, batch, out, col)
+				}
+			}
+		}
+		if b.Err == nil {
+			b.Rows = res.Rows
+			b.Batch, b.Err = b.merge(res.Parts)
+		}
+	}
+	return nil
+}
+
+// intDomain reports [min, max+1) of an int column over the part's chunk
+// statistics — the packed domain of a group key nobody declared one for —
+// or an empty domain when the part has no rows or max+1 would overflow.
+func intDomain(r *colstore.Reader, col string) (lo, hi int64) {
+	ci, _, err := r.Column(col)
+	if err != nil || r.NumRows() == 0 {
+		return 0, 0
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
+	for rg := 0; rg < r.NumRowGroups(); rg++ {
+		if st := r.Chunk(rg, ci).Stats(); r.RowGroupRows(rg) > 0 {
+			lo, hi = min(lo, st.MinInt), max(hi, st.MaxInt)
+		}
+	}
+	if hi == math.MaxInt64 {
+		return 0, 0
+	}
+	return lo, hi + 1
 }
 
 // dictCard reports the dictionary cardinality of a dict-encoded column.

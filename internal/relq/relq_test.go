@@ -295,6 +295,76 @@ func TestInnerJoinGroupBy(t *testing.T) {
 	})
 }
 
+// TestKeylessGroupOverNoRows: a group with no keys is a plain aggregate —
+// exactly one row, also when no row reaches the sink (count 0, sum 0) —
+// and a collect of no columns is its row count.
+func TestKeylessGroupOverNoRows(t *testing.T) {
+	fx := newFixture(t)
+	aggs := []GAgg{{Name: "n", Kind: ops.RelAggCount}, {Name: "sum", Kind: ops.RelAggSumFloat, Ref: "o_price"}}
+	never := &ops.Cmp{Col: "o_year", Op: sboost.OpGt, Value: 3000}
+	b, err := fx.scan().Where(never).GroupBy(nil, aggs)
+	if err != nil || b.N != 1 || b.Ints[0][0] != 0 || b.Floats[1][0] != 0 {
+		t.Fatalf("key-less group over no rows = %+v, %v; want one row (0, 0)", b, err)
+	}
+	minmax := append(aggs[:2:2], GAgg{Name: "lo", Kind: ops.RelAggMinFloat, Ref: "o_price"})
+	if b, err = fx.scan().Where(never).GroupBy(nil, minmax); err != nil || b.N != 0 {
+		t.Fatalf("key-less min over no rows = %+v, %v; want no row, not the fold identity", b, err)
+	}
+	if n, err := fx.scan().Where(never).Count(); err != nil || n != 0 {
+		t.Fatalf("Count over no rows = %d, %v", n, err)
+	}
+	var n int64
+	var sum float64
+	for _, o := range fx.orders {
+		if keepOrder(o) {
+			n, sum = n+1, sum+o.price
+		}
+	}
+	b, err = fx.scan().GroupBy(nil, aggs)
+	if err != nil || b.N != 1 || b.Ints[0][0] != n || b.Floats[1][0] != sum {
+		t.Fatalf("key-less group = %+v, %v; want one row (%d, %v)", b, err, n, sum)
+	}
+}
+
+// TestIntKeyDomainFromChunkStats: an int group key nobody declared a
+// domain for packs over the [min, max] its part's chunk statistics give —
+// negatives included — and answers what the byte-encoded key path (a
+// computed key without a domain) answers over the same column.
+func TestIntKeyDomainFromChunkStats(t *testing.T) {
+	const n = 2000
+	vals := make([]int64, n)
+	want := map[int64]int64{}
+	for i := range vals {
+		vals[i] = int64(i*7919%101) - 50
+		want[vals[i]]++
+	}
+	r := writeTable(t, "signed", colstore.Schema{Columns: []colstore.Column{
+		{Name: "v", Type: colstore.TypeInt64, Encoding: encoding.KindPlain},
+	}}, []colstore.ColumnData{{Ints: vals}})
+	if lo, hi := intDomain(r, "v"); lo != -50 || hi != 51 {
+		t.Fatalf("intDomain = [%d,%d), want [-50,51)", lo, hi)
+	}
+	pool := exec.NewPool(2)
+	count := []GAgg{{Name: "n", Kind: ops.RelAggCount}}
+	packed, err := Scan(r, pool).GroupBy([]GKey{{Name: "v", Ref: "v"}}, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := Scan(r, pool).GroupByOver([]string{"v"},
+		[]GKey{{Name: "v", Fn: func(row Row) int64 { return row.Int(0) }}}, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packed.N != len(want) || fmt.Sprint(packed.Ints) != fmt.Sprint(encoded.Ints) {
+		t.Fatalf("chunk-stat keys %v differ from byte-encoded keys %v", packed.Ints, encoded.Ints)
+	}
+	for i, v := range packed.Ints[0] {
+		if (i > 0 && v <= packed.Ints[0][i-1]) || packed.Ints[1][i] != want[v] {
+			t.Fatalf("group %d = (%d, %d), want ascending keys and count %d", i, v, packed.Ints[1][i], want[v])
+		}
+	}
+}
+
 func TestInnerJoinOrderByLimit(t *testing.T) {
 	fx := newFixture(t)
 	_, _, _, build := fx.buildSide(t)

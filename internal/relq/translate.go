@@ -29,10 +29,25 @@ func DecodeKeys(r *colstore.Reader, col string, codes []int64) ([][]byte, error)
 }
 
 // decodeBatchKeys rewrites batch column j (dict codes for col) into its
-// decoded string values in place.
+// decoded values in place: strings for a string column, ints for an int
+// one.
 func decodeBatchKeys(r *colstore.Reader, b *ops.Batch, j int, col string) error {
 	if b.Kinds[j] != ops.RelInt {
 		return fmt.Errorf("relq: batch column %q is not int-typed", b.Names[j])
+	}
+	ci, c, err := r.Column(col)
+	if err != nil {
+		return err
+	}
+	if c.Type == colstore.TypeInt64 {
+		dict, err := r.IntDict(ci)
+		if err != nil {
+			return err
+		}
+		for i, k := range b.Ints[j] {
+			b.Ints[j][i] = dict[k]
+		}
+		return nil
 	}
 	vals, err := DecodeKeys(r, col, b.Ints[j])
 	if err != nil {

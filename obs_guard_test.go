@@ -66,3 +66,77 @@ func TestApplyFilterAllocsBounded(t *testing.T) {
 		t.Fatalf("ApplyFilter allocates %.1f times per call, want <= %d", got, maxAllocs)
 	}
 }
+
+// sinkGuardTable loads n rows in row groups of 1024 on a one-thread
+// database: an int key with a small domain, a dictionary string, a float.
+func sinkGuardTable(t *testing.T, name string, n int) *Table {
+	t.Helper()
+	db, err := Open(t.TempDir(), Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	k := make([]int64, n)
+	s := make([][]byte, n)
+	f := make([]float64, n)
+	for i := range k {
+		k[i] = int64(i % 7)
+		s[i] = []byte{'a' + byte(i%5)}
+		f[i] = float64(i%100) / 4
+	}
+	tbl, err := db.LoadTable(name, []Column{
+		{Name: "k", Ints: k},
+		{Name: "s", Strings: s, ForceEncoding: Dictionary, Forced: true},
+		{Name: "f", Floats: f},
+	}, LoadOptions{RowGroupRows: 1024, PageRows: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestSinkAllocsPerMorselBounded holds the sinks the scalar terminals are
+// made of to worker-local per-morsel state: on a table with four times the
+// row groups, a query may allocate at most a small constant more per extra
+// row group — morselAllocs for the morsel itself (measured 9: the filter
+// kernel's page view, result bitmap and selection), plus readAllocs where
+// the sink reads a column (measured 1 to 5: the chunk reader, the page
+// decode, the one gathered vector) — and nothing for the sink's own state:
+// no env, vector cache, row set, group cell or output fragment header per
+// row group. The bounds leave one allocation of slack for the race
+// detector's pools.
+func TestSinkAllocsPerMorselBounded(t *testing.T) {
+	const small, large = 4, 16 // row groups
+	const morselAllocs, readAllocs = 10.0, 5.0
+	a, b := sinkGuardTable(t, "sink_guard_small", small*1024), sinkGuardTable(t, "sink_guard_large", large*1024)
+	for _, tc := range []struct {
+		name  string
+		reads float64 // columns the sink reads
+		run   func(q *Query) error
+	}{
+		{"Count", 0, func(q *Query) error { _, err := q.Count(); return err }},
+		{"SumFloat", 1, func(q *Query) error { _, err := q.SumFloat("f"); return err }},
+		{"GroupCount", 1, func(q *Query) error { _, err := q.GroupCount("s"); return err }},
+		{"GroupCount(int)", 1, func(q *Query) error { _, err := q.GroupCount("k"); return err }},
+		{"Ints", 1, func(q *Query) error { _, err := q.Ints("k"); return err }},
+		// The same sinks reached through the relational terminals.
+		{"AggRows(CountAll)", 0, func(q *Query) error { _, err := q.AggRows(CountAll()); return err }},
+		{"GroupBy.AggRows(CountAll)", 1, func(q *Query) error { _, err := q.GroupBy("s").AggRows(CountAll()); return err }},
+	} {
+		allocs := func(tbl *Table) float64 {
+			q := tbl.Where("k", Ge, 1)
+			run := func() {
+				if err := tc.run(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm lazily-initialised state (dictionary cache, arena pools)
+			return testing.AllocsPerRun(20, run)
+		}
+		na, nb := allocs(a), allocs(b)
+		if per, limit := (nb-na)/(large-small), morselAllocs+tc.reads*readAllocs; per > limit {
+			t.Errorf("%s: %.0f allocs over %d row groups, %.0f over %d: %.1f per extra row group, want <= %.0f",
+				tc.name, na, small, nb, large, per, limit)
+		}
+	}
+}

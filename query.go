@@ -3,10 +3,9 @@ package codecdb
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
-	"time"
 
-	"codecdb/internal/obs"
 	"codecdb/internal/ops"
 	"codecdb/internal/sboost"
 )
@@ -25,8 +24,9 @@ const (
 )
 
 // Query is a predicate pipeline over one table. Building a Query does no
-// work; terminal calls (Count, RowIDs, Ints, ...) plan and evaluate all
-// accumulated predicates — the lazy evaluation of paper §5.2. The planner
+// work; a terminal call names the query's sink — Count, RowIDs, Ints, ...,
+// Rows, AggRows — and plans and evaluates everything accumulated before it
+// in one pass (exec.go): the lazy evaluation of paper §5.2. The planner
 // orders conjuncts by estimated selectivity per unit cost and threads each
 // filter's result selection into the next, so later filters never touch
 // row groups or pages earlier predicates already eliminated.
@@ -46,8 +46,7 @@ type Query struct {
 	// zero value is the default behavior.
 	exec ExecOptions
 	// relational extensions (see rel.go): join stages against build-side
-	// queries, group-by keys, and output ordering. When any is set,
-	// terminals compile a relational plan onto the same morsel pipeline.
+	// queries, group-by keys, and output ordering.
 	joins     []joinSpec
 	groupCols []string
 	orders    []orderSpec
@@ -61,27 +60,28 @@ func (q *Query) rel() bool {
 }
 
 // composeErr is the one error a terminal returns for relational structure
-// it cannot express and would otherwise silently drop: every scalar
-// terminal for any of it, Count (which does count a join's output, so
-// joins false) for the rest. Nil when the query carries none of it.
-func (q *Query) composeErr(terminal string, joins bool) error {
+// that means nothing under its sink and would otherwise be silently
+// dropped: GroupBy under anything but AggRows, and an output order or limit
+// under a sink whose output has no row order (a count, a sum, a group
+// count) or a fixed one (row ids). Joins compose with every sink. Nil when
+// the query carries none of it.
+func (q *Query) composeErr(s sink) error {
 	var has []string
-	if joins && len(q.joins) > 0 {
-		has = append(has, "Join")
-	}
-	if len(q.groupCols) > 0 {
+	if len(q.groupCols) > 0 && s.kind != sinkAgg {
 		has = append(has, "GroupBy")
 	}
-	if len(q.orders) > 0 {
-		has = append(has, "OrderBy")
-	}
-	if q.limitN > 0 {
-		has = append(has, "Limit")
+	if !sinkKinds[s.kind].ordered {
+		if len(q.orders) > 0 {
+			has = append(has, "OrderBy")
+		}
+		if q.limitN > 0 {
+			has = append(has, "Limit")
+		}
 	}
 	if len(has) == 0 {
 		return nil
 	}
-	return fmt.Errorf("codecdb: %s does not compose with %s; use Rows or AggRows", terminal, strings.Join(has, "/"))
+	return fmt.Errorf("codecdb: %s does not compose with %s; use Rows or AggRows", sinkKinds[s.kind].name, strings.Join(has, "/"))
 }
 
 // WithContext attaches ctx to the query: terminal calls stop promptly with
@@ -201,149 +201,92 @@ func (q *Query) plans(parts []ops.Part) ([]*ops.Plan, error) {
 	return q.t.bindPlans(parts, AllOf(q.conjuncts...))
 }
 
-// plansTraced builds the plans, and — when the context carries a span —
-// records the chosen orders under a Plan child span along with any
-// metadata IO the estimator caused (lazily faulted dictionaries), so the
-// span tree's per-node IO still sums exactly to the table's IOStats delta.
-func (q *Query) plansTraced(ctx context.Context, parts []ops.Part) ([]*ops.Plan, error) {
-	sp := obs.SpanFrom(ctx)
-	if sp == nil || len(q.conjuncts) == 0 {
-		return q.plans(parts)
-	}
-	child := sp.StartChild("Plan")
-	before := q.t.IOStats()
-	plans, err := q.plans(parts)
-	for i, pl := range plans {
-		if len(plans) > 1 {
-			child.AddDetail("part %d/%d", i+1, len(plans))
-		}
-		for _, line := range pl.Describe() {
-			child.AddDetail("%s", line)
-		}
-	}
-	child.AddIO(ops.IODelta(before, q.t.IOStats()))
-	child.End()
-	return plans, err
-}
-
-// run resolves the table to its parts, plans the accumulated conjuncts
-// against each, and drives one morsel pass over all of them for one
-// terminal, observing the per-query metrics (count + latency histogram)
-// around the whole evaluation. A query with no predicate runs the terminal
-// over every row (nil plans). Relational structure is an error here: these
-// terminals have no way to express it (Count routes joins to relCount
-// before calling run).
-func (q *Query) run(term ops.TermKind, col string) (res *ops.PipelineResult, err error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	if err := q.composeErr(term.String(), true); err != nil {
-		return nil, err
-	}
-	ctx, cancel := q.execContext()
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	ctx, fin := q.record(ctx, term.String())
-	defer func() {
-		queriesTotal.Inc()
-		queryLatency.Observe(time.Since(start).Seconds())
-		var out int64
-		if res != nil {
-			out = res.Count
-		}
-		fin(out, err)
-	}()
-	parts, err := q.t.parts()
-	if err != nil {
-		return nil, err
-	}
-	plans, err := q.plansTraced(ctx, parts)
-	if err != nil {
-		return nil, err
-	}
-	return ops.RunPipeline(ctx, parts, q.t.db.inner.DataPool(), plans, term, col)
-}
-
 // Count evaluates the query and returns the matching row count; with
 // joins declared, the number of rows surviving them.
 func (q *Query) Count() (int64, error) {
-	if q.rel() {
-		return q.relCount()
-	}
-	res, err := q.run(ops.TermCount, "")
+	res, err := q.run(sink{kind: sinkCount})
 	if err != nil {
 		return 0, err
 	}
-	return res.Count, nil
+	return res.Rows, nil
 }
 
 // RowIDs evaluates the query and returns the matching row positions.
 func (q *Query) RowIDs() ([]int64, error) {
-	res, err := q.run(ops.TermRowIDs, "")
+	res, err := q.run(sink{kind: sinkRowIDs})
 	if err != nil {
 		return nil, err
 	}
-	return res.RowIDs, nil
+	return res.Batch.Ints[0], nil
 }
 
 // Ints evaluates the query and gathers an integer column at the matching
-// rows (late materialization with data skipping).
+// rows (late materialization with data skipping). Like every gather it
+// composes with joins — col may live on an inner-joined table — and with
+// OrderBy(col)/Limit.
 func (q *Query) Ints(col string) ([]int64, error) {
-	res, err := q.run(ops.TermInts, col)
+	res, err := q.run(sink{kind: sinkInts, cols: []string{col}})
 	if err != nil {
 		return nil, err
 	}
-	return res.Ints, nil
+	return res.Batch.Ints[0], nil
 }
 
 // Floats gathers a float column at the matching rows.
 func (q *Query) Floats(col string) ([]float64, error) {
-	res, err := q.run(ops.TermFloats, col)
+	res, err := q.run(sink{kind: sinkFloats, cols: []string{col}})
 	if err != nil {
 		return nil, err
 	}
-	return res.Floats, nil
+	return res.Batch.Floats[0], nil
 }
 
 // Strings gathers a string column at the matching rows. The returned
 // slices alias internal buffers; do not mutate them.
 func (q *Query) Strings(col string) ([][]byte, error) {
-	res, err := q.run(ops.TermStrings, col)
+	res, err := q.run(sink{kind: sinkStrings, cols: []string{col}})
 	if err != nil {
 		return nil, err
 	}
-	return res.Strings, nil
+	return res.Batch.Strs[0], nil
 }
 
 // GroupCount evaluates the query and counts matching rows per distinct
 // value of an integer or string column, keyed by the value's label
 // (decimal for integers). Where a part stores the column with a
-// dictionary each worker array-aggregates over the dictionary codes of its
-// row groups; elsewhere it hash-counts the gathered values; the partial
-// tables merge in value space at the end.
+// dictionary each worker counts into a flat array indexed by dictionary
+// code — as it does for an integer column whose values span a small range
+// — and through a hash table elsewhere; the partial tables merge in value
+// space at the end.
 func (q *Query) GroupCount(col string) (map[string]int64, error) {
-	res, err := q.run(ops.TermGroupCount, col)
+	res, err := q.run(sink{kind: sinkGroupCount, cols: []string{col}})
 	if err != nil {
 		return nil, err
 	}
-	return res.Groups, nil
+	return groupLabels(res.Batch), nil
 }
 
 // SumFloat evaluates the query and sums a float column at matching rows
-// without materializing the value vector: each worker folds its row
-// groups' gathered values into a running sum. Non-float columns are
-// rejected up front (the gather would otherwise reinterpret their pages as
-// float bits).
+// without materializing the value vector: each row group's values fold
+// into one partial, and the partials fold in table order, so the sum does
+// not depend on how many workers ran or which claimed what.
 func (q *Query) SumFloat(col string) (float64, error) {
-	if typ, ok := q.t.ColumnType(col); ok && typ != "FLOAT64" {
-		return 0, fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", col, typ)
-	}
-	res, err := q.run(ops.TermSumFloat, col)
+	res, err := q.run(sink{kind: sinkSum, cols: []string{col}})
 	if err != nil {
 		return 0, err
 	}
-	return res.Sum, nil
+	return res.Batch.Floats[0][0], nil
+}
+
+// groupLabels reads a (key, count) batch as label → count.
+func groupLabels(b *ops.Batch) map[string]int64 {
+	out := make(map[string]int64, b.N)
+	for i, n := range b.Ints[1] {
+		if b.Kinds[0] == ops.RelStr {
+			out[string(b.Strs[0][i])] = n
+		} else {
+			out[strconv.FormatInt(b.Ints[0][i], 10)] = n
+		}
+	}
+	return out
 }

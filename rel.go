@@ -1,9 +1,10 @@
 package codecdb
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"time"
+	"strings"
 
 	"codecdb/internal/obs"
 	"codecdb/internal/ops"
@@ -11,9 +12,10 @@ import (
 )
 
 // This file is the public relational surface of the Query API: joins,
-// multi-column group-by, and order-by/limit, compiled through the same
-// relq builder the TPC-H and SSB suites use and executed as per-row-group
-// stages on the morsel pipeline, once per part of the probe table.
+// multi-column group-by, and order-by/limit, compiled — like every
+// terminal (exec.go) — through the same relq builder the TPC-H and SSB
+// suites use and executed as per-row-group stages on the morsel pipeline,
+// once per part of the probe table.
 // Equi-joins on a string column run on dictionary codes wherever a part
 // stores the column with a dictionary — the build side's values are
 // numbered once, each part maps its own dictionary onto those numbers, and
@@ -73,10 +75,15 @@ func (q *Query) addJoin(kind ops.RelJoinKind, other *Query, leftCol, rightCol st
 	case other.rel():
 		cp.err = fmt.Errorf("codecdb: the build side of a join must be a single-table query")
 	default:
-		if _, ok := q.t.ColumnType(leftCol); !ok {
+		lt, lok := q.t.ColumnType(leftCol)
+		rt, rok := other.t.ColumnType(rightCol)
+		switch {
+		case !lok:
 			cp.err = fmt.Errorf("codecdb: join column %q not in table %s", leftCol, q.t.Name())
-		} else if _, ok := other.t.ColumnType(rightCol); !ok {
+		case !rok:
 			cp.err = fmt.Errorf("codecdb: join column %q not in table %s", rightCol, other.t.Name())
+		case lt != rt || lt == "FLOAT64":
+			cp.err = fmt.Errorf("codecdb: join columns must both be INT64 or both STRING, %q is %s and %q is %s", leftCol, lt, rightCol, rt)
 		}
 	}
 	if cp.err == nil {
@@ -125,7 +132,8 @@ type Rows struct {
 
 // AggSpec names one aggregate for AggRows.
 type AggSpec struct {
-	kind ops.RelAggKind
+	kind ops.RelAggKind // the float kind; an INT64 column binds the int one
+	fn   string
 	col  string
 	name string
 }
@@ -134,13 +142,19 @@ type AggSpec struct {
 func CountAll() AggSpec { return AggSpec{kind: ops.RelAggCount, name: "count"} }
 
 // Sum sums a column per group (int or float, named "sum_<col>").
-func Sum(col string) AggSpec { return AggSpec{kind: ops.RelAggSumFloat, col: col, name: "sum_" + col} }
+func Sum(col string) AggSpec {
+	return AggSpec{kind: ops.RelAggSumFloat, fn: "Sum", col: col, name: "sum_" + col}
+}
 
 // Min keeps a column's minimum per group.
-func Min(col string) AggSpec { return AggSpec{kind: ops.RelAggMinFloat, col: col, name: "min_" + col} }
+func Min(col string) AggSpec {
+	return AggSpec{kind: ops.RelAggMinFloat, fn: "Min", col: col, name: "min_" + col}
+}
 
 // Max keeps a column's maximum per group.
-func Max(col string) AggSpec { return AggSpec{kind: ops.RelAggMaxFloat, col: col, name: "max_" + col} }
+func Max(col string) AggSpec {
+	return AggSpec{kind: ops.RelAggMaxFloat, fn: "Max", col: col, name: "max_" + col}
+}
 
 // As renames the aggregate's output column.
 func (a AggSpec) As(name string) AggSpec { a.name = name; return a }
@@ -149,203 +163,133 @@ func (a AggSpec) As(name string) AggSpec { a.name = name; return a }
 // joined build tables, materializes build sides, and assembles the relq
 // query.
 type relCompiler struct {
-	q      *Query
-	rq     *relq.Q
-	stages []string          // stage name per join
-	pay    []map[string]bool // payload columns each join must carry
+	q   *Query
+	ctx context.Context
+	rq  *relq.Q
+	pay []map[string]bool // payload columns each join must carry
 }
 
-// colRef resolves one column name to a relq input reference. Probe-table
-// columns win (strings as "@col": dictionary codes wherever a part has
-// them, decoded before the parts merge); otherwise the first inner join
-// whose build table has the column claims it (and learns it must carry it
-// as payload).
-func (c *relCompiler) colRef(col string) (string, error) {
-	if typ, ok := c.q.t.ColumnType(col); ok {
-		if typ == "STRING" {
-			return "@" + col, nil
+func stageName(i int) string { return fmt.Sprintf("j%d", i+1) }
+
+// colRef resolves one column name to a relq input reference and its type,
+// and is where a sink's columns are type-checked: who needs a column of
+// type want ("" = any), before any page is read. Probe-table columns win;
+// otherwise the first inner join whose build table has the column claims
+// it (and learns it must carry it as payload). A probe-table string — and,
+// as a group key, an integer — is referenced as "@col": dictionary codes
+// wherever a part has them, decoded before the parts merge.
+func (c *relCompiler) colRef(col, who, want string, key bool) (ref, typ string, err error) {
+	typ, ok := c.q.t.ColumnType(col)
+	if ok {
+		ref = col
+		if typ == "STRING" || (key && typ == "INT64") {
+			ref = "@" + col
 		}
-		return col, nil
 	}
 	for i, j := range c.q.joins {
-		if j.kind != ops.RelInner && j.kind != ops.RelLeft {
+		if ok || (j.kind != ops.RelInner && j.kind != ops.RelLeft) {
 			continue
 		}
-		if _, ok := j.other.t.ColumnType(col); ok {
+		if typ, ok = j.other.t.ColumnType(col); ok {
+			if c.pay[i] == nil {
+				c.pay[i] = map[string]bool{}
+			}
 			c.pay[i][col] = true
-			return c.stages[i] + "." + col, nil
+			ref = stageName(i) + "." + col
 		}
 	}
-	return "", fmt.Errorf("codecdb: column %q not found in %s or any joined table", col, c.q.t.Name())
+	switch {
+	case !ok:
+		return "", "", fmt.Errorf("codecdb: column %q not found in %s or any joined table", col, c.q.t.Name())
+	case want != "" && !strings.Contains(want, typ):
+		return "", "", fmt.Errorf("codecdb: %s needs a column of type %s, %q is %s", who, want, col, typ)
+	}
+	return ref, typ, nil
 }
 
-// addJoinStage materializes join i's build side through the other query's
-// ordinary gather terminals — its key column plus any payload columns
-// later references claimed — and appends the probe stage. When bs is
-// non-nil the other table's queries are traced as its children. It
-// returns the build row count.
-func (c *relCompiler) addJoinStage(i int, bs *obs.Span) (int, error) {
-	j := c.q.joins[i]
-	other := j.other
-	if bs != nil {
-		other = other.WithContext(obs.ContextWithSpan(c.q.context(), bs))
-	} else if c.q.ctx != nil {
-		other = other.WithContext(c.q.ctx)
-	}
-	// Key column first, payload after: each gather takes its own snapshot
-	// of the build table, and one taken later may see more rows. Rows only
-	// ever append, so cutting each payload column to the keys' length
-	// realigns it with them.
-	var ints []int64
-	var strs [][]byte
-	var n int
-	var err error
-	keyType, _ := c.q.t.ColumnType(j.leftCol)
-	switch keyType {
-	case "STRING":
-		strs, err = other.Strings(j.rightCol)
-		n = len(strs)
-	case "INT64":
-		ints, err = other.Ints(j.rightCol)
-		n = len(ints)
-	default:
-		err = fmt.Errorf("codecdb: join on float column %q", j.leftCol)
-	}
-	if err != nil {
-		return 0, err
-	}
-	var pay *ops.Batch
-	if len(c.pay[i]) > 0 {
-		pay = &ops.Batch{}
-		cols := make([]string, 0, len(c.pay[i]))
-		for col := range c.pay[i] {
-			cols = append(cols, col)
+// groupRefs resolves AggRows' keys and aggregates.
+func (c *relCompiler) groupRefs(specs []AggSpec) ([]relq.GKey, []relq.GAgg, error) {
+	keys := make([]relq.GKey, len(c.q.groupCols))
+	for i, col := range c.q.groupCols {
+		ref, _, err := c.colRef(col, "GroupBy", "INT64 or STRING", true)
+		if err != nil {
+			return nil, nil, err
 		}
-		sort.Strings(cols)
-		for _, col := range cols {
-			typ, _ := other.t.ColumnType(col)
-			switch typ {
-			case "INT64":
-				vals, err := other.Ints(col)
-				if err != nil {
-					return 0, err
-				}
-				pay.AddInts(col, vals[:n])
-			case "FLOAT64":
-				vals, err := other.Floats(col)
-				if err != nil {
-					return 0, err
-				}
-				pay.AddFloats(col, vals[:n])
-			default:
-				vals, err := other.Strings(col)
-				if err != nil {
-					return 0, err
-				}
-				pay.AddStrs(col, vals[:n])
+		keys[i] = relq.GKey{Name: col, Ref: ref}
+	}
+	aggs := make([]relq.GAgg, len(specs))
+	for i, a := range specs {
+		aggs[i] = relq.GAgg{Name: a.name, Kind: a.kind}
+		if a.col == "" {
+			continue
+		}
+		ref, typ, err := c.colRef(a.col, a.fn, "INT64 or FLOAT64", false)
+		if err != nil {
+			return nil, nil, err
+		}
+		aggs[i].Ref = ref
+		if typ == "INT64" {
+			switch a.kind {
+			case ops.RelAggSumFloat:
+				aggs[i].Kind = ops.RelAggSumInt
+			case ops.RelAggMinFloat:
+				aggs[i].Kind = ops.RelAggMinInt
+			case ops.RelAggMaxFloat:
+				aggs[i].Kind = ops.RelAggMaxInt
 			}
 		}
 	}
-	if keyType == "STRING" {
-		c.rq.JoinStrs(j.kind, c.stages[i], strs, pay, j.leftCol)
-	} else {
-		c.rq.JoinOn(j.kind, c.stages[i], ints, pay, []string{j.leftCol}, nil)
-	}
-	return n, nil
+	return keys, aggs, nil
 }
 
-// compileRel assembles the relq query over the probe table's parts: probe
-// filters bound per part, then one stage per declared join with its build
-// side materialized.
-func (q *Query) compileRel(refs []string) (*relCompiler, []string, error) {
-	if q.err != nil {
-		return nil, nil, q.err
-	}
-	c := &relCompiler{
-		q:      q,
-		stages: make([]string, len(q.joins)),
-		pay:    make([]map[string]bool, len(q.joins)),
-	}
-	for i := range q.joins {
-		c.stages[i] = fmt.Sprintf("j%d", i+1)
-		c.pay[i] = map[string]bool{}
-	}
-	// Resolve every referenced column first so each join knows which
-	// payload columns to carry before its build side materializes.
-	resolved := make([]string, len(refs))
-	for i, col := range refs {
-		ref, err := c.colRef(col)
-		if err != nil {
-			return nil, nil, err
+// addJoinStage materializes join i's build side — one query over one
+// snapshot of the other table, collecting the key column and every payload
+// column later references claimed — and appends the probe stage. Under a
+// trace the Build span wraps it: the other table's scan nests under it, and
+// its own IO books every page the preparation touched there, so the
+// trace's per-stage IO still sums exactly to the tables' IOStats deltas.
+// (What each probe part reads to map its dictionary onto the build keys
+// books under the probe's Plan span.)
+func (c *relCompiler) addJoinStage(i int) error {
+	j := c.q.joins[i]
+	cols := []string{j.rightCol}
+	for col := range c.pay[i] {
+		if col != j.rightCol {
+			cols = append(cols, col)
 		}
-		resolved[i] = ref
 	}
-	parts, err := q.t.parts()
+	sort.Strings(cols[1:])
+	ctx := c.ctx
+	var bs *obs.Span
+	var before IOStats
+	if sp := obs.SpanFrom(ctx); sp != nil {
+		bs = sp.StartChild("Build[" + stageName(i) + "]")
+		before = j.other.t.IOStats()
+		ctx = obs.ContextWithSpan(ctx, bs)
+	}
+	built, err := j.other.WithContext(ctx).run(sink{kind: sinkRows, cols: cols})
+	if bs != nil {
+		bs.AddIO(ops.IODelta(before, j.other.t.IOStats()))
+		if err == nil {
+			bs.SetRows(built.Rows, built.Rows)
+		}
+		bs.End()
+	}
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	c.rq = relq.ScanParts(parts, q.t.db.inner.DataPool()).WithContext(q.context())
-	if len(q.conjuncts) > 0 {
-		lp, err := lowerPred(AllOf(q.conjuncts...))
-		if err != nil {
-			return nil, nil, err
-		}
-		c.rq.WherePred(lp)
+	// The key is the batch's first column; the whole batch rides as payload.
+	if built.Batch.Kinds[0] == ops.RelStr {
+		c.rq.JoinStrs(j.kind, stageName(i), built.Batch.Strs[0], built.Batch, j.leftCol)
+	} else {
+		c.rq.JoinOn(j.kind, stageName(i), built.Batch.Ints[0], built.Batch, []string{j.leftCol}, nil)
 	}
-	sp := obs.SpanFrom(q.context())
-	for i, j := range q.joins {
-		// The Build span wraps build-side preparation: the other table's
-		// scan/gather nests under it, and its own IO books every page the
-		// preparation touched there, so the trace's per-stage IO still sums
-		// exactly to the tables' IOStats deltas. (What each probe part
-		// reads to map its dictionary onto the build keys books under the
-		// probe's Plan span.)
-		var bs *obs.Span
-		var before IOStats
-		if sp != nil {
-			bs = sp.StartChild("Build[" + c.stages[i] + "]")
-			before = j.other.t.IOStats()
-		}
-		n, err := c.addJoinStage(i, bs)
-		if bs != nil {
-			bs.AddIO(ops.IODelta(before, j.other.t.IOStats()))
-			bs.SetRows(int64(n), int64(n))
-			bs.End()
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return c, resolved, nil
+	return nil
 }
 
-// relRecord wraps a relational terminal with the same metrics and flight
-// recorder treatment scalar terminals get.
-func (q *Query) relRecord(label string, fn func(*Query) (*ops.Batch, error)) (*ops.Batch, error) {
-	ectx, cancel := q.execContext()
-	defer cancel()
-	if err := ectx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rctx, fin := q.record(ectx, label)
-	cq := q.clone()
-	cq.ctx = rctx
-	b, err := fn(cq)
-	queriesTotal.Inc()
-	queryLatency.Observe(time.Since(start).Seconds())
-	var out int64
-	if b != nil {
-		out = int64(b.N)
-	}
-	fin(out, err)
-	return b, err
-}
-
-// Rows executes the relational query and returns the named columns at the
-// surviving rows, ordered by OrderBy (Limit engages the top-K path).
-// Without joins or ordering it is a plain multi-column projection of the
-// filtered table.
+// Rows executes the query and returns the named columns at the surviving
+// rows, ordered by OrderBy (Limit engages the top-K path). Without joins
+// or ordering it is a plain multi-column projection of the filtered table.
 func (q *Query) Rows(cols ...string) (*Rows, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("codecdb: Rows needs at least one column")
@@ -353,152 +297,28 @@ func (q *Query) Rows(cols ...string) (*Rows, error) {
 	if len(q.groupCols) > 0 {
 		return nil, fmt.Errorf("codecdb: grouped queries return rows via AggRows")
 	}
-	b, err := q.relRecord("Rel[rows]", func(cq *Query) (*ops.Batch, error) {
-		c, refs, err := cq.compileRel(cols)
-		if err != nil {
-			return nil, err
-		}
-		rq := c.rq
-		var by []relq.SortBy
-		for _, o := range cq.orders {
-			ref, err := c.colRef(o.col)
-			if err != nil {
-				return nil, err
-			}
-			found := false
-			for _, have := range refs {
-				if have == ref {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("codecdb: OrderBy column %q must be selected", o.col)
-			}
-			by = append(by, relq.SortBy{Ref: ref, Desc: o.desc})
-		}
-		var batch *ops.Batch
-		switch {
-		case cq.limitN > 0 && len(by) > 0:
-			batch, err = rq.TopK(refs, cq.limitN, by...)
-		case len(by) > 0:
-			batch, err = rq.Sorted(refs, by...)
-		default:
-			batch, err = rq.Rows(refs...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if cq.limitN > 0 && len(by) == 0 {
-			batch.Truncate(cq.limitN)
-		}
-		return batch, nil
-	})
+	res, err := q.run(sink{kind: sinkRows, cols: cols})
 	if err != nil {
 		return nil, err
 	}
-	return batchRows(b), nil
+	return batchRows(res.Batch), nil
 }
 
-// AggRows executes the grouped relational query: one output row per
-// distinct GroupBy key tuple, key columns then one column per aggregate,
-// ordered by OrderBy (default: ascending by key tuple) and truncated by
-// Limit.
+// AggRows executes the grouped query: one output row per distinct GroupBy
+// key tuple (exactly one without GroupBy), key columns then one column per
+// aggregate, ordered by OrderBy (default: ascending by key tuple) and
+// truncated by Limit. Without GroupBy and with no row selected, counts and
+// sums come back as one row of zeros, but a Min or Max has no value to
+// report, so an AggRows naming one returns no rows.
 func (q *Query) AggRows(aggs ...AggSpec) (*Rows, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("codecdb: AggRows needs at least one aggregate")
 	}
-	b, err := q.relRecord("Rel[group]", func(cq *Query) (*ops.Batch, error) {
-		aggCols := make([]string, 0, len(aggs))
-		for _, a := range aggs {
-			if a.col != "" {
-				aggCols = append(aggCols, a.col)
-			}
-		}
-		c, refs, err := cq.compileRel(append(append([]string{}, cq.groupCols...), aggCols...))
-		if err != nil {
-			return nil, err
-		}
-		gkeys := make([]relq.GKey, len(cq.groupCols))
-		for i, col := range cq.groupCols {
-			gkeys[i] = relq.GKey{Name: col, Ref: refs[i]}
-		}
-		gaggs := make([]relq.GAgg, len(aggs))
-		ai := len(cq.groupCols)
-		for i, a := range aggs {
-			ga := relq.GAgg{Name: a.name, Kind: a.kind}
-			if a.col != "" {
-				ref := refs[ai]
-				ai++
-				typ, _ := colTypeAnywhere(cq, a.col)
-				if typ == "INT64" {
-					switch a.kind {
-					case ops.RelAggSumFloat:
-						ga.Kind = ops.RelAggSumInt
-					case ops.RelAggMinFloat:
-						ga.Kind = ops.RelAggMinInt
-					case ops.RelAggMaxFloat:
-						ga.Kind = ops.RelAggMaxInt
-					}
-				}
-				ga.Ref = ref
-			}
-			gaggs[i] = ga
-		}
-		batch, err := c.rq.GroupBy(gkeys, gaggs)
-		if err != nil {
-			return nil, err
-		}
-		if len(cq.orders) > 0 {
-			if err := sortBatchByNames(batch, cq.orders); err != nil {
-				return nil, err
-			}
-		}
-		if cq.limitN > 0 {
-			batch.Truncate(cq.limitN)
-		}
-		return batch, nil
-	})
+	res, err := q.run(sink{kind: sinkAgg, aggs: aggs})
 	if err != nil {
 		return nil, err
 	}
-	return batchRows(b), nil
-}
-
-// relCount counts rows surviving the relational stages.
-func (q *Query) relCount() (int64, error) {
-	if err := q.composeErr("Count", false); err != nil {
-		return 0, err
-	}
-	b, err := q.relRecord("Rel[count]", func(cq *Query) (*ops.Batch, error) {
-		c, _, err := cq.compileRel(nil)
-		if err != nil {
-			return nil, err
-		}
-		n, err := c.rq.Count()
-		if err != nil {
-			return nil, err
-		}
-		return (&ops.Batch{}).AddInts("count", []int64{n}), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return b.Ints[0][0], nil
-}
-
-// colTypeAnywhere resolves a column's type across the probe table and
-// joined build tables.
-func colTypeAnywhere(q *Query, col string) (string, bool) {
-	if typ, ok := q.t.ColumnType(col); ok {
-		return typ, true
-	}
-	for _, j := range q.joins {
-		if typ, ok := j.other.t.ColumnType(col); ok {
-			return typ, true
-		}
-	}
-	return "", false
+	return batchRows(res.Batch), nil
 }
 
 // sortBatchByNames stable-sorts a result batch by named output columns.
@@ -521,13 +341,13 @@ func batchRows(b *ops.Batch) *Rows {
 	for i := 0; i < b.N; i++ {
 		row := make([]any, len(b.Names))
 		for j := range b.Names {
-			switch {
-			case b.Ints[j] != nil:
-				row[j] = b.Ints[j][i]
-			case b.Floats[j] != nil:
+			switch b.Kinds[j] {
+			case ops.RelFloat:
 				row[j] = b.Floats[j][i]
-			default:
+			case ops.RelStr:
 				row[j] = string(b.Strs[j][i])
+			default:
+				row[j] = b.Ints[j][i]
 			}
 		}
 		out.Data[i] = row

@@ -252,65 +252,270 @@ func TestQueryJoinValidation(t *testing.T) {
 	}
 }
 
-// TestScalarTerminalsRejectRelationalStructure: a scalar terminal has no
-// way to express a join, grouping, ordering or limit, so a query carrying
-// one must fail with the compose error instead of silently dropping it
-// (Ints used to return every row of an ordered, limited query). Count is
-// not in the table: it counts a join's output, and rejects the rest
-// through the same helper.
+// TestQueryJoinBuildOnePass: a join's build side is ONE query over one
+// snapshot — the build predicate evaluated once, then the key and each
+// payload column gathered at its selection — so the build table reads its
+// filter column's pages once however many payload columns ride along, and
+// the trace's Build span accounts exactly the build table's IO.
+func TestQueryJoinBuildOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const nb, np = 20000, 3000
+	col := func(n, mod int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(rng.Intn(mod))
+		}
+		return out
+	}
+	key := make([]int64, nb)
+	for i := range key {
+		key[i] = int64(i)
+	}
+	// Same type, row count and page geometry: a selective gather touches the
+	// same number of pages in each.
+	bt := loadSource(t, "static", "build", []Column{
+		{Name: "b_key", Ints: key}, {Name: "b_pri", Ints: col(nb, 5)},
+		{Name: "b_x", Ints: col(nb, 1000)}, {Name: "b_y", Ints: col(nb, 1000)}, {Name: "b_z", Ints: col(nb, 1000)},
+	}, LoadOptions{RowGroupRows: 2048, PageRows: 256})
+	pt := loadSource(t, "static", "probe", []Column{{Name: "p_fk", Ints: col(np, nb)}}, LoadOptions{})
+	build := bt.Where("b_pri", Eq, 1)
+
+	pages := func(run func() error) int64 {
+		t.Helper()
+		before := bt.IOStats().PagesRead
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return bt.IOStats().PagesRead - before
+	}
+	filter := pages(func() error { _, err := build.Count(); return err })
+	gather := pages(func() error { _, err := build.Ints("b_x"); return err }) - filter
+	if filter == 0 || gather <= 0 {
+		t.Fatalf("filter reads %d pages, one gather %d: the fixture measures nothing", filter, gather)
+	}
+	joined := pt.All().JoinOn(build, "p_fk", "b_key")
+	for k, payload := range [][]string{nil, {"b_x"}, {"b_x", "b_y"}, {"b_x", "b_y", "b_z"}} {
+		got := pages(func() error {
+			if payload == nil {
+				_, err := joined.Count()
+				return err
+			}
+			_, err := joined.Rows(append([]string{"p_fk"}, payload...)...)
+			return err
+		})
+		if want := filter + int64(k+1)*gather; got != want {
+			t.Errorf("key + %d payload columns read %d build pages, want %d (filter %d + %d gathers of %d)",
+				k, got, want, filter, k+1, gather)
+		}
+	}
+
+	before := bt.IOStats()
+	root, _, err := joined.AnalyzeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := findSpan(root, "Build[j1]")
+	if bs == nil {
+		t.Fatalf("no Build span:\n%s", root.Render())
+	}
+	if delta := ops.IODelta(before, bt.IOStats()); bs.IO() != delta || delta.PagesRead != filter+gather {
+		t.Fatalf("Build span IO %+v, build table delta %+v, want %d pages\n%s", bs.IO(), delta, filter+gather, root.Render())
+	}
+}
+
+// TestScalarTerminalsRejectRelationalStructure: every terminal composes
+// with joins (TestScalarTerminalsComposeWithJoins), but some relational
+// structure means nothing under some sinks and must fail with the compose
+// error instead of being silently dropped (Ints used to return every row of
+// an ordered, limited query): GroupBy under anything but AggRows, and an
+// order or limit under a sink whose output has no row order to change.
 func TestScalarTerminalsRejectRelationalStructure(t *testing.T) {
-	ot, ct, _, _, _, _ := relAPITables(t)
+	ot, _, _, _, _, _ := relAPITables(t)
+	terminals := map[string]func(q *Query) (any, error){
+		"Count":      func(q *Query) (any, error) { return q.Count() },
+		"RowIDs":     func(q *Query) (any, error) { return q.RowIDs() },
+		"Ints":       func(q *Query) (any, error) { return q.Ints("o_year") },
+		"Floats":     func(q *Query) (any, error) { return q.Floats("o_price") },
+		"Strings":    func(q *Query) (any, error) { return q.Strings("o_cust") },
+		"GroupCount": func(q *Query) (any, error) { return q.GroupCount("o_cust") },
+		"SumFloat":   func(q *Query) (any, error) { return q.SumFloat("o_price") },
+	}
+	unordered := []string{"Count", "RowIDs", "GroupCount", "SumFloat"}
 	shapes := []struct {
-		name string
-		q    *Query
-		want string
+		name    string
+		q       *Query
+		want    string
+		rejects []string
 	}{
-		{"join", ot.All().JoinOn(ct.All(), "o_cust", "c_name"), "Join"},
-		{"semijoin", ot.All().SemiJoin(ct.All(), "o_cust", "c_name"), "Join"},
-		{"antijoin", ot.All().AntiJoin(ct.All(), "o_cust", "c_name"), "Join"},
-		{"group", ot.All().GroupBy("o_year"), "GroupBy"},
-		{"order", ot.All().OrderBy("o_price", true), "OrderBy"},
-		{"limit", ot.All().Limit(3), "Limit"},
-		{"order+limit", ot.All().OrderBy("o_price", true).Limit(3), "OrderBy/Limit"},
-	}
-	terminals := []struct {
-		name string
-		run  func(q *Query) (any, error)
-	}{
-		{"RowIDs", func(q *Query) (any, error) { return q.RowIDs() }},
-		{"Ints", func(q *Query) (any, error) { return q.Ints("o_year") }},
-		{"Floats", func(q *Query) (any, error) { return q.Floats("o_price") }},
-		{"Strings", func(q *Query) (any, error) { return q.Strings("o_cust") }},
-		{"GroupCount", func(q *Query) (any, error) { return q.GroupCount("o_cust") }},
-		{"SumFloat", func(q *Query) (any, error) { return q.SumFloat("o_price") }},
+		{"group", ot.All().GroupBy("o_year"), "GroupBy",
+			[]string{"Count", "RowIDs", "Ints", "Floats", "Strings", "GroupCount", "SumFloat"}},
+		{"order", ot.All().OrderBy("o_price", true), "OrderBy", unordered},
+		{"limit", ot.All().Limit(3), "Limit", unordered},
+		{"order+limit", ot.All().OrderBy("o_price", true).Limit(3), "OrderBy/Limit", unordered},
 	}
 	for _, sh := range shapes {
-		for _, term := range terminals {
-			_, err := term.run(sh.q)
-			if err == nil {
-				t.Errorf("%s on a %s query returned a result, want the compose error", term.name, sh.name)
-				continue
+		for _, name := range sh.rejects {
+			_, err := terminals[name](sh.q)
+			want := name + " does not compose with " + sh.want + "; use Rows or AggRows"
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on a %s query: %v, want %q", name, sh.name, err, want)
 			}
-			want := term.name + " does not compose with " + sh.want + "; use Rows or AggRows"
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s on a %s query: %v, want %q", term.name, sh.name, err, want)
-			}
-		}
-	}
-	for _, sh := range shapes {
-		if sh.want == "Join" {
-			continue // Count counts a join's output
-		}
-		if _, err := sh.q.Count(); err == nil || !strings.Contains(err.Error(), "Count does not compose with "+sh.want) {
-			t.Errorf("Count on a %s query: %v, want the compose error", sh.name, err)
 		}
 	}
 	// The same terminals still run on the plain query.
-	for _, term := range terminals {
-		if _, err := term.run(ot.All()); err != nil {
-			t.Errorf("%s on a plain query: %v", term.name, err)
+	for name, run := range terminals {
+		if _, err := run(ot.All()); err != nil {
+			t.Errorf("%s on a plain query: %v", name, err)
 		}
 	}
+	// A gather is a one-column Rows: it takes a Limit, and an order over the
+	// column it selects — and, like Rows, no order over one it does not.
+	top, err := ot.All().OrderBy("o_price", true).Limit(3).Floats("o_price")
+	rows, rerr := ot.All().OrderBy("o_price", true).Limit(3).Rows("o_price")
+	if err != nil || rerr != nil || len(top) != 3 {
+		t.Fatalf("ordered, limited Floats = %v, %v (Rows: %v)", top, err, rerr)
+	}
+	for i, v := range top {
+		if v != rows.Data[i][0].(float64) {
+			t.Fatalf("ordered Floats[%d] = %v, Rows has %v", i, v, rows.Data[i][0])
+		}
+	}
+	if _, err := ot.All().OrderBy("o_price", true).Ints("o_year"); err == nil || !strings.Contains(err.Error(), "must be selected") {
+		t.Fatalf("Ints ordered by an unselected column: %v", err)
+	}
+}
+
+// TestScalarTerminalsComposeWithJoins: a scalar terminal is a relational
+// plan whose sink happens to be small, so it runs behind join stages like
+// any other — every join kind × terminal equals a nested-loop reference
+// over the raw arrays, on a static table and on shards + tail.
+func TestScalarTerminalsComposeWithJoins(t *testing.T) {
+	forEachRelSource(t, func(t *testing.T, ot, ct *Table, cust []string, year []int64, price []float64, nationOf map[string]string) {
+		nation0 := ct.Where("c_nation", Eq, "NATION0")
+		matches := func(i int) bool { return nationOf[cust[i]] == "NATION0" }
+		joins := []struct {
+			name string
+			q    *Query
+			keep func(i int) bool
+		}{
+			{"join", ot.Where("o_year", Ge, 1994).JoinOn(nation0, "o_cust", "c_name"), matches},
+			{"semijoin", ot.Where("o_year", Ge, 1994).SemiJoin(nation0, "o_cust", "c_name"), matches},
+			{"antijoin", ot.Where("o_year", Ge, 1994).AntiJoin(nation0, "o_cust", "c_name"), func(i int) bool { return !matches(i) }},
+		}
+		for _, j := range joins {
+			// Customer names are unique, so each kept order row joins once.
+			var wantN int64
+			var wantSum float64
+			var wantYears []int64
+			var wantCusts []string
+			wantGroups := map[string]int64{}
+			for i := range cust {
+				if year[i] >= 1994 && j.keep(i) {
+					wantN++
+					wantSum += price[i]
+					wantYears = append(wantYears, year[i])
+					wantCusts = append(wantCusts, cust[i])
+					wantGroups[cust[i]]++
+				}
+			}
+			if wantN == 0 {
+				t.Fatalf("%s: reference is empty; the check would be vacuous", j.name)
+			}
+			if n, err := j.q.Count(); err != nil || n != wantN {
+				t.Errorf("%s Count = %d, %v, want %d", j.name, n, err, wantN)
+			}
+			if sum, err := j.q.SumFloat("o_price"); err != nil || sum != wantSum {
+				t.Errorf("%s SumFloat = %v, %v, want %v", j.name, sum, err, wantSum)
+			}
+			if years, err := j.q.Ints("o_year"); err != nil || fmt.Sprint(years) != fmt.Sprint(wantYears) {
+				t.Errorf("%s Ints differ from the reference (%v)", j.name, err)
+			}
+			strs, err := j.q.Strings("o_cust")
+			if err != nil || len(strs) != len(wantCusts) {
+				t.Fatalf("%s Strings = %d values, %v, want %d", j.name, len(strs), err, len(wantCusts))
+			}
+			for i, v := range strs {
+				if string(v) != wantCusts[i] {
+					t.Fatalf("%s Strings[%d] = %s, want %s", j.name, i, v, wantCusts[i])
+				}
+			}
+			if groups, err := j.q.GroupCount("o_cust"); err != nil || fmt.Sprint(groups) != fmt.Sprint(wantGroups) {
+				t.Errorf("%s GroupCount = %v, %v, want %v", j.name, groups, err, wantGroups)
+			}
+		}
+		// An inner join's payload columns gather and group like the probe's.
+		groups, err := joins[0].q.GroupCount("c_nation")
+		if err != nil || len(groups) != 1 || groups["NATION0"] == 0 {
+			t.Errorf("GroupCount over a payload column = %v, %v", groups, err)
+		}
+	})
+}
+
+// TestJoinWithEmptyBuildSide: a build predicate that matches nothing leaves
+// a string key column with no values on every part; the join must still be
+// typed by the schema — Join and SemiJoin keep no row, AntiJoin keeps all.
+func TestJoinWithEmptyBuildSide(t *testing.T) {
+	forEachRelSource(t, func(t *testing.T, ot, ct *Table, cust []string, year []int64, _ []float64, _ map[string]string) {
+		none := ct.Where("c_nation", Eq, "NOSUCH")
+		var kept int64
+		for i := range cust {
+			if year[i] >= 1994 {
+				kept++
+			}
+		}
+		for _, c := range []struct {
+			name string
+			q    *Query
+			want int64
+		}{
+			{"join", ot.Where("o_year", Ge, 1994).JoinOn(none, "o_cust", "c_name"), 0},
+			{"semijoin", ot.Where("o_year", Ge, 1994).SemiJoin(none, "o_cust", "c_name"), 0},
+			{"antijoin", ot.Where("o_year", Ge, 1994).AntiJoin(none, "o_cust", "c_name"), kept},
+		} {
+			if n, err := c.q.Count(); err != nil || n != c.want {
+				t.Errorf("%s Count = %d, %v, want %d", c.name, n, err, c.want)
+			}
+			strs, err := c.q.Strings("o_cust")
+			if err != nil || int64(len(strs)) != c.want {
+				t.Errorf("%s Strings = %d values, %v, want %d", c.name, len(strs), err, c.want)
+			}
+			groups, err := c.q.GroupCount("o_cust")
+			var total int64
+			for _, n := range groups {
+				total += n
+			}
+			if err != nil || total != c.want {
+				t.Errorf("%s GroupCount totals %d, %v, want %d", c.name, total, err, c.want)
+			}
+		}
+		rows, err := ot.All().JoinOn(none, "o_cust", "c_name").Rows("o_cust", "c_nation")
+		if err != nil || len(rows.Data) != 0 {
+			t.Errorf("Rows over an empty join = %v, %v, want no rows", rows, err)
+		}
+	})
+}
+
+// TestAggRowsOverNoRows: without GroupBy, counts and sums over an empty
+// selection are one row of zeros; a Min or Max has no value there, so the
+// result has no rows instead of leaking MaxInt64 or ±Inf as if it were data.
+func TestAggRowsOverNoRows(t *testing.T) {
+	forEachRelSource(t, func(t *testing.T, ot, _ *Table, _ []string, _ []int64, _ []float64, _ map[string]string) {
+		never := ot.Where("o_year", Ge, 99999)
+		rows, err := never.AggRows(CountAll(), Sum("o_price"), Sum("o_year"))
+		if err != nil || fmt.Sprint(rows.Data) != "[[0 0 0]]" {
+			t.Errorf("count/sum over no rows = %v, %v, want [[0 0 0]]", rows, err)
+		}
+		for _, agg := range []AggSpec{Min("o_year"), Max("o_year"), Min("o_price"), Max("o_price")} {
+			rows, err := never.AggRows(agg, CountAll())
+			if err != nil || len(rows.Data) != 0 {
+				t.Errorf("%s over no rows = %v, %v, want no rows", agg.name, rows, err)
+			}
+		}
+		rows, err = never.GroupBy("o_year").AggRows(CountAll())
+		if err != nil || len(rows.Data) != 0 {
+			t.Errorf("grouped count over no rows = %v, %v, want no rows", rows, err)
+		}
+	})
 }
 
 // TestLimitKeepsEarlierBuilderError: Err documents first-error-wins, so a
@@ -416,8 +621,8 @@ func TestExplainAnalyzeRendersJoin(t *testing.T) {
 	if !strings.Contains(out, "Join[j1 inner]") {
 		t.Fatalf("ExplainAnalyze missing Join stage:\n%s", out)
 	}
-	if !strings.Contains(out, "GroupBy[") {
-		t.Fatalf("ExplainAnalyze missing GroupBy sink:\n%s", out)
+	if !strings.Contains(out, "└─ Count") {
+		t.Fatalf("ExplainAnalyze missing the Count sink:\n%s", out)
 	}
 	if !strings.Contains(out, "build rows=") {
 		t.Fatalf("ExplainAnalyze missing build row count:\n%s", out)

@@ -3,9 +3,6 @@ package codecdb
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"codecdb/internal/ops"
 )
 
 // Terminal names what a wave query returns.
@@ -38,20 +35,6 @@ func (t Terminal) String() string {
 	return "?"
 }
 
-func (t Terminal) term() (ops.TermKind, bool) {
-	switch t {
-	case TerminalCount:
-		return ops.TermCount, true
-	case TerminalRowIDs:
-		return ops.TermRowIDs, true
-	case TerminalSum:
-		return ops.TermSumFloat, true
-	case TerminalGroupCount:
-		return ops.TermGroupCount, true
-	}
-	return 0, false
-}
-
 // WaveQuery is one member of a cooperative scan wave: a predicate (the
 // zero Pred selects every row) and the terminal it feeds. Col names the
 // measured column for TerminalSum and TerminalGroupCount.
@@ -61,8 +44,9 @@ type WaveQuery struct {
 	Col      string
 }
 
-// WaveResult is one member's answer. Exactly the field matching the
-// query's terminal is populated; Err is that member's failure (bad
+// WaveResult is one member's answer: Count, always the number of matching
+// rows, and the field matching the query's terminal; Err is that member's
+// failure (bad
 // predicate, unknown column, mid-scan IO error) and leaves the others
 // unaffected.
 type WaveResult struct {
@@ -88,66 +72,47 @@ func (t *Table) Wave(ctx context.Context, qs []WaveQuery) ([]WaveResult, error) 
 	if len(qs) == 0 {
 		return out, nil
 	}
-	start := time.Now()
-	parts, err := t.parts()
+	// A member is the query its predicate builds (a bad one carries its
+	// error into the pass and sits it out) and the sink its terminal names.
+	members := make([]*Query, len(qs))
+	sinks := make([]sink, len(qs))
+	for i, wq := range qs {
+		members[i] = t.All()
+		if !isZeroPred(wq.Pred) {
+			members[i] = t.Query(wq.Pred)
+		}
+		switch wq.Terminal {
+		case TerminalCount:
+			sinks[i] = sink{kind: sinkCount}
+		case TerminalRowIDs:
+			sinks[i] = sink{kind: sinkRowIDs}
+		case TerminalSum:
+			sinks[i] = sink{kind: sinkSum, cols: []string{wq.Col}}
+		case TerminalGroupCount:
+			sinks[i] = sink{kind: sinkGroupCount, cols: []string{wq.Col}}
+		default:
+			members[i].err = fmt.Errorf("codecdb: unknown terminal %d", wq.Terminal)
+		}
+	}
+	bounds, err := t.exec(ctx, "", members, sinks)
 	if err != nil {
 		return out, err
 	}
-	// Members that fail validation sit the wave out.
-	run := make([]ops.SharedItem, 0, len(qs))
-	runIdx := make([]int, 0, len(qs))
-	for i, wq := range qs {
-		item, err := t.waveItem(parts, wq)
-		if err != nil {
-			out[i].Err = err
+	for i, b := range bounds {
+		if out[i].Err = b.Err; b.Err != nil {
 			continue
 		}
-		run = append(run, item)
-		runIdx = append(runIdx, i)
-	}
-	results, errs, fatal := ops.RunShared(ctx, parts, t.db.inner.DataPool(), run)
-	if fatal != nil {
-		return out, fatal
-	}
-	for j, i := range runIdx {
-		if errs[j] != nil {
-			out[i].Err = errs[j]
-			continue
+		out[i].Count = b.Rows
+		switch sinks[i].kind {
+		case sinkRowIDs:
+			out[i].RowIDs = b.Batch.Ints[0]
+		case sinkSum:
+			out[i].Sum = b.Batch.Floats[0][0]
+		case sinkGroupCount:
+			out[i].Groups = groupLabels(b.Batch)
 		}
-		res := results[j]
-		out[i] = WaveResult{Count: res.Count, RowIDs: res.RowIDs, Sum: res.Sum, Groups: res.Groups}
 	}
-	queriesTotal.Add(int64(len(qs)))
-	queryLatency.Observe(time.Since(start).Seconds())
 	return out, nil
-}
-
-// waveItem validates one member and binds its predicate to every part.
-func (t *Table) waveItem(parts []ops.Part, wq WaveQuery) (ops.SharedItem, error) {
-	term, ok := wq.Terminal.term()
-	if !ok {
-		return ops.SharedItem{}, fmt.Errorf("codecdb: unknown terminal %d", wq.Terminal)
-	}
-	item := ops.SharedItem{Term: term, Col: wq.Col}
-	if wq.Terminal == TerminalSum {
-		// Reject non-float measures before the scan; the shared gather
-		// would otherwise reinterpret their pages as float bits.
-		typ, ok := t.ColumnType(wq.Col)
-		if !ok {
-			return item, fmt.Errorf("codecdb: unknown column %q", wq.Col)
-		}
-		if typ != "FLOAT64" {
-			return item, fmt.Errorf("codecdb: SumFloat needs a FLOAT64 column, %q is %s", wq.Col, typ)
-		}
-	}
-	if !isZeroPred(wq.Pred) {
-		plans, err := t.bindPlans(parts, wq.Pred)
-		if err != nil {
-			return item, err
-		}
-		item.Plans = plans
-	}
-	return item, nil
 }
 
 // isZeroPred reports whether p is the match-everything zero value (or an

@@ -3,7 +3,9 @@ package codecdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -54,6 +56,56 @@ func checkWaveMatchesSerial(t *testing.T, tbl *Table) {
 	}
 }
 
+// TestWaveSixteenMembersMatchSolo: every sink shape a WaveQuery can name
+// answers byte for byte what the solo terminal answers — float sums to the
+// last bit — from inside a 16-member wave, at one worker and at the
+// default, over every source kind.
+func TestWaveSixteenMembersMatchSolo(t *testing.T) {
+	forEachSource(t, "events", eventColumns(6000), eventsLoad, func(t *testing.T, tbl *Table) {
+		var qs []WaveQuery
+		for lvl := int64(0); lvl < 4; lvl++ {
+			p := Col("level", Ge, lvl)
+			qs = append(qs,
+				WaveQuery{Pred: p, Terminal: TerminalCount},
+				WaveQuery{Pred: p, Terminal: TerminalRowIDs},
+				WaveQuery{Pred: p, Terminal: TerminalSum, Col: "latency"},
+				WaveQuery{Pred: p, Terminal: TerminalGroupCount, Col: []string{"status", "level"}[lvl%2]})
+		}
+		want := make([]WaveResult, len(qs))
+		for i, wq := range qs {
+			q := tbl.Query(wq.Pred)
+			var err error
+			if want[i].Count, err = q.Count(); err != nil {
+				t.Fatal(err)
+			}
+			switch wq.Terminal {
+			case TerminalRowIDs:
+				want[i].RowIDs, err = q.RowIDs()
+			case TerminalSum:
+				want[i].Sum, err = q.SumFloat(wq.Col)
+			case TerminalGroupCount:
+				want[i].Groups, err = q.GroupCount(wq.Col)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, o := range []ExecOptions{{}, {MaxWorkers: 1}} {
+			ctx, cancel := o.Context(context.Background())
+			got, err := tbl.Wave(ctx, qs)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range qs {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%+v member %d (%v): wave %+v, solo %+v", o, i, qs[i].Terminal, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 // TestWaveMemberErrorIsolated: a bad member fails alone.
 func TestWaveMemberErrorIsolated(t *testing.T) {
 	db := openTestDB(t)
@@ -73,45 +125,67 @@ func TestWaveMemberErrorIsolated(t *testing.T) {
 	}
 }
 
-// TestSumFloatTypeChecked: summing a non-float column is a clear typed
-// error everywhere it can be asked — the solo query, a wave member, and
-// ColumnType itself — never a page-level decode failure or garbage from
-// reinterpreting int/string pages as float bits.
-func TestSumFloatTypeChecked(t *testing.T) {
-	db := openTestDB(t)
-	tbl := loadEvents(t, db, 1000)
-
-	if typ, ok := tbl.ColumnType("latency"); !ok || typ != "FLOAT64" {
-		t.Fatalf("ColumnType(latency) = %q,%v", typ, ok)
-	}
-	if typ, ok := tbl.ColumnType("level"); !ok || typ != "INT64" {
-		t.Fatalf("ColumnType(level) = %q,%v", typ, ok)
-	}
-	if typ, ok := tbl.ColumnType("status"); !ok || typ != "STRING" {
-		t.Fatalf("ColumnType(status) = %q,%v", typ, ok)
-	}
-	if _, ok := tbl.ColumnType("nope"); ok {
-		t.Fatal("ColumnType(nope) reported ok")
-	}
-
-	for _, col := range []string{"level", "status"} {
-		if _, err := tbl.All().SumFloat(col); err == nil {
-			t.Fatalf("SumFloat(%q) did not error", col)
+// TestSinkColumnsTypeChecked: a sink's columns are type-checked once,
+// where the sink binds, before any page is read: every terminal over every
+// column type it cannot mean anything on returns a codecdb error naming
+// the column and both types — on static and ingest tables, solo and as a
+// wave member (which fails alone) — never a page-level decode failure, a
+// worker panic, or another type's bits reinterpreted.
+func TestSinkColumnsTypeChecked(t *testing.T) {
+	forEachSource(t, "events", eventColumns(1000), eventsLoad, func(t *testing.T, tbl *Table) {
+		for col, want := range map[string]string{"latency": "FLOAT64", "level": "INT64", "status": "STRING", "nope": ""} {
+			if typ, ok := tbl.ColumnType(col); ok != (want != "") || typ != want {
+				t.Fatalf("ColumnType(%s) = %q,%v", col, typ, ok)
+			}
 		}
-		res, err := tbl.Wave(context.Background(), []WaveQuery{
-			{Terminal: TerminalSum, Col: col},
-			{Terminal: TerminalCount},
-		})
-		if err != nil {
-			t.Fatal(err)
+		cases := []struct {
+			name  string
+			wrong []string // columns of a type the terminal rejects
+			run   func(q *Query, col string) error
+		}{
+			{"Ints", []string{"latency", "status"}, func(q *Query, c string) error { _, err := q.Ints(c); return err }},
+			{"Floats", []string{"level", "status"}, func(q *Query, c string) error { _, err := q.Floats(c); return err }},
+			{"Strings", []string{"level", "latency"}, func(q *Query, c string) error { _, err := q.Strings(c); return err }},
+			{"SumFloat", []string{"level", "status"}, func(q *Query, c string) error { _, err := q.SumFloat(c); return err }},
+			{"GroupCount", []string{"latency"}, func(q *Query, c string) error { _, err := q.GroupCount(c); return err }},
+			{"GroupBy", []string{"latency"}, func(q *Query, c string) error { _, err := q.GroupBy(c).AggRows(CountAll()); return err }},
+			{"Sum", []string{"status"}, func(q *Query, c string) error { _, err := q.AggRows(Sum(c)); return err }},
+			{"Min", []string{"status"}, func(q *Query, c string) error { _, err := q.AggRows(Min(c)); return err }},
+			{"Max", []string{"status"}, func(q *Query, c string) error { _, err := q.GroupBy("level").AggRows(Max(c)); return err }},
 		}
-		if res[0].Err == nil {
-			t.Fatalf("wave sum over %q did not error", col)
+		before := tbl.IOStats().PagesRead
+		for _, tc := range cases {
+			for _, col := range tc.wrong {
+				typ, _ := tbl.ColumnType(col)
+				err := tc.run(tbl.Where("level", Ge, 1), col)
+				if err == nil || !strings.HasPrefix(err.Error(), "codecdb: "+tc.name+" needs a column of type") ||
+					!strings.Contains(err.Error(), fmt.Sprintf("%q is %s", col, typ)) {
+					t.Errorf("%s(%s): %v, want the codecdb type error naming the column and %s", tc.name, col, err, typ)
+				}
+			}
 		}
-		if res[1].Err != nil || res[1].Count != 1000 {
-			t.Fatalf("healthy member alongside bad sum: %+v", res[1])
+		for _, wq := range []WaveQuery{
+			{Terminal: TerminalSum, Col: "level"},
+			{Terminal: TerminalSum, Col: "status"},
+			{Terminal: TerminalGroupCount, Col: "latency"},
+		} {
+			res, err := tbl.Wave(context.Background(), []WaveQuery{wq, {Terminal: TerminalCount}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Err == nil || !strings.HasPrefix(res[0].Err.Error(), "codecdb: ") {
+				t.Errorf("wave %v over %q: %v, want the codecdb type error", wq.Terminal, wq.Col, res[0].Err)
+			}
+			if res[1].Err != nil || res[1].Count != 1000 {
+				t.Errorf("healthy member alongside %v over %q: %+v", wq.Terminal, wq.Col, res[1])
+			}
 		}
-	}
+		// The healthy members count every row of an unfiltered table, which
+		// reads nothing either.
+		if read := tbl.IOStats().PagesRead - before; read != 0 {
+			t.Errorf("mistyped terminals read %d pages", read)
+		}
+	})
 }
 
 // TestWaveOnIngestTable: a wave over an unflushed ingest table scans the
