@@ -48,13 +48,14 @@ race-pipeline:
 	$(GO) test -race -count=1 -run TestParallelMorsels ./internal/exec/
 	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestExplainSigned|TestExplainDictRLE|TestTracedGatherSpans' .
 
-# race-prefetch focuses the race detector on the async page fetcher:
-# concurrent queries with mid-scan cancellation sharing the prefetch
-# machinery, the prefetch-on ≡ prefetch-off equivalence property, and
-# the fetcher's fault-injection fallback test, and the bound leaf's
+# race-prefetch focuses the race detector on the page fetcher: concurrent
+# queries with mid-scan cancellation sharing the prefetch machinery, the
+# prefetch-on ≡ prefetch-off equivalence property, the fault-injection
+# fallback tests over scheduled and demand units, the one-read-per-chunk-
+# stage count behind a thrashing page cache, and the bound leaf's
 # schedule ≡ kernel reads property the prefetcher relies on.
 race-prefetch:
-	$(GO) test -race -count=1 -run 'TestPrefetch' .
+	$(GO) test -race -count=1 -run 'TestPrefetch|TestColdReads' .
 	$(GO) test -race -count=1 -run 'TestBoundLeafScheduleMatchesReads' ./internal/ops/
 	$(GO) test -race -count=1 -run 'TestPrefetch' ./internal/colstore/
 

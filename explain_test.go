@@ -40,14 +40,37 @@ func TestExplainStatic(t *testing.T) {
 	}
 }
 
+// smallCache is a page cache smaller than the tables the IO-consistency
+// tests scan, so reruns of a query thrash it.
+const smallCache = 64 << 10
+
 // TestExplainAnalyzeConsistentWithIOStats is the acceptance check: on a
 // two-predicate query, the per-operator page counters in the rendered
-// span tree must sum to exactly the Table.IOStats() delta of the run.
+// span tree must sum to exactly the Table.IOStats() delta of the run —
+// also behind a page cache smaller than the table, run after run, where
+// pages arrive as cache hits, scheduled units and demand units.
 func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
-	db := openTestDB(t)
-	tbl := loadEvents(t, db, 4000)
+	t.Run("no-cache", func(t *testing.T) {
+		checkAnalyzeIOConsistent(t, loadEvents(t, openTestDB(t), 4000), 4000)
+	})
+	t.Run("small-cache", func(t *testing.T) {
+		db, err := Open(t.TempDir(), Options{PageCacheBytes: smallCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		const n = 40000
+		tbl := loadEvents(t, db, n)
+		for run := 0; run < 3; run++ {
+			checkAnalyzeIOConsistent(t, tbl, n)
+		}
+		if st := db.PageCacheStats(); st.Evictions == 0 {
+			t.Fatalf("page cache never evicted (%+v): it is not smaller than the table", st)
+		}
+	})
+}
 
-	tbl.ResetIOStats()
+func checkAnalyzeIOConsistent(t *testing.T, tbl *Table, rows int64) {
 	before := tbl.IOStats()
 	root, n, err := tbl.Where("status", Eq, "ERROR").And("level", Lt, 2).AnalyzeTrace()
 	if err != nil {
@@ -55,8 +78,8 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 	}
 	after := tbl.IOStats()
 
-	if rowsIn, rowsOut := root.Rows(); rowsIn != 4000 || rowsOut != n {
-		t.Fatalf("root rows = %d→%d, want 4000→%d", rowsIn, rowsOut, n)
+	if rowsIn, rowsOut := root.Rows(); rowsIn != rows || rowsOut != n {
+		t.Fatalf("root rows = %d→%d, want %d→%d", rowsIn, rowsOut, rows, n)
 	}
 	kids := root.Children()
 	if len(kids) != 2 {
@@ -96,8 +119,8 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 	// the whole table, every later filter sees exactly the previous
 	// filter's survivors.
 	in0, out0 := filters[0].Rows()
-	if in0 != 4000 {
-		t.Errorf("span %s rows in = %d, want 4000", filters[0].Name(), in0)
+	if in0 != rows {
+		t.Errorf("span %s rows in = %d, want %d", filters[0].Name(), in0, rows)
 	}
 	if in1, _ := filters[1].Rows(); in1 != out0 {
 		t.Errorf("selection not pushed: span %s rows in = %d, want %d (previous filter's rows out)",
@@ -116,6 +139,7 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 	if pipe.IO().PagesRead == 0 {
 		t.Fatal("trace recorded no page reads; instrumentation is not wired")
 	}
+	checkFetchDetails(t, root)
 
 	out := root.Render()
 	for _, want := range []string{"Query(events)", "Pipeline[count]", "Prepare", "├─ Filter[", "time=", "pages[read=", "selectivity est=", "selection-pushed:", "morsels="} {
@@ -242,25 +266,70 @@ func checkSpanIOSums(t *testing.T, root *obs.Span) {
 	walk(root)
 }
 
+// checkFetchDetails holds every stage span that read pages to its fetch
+// accounting: each page read arrived through a fetch unit — staged by the
+// background walk (a hit) or claimed by the stage itself, demand units
+// included (a miss) — so the stage's "prefetch:" detail counts at least
+// one unit, and no more units than it read pages.
+func checkFetchDetails(t *testing.T, root *obs.Span) {
+	t.Helper()
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		kids := s.Children()
+		for _, c := range kids {
+			walk(c)
+		}
+		if len(kids) > 0 || s.IO().PagesRead == 0 {
+			return
+		}
+		units := int64(-1)
+		for _, d := range s.Details() {
+			var hit, miss int64
+			if _, err := fmt.Sscanf(d, "prefetch: %d hit / %d miss", &hit, &miss); err == nil {
+				units = hit + miss
+			}
+		}
+		if units < 1 || units > s.IO().PagesRead {
+			t.Errorf("stage %s read %d pages through %d fetch units\n%s", s.Name(), s.IO().PagesRead, units, root.Render())
+		}
+	}
+	walk(root)
+}
+
 // TestExplainAnalyzeIngestIOConsistent is the same accounting identity on
 // the ingest source kinds: tail images are readers like any shard, so the
 // pages scanned from a sealed memtable or the active buffer appear both in
-// the span tree (one Part span per part) and in Table.IOStats.
+// the span tree (one Part span per part) and in Table.IOStats — with and
+// without a page cache smaller than the table.
 func TestExplainAnalyzeIngestIOConsistent(t *testing.T) {
 	forEachSource(t, "events", eventColumns(4000), eventsLoad, func(t *testing.T, tbl *Table) {
-		tbl.ResetIOStats()
+		checkAnalyzeIngestIO(t, tbl)
+	})
+	for _, kind := range sourceKinds {
+		t.Run(kind+"/small-cache", func(t *testing.T) {
+			tbl := loadSourceIn(t, smallCache, kind, "events", eventColumns(40000), eventsLoad)
+			for run := 0; run < 3; run++ {
+				checkAnalyzeIngestIO(t, tbl)
+			}
+		})
+	}
+}
+
+func checkAnalyzeIngestIO(t *testing.T, tbl *Table) {
+	{
 		before := tbl.IOStats()
 		root, n, err := tbl.Where("status", Eq, "ERROR").And("level", Lt, 2).AnalyzeTrace()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != 400 {
-			t.Fatalf("count = %d, want 400", n)
+		if want := tbl.NumRows() / 10; n != want {
+			t.Fatalf("count = %d, want %d", n, want)
 		}
 		if sum, delta := root.SumIO(), ops.IODelta(before, tbl.IOStats()); sum != delta || delta.PagesRead == 0 {
 			t.Fatalf("span IO sum %+v != IOStats delta %+v\n%s", sum, delta, root.Render())
 		}
 		checkSpanIOSums(t, root)
+		checkFetchDetails(t, root)
 		pipe := findSpan(root, "Pipeline[count]")
 		parts, err := tbl.parts()
 		if err != nil {
@@ -294,7 +363,7 @@ func TestExplainAnalyzeIngestIOConsistent(t *testing.T) {
 		if after := tbl.IOStats(); after.PagesRead != io.PagesRead {
 			t.Fatalf("Explain read pages: %+v -> %+v", io, after)
 		}
-	})
+	}
 }
 
 // TestExplainAnalyzeGather checks gathers run under AnalyzeTrace's

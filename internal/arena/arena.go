@@ -7,7 +7,7 @@
 // allocation count on the hot path is zero.
 //
 // Buffers handed out by a Scratch alias its internal storage: each family
-// (Raw, Body, Words/Bitmap, Ints) has one live buffer at a time, and a
+// (Raw, Body, Words/Bitmap, Ints, Pages) has one live buffer at a time, and a
 // later call with the same family invalidates the earlier result. Callers
 // must also never retain a scratch-backed buffer past Put. Decoded output
 // that aliases the page body (notably string decoding, which returns
@@ -28,6 +28,7 @@ type Scratch struct {
 	body  []byte
 	words []uint64
 	ints  []int64
+	pages []int
 }
 
 var pool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -98,4 +99,13 @@ func (s *Scratch) KeepInts(v []int64) {
 	if cap(v) > cap(s.ints) {
 		s.ints = v
 	}
+}
+
+// Pages returns an empty int slice with capacity at least n, for the list
+// of page indexes a chunk walk is about to read.
+func (s *Scratch) Pages(n int) []int {
+	if cap(s.pages) < n {
+		s.pages = make([]int, 0, n)
+	}
+	return s.pages[:0]
 }

@@ -8,34 +8,48 @@ import (
 	"codecdb/internal/arena"
 )
 
-// PageFetcher overlaps page I/O with decompression and scanning for one
-// query: the pipeline compiler hands it the planner's surviving page list
-// per (row group, column) up front, and a single background goroutine
-// walks that schedule in morsel order, merging adjacent selected pages
-// into coalesced ReadAt calls (gap-tolerant up to Slop) and staging the
-// bytes in arena-pooled buffers. Workers consume pages through
-// Chunk.Fetch: a page whose unit is already staged is served zero-copy
-// (a prefetch hit); a unit the background walk has not reached yet is
-// claimed and fetched synchronously — still coalesced — by the consumer
-// (a miss), so workers never block behind the prefetch frontier.
+// PageFetcher is the one path page bytes take from the device to a scan
+// of one part, and it holds one rule: a page that is neither staged nor
+// cached when a consumer asks for it costs one coalesced read covering
+// every page that consumer still needs from that chunk — never a
+// single-page read (except on the typed-error fallback below).
+//
+// Bytes are staged in fetch units: pages of one (row group, column) chunk
+// as a list of coalesced ReadAt runs (gap-tolerant up to Slop) into pooled
+// buffers. A unit comes from one of two places:
+//
+//   - Scheduled units are handed over before the scan — the first planned
+//     stage's surviving pages, which metadata predicts exactly — and a
+//     single background goroutine walks them in morsel order, so the
+//     first stage's reads overlap decompression and scanning (lookahead).
+//   - Demand units are built on a consumer's miss from the pages it
+//     declared it will read (Chunk.Want, a gather's selection, a whole-
+//     chunk decode) and read at once by that consumer: later filter
+//     stages, sink gathers, and pages the shared page cache evicted
+//     between scheduling and use.
+//
+// Workers consume pages through the chunk: a page whose unit is staged is
+// served zero-copy (a prefetch hit); a unit the background walk has not
+// reached yet, and every demand unit, is claimed and read synchronously —
+// still coalesced — by the consumer (a miss), so workers never block
+// behind the prefetch frontier.
 //
 // Memory is bounded by the bytes-in-flight budget: the background walk
-// sleeps while staging the next unit would exceed Budget, and buffers
-// return to the pool as soon as the morsel owning their row group
-// finishes (FinishGroup) or the fetcher closes. A unit whose read fails
-// is marked failed and its consumers silently fall back to the
-// synchronous per-page path, which surfaces the same typed errors
-// (retry-exhausted read errors, *CorruptionError) the engine always had.
+// sleeps while staging the next unit would exceed Budget, and every unit
+// of a row group returns its buffers as soon as the morsel owning the
+// group finishes (FinishGroup) or the fetcher closes. A unit whose read
+// fails is marked failed and its consumers fall back to the synchronous
+// per-page path, which surfaces the same typed errors (retry-exhausted
+// read errors, *CorruptionError) the engine always had.
 type PageFetcher struct {
 	r   *Reader
 	cfg FetchConfig
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	units    map[unitKey]*fetchUnit
-	byRG     map[int][]*fetchUnit
-	order    []*fetchUnit
-	next     int // background-walk frontier into order
+	cond     sync.Cond
+	byRG     []*fetchUnit // per row group: the chain of its units
+	order    []*fetchUnit // scheduled units, in walk order
+	next     int          // background-walk frontier into order
 	inflight int64
 	closed   bool
 	started  bool
@@ -60,8 +74,8 @@ type FetchConfig struct {
 	// RSS tracks the budget, not the table size.
 	Budget int64
 	// Slop is the widest byte gap between two selected pages that still
-	// merges them into one coalesced ReadAt. Unselected bytes dragged in
-	// by a gap are read but never booked or served.
+	// merges them into one coalesced ReadAt (negative: none). Unselected
+	// bytes dragged in by a gap are read but never booked or served.
 	Slop int64
 }
 
@@ -74,10 +88,8 @@ const (
 	DefaultFetchSlop   = 4 << 10
 )
 
-type unitKey struct{ rg, col int }
-
 // fetchRun is one coalesced ReadAt: a contiguous extent covering `pages`
-// scheduled pages plus any tolerated gaps between them.
+// wanted pages plus any tolerated gaps between them.
 type fetchRun struct {
 	off   int64
 	size  int64
@@ -85,15 +97,24 @@ type fetchRun struct {
 }
 
 type fetchUnit struct {
-	key  unitKey
-	runs []fetchRun
-	size int64 // total staged bytes across runs
+	rg, col int
+	runs    []fetchRun
+	size    int64 // total staged bytes across runs
+	// demand units are built on a consumer's miss and recycled through
+	// unitPool once their row group finishes; scheduled units live as long
+	// as the fetcher (the background walk indexes them).
+	demand bool
+	link   *fetchUnit // next unit of the same row group
 
 	state   unitState
 	done    chan struct{} // set while the background walk fetches the unit
 	bufs    [][]byte      // one pooled buffer per run, set in unitReady
 	counted bool          // prefetch hit/miss already recorded
 }
+
+// unitPool recycles demand units with their run and buffer slices, so a
+// scan's steady state builds them without allocating.
+var unitPool = sync.Pool{New: func() any { return new(fetchUnit) }}
 
 type unitState uint8
 
@@ -105,92 +126,117 @@ const (
 	unitReleased           // row group finished or fetcher closed; bufs freed
 )
 
+// add appends one page to the unit, merging it into the last run when the
+// gap between them is at most slop. Pages arrive in ascending order.
+func (u *fetchUnit) add(pm *PageMeta, slop int64) {
+	size := int64(pm.CompressedSize)
+	if n := len(u.runs); n > 0 {
+		cur := &u.runs[n-1]
+		end := cur.off + cur.size
+		if gap := pm.Offset - end; gap >= 0 && gap <= slop {
+			cur.size = pm.Offset + size - cur.off
+			cur.pages++
+			u.size += pm.Offset + size - end
+			return
+		}
+	}
+	u.runs = append(u.runs, fetchRun{off: pm.Offset, size: size, pages: 1})
+	u.size += size
+}
+
+// run returns the index of the run holding the whole page, or -1.
+func (u *fetchUnit) run(pm *PageMeta) int {
+	for i, run := range u.runs {
+		if pm.Offset >= run.off && pm.Offset+int64(pm.CompressedSize) <= run.off+run.size {
+			return i
+		}
+	}
+	return -1
+}
+
 // NewPageFetcher creates a fetcher over r. Schedule every unit before
-// calling Start.
+// calling Start; demand units need neither.
 func NewPageFetcher(r *Reader, cfg FetchConfig) *PageFetcher {
 	if cfg.Budget <= 0 {
 		cfg.Budget = DefaultFetchBudget
 	}
-	if cfg.Slop < 0 {
-		cfg.Slop = 0
+	switch {
+	case cfg.Slop == 0:
+		cfg.Slop = DefaultFetchSlop
+	case cfg.Slop < 0:
+		cfg.Slop = 0 // no gap tolerance: only adjacent pages merge
 	}
-	f := &PageFetcher{
-		r:     r,
-		cfg:   cfg,
-		units: make(map[unitKey]*fetchUnit),
-		byRG:  make(map[int][]*fetchUnit),
-	}
-	f.cond = sync.NewCond(&f.mu)
+	f := &PageFetcher{r: r, cfg: cfg, byRG: make([]*fetchUnit, r.NumRowGroups())}
+	f.cond.L = &f.mu
 	return f
 }
 
 // Schedule registers the surviving pages of (rg, col) — ascending page
-// indexes, as the planner's metadata pass produces them — and coalesces
-// them into runs. Must be called before Start; scheduling the same unit
-// twice keeps the first schedule.
+// indexes, as the planner's metadata pass produces them — for the
+// background walk, coalesced into runs. A unit whose every page the
+// shared page cache already holds is not staged: the cache serves it,
+// and a page evicted before its turn demand-reads the rest of the
+// consumer's pages. Must be called before Start; scheduling the same
+// unit twice keeps the first schedule.
 func (f *PageFetcher) Schedule(rg, col int, pages []int) {
-	if f.r.cache != nil {
-		// Pages the shared cache already holds are served before the
-		// prefetch buffers are ever consulted; staging them would be a
-		// wasted disk read. Contains is advisory (an entry may be evicted
-		// before consumption), but the consumer's sync-read fallback makes
-		// a wrong guess cost one uncoalesced read, not correctness.
-		kept := make([]int, 0, len(pages))
-		for _, p := range pages {
-			if !f.r.cache.Contains(f.r.id, rg, col, p) {
-				kept = append(kept, p)
-			}
-		}
-		pages = kept
-	}
-	if len(pages) == 0 {
+	if len(pages) == 0 || f.resident(rg, col, pages) {
 		return
 	}
-	key := unitKey{rg, col}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.started || f.closed {
 		return
 	}
-	if _, ok := f.units[key]; ok {
-		return
+	for u := f.byRG[rg]; u != nil; u = u.link {
+		if u.col == col {
+			return
+		}
 	}
 	pms := f.r.meta.RowGroups[rg].Chunks[col].Pages
-	u := &fetchUnit{key: key}
-	cur := fetchRun{off: pms[pages[0]].Offset, size: int64(pms[pages[0]].CompressedSize), pages: 1}
-	for _, p := range pages[1:] {
-		pm := &pms[p]
-		end := cur.off + cur.size
-		if gap := pm.Offset - end; gap >= 0 && gap <= f.cfg.Slop {
-			cur.size = pm.Offset + int64(pm.CompressedSize) - cur.off
-			cur.pages++
-			continue
-		}
-		u.runs = append(u.runs, cur)
-		cur = fetchRun{off: pm.Offset, size: int64(pm.CompressedSize), pages: 1}
+	u := &fetchUnit{rg: rg, col: col}
+	for _, p := range pages {
+		u.add(&pms[p], f.cfg.Slop)
 	}
-	u.runs = append(u.runs, cur)
-	for _, run := range u.runs {
-		u.size += run.size
-	}
-	f.units[key] = u
-	f.byRG[rg] = append(f.byRG[rg], u)
+	f.linkLocked(u)
 	f.order = append(f.order, u)
 }
 
-// Start launches the background walk. ctx cancellation stops further
-// reads; Close must still be called to release staged buffers.
+// resident reports whether the shared page cache holds every page.
+func (f *PageFetcher) resident(rg, col int, pages []int) bool {
+	if f.r.cache == nil {
+		return false
+	}
+	for _, p := range pages {
+		if !f.r.cache.Contains(f.r.id, rg, col, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// linkLocked adds u to its row group's chain; caller holds f.mu.
+func (f *PageFetcher) linkLocked(u *fetchUnit) {
+	u.link = f.byRG[u.rg]
+	f.byRG[u.rg] = u
+}
+
+// Start binds the scan's context — cancellation stops further reads — and
+// launches the background walk when anything was scheduled. Close must
+// still be called to release staged buffers.
 func (f *PageFetcher) Start(ctx context.Context) {
 	f.mu.Lock()
-	if f.started || f.closed || len(f.order) == 0 {
+	if f.started || f.closed {
 		f.mu.Unlock()
 		return
 	}
 	f.started = true
 	f.ctx = ctx
+	walk := len(f.order) > 0
 	f.mu.Unlock()
-	f.wg.Add(1)
-	go f.loop()
+	if walk {
+		f.wg.Add(1)
+		go f.loop()
+	}
 }
 
 // loop is the background walk: claim the next pending unit in schedule
@@ -228,57 +274,57 @@ func (f *PageFetcher) loop() {
 		if u == nil {
 			return
 		}
-		bufs, err := f.readUnit(u)
-		f.mu.Lock()
-		if err != nil || f.closed || u.state == unitReleased {
-			for _, b := range bufs {
-				f.putBufLocked(b)
-			}
-			f.addInFlight(-u.size)
-			if u.state != unitReleased {
-				u.state = unitFailed
-			}
-		} else {
-			u.bufs = bufs
-			u.state = unitReady
-		}
-		close(u.done)
-		u.done = nil
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		f.finishRead(u, f.readUnit(u))
 	}
 }
 
-// readUnit performs the unit's coalesced reads into pooled buffers.
-// Called without the lock held. On error the partial buffers are already
-// returned to the pool.
-func (f *PageFetcher) readUnit(u *fetchUnit) ([][]byte, error) {
-	bufs := make([][]byte, 0, len(u.runs))
-	free := func() {
-		for _, b := range bufs {
-			arena.PutBytes(b)
-		}
-	}
+// readUnit performs the unit's coalesced reads into pooled buffers,
+// appended to u.bufs. Called without the lock held, by the one goroutine
+// that claimed the unit (nothing else touches bufs while it is fetching).
+func (f *PageFetcher) readUnit(u *fetchUnit) error {
 	var coalesced int64
 	for _, run := range u.runs {
-		if err := f.ctx.Err(); err != nil {
-			free()
-			return nil, err
+		if f.ctx != nil {
+			if err := f.ctx.Err(); err != nil {
+				return err
+			}
 		}
 		buf := f.getBuf(int(run.size))
+		u.bufs = append(u.bufs, buf)
 		if err := f.r.readAtRaw(buf, run.off); err != nil {
-			arena.PutBytes(buf)
-			free()
-			return nil, err
+			return err
 		}
-		bufs = append(bufs, buf)
 		coalesced += int64(run.pages - 1)
 	}
 	if coalesced > 0 {
 		f.r.io.pagesCoalesced.Add(coalesced)
 		globalIO.pagesCoalesced.Add(coalesced)
 	}
-	return bufs, nil
+	return nil
+}
+
+// finishRead publishes a claimed unit's read, or — on error, or when the
+// row group was released or the fetcher closed meanwhile — returns its
+// buffers and in-flight bytes, then wakes whoever waits on the unit or the
+// budget. It reports whether the unit is servable.
+func (f *PageFetcher) finishRead(u *fetchUnit, err error) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	defer f.cond.Broadcast()
+	if u.done != nil {
+		close(u.done)
+		u.done = nil
+	}
+	if err != nil || f.closed || u.state == unitReleased {
+		f.dropBufsLocked(u)
+		f.addInFlight(-u.size)
+		if u.state != unitReleased {
+			u.state = unitFailed
+		}
+		return false
+	}
+	u.state = unitReady
+	return true
 }
 
 // getBuf takes a buffer of length n, preferring the fetcher's freelist
@@ -298,19 +344,23 @@ func (f *PageFetcher) getBuf(n int) []byte {
 	return arena.GetBytes(n)
 }
 
-// putBufLocked recycles a released run buffer onto the freelist, or
-// overflows to the global pool once the freelist holds a budget's worth.
-// Caller holds f.mu.
-func (f *PageFetcher) putBufLocked(b []byte) {
-	if cap(b) == 0 {
-		return
+// dropBufsLocked recycles a unit's run buffers onto the freelist, or
+// overflows them to the global pool once the freelist holds a budget's
+// worth. Caller holds f.mu.
+func (f *PageFetcher) dropBufsLocked(u *fetchUnit) {
+	for i, b := range u.bufs {
+		u.bufs[i] = nil
+		if cap(b) == 0 {
+			continue
+		}
+		if f.freeBytes+int64(cap(b)) <= f.cfg.Budget {
+			f.free = append(f.free, b)
+			f.freeBytes += int64(cap(b))
+			continue
+		}
+		arena.PutBytes(b)
 	}
-	if f.freeBytes+int64(cap(b)) <= f.cfg.Budget {
-		f.free = append(f.free, b)
-		f.freeBytes += int64(cap(b))
-		return
-	}
-	arena.PutBytes(b)
+	u.bufs = u.bufs[:0]
 }
 
 // addInFlight moves the in-flight gauge; caller holds f.mu.
@@ -320,63 +370,78 @@ func (f *PageFetcher) addInFlight(d int64) {
 	globalIO.bytesInFlight.Add(d)
 }
 
-// unit returns the scheduled unit for (rg, col), or nil.
-func (f *PageFetcher) unit(rg, col int) *fetchUnit {
-	f.mu.Lock()
-	u := f.units[unitKey{rg, col}]
-	f.mu.Unlock()
+// coveringLocked returns the live unit of c's (row group, column) whose
+// runs hold page pm, or nil. A failed unit still answers for its pages:
+// they take the synchronous path rather than a second coalesced attempt.
+// Caller holds f.mu.
+func (f *PageFetcher) coveringLocked(c *Chunk, pm *PageMeta) *fetchUnit {
+	for u := f.byRG[c.rg]; u != nil; u = u.link {
+		if u.col == c.col && u.state != unitReleased && u.run(pm) >= 0 {
+			return u
+		}
+	}
+	return nil
+}
+
+// demandLocked builds the demand unit for a miss on page p: every page
+// the chunk's caller declared it will read from p on, less those a live
+// unit of the chunk already stages. nil when the caller declared nothing
+// (the read stays a plain synchronous one). Caller holds f.mu.
+func (f *PageFetcher) demandLocked(c *Chunk, p int) *fetchUnit {
+	if c.nextWanted(p) != p {
+		return nil
+	}
+	u := unitPool.Get().(*fetchUnit)
+	u.rg, u.col, u.demand = c.rg, c.col, true
+	pms := c.meta.Pages
+	for q := p; q >= 0; q = c.nextWanted(q + 1) {
+		if q == p || f.coveringLocked(c, &pms[q]) == nil {
+			u.add(&pms[q], f.cfg.Slop)
+		}
+	}
+	f.linkLocked(u)
 	return u
 }
 
-// prefetched resolves page p of the chunk through its fetcher; ok=false
-// routes the caller to the plain synchronous read.
-func (c *Chunk) prefetched(p int) ([]byte, bool) {
-	if !c.funitSet {
-		c.funitSet = true
-		c.funit = c.fetch.unit(c.rg, c.col)
-	}
-	if c.funit == nil {
-		return nil, false
-	}
-	return c.fetch.pageFrom(c.funit, c, p)
-}
-
-// pageFrom serves one page from a unit, driving the unit's state machine
-// from the consumer side: a pending unit is claimed and read
-// synchronously (miss), an in-flight one is awaited (the stall lands in
-// the stage's WaitNanos), a ready one serves zero-copy (hit). Bytes are
-// booked here, per served page, exactly as the synchronous path books
+// page serves page p of chunk c through the fetcher; ok=false routes the
+// caller to the plain synchronous read. It finds the unit staging the
+// page — or, on a miss, builds the demand unit — and drives the unit's
+// state machine from the consumer side: a pending unit is claimed and
+// read synchronously (miss), an in-flight one is awaited (the stall lands
+// in the stage's WaitNanos), a ready one serves zero-copy (hit). Bytes
+// are booked here, per served page, exactly as the synchronous path books
 // them per read.
-func (f *PageFetcher) pageFrom(u *fetchUnit, c *Chunk, p int) ([]byte, bool) {
+func (f *PageFetcher) page(c *Chunk, p int) ([]byte, bool) {
 	pm := &c.meta.Pages[p]
 	f.mu.Lock()
-	for {
-		switch u.state {
-		case unitPending:
-			// The walk hasn't reached this unit: fetch it here, still
-			// coalesced, bypassing the budget (the bytes are consumed
-			// immediately, not speculative lookahead).
-			u.state = unitFetching
-			f.addInFlight(u.size)
-			f.mu.Unlock()
-			bufs, err := f.readUnit(u)
-			f.mu.Lock()
-			if err != nil || f.closed || u.state == unitReleased {
-				for _, b := range bufs {
-					f.putBufLocked(b)
-				}
-				f.addInFlight(-u.size)
-				if u.state != unitReleased {
-					u.state = unitFailed
-				}
-				f.cond.Broadcast()
+	if f.closed {
+		f.mu.Unlock()
+		return nil, false
+	}
+	u := c.funit
+	if u == nil || u.state == unitReleased || u.run(pm) < 0 {
+		if u = f.coveringLocked(c, pm); u == nil {
+			if u = f.demandLocked(c, p); u == nil {
 				f.mu.Unlock()
 				return nil, false
 			}
-			u.bufs = bufs
-			u.state = unitReady
+		}
+		c.funit = u
+	}
+	for {
+		switch u.state {
+		case unitPending:
+			// Not staged yet: read it here, still coalesced, bypassing the
+			// budget (the bytes are consumed now, not speculative
+			// lookahead).
+			u.state = unitFetching
+			f.addInFlight(u.size)
+			f.mu.Unlock()
+			if !f.finishRead(u, f.readUnit(u)) {
+				return nil, false
+			}
+			f.mu.Lock()
 			f.recordUnit(u, c, false)
-			f.cond.Broadcast()
 
 		case unitFetching:
 			done := u.done
@@ -397,20 +462,16 @@ func (f *PageFetcher) pageFrom(u *fetchUnit, c *Chunk, p int) ([]byte, bool) {
 
 		case unitReady:
 			f.recordUnit(u, c, true)
-			for i, run := range u.runs {
-				if pm.Offset >= run.off && pm.Offset+int64(pm.CompressedSize) <= run.off+run.size {
-					raw := u.bufs[i][pm.Offset-run.off : pm.Offset-run.off+int64(pm.CompressedSize)]
-					f.r.io.bytesRead.Add(int64(len(raw)))
-					globalIO.bytesRead.Add(int64(len(raw)))
-					if c.tap != nil {
-						c.tap.BytesRead += int64(len(raw))
-					}
-					f.mu.Unlock()
-					return raw, true
-				}
-			}
+			i := u.run(pm)
+			run := u.runs[i]
+			raw := u.bufs[i][pm.Offset-run.off : pm.Offset-run.off+int64(pm.CompressedSize)]
 			f.mu.Unlock()
-			return nil, false
+			f.r.io.bytesRead.Add(int64(len(raw)))
+			globalIO.bytesRead.Add(int64(len(raw)))
+			if c.tap != nil {
+				c.tap.BytesRead += int64(len(raw))
+			}
+			return raw, true
 
 		default: // unitFailed, unitReleased
 			f.mu.Unlock()
@@ -440,36 +501,45 @@ func (f *PageFetcher) recordUnit(u *fetchUnit, c *Chunk, hit bool) {
 	}
 }
 
-// FinishGroup releases every staged unit of row group rg back to the
-// pool, freeing budget for the walk to advance. Safe to call for row
-// groups with no scheduled units. Units mid-read are marked released and
-// cleaned up by whoever completes the read.
+// FinishGroup releases every unit of row group rg, freeing budget for the
+// walk to advance; its demand units go back to the pool. Call it once no
+// consumer of the group's chunks is left; it is safe for row groups with
+// no units. Units mid-read are marked released and cleaned up by whoever
+// completes the read.
 func (f *PageFetcher) FinishGroup(rg int) {
 	f.mu.Lock()
-	for _, u := range f.byRG[rg] {
-		f.releaseLocked(u)
+	var keep *fetchUnit
+	for u := f.byRG[rg]; u != nil; {
+		next := u.link
+		if f.releaseLocked(u) && u.demand {
+			*u = fetchUnit{runs: u.runs[:0], bufs: u.bufs[:0]}
+			unitPool.Put(u)
+		} else {
+			u.link = keep
+			keep = u
+		}
+		u = next
 	}
+	f.byRG[rg] = keep
 	f.cond.Broadcast()
 	f.mu.Unlock()
 }
 
-// releaseLocked moves one unit to unitReleased; caller holds f.mu.
-func (f *PageFetcher) releaseLocked(u *fetchUnit) {
+// releaseLocked moves one unit to unitReleased and reports whether it is
+// idle — no read of it still in progress; caller holds f.mu.
+func (f *PageFetcher) releaseLocked(u *fetchUnit) bool {
 	switch u.state {
 	case unitReady:
-		for _, b := range u.bufs {
-			f.putBufLocked(b)
-		}
-		u.bufs = nil
+		f.dropBufsLocked(u)
 		f.addInFlight(-u.size)
-		u.state = unitReleased
-	case unitPending, unitFailed:
-		u.state = unitReleased
 	case unitFetching:
 		// The in-progress read's completion path sees unitReleased and
 		// frees the buffers (and the in-flight bytes) itself.
 		u.state = unitReleased
+		return false
 	}
+	u.state = unitReleased
+	return true
 }
 
 // Close stops the background walk, waits it out, and releases every
@@ -487,8 +557,10 @@ func (f *PageFetcher) Close() {
 	f.mu.Unlock()
 	f.wg.Wait()
 	f.mu.Lock()
-	for _, u := range f.order {
-		f.releaseLocked(u)
+	for _, u := range f.byRG {
+		for ; u != nil; u = u.link {
+			f.releaseLocked(u)
+		}
 	}
 	// Hand the freelist to the global pool: the next query's fetcher can
 	// reuse the buffers, and nothing pins them past this query's lifetime.
@@ -498,20 +570,4 @@ func (f *PageFetcher) Close() {
 	f.free = nil
 	f.freeBytes = 0
 	f.mu.Unlock()
-}
-
-// fetcherKey carries a per-query PageFetcher through the context so the
-// operator layer's filter kernels can attach it to their chunks without
-// widening the kernel signature.
-type fetcherKey struct{}
-
-// ContextWithFetcher returns ctx carrying f.
-func ContextWithFetcher(ctx context.Context, f *PageFetcher) context.Context {
-	return context.WithValue(ctx, fetcherKey{}, f)
-}
-
-// FetcherFrom returns the context's PageFetcher, or nil.
-func FetcherFrom(ctx context.Context) *PageFetcher {
-	f, _ := ctx.Value(fetcherKey{}).(*PageFetcher)
-	return f
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -600,12 +601,16 @@ type Chunk struct {
 	column Column
 	rows   int
 	tap    *IOTap
-	// fetch serves page bytes from a per-query prefetcher when one was
-	// scheduled for this (row group, column); funit caches the unit
-	// lookup after the first page.
-	fetch    *PageFetcher
-	funit    *fetchUnit
-	funitSet bool
+	// fetch serves page bytes through the scan's PageFetcher; funit caches
+	// the unit that served the last page.
+	fetch *PageFetcher
+	funit *fetchUnit
+	// The pages the caller declared it will read — an ascending list
+	// (Want), the pages holding a row of a selection (gathers), or every
+	// page (whole-chunk decodes): a miss demand-reads the ones still ahead.
+	want    []int
+	wantSel *bitutil.Bitmap
+	wantAll bool
 }
 
 // IOTap is a per-caller tally of the chunk-level IO counters. A tapped
@@ -657,12 +662,54 @@ func (c *Chunk) Tap(t *IOTap) *Chunk {
 	return c
 }
 
-// Fetch attaches a page prefetcher to the chunk and returns the chunk for
-// chaining. A nil fetcher (prefetch off, or no schedule for this chunk)
-// keeps the synchronous read path untouched.
+// Fetch attaches the scan's page fetcher to the chunk and returns the
+// chunk for chaining. A nil fetcher keeps the synchronous read path
+// untouched.
 func (c *Chunk) Fetch(f *PageFetcher) *Chunk {
 	c.fetch = f
 	return c
+}
+
+// Want declares the pages, ascending, the caller is about to read one by
+// one (PageBodyScratch, PackedPageAt): with a fetcher attached, the first
+// of them that is neither staged nor cached is read together with every
+// later one in one coalesced request. The gathers and whole-chunk decodes
+// declare their own pages. The slice must stay unchanged while in use.
+func (c *Chunk) Want(pages []int) *Chunk {
+	c.declare(pages, nil, false)
+	return c
+}
+
+// declare records, in one of its three forms, the pages the caller will
+// read (see Want).
+func (c *Chunk) declare(pages []int, sel *bitutil.Bitmap, all bool) {
+	c.want, c.wantSel, c.wantAll = pages, sel, all
+}
+
+// nextWanted returns the first page at or after p the caller declared it
+// will read, or -1.
+func (c *Chunk) nextWanted(p int) int {
+	n := len(c.meta.Pages)
+	switch {
+	case p >= n:
+	case c.want != nil:
+		if i := sort.SearchInts(c.want, p); i < len(c.want) {
+			return c.want[i]
+		}
+	case c.wantSel != nil:
+		row := c.wantSel.NextSet(int(c.meta.Pages[p].FirstRow))
+		if row < 0 {
+			return -1
+		}
+		for ; p < n; p++ {
+			if _, last := c.pageRange(p); row < last {
+				return p
+			}
+		}
+	case c.wantAll:
+		return p
+	}
+	return -1
 }
 
 // Rows returns the chunk's row count.
@@ -740,27 +787,25 @@ func (c *Chunk) PageSelected(sel *bitutil.Bitmap, p int) bool {
 // rawPage reads the stored bytes of page p and, on checksummed files,
 // verifies the page CRC. A mismatch is retried with one fresh read before
 // being reported as a *CorruptionError naming the exact page.
-func (c *Chunk) rawPage(p int) ([]byte, error) { return c.rawPageBuf(p, nil) }
+func (c *Chunk) rawPage(p int) ([]byte, error) {
+	raw, _, err := c.rawPageBuf(p, nil)
+	return raw, err
+}
 
 // rawPageBuf is rawPage into pooled scratch storage when sc is non-nil.
-// When a prefetcher holds the page it is served zero-copy from the
-// coalesced run buffer (the slice stays valid until the fetcher releases
-// the row group, which outlives the scratch's page-scoped use); a CRC
-// mismatch on prefetched bytes falls through to exactly one fresh
-// synchronous read before the corruption verdict, mirroring the
-// retry-once policy of the plain path. Callers without a scratch get a
-// copy, because the nil-scratch contract lets decoded values alias the
-// returned bytes indefinitely.
-func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) ([]byte, error) {
+// With a fetcher attached the page is served zero-copy from a coalesced
+// run buffer (staged reports it: the slice stays valid until the fetcher
+// releases the row group, which outlives any page-scoped use, but not
+// indefinitely); a CRC mismatch on staged bytes falls through to exactly
+// one fresh synchronous read before the corruption verdict, mirroring the
+// retry-once policy of the plain path.
+func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) (raw []byte, staged bool, err error) {
 	pm := c.meta.Pages[p]
 	attempt := 0
 	if c.fetch != nil {
-		if raw, ok := c.prefetched(p); ok {
-			if sc == nil {
-				raw = append(make([]byte, 0, len(raw)), raw...)
-			}
+		if raw, ok := c.fetch.page(c, p); ok {
 			if !c.r.meta.checksummed() || Checksum(raw) == pm.Crc32C {
-				return raw, nil
+				return raw, true, nil
 			}
 			attempt = 1
 		}
@@ -774,7 +819,7 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) ([]byte, error) {
 		}
 		raw, err := c.r.readAtBuf(buf, pm.Offset)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if c.tap != nil {
 			// Counted per attempt, matching the reader's own bytesRead (a
@@ -782,10 +827,10 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) ([]byte, error) {
 			c.tap.BytesRead += int64(len(raw))
 		}
 		if !c.r.meta.checksummed() || Checksum(raw) == pm.Crc32C {
-			return raw, nil
+			return raw, false, nil
 		}
 		if attempt > 0 {
-			return nil, &CorruptionError{Path: c.r.path, Column: c.column.Name,
+			return nil, false, &CorruptionError{Path: c.r.path, Column: c.column.Name,
 				RowGroup: c.rg, Page: p, Detail: "page checksum mismatch"}
 		}
 	}
@@ -820,7 +865,7 @@ func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 			c.tap.PageCacheMisses++
 		}
 	}
-	raw, err := c.rawPageBuf(p, sc)
+	raw, staged, err := c.rawPageBuf(p, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -847,6 +892,11 @@ func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 		}
 	} else {
 		body, err = comp.Decompress(raw)
+		// Without a scratch the caller may alias the body indefinitely;
+		// an identity codec returns staged bytes the fetcher will recycle.
+		if err == nil && staged && len(body) > 0 && len(raw) > 0 && &body[0] == &raw[0] {
+			body = append([]byte(nil), body...)
+		}
 	}
 	if c.tap != nil {
 		c.tap.DecompressNanos += time.Since(decompStart).Nanoseconds()
@@ -957,6 +1007,7 @@ func (c *Chunk) PackedPages() ([]PackedPage, error) {
 	if !c.PackedScannable() {
 		return nil, fmt.Errorf("colstore: %v pages are not packed-scannable", c.column.Encoding)
 	}
+	c.declare(nil, nil, true)
 	out := make([]PackedPage, len(c.meta.Pages))
 	for p := range c.meta.Pages {
 		pp, err := c.PackedPageAt(p, nil)
@@ -973,6 +1024,7 @@ func (c *Chunk) Keys() ([]int64, error) {
 	if !usesDict(c.column.Encoding) {
 		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
 	}
+	c.declare(nil, nil, true)
 	out := make([]int64, 0, c.rows)
 	for p := range c.meta.Pages {
 		body, err := c.pageBody(p)
@@ -1026,6 +1078,7 @@ func (c *Chunk) Ints() ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.declare(nil, nil, true)
 	out := make([]int64, 0, c.rows)
 	for p := range c.meta.Pages {
 		body, err := c.pageBody(p)
@@ -1046,33 +1099,63 @@ func (c *Chunk) Floats() ([]float64, error) {
 	if c.column.Type != TypeFloat64 {
 		return nil, fmt.Errorf("colstore: column %q is %v", c.column.Name, c.column.Type)
 	}
+	c.declare(nil, nil, true)
 	out := make([]float64, 0, c.rows)
+	sc := arena.Get()
+	defer arena.Put(sc)
 	for p := range c.meta.Pages {
-		body, err := c.pageBody(p)
+		body, err := c.pageBodyScratch(p, sc)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := c.decodeFloatPage(body)
-		if err != nil {
+		first, last := c.pageRange(p)
+		if out, err = c.appendFloats(out, body, nil, first, last); err != nil {
 			return nil, err
 		}
-		out = append(out, vals...)
 	}
 	return out, nil
 }
 
-// decodeFloatPage decodes one float page in the column's encoding.
-func (c *Chunk) decodeFloatPage(body []byte) ([]float64, error) {
+// appendFloats decodes the rows of one float page, [first, last) of the
+// chunk, that sel keeps — every row when sel is nil — straight onto out.
+// Floats never alias the body, so it may live in scratch.
+func (c *Chunk) appendFloats(out []float64, body []byte, sel *bitutil.Bitmap, first, last int) ([]float64, error) {
 	if c.column.Encoding == encoding.KindXorFloat {
-		return encoding.XorFloat{}.Decode(body)
+		// XOR pages decode sequentially: decode the page onto out, then
+		// compact the selected rows down over it.
+		base := len(out)
+		out, err := encoding.XorFloat{}.AppendDecode(out, body)
+		if err != nil {
+			return nil, err
+		}
+		if sel == nil {
+			return out, nil
+		}
+		if len(out)-base != last-first {
+			return nil, ErrFormat
+		}
+		k := base
+		for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
+			out[k] = out[base+i-first]
+			k++
+		}
+		return out[:k], nil
 	}
-	vals, err := (encoding.PlainInt{}).Decode(body)
+	n, vals, err := encoding.InspectPlain(body)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = math.Float64frombits(uint64(v))
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[i*8:])))
+		}
+		return out, nil
+	}
+	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
+		if i-first >= n {
+			return nil, ErrFormat
+		}
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[(i-first)*8:])))
 	}
 	return out, nil
 }
@@ -1105,6 +1188,7 @@ func (c *Chunk) Strings() ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.declare(nil, nil, true)
 	out := make([][]byte, 0, c.rows)
 	for p := range c.meta.Pages {
 		body, err := c.pageBody(p)
@@ -1159,6 +1243,7 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
 	}
 	sc := arena.Get()
 	defer arena.Put(sc)
+	c.declare(nil, sel, false)
 	for p := range c.meta.Pages {
 		first, last := c.pageRange(p)
 		next := sel.NextSet(first)
@@ -1212,6 +1297,7 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap) ([]int64, error) {
 	out := make([]int64, 0, sel.Cardinality())
 	sc := arena.Get()
 	defer arena.Put(sc)
+	c.declare(nil, sel, false)
 	for p := range c.meta.Pages {
 		first, last := c.pageRange(p)
 		next := sel.NextSet(first)
@@ -1277,6 +1363,7 @@ func (c *Chunk) GatherStrings(sel *bitutil.Bitmap) ([][]byte, error) {
 		return nil, err
 	}
 	out := make([][]byte, 0, sel.Cardinality())
+	c.declare(nil, sel, false)
 	for p := range c.meta.Pages {
 		first, last := c.pageRange(p)
 		next := sel.NextSet(first)
@@ -1306,6 +1393,9 @@ func (c *Chunk) GatherFloats(sel *bitutil.Bitmap) ([]float64, error) {
 		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
 	out := make([]float64, 0, sel.Cardinality())
+	sc := arena.Get()
+	defer arena.Put(sc)
+	c.declare(nil, sel, false)
 	for p := range c.meta.Pages {
 		first, last := c.pageRange(p)
 		next := sel.NextSet(first)
@@ -1313,16 +1403,12 @@ func (c *Chunk) GatherFloats(sel *bitutil.Bitmap) ([]float64, error) {
 			c.skipPage()
 			continue
 		}
-		body, err := c.pageBody(p)
+		body, err := c.pageBodyScratch(p, sc)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := c.decodeFloatPage(body)
-		if err != nil {
+		if out, err = c.appendFloats(out, body, sel, first, last); err != nil {
 			return nil, err
-		}
-		for i := next; i >= 0 && i < last; i = sel.NextSet(i + 1) {
-			out = append(out, vals[i-first])
 		}
 	}
 	return out, nil

@@ -24,18 +24,29 @@ func (PlainInt) Encode(values []int64) ([]byte, error) {
 
 // Decode reverses Encode.
 func (PlainInt) Decode(data []byte) ([]int64, error) {
-	n, rest, err := readUvarint(data)
+	n, vals, err := InspectPlain(data)
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(rest)) < n*8 {
-		return nil, ErrCorrupt
-	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(rest[i*8:]))
+		out[i] = int64(binary.LittleEndian.Uint64(vals[i*8:]))
 	}
 	return out, nil
+}
+
+// InspectPlain returns the value count of a PlainInt page and its
+// fixed-width region — n little-endian 8-byte words — so a reader can pick
+// single values (or their float64 bit patterns) without decoding the rest.
+func InspectPlain(data []byte) (n int, vals []byte, err error) {
+	count, rest, err := readUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if count > uint64(len(rest))/8 {
+		return 0, nil, ErrCorrupt
+	}
+	return int(count), rest[:count*8], nil
 }
 
 // PlainString stores strings as varint-length-prefixed byte runs.

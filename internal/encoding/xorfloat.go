@@ -3,6 +3,7 @@ package encoding
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"codecdb/internal/bitutil"
 )
@@ -65,15 +66,24 @@ func (XorFloat) Encode(values []float64) ([]byte, error) {
 }
 
 // Decode reverses Encode.
-func (XorFloat) Decode(data []byte) ([]float64, error) {
+func (x XorFloat) Decode(data []byte) ([]float64, error) {
+	return x.AppendDecode(nil, data)
+}
+
+// AppendDecode is Decode appending onto dst.
+func (XorFloat) AppendDecode(dst []float64, data []byte) ([]float64, error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, n)
+	if n > uint64(len(rest))*8 {
+		return nil, ErrCorrupt // every value takes at least one bit
+	}
+	out := slices.Grow(dst, int(n))
 	if n == 0 {
 		return out, nil
 	}
+	n += uint64(len(dst))
 	r := bitutil.NewReader(rest)
 	prev := r.ReadBits(64)
 	out = append(out, math.Float64frombits(prev))

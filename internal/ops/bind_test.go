@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -113,7 +112,7 @@ func checkScheduleMatchesReads(t *testing.T, r *colstore.Reader, f Filter, label
 			return 0
 		}
 		var tap colstore.IOTap
-		if _, err := k.run(context.Background(), rg, sc, sel, &tap); err != nil {
+		if _, err := k.run(rg, sc, sel, &tap); err != nil {
 			t.Fatalf("%s rg %d: %v", label, rg, err)
 		}
 		return tap.PagesRead

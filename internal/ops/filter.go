@@ -133,7 +133,7 @@ func ApplyFilter(ctx context.Context, f Filter, r *colstore.Reader, pool *exec.P
 				b.skip(rg, nil)
 				continue
 			}
-			section, err := kern.run(ctx, rg, sc, secSel, nil)
+			section, err := kern.run(rg, sc, secSel, nil)
 			if err != nil {
 				return err
 			}
@@ -165,11 +165,13 @@ func sectionSelection(sel *bitutil.SectionalBitmap, rg int) (*bitutil.Bitmap, bo
 	return sel.Section(rg), false
 }
 
-// kernel is one worker's private instance of a bound leaf: the row group
-// under the page walk, and what outlives it (the key-set lookup table, built
-// lazily and never shared between workers).
+// kernel is one worker's private instance of a bound leaf: the part's page
+// fetcher (nil outside a scan), the row group under the page walk, and
+// what outlives it (the key-set lookup table, built lazily and never
+// shared between workers).
 type kernel struct {
 	leaf            *boundLeaf
+	fetch           *colstore.PageFetcher
 	sc, scB         *arena.Scratch
 	secSel, section *bitutil.Bitmap
 	table           []bool
@@ -207,26 +209,29 @@ func (b *boundLeaf) second(rg int) *colstore.Chunk {
 // metadata verdict, then the leaf's scan primitive on the pages the verdict
 // left mixed; decode-first leaves (and a bit-packed chunk an order
 // comparison cannot run in place on) hand the whole chunk to the gathering
-// decoder instead.
-func (w *kernel) run(ctx context.Context, rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *colstore.IOTap) (*bitutil.Bitmap, error) {
+// decoder instead. The walk settles every page metadata can before reading
+// any, so the chunk knows the pages it will read up front: the first one
+// missing from the fetcher's staged units and the page cache brings in all
+// the rest with it.
+func (w *kernel) run(rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *colstore.IOTap) (*bitutil.Bitmap, error) {
 	b := w.leaf
 	if b.all {
 		return fullGroupBitmap(b.r.RowGroupRows(rg)), nil
 	}
-	fetch := colstore.FetcherFrom(ctx)
 	a, bb := b.r.Chunk(rg, b.ci), b.second(rg)
 	if b.kern == kernDecode || (b.kern == kernPacked && !b.inDomain(a)) {
 		// A chunk of its own: the decoders escape it, a stays on the stack.
-		return b.decodeChunk(b.r.Chunk(rg, b.ci).Tap(tap).Fetch(fetch), secSel)
+		return b.decodeChunk(b.r.Chunk(rg, b.ci).Tap(tap).Fetch(w.fetch), secSel)
 	}
-	a.Tap(tap).Fetch(fetch)
+	a.Tap(tap).Fetch(w.fetch)
 	w.sc, w.secSel, w.section = sc, secSel, bitutil.NewBitmap(a.Rows())
 	if bb != nil {
 		// Two pages are live at once: borrow a second scratch.
-		bb.Tap(tap).Fetch(fetch)
+		bb.Tap(tap).Fetch(w.fetch)
 		w.scB = arena.Get()
 		defer arena.Put(w.scB)
 	}
+	pages := sc.Pages(a.NumPages())
 	for p := 0; p < a.NumPages(); p++ {
 		first, last := a.PageRowRange(p)
 		if first == last {
@@ -249,6 +254,14 @@ func (w *kernel) run(ctx context.Context, rg int, sc *arena.Scratch, secSel *bit
 			}
 			continue
 		}
+		pages = append(pages, p)
+	}
+	a.Want(pages)
+	if bb != nil {
+		bb.Want(pages)
+	}
+	for _, p := range pages {
+		first, last := a.PageRowRange(p)
 		if err := w.scanPage(a, bb, p, first, last); err != nil {
 			return nil, err
 		}

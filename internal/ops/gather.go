@@ -41,23 +41,26 @@ func gather[T any](r *colstore.Reader, col string, sel *bitutil.SectionalBitmap,
 	if err != nil {
 		return nil, err
 	}
-	return sweepRowGroups(r, pool, func(rg int) ([]T, error) {
+	return sweepRowGroups(r, ci, pool, func(chunk *colstore.Chunk, rg int) ([]T, error) {
 		if sel != nil && sel.SectionEmpty(rg) {
 			return nil, nil
 		}
-		chunk := r.Chunk(rg, ci)
 		return fetch(chunk, sectionOrFull(sel, rg, chunk.Rows()))
 	})
 }
 
-// sweepRowGroups runs fn once per row group on the pool and concatenates
-// the per-group results in row order — the shared sweep under the gather
-// and read-all families.
-func sweepRowGroups[T any](r *colstore.Reader, pool *exec.Pool, fn func(rg int) ([]T, error)) ([]T, error) {
+// sweepRowGroups runs fn once per row group of column ci on the pool and
+// concatenates the per-group results in row order — the shared sweep under
+// the gather and read-all families. The chunks read through one page
+// fetcher, so each costs one coalesced read, not one per page.
+func sweepRowGroups[T any](r *colstore.Reader, ci int, pool *exec.Pool, fn func(chunk *colstore.Chunk, rg int) ([]T, error)) ([]T, error) {
 	parts := make([][]T, r.NumRowGroups())
+	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
+	defer f.Close()
 	err := pool.ParallelChunksErr(context.Background(), r.NumRowGroups(), func(start, end int) error {
 		for rg := start; rg < end; rg++ {
-			vals, err := fn(rg)
+			vals, err := fn(r.Chunk(rg, ci).Fetch(f), rg)
+			f.FinishGroup(rg)
 			if err != nil {
 				return err
 			}
@@ -94,8 +97,8 @@ func readAll[T any](r *colstore.Reader, col string, pool *exec.Pool,
 	if err != nil {
 		return nil, err
 	}
-	return sweepRowGroups(r, pool, func(rg int) ([]T, error) {
-		return decode(r.Chunk(rg, ci))
+	return sweepRowGroups(r, ci, pool, func(chunk *colstore.Chunk, _ int) ([]T, error) {
+		return decode(chunk)
 	})
 }
 

@@ -48,13 +48,12 @@ type scanWorker struct {
 	ws []*pipeWorker // [member*len(parts) + part]
 }
 
-// partScan is the per-part state of a pass: the part's prefetcher, started
-// by whichever worker claims the part's first morsel and closed when its
-// last morsel finishes — so however many parts a table has, only the ones
-// being scanned hold prefetch buffers.
+// partScan is the per-part state of a pass: the part's page fetcher,
+// started by whichever worker claims the part's first morsel and closed
+// when its last morsel finishes — so however many parts a table has, only
+// the ones being scanned hold fetch buffers.
 type partScan struct {
 	once  sync.Once
-	ctx   context.Context // the morsel context, carrying fetch
 	fetch *colstore.PageFetcher
 	left  atomic.Int32 // row groups not yet finished
 }
@@ -115,9 +114,9 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 			// Release the row group's staged pages the moment every member
 			// is done with it, so the budget recycles into lookahead.
 			ps.fetch.FinishGroup(rg)
-		}
-		if ps.left.Add(-1) == 0 && ps.fetch != nil {
-			ps.fetch.Close()
+			if ps.left.Add(-1) == 0 {
+				ps.fetch.Close()
+			}
 		}
 		if lq != nil {
 			lq.MorselDone()
@@ -130,13 +129,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 		func(mctx context.Context, sw *scanWorker, m int) error {
 			i, rg := locate(m)
 			ps := &scans[i]
-			ps.once.Do(func() {
-				ps.ctx = mctx
-				if f := startFetcher(mctx, parts[i].R, members, i); f != nil {
-					ps.fetch = f
-					ps.ctx = colstore.ContextWithFetcher(mctx, f)
-				}
-			})
+			ps.once.Do(func() { ps.fetch = startFetcher(mctx, parts[i].R, members, i) })
 			for j, pipes := range members {
 				if failed[j].Load() {
 					continue
@@ -147,7 +140,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 					w = p.newWorker(sw.wi, sw.sc)
 					sw.ws[j*np+i] = w
 				}
-				if merr := p.runMorsel(ps.ctx, w, rg); merr != nil {
+				if merr := p.runMorsel(w, rg); merr != nil {
 					// Cancellation surfaces through every member at once:
 					// abort the pass instead of failing them all.
 					if mctx.Err() != nil {
@@ -182,20 +175,33 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 	return err
 }
 
-// startFetcher computes one part's page schedule — the union, over the
-// members, of each one's first planned stage — and starts the part's
-// prefetcher, or returns nil when there is nothing to gain: prefetch
-// disabled, a provably-empty first stage, or terminals that read no
-// pages. Only the first planned stage is scheduled: it is the one stage
-// guaranteed to run over the unrestricted selection, so its metadata
-// disposition exactly predicts its kernel's page fetches; later stages see
-// selections that depend on data, which metadata cannot predict without
-// risking speculative reads of pages the query never touches. Pages wanted
-// by several members are scheduled once.
+// startFetcher creates the part's page fetcher — every page the members
+// read goes through it, as a scheduled or a demand unit — and hands it to
+// the members' pipelines. Unless prefetch is off it first schedules, for
+// the background walk, the union over the members of each one's first
+// planned stage (pages wanted by several members once): the first stage is
+// the one stage guaranteed to run over the unrestricted selection, so its
+// metadata disposition exactly predicts its kernel's page fetches. Later
+// stages and sink gathers see selections that depend on data, which
+// metadata cannot predict without speculative reads of pages the query
+// never touches; each reads its chunk as one demand unit, built from the
+// pages it lists once its selection is known. With prefetch off, or
+// nothing scheduled, no goroutine starts: lookahead is off, coalescing is
+// not.
 func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline, part int) *colstore.PageFetcher {
-	if off, _ := ctx.Value(prefetchKey{}).(bool); off {
-		return nil
+	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
+	for _, pipes := range members {
+		pipes[part].fetch = f
 	}
+	if off, _ := ctx.Value(prefetchKey{}).(bool); !off {
+		schedule(f, r, members, part)
+	}
+	f.Start(ctx)
+	return f
+}
+
+// schedule hands f the members' first-stage pages of every row group.
+func schedule(f *colstore.PageFetcher, r *colstore.Reader, members [][]*pipeline, part int) {
 	var scheds []func(rg int) []schedSet
 	for _, pipes := range members {
 		p := pipes[part]
@@ -212,30 +218,17 @@ func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline
 		}
 	}
 	if len(scheds) == 0 {
-		return nil
+		return
 	}
-	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
-	scheduled := false
 	for rg := 0; rg < r.NumRowGroups(); rg++ {
 		sets := scheds[0](rg)
 		if len(scheds) > 1 {
 			sets = unionSched(scheds, rg)
 		}
 		for _, s := range sets {
-			if len(s.pages) > 0 {
-				f.Schedule(rg, s.col, s.pages)
-				scheduled = true
-			}
+			f.Schedule(rg, s.col, s.pages)
 		}
 	}
-	if !scheduled {
-		return nil
-	}
-	f.Start(ctx)
-	for _, pipes := range members {
-		pipes[part].fetch = f
-	}
-	return f
 }
 
 // unionSched merges several members' page schedules for one row group:

@@ -54,10 +54,10 @@ type pipeline struct {
 	rel *RelPlan
 	lay groupLayout
 
-	// fetch is the part's page prefetcher, shared by every member of the
-	// scan (nil when prefetch is off or nothing is worth scheduling). The
-	// scan starts it when the part's first morsel is claimed and closes it
-	// when the last one finishes.
+	// fetch is the part's page fetcher, shared by every member of the scan:
+	// every page the pipeline reads goes through it. The scan creates it
+	// when the part's first morsel is claimed and closes it when the last
+	// one finishes.
 	fetch *colstore.PageFetcher
 
 	traced  bool
@@ -190,7 +190,7 @@ func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
 	w.sc = sc
 	w.kernels = p.kbuf[wi*nk : (wi+1)*nk : (wi+1)*nk]
 	for i, lf := range p.leaves {
-		w.kernels[i].leaf = lf.b
+		w.kernels[i] = kernel{leaf: lf.b, fetch: p.fetch}
 	}
 	switch sk := &p.rel.Sink; {
 	case sk.Group != nil:
@@ -270,7 +270,7 @@ func MaxWorkersFrom(ctx context.Context) int {
 }
 
 // runMorsel drives one row group through the whole pipeline on one worker.
-func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
+func (p *pipeline) runMorsel(w *pipeWorker, rg int) error {
 	rows := p.r.RowGroupRows(rg)
 	if rows == 0 {
 		return nil // an empty table's one row group: nothing to select
@@ -278,7 +278,7 @@ func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
 	if p.root == nil {
 		return w.sink(rg, fullGroupBitmap(rows))
 	}
-	bm, err := w.evalNode(ctx, rg, p.root, nil)
+	bm, err := w.evalNode(rg, p.root, nil)
 	if err != nil {
 		return err
 	}
@@ -292,12 +292,12 @@ func (p *pipeline) runMorsel(ctx context.Context, w *pipeWorker, rg int) error {
 // retesting), NOT subtracts the leaf from its selection. When a
 // short-circuit strands later filters, their pages are marked
 // selection-skipped.
-func (w *pipeWorker) evalNode(ctx context.Context, rg int, n *pipeNode, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
+func (w *pipeWorker) evalNode(rg int, n *pipeNode, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
 	switch n.kind {
 	case PredLeaf:
-		return w.runLeaf(ctx, rg, n.leaf, secSel)
+		return w.runLeaf(rg, n.leaf, secSel)
 	case PredNot:
-		bm, err := w.runLeaf(ctx, rg, n.leaf, secSel)
+		bm, err := w.runLeaf(rg, n.leaf, secSel)
 		if err != nil {
 			return nil, err
 		}
@@ -311,7 +311,7 @@ func (w *pipeWorker) evalNode(ctx context.Context, rg int, n *pipeNode, secSel *
 	case PredAnd:
 		acc := secSel
 		for i, kid := range n.kids {
-			bm, err := w.evalNode(ctx, rg, kid, acc)
+			bm, err := w.evalNode(rg, kid, acc)
 			if err != nil {
 				return nil, err
 			}
@@ -329,7 +329,7 @@ func (w *pipeWorker) evalNode(ctx context.Context, rg int, n *pipeNode, secSel *
 		result := bitutil.NewBitmap(w.p.r.RowGroupRows(rg))
 		remaining := secSel
 		for i, kid := range n.kids {
-			bm, err := w.evalNode(ctx, rg, kid, remaining)
+			bm, err := w.evalNode(rg, kid, remaining)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +353,7 @@ func (w *pipeWorker) evalNode(ctx context.Context, rg int, n *pipeNode, secSel *
 // runLeaf runs one filter kernel over one row group and enforces the
 // subset invariant against the pushed selection (the kernel may set rows
 // wholesale via zone maps or provably-all rewrites).
-func (w *pipeWorker) runLeaf(ctx context.Context, rg int, lf *pipeLeaf, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
+func (w *pipeWorker) runLeaf(rg int, lf *pipeLeaf, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
 	var start time.Time
 	if w.stats != nil {
 		start = time.Now()
@@ -372,7 +372,7 @@ func (w *pipeWorker) runLeaf(ctx context.Context, rg int, lf *pipeLeaf, secSel *
 		bm = bitutil.NewBitmap(rows)
 	default:
 		var err error
-		bm, err = w.kernels[lf.idx].run(ctx, rg, w.sc, secSel, tap)
+		bm, err = w.kernels[lf.idx].run(rg, w.sc, secSel, tap)
 		if err != nil {
 			return nil, err
 		}

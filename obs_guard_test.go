@@ -98,30 +98,33 @@ func sinkGuardTable(t *testing.T, name string, n int) *Table {
 // TestSinkAllocsPerMorselBounded holds the sinks the scalar terminals are
 // made of to worker-local per-morsel state: on a table with four times the
 // row groups, a query may allocate at most a small constant more per extra
-// row group — morselAllocs for the morsel itself (measured 9: the filter
+// row group — morselAllocs for the morsel itself (measured 7: the filter
 // kernel's page view, result bitmap and selection), plus readAllocs where
-// the sink reads a column (measured 1 to 5: the chunk reader, the page
+// the sink reads a column (measured 1 to 3: the chunk reader, the page
 // decode, the one gathered vector) — and nothing for the sink's own state:
 // no env, vector cache, row set, group cell or output fragment header per
-// row group. The bounds leave one allocation of slack for the race
-// detector's pools.
+// row group. A float gather decodes pages through scratch straight into
+// its vector, so SumFloat has a bound of its own (measured 8.2; 9.4 under
+// the race detector, whose pools drop entries at random). The bounds leave
+// one allocation of slack for the race detector's pools.
 func TestSinkAllocsPerMorselBounded(t *testing.T) {
 	const small, large = 4, 16 // row groups
 	const morselAllocs, readAllocs = 10.0, 5.0
 	a, b := sinkGuardTable(t, "sink_guard_small", small*1024), sinkGuardTable(t, "sink_guard_large", large*1024)
+	const sumFloatAllocs = 10.0
 	for _, tc := range []struct {
 		name  string
-		reads float64 // columns the sink reads
+		limit float64 // allocations per extra row group
 		run   func(q *Query) error
 	}{
-		{"Count", 0, func(q *Query) error { _, err := q.Count(); return err }},
-		{"SumFloat", 1, func(q *Query) error { _, err := q.SumFloat("f"); return err }},
-		{"GroupCount", 1, func(q *Query) error { _, err := q.GroupCount("s"); return err }},
-		{"GroupCount(int)", 1, func(q *Query) error { _, err := q.GroupCount("k"); return err }},
-		{"Ints", 1, func(q *Query) error { _, err := q.Ints("k"); return err }},
+		{"Count", morselAllocs, func(q *Query) error { _, err := q.Count(); return err }},
+		{"SumFloat", sumFloatAllocs, func(q *Query) error { _, err := q.SumFloat("f"); return err }},
+		{"GroupCount", morselAllocs + readAllocs, func(q *Query) error { _, err := q.GroupCount("s"); return err }},
+		{"GroupCount(int)", morselAllocs + readAllocs, func(q *Query) error { _, err := q.GroupCount("k"); return err }},
+		{"Ints", morselAllocs + readAllocs, func(q *Query) error { _, err := q.Ints("k"); return err }},
 		// The same sinks reached through the relational terminals.
-		{"AggRows(CountAll)", 0, func(q *Query) error { _, err := q.AggRows(CountAll()); return err }},
-		{"GroupBy.AggRows(CountAll)", 1, func(q *Query) error { _, err := q.GroupBy("s").AggRows(CountAll()); return err }},
+		{"AggRows(CountAll)", morselAllocs, func(q *Query) error { _, err := q.AggRows(CountAll()); return err }},
+		{"GroupBy.AggRows(CountAll)", morselAllocs + readAllocs, func(q *Query) error { _, err := q.GroupBy("s").AggRows(CountAll()); return err }},
 	} {
 		allocs := func(tbl *Table) float64 {
 			q := tbl.Where("k", Ge, 1)
@@ -134,9 +137,11 @@ func TestSinkAllocsPerMorselBounded(t *testing.T) {
 			return testing.AllocsPerRun(20, run)
 		}
 		na, nb := allocs(a), allocs(b)
-		if per, limit := (nb-na)/(large-small), morselAllocs+tc.reads*readAllocs; per > limit {
+		per := (nb - na) / (large - small)
+		t.Logf("%s: %.1f allocs per extra row group", tc.name, per)
+		if per > tc.limit {
 			t.Errorf("%s: %.0f allocs over %d row groups, %.0f over %d: %.1f per extra row group, want <= %.0f",
-				tc.name, na, small, nb, large, per, limit)
+				tc.name, na, small, nb, large, per, tc.limit)
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package codecdb
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"codecdb/internal/colstore"
+	"codecdb/internal/vfs"
 )
 
 // checkPrefetchAgree runs every terminal with the page prefetcher on and
@@ -142,6 +145,89 @@ func TestPrefetchMatchesSynchronous(t *testing.T) {
 			if served := (after.PrefetchHits + after.PrefetchMisses) - (before.PrefetchHits + before.PrefetchMisses); served == 0 {
 				t.Fatal("prefetcher never engaged: 0 hits and 0 misses across all iterations")
 			}
+		})
+	}
+}
+
+// TestPrefetchFaultsSurfaceTyped runs queries whose pages arrive through
+// every kind of fetch unit — the first filter stage (scheduled when
+// prefetch is on), a second filter stage on another column and a sink
+// gather (demand units) — over a table behind a fault-injecting
+// filesystem. A failed coalesced read falls back to the synchronous
+// per-page path, so a query either answers exactly what it answers with
+// no faults or fails with the typed error that path reports: an injected
+// read error as vfs.ErrInjected (or a short read), a flipped bit as a
+// *colstore.CorruptionError naming the page. After every query, failed or
+// not, the bytes-in-flight gauge is back at zero.
+func TestPrefetchFaultsSurfaceTyped(t *testing.T) {
+	queries := []struct {
+		name string
+		run  func(q *Query) (any, error)
+	}{
+		{"Count", func(q *Query) (any, error) { return q.Count() }},
+		{"GroupCount", func(q *Query) (any, error) { return q.GroupCount("cat") }},
+		{"SumFloat", func(q *Query) (any, error) { return q.SumFloat("score") }},
+		{"Strings", func(q *Query) (any, error) { return q.Strings("tag") }},
+	}
+	for _, fault := range []struct {
+		name  string
+		cfg   vfs.FaultConfig
+		typed func(error) bool
+	}{
+		{"read errors", vfs.FaultConfig{Seed: 26, ErrProb: 0.4, ShortReadProb: 0.05}, func(err error) bool {
+			return errors.Is(err, vfs.ErrInjected) || errors.Is(err, io.ErrUnexpectedEOF)
+		}},
+		{"bit flips", vfs.FaultConfig{Seed: 27, BitFlipProb: 0.1}, func(err error) bool {
+			var ce *colstore.CorruptionError
+			return errors.As(err, &ce) && ce.RowGroup >= 0 && ce.Page >= 0 && ce.Column != ""
+		}},
+	} {
+		t.Run(fault.name, func(t *testing.T) {
+			ffs := vfs.NewFaultFS(vfs.OS(), fault.cfg)
+			db, err := Open(t.TempDir(), Options{FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			propTable(t, db, "faulty", 3000, 0)
+			tbl, err := db.Table("faulty")
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := tbl.Where("grade", Ge, 2).And("small", Lt, 500)
+			wants := make([]any, len(queries))
+			for i, qc := range queries {
+				if wants[i], err = qc.run(q); err != nil { // also loads the dictionaries
+					t.Fatal(err)
+				}
+			}
+			ffs.SetEnabled(true)
+			defer ffs.SetEnabled(false)
+			ok, failed := 0, 0
+			for iter := 0; iter < 20; iter++ {
+				for i, qc := range queries {
+					for _, pq := range []*Query{q, q.withoutPrefetch()} {
+						got, err := qc.run(pq)
+						if bif := tbl.IOStats().BytesInFlight; bif != 0 {
+							t.Fatalf("%s iter %d: bytes-in-flight = %d after the query", qc.name, iter, bif)
+						}
+						switch {
+						case err != nil && !fault.typed(err):
+							t.Fatalf("%s iter %d: untyped failure: %v", qc.name, iter, err)
+						case err != nil:
+							failed++
+						case !reflect.DeepEqual(got, wants[i]):
+							t.Fatalf("%s iter %d: %v, without faults %v", qc.name, iter, got, wants[i])
+						default:
+							ok++
+						}
+					}
+				}
+			}
+			if ok == 0 || failed == 0 {
+				t.Fatalf("%d queries answered, %d failed: both paths must be exercised", ok, failed)
+			}
+			t.Logf("%d queries answered, %d failed typed", ok, failed)
 		})
 	}
 }

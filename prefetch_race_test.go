@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,9 +18,11 @@ import (
 // context is cancelled mid-scan. Run under -race (make check wires it
 // in): the fetcher's background goroutine shares page buffers with
 // consumer workers, and cancellation can land at any point in the
-// fetch/serve/release cycle. Every query must end in a correct result
-// or context.Canceled — and once the storm passes, the bytes-in-flight
-// gauge must read zero: cancelled fetchers released every buffer.
+// fetch/serve/release cycle — of the scheduled first stage, and of the
+// demand units a second filter stage and a sink gather read. Every query
+// must end in a correct result or context.Canceled — and once the storm
+// passes, the bytes-in-flight gauge must read zero: cancelled fetchers
+// released every buffer.
 func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
@@ -29,6 +32,10 @@ func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := tbl.Where("grade", Ge, 1).Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGroups, err := tbl.Where("grade", Ge, 1).And("small", Lt, 500).GroupCount("cat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +50,10 @@ func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 30; i++ {
 				q := tbl.Where("grade", Ge, 1)
+				staged := i%2 == 1 // a second stage and a gather: demand units
+				if staged {
+					q = q.And("small", Lt, 500)
+				}
 				cancelled := i%3 == 0
 				if cancelled {
 					// A deadline somewhere inside the scan: the query may
@@ -52,8 +63,22 @@ func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 					q = q.WithContext(ctx)
 					defer cancel()
 				}
-				got, err := q.Count()
+				var (
+					got    int64
+					groups map[string]int64
+					err    error
+				)
+				if staged {
+					groups, err = q.GroupCount("cat")
+				} else {
+					got, err = q.Count()
+				}
 				switch {
+				case err == nil && staged:
+					if !reflect.DeepEqual(groups, wantGroups) {
+						errs <- fmt.Errorf("goroutine %d iter %d: groups = %v, want %v", g, i, groups, wantGroups)
+						return
+					}
 				case err == nil:
 					if got != want {
 						errs <- fmt.Errorf("goroutine %d iter %d: count = %d, want %d", g, i, got, want)
@@ -77,4 +102,3 @@ func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 		t.Fatalf("bytes-in-flight gauge = %d after concurrent storm, want 0", bif)
 	}
 }
-

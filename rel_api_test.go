@@ -32,8 +32,15 @@ func forEachRelSource(t *testing.T, fn func(t *testing.T, ot, ct *Table, cust []
 
 func relAPITablesAs(t *testing.T, kind string) (*Table, *Table, []string, []int64, []float64, map[string]string) {
 	t.Helper()
+	return relAPITablesIn(t, 0, kind, 4000)
+}
+
+// relAPITablesIn is relAPITablesAs with no orders, in databases with a
+// page cache of cacheBytes (none when 0).
+func relAPITablesIn(t *testing.T, cacheBytes int64, kind string, no int) (*Table, *Table, []string, []int64, []float64, map[string]string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	const nc, no = 30, 4000
+	const nc = 30
 	names := make([][]byte, nc)
 	nations := make([][]byte, nc)
 	nationOf := map[string]string{}
@@ -42,7 +49,7 @@ func relAPITablesAs(t *testing.T, kind string) (*Table, *Table, []string, []int6
 		nations[i] = []byte(fmt.Sprintf("NATION%d", i%5))
 		nationOf[string(names[i])] = string(nations[i])
 	}
-	ct := loadSource(t, kind, "customers", []Column{
+	ct := loadSourceIn(t, cacheBytes, kind, "customers", []Column{
 		{Name: "c_name", Strings: names},
 		{Name: "c_nation", Strings: nations},
 	}, LoadOptions{})
@@ -59,7 +66,7 @@ func relAPITablesAs(t *testing.T, kind string) (*Table, *Table, []string, []int6
 		// must produce the same float to the last bit.
 		price[i] = float64(rng.Intn(400000)) / 4
 	}
-	ot := loadSource(t, kind, "orders", []Column{
+	ot := loadSourceIn(t, cacheBytes, kind, "orders", []Column{
 		{Name: "o_cust", Strings: oCust},
 		{Name: "o_year", Ints: year},
 		{Name: "o_price", Floats: price},
@@ -538,13 +545,23 @@ func TestLimitKeepsEarlierBuilderError(t *testing.T) {
 // against the fact table — and within the probe pipeline the stage
 // children (Prepare, filters, Join, sink) must sum to the pipeline's own
 // delta.
+//
+// With a page cache smaller than the tables the identity holds run after
+// run while the cache thrashes, and every stage that read pages books the
+// fetch units that brought them (see checkFetchDetails).
 func TestExplainAnalyzeRelIOConsistent(t *testing.T) {
 	forEachRelSource(t, checkExplainAnalyzeRelIO)
+	for _, kind := range sourceKinds {
+		t.Run(kind+"/small-cache", func(t *testing.T) {
+			ot, ct, _, _, _, _ := relAPITablesIn(t, smallCache, kind, 40000)
+			for run := 0; run < 3; run++ {
+				checkExplainAnalyzeRelIO(t, ot, ct, nil, nil, nil, nil)
+			}
+		})
+	}
 }
 
 func checkExplainAnalyzeRelIO(t *testing.T, ot, ct *Table, _ []string, _ []int64, _ []float64, _ map[string]string) {
-	ot.ResetIOStats()
-	ct.ResetIOStats()
 	oBefore, cBefore := ot.IOStats(), ct.IOStats()
 	root, n, err := ot.Where("o_year", Ge, 1995).
 		JoinOn(ct.All(), "o_cust", "c_name").
@@ -565,6 +582,7 @@ func checkExplainAnalyzeRelIO(t *testing.T, ot, ct *Table, _ []string, _ []int64
 		t.Fatalf("no relational pipeline span:\n%s", root.Render())
 	}
 	checkSpanIOSums(t, root)
+	checkFetchDetails(t, root)
 	if pipe.IO().PagesRead == 0 {
 		t.Fatal("relational pipeline recorded no page reads")
 	}

@@ -52,8 +52,15 @@ func (f *holdFlushFS) Rename(oldpath, newpath string) error {
 // the static kind honours the columns' forced encodings.
 func loadSource(t *testing.T, kind, name string, cols []Column, opts LoadOptions) *Table {
 	t.Helper()
+	return loadSourceIn(t, 0, kind, name, cols, opts)
+}
+
+// loadSourceIn is loadSource in a database with a page cache of
+// cacheBytes (none when 0).
+func loadSourceIn(t *testing.T, cacheBytes int64, kind, name string, cols []Column, opts LoadOptions) *Table {
+	t.Helper()
 	fsys := &holdFlushFS{FS: vfs.OS()}
-	db, err := Open(t.TempDir(), Options{FS: fsys})
+	db, err := Open(t.TempDir(), Options{FS: fsys, PageCacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
