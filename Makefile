@@ -119,9 +119,10 @@ fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
 
 # loc prints the line counts every simplicity PR states its delta in:
-# non-test Go lines of the root package, of internal/ops, and of the repo
-# outside bench/.
+# non-test Go lines of the root package, of internal/ops, of internal/serve,
+# and of the repo outside bench/.
 loc:
 	@printf 'root package, non-test Go lines: '; cat $$(ls *.go | grep -v _test.go) | wc -l
 	@printf 'internal/ops, non-test Go lines: '; cat $$(ls internal/ops/*.go | grep -v _test.go) | wc -l
+	@printf 'internal/serve, non-test Go lines: '; cat $$(ls internal/serve/*.go | grep -v _test.go) | wc -l
 	@printf 'repo outside bench/, non-test Go lines: '; find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -6,10 +6,10 @@ import (
 )
 
 // ResultCache is a byte-budgeted LRU of finished query responses keyed
-// on (table, data epoch, canonical predicate, terminal, column). The
-// epoch lives inside the key, so an ingest that bumps the table's epoch
-// invalidates every cached result for it implicitly: new queries form
-// new keys and the stale entries age out.
+// on everything an answer depends on (QueryRequest.cacheKey), the data
+// epochs of the tables it reads included. An ingest that bumps an epoch
+// therefore invalidates every cached result over that table implicitly:
+// new queries form new keys and the stale entries age out.
 type ResultCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -59,7 +59,8 @@ func (c *ResultCache) Get(key string) *QueryResponse {
 }
 
 // Put stores resp under key. Entries larger than half the budget are
-// refused rather than wiping the whole cache for one giant rowid list.
+// refused rather than wiping the whole cache for one giant rowid list or
+// row set.
 func (c *ResultCache) Put(key string, resp *QueryResponse) {
 	if c == nil || resp == nil {
 		return
@@ -111,12 +112,26 @@ func (c *ResultCache) Stats() ResultCacheStats {
 	}
 }
 
-// responseSize approximates a response's retained footprint.
+// responseSize approximates a response's retained footprint: row ids at
+// 8 bytes, group and column names at their length plus a header, and a
+// row set per cell — an interface holding its boxed value — plus its
+// string bytes.
 func responseSize(r *QueryResponse) int64 {
 	s := int64(128)
 	s += int64(len(r.RowIDs)) * 8
 	for k := range r.Groups {
 		s += int64(len(k)) + 24
+	}
+	for _, c := range r.Columns {
+		s += int64(len(c)) + 16
+	}
+	for _, row := range r.Rows {
+		s += 24 + int64(len(row))*24
+		for _, v := range row {
+			if str, ok := v.(string); ok {
+				s += int64(len(str))
+			}
+		}
 	}
 	return s
 }

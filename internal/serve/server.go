@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"codecdb"
@@ -109,262 +110,25 @@ func (s *Server) HandleV1Query(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// Query runs one decoded request through the full serving path:
-// validation, result cache, admission, wave execution, cache fill.
-// It returns exactly one of response or error.
+// Query runs one decoded request through the one serving path every
+// request shape takes: validation and lowering onto one wave member, the
+// result cache, admission, execution as a member of its table's wave,
+// cache fill. It returns exactly one of response or error.
 func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, *WireError) {
-	if req.Table == "" {
-		return nil, wireErr(CodeBadRequest, "missing table")
+	m, werr := s.lower(req)
+	if werr != nil {
+		return nil, werr
 	}
-	if req.relational() {
-		return s.relQuery(ctx, req)
-	}
-	term, ok := wireTerminals[req.Terminal]
-	if !ok {
-		return nil, wireErr(CodeBadRequest, "unknown terminal %q", req.Terminal)
-	}
-	needsCol := term == codecdb.TerminalSum || term == codecdb.TerminalGroupCount
-	if needsCol && req.Column == "" {
-		return nil, wireErr(CodeBadRequest, "terminal %q needs column", req.Terminal)
-	}
-	if len(req.Columns) > 0 {
-		return nil, wireErr(CodeBadRequest, "columns needs terminal \"rows\"")
-	}
-	pred, err := req.Predicate.ToPred()
-	if err != nil {
-		return nil, wireErr(CodeBadPredicate, "%v", err)
-	}
-	tbl, err := s.db.Table(req.Table)
-	if err != nil {
-		return nil, wireErr(CodeNotFound, "table %q: %v", req.Table, err)
-	}
-	// Schema-check referenced columns up front so a typo'd column is
-	// bad_predicate, not a mid-wave execution error.
-	have := make(map[string]bool)
-	for _, c := range tbl.Columns() {
-		have[c] = true
-	}
-	for _, c := range predColumns(req.Predicate, nil) {
-		if !have[c] {
-			return nil, wireErr(CodeBadPredicate, "unknown column %q", c)
-		}
-	}
-	if needsCol && !have[req.Column] {
-		return nil, wireErr(CodeBadPredicate, "unknown column %q", req.Column)
-	}
-	// Type-check the measured column the same way: sum reinterprets the
-	// column's pages as float bits and the wire's group_count is defined
-	// over string columns, so a mistyped column is a client error, not an
-	// execution failure.
-	if term == codecdb.TerminalSum {
-		if typ, ok := tbl.ColumnType(req.Column); ok && typ != "FLOAT64" {
-			return nil, wireErr(CodeBadPredicate, "terminal \"sum\" needs a FLOAT64 column, %q is %s", req.Column, typ)
-		}
-	}
-	if term == codecdb.TerminalGroupCount {
-		if typ, ok := tbl.ColumnType(req.Column); ok && typ != "STRING" {
-			return nil, wireErr(CodeBadPredicate, "terminal \"group_count\" needs a dictionary (string) column, %q is %s", req.Column, typ)
-		}
-	}
-
-	epoch := tbl.Epoch()
-	key := cacheKey(req.Table, epoch, req.Predicate, req.Terminal, req.Column)
 	if !req.NoCache {
-		if hit := s.cache.Get(key); hit != nil {
+		if hit := s.cache.Get(m.key); hit != nil {
 			out := *hit
 			out.Cached = true
 			return &out, nil
 		}
 	}
 
-	var res codecdb.WaveResult
-	queryID, werr := s.execute(ctx, req, func(_ context.Context, deadline time.Time, workers int) (int64, error) {
-		wq := codecdb.WaveQuery{Pred: pred, Terminal: term, Col: req.Column}
-		var err error
-		res, err = s.waves.run(s.base, tbl, wq, deadline, codecdb.ExecOptions{MaxWorkers: workers})
-		if err == nil {
-			err = res.Err
-		}
-		return res.Count, err
-	})
-	if werr != nil {
-		return nil, werr
-	}
-
-	resp := &QueryResponse{
-		Table:    req.Table,
-		Epoch:    epoch,
-		Terminal: req.Terminal,
-		Count:    res.Count,
-		RowIDs:   res.RowIDs,
-		Sum:      res.Sum,
-		Groups:   res.Groups,
-		QueryID:  queryID,
-	}
-	if !req.NoCache {
-		s.cache.Put(key, resp)
-	}
-	return resp, nil
-}
-
-// relQuery serves the relational request shapes: two-table joins,
-// order_by/limit, and the "rows" terminal. These execute through the
-// engine's relational planner instead of a shared scan wave, and their
-// results bypass the result cache — the cache key does not encode the
-// relational shape, and row sets are poor cache citizens anyway.
-func (s *Server) relQuery(ctx context.Context, req *QueryRequest) (*QueryResponse, *WireError) {
-	// Shape checks first (bad_request), schema checks after
-	// (bad_predicate) — the same split the scalar terminals use.
-	switch req.Terminal {
-	case "rows":
-		if len(req.Columns) == 0 {
-			return nil, wireErr(CodeBadRequest, "terminal \"rows\" needs columns")
-		}
-	case "count":
-		if len(req.OrderBy) > 0 || req.Limit != 0 || len(req.Columns) > 0 {
-			return nil, wireErr(CodeBadRequest, "order_by, limit, and columns need terminal \"rows\"")
-		}
-	default:
-		return nil, wireErr(CodeBadRequest, "terminal %q does not compose with join/order_by/limit", req.Terminal)
-	}
-	if req.Limit < 0 {
-		return nil, wireErr(CodeBadRequest, "limit must be positive, got %d", req.Limit)
-	}
-	if j := req.Join; j != nil {
-		if j.Table == "" || j.LeftCol == "" || j.RightCol == "" {
-			return nil, wireErr(CodeBadRequest, "join needs table, left_col, and right_col")
-		}
-		switch j.Kind {
-		case "", "inner", "semi", "anti":
-		default:
-			return nil, wireErr(CodeBadRequest, "unknown join kind %q (want inner, semi, or anti)", j.Kind)
-		}
-	}
-	for _, o := range req.OrderBy {
-		if o.Col == "" {
-			return nil, wireErr(CodeBadRequest, "order_by needs col")
-		}
-	}
-
-	pred, err := req.Predicate.ToPred()
-	if err != nil {
-		return nil, wireErr(CodeBadPredicate, "%v", err)
-	}
-	tbl, err := s.db.Table(req.Table)
-	if err != nil {
-		return nil, wireErr(CodeNotFound, "table %q: %v", req.Table, err)
-	}
-	if werr := checkColumns(tbl, req.Table, predColumns(req.Predicate, nil)); werr != nil {
-		return nil, werr
-	}
-	q := tbl.All()
-	if req.Predicate != nil {
-		q = q.AndPred(pred)
-	}
-
-	// The build side: its own table, predicate, and join kind. An inner
-	// join makes the build table's columns referencable downstream.
-	var buildTbl *codecdb.Table
-	innerJoin := false
-	if j := req.Join; j != nil {
-		buildTbl, err = s.db.Table(j.Table)
-		if err != nil {
-			return nil, wireErr(CodeNotFound, "join table %q: %v", j.Table, err)
-		}
-		bpred, err := j.Predicate.ToPred()
-		if err != nil {
-			return nil, wireErr(CodeBadPredicate, "join predicate: %v", err)
-		}
-		if werr := checkColumns(buildTbl, j.Table, predColumns(j.Predicate, nil)); werr != nil {
-			return nil, werr
-		}
-		if _, ok := tbl.ColumnType(j.LeftCol); !ok {
-			return nil, wireErr(CodeBadPredicate, "unknown column %q in table %q", j.LeftCol, req.Table)
-		}
-		if _, ok := buildTbl.ColumnType(j.RightCol); !ok {
-			return nil, wireErr(CodeBadPredicate, "unknown column %q in table %q", j.RightCol, j.Table)
-		}
-		bq := buildTbl.All()
-		if j.Predicate != nil {
-			bq = bq.AndPred(bpred)
-		}
-		switch j.Kind {
-		case "semi":
-			q = q.SemiJoin(bq, j.LeftCol, j.RightCol)
-		case "anti":
-			q = q.AntiJoin(bq, j.LeftCol, j.RightCol)
-		default:
-			innerJoin = true
-			q = q.JoinOn(bq, j.LeftCol, j.RightCol)
-		}
-	}
-
-	// Output columns resolve against the probe table, or the build table
-	// on inner joins; order_by keys must be selected.
-	haveCol := func(c string) bool {
-		if _, ok := tbl.ColumnType(c); ok {
-			return true
-		}
-		if innerJoin {
-			if _, ok := buildTbl.ColumnType(c); ok {
-				return true
-			}
-		}
-		return false
-	}
-	selected := make(map[string]bool, len(req.Columns))
-	for _, c := range req.Columns {
-		if !haveCol(c) {
-			return nil, wireErr(CodeBadPredicate, "unknown column %q", c)
-		}
-		selected[c] = true
-	}
-	for _, o := range req.OrderBy {
-		if !selected[o.Col] {
-			return nil, wireErr(CodeBadPredicate, "order_by column %q is not in columns", o.Col)
-		}
-		q = q.OrderBy(o.Col, o.Desc)
-	}
-	if req.Limit > 0 {
-		q = q.Limit(req.Limit)
-	}
-
-	resp := &QueryResponse{Table: req.Table, Epoch: tbl.Epoch(), Terminal: req.Terminal}
-	var werr *WireError
-	resp.QueryID, werr = s.execute(ctx, req, func(ctx context.Context, deadline time.Time, workers int) (int64, error) {
-		q := q.WithContext(ctx).WithExec(codecdb.ExecOptions{
-			MaxWorkers:  workers,
-			Deadline:    deadline,
-			MemoryBytes: req.Budget.MemoryBytes,
-		})
-		if req.Terminal != "rows" {
-			var err error
-			resp.Count, err = q.Count()
-			return resp.Count, err
-		}
-		rows, err := q.Rows(req.Columns...)
-		if err == nil {
-			resp.Columns = rows.Cols
-			resp.Rows = rows.Data
-			resp.Count = int64(len(rows.Data))
-		}
-		return resp.Count, err
-	})
-	if werr != nil {
-		return nil, werr
-	}
-	return resp, nil
-}
-
-// execute is the one path every request shape runs under its budget: the
-// deadline covers admission wait plus execution, fair admission grants the
-// slot, the flight recorder gets one entry, the per-query worker cap is
-// resolved, and run's outcome is finished into the record and classified
-// onto a wire code — so admission, deadlines and records cannot drift
-// between scalar and relational requests. It returns the recorded query id
-// (0 when the recorder is off).
-func (s *Server) execute(ctx context.Context, req *QueryRequest,
-	run func(ctx context.Context, deadline time.Time, workers int) (rowsOut int64, err error)) (uint64, *WireError) {
+	// The deadline covers admission wait plus execution; the wave runs
+	// under the server's lifetime context and the latest member deadline.
 	timeout := s.cfg.DefaultTimeout
 	if req.Budget.TimeoutMS > 0 {
 		timeout = time.Duration(req.Budget.TimeoutMS) * time.Millisecond
@@ -376,70 +140,207 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest,
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-
 	waitStart := time.Now()
 	grant, err := s.admit.Acquire(ctx, req.Client, req.Budget.MemoryBytes)
 	admissionWait.Observe(time.Since(waitStart).Seconds())
 	if err != nil {
 		errorsTotal.Inc()
-		return 0, wireErr(admissionCode(err), "%v", err)
+		return nil, wireErr(admissionCode(err), "%v", err)
 	}
 	defer grant.Release()
-
-	var lq *obs.LiveQuery
-	fr := obs.DefaultRecorder()
-	if fr.Enabled() {
-		lq = fr.Begin(obs.KindQuery, req.Table, "v1/"+req.Terminal, req.Predicate.Canonical())
-	}
 
 	workers := s.cfg.MaxWorkersPerQuery
 	if req.Budget.MaxWorkers > 0 && (workers == 0 || req.Budget.MaxWorkers < workers) {
 		workers = req.Budget.MaxWorkers
 	}
-	rowsOut, execErr := run(ctx, deadline, workers)
-	var id uint64
-	if lq != nil {
+	finish := record(req)
+	res, err := s.waves.run(s.base, m.tbl, m.wq, deadline, codecdb.ExecOptions{MaxWorkers: workers})
+	if err == nil {
+		err = res.Err
+	}
+	queryID := finish(res.Count, err)
+	if err != nil {
+		errorsTotal.Inc()
+		return nil, wireErr(classifyExecErr(err), "%v", err)
+	}
+
+	resp := &QueryResponse{
+		QueryID:  queryID,
+		Table:    req.Table,
+		Epoch:    m.epoch,
+		Terminal: req.Terminal,
+		Count:    res.Count,
+		RowIDs:   res.RowIDs,
+		Sum:      res.Sum,
+		Groups:   res.Groups,
+	}
+	if res.Rows != nil {
+		resp.Columns, resp.Rows, resp.Count = res.Rows.Cols, res.Rows.Data, int64(len(res.Rows.Data))
+	}
+	if !req.NoCache {
+		s.cache.Put(m.key, resp)
+	}
+	return resp, nil
+}
+
+// member is a validated request lowered onto the engine: its probe table,
+// the wave member it runs as, and the epoch and result-cache key its
+// answer is filed under.
+type member struct {
+	tbl   *codecdb.Table
+	wq    codecdb.WaveQuery
+	epoch uint64
+	key   string
+}
+
+// lower validates req and lowers it — predicate, optional join with its
+// build-side predicate, order_by, limit, terminal and columns — into one
+// wave member, before anything executes. Shape problems are bad_request,
+// unknown tables not_found, and whatever the schemas decide (predicates,
+// join and output columns and their types) bad_predicate.
+func (s *Server) lower(req *QueryRequest) (*member, *WireError) {
+	term, ok := wireTerminals[req.Terminal]
+	switch {
+	case req.Table == "":
+		return nil, wireErr(CodeBadRequest, "missing table")
+	case !ok:
+		return nil, wireErr(CodeBadRequest, "unknown terminal %q", req.Terminal)
+	case term != codecdb.TerminalRows && (len(req.Columns) > 0 || len(req.OrderBy) > 0 || req.Limit != 0):
+		return nil, wireErr(CodeBadRequest, "columns, order_by and limit need terminal \"rows\"")
+	case req.Limit < 0:
+		return nil, wireErr(CodeBadRequest, "limit must be positive, got %d", req.Limit)
+	}
+	var cols []string
+	switch term {
+	case codecdb.TerminalSum, codecdb.TerminalGroupCount:
+		if req.Column == "" {
+			return nil, wireErr(CodeBadRequest, "terminal %q needs column", req.Terminal)
+		}
+		cols = []string{req.Column}
+	case codecdb.TerminalRows:
+		if len(req.Columns) == 0 {
+			return nil, wireErr(CodeBadRequest, "terminal \"rows\" needs columns")
+		}
+		cols = req.Columns
+	}
+	for _, o := range req.OrderBy {
+		if o.Col == "" {
+			return nil, wireErr(CodeBadRequest, "order_by needs col")
+		}
+	}
+	if j := req.Join; j != nil {
+		if j.Table == "" || j.LeftCol == "" || j.RightCol == "" {
+			return nil, wireErr(CodeBadRequest, "join needs table, left_col, and right_col")
+		}
+		if _, ok := joinKinds[j.Kind]; !ok {
+			return nil, wireErr(CodeBadRequest, "unknown join kind %q (want inner, semi, or anti)", j.Kind)
+		}
+	}
+
+	tbl, q, werr := s.scan(req.Table, req.Predicate, "")
+	if werr != nil {
+		return nil, werr
+	}
+	epoch := tbl.Epoch()
+	// Output columns resolve against the probe table, or the build table
+	// on inner joins.
+	colType := tbl.ColumnType
+	var buildEpoch uint64
+	if j := req.Join; j != nil {
+		build, bq, werr := s.scan(j.Table, j.Predicate, "join ")
+		if werr != nil {
+			return nil, werr
+		}
+		buildEpoch = build.Epoch()
+		switch joinKinds[j.Kind] {
+		case "semi":
+			q = q.SemiJoin(bq, j.LeftCol, j.RightCol)
+		case "anti":
+			q = q.AntiJoin(bq, j.LeftCol, j.RightCol)
+		default:
+			q = q.JoinOn(bq, j.LeftCol, j.RightCol)
+			colType = func(c string) (string, bool) {
+				if typ, ok := tbl.ColumnType(c); ok {
+					return typ, true
+				}
+				return build.ColumnType(c)
+			}
+		}
+		if err := q.Err(); err != nil {
+			return nil, wireErr(CodeBadPredicate, "%v", err)
+		}
+	}
+	// Type-check the terminal's columns the way the engine would, so a
+	// mistyped column is a client error, not an execution failure.
+	for _, c := range cols {
+		typ, ok := colType(c)
+		switch {
+		case !ok:
+			return nil, wireErr(CodeBadPredicate, "unknown column %q", c)
+		case term == codecdb.TerminalSum && typ != "FLOAT64":
+			return nil, wireErr(CodeBadPredicate, "terminal \"sum\" needs a FLOAT64 column, %q is %s", c, typ)
+		case term == codecdb.TerminalGroupCount && typ == "FLOAT64":
+			return nil, wireErr(CodeBadPredicate, "terminal \"group_count\" needs an INT64 or STRING column, %q is %s", c, typ)
+		}
+	}
+	for _, o := range req.OrderBy {
+		if !slices.Contains(cols, o.Col) {
+			return nil, wireErr(CodeBadPredicate, "order_by column %q is not in columns", o.Col)
+		}
+		q = q.OrderBy(o.Col, o.Desc)
+	}
+	if req.Limit > 0 {
+		q = q.Limit(req.Limit)
+	}
+	return &member{
+		tbl:   tbl,
+		wq:    codecdb.WaveQuery{Query: q, Terminal: term, Cols: cols},
+		epoch: epoch,
+		key:   req.cacheKey(epoch, buildEpoch, cols),
+	}, nil
+}
+
+// scan resolves one side of a request — a table and its predicate — into
+// a query over that table: an unknown table is not_found, a malformed
+// predicate or one the schema rejects bad_predicate. side prefixes the
+// messages ("join ").
+func (s *Server) scan(table string, wp *WirePred, side string) (*codecdb.Table, *codecdb.Query, *WireError) {
+	pred, err := wp.ToPred()
+	if err != nil {
+		return nil, nil, wireErr(CodeBadPredicate, "%spredicate: %v", side, err)
+	}
+	tbl, err := s.db.Table(table)
+	if err != nil {
+		return nil, nil, wireErr(CodeNotFound, "%stable %q: %v", side, table, err)
+	}
+	q := tbl.All()
+	if wp != nil {
+		q = tbl.Query(pred)
+	}
+	if err := q.Err(); err != nil {
+		return nil, nil, wireErr(CodeBadPredicate, "%spredicate: %v", side, err)
+	}
+	return tbl, q, nil
+}
+
+// record registers a request with the flight recorder and returns what
+// finishes its entry with the request's outcome and yields the recorded
+// query id (0 when the recorder is off).
+func record(req *QueryRequest) func(rowsOut int64, err error) uint64 {
+	fr := obs.DefaultRecorder()
+	if !fr.Enabled() {
+		return func(int64, error) uint64 { return 0 }
+	}
+	lq := fr.Begin(obs.KindQuery, req.Table, "v1/"+req.Terminal, req.Predicate.Canonical())
+	return func(rowsOut int64, err error) uint64 {
 		rec := &obs.QueryRecord{Wall: time.Since(lq.Start), RowsOut: rowsOut}
-		if execErr != nil {
-			rec.Err = execErr.Error()
-			rec.Cancelled = errors.Is(execErr, context.Canceled) || errors.Is(execErr, context.DeadlineExceeded)
+		if err != nil {
+			rec.Err = err.Error()
+			rec.Cancelled = errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		}
 		fr.Finish(lq, rec)
-		id = lq.ID
+		return lq.ID
 	}
-	if execErr != nil {
-		errorsTotal.Inc()
-		return 0, wireErr(classifyExecErr(execErr), "%v", execErr)
-	}
-	return id, nil
-}
-
-// checkColumns maps unknown referenced columns onto bad_predicate.
-func checkColumns(tbl *codecdb.Table, name string, cols []string) *WireError {
-	have := make(map[string]bool)
-	for _, c := range tbl.Columns() {
-		have[c] = true
-	}
-	for _, c := range cols {
-		if !have[c] {
-			return wireErr(CodeBadPredicate, "unknown column %q in table %q", c, name)
-		}
-	}
-	return nil
-}
-
-// predColumns collects every column a wire predicate references.
-func predColumns(p *WirePred, out []string) []string {
-	if p == nil {
-		return out
-	}
-	if p.Col != "" {
-		out = append(out, p.Col)
-	}
-	for _, k := range p.Kids {
-		out = predColumns(k, out)
-	}
-	return out
 }
 
 // admissionCode maps an Acquire failure onto a wire code: a deadline

@@ -120,6 +120,12 @@ func TestV1QueryTerminals(t *testing.T) {
 	if code != 200 || !reflect.DeepEqual(r.Groups, wantG) {
 		t.Fatalf("groups = %v, want %v", r.Groups, wantG)
 	}
+	// group_count takes INT64 columns too, as Query.GroupCount does.
+	code, r = post(t, url, QueryRequest{Table: "events", Terminal: "group_count", Column: "level", Predicate: errPred})
+	wantG, _ = tbl.Where("status", codecdb.Eq, "ERROR").GroupCount("level")
+	if code != 200 || !reflect.DeepEqual(r.Groups, wantG) || len(wantG) == 0 {
+		t.Fatalf("int groups = %v (%d), want %v", r.Groups, code, wantG)
+	}
 
 	// Composite predicate: and/or/in/not all at once.
 	code, r = post(t, url, QueryRequest{
@@ -361,11 +367,58 @@ func TestCanonicalPredicateSharing(t *testing.T) {
 	if a.Canonical() != b.Canonical() {
 		t.Fatalf("canonical split: %q vs %q", a.Canonical(), b.Canonical())
 	}
-	if cacheKey("t", 1, a, "count", "") != cacheKey("t", 1, b, "count", "") {
+	ra, rb := &QueryRequest{Table: "t", Predicate: a, Terminal: "count"}, &QueryRequest{Table: "t", Predicate: b, Terminal: "count"}
+	if ra.cacheKey(1, 0, nil) != rb.cacheKey(1, 0, nil) {
 		t.Fatal("cache keys differ")
 	}
-	if cacheKey("t", 1, a, "count", "") == cacheKey("t", 2, a, "count", "") {
+	if ra.cacheKey(1, 0, nil) == ra.cacheKey(2, 0, nil) {
 		t.Fatal("epoch not in key")
+	}
+}
+
+// TestCacheKeyCoversAnswer: every part of a request its answer depends on
+// splits the key, and spellings of the same request share one.
+func TestCacheKeyCoversAnswer(t *testing.T) {
+	pred := &WirePred{Kind: "cmp", Col: "level", Op: "ge", Value: 3}
+	base := func() *QueryRequest {
+		return &QueryRequest{Table: "events", Predicate: pred, Terminal: "rows",
+			Join: &WireJoin{Table: "services", LeftCol: "status", RightCol: "s_status",
+				Predicate: &WirePred{Kind: "cmp", Col: "s_class", Op: "eq", Value: "bad"}},
+			OrderBy: []WireOrder{{Col: "latency", Desc: true}}, Limit: 5}
+	}
+	cols := []string{"status", "latency"}
+	key := base().cacheKey(1, 7, cols)
+
+	same := base()
+	same.Join.Kind = "inner"
+	same.NoCache, same.Client, same.Budget = true, "c", Budget{TimeoutMS: 9}
+	if got := same.cacheKey(1, 7, cols); got != key {
+		t.Fatalf("same answer, different keys:\n%s\n%s", key, got)
+	}
+
+	for name, k := range map[string]string{
+		"epoch":           base().cacheKey(2, 7, cols),
+		"build epoch":     base().cacheKey(1, 8, cols),
+		"column order":    base().cacheKey(1, 7, []string{"latency", "status"}),
+		"fewer columns":   base().cacheKey(1, 7, cols[:1]),
+		"table":           func() string { r := base(); r.Table = "other"; return r.cacheKey(1, 7, cols) }(),
+		"predicate":       func() string { r := base(); r.Predicate = nil; return r.cacheKey(1, 7, cols) }(),
+		"terminal":        func() string { r := base(); r.Terminal = "count"; return r.cacheKey(1, 7, cols) }(),
+		"build table":     func() string { r := base(); r.Join.Table = "other"; return r.cacheKey(1, 7, cols) }(),
+		"build predicate": func() string { r := base(); r.Join.Predicate = nil; return r.cacheKey(1, 7, cols) }(),
+		"join kind":       func() string { r := base(); r.Join.Kind = "semi"; return r.cacheKey(1, 7, cols) }(),
+		"left key":        func() string { r := base(); r.Join.LeftCol = "level"; return r.cacheKey(1, 7, cols) }(),
+		"right key":       func() string { r := base(); r.Join.RightCol = "s_class"; return r.cacheKey(1, 7, cols) }(),
+		"no join":         func() string { r := base(); r.Join = nil; return r.cacheKey(1, 7, cols) }(),
+		"order column":    func() string { r := base(); r.OrderBy[0].Col = "status"; return r.cacheKey(1, 7, cols) }(),
+		"order direction": func() string { r := base(); r.OrderBy[0].Desc = false; return r.cacheKey(1, 7, cols) }(),
+		"no order":        func() string { r := base(); r.OrderBy = nil; return r.cacheKey(1, 7, cols) }(),
+		"limit":           func() string { r := base(); r.Limit = 6; return r.cacheKey(1, 7, cols) }(),
+		"no limit":        func() string { r := base(); r.Limit = 0; return r.cacheKey(1, 7, cols) }(),
+	} {
+		if k == key {
+			t.Errorf("%s is not in the key %s", name, key)
+		}
 	}
 }
 
@@ -387,6 +440,30 @@ func TestResultCacheEviction(t *testing.T) {
 	c.Put("big", &QueryResponse{RowIDs: make([]int64, 10000)})
 	if c.Get("big") != nil {
 		t.Fatal("oversize entry cached")
+	}
+
+	// Row sets count against the same budget, per cell.
+	rowSet := func(n int) *QueryResponse {
+		r := &QueryResponse{Columns: []string{"status", "latency"}}
+		for i := 0; i < n; i++ {
+			r.Rows = append(r.Rows, []any{"TIMEOUT", float64(i)})
+		}
+		return r
+	}
+	c = NewResultCache(4096)
+	for i := 0; i < 100; i++ {
+		c.Put(fmt.Sprintf("r%d", i), rowSet(8))
+	}
+	st = c.Stats()
+	if st.Bytes > 4096 || st.Evictions == 0 || st.Entries >= 100 {
+		t.Fatalf("row sets not charged: %+v", st)
+	}
+	if size := responseSize(rowSet(8)); size < 8*2*24 {
+		t.Fatalf("an 8×2 row set is charged %d bytes", size)
+	}
+	c.Put("bigrows", rowSet(1000))
+	if c.Get("bigrows") != nil {
+		t.Fatal("oversize row set cached")
 	}
 }
 
@@ -471,10 +548,32 @@ func TestV1QueryJoin(t *testing.T) {
 	if wantN == 0 {
 		t.Fatal("vacuous join")
 	}
-	// Relational results bypass the result cache even when it is enabled.
+	// A join is cached like any other request.
 	_, r2 := post(t, url, QueryRequest{Table: "events", Terminal: "count", Join: join})
-	if r2.Cached {
-		t.Fatal("relational result served from cache")
+	if !r2.Cached || r2.Count != wantN {
+		t.Fatalf("repeated join: cached=%v count=%d, want cached %d", r2.Cached, r2.Count, wantN)
+	}
+
+	// A join composes with every terminal, as in the library.
+	joined := tbl.Where("level", codecdb.Ge, 2).JoinOn(svc.Where("s_class", codecdb.Eq, "bad"), "status", "s_status")
+	ge2 := &WirePred{Kind: "cmp", Col: "level", Op: "ge", Value: 2}
+	_, rid := post(t, url, QueryRequest{Table: "events", Terminal: "rowids", Predicate: ge2, Join: join})
+	wantIDs, err := joined.RowIDs()
+	if err != nil || rid.Error != nil || !reflect.DeepEqual(rid.RowIDs, wantIDs) || len(wantIDs) == 0 {
+		t.Fatalf("join rowids: %d ids (%+v), want %d (%v)", len(rid.RowIDs), rid.Error, len(wantIDs), err)
+	}
+	_, rsum := post(t, url, QueryRequest{Table: "events", Terminal: "sum", Column: "latency", Predicate: ge2, Join: join})
+	wantSum, err := joined.SumFloat("latency")
+	if err != nil || rsum.Error != nil || rsum.Sum != wantSum || wantSum == 0 {
+		t.Fatalf("join sum = %v (%+v), want %v (%v)", rsum.Sum, rsum.Error, wantSum, err)
+	}
+	// group_count over an INT64 probe column and over a build-side column.
+	for _, col := range []string{"level", "s_class"} {
+		_, rg := post(t, url, QueryRequest{Table: "events", Terminal: "group_count", Column: col, Predicate: ge2, Join: join})
+		wantG, err := joined.GroupCount(col)
+		if err != nil || rg.Error != nil || !reflect.DeepEqual(rg.Groups, wantG) || len(wantG) == 0 {
+			t.Fatalf("join group_count(%s) = %v (%+v), want %v (%v)", col, rg.Groups, rg.Error, wantG, err)
+		}
 	}
 
 	// Semi and anti partition the probe rows.
@@ -516,6 +615,62 @@ func TestV1QueryJoin(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, rr.Rows[i], row)
 		}
 	}
+	// The repeated rows request is a cache hit with identical rows.
+	code, rr2 := post(t, url, QueryRequest{
+		Table: "events", Terminal: "rows",
+		Predicate: &WirePred{Kind: "cmp", Col: "level", Op: "eq", Value: 4},
+		Join:      join,
+		Columns:   []string{"status", "s_class", "latency"},
+		OrderBy:   []WireOrder{{Col: "latency", Desc: false}},
+		Limit:     5,
+	})
+	if code != 200 || !rr2.Cached || !reflect.DeepEqual(rr2.Rows, rr.Rows) || !reflect.DeepEqual(rr2.Columns, rr.Columns) {
+		t.Fatalf("repeated join rows: cached=%v rows %v, want cached %v", rr2.Cached, rr2.Rows, rr.Rows)
+	}
+}
+
+// TestResultCacheJoinBuildEpoch: an append to a join's build table
+// invalidates the cached join answer, though the probe table is
+// unchanged.
+func TestResultCacheJoinBuildEpoch(t *testing.T) {
+	db, events := newEventsDB(t, 2000, codecdb.Options{})
+	svc, err := db.CreateIngestTable("services", []codecdb.Field{
+		{Name: "s_status", Type: codecdb.StringField},
+		{Name: "s_class", Type: codecdb.StringField},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Append("ERROR", "bad"); err != nil {
+		t.Fatal(err)
+	}
+	_, url := newTestServer(t, db, Config{ResultCacheBytes: 1 << 20})
+
+	req := QueryRequest{Table: "events", Terminal: "count",
+		Join: &WireJoin{Table: "services", LeftCol: "status", RightCol: "s_status",
+			Predicate: &WirePred{Kind: "cmp", Col: "s_class", Op: "eq", Value: "bad"}}}
+	answer := func() int64 {
+		n, err := events.All().
+			JoinOn(svc.Where("s_class", codecdb.Eq, "bad"), "status", "s_status").Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	_, r1 := post(t, url, req)
+	if r1.Error != nil || r1.Cached || r1.Count != answer() || r1.Count == 0 {
+		t.Fatalf("cold: %+v, want %d", r1, answer())
+	}
+	if _, r2 := post(t, url, req); !r2.Cached || r2.Count != r1.Count {
+		t.Fatalf("warm: %+v", r2)
+	}
+	if err := svc.Append("RETRY", "bad"); err != nil {
+		t.Fatal(err)
+	}
+	_, r3 := post(t, url, req)
+	if r3.Error != nil || r3.Cached || r3.Count != answer() || r3.Count <= r1.Count {
+		t.Fatalf("after a build-side append: cached=%v count=%d, want fresh %d (was %d)", r3.Cached, r3.Count, answer(), r1.Count)
+	}
 }
 
 // TestV1QueryRelationalValidation: every malformed relational shape
@@ -537,7 +692,7 @@ func TestV1QueryRelationalValidation(t *testing.T) {
 	check(QueryRequest{Table: "events", Terminal: "rows"}, 400, CodeBadRequest)
 	check(QueryRequest{Table: "events", Terminal: "count", Columns: []string{"ts"}}, 400, CodeBadRequest)
 	check(QueryRequest{Table: "events", Terminal: "count", OrderBy: []WireOrder{{Col: "ts"}}}, 400, CodeBadRequest)
-	check(QueryRequest{Table: "events", Terminal: "sum", Column: "latency", Join: join}, 400, CodeBadRequest)
+	check(QueryRequest{Table: "events", Terminal: "sum", Column: "latency", Join: join, Limit: 3}, 400, CodeBadRequest)
 	check(QueryRequest{Table: "events", Terminal: "rows", Columns: []string{"ts"}, Limit: -3}, 400, CodeBadRequest)
 	check(QueryRequest{Table: "events", Terminal: "count",
 		Join: &WireJoin{Table: "services", LeftCol: "status"}}, 400, CodeBadRequest)

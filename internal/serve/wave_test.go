@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +115,60 @@ func TestSharedScanMatchesSerial(t *testing.T) {
 	if st2.PageCacheHits == st1.PageCacheHits {
 		t.Fatal("warm burst recorded no page-cache hits")
 	}
+}
+
+// TestWaveJoinMembersConcurrent: concurrent join requests — rows under
+// order_by/limit, semi and anti counts — ride the probe table's waves
+// beside scalar requests, and every one gets the direct API's answer.
+func TestWaveJoinMembersConcurrent(t *testing.T) {
+	db, tbl, svc := newJoinDB(t, 4000)
+	s, _ := newTestServer(t, db, Config{
+		Admit: AdmitConfig{MaxConcurrent: 64, MaxQueued: 64, MaxWait: 10 * time.Second},
+	})
+	bad := svc.Where("s_class", codecdb.Eq, "bad")
+	badSvc := &WirePred{Kind: "cmp", Col: "s_class", Op: "eq", Value: "bad"}
+	join := func(kind string) *WireJoin {
+		return &WireJoin{Table: "services", LeftCol: "status", RightCol: "s_status", Kind: kind, Predicate: badSvc}
+	}
+	wantRows, err := tbl.Where("level", codecdb.Ge, 2).JoinOn(bad, "status", "s_status").
+		OrderBy("latency", true).Limit(4).Rows("latency", "s_class")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSemi, _ := tbl.All().SemiJoin(bad, "status", "s_status").Count()
+	wantAnti, _ := tbl.All().AntiJoin(bad, "status", "s_status").Count()
+	wantHi, _ := tbl.Where("level", codecdb.Ge, 3).Count()
+
+	reqs := []QueryRequest{
+		{Table: "events", Terminal: "rows", NoCache: true, Join: join(""),
+			Predicate: &WirePred{Kind: "cmp", Col: "level", Op: "ge", Value: 2},
+			Columns:   []string{"latency", "s_class"}, OrderBy: []WireOrder{{Col: "latency", Desc: true}}, Limit: 4},
+		{Table: "events", Terminal: "count", NoCache: true, Join: join("semi")},
+		{Table: "events", Terminal: "count", NoCache: true, Join: join("anti")},
+		{Table: "events", Terminal: "count", NoCache: true,
+			Predicate: &WirePred{Kind: "cmp", Col: "level", Op: "ge", Value: 3}},
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 6*len(reqs); i++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			<-start
+			req := reqs[j]
+			resp, werr := s.Query(ctxBG(), &req)
+			switch {
+			case werr != nil:
+				t.Errorf("request %d: %s", j, werr.Message)
+			case j == 0 && !reflect.DeepEqual(resp.Rows, wantRows.Data):
+				t.Errorf("join rows = %v, want %v", resp.Rows, wantRows.Data)
+			case j == 1 && resp.Count != wantSemi, j == 2 && resp.Count != wantAnti, j == 3 && resp.Count != wantHi:
+				t.Errorf("request %d: count %d", j, resp.Count)
+			}
+		}(i % len(reqs))
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestWaveBatcherGroupCommit drives the batcher directly: a member

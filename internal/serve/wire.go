@@ -88,9 +88,9 @@ type QueryRequest struct {
 	Terminal string `json:"terminal"`
 	// Column names the measured column for sum/group_count.
 	Column string `json:"column,omitempty"`
-	// Join, OrderBy, Limit, and Columns shape relational requests:
-	// join composes with "count" and "rows"; order_by/limit and columns
-	// belong to "rows". Relational results bypass the result cache.
+	// Join adds a build side under any terminal; order_by, limit and
+	// columns belong to "rows". Every shape is cached and batched into
+	// waves alike, keyed on everything its answer depends on (cacheKey).
 	Join    *WireJoin   `json:"join,omitempty"`
 	OrderBy []WireOrder `json:"order_by,omitempty"`
 	Limit   int         `json:"limit,omitempty"`
@@ -100,13 +100,6 @@ type QueryRequest struct {
 	// Client identifies the caller for admission fairness; requests
 	// sharing a Client share one FIFO queue. Empty means "default".
 	Client string `json:"client,omitempty"`
-}
-
-// relational reports whether the request needs the relational executor
-// (joins, ordering, limits, or row output) rather than a scan-wave
-// terminal.
-func (r *QueryRequest) relational() bool {
-	return r.Join != nil || len(r.OrderBy) > 0 || r.Limit != 0 || r.Terminal == "rows"
 }
 
 // WireError is the structured failure payload.
@@ -146,7 +139,11 @@ var wireTerminals = map[string]codecdb.Terminal{
 	"rowids":      codecdb.TerminalRowIDs,
 	"sum":         codecdb.TerminalSum,
 	"group_count": codecdb.TerminalGroupCount,
+	"rows":        codecdb.TerminalRows,
 }
+
+// joinKinds maps wire join kinds onto their canonical names.
+var joinKinds = map[string]string{"": "inner", "inner": "inner", "semi": "semi", "anti": "anti"}
 
 // DecodeRequest parses a /v1/query body. Numbers keep full int64
 // precision (UseNumber); unknown fields are rejected so typos fail
@@ -293,10 +290,24 @@ func canonValue(v any) string {
 	}
 }
 
-// cacheKey is the result-cache identity of one request: table, data
-// epoch, canonical predicate, terminal, column. Epoch in the key makes
-// invalidation implicit — a bumped epoch never matches old entries, and
-// the stale ones age out by LRU.
-func cacheKey(table string, epoch uint64, pred *WirePred, terminal, column string) string {
-	return table + "|" + strconv.FormatUint(epoch, 10) + "|" + pred.Canonical() + "|" + terminal + "|" + column
+// cacheKey is the result-cache identity of one request: everything its
+// answer depends on. That is the table and its data epoch, the canonical
+// predicate, the terminal and its columns in order; for a join the build
+// table, its epoch, its canonical predicate, the join kind and key
+// columns; then order_by and limit. Epochs in the key make invalidation
+// implicit — an ingest into either table bumps its epoch, new requests
+// form new keys, and the stale entries age out by LRU.
+func (r *QueryRequest) cacheKey(epoch, buildEpoch uint64, cols []string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q@%d|%s|%s%q", r.Table, epoch, r.Predicate.Canonical(), r.Terminal, cols)
+	if j := r.Join; j != nil {
+		fmt.Fprintf(&b, "|%s %q@%d|%s|%q=%q", joinKinds[j.Kind], j.Table, buildEpoch, j.Predicate.Canonical(), j.LeftCol, j.RightCol)
+	}
+	for _, o := range r.OrderBy {
+		fmt.Fprintf(&b, "|order %q %t", o.Col, o.Desc)
+	}
+	if r.Limit > 0 {
+		fmt.Fprintf(&b, "|limit %d", r.Limit)
+	}
+	return b.String()
 }

@@ -23,8 +23,8 @@ func checkWaveMatchesSerial(t *testing.T, tbl *Table) {
 		{Terminal: TerminalCount},
 		{Pred: ColEq("status", "ERROR"), Terminal: TerminalCount},
 		{Pred: Col("level", Ge, 3), Terminal: TerminalRowIDs},
-		{Pred: ColEq("status", "RETRY"), Terminal: TerminalSum, Col: "latency"},
-		{Pred: Col("level", Lt, 4), Terminal: TerminalGroupCount, Col: "status"},
+		{Pred: ColEq("status", "RETRY"), Terminal: TerminalSum, Cols: []string{"latency"}},
+		{Pred: Col("level", Lt, 4), Terminal: TerminalGroupCount, Cols: []string{"status"}},
 	}
 	res, err := tbl.Wave(context.Background(), qs)
 	if err != nil {
@@ -68,8 +68,8 @@ func TestWaveSixteenMembersMatchSolo(t *testing.T) {
 			qs = append(qs,
 				WaveQuery{Pred: p, Terminal: TerminalCount},
 				WaveQuery{Pred: p, Terminal: TerminalRowIDs},
-				WaveQuery{Pred: p, Terminal: TerminalSum, Col: "latency"},
-				WaveQuery{Pred: p, Terminal: TerminalGroupCount, Col: []string{"status", "level"}[lvl%2]})
+				WaveQuery{Pred: p, Terminal: TerminalSum, Cols: []string{"latency"}},
+				WaveQuery{Pred: p, Terminal: TerminalGroupCount, Cols: []string{[]string{"status", "level"}[lvl%2]}})
 		}
 		want := make([]WaveResult, len(qs))
 		for i, wq := range qs {
@@ -82,9 +82,9 @@ func TestWaveSixteenMembersMatchSolo(t *testing.T) {
 			case TerminalRowIDs:
 				want[i].RowIDs, err = q.RowIDs()
 			case TerminalSum:
-				want[i].Sum, err = q.SumFloat(wq.Col)
+				want[i].Sum, err = q.SumFloat(wq.Cols[0])
 			case TerminalGroupCount:
-				want[i].Groups, err = q.GroupCount(wq.Col)
+				want[i].Groups, err = q.GroupCount(wq.Cols[0])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -106,22 +106,90 @@ func TestWaveSixteenMembersMatchSolo(t *testing.T) {
 	})
 }
 
+// TestWaveMixesJoinAndScalarMembers: join members — an inner join under
+// OrderBy/Limit rows, a semi join count, an anti join group count — ride
+// one wave beside plain scalar members, and each answers exactly what it
+// answers alone and what the public terminal answers, over every source
+// kind of the probe table.
+func TestWaveMixesJoinAndScalarMembers(t *testing.T) {
+	forEachSource(t, "events", eventColumns(6000), eventsLoad, func(t *testing.T, tbl *Table) {
+		codes, err := tbl.db.LoadTable("codes", []Column{
+			{Name: "c_status", Strings: [][]byte{[]byte("OK"), []byte("ERROR"), []byte("RETRY"), []byte("TIMEOUT")}},
+			{Name: "c_class", Strings: [][]byte{[]byte("good"), []byte("bad"), []byte("bad"), []byte("slow")}},
+		}, LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := codes.Where("c_class", Eq, "bad")
+		top := tbl.Where("level", Ge, 2).JoinOn(bad, "status", "c_status").
+			OrderBy("latency", true).OrderBy("ts", false).Limit(7)
+		semi := tbl.All().SemiJoin(bad, "status", "c_status")
+		anti := tbl.Where("level", Lt, 3).AntiJoin(bad, "status", "c_status")
+		qs := []WaveQuery{
+			{Query: top, Terminal: TerminalRows, Cols: []string{"ts", "latency", "c_class"}},
+			{Query: semi, Terminal: TerminalCount},
+			{Query: anti, Terminal: TerminalGroupCount, Cols: []string{"level"}},
+			{Pred: ColEq("status", "RETRY"), Terminal: TerminalSum, Cols: []string{"latency"}},
+			{Pred: Col("level", Ge, 3), Terminal: TerminalCount},
+		}
+		got, err := tbl.Wave(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, wq := range qs {
+			alone, err := tbl.Wave(context.Background(), []WaveQuery{wq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i].Err != nil || !reflect.DeepEqual(got[i], alone[0]) {
+				t.Errorf("member %d (%v): wave %+v, alone %+v", i, wq.Terminal, got[i], alone[0])
+			}
+		}
+
+		rows, err := top.Rows("ts", "latency", "c_class")
+		if err != nil || !reflect.DeepEqual(got[0].Rows, rows) || len(rows.Data) != 7 {
+			t.Errorf("join rows = %+v, Rows = %+v, %v", got[0].Rows, rows, err)
+		}
+		if n, err := semi.Count(); err != nil || got[1].Count != n || n == 0 {
+			t.Errorf("semi join count = %d, Count = %d, %v", got[1].Count, n, err)
+		}
+		if g, err := anti.GroupCount("level"); err != nil || !reflect.DeepEqual(got[2].Groups, g) || len(g) == 0 {
+			t.Errorf("anti join groups = %v, GroupCount = %v, %v", got[2].Groups, g, err)
+		}
+		if s, err := tbl.Where("status", Eq, "RETRY").SumFloat("latency"); err != nil || got[3].Sum != s {
+			t.Errorf("sum = %v, SumFloat = %v, %v", got[3].Sum, s, err)
+		}
+		if n, err := tbl.Where("level", Ge, 3).Count(); err != nil || got[4].Count != n {
+			t.Errorf("count = %d, Count = %d, %v", got[4].Count, n, err)
+		}
+	})
+}
+
 // TestWaveMemberErrorIsolated: a bad member fails alone.
 func TestWaveMemberErrorIsolated(t *testing.T) {
 	db := openTestDB(t)
 	tbl := loadEvents(t, db, 2000)
+	other, err := db.LoadTable("other", []Column{{Name: "x", Ints: []int64{1, 2}}}, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := tbl.Wave(context.Background(), []WaveQuery{
 		{Pred: ColEq("nope", "x"), Terminal: TerminalCount},
+		{Query: other.All(), Terminal: TerminalCount},
+		{Terminal: TerminalSum},
+		{Terminal: TerminalRows},
 		{Terminal: TerminalCount},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err == nil {
-		t.Fatal("bad predicate did not error")
+	for i, r := range res[:4] {
+		if r.Err == nil {
+			t.Fatalf("bad member %d did not error: %+v", i, r)
+		}
 	}
-	if res[1].Err != nil || res[1].Count != 2000 {
-		t.Fatalf("healthy member: %+v", res[1])
+	if res[4].Err != nil || res[4].Count != 2000 {
+		t.Fatalf("healthy member: %+v", res[4])
 	}
 }
 
@@ -165,19 +233,19 @@ func TestSinkColumnsTypeChecked(t *testing.T) {
 			}
 		}
 		for _, wq := range []WaveQuery{
-			{Terminal: TerminalSum, Col: "level"},
-			{Terminal: TerminalSum, Col: "status"},
-			{Terminal: TerminalGroupCount, Col: "latency"},
+			{Terminal: TerminalSum, Cols: []string{"level"}},
+			{Terminal: TerminalSum, Cols: []string{"status"}},
+			{Terminal: TerminalGroupCount, Cols: []string{"latency"}},
 		} {
 			res, err := tbl.Wave(context.Background(), []WaveQuery{wq, {Terminal: TerminalCount}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res[0].Err == nil || !strings.HasPrefix(res[0].Err.Error(), "codecdb: ") {
-				t.Errorf("wave %v over %q: %v, want the codecdb type error", wq.Terminal, wq.Col, res[0].Err)
+				t.Errorf("wave %v over %q: %v, want the codecdb type error", wq.Terminal, wq.Cols, res[0].Err)
 			}
 			if res[1].Err != nil || res[1].Count != 1000 {
-				t.Errorf("healthy member alongside %v over %q: %+v", wq.Terminal, wq.Col, res[1])
+				t.Errorf("healthy member alongside %v over %q: %+v", wq.Terminal, wq.Cols, res[1])
 			}
 		}
 		// The healthy members count every row of an unfiltered table, which
