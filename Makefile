@@ -35,10 +35,13 @@ race-obs:
 # counts change under -race): the fixed per-call bound on the whole-table
 # filter driver (ops.ApplyFilter), the flight recorder's
 # constant-per-query alloc guard (recorder on vs off; the constant must
-# not scale with morsel count), and the per-extra-row-group bound on the
-# sinks every terminal is made of (per-morsel sink state is worker-local).
+# not scale with morsel count), the per-extra-row-group bound on the
+# sinks every terminal is made of (per-morsel sink state is worker-local),
+# and zero allocations for gzip and snappy page decompression into a
+# large-enough buffer.
 guard-obs:
 	$(GO) test -count=1 -run 'TestApplyFilterAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded' .
+	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
@@ -112,11 +115,14 @@ serve-demo:
 	$(GO) run ./cmd/datagen -kind tpch -sf 0.01 -out ./demodb
 	$(GO) run ./cmd/codecdb serve -db ./demodb -metrics :8080 -warm
 
-# fuzz gives the colstore Open fuzzer a short budget; extend FUZZTIME for
-# longer campaigns.
+# fuzz gives the colstore Open fuzzer and the two page decompressor
+# fuzzers (gzip differential against compress/gzip, snappy) a short budget
+# each; extend FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)
 
 # loc prints the line counts every simplicity PR states its delta in:
 # non-test Go lines of the root package, of internal/ops, of internal/serve,

@@ -94,3 +94,31 @@ func TestDecompressIntoRepeatedReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompressIntoAllocFree holds the DecompressInto contract for the
+// real codecs: with a dst of sufficient capacity — here exactly the
+// decompressed size, as the page reader passes — decompression allocates
+// nothing.
+func TestDecompressIntoAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	plain := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 100)
+	for i := 0; i < 8192; i++ {
+		plain = append(plain, byte(rng.Intn(128)))
+	}
+	for _, c := range []Compressor{Gzip{}, Snappy{}} {
+		comp, err := c.Compress(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, len(plain))
+		allocs := testing.AllocsPerRun(100, func() {
+			out, err := c.DecompressInto(dst, comp)
+			if err != nil || len(out) != len(plain) {
+				t.Fatalf("%s: decompressed %d bytes, err %v", c.Name(), len(out), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: DecompressInto into a large-enough dst allocates %.0f times per call", c.Name(), allocs)
+		}
+	}
+}

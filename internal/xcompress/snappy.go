@@ -3,6 +3,7 @@ package xcompress
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Snappy is an LZ77 block codec modeled on the Snappy wire idea: a varint
@@ -31,6 +32,10 @@ const (
 	snapMaxOffset = 1 << 16
 	hashTableBits = 14
 )
+
+// snapMaxExpansion bounds output bytes per input byte: a 3-byte copy2 tag
+// yields at most 64.
+const snapMaxExpansion = 22
 
 var errSnappyCorrupt = errors.New("xcompress: corrupt snappy block")
 
@@ -80,6 +85,11 @@ func (Snappy) DecompressInto(dst, src []byte) ([]byte, error) {
 		return nil, errSnappyCorrupt
 	}
 	src = src[hdr:]
+	// The header is untrusted: no tag expands more than a 3-byte copy2
+	// (64 bytes), so a longer claim is corrupt and must not size dst.
+	if n > snapMaxExpansion*uint64(len(src)) {
+		return nil, errSnappyCorrupt
+	}
 	if cap(dst) < int(n) {
 		dst = make([]byte, 0, n)
 	}
@@ -191,11 +201,12 @@ func snapAppendCopy(dst *[]byte, offset, length int) error {
 	if offset <= 0 || offset > len(d) || length <= 0 {
 		return errSnappyCorrupt
 	}
-	// Overlapping copies are the LZ77 back-reference semantics: copy byte
-	// by byte so runs (offset < length) replicate correctly.
-	pos := len(d) - offset
-	for i := 0; i < length; i++ {
-		d = append(d, d[pos+i])
+	// Overlapping copies (offset < length) are the LZ77 run semantics:
+	// each copy doubles the span copied from, so runs replicate correctly.
+	from, o := len(d)-offset, len(d)
+	d = slices.Grow(d, length)[:o+length]
+	for o < len(d) {
+		o += copy(d[o:], d[from:o])
 	}
 	*dst = d
 	return nil

@@ -1,8 +1,9 @@
 // Package xcompress provides the byte-level compression schemes CodecDB
 // compares its lightweight encodings against (paper §2): an LZ77 block
 // codec in the style of Snappy (match/literal tags, no entropy coding,
-// built for speed) and DEFLATE via the standard library's gzip (LZ77 +
-// Huffman, built for ratio).
+// built for speed) and gzip-framed DEFLATE (LZ77 + Huffman, built for
+// ratio): the `compress/gzip` writer and a one-shot inflate reader over the
+// identical format, CRC-32/ISIZE verified (inflate.go).
 //
 // The Snappy-style codec is a from-scratch implementation — the original
 // Google library is a substitution documented in DESIGN.md — but keeps the
@@ -14,7 +15,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
-	"io"
 )
 
 // Compressor is a one-shot block compressor.
@@ -94,26 +94,15 @@ func (g Gzip) Decompress(src []byte) ([]byte, error) {
 	return g.DecompressInto(nil, src)
 }
 
-// DecompressInto reverses Compress into dst's storage.
+// DecompressInto reverses Compress into dst's storage. Every member's
+// CRC-32 and ISIZE are verified; malformed input is a *CorruptError.
 func (Gzip) DecompressInto(dst, src []byte) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
+	t := tablePool.Get().(*inflateTables)
+	out, err := gunzip(dst, src, t)
+	tablePool.Put(t)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	dst = dst[:0]
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			recordDecompress(codecGzip, len(dst))
-			return dst, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	recordDecompress(codecGzip, len(out))
+	return out, nil
 }

@@ -2,6 +2,8 @@ package xcompress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,7 +14,9 @@ func compressors() []Compressor {
 	return []Compressor{Snappy{}, Gzip{}, None{}}
 }
 
-func TestRoundTripFixtures(t *testing.T) {
+// roundTripFixtures are the payloads every codec must round-trip; the
+// fuzzers start from their compressed forms.
+func roundTripFixtures() map[string][]byte {
 	fixtures := map[string][]byte{
 		"empty":      {},
 		"single":     {0x42},
@@ -26,8 +30,12 @@ func TestRoundTripFixtures(t *testing.T) {
 	random := make([]byte, 4096)
 	rng.Read(random)
 	fixtures["random"] = random
+	return fixtures
+}
+
+func TestRoundTripFixtures(t *testing.T) {
 	for _, c := range compressors() {
-		for name, data := range fixtures {
+		for name, data := range roundTripFixtures() {
 			comp, err := c.Compress(data)
 			if err != nil {
 				t.Fatalf("%s/%s compress: %v", c.Name(), name, err)
@@ -120,6 +128,21 @@ func TestSnappyCorruptInput(t *testing.T) {
 	bad := []byte{4, 0x01, 0xFF} // len 4, copy1 with big offset
 	if _, err := (Snappy{}).Decompress(bad); err == nil {
 		t.Fatal("out-of-range back-reference should error")
+	}
+}
+
+// TestSnappyOversizedHeader: the length header is untrusted. A claim no
+// tag stream of this size can produce must be rejected before it sizes
+// the output (header 2^40 plus a literal tag ran the process out of
+// memory; 2^62 panicked in makeslice).
+func TestSnappyOversizedHeader(t *testing.T) {
+	for _, n := range []uint64{1 << 40, 1 << 62} {
+		for _, tags := range [][]byte{{0}, {0, 'x'}} { // a 1-byte literal, without and with its byte
+			block := append(binary.AppendUvarint(nil, n), tags...)
+			if _, err := (Snappy{}).DecompressInto(make([]byte, 0, 64), block); !errors.Is(err, errSnappyCorrupt) {
+				t.Fatalf("%d-byte block with header %d: got %v, want errSnappyCorrupt", len(block), n, err)
+			}
+		}
 	}
 }
 
