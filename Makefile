@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
+.PHONY: check check-run-patterns build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
 
 # check is the tier-1 verification gate: everything must compile, pass
 # vet, and pass the full test suite under the race detector, with the
 # observability-layer, morsel-executor, prefetch, serving-layer, and
 # relational-executor race tests called out explicitly, the crash-point
 # matrix for the durable write path, the allocation guards, one iteration
-# of the planner pipeline benchmarks as a smoke test, and the benchmark
-# module's own vet + toy-scale run.
-check: vet build race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-smoke
+# of the planner pipeline benchmarks as a smoke test, the benchmark
+# module's own vet + toy-scale run, and a check that every test pattern
+# named here still matches a test.
+check: vet build check-run-patterns race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -32,15 +33,15 @@ race-obs:
 	$(GO) test -race -count=1 -run 'TestRecorder' .
 
 # guard-obs runs the allocation guards outside the race detector (alloc
-# counts change under -race): the fixed per-call bound on the whole-table
-# filter driver (ops.ApplyFilter), the flight recorder's
+# counts change under -race): the fixed per-call bound on the engine's
+# one-leaf Count (relq.Scan(...).Where(leaf).Count()), the flight recorder's
 # constant-per-query alloc guard (recorder on vs off; the constant must
 # not scale with morsel count), the per-extra-row-group bound on the
 # sinks every terminal is made of (per-morsel sink state is worker-local),
 # and zero allocations for gzip and snappy page decompression into a
 # large-enough buffer.
 guard-obs:
-	$(GO) test -count=1 -run 'TestApplyFilterAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded' .
+	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
 
 # race-pipeline focuses the race detector on the morsel executor: the
@@ -72,16 +73,16 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestWave|TestEpoch|TestWithExec|TestPageCacheOption' .
 
 # race-join focuses the race detector on the relational executor: the
-# join/group/sort kernels and their oracle property tests, members of one
-# pass against their solo runs, the relq builder against its nested-loop
+# join hash table against its nested-loop oracle, the join/group/sort
+# stages and sinks, members of one pass against their solo runs, the relq builder against its nested-loop
 # references, the engine-compiled ≡ oblivious equivalence suites for TPC-H
 # and SSB, and the public relational Query API (joins under every
 # terminal, order-by/limit, trace spans).
 race-join:
-	$(GO) test -race -count=1 -run 'TestHashJoin|TestRel|TestRunWave|TestArrayAggregate|TestExternalSort' ./internal/ops/
+	$(GO) test -race -count=1 -run 'TestHashJoin|TestJoinTable|TestRel|TestRunWave' ./internal/ops/
 	$(GO) test -race -count=1 ./internal/relq/
 	$(GO) test -race -count=1 -run 'TestEngineMatchesOblivious' ./internal/tpch/ ./internal/ssb/
-	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestJoinWithEmptyBuildSide|TestAggRowsOverNoRows|TestExplainAnalyzeRel|TestTracedTopK|TestRelDict' .
+	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestJoinWithEmptyBuildSide|TestAggRowsOverNoRows|TestExplainAnalyzeRel|TestTracedTopK' .
 
 # crash runs the write-path fault-injection suite under the race
 # detector: the crash-point matrix (every write-side filesystem
@@ -91,6 +92,13 @@ race-join:
 crash:
 	$(GO) test -race -count=1 -run 'TestCrashPointMatrix|TestCrashMatrixDoubleCrash|TestIngest' .
 	$(GO) test -race -count=1 ./internal/shard/ ./internal/wal/ ./internal/memtable/
+
+# check-run-patterns fails when a -run (or -bench / -fuzz) pattern in this
+# Makefile, or one of its `|` alternatives, lists no test under
+# `go test -list` for the package(s) it runs: a renamed or deleted test
+# must not leave a gate that silently runs nothing.
+check-run-patterns:
+	GO=$(GO) bash scripts/check_run_patterns.sh Makefile
 
 # bench runs the repository's benchmark (bench/README.md): all five
 # workloads, every result checked, every metric printed by name.

@@ -12,7 +12,6 @@ import (
 
 	"codecdb/internal/colstore"
 	"codecdb/internal/core"
-	"codecdb/internal/exec"
 	"codecdb/internal/tpch"
 )
 
@@ -82,20 +81,6 @@ func main() {
 		fmt.Printf("q%-3d %-30s %12.2f %12.2f %8.1fx\n",
 			q, shapes[q], awareMs, oblivMs, oblivMs/awareMs)
 	}
-
-	// The same query as a DAG of pipeline stages (paper §5.2, Figure 3):
-	// the customer and lineitem stages run in parallel.
-	opPool := exec.NewPool(0)
-	if _, err := ts.Q3Pipelined(opPool); err != nil { // warm
-		log.Fatal(err)
-	}
-	start := time.Now()
-	piped, err := ts.Q3Pipelined(opPool)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nQ3 as a pipeline-stage DAG: %.2f ms (%d result rows, identical to the sequential plan)\n",
-		float64(time.Since(start).Microseconds())/1000, piped.NumRows())
 
 	// Show one actual result: the Q1 pricing summary.
 	res, err := ts.CodecDB(1)

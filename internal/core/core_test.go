@@ -1,13 +1,13 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
 	"codecdb/internal/exec"
 	"codecdb/internal/ops"
+	"codecdb/internal/relq"
 	"codecdb/internal/sboost"
 )
 
@@ -150,7 +150,7 @@ func TestEndToEndFilterOnLoadedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &ops.Cmp{Col: "status", Op: sboost.OpEq, Value: 3}
-	bm, err := ops.ApplyFilter(context.Background(), f, tbl.R, db.DataPool(), nil)
+	got, err := relq.Scan(tbl.R, db.DataPool()).Where(f).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestEndToEndFilterOnLoadedTable(t *testing.T) {
 			want++
 		}
 	}
-	if bm.Cardinality() != want {
-		t.Fatalf("matched %d rows, want %d", bm.Cardinality(), want)
+	if got != int64(want) {
+		t.Fatalf("matched %d rows, want %d", got, want)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestMeasureAttributesCosts(t *testing.T) {
 	}
 	st, err := Measure([]*colstore.Reader{tbl.R}, func() error {
 		pool := exec.NewPool(2)
-		_, err := ops.ApplyFilter(context.Background(), &ops.Decode{Col: "mode", Str: func(b []byte) bool { return len(b) > 0 }}, tbl.R, pool, nil)
+		_, err := relq.Scan(tbl.R, pool).Where(&ops.Decode{Col: "mode", Str: func(b []byte) bool { return len(b) > 0 }}).Count()
 		return err
 	})
 	if err != nil {

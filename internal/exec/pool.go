@@ -1,8 +1,7 @@
-// Package exec is CodecDB's execution framework (paper §5.2): worker
-// pools for operator- and block-level parallelism, a demand-driven stream
-// abstraction with map/foreach, a lazily evaluated operator DAG grouped
-// into pipeline stages, and a batch cache that lets operators reading the
-// same column share one disk read.
+// Package exec is CodecDB's execution framework (paper §5.2): bounded
+// worker pools with panic capture (this file), morsel-driven scheduling
+// with worker-private state (morsel.go) — the one primitive the query
+// pipeline runs on — and process-wide pool statistics (stats.go).
 package exec
 
 import (
@@ -132,7 +131,8 @@ func (p *Pool) Wait() error {
 	return err
 }
 
-// chunkRanges partitions [0, n) into roughly pool-size ranges.
+// chunkSize is the range length that splits [0, n) into at most
+// pool-size ranges.
 func (p *Pool) chunkSize(n int) int {
 	workers := cap(p.sem)
 	if workers > n {
@@ -209,34 +209,4 @@ func (p *Pool) ParallelChunksErr(ctx context.Context, n int, fn func(start, end 
 		return first
 	}
 	return ctx.Err()
-}
-
-// ParallelChunks is ParallelChunksErr without error plumbing, kept for
-// callers whose block function cannot fail. A chunk panic is re-raised on
-// the caller's goroutine (matching the pre-pool-capture behavior) so it
-// is never silently swallowed.
-func (p *Pool) ParallelChunks(n int, fn func(start, end int)) {
-	err := p.ParallelChunksErr(context.Background(), n, func(start, end int) error {
-		fn(start, end)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
-// ParallelMap applies fn to each index of items on the pool, preserving
-// order in the result. A panicking element surfaces as a *PanicError.
-func ParallelMap[T, S any](p *Pool, items []T, fn func(T) S) ([]S, error) {
-	out := make([]S, len(items))
-	err := p.ParallelChunksErr(context.Background(), len(items), func(start, end int) error {
-		for i := start; i < end; i++ {
-			out[i] = fn(items[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

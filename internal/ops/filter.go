@@ -7,45 +7,26 @@
 // per-row-group pipeline (pipeline.go) and driven by one morsel pass over
 // a table's parts (parts.go) behind one entry point, Run.
 //
-// Beside the executor live the whole-table operators the paper-figure
-// code runs one at a time — ApplyFilter, the gathers, array / stripe-hash
-// / oblivious hash aggregation (Fig 6), phase-concurrent and nested-loop
-// hash joins, external merge sort — whose filters return sectional
-// bitmaps with one section per row group, the shape the data-skipping
-// column readers consume (§5.1, §5.2).
+// Beside the executor live the whole-column reads (gather.go) the
+// decode-first oblivious plans start from.
 package ops
 
 import (
-	"context"
 	"sort"
 
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
-	"codecdb/internal/exec"
 	"codecdb/internal/sboost"
 )
-
-// NewTableBitmap creates an all-zero sectional bitmap shaped to the
-// reader's row groups.
-func NewTableBitmap(r *colstore.Reader) *bitutil.SectionalBitmap {
-	section := 1
-	if r.NumRowGroups() > 0 {
-		section = r.RowGroupRows(0)
-	}
-	if section == 0 {
-		section = 1
-	}
-	return bitutil.NewSectionalBitmap(int(r.NumRows()), section)
-}
 
 // Filter is a logical predicate leaf over one table: what is asked, not how
 // it runs. bind (bind.go) is the one place a leaf meets a part's column —
 // its type, encoding, dictionary and statistics — and picks the kernel; the
-// planner keeps the bound leaf on the plan node, the morsel pipeline
-// compiles from it, and ApplyFilter sweeps it over a whole table. The
-// method is unexported: the leaves are the five in this file.
+// planner keeps the bound leaf on the plan node and the morsel pipeline
+// compiles from it. The method is unexported: the leaves are the five in
+// this file.
 type Filter interface {
 	// bind validates the leaf against r's schema and, when resolve is set,
 	// goes on to pick and parameterise the kernel. Without it only the
@@ -101,68 +82,6 @@ type Decode struct {
 	Int   func(int64) bool
 	Str   func([]byte) bool
 	Float func(float64) bool
-}
-
-// ApplyFilter evaluates f over the whole table under ctx and returns the
-// matches as a sectional bitmap — the operator-at-a-time driver the
-// paper-figure code (Fig 6 micro-benchmarks, the Q3 DAG) runs single
-// operators with. sel restricts the scan (paper §5.2's lazy evaluation):
-// rows outside it are never evaluated, row groups and pages whose
-// selection is empty are never fetched, and the result is a subset of it;
-// nil means all rows. Queries do not come through here — they run the
-// same kernels row group by row group on the morsel pipeline.
-func ApplyFilter(ctx context.Context, f Filter, r *colstore.Reader, pool *exec.Pool, sel *bitutil.SectionalBitmap) (*bitutil.SectionalBitmap, error) {
-	b, err := f.bind(r, true)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTableBitmap(r)
-	if b.empty {
-		return out, nil
-	}
-	err = pool.ParallelChunksErr(ctx, r.NumRowGroups(), func(start, end int) error {
-		sc := arena.Get()
-		defer arena.Put(sc)
-		kern := kernel{leaf: b}
-		for rg := start; rg < end; rg++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			secSel, skip := sectionSelection(sel, rg)
-			if skip {
-				b.skip(rg, nil)
-				continue
-			}
-			section, err := kern.run(rg, sc, secSel, nil)
-			if err != nil {
-				return err
-			}
-			if secSel != nil {
-				section.And(secSel)
-			}
-			out.SetSection(rg, section)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// sectionSelection resolves the selection for row group rg: (nil, false)
-// when sel is nil (no restriction), (nil, true) when the section is empty —
-// the caller skips the group entirely — and (bitmap, false) otherwise.
-// Workers touch disjoint row groups, so the lazy decompression inside
-// Section is race-free.
-func sectionSelection(sel *bitutil.SectionalBitmap, rg int) (*bitutil.Bitmap, bool) {
-	if sel == nil {
-		return nil, false
-	}
-	if sel.SectionEmpty(rg) {
-		return nil, true
-	}
-	return sel.Section(rg), false
 }
 
 // kernel is one worker's private instance of a bound leaf: the part's page

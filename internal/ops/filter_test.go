@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
@@ -14,9 +15,37 @@ import (
 	"codecdb/internal/sboost"
 )
 
-// applyAll sweeps f over the whole table with no input selection.
+// applyAll binds f once and runs its kernel — the one the pipeline
+// compiles from the bound leaf — over every row group of the table, row
+// groups split across the pool's workers with a scratch arena each, and
+// returns the matches as one section per row group.
 func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
-	return ApplyFilter(context.Background(), f, r, pool, nil)
+	b, err := f.bind(r, true)
+	if err != nil {
+		return nil, err
+	}
+	section := 1
+	if r.NumRowGroups() > 0 {
+		section = max(r.RowGroupRows(0), 1)
+	}
+	out := bitutil.NewSectionalBitmap(int(r.NumRows()), section)
+	if b.empty {
+		return out, nil
+	}
+	err = pool.ParallelChunksErr(context.Background(), r.NumRowGroups(), func(start, end int) error {
+		sc := arena.Get()
+		defer arena.Put(sc)
+		kern := kernel{leaf: b}
+		for rg := start; rg < end; rg++ {
+			bm, err := kern.run(rg, sc, nil, nil)
+			if err != nil {
+				return err
+			}
+			out.SetSection(rg, bm)
+		}
+		return nil
+	})
+	return out, err
 }
 
 // mustPlan is BuildPlan for predicates the test knows fit the reader.
@@ -291,14 +320,6 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBitmap(t, strBm, n, func(i int) bool { return len(mode[i]) == 4 })
-}
-
-func TestNewTableBitmapEmpty(t *testing.T) {
-	r, _, _, _ := testReader(t, 1000)
-	empty := NewTableBitmap(r)
-	if empty.Len() != 1000 || empty.Cardinality() != 0 {
-		t.Fatalf("new bitmap: len %d, %d bits set", empty.Len(), empty.Cardinality())
-	}
 }
 
 func TestFilterUnknownColumn(t *testing.T) {

@@ -47,9 +47,38 @@ func gatherFixture(t *testing.T) (*colstore.Reader, []int64, []float64, [][]byte
 	return r, ints, floats, strs
 }
 
+// gatherChunks gathers the selected rows of col row group by row group
+// through the chunk gathers the pipeline's collects run, concatenated in
+// row order; a nil selection selects every row.
+func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalBitmap,
+	fetch func(*colstore.Chunk, *bitutil.Bitmap) ([]T, error)) ([]T, error) {
+	ci, _, err := r.Column(col)
+	if err != nil {
+		return nil, err
+	}
+	var out []T
+	for rg := 0; rg < r.NumRowGroups(); rg++ {
+		chunk := r.Chunk(rg, ci)
+		sec := bitutil.NewBitmap(chunk.Rows())
+		switch {
+		case sel == nil:
+			sec.SetAll()
+		case sel.SectionEmpty(rg):
+			continue
+		default:
+			sec = sel.Section(rg)
+		}
+		vals, err := fetch(chunk, sec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vals...)
+	}
+	return out, nil
+}
+
 func TestGatherHelpersAgainstReference(t *testing.T) {
 	r, ints, floats, _ := gatherFixture(t)
-	pool := exec.NewPool(4)
 	n := int(r.NumRows())
 	sel := bitutil.NewSectionalBitmap(n, 1500)
 	rng := rand.New(rand.NewSource(32))
@@ -60,15 +89,15 @@ func TestGatherHelpersAgainstReference(t *testing.T) {
 			wantRows = append(wantRows, i)
 		}
 	}
-	gi, err := GatherInts(r, "i", sel, pool)
+	gi, err := gatherChunks(r, "i", sel, (*colstore.Chunk).GatherInts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gf, err := GatherFloats(r, "f", sel, pool)
+	gf, err := gatherChunks(r, "f", sel, (*colstore.Chunk).GatherFloats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := GatherInts(r, "p", sel, pool)
+	gp, err := gatherChunks(r, "p", sel, (*colstore.Chunk).GatherInts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +113,7 @@ func TestGatherHelpersAgainstReference(t *testing.T) {
 		}
 	}
 	// Keys gather maps through the dictionary consistently.
-	keys, err := GatherKeys(r, "i", sel, pool)
+	keys, err := gatherChunks(r, "i", sel, (*colstore.Chunk).GatherKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +129,7 @@ func TestGatherHelpersAgainstReference(t *testing.T) {
 func TestGatherNilSelectionEqualsReadAll(t *testing.T) {
 	r, ints, floats, strs := gatherFixture(t)
 	pool := exec.NewPool(4)
-	gi, err := GatherInts(r, "i", nil, pool)
+	gi, err := gatherChunks(r, "i", nil, (*colstore.Chunk).GatherInts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +162,9 @@ func TestGatherUnknownColumn(t *testing.T) {
 	r, _, _, _ := gatherFixture(t)
 	pool := exec.NewPool(1)
 	for _, err := range []error{
-		errOf(GatherInts(r, "nope", nil, pool)),
-		errOf(GatherFloats(r, "nope", nil, pool)),
-		errOf(GatherKeys(r, "nope", nil, pool)),
+		errOf(gatherChunks(r, "nope", nil, (*colstore.Chunk).GatherInts)),
+		errOf(gatherChunks(r, "nope", nil, (*colstore.Chunk).GatherFloats)),
+		errOf(gatherChunks(r, "nope", nil, (*colstore.Chunk).GatherKeys)),
 		errOf(ReadAllInts(r, "nope", pool)),
 		errOf(ReadAllFloats(r, "nope", pool)),
 		errOf(ReadAllStrings(r, "nope", pool)),
@@ -183,10 +212,9 @@ func TestFloatPredicateFilterDirect(t *testing.T) {
 
 func TestNonDictKeysRejected(t *testing.T) {
 	r, _, _, _ := gatherFixture(t)
-	pool := exec.NewPool(1)
 	sel := bitutil.NewSectionalBitmap(int(r.NumRows()), 1500)
 	sel.Set(0)
-	if _, err := GatherKeys(r, "p", sel, pool); err == nil {
+	if _, err := gatherChunks(r, "p", sel, (*colstore.Chunk).GatherKeys); err == nil {
 		t.Fatal("plain column has no dictionary keys")
 	}
 }

@@ -464,3 +464,45 @@ func TestJoinTableReservedKeys(t *testing.T) {
 		t.Fatal("contains absent key")
 	}
 }
+
+// TestHashJoinEmptySides runs join stages of the engine with an empty
+// side: an empty build table leaves inner and semi joins no rows and an
+// anti join every row, and a probe leaf that selects nothing leaves an
+// inner join against a full build table no rows.
+func TestHashJoinEmptySides(t *testing.T) {
+	const n = 1500
+	r, _, _, _, _ := relTestReader(t, n)
+	join := func(kind RelJoinKind, keys []int64, pl *Plan) int {
+		st := RelStage{
+			Name: "j", Kind: kind,
+			Keys:  []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}},
+			Table: NewJoinTable(keys),
+		}
+		if kind == RelInner {
+			st.Payload = (&Batch{}).AddInts("w", make([]int64, len(keys)))
+		}
+		rp := &RelPlan{
+			Stages: []RelStage{st},
+			Sink:   RelSink{Inputs: []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}}, Collect: &RelCollect{}},
+			Names:  []string{"key"},
+		}
+		return runRel(t, r, pl, rp).N
+	}
+	all := make([]int64, n)
+	for i := range all {
+		all[i] = int64(i)
+	}
+	if got := join(RelInner, nil, nil); got != 0 {
+		t.Fatalf("inner join with empty build side: %d rows", got)
+	}
+	if got := join(RelSemi, nil, nil); got != 0 {
+		t.Fatalf("semi join with empty build side: %d rows", got)
+	}
+	if got := join(RelAnti, nil, nil); got != n {
+		t.Fatalf("anti join with empty build side: %d rows, want %d", got, n)
+	}
+	none := mustPlan(LeafPred(&Cmp{Col: "date", Op: sboost.OpGe, Value: 3000}), r)
+	if got := join(RelInner, all, none); got != 0 {
+		t.Fatalf("inner join with empty probe side: %d rows", got)
+	}
+}

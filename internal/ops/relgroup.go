@@ -9,16 +9,16 @@ import (
 )
 
 // Worker-local group-by accumulation — the one aggregation kernel, under
-// every grouped sink and under ArrayAggregate. A partial is a set of
-// per-aggregate column arrays indexed by slot; only how a row finds its
-// slot varies (groupLayout). Where every key's domain is known and small
-// the slot IS the packed key, the paper's §5.4 array aggregation: no
-// hashing, no collisions, partials merge with one addition per cell. A
-// sink with no keys is the one-cell case, kept as one cell per row group
-// folded in row-group order, so a key-less float sum does not depend on
-// which worker claimed which morsel. Unbounded or string-valued keys find
-// their slot through a Go map. Rows accumulate column at a time: slots
-// first, then each aggregate's vector folded into its array.
+// every grouped sink. A partial is a set of per-aggregate column arrays
+// indexed by slot; only how a row finds its slot varies (groupLayout).
+// Where every key's domain is known and small the slot IS the packed key,
+// the paper's §5.4 array aggregation: no hashing, no collisions, partials
+// merge with one addition per cell. A sink with no keys is the one-cell
+// case, kept as one cell per row group folded in row-group order, so a
+// key-less float sum does not depend on which worker claimed which morsel.
+// Unbounded or string-valued keys find their slot through a Go map. Rows
+// accumulate column at a time: slots first, then each aggregate's vector
+// folded into its array.
 
 // groupMode is how a grouped sink's rows find their cell.
 type groupMode uint8

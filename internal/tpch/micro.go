@@ -2,10 +2,11 @@ package tpch
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
+	"codecdb/internal/colstore"
 	"codecdb/internal/ops"
+	"codecdb/internal/relq"
 	"codecdb/internal/sboost"
 )
 
@@ -42,134 +43,68 @@ func (m MicroOp) String() string {
 	return fmt.Sprintf("MicroOp(%d)", int(m))
 }
 
-// RunMicro executes the encoding-aware version of op and returns a scalar
-// result (match count, group count, or pair count) for validation.
+func hasLG(v []byte) bool { return bytes.HasPrefix(v, []byte("LG")) }
+
+// RunMicro runs op as the engine query every CodecDB plan is made of and
+// returns its scalar result (match count, group count, or pair count) for
+// validation: the filters are one-leaf Counts whose kernels the planner
+// binds to the column's encoding, the aggregations are grouped sinks — a
+// dense array over dictionary codes, and a packed cell array over the
+// declared customer-key domain — and the join is a probe stage over a
+// hash table built from the filtered customers' keys.
 func (t *Tables) RunMicro(op MicroOp) (int64, error) {
-	ctx := context.Background()
 	switch op {
 	case MicroSingleColumnCompare:
-		bm, err := ops.ApplyFilter(ctx, le("l_shipdate", Date(1998, 9, 1)), t.L, t.Pool, nil)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Cardinality()), nil
+		return relq.Scan(t.L, t.Pool).Where(le("l_shipdate", Date(1998, 9, 1))).Count()
 	case MicroTwoColumnsCompare:
-		bm, err := ops.ApplyFilter(ctx, &ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}, t.L, t.Pool, nil)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Cardinality()), nil
+		return relq.Scan(t.L, t.Pool).Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).Count()
 	case MicroSingleColumnLike:
-		bm, err := ops.ApplyFilter(ctx, &ops.Match{Col: "p_container", Str: func(e []byte) bool {
-			return bytes.HasPrefix(e, []byte("LG"))
-		}}, t.P, t.Pool, nil)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Cardinality()), nil
+		return relq.Scan(t.P, t.Pool).Where(&ops.Match{Col: "p_container", Str: hasLG}).Count()
 	case MicroArrayAggregation:
-		keys, err := ops.GatherKeys(t.L, "l_receiptdate", nil, t.Pool)
+		b, err := relq.Scan(t.L, t.Pool).GroupBy(
+			[]relq.GKey{{Name: "d", Ref: "#l_receiptdate"}},
+			[]relq.GAgg{{Name: "n", Kind: ops.RelAggCount}})
 		if err != nil {
 			return 0, err
 		}
-		ci, _, err := t.L.Column("l_receiptdate")
-		if err != nil {
-			return 0, err
-		}
-		dict, err := t.L.IntDict(ci)
-		if err != nil {
-			return 0, err
-		}
-		res, err := ops.ArrayAggregate(t.Pool, keys, len(dict), []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return 0, err
-		}
-		return int64(res.NumGroups()), nil
+		return int64(b.N), nil
 	case MicroStripeAggregation:
-		keys, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
+		b, err := relq.Scan(t.O, t.Pool).GroupBy(
+			[]relq.GKey{{Name: "ck", Ref: "o_custkey", Lo: 0, Hi: t.C.NumRows() + 1}},
+			[]relq.GAgg{{Name: "n", Kind: ops.RelAggCount}})
 		if err != nil {
 			return 0, err
 		}
-		res, err := ops.StripeHashAggregate(t.Pool, keys, []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return 0, err
-		}
-		return int64(res.NumGroups()), nil
+		return int64(b.N), nil
 	case MicroJoin:
-		sel, err := ops.ApplyFilter(ctx, eqS("c_mktsegment", "HOUSEHOLD"), t.C, t.Pool, nil)
+		cb, err := relq.Scan(t.C, t.Pool).Where(eqS("c_mktsegment", "HOUSEHOLD")).Rows("c_custkey")
 		if err != nil {
 			return 0, err
 		}
-		custKeys, err := ops.GatherInts(t.C, "c_custkey", sel, t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		m := ops.HashJoinBuild(t.Pool, custKeys, nil)
-		oCust, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		pairs := ops.HashJoinProbe(t.Pool, m, oCust, nil)
-		return int64(pairs.Len()), nil
+		return relq.Scan(t.O, t.Pool).Join("c", bInts(cb, "c_custkey"), nil, "o_custkey").Count()
 	}
 	return 0, fmt.Errorf("tpch: unknown micro op %d", op)
 }
 
-// RunMicroOblivious executes the decode-first competitor version of op.
+// RunMicroOblivious runs the decode-first competitor version of op, in the
+// style of the oblivious Fig 7 plans: the filters decode every row through
+// Decode leaves (the two-column compare through a row filter over decoded
+// values), and the aggregations and the join decode whole columns and
+// work in Go maps.
 func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
-	ctx := context.Background()
 	switch op {
 	case MicroSingleColumnCompare:
 		cutoff := Date(1998, 9, 1)
-		bm, err := ops.ApplyFilter(ctx, &ops.Decode{Col: "l_shipdate", Int: func(v int64) bool { return v <= cutoff }}, t.L, t.Pool, nil)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Cardinality()), nil
+		return relq.Scan(t.L, t.Pool).Where(&ops.Decode{Col: "l_shipdate", Int: func(v int64) bool { return v <= cutoff }}).Count()
 	case MicroTwoColumnsCompare:
-		commit, err := ops.ReadAllInts(t.L, "l_commitdate", t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		receipt, err := ops.ReadAllInts(t.L, "l_receiptdate", t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		var n int64
-		for i := range commit {
-			if commit[i] < receipt[i] {
-				n++
-			}
-		}
-		return n, nil
+		return relq.Scan(t.L, t.Pool).WhereRow("lt", []string{"l_commitdate", "l_receiptdate"},
+			func(r relq.Row) bool { return r.Int(0) < r.Int(1) }).Count()
 	case MicroSingleColumnLike:
-		bm, err := ops.ApplyFilter(ctx, &ops.Decode{Col: "p_container", Str: func(v []byte) bool {
-			return bytes.HasPrefix(v, []byte("LG"))
-		}}, t.P, t.Pool, nil)
-		if err != nil {
-			return 0, err
-		}
-		return int64(bm.Cardinality()), nil
+		return relq.Scan(t.P, t.Pool).Where(&ops.Decode{Col: "p_container", Str: hasLG}).Count()
 	case MicroArrayAggregation:
-		vals, err := ops.ReadAllInts(t.L, "l_receiptdate", t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		res, err := ops.HashAggregate(vals, []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return 0, err
-		}
-		return int64(res.NumGroups()), nil
+		return t.distinct(t.L, "l_receiptdate")
 	case MicroStripeAggregation:
-		keys, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
-		if err != nil {
-			return 0, err
-		}
-		res, err := ops.HashAggregate(keys, []ops.VecAgg{{Kind: ops.AggCount}})
-		if err != nil {
-			return 0, err
-		}
-		return int64(res.NumGroups()), nil
+		return t.distinct(t.O, "o_custkey")
 	case MicroJoin:
 		seg, err := ops.ReadAllStrings(t.C, "c_mktsegment", t.Pool)
 		if err != nil {
@@ -179,18 +114,34 @@ func (t *Tables) RunMicroOblivious(op MicroOp) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		var buildKeys []int64
+		build := map[int64]int64{}
 		for i := range cKey {
 			if string(seg[i]) == "HOUSEHOLD" {
-				buildKeys = append(buildKeys, cKey[i])
+				build[cKey[i]]++
 			}
 		}
 		oCust, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
 		if err != nil {
 			return 0, err
 		}
-		pairs := ops.ObliviousHashJoin(buildKeys, oCust)
-		return int64(pairs.Len()), nil
+		var pairs int64
+		for _, k := range oCust {
+			pairs += build[k]
+		}
+		return pairs, nil
 	}
 	return 0, fmt.Errorf("tpch: unknown micro op %d", op)
+}
+
+// distinct counts the groups of a decoded integer column in a Go map.
+func (t *Tables) distinct(r *colstore.Reader, col string) (int64, error) {
+	vals, err := ops.ReadAllInts(r, col, t.Pool)
+	if err != nil {
+		return 0, err
+	}
+	counts := map[int64]int64{}
+	for _, v := range vals {
+		counts[v]++
+	}
+	return int64(len(counts)), nil
 }

@@ -254,3 +254,41 @@ func TestDateHelpers(t *testing.T) {
 		t.Fatalf("ymd(0) = %d", ymd(0))
 	}
 }
+
+// TestConcurrentQueries runs many different queries at once against the
+// shared tables: the reader, dictionary caches, and pools must be safe
+// under real plan concurrency, and every result must match a serial run.
+func TestConcurrentQueries(t *testing.T) {
+	queries := []int{1, 3, 4, 6, 10, 12, 14, 15}
+	serial := map[int]int{}
+	for _, q := range queries {
+		res, err := sharedTables.CodecDB(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[q] = res.NumRows()
+	}
+	const workers = 4
+	errs := make(chan error, workers*len(queries))
+	for w := 0; w < workers; w++ {
+		go func() {
+			for _, q := range queries {
+				res, err := sharedTables.CodecDB(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if res.NumRows() != serial[q] {
+					errs <- fmt.Errorf("Q%d: %d rows, want %d", q, res.NumRows(), serial[q])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

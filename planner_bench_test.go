@@ -1,10 +1,11 @@
 package codecdb
 
 import (
-	"context"
 	"testing"
 
+	"codecdb/internal/bitutil"
 	"codecdb/internal/ops"
+	"codecdb/internal/relq"
 )
 
 // plannerBenchTable mirrors the reorder test's shape at benchmark scale:
@@ -95,25 +96,33 @@ func BenchmarkPlannerPipeline(b *testing.B) {
 	})
 	b.Run("FilterAtATime", func(b *testing.B) {
 		// Pre-planner execution: both filters scan the full table with no
-		// selection threaded between them, intersect at the end.
+		// selection threaded between them, each collecting the row ids it
+		// keeps; the id sets intersect at the end.
 		r := tbl.inner.R
 		pool := tbl.db.inner.DataPool()
 		fTag := &ops.Cmp{Col: "tag", Op: Eq, Value: "needle"}
 		fLevel := &ops.Cmp{Col: "level", Op: Ge, Value: 1}
-		ctx := context.Background()
+		rowIDs := func(f ops.Filter) []int64 {
+			ids, err := relq.Scan(r, pool).Where(f).Rows(relq.RowID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return ids.Ints[0]
+		}
 		tbl.ResetIOStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bmTag, err := ops.ApplyFilter(ctx, fTag, r, pool, nil)
-			if err != nil {
-				b.Fatal(err)
+			tag := bitutil.NewBitmap(n)
+			for _, id := range rowIDs(fTag) {
+				tag.Set(int(id))
 			}
-			bmLevel, err := ops.ApplyFilter(ctx, fLevel, r, pool, nil)
-			if err != nil {
-				b.Fatal(err)
+			var got int64
+			for _, id := range rowIDs(fLevel) {
+				if tag.Get(int(id)) {
+					got++
+				}
 			}
-			bmTag.And(bmLevel)
-			if got := int64(bmTag.Cardinality()); got != andWant {
+			if got != andWant {
 				b.Fatalf("count = %d, want %d", got, andWant)
 			}
 		}
