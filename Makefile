@@ -38,10 +38,11 @@ race-obs:
 # constant-per-query alloc guard (recorder on vs off; the constant must
 # not scale with morsel count), the per-extra-row-group bound on the
 # sinks every terminal is made of (per-morsel sink state is worker-local),
-# and zero allocations for gzip and snappy page decompression into a
-# large-enough buffer.
+# the per-extra-row-group byte bound on a join + grouped relational morsel
+# (its vectors come from pooled worker slabs), and zero allocations for
+# gzip and snappy page decompression into a large-enough buffer.
 guard-obs:
-	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded' .
+	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded|TestRelMorselBytesPerRowGroupBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
 
 # race-pipeline focuses the race detector on the morsel executor: the
@@ -123,12 +124,14 @@ serve-demo:
 	$(GO) run ./cmd/datagen -kind tpch -sf 0.01 -out ./demodb
 	$(GO) run ./cmd/codecdb serve -db ./demodb -metrics :8080 -warm
 
-# fuzz gives the colstore Open fuzzer and the two page decompressor
-# fuzzers (gzip differential against compress/gzip, snappy) a short budget
-# each; extend FUZZTIME for longer campaigns.
+# fuzz gives the colstore Open fuzzer, the two page decompressor fuzzers
+# (gzip differential against compress/gzip, snappy) and the selected-entry
+# gather (differential against bitutil.Reader) a short budget each; extend
+# FUZZTIME for longer campaigns.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitutil/ -run xxx -fuzz FuzzGatherSelected -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)
 

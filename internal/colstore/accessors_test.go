@@ -51,7 +51,7 @@ func TestReaderAccessors(t *testing.T) {
 	}
 	sel := bitutil.NewBitmap(1024)
 	sel.Set(5)
-	if _, err := chunk.GatherInts(sel); err != nil {
+	if _, err := chunk.GatherInts(sel, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st1 := r.Stats(); st1.PagesSkipped <= st0.PagesSkipped {
@@ -96,7 +96,7 @@ func TestGatherStringsPlainEncoding(t *testing.T) {
 	for _, i := range rows {
 		sel.Set(i)
 	}
-	got, err := r.Chunk(0, 0).GatherStrings(sel)
+	got, err := r.Chunk(0, 0).GatherStrings(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGatherStringsPlainEncoding(t *testing.T) {
 		}
 	}
 	// Wrong selection length must be rejected.
-	if _, err := r.Chunk(0, 0).GatherStrings(bitutil.NewBitmap(5)); err == nil {
+	if _, err := r.Chunk(0, 0).GatherStrings(bitutil.NewBitmap(5), nil); err == nil {
 		t.Fatal("selection length mismatch should error")
 	}
 }
@@ -171,7 +171,7 @@ func TestXorFloatColumn(t *testing.T) {
 	sel := bitutil.NewBitmap(2000)
 	sel.Set(0)
 	sel.Set(1234)
-	got, err := r.Chunk(0, 0).GatherFloats(sel)
+	got, err := r.Chunk(0, 0).GatherFloats(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDictRLEChunkRoundTrip(t *testing.T) {
 	sel := bitutil.NewBitmap(1000)
 	sel.Set(10)
 	sel.Set(990)
-	keys, err := r.Chunk(0, 0).GatherKeys(sel)
+	keys, err := r.Chunk(0, 0).GatherKeys(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func TestGatherWithSkipping(t *testing.T) {
 		sel.Set(i)
 	}
 	chunk := r.Chunk(0, 1) // dict-encoded dates
-	got, err := chunk.GatherInts(sel)
+	got, err := chunk.GatherInts(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestGatherWithSkipping(t *testing.T) {
 		t.Fatalf("expected ≥10 skipped pages, got %d", skipped)
 	}
 	// Strings and floats too.
-	gotS, err := r.Chunk(0, 2).GatherStrings(sel)
+	gotS, err := r.Chunk(0, 2).GatherStrings(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestGatherWithSkipping(t *testing.T) {
 			t.Fatalf("string row %d mismatch", row)
 		}
 	}
-	gotF, err := r.Chunk(0, 3).GatherFloats(sel)
+	gotF, err := r.Chunk(0, 3).GatherFloats(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestGatherWithSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	got2, err := r2.Chunk(0, 0).GatherInts(sel)
+	got2, err := r2.Chunk(0, 0).GatherInts(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

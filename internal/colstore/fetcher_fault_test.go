@@ -69,7 +69,7 @@ func TestPrefetchFailureFallsBackTyped(t *testing.T) {
 			return out, nil
 		}},
 		{"gather", func(r *Reader, f *PageFetcher) (any, error) {
-			return r.Chunk(0, 1).Fetch(f).GatherStrings(sel)
+			return r.Chunk(0, 1).Fetch(f).GatherStrings(sel, nil)
 		}},
 	}
 	faults := []struct {
@@ -158,14 +158,14 @@ func TestPrefetchDemandUnitsReleased(t *testing.T) {
 			sel.Set(i)
 		}
 	}
-	want, err := r.Chunk(0, 1).GatherStrings(sel)
+	want, err := r.Chunk(0, 1).GatherStrings(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	f := NewPageFetcher(r, FetchConfig{})
 	before := r.Stats()
-	got, err := r.Chunk(0, 1).Fetch(f).GatherStrings(sel)
+	got, err := r.Chunk(0, 1).Fetch(f).GatherStrings(sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

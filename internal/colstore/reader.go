@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1213,8 +1214,9 @@ func (c *Chunk) pageRange(p int) (int, int) {
 // GatherInts returns the values at the selected chunk-relative rows,
 // implementing page-level skipping (unselected pages are never
 // decompressed) and row-level skipping (bit-packed and dictionary pages
-// jump over unselected rows without decoding them) — §5.2.
-func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
+// jump over unselected rows without decoding them) — §5.2. The result
+// reuses dst's storage when it has room; pass nil for a fresh slice.
+func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 	if sel.Len() != c.rows {
 		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
@@ -1223,12 +1225,11 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := c.GatherKeys(sel)
+		out, err := c.GatherKeys(sel, dst)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, len(keys))
-		for i, k := range keys {
+		for i, k := range out {
 			if k < 0 || int(k) >= len(dict) {
 				return nil, ErrFormat
 			}
@@ -1236,7 +1237,7 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
 		}
 		return out, nil
 	}
-	out := make([]int64, 0, sel.Cardinality())
+	out := slices.Grow(dst[:0], sel.Cardinality())
 	codec, err := encoding.IntCodecFor(c.column.Encoding)
 	if err != nil {
 		return nil, err
@@ -1256,7 +1257,11 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
 			return nil, err
 		}
 		if c.column.Encoding == encoding.KindBitPacked {
-			out = gatherPackedZigzag(body, sel, first, last, out)
+			_, width, packed, err := encoding.InspectBitPacked(body)
+			if err != nil {
+				return nil, ErrFormat
+			}
+			out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
 			continue
 		}
 		vals, err := codec.Decode(body)
@@ -1270,31 +1275,13 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap) ([]int64, error) {
 	return out, nil
 }
 
-// gatherPackedZigzag row-skips through a bit-packed page, decoding only
-// selected entries.
-func gatherPackedZigzag(body []byte, sel *bitutil.Bitmap, first, last int, out []int64) []int64 {
-	_, width, packed, err := encoding.InspectBitPacked(body)
-	if err != nil {
-		return out
-	}
-	r := bitutil.NewReader(packed)
-	prev := first
-	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
-		r.SkipBits((i - prev) * int(width))
-		u := r.ReadBits(width)
-		out = append(out, int64(u>>1)^-int64(u&1))
-		prev = i + 1
-	}
-	return out
-}
-
 // GatherKeys returns dictionary keys at the selected rows with page- and
-// row-level skipping.
-func (c *Chunk) GatherKeys(sel *bitutil.Bitmap) ([]int64, error) {
+// row-level skipping, reusing dst's storage when it has room.
+func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 	if !usesDict(c.column.Encoding) {
 		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
 	}
-	out := make([]int64, 0, sel.Cardinality())
+	out := slices.Grow(dst[:0], sel.Cardinality())
 	sc := arena.Get()
 	defer arena.Put(sc)
 	c.declare(nil, sel, false)
@@ -1323,20 +1310,16 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := bitutil.NewReader(packed)
-		prev := first
-		for i := next; i >= 0 && i < last; i = sel.NextSet(i + 1) {
-			r.SkipBits((i - prev) * int(width))
-			out = append(out, int64(r.ReadBits(width)))
-			prev = i + 1
-		}
+		out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
 	}
 	return out, nil
 }
 
 // GatherStrings returns string values at the selected rows with page-level
-// skipping.
-func (c *Chunk) GatherStrings(sel *bitutil.Bitmap) ([][]byte, error) {
+// skipping, reusing dst's storage when it has room. Values alias the
+// column's dictionary or the page bodies read; callers must not mutate
+// them.
+func (c *Chunk) GatherStrings(sel *bitutil.Bitmap, dst [][]byte) ([][]byte, error) {
 	if sel.Len() != c.rows {
 		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
@@ -1345,11 +1328,14 @@ func (c *Chunk) GatherStrings(sel *bitutil.Bitmap) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := c.GatherKeys(sel)
+		sc := arena.Get()
+		defer arena.Put(sc)
+		keys, err := c.GatherKeys(sel, sc.Ints(0))
 		if err != nil {
 			return nil, err
 		}
-		out := make([][]byte, len(keys))
+		sc.KeepInts(keys)
+		out := slices.Grow(dst[:0], len(keys))[:len(keys)]
 		for i, k := range keys {
 			if k < 0 || int(k) >= len(dict) {
 				return nil, ErrFormat
@@ -1362,7 +1348,7 @@ func (c *Chunk) GatherStrings(sel *bitutil.Bitmap) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, 0, sel.Cardinality())
+	out := slices.Grow(dst[:0], sel.Cardinality())
 	c.declare(nil, sel, false)
 	for p := range c.meta.Pages {
 		first, last := c.pageRange(p)
@@ -1387,12 +1373,12 @@ func (c *Chunk) GatherStrings(sel *bitutil.Bitmap) ([][]byte, error) {
 }
 
 // GatherFloats returns float values at the selected rows with page-level
-// skipping.
-func (c *Chunk) GatherFloats(sel *bitutil.Bitmap) ([]float64, error) {
+// skipping, reusing dst's storage when it has room.
+func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, error) {
 	if sel.Len() != c.rows {
 		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
-	out := make([]float64, 0, sel.Cardinality())
+	out := slices.Grow(dst[:0], sel.Cardinality())
 	sc := arena.Get()
 	defer arena.Put(sc)
 	c.declare(nil, sel, false)

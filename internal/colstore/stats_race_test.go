@@ -58,7 +58,7 @@ func TestStatsConcurrentResetDuringScan(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.Chunk(0, 0).GatherInts(sel); err != nil {
+				if _, err := r.Chunk(0, 0).GatherInts(sel, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -98,7 +98,7 @@ func TestStatsSnapshotAfterReset(t *testing.T) {
 	r := statsTable(t, n)
 	sel := bitutil.NewBitmap(n)
 	sel.Set(0)
-	if _, err := r.Chunk(0, 0).GatherInts(sel); err != nil {
+	if _, err := r.Chunk(0, 0).GatherInts(sel, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.PagesRead == 0 && st.PagesSkipped == 0 {
@@ -118,7 +118,7 @@ func TestGlobalStatsMonotonic(t *testing.T) {
 	before := GlobalStats()
 	sel := bitutil.NewBitmap(n)
 	sel.SetAll()
-	if _, err := r.Chunk(0, 0).GatherInts(sel); err != nil {
+	if _, err := r.Chunk(0, 0).GatherInts(sel, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.ResetStats() // must not touch the global mirror

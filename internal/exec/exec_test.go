@@ -10,13 +10,23 @@ import (
 	"time"
 )
 
+// submit runs fn on p through SubmitCtx, counted on wg.
+func submit(t *testing.T, p *Pool, wg *sync.WaitGroup, fn func()) {
+	t.Helper()
+	wg.Add(1)
+	if err := p.SubmitCtx(context.Background(), func() { defer wg.Done(); fn() }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPoolRunsAll(t *testing.T) {
 	p := NewPool(4)
 	var count int64
+	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
-		p.Submit(func() { atomic.AddInt64(&count, 1) })
+		submit(t, p, &wg, func() { atomic.AddInt64(&count, 1) })
 	}
-	p.Wait()
+	wg.Wait()
 	if count != 100 {
 		t.Fatalf("ran %d tasks", count)
 	}
@@ -26,8 +36,9 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	p := NewPool(3)
 	var cur, max int64
 	var mu sync.Mutex
+	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
-		p.Submit(func() {
+		submit(t, p, &wg, func() {
 			c := atomic.AddInt64(&cur, 1)
 			mu.Lock()
 			if c > max {
@@ -38,7 +49,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 			atomic.AddInt64(&cur, -1)
 		})
 	}
-	p.Wait()
+	wg.Wait()
 	if max > 3 {
 		t.Fatalf("observed %d concurrent tasks in pool of 3", max)
 	}
@@ -69,36 +80,25 @@ func TestParallelChunksCoversRange(t *testing.T) {
 	}
 }
 
-func TestSubmitPanicSurfacesInWait(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func() { panic("kaboom") })
-	err := p.Wait()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Wait() = %v, want *PanicError", err)
-	}
-	if pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("PanicError = %+v", pe)
-	}
-	// The error is cleared: a reused pool starts clean.
-	p.Submit(func() {})
-	if err := p.Wait(); err != nil {
-		t.Fatalf("second Wait() = %v", err)
-	}
-}
-
 func TestSubmitDoesNotLeakGoroutinesUnderSaturation(t *testing.T) {
 	p := NewPool(2)
 	release := make(chan struct{})
+	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		p.Submit(func() { <-release })
+		submit(t, p, &wg, func() { <-release })
 	}
 	before := runtime.NumGoroutine()
 	// Submitting into a saturated pool must block the submitter rather
 	// than park one goroutine per pending task.
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		for i := 0; i < 200; i++ {
-			p.Submit(func() {})
+			wg.Add(1)
+			if err := p.SubmitCtx(context.Background(), wg.Done); err != nil {
+				t.Error(err)
+				wg.Done()
+			}
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -106,24 +106,22 @@ func TestSubmitDoesNotLeakGoroutinesUnderSaturation(t *testing.T) {
 		t.Fatalf("goroutines grew from %d to %d under saturation", before, after)
 	}
 	close(release)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	<-done
+	wg.Wait()
 }
 
 func TestSubmitCtxCancelledWhileSaturated(t *testing.T) {
 	p := NewPool(1)
 	release := make(chan struct{})
-	p.Submit(func() { <-release })
+	var wg sync.WaitGroup
+	submit(t, p, &wg, func() { <-release })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := p.SubmitCtx(ctx, func() { t.Error("must not run") }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitCtx = %v, want context.Canceled", err)
 	}
 	close(release)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 }
 
 func TestParallelChunksErrPropagatesFirstError(t *testing.T) {
@@ -149,9 +147,8 @@ func TestParallelChunksErrCapturesPanic(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	// The panic stayed local to the chunk: pool-level Wait is clean.
-	if werr := p.Wait(); werr != nil {
-		t.Fatalf("Wait() = %v", werr)
+	if pe.Value != "chunk panic" || len(pe.Stack) == 0 {
+		t.Fatalf("PanicError = %+v", pe)
 	}
 }
 

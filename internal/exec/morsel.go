@@ -95,8 +95,6 @@ func ParallelMorselsLimited[S any](ctx context.Context, p *Pool, n, limit int, n
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					// This recover fires before run's, so run never sees
-					// the panic; count it here to keep Panics complete.
 					p.recordPanic()
 					setErr(&PanicError{Value: r, Stack: debug.Stack()})
 				}

@@ -27,17 +27,16 @@ func (e *PanicError) Error() string {
 
 // Pool is a fixed-size worker pool. CodecDB uses two: an operator pool
 // (one worker task per query operator) and a data pool shared by all
-// operators, sized to bound per-query memory (§5.2).
+// operators, sized to bound per-query memory (§5.2). Tasks enter through
+// SubmitCtx; the two schedulers built on it — ParallelChunksErr and the
+// ParallelMorsels family — wait for their own tasks and turn a task's
+// panic into a *PanicError themselves.
 type Pool struct {
 	sem chan struct{}
-	wg  sync.WaitGroup
 
 	inFlight  atomic.Int64
 	completed atomic.Int64
 	panics    atomic.Int64
-
-	mu  sync.Mutex
-	err error // first panic captured from a Submit task, cleared by Wait
 }
 
 // NewPool creates a pool running at most size tasks concurrently; size <= 0
@@ -59,9 +58,8 @@ func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
 // the pool, including ones that panicked.
 func (p *Pool) Completed() int64 { return p.completed.Load() }
 
-// Panics returns the cumulative count of worker panics recovered on the
-// pool, whether captured by run or by ParallelChunksErr's per-chunk
-// recover.
+// Panics returns the cumulative count of worker panics the pool's
+// schedulers recovered.
 func (p *Pool) Panics() int64 { return p.panics.Load() }
 
 func (p *Pool) recordPanic() {
@@ -69,28 +67,19 @@ func (p *Pool) recordPanic() {
 	totals.panics.Add(1)
 }
 
-// Submit schedules fn; it blocks while the pool is saturated. The
-// semaphore is acquired before the worker goroutine is spawned, so a
-// saturated pool exerts backpressure on the submitter instead of
-// accumulating one parked goroutine per pending task. A panic in fn is
-// captured and reported by Wait.
-func (p *Pool) Submit(fn func()) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go p.run(fn)
-}
-
-// SubmitCtx is Submit that gives up waiting for a free worker slot when
-// ctx is cancelled, returning ctx.Err() without running fn.
+// SubmitCtx schedules fn, blocking while the pool is saturated; it gives
+// up waiting for a free worker slot when ctx is cancelled, returning
+// ctx.Err() without running fn. The slot is acquired before the worker
+// goroutine is spawned, so a saturated pool exerts backpressure on the
+// submitter instead of accumulating one parked goroutine per pending task.
+// fn must recover its own panics.
 func (p *Pool) SubmitCtx(ctx context.Context, fn func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p.wg.Add(1)
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
-		p.wg.Done()
 		return ctx.Err()
 	}
 	go p.run(fn)
@@ -101,34 +90,13 @@ func (p *Pool) run(fn func()) {
 	p.inFlight.Add(1)
 	totals.inFlight.Add(1)
 	defer func() {
-		if r := recover(); r != nil {
-			p.recordPanic()
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-			p.mu.Unlock()
-		}
 		p.inFlight.Add(-1)
 		totals.inFlight.Add(-1)
 		p.completed.Add(1)
 		totals.completed.Add(1)
 		<-p.sem
-		p.wg.Done()
 	}()
 	fn()
-}
-
-// Wait blocks until every submitted task has finished and returns the
-// first captured worker panic as a *PanicError (nil if none). The
-// recorded error is cleared so the pool can be reused.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	err := p.err
-	p.err = nil
-	return err
 }
 
 // chunkSize is the range length that splits [0, n) into at most
@@ -188,8 +156,6 @@ func (p *Pool) ParallelChunksErr(ctx context.Context, n int, fn func(start, end 
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					// This recover fires before run's, so run never sees
-					// the panic; count it here to keep Panics complete.
 					p.recordPanic()
 					setErr(&PanicError{Value: r, Stack: debug.Stack()})
 				}

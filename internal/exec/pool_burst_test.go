@@ -42,27 +42,27 @@ func TestPoolBurstNeverExceedsSize(t *testing.T) {
 		running.Add(-1)
 	}
 
-	var wg sync.WaitGroup
+	var wg, tasks sync.WaitGroup
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
-				if err := p.SubmitCtx(context.Background(), work); err != nil {
+				tasks.Add(1)
+				if err := p.SubmitCtx(context.Background(), func() { defer tasks.Done(); work() }); err != nil {
 					t.Errorf("SubmitCtx: %v", err)
+					tasks.Done()
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	tasks.Wait()
 	if got := maxRunning.Load(); got > size {
 		t.Fatalf("observed %d concurrent workers, pool size %d", got, size)
 	}
 	if running.Load() != 0 {
-		t.Fatalf("workers still running after Wait")
+		t.Fatalf("workers still running after every task finished")
 	}
 }

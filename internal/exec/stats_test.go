@@ -2,21 +2,29 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestPoolCounters verifies the satellite gauges: Completed advances per
 // task, InFlight reflects currently running tasks and returns to zero,
-// and Panics counts recovered panics from both Submit tasks and
-// ParallelChunksErr chunks (whose per-chunk recover bypasses run's).
+// and Panics counts the panics the schedulers recover — a
+// ParallelChunksErr chunk's and a morsel worker's — exactly once each.
 func TestPoolCounters(t *testing.T) {
 	p := NewPool(2)
+	var wg sync.WaitGroup
+	submit := func(fn func()) {
+		wg.Add(1)
+		if err := p.SubmitCtx(context.Background(), func() { defer wg.Done(); fn() }); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// InFlight while a task is blocked inside the pool.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	p.Submit(func() {
+	submit(func() {
 		close(started)
 		<-release
 	})
@@ -25,40 +33,22 @@ func TestPoolCounters(t *testing.T) {
 		t.Fatalf("InFlight = %d, want 1", got)
 	}
 	close(release)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.InFlight(); got != 0 {
-		t.Fatalf("InFlight after Wait = %d, want 0", got)
-	}
-	if got := p.Completed(); got != 1 {
-		t.Fatalf("Completed = %d, want 1", got)
+	wg.Wait()
+	// run books the task after fn returns; wait for it to settle.
+	for p.InFlight() != 0 || p.Completed() != 1 {
+		runtime.Gosched()
 	}
 
-	// Completed counts every finished task, panicked or not.
+	// Completed counts every finished task.
 	const tasks = 20
 	for i := 0; i < tasks; i++ {
-		p.Submit(func() {})
+		submit(func() {})
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Completed(); got != 1+tasks {
-		t.Fatalf("Completed = %d, want %d", got, 1+tasks)
+	wg.Wait()
+	for p.Completed() != 1+tasks {
+		runtime.Gosched()
 	}
 
-	// A Submit panic is counted by run's recover.
-	p.Submit(func() { panic("boom") })
-	if err := p.Wait(); err == nil {
-		t.Fatal("Wait must surface the panic")
-	}
-	if got := p.Panics(); got != 1 {
-		t.Fatalf("Panics = %d, want 1", got)
-	}
-
-	// A ParallelChunksErr chunk panic is recovered by the per-chunk
-	// deferred recover before run sees it; it must still be counted,
-	// exactly once.
 	err := p.ParallelChunksErr(context.Background(), 4, func(start, end int) error {
 		if start == 0 {
 			panic("chunk boom")
@@ -68,12 +58,21 @@ func TestPoolCounters(t *testing.T) {
 	if _, ok := err.(*PanicError); !ok {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
+	if got := p.Panics(); got != 1 {
+		t.Fatalf("Panics = %d, want 1", got)
+	}
+	_, err = ParallelMorsels(context.Background(), p, 4, func(int) int { return 0 },
+		func(_ context.Context, _ int, m int) error {
+			if m == 2 {
+				panic("morsel boom")
+			}
+			return nil
+		})
+	if _, ok := err.(*PanicError); !ok {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
 	if got := p.Panics(); got != 2 {
 		t.Fatalf("Panics = %d, want 2", got)
-	}
-	// The chunk panic must not also be recorded in the pool's Wait error.
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait after chunk panic = %v, want nil", err)
 	}
 }
 
@@ -87,11 +86,17 @@ func TestGlobalStatsAdvance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p := NewPool(2)
+			var tasks sync.WaitGroup
 			for j := 0; j < 10; j++ {
-				p.Submit(func() {})
+				tasks.Add(1)
+				if err := p.SubmitCtx(context.Background(), tasks.Done); err != nil {
+					t.Error(err)
+					tasks.Done()
+				}
 			}
-			if err := p.Wait(); err != nil {
-				t.Error(err)
+			tasks.Wait()
+			for p.Completed() != 10 {
+				runtime.Gosched()
 			}
 		}()
 	}

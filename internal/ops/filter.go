@@ -344,11 +344,11 @@ func (b *boundLeaf) decodeChunk(chunk *colstore.Chunk, secSel *bitutil.Bitmap) (
 }
 
 func decodeTest[T any](chunk *colstore.Chunk, secSel *bitutil.Bitmap,
-	gather func(*colstore.Chunk, *bitutil.Bitmap) ([]T, error),
+	gather func(*colstore.Chunk, *bitutil.Bitmap, []T) ([]T, error),
 	decode func(*colstore.Chunk) ([]T, error),
 	pred func(T) bool) (*bitutil.Bitmap, error) {
 	if secSel != nil {
-		vals, err := gather(chunk, secSel)
+		vals, err := gather(chunk, secSel, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func gatherFixture(t *testing.T) (*colstore.Reader, []int64, []float64, [][]byte
 // through the chunk gathers the pipeline's collects run, concatenated in
 // row order; a nil selection selects every row.
 func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalBitmap,
-	fetch func(*colstore.Chunk, *bitutil.Bitmap) ([]T, error)) ([]T, error) {
+	fetch func(*colstore.Chunk, *bitutil.Bitmap, []T) ([]T, error)) ([]T, error) {
 	ci, _, err := r.Column(col)
 	if err != nil {
 		return nil, err
@@ -68,7 +68,7 @@ func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalB
 		default:
 			sec = sel.Section(rg)
 		}
-		vals, err := fetch(chunk, sec)
+		vals, err := fetch(chunk, sec, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -40,11 +40,14 @@ func PartsOf(readers ...*colstore.Reader) []Part {
 }
 
 // scanWorker is one pool worker's private state for a whole pass: one
-// scratch arena, and one pipeWorker per (member, part), built when the
-// worker first claims a morsel of that part.
+// scratch arena, one morsel state (morsel.go), and one pipeWorker per
+// (member, part), built when the worker first claims a morsel of that
+// part. The scratch and the morsel state come from their pools and go back
+// when the pass ends.
 type scanWorker struct {
 	wi int
 	sc *arena.Scratch
+	m  *relMorsel
 	ws []*pipeWorker // [member*len(parts) + part]
 }
 
@@ -124,7 +127,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 	}}
 	states, err := exec.ParallelMorselsLimited(ctx, pool, n, nw,
 		func(wi int) *scanWorker {
-			return &scanWorker{wi: wi, sc: arena.Get(), ws: make([]*pipeWorker, len(members)*np)}
+			return &scanWorker{wi: wi, sc: arena.Get(), m: getMorsel(), ws: make([]*pipeWorker, len(members)*np)}
 		},
 		func(mctx context.Context, sw *scanWorker, m int) error {
 			i, rg := locate(m)
@@ -137,7 +140,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 				p := pipes[i]
 				w := sw.ws[j*np+i]
 				if w == nil {
-					w = p.newWorker(sw.wi, sw.sc)
+					w = p.newWorker(sw.wi, sw.sc, sw.m)
 					sw.ws[j*np+i] = w
 				}
 				if merr := p.runMorsel(w, rg); merr != nil {
@@ -156,6 +159,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 	for _, sw := range states {
 		if sw != nil {
 			arena.Put(sw.sc)
+			putMorsel(sw.m)
 		}
 	}
 	// Regroup the workers' states per pipeline (an aborted pass keeps them

@@ -106,7 +106,7 @@ type pipeWorker struct {
 	taps    []colstore.IOTap
 	stats   []stageStats
 
-	m     relMorsel
+	m     *relMorsel // the scan worker's, shared by every pipeline it drives
 	group *relGroupAcc
 	top   *relTopK
 }
@@ -179,15 +179,16 @@ func (p *pipeline) compileNode(n *PlanNode) *pipeNode {
 
 // newWorker builds one worker's private state in slot wi of the worker
 // slab: one kernel instance per stage (lazily built lookup tables live in
-// it), the sink's partial, and per-stage taps when traced. sc is the pool
-// worker's scratch, shared by every pipeline that worker drives (it runs
-// one morsel through one pipeline at a time). Slots are disjoint slices of
-// shared backing arrays; each is written by exactly one worker goroutine.
-func (p *pipeline) newWorker(wi int, sc *arena.Scratch) *pipeWorker {
+// it), the sink's partial, and per-stage taps when traced. sc and m are
+// the pool worker's page scratch and morsel state, shared by every
+// pipeline that worker drives (it runs one morsel through one pipeline at
+// a time). Slots are disjoint slices of shared backing arrays; each is
+// written by exactly one worker goroutine.
+func (p *pipeline) newWorker(wi int, sc *arena.Scratch, m *relMorsel) *pipeWorker {
 	nk := len(p.leaves)
 	w := &p.wbuf[wi]
 	w.p = p
-	w.sc = sc
+	w.sc, w.m = sc, m
 	w.kernels = p.kbuf[wi*nk : (wi+1)*nk : (wi+1)*nk]
 	for i, lf := range p.leaves {
 		w.kernels[i] = kernel{leaf: lf.b, fetch: p.fetch}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -509,205 +510,11 @@ func (p *pipeline) resolve(part Part, in *RelInput) error {
 	return nil
 }
 
-// relRows tracks the current row set of one morsel through the probe
-// stages, relative to the basis selection bitmap the filter stages
-// produced: src maps each live row to its position in bitmap-gather order
-// (nil = identity), builds[s] holds the attached build row per live row
-// for inner/left stage s (-1 = left miss).
-type relRows struct {
-	n      int
-	src    []int32
-	builds [][]int32
-}
-
-// apply reshapes the row set by perm (new row i was old row perm[i]).
-func (st *relRows) apply(perm []int32) {
-	if st.src == nil {
-		st.src = perm
-	} else {
-		ns := make([]int32, len(perm))
-		for i, o := range perm {
-			ns[i] = st.src[o]
-		}
-		st.src = ns
-	}
-	for t, b := range st.builds {
-		if b == nil {
-			continue
-		}
-		nb := make([]int32, len(perm))
-		for i, o := range perm {
-			nb[i] = b[o]
-		}
-		st.builds[t] = nb
-	}
-	st.n = len(perm)
-}
-
-// relVec is one gathered basis vector of a morsel.
-type relVec struct {
-	ci   int
-	kind RelValKind
-	i    []int64
-	f    []float64
-	s    [][]byte
-}
-
-// relMorsel is the per-row-group execution state — the basis bitmap, the
-// row set, the env handed to stages and sink, and a cache of gathered
-// basis vectors, so a column any number of stages and the sink consume is
-// fetched and decoded exactly once per row group (by the first stage to
-// touch it, which books the IO on its tap). It lives on the worker and is
-// reset per morsel; only the gathered vectors themselves are new memory.
-type relMorsel struct {
-	rg   int
-	bm   *bitutil.Bitmap
-	rows relRows
-	vecs []relVec
-	e    RelEnv
-}
-
-func (m *relMorsel) reset(rg int, bm *bitutil.Bitmap, card, stages int) {
-	m.rg, m.bm = rg, bm
-	clear(m.vecs)
-	m.vecs = m.vecs[:0]
-	m.rows.n, m.rows.src = card, nil
-	m.rows.builds = sized(m.rows.builds, stages)
-	clear(m.rows.builds)
-}
-
-// scan gathers (once per morsel) the basis vector behind a scan input.
-func (w *pipeWorker) scan(in *RelInput, tap *colstore.IOTap) (relVec, error) {
-	m := &w.m
-	for _, v := range m.vecs {
-		if v.ci == in.ci && v.kind == in.Kind {
-			return v, nil
-		}
-	}
-	v := relVec{ci: in.ci, kind: in.Kind}
-	var err error
-	if in.Kind == RelRowID {
-		base := in.starts[m.rg]
-		v.i = make([]int64, 0, m.rows.n)
-		m.bm.ForEach(func(i int) { v.i = append(v.i, base+int64(i)) })
-	} else {
-		chunk := w.p.r.Chunk(m.rg, in.ci).Tap(tap).Fetch(w.p.fetch)
-		switch in.Kind {
-		case RelInt:
-			v.i, err = chunk.GatherInts(m.bm)
-		case RelKey:
-			v.i, err = chunk.GatherKeys(m.bm)
-		case RelFloat:
-			v.f, err = chunk.GatherFloats(m.bm)
-		case RelStr:
-			v.s, err = chunk.GatherStrings(m.bm)
-		}
-	}
-	if err != nil {
-		return v, err
-	}
-	m.vecs = append(m.vecs, v)
-	return v, nil
-}
-
-// env materializes inputs row-aligned to the current row set: scan vectors
-// are indexed through src, payload columns through the owning stage's
-// build attachment (left misses read zero values). The env is the
-// worker's, valid until the next call.
-func (w *pipeWorker) env(inputs []RelInput, tap *colstore.IOTap) (*RelEnv, error) {
-	st, e := &w.m.rows, &w.m.e
-	e.N = st.n
-	e.I, e.F, e.S = sized(e.I, len(inputs)), sized(e.F, len(inputs)), sized(e.S, len(inputs))
-	clear(e.I)
-	clear(e.F)
-	clear(e.S)
-	for j := range inputs {
-		in := &inputs[j]
-		if in.FromStage < 0 {
-			v, err := w.scan(in, tap)
-			if err != nil {
-				return nil, err
-			}
-			e.I[j], e.F[j], e.S[j] = index(v.i, st.src), index(v.f, st.src), index(v.s, st.src)
-			continue
-		}
-		b := st.builds[in.FromStage]
-		pay := w.p.rel.Stages[in.FromStage].Payload
-		switch pay.Kinds[in.bcol] {
-		case RelInt:
-			e.I[j] = attach(pay.Ints[in.bcol], b)
-		case RelFloat:
-			e.F[j] = attach(pay.Floats[in.bcol], b)
-		case RelStr:
-			e.S[j] = attach(pay.Strs[in.bcol], b)
-		}
-	}
-	return e, nil
-}
-
-// index reads a basis vector through the row set's source map.
-func index[T any](base []T, src []int32) []T {
-	if src == nil || base == nil {
-		return base
-	}
-	out := make([]T, len(src))
-	for i, o := range src {
-		out[i] = base[o]
-	}
-	return out
-}
-
-// attach reads a payload column through a stage's build attachment.
-func attach[T any](col []T, build []int32) []T {
-	out := make([]T, len(build))
-	for i, r := range build {
-		if r >= 0 {
-			out[i] = col[r]
-		}
-	}
-	return out
-}
-
-// probeKeys computes the probe key per live row for one join stage.
-func (w *pipeWorker) probeKeys(st *RelStage, tap *colstore.IOTap) ([]int64, error) {
-	rows := &w.m.rows
-	vecs := make([][]int64, len(st.Keys))
-	for j := range st.Keys {
-		v, err := w.scan(&st.Keys[j], tap)
-		if err != nil {
-			return nil, err
-		}
-		vecs[j] = v.i
-		if v.kind == RelStr {
-			vecs[j] = make([]int64, len(v.s))
-			for i, s := range v.s {
-				k, ok := st.StrKeys[string(s)]
-				if !ok {
-					k = -1
-				}
-				vecs[j][i] = k
-			}
-		}
-	}
-	keys := make([]int64, rows.n)
-	for i := 0; i < rows.n; i++ {
-		o := i
-		if rows.src != nil {
-			o = int(rows.src[i])
-		}
-		if st.KeyFn != nil {
-			keys[i] = st.KeyFn(vecs, o)
-		} else {
-			keys[i] = vecs[0][o]
-		}
-	}
-	return keys, nil
-}
-
 // runRelStage executes one probe/filter stage over the morsel's current
 // row set, recording row flow on the stage's stats slot.
 func (w *pipeWorker) runRelStage(si int) error {
-	p, rows := w.p, &w.m.rows
+	p, m := w.p, w.m
+	rows := &m.rows
 	st := &p.rel.Stages[si]
 	var start time.Time
 	if w.stats != nil {
@@ -725,20 +532,20 @@ func (w *pipeWorker) runRelStage(si int) error {
 		keys, err = w.probeKeys(st, tap)
 		if err == nil {
 			want := st.Kind == RelSemi
-			perm := make([]int32, 0, rows.n)
+			perm := m.idx.take(rows.n)[:0]
 			for i := 0; i < rows.n; i++ {
 				if st.Table.Contains(keys[i]) == want {
 					perm = append(perm, int32(i))
 				}
 			}
-			rows.apply(perm)
+			m.apply(perm)
 		}
 	case RelInner, RelLeft:
 		var keys []int64
 		keys, err = w.probeKeys(st, tap)
 		if err == nil {
-			perm := make([]int32, 0, rows.n)
-			build := make([]int32, 0, rows.n)
+			perm := m.idx.take(rows.n)[:0]
+			build := m.idx.take(rows.n)[:0]
 			for i := 0; i < rows.n; i++ {
 				matched := false
 				st.Table.Each(keys[i], func(r int32) {
@@ -751,20 +558,20 @@ func (w *pipeWorker) runRelStage(si int) error {
 					build = append(build, -1)
 				}
 			}
-			rows.apply(perm)
+			m.apply(perm)
 			rows.builds[si] = build
 		}
 	case RelRowFilter:
 		var e *RelEnv
 		e, err = w.env(st.Inputs, tap)
 		if err == nil {
-			perm := make([]int32, 0, rows.n)
+			perm := m.idx.take(rows.n)[:0]
 			for i := 0; i < rows.n; i++ {
 				if st.Keep(e, i) {
 					perm = append(perm, int32(i))
 				}
 			}
-			rows.apply(perm)
+			m.apply(perm)
 		}
 	}
 	if w.stats != nil {
@@ -860,15 +667,18 @@ func (fr *sinkFrags) init(n int, inputs []RelInput) {
 	}
 }
 
+// put keeps row group rg's vectors. They are the morsel's, recycled when
+// the next morsel starts, so the fragment is a copy — the one place an env
+// vector outlives its morsel.
 func (fr *sinkFrags) put(rg int, e *RelEnv) {
 	for j := range fr.inputs {
 		switch sinkInputKind(&fr.inputs[j]) {
 		case RelFloat:
-			fr.f[j*fr.n+rg] = e.F[j]
+			fr.f[j*fr.n+rg] = slices.Clone(e.F[j])
 		case RelStr:
-			fr.s[j*fr.n+rg] = e.S[j]
+			fr.s[j*fr.n+rg] = slices.Clone(e.S[j])
 		default:
-			fr.i[j*fr.n+rg] = e.I[j]
+			fr.i[j*fr.n+rg] = slices.Clone(e.I[j])
 		}
 	}
 }
@@ -902,9 +712,9 @@ func (p *pipeline) merge() {
 	case sk.Collect.K > 0:
 		top := newRelTopK(sk)
 		for _, w := range p.workers {
-			top.rows = append(top.rows, w.top.rows...)
+			top.absorb(w.top)
 		}
-		top.trim(sk.Collect.K)
+		top.trim()
 		p.out = top.batch(p.rel)
 	default:
 		out := newBatch(len(sk.Inputs))

@@ -366,7 +366,7 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 		}
 		for rg := 0; rg < rr.NumRowGroups(); rg++ {
 			bm := fullGroupBitmap(rr.RowGroupRows(rg))
-			if _, err := rr.Chunk(rg, ci).GatherKeys(bm); err != nil {
+			if _, err := rr.Chunk(rg, ci).GatherKeys(bm, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -379,7 +379,7 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 		}
 		for rg := 0; rg < rr.NumRowGroups(); rg++ {
 			bm := fullGroupBitmap(rr.RowGroupRows(rg))
-			if _, err := rr.Chunk(rg, ci).GatherStrings(bm); err != nil {
+			if _, err := rr.Chunk(rg, ci).GatherStrings(bm, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Worker-local group-by accumulation — the one aggregation kernel, under
@@ -474,128 +473,155 @@ func (a *relGroupAcc) result(names []string) *Batch {
 	return out
 }
 
-// relTopK is a per-worker bounded row buffer for order-by + limit: rows
-// keep a stable (rowGroup, sequence) ordinal so ties break by table order
-// and the merge is deterministic.
+// relTopK is a per-worker bounded row buffer for order-by + limit, held
+// column-major: one slot per sink input in the slice of its value type,
+// plus each row's stable (rowGroup, sequence) ordinal so ties break by
+// table order and the merge is deterministic. A morsel's rows append a
+// column at a time; trims reorder the columns through one permutation, so
+// buffering a row allocates nothing.
 type relTopK struct {
-	sk   *RelSink
-	rows []relTopRow
-	seq  int64
-	lim  int
-}
+	sk  *RelSink
+	k   int
+	n   int
+	seq int64
+	ord []int64
+	i   [][]int64
+	f   [][]float64
+	s   [][][]byte
 
-type relTopRow struct {
-	ord int64
-	i   []int64
-	f   []float64
-	s   [][]byte
+	// trim scratch
+	perm []int32
+	ibuf []int64
+	fbuf []float64
+	sbuf [][]byte
 }
 
 func newRelTopK(sk *RelSink) *relTopK {
-	k := sk.Collect.K
-	return &relTopK{sk: sk, lim: 4 * k, rows: make([]relTopRow, 0, k)}
+	n := len(sk.Inputs)
+	return &relTopK{sk: sk, k: sk.Collect.K, i: make([][]int64, n), f: make([][]float64, n), s: make([][][]byte, n)}
 }
 
-// add buffers every env row; past 4·K (min 4096) the buffer is sorted and
-// truncated back to K so memory stays bounded on large scans.
+// add buffers every env row; past 4·K (min 4096) rows the buffer is
+// trimmed back to K so memory stays bounded on large scans.
 func (t *relTopK) add(e *RelEnv, rg int) {
 	for i := 0; i < e.N; i++ {
-		r := relTopRow{
-			ord: int64(rg)<<32 | t.seq,
-			i:   make([]int64, len(t.sk.Inputs)),
-			f:   make([]float64, len(t.sk.Inputs)),
-		}
+		t.ord = append(t.ord, int64(rg)<<32|t.seq)
 		t.seq++
-		for j := range t.sk.Inputs {
-			switch {
-			case e.I[j] != nil:
-				r.i[j] = e.I[j][i]
-			case e.F[j] != nil:
-				r.f[j] = e.F[j][i]
-			default:
-				if r.s == nil {
-					r.s = make([][]byte, len(t.sk.Inputs))
-				}
-				r.s[j] = e.S[j][i]
-			}
-		}
-		t.rows = append(t.rows, r)
 	}
-	bound := t.lim
-	if bound < 4096 {
-		bound = 4096
-	}
-	if len(t.rows) > bound {
-		t.trim(t.sk.Collect.K)
+	t.appendCols(e.I, e.F, e.S)
+	t.n += e.N
+	if t.n > max(4*t.k, 4096) {
+		t.trim()
 	}
 }
 
-// trim sorts by the collect keys (ordinal tiebreak) and truncates to k.
-func (t *relTopK) trim(k int) {
-	keys := t.sk.Collect.Sort
-	sort.Slice(t.rows, func(x, y int) bool {
-		rx, ry := &t.rows[x], &t.rows[y]
-		for _, sk := range keys {
-			j := sk.Input
-			var c int
-			switch sinkInputKind(&t.sk.Inputs[j]) {
-			case RelStr:
-				var bx, by []byte
-				if rx.s != nil {
-					bx = rx.s[j]
-				}
-				if ry.s != nil {
-					by = ry.s[j]
-				}
-				c = compareBytes(bx, by)
-			case RelFloat:
-				c = compareF64(rx.f[j], ry.f[j])
-			default:
-				c = compareI64(rx.i[j], ry.i[j])
-			}
-			if sk.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
+// appendCols appends one vector per sink input to the buffer's columns.
+func (t *relTopK) appendCols(i [][]int64, f [][]float64, s [][][]byte) {
+	for j := range t.sk.Inputs {
+		switch sinkInputKind(&t.sk.Inputs[j]) {
+		case RelFloat:
+			t.f[j] = append(t.f[j], f[j]...)
+		case RelStr:
+			t.s[j] = append(t.s[j], s[j]...)
+		default:
+			t.i[j] = append(t.i[j], i[j]...)
 		}
-		return rx.ord < ry.ord
-	})
-	if len(t.rows) > k {
-		t.rows = t.rows[:k]
 	}
+}
+
+// absorb appends another worker's buffered rows.
+func (t *relTopK) absorb(o *relTopK) {
+	t.ord = append(t.ord, o.ord...)
+	t.appendCols(o.i, o.f, o.s)
+	t.n += o.n
+}
+
+// compare orders buffered rows x and y by the collect keys, then by
+// ordinal.
+func (t *relTopK) compare(x, y int32) int {
+	for _, sk := range t.sk.Collect.Sort {
+		j := sk.Input
+		var c int
+		switch sinkInputKind(&t.sk.Inputs[j]) {
+		case RelStr:
+			c = compareBytes(t.s[j][x], t.s[j][y])
+		case RelFloat:
+			c = compareF64(t.f[j][x], t.f[j][y])
+		default:
+			c = compareI64(t.i[j][x], t.i[j][y])
+		}
+		if sk.Desc {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return compareI64(t.ord[x], t.ord[y])
+}
+
+// trim sorts the buffer by the collect keys (ordinal tiebreak) and keeps
+// its first K rows.
+func (t *relTopK) trim() {
+	t.perm = sized(t.perm, t.n)
+	for i := range t.perm {
+		t.perm[i] = int32(i)
+	}
+	slices.SortFunc(t.perm, t.compare)
+	keep := t.perm[:min(t.k, t.n)]
+	t.ibuf = permute(t.ibuf, t.ord, keep)
+	t.ord = t.ord[:len(keep)]
+	for j := range t.sk.Inputs {
+		switch sinkInputKind(&t.sk.Inputs[j]) {
+		case RelFloat:
+			t.fbuf = permute(t.fbuf, t.f[j], keep)
+			t.f[j] = t.f[j][:len(keep)]
+		case RelStr:
+			t.sbuf = permute(t.sbuf, t.s[j], keep)
+			t.s[j] = t.s[j][:len(keep)]
+		default:
+			t.ibuf = permute(t.ibuf, t.i[j], keep)
+			t.i[j] = t.i[j][:len(keep)]
+		}
+	}
+	clear(t.sbuf)
+	t.n = len(keep)
+}
+
+// permute rewrites col's first len(keep) entries as col[keep[0]],
+// col[keep[1]], … through buf, and returns buf for reuse.
+func permute[T any](buf, col []T, keep []int32) []T {
+	buf = buf[:0]
+	for _, o := range keep {
+		buf = append(buf, col[o])
+	}
+	copy(col, buf)
+	return buf
 }
 
 // batch lays the trimmed rows out as the output batch.
 func (t *relTopK) batch(rp *RelPlan) *Batch {
-	sk := t.sk
 	out := &Batch{}
-	for j := range sk.Inputs {
+	for j := range t.sk.Inputs {
 		name := rp.Names[j]
-		switch sinkInputKind(&sk.Inputs[j]) {
+		switch sinkInputKind(&t.sk.Inputs[j]) {
 		case RelFloat:
-			vals := make([]float64, len(t.rows))
-			for i := range t.rows {
-				vals[i] = t.rows[i].f[j]
-			}
-			out.AddFloats(name, vals)
+			out.AddFloats(name, column(t.f[j], t.n))
 		case RelStr:
-			vals := make([][]byte, len(t.rows))
-			for i := range t.rows {
-				if t.rows[i].s != nil {
-					vals[i] = t.rows[i].s[j]
-				}
-			}
-			out.AddStrs(name, vals)
+			out.AddStrs(name, column(t.s[j], t.n))
 		default:
-			vals := make([]int64, len(t.rows))
-			for i := range t.rows {
-				vals[i] = t.rows[i].i[j]
-			}
-			out.AddInts(name, vals)
+			out.AddInts(name, column(t.i[j], t.n))
 		}
 	}
-	out.N = len(t.rows)
+	out.N = t.n
 	return out
+}
+
+// column is a buffer's first n values as a batch column: never nil, since
+// a batch tells its column types apart by which slice is set.
+func column[T any](buf []T, n int) []T {
+	if buf == nil {
+		return []T{}
+	}
+	return buf[:n:n]
 }

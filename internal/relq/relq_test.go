@@ -3,7 +3,9 @@ package relq
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -440,5 +442,82 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := fx.scan().Sorted([]string{"o_price"}, SortBy{Ref: "o_year"}); err == nil {
 		t.Fatal("sort key outside the collected columns not rejected")
+	}
+}
+
+// cloneBatch deep-copies a batch, string bytes included.
+func cloneBatch(b *ops.Batch) *ops.Batch {
+	out := &ops.Batch{N: b.N, Names: append([]string(nil), b.Names...), Kinds: append([]ops.RelValKind(nil), b.Kinds...)}
+	for j := range b.Names {
+		out.Ints = append(out.Ints, append([]int64(nil), b.Ints[j]...))
+		out.Floats = append(out.Floats, append([]float64(nil), b.Floats[j]...))
+		var strs [][]byte
+		for _, s := range b.Strs[j] {
+			strs = append(strs, append([]byte(nil), s...))
+		}
+		out.Strs = append(out.Strs, strs)
+	}
+	return out
+}
+
+// TestRecycledScratchDoesNotAlias runs the four sink shapes that hand rows
+// back — Rows, Sorted, TopK, GroupBy, each behind an inner join with a
+// string payload — from four goroutines on one pool, then 50 further
+// queries on the same pool, and requires every result to still equal its
+// solo run. Morsel vectors come from worker slabs that every later morsel
+// and pass reuses; a result that aliased them would be overwritten here
+// (and the race detector would see the writes).
+func TestRecycledScratchDoesNotAlias(t *testing.T) {
+	fx := newFixture(t)
+	_, keys, payload, _ := fx.buildSide(t)
+	refs := []string{"@o_cust", "o_ckey", "o_price", "c.nation"}
+	join := func() *Q { return fx.scan().JoinOn(ops.RelInner, "c", keys, payload, []string{"o_ckey"}, nil) }
+	queries := []func() (*ops.Batch, error){
+		func() (*ops.Batch, error) { return join().Rows(refs...) },
+		func() (*ops.Batch, error) { return join().Sorted(refs, SortBy{Ref: "o_price", Desc: true}) },
+		func() (*ops.Batch, error) {
+			return join().TopK(refs, 25, SortBy{Ref: "o_price"}, SortBy{Ref: "o_ckey"})
+		},
+		func() (*ops.Batch, error) {
+			return join().GroupBy([]GKey{{Name: "y", Ref: "o_year"}}, []GAgg{
+				{Name: "n", Kind: ops.RelAggCount},
+				{Name: "p", Kind: ops.RelAggSumFloat, Ref: "o_price"},
+			})
+		},
+	}
+	solo := make([]*ops.Batch, len(queries))
+	for i, q := range queries {
+		b, err := q()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.N == 0 {
+			t.Fatalf("query %d returned no rows", i)
+		}
+		solo[i] = cloneBatch(b)
+	}
+	got := make([]*ops.Batch, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = q()
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 50; i++ {
+		if _, err := queries[i%len(queries)](); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(cloneBatch(got[i]), solo[i]) {
+			t.Errorf("query %d: concurrent result changed after later queries reused the pool", i)
+		}
 	}
 }

@@ -268,3 +268,53 @@ func TestSWARFasterThanScalarSanity(t *testing.T) {
 		t.Fatalf("cardinality %d, want %d", bm.Cardinality(), count)
 	}
 }
+
+// TestSelKernelsSparseMatchFull holds the selection-restricted kernels'
+// sparse path (selected entries gathered a block at a time) to the full
+// scan masked by the selection, on an unpadded stream inside a page window
+// that starts mid-word of the row group's selection.
+func TestSelKernelsSparseMatchFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, selOff = 700, 77
+	for _, width := range []uint{1, 3, 8, 13, 31, 57, 64} {
+		max := uint64(1)<<width - 1
+		a, b := make([]uint64, n), make([]uint64, n)
+		wa, wb := bitutil.NewWriter(), bitutil.NewWriter()
+		for i := range a {
+			a[i], b[i] = rng.Uint64()&max, rng.Uint64()&max
+			if i%3 == 0 {
+				b[i] = a[i]
+			}
+			wa.WriteBits(a[i], width)
+			wb.WriteBits(b[i], width)
+		}
+		pa, pb := wa.Bytes(), wb.Bytes()
+		sel := bitutil.NewBitmap(selOff + n + 9)
+		for i := 0; i < sel.Len(); i++ {
+			if rng.Intn(20) == 0 {
+				sel.Set(i)
+			}
+		}
+		target := a[rng.Intn(n)]
+		check := func(name string, got *bitutil.Bitmap, want func(i int) bool) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				if got.Get(i) != (sel.Get(selOff+i) && want(i)) {
+					t.Fatalf("width %d %s: row %d", width, name, i)
+				}
+			}
+		}
+		out := bitutil.NewBitmap(n)
+		ScanPackedIntoSel(out, pa, width, OpLe, target, sel, selOff)
+		check("scan", out, func(i int) bool { return a[i] <= target })
+		out = bitutil.NewBitmap(n)
+		ScanPackedRangeIntoSel(out, pa, width, target/2, target, sel, selOff)
+		check("range", out, func(i int) bool { return a[i] >= target/2 && a[i] <= target })
+		out = bitutil.NewBitmap(n)
+		ScanPackedInIntoSel(out, pa, width, []uint64{target, a[0]}, sel, selOff)
+		check("in", out, func(i int) bool { return a[i] == target || a[i] == a[0] })
+		out = bitutil.NewBitmap(n)
+		CompareStreamsIntoSel(out, pa, pb, width, OpLt, sel, selOff)
+		check("streams", out, func(i int) bool { return a[i] < b[i] })
+	}
+}

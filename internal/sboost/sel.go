@@ -133,30 +133,52 @@ func CompareStreamsIntoSel(out *bitutil.Bitmap, a, b []byte, width uint, op Op, 
 		CompareStreamsInto(out, a, b, width, op)
 		out.AndRange(sel, selOff)
 	default:
-		ra, rb := bitutil.NewReader(a), bitutil.NewReader(b)
-		prev := selOff
-		for i := sel.NextSet(selOff); i >= 0 && i < selOff+n; i = sel.NextSet(i + 1) {
-			skip := (i - prev) * int(width)
-			ra.SkipBits(skip)
-			rb.SkipBits(skip)
-			if evalOp(ra.ReadBits(width), op, rb.ReadBits(width)) {
-				out.Set(i - selOff)
+		var bufA, bufB [selBlock]int64
+		for lo := 0; lo < n; lo += selBlock {
+			hi := min(lo+selBlock, n)
+			va := bitutil.GatherSelected(bufA[:0], blockBytes(a, lo, width), width, false, sel, selOff+lo, selOff+hi)
+			vb := bitutil.GatherSelected(bufB[:0], blockBytes(b, lo, width), width, false, sel, selOff+lo, selOff+hi)
+			k := 0
+			for i := sel.NextSet(selOff + lo); i >= 0 && i < selOff+hi; i = sel.NextSet(i + 1) {
+				if evalOp(uint64(va[k]), op, uint64(vb[k])) {
+					out.Set(i - selOff)
+				}
+				k++
 			}
-			prev = i + 1
 		}
 	}
+}
+
+// selBlock is the page-relative row span the sparse path gathers at a
+// time. It is a multiple of 8, so every block starts on a byte boundary of
+// the packed stream whatever the width.
+const selBlock = 256
+
+// blockBytes is the packed stream from the entry of page-relative row lo
+// (a multiple of selBlock) on; past the end it is empty, which reads as
+// zero bits.
+func blockBytes(data []byte, lo int, width uint) []byte {
+	off := lo * int(width) / 8
+	if off >= len(data) {
+		return nil
+	}
+	return data[off:]
 }
 
 // scanSelected decodes only the entries whose selection bit is set inside
 // the window [selOff, selOff+n), invoking fn with the page-relative index
 // and the packed value; the stream between selected entries is skipped,
-// never decoded.
+// never decoded. Entries are extracted a block at a time by
+// bitutil.GatherSelected into a stack buffer.
 func scanSelected(data []byte, n int, width uint, sel *bitutil.Bitmap, selOff int, fn func(i int, v uint64)) {
-	r := bitutil.NewReader(data)
-	prev := selOff
-	for i := sel.NextSet(selOff); i >= 0 && i < selOff+n; i = sel.NextSet(i + 1) {
-		r.SkipBits((i - prev) * int(width))
-		fn(i-selOff, r.ReadBits(width))
-		prev = i + 1
+	var buf [selBlock]int64
+	for lo := 0; lo < n; lo += selBlock {
+		hi := min(lo+selBlock, n)
+		vals := bitutil.GatherSelected(buf[:0], blockBytes(data, lo, width), width, false, sel, selOff+lo, selOff+hi)
+		k := 0
+		for i := sel.NextSet(selOff + lo); i >= 0 && i < selOff+hi; i = sel.NextSet(i + 1) {
+			fn(i-selOff, uint64(vals[k]))
+			k++
+		}
 	}
 }

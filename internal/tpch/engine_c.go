@@ -208,79 +208,68 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 	return q20Shared(t, forest, shipped)
 }
 
+// q21Engine reduces, then gathers through the reduced key: one pass over
+// lineitem runs two grouped members keyed by order — the least and
+// greatest supplier over all lines, and over the late lines only. An order
+// has two or more suppliers iff its min and max differ, and exactly one
+// late supplier iff its late min and max agree; that supplier is counted
+// when it is Saudi.
 func q21Engine(t *Tables) (*memtable.RowTable, error) {
-	lateb, err := relq.Scan(t.L, t.Pool).
+	nb, err := relq.Scan(t.N, t.Pool).Where(eqS("n_name", "SAUDI ARABIA")).Rows("n_nationkey")
+	if err != nil {
+		return nil, err
+	}
+	if nb.N == 0 {
+		return emit(q21Names, q21Types, nil, 100), nil
+	}
+	sb, err := relq.Scan(t.S, t.Pool).
+		Where(cmp("s_nationkey", sboost.OpEq, bInts(nb, "n_nationkey")[0])).
+		Rows("s_suppkey", "s_name")
+	if err != nil {
+		return nil, err
+	}
+	saudi := make(map[int64][]byte, sb.N)
+	for i, sk := range bInts(sb, "s_suppkey") {
+		saudi[sk] = bStrs(sb, "s_name")[i]
+	}
+	byOrder := []relq.GKey{{Name: "o", Ref: "l_orderkey"}}
+	supps := []relq.GAgg{
+		{Name: "lo", Kind: ops.RelAggMinInt, Ref: "l_suppkey"},
+		{Name: "hi", Kind: ops.RelAggMaxInt, Ref: "l_suppkey"},
+	}
+	all := relq.Scan(t.L, t.Pool).Group(nil, byOrder, supps)
+	late := relq.Scan(t.L, t.Pool).
 		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
-		Rows("l_orderkey", "l_suppkey")
-	if err != nil {
+		Group(nil, byOrder, supps)
+	if err := relq.Exec(all, late); err != nil {
 		return nil, err
 	}
-	allb, err := relq.Scan(t.L, t.Pool).
-		Rows("l_orderkey", "l_suppkey")
-	if err != nil {
-		return nil, err
-	}
-	nKey, err := ops.ReadAllInts(t.N, "n_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	nName, err := ops.ReadAllStrings(t.N, "n_name", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var saudi int64 = -1
-	for i := range nKey {
-		if string(nName[i]) == "SAUDI ARABIA" {
-			saudi = nKey[i]
+	for _, b := range []*relq.Bound{all, late} {
+		if b.Err != nil {
+			return nil, b.Err
 		}
 	}
-	sNation, err := ops.ReadAllInts(t.S, "s_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sName, err := ops.ReadAllStrings(t.S, "s_name", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	type orderInfo struct {
-		supps     map[int64]bool
-		lateSupps map[int64]bool
-	}
-	orders := map[int64]*orderInfo{}
-	aOrder, aSupp := bInts(allb, "l_orderkey"), bInts(allb, "l_suppkey")
-	for i := 0; i < allb.N; i++ {
-		oi := orders[aOrder[i]]
-		if oi == nil {
-			oi = &orderInfo{supps: map[int64]bool{}, lateSupps: map[int64]bool{}}
-			orders[aOrder[i]] = oi
-		}
-		oi.supps[aSupp[i]] = true
-	}
-	lOrder, lSupp := bInts(lateb, "l_orderkey"), bInts(lateb, "l_suppkey")
-	for i := 0; i < lateb.N; i++ {
-		orders[lOrder[i]].lateSupps[lSupp[i]] = true
-	}
-	counted := map[[2]int64]bool{}
+	// Both outputs ascend by order key and every late order is an order:
+	// one merge walk pairs them.
+	aOrder, aLo, aHi := bInts(all.Batch, "o"), bInts(all.Batch, "lo"), bInts(all.Batch, "hi")
+	lOrder, lLo, lHi := bInts(late.Batch, "o"), bInts(late.Batch, "lo"), bInts(late.Batch, "hi")
 	numWait := map[int64]int64{}
-	for i := 0; i < lateb.N; i++ {
-		sk := lSupp[i]
-		if sNation[sk-1] != saudi {
+	j := 0
+	for i, o := range lOrder {
+		sk := lLo[i]
+		if _, ok := saudi[sk]; !ok || sk != lHi[i] {
 			continue
 		}
-		oi := orders[lOrder[i]]
-		if len(oi.supps) < 2 || len(oi.lateSupps) != 1 {
-			continue
+		for aOrder[j] < o {
+			j++
 		}
-		key := [2]int64{lOrder[i], sk}
-		if counted[key] {
-			continue
+		if aLo[j] != aHi[j] {
+			numWait[sk]++
 		}
-		counted[key] = true
-		numWait[sk]++
 	}
 	var rows [][]any
 	for sk, c := range numWait {
-		rows = append(rows, []any{bin(sName[sk-1]), c})
+		rows = append(rows, []any{bin(saudi[sk]), c})
 	}
 	sortRows(rows, -2, 0)
 	return emit(q21Names, q21Types, rows, 100), nil

@@ -6,7 +6,9 @@ package codecdb
 // the call.
 
 import (
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -138,5 +140,94 @@ func TestSinkAllocsPerMorselBounded(t *testing.T) {
 			t.Errorf("%s: %.0f allocs over %d row groups, %.0f over %d: %.1f per extra row group, want <= %.0f",
 				tc.name, na, small, nb, large, per, tc.limit)
 		}
+	}
+}
+
+// relGuardTable writes n rows in row groups of 4096: a dictionary int key
+// with a small domain, a bit-packed foreign key into a 100-row dimension,
+// and a plain float.
+func relGuardTable(t *testing.T, n int) *colstore.Reader {
+	t.Helper()
+	k := make([]int64, n)
+	fk := make([]int64, n)
+	f := make([]float64, n)
+	for i := range k {
+		k[i] = int64(i % 7)
+		fk[i] = int64(i*31) % 100
+		f[i] = float64(i%100) / 4
+	}
+	schema := colstore.Schema{Columns: []colstore.Column{
+		{Name: "k", Type: colstore.TypeInt64, Encoding: encoding.KindDict},
+		{Name: "fk", Type: colstore.TypeInt64, Encoding: encoding.KindBitPacked},
+		{Name: "f", Type: colstore.TypeFloat64, Encoding: encoding.KindPlain},
+	}}
+	path := filepath.Join(t.TempDir(), "rel_guard.cdb")
+	if err := colstore.WriteFile(path, schema, []colstore.ColumnData{{Ints: k}, {Ints: fk}, {Floats: f}},
+		colstore.Options{RowGroupRows: 4096, PageRows: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := colstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// TestRelMorselBytesPerRowGroupBounded holds a relational morsel — filter,
+// inner join with a payload, grouped sink over a scan column and the
+// payload — to the bytes its pages and bitmaps cost: on a table with four
+// times the row groups, the query may allocate at most relBytesPerGroup
+// more bytes per extra row group. Its gathered vectors, probe keys, row
+// maps and env vectors come from the worker's pooled slabs, so none of
+// them is a per-row-group allocation; before the slabs, each 4096-row
+// morsel allocated about 200 KB of them. Bytes are the minimum over
+// several batches, so a GC that empties the pools mid-batch does not count
+// against the bound.
+func TestRelMorselBytesPerRowGroupBounded(t *testing.T) {
+	const small, large = 4, 16 // row groups of 4096 rows
+	const relBytesPerGroup = 16<<10 + raceBytesSlack
+	pool := exec.NewPool(1)
+	dimKeys := make([]int64, 100)
+	weights := make([]int64, 100)
+	for i := range dimKeys {
+		dimKeys[i], weights[i] = int64(i), int64(i%9)
+	}
+	payload := (&ops.Batch{}).AddInts("w", weights)
+	bytesPerRun := func(r *colstore.Reader) float64 {
+		run := func() {
+			b, err := relq.Scan(r, pool).
+				Where(&ops.Cmp{Col: "k", Op: sboost.OpLt, Value: int64(6)}).
+				Join("d", dimKeys, payload, "fk").
+				GroupBy([]relq.GKey{{Name: "k", Ref: "k"}}, []relq.GAgg{
+					{Name: "n", Kind: ops.RelAggCount},
+					{Name: "s", Kind: ops.RelAggSumFloat, Ref: "f"},
+					{Name: "w", Kind: ops.RelAggSumInt, Ref: "d.w"},
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.N != 6 {
+				t.Fatalf("%d groups, want 6", b.N)
+			}
+		}
+		run() // warm lazily-initialised state (dictionary cache, pools)
+		best := math.Inf(1)
+		for batch := 0; batch < 5; batch++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 10; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, float64(m1.TotalAlloc-m0.TotalAlloc)/10)
+		}
+		return best
+	}
+	na, nb := bytesPerRun(relGuardTable(t, small*4096)), bytesPerRun(relGuardTable(t, large*4096))
+	per := (nb - na) / (large - small)
+	t.Logf("%.0f bytes over %d row groups, %.0f over %d: %.0f per extra row group", na, small, nb, large, per)
+	if per > relBytesPerGroup {
+		t.Errorf("%.0f bytes per extra row group, want <= %d", per, relBytesPerGroup)
 	}
 }
