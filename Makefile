@@ -76,7 +76,9 @@ race-serve:
 # race-join focuses the race detector on the relational executor: the
 # join hash table against its nested-loop oracle, the join/group/sort
 # stages and sinks, members of one pass against their solo runs, the relq builder against its nested-loop
-# references, the engine-compiled ≡ oblivious equivalence suites for TPC-H
+# references (the whole package, so every build-side test — TestJoinCompositeKey,
+# TestJoinGroupBuildSide, TestJoinEmptyBuildSide, TestJoinBuildSideFailsAlone —
+# runs here), the engine-compiled ≡ oblivious equivalence suites for TPC-H
 # and SSB, and the public relational Query API (joins under every
 # terminal, order-by/limit, trace spans).
 race-join:

@@ -90,10 +90,11 @@ func (q *Query) run(s sink) (*relq.Bound, error) {
 
 // exec is THE way a query runs: it resolves the table to its parts — a
 // static table's one reader, or one consistent snapshot of an ingest
-// table's shards and tail — binds every query to its sink against each part
-// (validating it, planning its predicate, materializing its joins' build
-// sides), and drives them all through one morsel pass, observing the query
-// metrics around the whole evaluation. With label set the evaluation — a
+// table's shards and tail — binds every query to its sink (validating it,
+// lowering its predicate, declaring its joins' build sides), and has relq
+// compile them against each part, run their build sides and drive them all
+// through one morsel pass, observing the query metrics around the whole
+// evaluation. With label set the evaluation — a
 // solo terminal's — registers with the flight recorder under it. A query
 // that fails to bind or errors mid-scan fails alone (its Bound's Err); the
 // returned error is fatal to all: a failed snapshot, cancellation, a worker
@@ -137,8 +138,9 @@ func (t *Table) exec(ctx context.Context, label string, qs []*Query, sinks []sin
 
 // bind compiles the query into sink s over the table's parts: the sink's
 // columns resolved and type-checked against the schemas (before any page
-// is read), the predicate lowered, one stage per declared join with its
-// build side materialized, and the sink handed to relq in its shape —
+// is read), the predicate lowered, one stage per declared join whose build
+// side is the other query bound to a collect, and the sink handed to relq
+// in its shape —
 // Count a collect of nothing, the gathers a collect of one column, RowIDs a
 // collect of the row ordinal, SumFloat a key-less group, GroupCount a
 // one-key count group.

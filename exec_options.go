@@ -9,10 +9,11 @@ import (
 
 // ExecOptions are per-query execution budgets and switches. The zero
 // value means "current defaults": prefetch on, no worker cap, no
-// deadline. A serving layer threads its admission-control budgets
-// (deadline, worker cap, memory hint) through this same struct, so a query
-// behaves identically whether the budget came from the caller or from the
-// server.
+// deadline. A serving layer threads a request's deadline and worker cap
+// through this same struct, so a query behaves identically whether the
+// budget came from the caller or from the server. (A request's memory
+// budget is admission control's alone: the server hands it to the
+// admitter and the executor never sees it.)
 type ExecOptions struct {
 	// DisablePrefetch turns off async page prefetch; every page is read
 	// synchronously at first touch.
@@ -27,10 +28,6 @@ type ExecOptions struct {
 	// WithContext deadlines work too, and when both are set the earlier
 	// one wins (context semantics).
 	Deadline time.Time
-	// MemoryBytes is the query's declared working-set budget. The
-	// executor does not enforce it; admission control uses it to decide
-	// how many queries may run at once.
-	MemoryBytes int64
 }
 
 // WithExec returns a copy of the query carrying the given execution

@@ -3,16 +3,17 @@
 // joins and residual row predicates, then exactly one sink — a collect
 // (Rows/Sorted/TopK; of no columns, a Count) or a group (multi-column
 // group-by; with no keys, a plain aggregate). Binding a sink (Collect,
-// Group) compiles the query per part into an ops.Member; Exec runs any
-// number of bound queries over the same table as one morsel pass through
-// ops.Run. Both benchmark suites (internal/tpch, internal/ssb) and every
+// Group) yields a Bound; Exec compiles each per part into an ops.Member and
+// runs any number of them over the same table as one morsel pass through
+// ops.Run. A join's build side is itself a Bound, usually over another
+// table, which runs when its probe compiles. Both benchmark suites (internal/tpch, internal/ssb) and every
 // terminal of the public codecdb.Query API compile through this package,
 // so there is exactly one executor in the engine.
 //
 // The central trick is the dictionary key space: a column name prefixed
-// with "#" denotes the dict-code view of a dict-encoded column. Joins
-// probe on those codes, so equi-joins over encoded columns never decode a
-// string, and group-by keys on "#col" automatically learn the dictionary
+// with "#" denotes the dict-code view of a dict-encoded column. String
+// joins probe on those codes, so equi-joins over encoded columns never
+// decode a string, and group-by keys on "#col" automatically learn the dictionary
 // cardinality as their packed domain.
 //
 // A probe table is an ordered list of parts (ops.Part) whose encodings —
@@ -54,8 +55,12 @@ type Q struct {
 type stage struct {
 	ops.RelStage
 	refs []string
-	// strIDs is set by JoinStrs: the build side's distinct values numbered
-	// in first-seen order — the key space Table is built over.
+	// build is a join stage's build side, run when the probe binds; Table
+	// and Payload are built from its output. str marks a string probe key:
+	// the build side's key values are then numbered in first-seen order
+	// (strIDs), the key space Table is built over.
+	build  *Bound
+	str    bool
 	strIDs map[string]int64
 }
 
@@ -124,15 +129,20 @@ func (q *Q) input(pi int, ref string) (ops.RelInput, error) {
 	if dot := strings.IndexByte(ref, '.'); dot >= 0 {
 		stage, col := ref[:dot], ref[dot+1:]
 		for si := range q.stages {
-			if q.stages[si].Name == stage {
-				in := ops.RelInput{FromStage: si, Col: col}
-				if p := q.stages[si].Payload; p != nil {
-					if bc := p.Col(col); bc >= 0 {
-						in.Kind = p.Kinds[bc]
-					}
-				}
-				return in, nil
+			st := &q.stages[si]
+			if st.Name != stage {
+				continue
 			}
+			if st.build != nil && !slices.Contains(st.build.names, col) {
+				return ops.RelInput{}, fmt.Errorf("relq: stage %q has no column %q", stage, col)
+			}
+			in := ops.RelInput{FromStage: si, Col: col}
+			if p := st.Payload; p != nil {
+				if bc := p.Col(col); bc >= 0 {
+					in.Kind = p.Kinds[bc]
+				}
+			}
+			return in, nil
 		}
 		return ops.RelInput{}, fmt.Errorf("relq: no stage %q for input %q", stage, ref)
 	}
@@ -162,30 +172,38 @@ func (q *Q) inputs(pi int, refs []string) ([]ops.RelInput, error) {
 	return out, nil
 }
 
-// join appends one probe stage keyed on a single probe column.
-func (q *Q) join(kind ops.RelJoinKind, name string, keys []int64, payload *ops.Batch, probeKey string) *Q {
-	return q.JoinOn(kind, name, keys, payload, []string{probeKey}, nil)
+// Join appends a join stage whose build side is another query bound to a
+// sink (Collect or Group), typically over another table. relq runs the
+// build side when this query binds — under this query's context, in a
+// Build[name] span — and keys it on its first output column; every output
+// column becomes a payload input "name.col" of an inner or left join. The
+// probe key names a scan column: an int column probes on its values, a
+// string column on relq's numbering of the build side's values — through
+// each part's own dictionary codes wherever the part has one, so the probe
+// never decodes a string. A build side binds and runs once, however many
+// stages share it.
+func (q *Q) Join(kind ops.RelJoinKind, name string, build *Bound, probeKey string) *Q {
+	return q.JoinOn(kind, name, build, []string{probeKey}, nil)
 }
 
-// JoinStrs appends a probe stage on a string column, build side given as
-// values: they are numbered once, the one hash table is built over those
-// numbers, and each part probes through its own translation — its
-// dictionary's codes mapped to the numbers where the part has a
-// dictionary, its gathered values looked up directly where it does not.
-func (q *Q) JoinStrs(kind ops.RelJoinKind, name string, vals [][]byte, payload *ops.Batch, col string) *Q {
-	ids := make(map[string]int64)
-	keys := make([]int64, len(vals))
-	for i, v := range vals {
-		id, ok := ids[string(v)]
-		if !ok {
-			id = int64(len(ids))
-			ids[string(v)] = id
-		}
-		keys[i] = id
+// JoinOn is Join on a composite int key: fn combines the probe keys'
+// values (given as vecs[j][i]) into one int64, and the build side's first
+// len(probeKeys) output columns the same way.
+func (q *Q) JoinOn(kind ops.RelJoinKind, name string, build *Bound, probeKeys []string,
+	fn func(vecs [][]int64, i int) int64) *Q {
+	if q.err != nil {
+		return q
 	}
-	return q.addStage(stage{refs: []string{"@" + col}, strIDs: ids, RelStage: ops.RelStage{
-		Name: name, Kind: kind, Table: ops.NewJoinTable(keys), Payload: payload,
-	}})
+	if build == nil {
+		return q.fail(fmt.Errorf("relq: join %q has no build side", name))
+	}
+	st := stage{refs: probeKeys, build: build, RelStage: ops.RelStage{Name: name, Kind: kind, KeyFn: fn}}
+	if len(probeKeys) == 1 {
+		if _, c, err := q.parts[0].R.Column(probeKeys[0]); err == nil && c.Type == colstore.TypeString {
+			st.str, st.refs = true, []string{"@" + probeKeys[0]}
+		}
+	}
+	return q.addStage(st)
 }
 
 // addStage appends a stage once its inputs resolve against the first
@@ -209,50 +227,15 @@ func (q *Q) stageInputs(pi int, st *stage) ([]ops.RelInput, error) {
 		return ins, err
 	}
 	for j, in := range ins {
-		switch {
-		case st.strIDs == nil && in.Kind != ops.RelInt && in.Kind != ops.RelKey:
+		if !st.str && in.Kind != ops.RelInt && in.Kind != ops.RelKey {
 			return nil, fmt.Errorf("relq: join key %q is not int-typed", st.refs[j])
-		case st.strIDs != nil && in.Kind != ops.RelStr && in.Kind != ops.RelKey:
-			return nil, fmt.Errorf("relq: join key %q is not a string column", st.refs[j])
 		}
 	}
 	return ins, nil
 }
 
-// Semi keeps probe rows whose probeKey value appears in keys.
-func (q *Q) Semi(name string, keys []int64, probeKey string) *Q {
-	return q.join(ops.RelSemi, name, keys, nil, probeKey)
-}
-
-// Anti keeps probe rows whose probeKey value does not appear in keys.
-func (q *Q) Anti(name string, keys []int64, probeKey string) *Q {
-	return q.join(ops.RelAnti, name, keys, nil, probeKey)
-}
-
-// Join inner-joins the build batch on probeKey = keys[i] (build row i),
-// attaching the batch's columns as "name.col" payload inputs.
-func (q *Q) Join(name string, keys []int64, payload *ops.Batch, probeKey string) *Q {
-	return q.join(ops.RelInner, name, keys, payload, probeKey)
-}
-
-// LeftJoin is Join keeping unmatched probe rows (payload reads as zero
-// values).
-func (q *Q) LeftJoin(name string, keys []int64, payload *ops.Batch, probeKey string) *Q {
-	return q.join(ops.RelLeft, name, keys, payload, probeKey)
-}
-
-// JoinOn is Join with a composite probe key: fn combines the probe
-// columns' values (given as vecs[j][i]) into the int64 key space the
-// build keys live in.
-func (q *Q) JoinOn(kind ops.RelJoinKind, name string, keys []int64, payload *ops.Batch,
-	probeKeys []string, fn func(vecs [][]int64, i int) int64) *Q {
-	return q.addStage(stage{refs: probeKeys, RelStage: ops.RelStage{
-		Name: name, Kind: kind, KeyFn: fn, Table: ops.NewJoinTable(keys), Payload: payload,
-	}})
-}
-
 // bindStage binds stage si to part pi: its inputs resolved, and — for a
-// JoinStrs stage — the part's own way from a probe value to a build key.
+// string-keyed join — the part's own way from a probe value to a build key.
 func (q *Q) bindStage(pi, si int) (ops.RelStage, error) {
 	st := &q.stages[si]
 	out := st.RelStage
@@ -266,7 +249,7 @@ func (q *Q) bindStage(pi, si int) (ops.RelStage, error) {
 	}
 	out.Keys = ins
 	switch {
-	case st.strIDs == nil:
+	case !st.str:
 	case ins[0].Kind == ops.RelStr:
 		out.StrKeys = st.strIDs
 	default:
@@ -363,16 +346,10 @@ func (q *Q) Group(refs []string, keys []GKey, aggs []GAgg) *Bound {
 	for _, k := range keys {
 		names = append(names, k.Name)
 	}
-	kinds := make([]ops.RelAggKind, len(aggs))
-	for i, a := range aggs {
+	for _, a := range aggs {
 		names = append(names, a.Name)
-		kinds[i] = a.Kind
 	}
-	return q.bind(names, func(pi int) (ops.RelSink, map[int]string, error) {
-		return q.groupSink(pi, refs, keys, aggs)
-	}, func(parts []*ops.Batch) (*ops.Batch, error) {
-		return ops.MergeGrouped(parts, len(keys), kinds)
-	})
+	return &Bound{q: q, names: names, refs: refs, keys: keys, aggs: aggs}
 }
 
 // groupSink binds a grouped sink to part pi; decode names, per output
@@ -508,7 +485,7 @@ func (q *Q) Collect(refs []string, by []SortBy, k int) *Bound {
 			}
 		}
 		if found < 0 {
-			return &Bound{q: q, Err: fmt.Errorf("relq: sort key %q is not a collected column", s.Ref)}
+			return &Bound{q: q, names: refs, Err: fmt.Errorf("relq: sort key %q is not a collected column", s.Ref)}
 		}
 		collect.Sort = append(collect.Sort, ops.RelSortKey{Input: found, Desc: s.Desc})
 	}
@@ -516,40 +493,35 @@ func (q *Q) Collect(refs []string, by []SortBy, k int) *Bound {
 	for i, ref := range refs {
 		names[i] = strings.TrimLeft(ref, "#@")
 	}
-	return q.bind(names, func(pi int) (ops.RelSink, map[int]string, error) {
-		ins, err := q.inputs(pi, refs)
-		var decode map[int]string
-		for j, in := range ins {
-			if in.Kind == ops.RelKey && strings.HasPrefix(refs[j], "@") {
-				if decode == nil {
-					decode = map[int]string{}
-				}
-				decode[j] = in.Col
-			}
-		}
-		return ops.RelSink{Inputs: ins, Collect: collect}, decode, err
-	}, func(parts []*ops.Batch) (*ops.Batch, error) {
-		return ops.MergeCollected(parts, collect.Sort, k), nil
-	})
+	return &Bound{q: q, names: names, refs: refs, collect: collect}
 }
 
-// Bound is a query bound to a sink and compiled against every part of its
-// table: what Exec runs. After Exec, Batch is the sink's merged output,
-// Rows the number of rows that reached the sink, and Err the query's own
-// failure — at bind time or mid-scan — which never fails the queries
-// executed alongside it.
+// Bound is a query bound to a sink: what Exec runs. It compiles against
+// every part of its table when first executed — directly, or as the build
+// side of a join. After Exec, Batch is the sink's merged output, Rows the
+// number of rows that reached the sink, and Err the query's own failure —
+// at bind time, in a build side, or mid-scan — which never fails the
+// queries executed alongside it.
 type Bound struct {
 	Batch *ops.Batch
 	Rows  int64
 	Err   error
 
-	q      *Q
+	q     *Q
+	names []string // output columns
+	// The sink: a collect of refs, or a group of refs, keys and aggs.
+	refs    []string
+	collect *ops.RelCollect
+	keys    []GKey
+	aggs    []GAgg
+
+	bound  bool
+	ran    bool // executed as a build side; its Batch is reused
 	member ops.Member
 	// decode names, per part, the output columns holding that part's
 	// dictionary codes (output column → the column whose dictionary decodes
 	// them); merge folds the decoded per-part batches in value space.
 	decode []map[int]string
-	merge  func(parts []*ops.Batch) (*ops.Batch, error)
 }
 
 func (b *Bound) run() (*ops.Batch, error) {
@@ -559,29 +531,65 @@ func (b *Bound) run() (*ops.Batch, error) {
 	return b.Batch, b.Err
 }
 
-// bind compiles the query against every part — predicate plan, stages,
-// and the sink sinkOf yields, along with the output columns that will hold
-// that part's dictionary codes — into a Bound whose per-part results merge
-// folds. Binding can read dictionaries and column
-// stats (dict rewrites, conjunct ordering, join-key translation, group-key
-// domains); under a trace that IO is booked on a Plan child, next to the
-// chosen conjunct orders, so the span tree still sums to the readers'
-// IOStats deltas.
-func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error),
-	merge func(parts []*ops.Batch) (*ops.Batch, error)) *Bound {
-	b := &Bound{q: q, Err: q.err, merge: merge}
-	if b.Err != nil {
-		return b
+// sink binds b's sink to part pi; decode names, per output column holding
+// this part's dictionary codes for an "@" ref, the column whose dictionary
+// decodes them.
+func (b *Bound) sink(pi int) (ops.RelSink, map[int]string, error) {
+	if b.collect == nil {
+		return b.q.groupSink(pi, b.refs, b.keys, b.aggs)
+	}
+	ins, err := b.q.inputs(pi, b.refs)
+	var decode map[int]string
+	for j, in := range ins {
+		if in.Kind == ops.RelKey && strings.HasPrefix(b.refs[j], "@") {
+			if decode == nil {
+				decode = map[int]string{}
+			}
+			decode[j] = in.Col
+		}
+	}
+	return ops.RelSink{Inputs: ins, Collect: b.collect}, decode, err
+}
+
+// merge folds the decoded per-part batches of b's sink in value space.
+func (b *Bound) merge(parts []*ops.Batch) (*ops.Batch, error) {
+	if b.collect != nil {
+		return ops.MergeCollected(parts, b.collect.Sort, b.collect.K), nil
+	}
+	kinds := make([]ops.RelAggKind, len(b.aggs))
+	for i, a := range b.aggs {
+		kinds[i] = a.Kind
+	}
+	return ops.MergeGrouped(parts, len(b.keys), kinds)
+}
+
+// prepare compiles b once: its join stages' build sides run, then the
+// predicate plan, stages and sink bind against every part. Binding can
+// read dictionaries and column stats (dict rewrites, conjunct ordering,
+// join-key translation, group-key domains); under a trace that IO is booked
+// on a Plan child, next to the chosen conjunct orders, so the span tree
+// still sums to the readers' IOStats deltas.
+func (b *Bound) prepare() {
+	if b.bound || b.Err != nil {
+		return
+	}
+	b.bound = true
+	q := b.q
+	if b.Err = q.err; b.Err != nil {
+		return
+	}
+	for si := range q.stages {
+		if b.Err = q.runBuild(&q.stages[si]); b.Err != nil {
+			return
+		}
 	}
 	var ps *obs.Span
 	var before []colstore.IOStats
 	if sp := obs.SpanFrom(q.ctx); sp != nil {
 		ps = sp.StartChild("Plan")
-		for _, part := range q.parts {
-			before = append(before, part.R.Stats())
-		}
+		before = partStats(q.parts)
 	}
-	b.Err = q.bindParts(b, names, sinkOf)
+	b.Err = q.bindParts(b)
 	if ps != nil {
 		for pi, part := range q.parts {
 			if pl := b.member.Plans; pl != nil && pl[pi] != nil {
@@ -596,12 +604,99 @@ func (q *Q) bind(names []string, sinkOf func(pi int) (ops.RelSink, map[int]strin
 		}
 		ps.End()
 	}
-	return b
+}
+
+func partStats(parts []ops.Part) []colstore.IOStats {
+	out := make([]colstore.IOStats, len(parts))
+	for pi, part := range parts {
+		out[pi] = part.R.Stats()
+	}
+	return out
+}
+
+// runBuild runs a join stage's build side, once, under the probe's context
+// — traced, inside a Build span whose IO is the build table's IOStats
+// delta — and builds the stage's hash table and payload from its output.
+func (q *Q) runBuild(st *stage) error {
+	b := st.build
+	if b == nil || st.Table != nil {
+		return nil
+	}
+	if !b.ran && b.Err == nil {
+		b.ran = true
+		ctx := q.ctx
+		bs := obs.SpanFrom(ctx).StartChild("Build[" + st.Name + "]")
+		var before []colstore.IOStats
+		if bs != nil {
+			before = partStats(b.q.parts)
+			ctx = obs.ContextWithSpan(ctx, bs)
+		}
+		b.q.ctx = ctx
+		if err := Exec(b); err != nil {
+			b.Err = err
+		}
+		if bs != nil {
+			for pi, part := range b.q.parts {
+				bs.AddIO(ops.IODelta(before[pi], part.R.Stats()))
+			}
+			if b.Err == nil {
+				bs.SetRows(b.Rows, b.Rows)
+			}
+			bs.End()
+		}
+	}
+	if b.Err != nil {
+		return b.Err
+	}
+	return st.buildTable(b.Batch)
+}
+
+// buildTable keys the stage's hash table on the build output's first
+// column — or its first len(refs) columns through KeyFn — and attaches
+// the whole output as payload.
+func (st *stage) buildTable(out *ops.Batch) error {
+	k := len(st.refs)
+	if len(out.Names) < k {
+		return fmt.Errorf("relq: join %q needs %d build key columns, its build side has %d", st.Name, k, len(out.Names))
+	}
+	var keys []int64
+	switch {
+	case st.str:
+		if out.Kinds[0] != ops.RelStr {
+			return fmt.Errorf("relq: join key %q is a string column, build key %q is not", st.refs[0][1:], out.Names[0])
+		}
+		st.strIDs = make(map[string]int64)
+		keys = make([]int64, out.N)
+		for i, v := range out.Strs[0] {
+			id, ok := st.strIDs[string(v)]
+			if !ok {
+				id = int64(len(st.strIDs))
+				st.strIDs[string(v)] = id
+			}
+			keys[i] = id
+		}
+	default:
+		for j := 0; j < k; j++ {
+			if out.Kinds[j] != ops.RelInt {
+				return fmt.Errorf("relq: build key %q of join %q is not int-typed", out.Names[j], st.Name)
+			}
+		}
+		keys = out.Ints[0]
+		if st.KeyFn != nil {
+			keys = make([]int64, out.N)
+			for i := range keys {
+				keys[i] = st.KeyFn(out.Ints[:k], i)
+			}
+		}
+	}
+	st.Table = ops.NewJoinTable(keys)
+	st.Payload = out
+	return nil
 }
 
 // bindParts fills b with one predicate plan, relational plan and decode
 // list per part.
-func (q *Q) bindParts(b *Bound, names []string, sinkOf func(pi int) (ops.RelSink, map[int]string, error)) (err error) {
+func (q *Q) bindParts(b *Bound) (err error) {
 	n := len(q.parts)
 	b.member.Rels = make([]*ops.RelPlan, n)
 	b.decode = make([]map[int]string, n)
@@ -616,7 +711,7 @@ func (q *Q) bindParts(b *Bound, names []string, sinkOf func(pi int) (ops.RelSink
 				return err
 			}
 		}
-		rp := &ops.RelPlan{Names: names}
+		rp := &ops.RelPlan{Names: b.names}
 		if len(q.stages) > 0 {
 			rp.Stages = make([]ops.RelStage, len(q.stages))
 		}
@@ -625,7 +720,7 @@ func (q *Q) bindParts(b *Bound, names []string, sinkOf func(pi int) (ops.RelSink
 				return err
 			}
 		}
-		if rp.Sink, b.decode[pi], err = sinkOf(pi); err != nil {
+		if rp.Sink, b.decode[pi], err = b.sink(pi); err != nil {
 			return err
 		}
 		b.member.Rels[pi] = rp
@@ -635,13 +730,15 @@ func (q *Q) bindParts(b *Bound, names []string, sinkOf func(pi int) (ops.RelSink
 
 // Exec runs bound queries — all over the same table's parts, pool and
 // context as the first — as one morsel pass, then decodes each one's
-// per-part batches to values and merges them. A query that failed to bind
-// sits the pass out; one that fails mid-scan fails alone. The returned
-// error is fatal to all of them: cancellation, a worker panic.
+// per-part batches to values and merges them. Each binds first (its build
+// sides run then); a query that fails to bind sits the pass out, one that
+// fails mid-scan fails alone. The returned error is fatal to all of them:
+// cancellation, a worker panic.
 func Exec(bounds ...*Bound) error {
 	var run []*Bound
 	var members []ops.Member
 	for _, b := range bounds {
+		b.prepare()
 		if b.Err == nil {
 			run = append(run, b)
 			members = append(members, b.member)

@@ -126,14 +126,12 @@ func (fx *fixture) scan() *Q {
 
 func keepOrder(o orderRow) bool { return o.year >= 1994 }
 
-// buildSide reads the customers of nations N0..N2 through relq itself
+// buildRows reads the customers of nations N0..N2 through relq itself
 // (Scan → filter → Rows on a one-part table) and checks them against the
-// slice: the build side every join below uses.
-func (fx *fixture) buildSide(t *testing.T) (names [][]byte, keys []int64, payload *ops.Batch, want []custRow) {
+// slice: the rows every build side below carries.
+func (fx *fixture) buildRows(t *testing.T) (want []custRow) {
 	t.Helper()
-	b, err := Scan(fx.cr, fx.pool).
-		Where(&ops.Cmp{Col: "c_nation", Op: sboost.OpLt, Value: []byte("N3")}).
-		Rows("c_name", "c_key", "c_nation")
+	b, err := fx.build().Rows("c_name", "c_key", "c_nation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +143,24 @@ func (fx *fixture) buildSide(t *testing.T) (names [][]byte, keys []int64, payloa
 	if b.N != len(want) {
 		t.Fatalf("build side has %d rows, want %d", b.N, len(want))
 	}
-	names, keys = b.Strs[b.Col("c_name")], b.Ints[b.Col("c_key")]
-	nations := b.Strs[b.Col("c_nation")]
+	names, keys, nations := b.Strs[b.Col("c_name")], b.Ints[b.Col("c_key")], b.Strs[b.Col("c_nation")]
 	for i, c := range want {
 		if string(names[i]) != c.name || keys[i] != c.key || string(nations[i]) != c.nation {
 			t.Fatalf("build row %d = (%s, %d, %s), want %+v", i, names[i], keys[i], nations[i], c)
 		}
 	}
-	return names, keys, (&ops.Batch{}).AddStrs("nation", nations), want
+	return want
+}
+
+// build starts the build-side query over the customers of nations N0..N2.
+func (fx *fixture) build() *Q {
+	return Scan(fx.cr, fx.pool).Where(&ops.Cmp{Col: "c_nation", Op: sboost.OpLt, Value: []byte("N3")})
+}
+
+// buildSide is the build side keyed on key ("c_name" or "c_key"), carrying
+// the customer's nation as payload.
+func (fx *fixture) buildSide(key string) *Bound {
+	return fx.build().Collect([]string{key, "c_nation"}, nil, 0)
 }
 
 func TestScanPartsFilterRows(t *testing.T) {
@@ -186,24 +194,21 @@ func TestScanPartsFilterRows(t *testing.T) {
 }
 
 // joinKinds runs fn for the string-key and the int-key form of one join
-// kind: the same build rows, probed through JoinStrs (per-part dictionary
-// translation / raw string lookup) and through JoinOn (int values).
+// kind: the same build rows keyed on the customer's name (numbered by relq,
+// probed through each part's dictionary or its raw strings) and on its int
+// key.
 func (fx *fixture) joinKinds(t *testing.T, kind ops.RelJoinKind, fn func(t *testing.T, q *Q)) {
-	names, keys, payload, _ := fx.buildSide(t)
-	if kind != ops.RelInner {
-		payload = nil
-	}
 	t.Run("string key", func(t *testing.T) {
-		fn(t, fx.scan().JoinStrs(kind, "c", names, payload, "o_cust"))
+		fn(t, fx.scan().Join(kind, "c", fx.buildSide("c_name"), "o_cust"))
 	})
 	t.Run("int key", func(t *testing.T) {
-		fn(t, fx.scan().JoinOn(kind, "c", keys, payload, []string{"o_ckey"}, nil))
+		fn(t, fx.scan().Join(kind, "c", fx.buildSide("c_key"), "o_ckey"))
 	})
 }
 
 func TestSemiAndAntiJoin(t *testing.T) {
 	fx := newFixture(t)
-	_, _, _, build := fx.buildSide(t)
+	build := fx.buildRows(t)
 	var semi, anti int64
 	for _, o := range fx.orders { // nested loop
 		if !keepOrder(o) {
@@ -238,7 +243,7 @@ func TestSemiAndAntiJoin(t *testing.T) {
 
 func TestInnerJoinGroupBy(t *testing.T) {
 	fx := newFixture(t)
-	_, _, _, build := fx.buildSide(t)
+	build := fx.buildRows(t)
 	type key struct {
 		nation string
 		year   int64
@@ -276,7 +281,7 @@ func TestInnerJoinGroupBy(t *testing.T) {
 	})
 	fx.joinKinds(t, ops.RelInner, func(t *testing.T, q *Q) {
 		b, err := q.GroupBy(
-			[]GKey{{Name: "nation", Ref: "c.nation"}, {Name: "year", Ref: "o_year"}},
+			[]GKey{{Name: "nation", Ref: "c.c_nation"}, {Name: "year", Ref: "o_year"}},
 			[]GAgg{{Name: "n", Kind: ops.RelAggCount}, {Name: "sum", Kind: ops.RelAggSumFloat, Ref: "o_price"}})
 		if err != nil {
 			t.Fatal(err)
@@ -369,7 +374,7 @@ func TestIntKeyDomainFromChunkStats(t *testing.T) {
 
 func TestInnerJoinOrderByLimit(t *testing.T) {
 	fx := newFixture(t)
-	_, _, _, build := fx.buildSide(t)
+	build := fx.buildRows(t)
 	type row struct {
 		price  float64
 		cust   string
@@ -393,13 +398,13 @@ func TestInnerJoinOrderByLimit(t *testing.T) {
 		}
 		return want[a].pos < want[b].pos
 	})
-	refs := []string{"o_price", "@o_cust", "c.nation"}
+	refs := []string{"o_price", "@o_cust", "c.c_nation"}
 	check := func(t *testing.T, b *ops.Batch, want []row) {
 		t.Helper()
 		if b.N != len(want) {
 			t.Fatalf("%d rows, want %d", b.N, len(want))
 		}
-		price, cust, nation := b.Floats[b.Col("o_price")], b.Strs[b.Col("o_cust")], b.Strs[b.Col("c.nation")]
+		price, cust, nation := b.Floats[b.Col("o_price")], b.Strs[b.Col("o_cust")], b.Strs[b.Col("c.c_nation")]
 		for i, w := range want {
 			if price[i] != w.price || string(cust[i]) != w.cust || string(nation[i]) != w.nation {
 				t.Fatalf("row %d = (%v, %s, %s), want %+v", i, price[i], cust[i], nation[i], w)
@@ -424,15 +429,20 @@ func TestInnerJoinOrderByLimit(t *testing.T) {
 
 func TestBuilderErrors(t *testing.T) {
 	fx := newFixture(t)
-	names, keys, _, _ := fx.buildSide(t)
-	if _, err := fx.scan().JoinStrs(ops.RelSemi, "c", names, nil, "o_ckey").Count(); err == nil {
-		t.Fatal("string join on an int column not rejected")
+	if _, err := fx.scan().Join(ops.RelSemi, "c", fx.buildSide("c_name"), "o_ckey").Count(); err == nil {
+		t.Fatal("string build key on an int probe column not rejected")
 	}
-	if _, err := fx.scan().Semi("c", keys, "o_cust").Count(); err == nil {
-		t.Fatal("int join on a string column not rejected")
+	if _, err := fx.scan().Join(ops.RelSemi, "c", fx.buildSide("c_key"), "o_cust").Count(); err == nil {
+		t.Fatal("int build key on a string probe column not rejected")
 	}
-	if _, err := fx.scan().Semi("c", keys, "nope").Count(); err == nil {
+	if _, err := fx.scan().Join(ops.RelSemi, "c", fx.buildSide("c_key"), "nope").Count(); err == nil {
 		t.Fatal("unknown probe column not rejected")
+	}
+	if _, err := fx.scan().Join(ops.RelInner, "c", fx.buildSide("c_key"), "o_ckey").Rows("c.nope"); err == nil {
+		t.Fatal("payload ref to a column the build side does not output not rejected")
+	}
+	if _, err := fx.scan().Join(ops.RelSemi, "c", nil, "o_ckey").Count(); err == nil {
+		t.Fatal("join without a build side not rejected")
 	}
 	if _, err := fx.scan().Rows("c.nation"); err == nil {
 		t.Fatal("payload ref without its stage not rejected")
@@ -469,9 +479,8 @@ func cloneBatch(b *ops.Batch) *ops.Batch {
 // (and the race detector would see the writes).
 func TestRecycledScratchDoesNotAlias(t *testing.T) {
 	fx := newFixture(t)
-	_, keys, payload, _ := fx.buildSide(t)
-	refs := []string{"@o_cust", "o_ckey", "o_price", "c.nation"}
-	join := func() *Q { return fx.scan().JoinOn(ops.RelInner, "c", keys, payload, []string{"o_ckey"}, nil) }
+	refs := []string{"@o_cust", "o_ckey", "o_price", "c.c_nation"}
+	join := func() *Q { return fx.scan().Join(ops.RelInner, "c", fx.buildSide("c_key"), "o_ckey") }
 	queries := []func() (*ops.Batch, error){
 		func() (*ops.Batch, error) { return join().Rows(refs...) },
 		func() (*ops.Batch, error) { return join().Sorted(refs, SortBy{Ref: "o_price", Desc: true}) },
@@ -519,5 +528,174 @@ func TestRecycledScratchDoesNotAlias(t *testing.T) {
 		if !reflect.DeepEqual(cloneBatch(got[i]), solo[i]) {
 			t.Errorf("query %d: concurrent result changed after later queries reused the pool", i)
 		}
+	}
+}
+
+// TestJoinCompositeKey joins orders to orders on (customer, year): the
+// build side runs over both parts, and fn combines the build side's first
+// two columns the way it combines the probe's two keys.
+func TestJoinCompositeKey(t *testing.T) {
+	fx := newFixture(t)
+	late := func(o orderRow) bool { return o.year >= 1996 }
+	var wantN int64
+	var wantSum float64
+	for _, o := range fx.orders { // nested loop
+		if !keepOrder(o) {
+			continue
+		}
+		for _, b := range fx.orders {
+			if late(b) && b.ckey == o.ckey && b.year == o.year {
+				wantN++
+				wantSum += b.price
+			}
+		}
+	}
+	if wantN == 0 {
+		t.Fatal("vacuous fixture: no pair joins")
+	}
+	build := ScanParts(fx.parts, fx.pool).
+		Where(&ops.Cmp{Col: "o_year", Op: sboost.OpGe, Value: 1996}).
+		Collect([]string{"o_ckey", "o_year", "o_price"}, nil, 0)
+	b, err := fx.scan().
+		JoinOn(ops.RelInner, "b", build, []string{"o_ckey", "o_year"},
+			func(vecs [][]int64, i int) int64 { return vecs[0][i]*10000 + vecs[1][i] }).
+		GroupBy(nil, []GAgg{{Name: "n", Kind: ops.RelAggCount}, {Name: "sum", Kind: ops.RelAggSumFloat, Ref: "b.o_price"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, sum := b.Ints[0][0], b.Floats[1][0]; n != wantN || sum != wantSum {
+		t.Fatalf("composite join = (%d, %v), want (%d, %v)", n, sum, wantN, wantSum)
+	}
+}
+
+// TestJoinGroupBuildSide reduces, then gathers through the reduced key:
+// the orders grouped per customer are the build side, and the customers
+// probe it — on the int key with a left join (customers without orders
+// read zeros), on the string key with an inner join.
+func TestJoinGroupBuildSide(t *testing.T) {
+	fx := newFixture(t)
+	wantN := map[int64]int64{}
+	wantSum := map[int64]float64{}
+	for _, o := range fx.orders {
+		if keepOrder(o) {
+			wantN[o.ckey]++
+			wantSum[o.ckey] += o.price
+		}
+	}
+	aggs := []GAgg{{Name: "n", Kind: ops.RelAggCount}, {Name: "sum", Kind: ops.RelAggSumFloat, Ref: "o_price"}}
+	check := func(t *testing.T, b *ops.Batch, inner bool) {
+		t.Helper()
+		var want int
+		for _, c := range fx.custs {
+			if !inner || wantN[c.key] > 0 {
+				want++
+			}
+		}
+		if b.N != want || (inner && want == len(fx.custs)) || want == 0 {
+			t.Fatalf("%d rows, want %d of %d customers", b.N, want, len(fx.custs))
+		}
+		key, n, sum := b.Ints[b.Col("c_key")], b.Ints[b.Col("g.n")], b.Floats[b.Col("g.sum")]
+		for i, k := range key {
+			if n[i] != wantN[k] || sum[i] != wantSum[k] {
+				t.Fatalf("customer %d = (%d, %v), want (%d, %v)", k, n[i], sum[i], wantN[k], wantSum[k])
+			}
+		}
+	}
+	t.Run("int key, left", func(t *testing.T) {
+		build := fx.scan().Group(nil, []GKey{{Name: "ck", Ref: "o_ckey"}}, aggs)
+		b, err := Scan(fx.cr, fx.pool).Join(ops.RelLeft, "g", build, "c_key").Rows("c_key", "g.n", "g.sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, b, false)
+	})
+	t.Run("string key, inner", func(t *testing.T) {
+		build := fx.scan().
+			Where(&ops.Cmp{Col: "o_ckey", Op: sboost.OpLt, Value: 110}).
+			Group(nil, []GKey{{Name: "cust", Ref: "@o_cust"}}, aggs)
+		b, err := Scan(fx.cr, fx.pool).Join(ops.RelInner, "g", build, "c_name").Rows("c_key", "g.n", "g.sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range wantN {
+			if k >= 110 {
+				delete(wantN, k)
+				delete(wantSum, k)
+			}
+		}
+		check(t, b, true)
+	})
+}
+
+// TestJoinEmptyBuildSide: a build side no row reaches still types its
+// key from its schema — string and int — so a semi or inner join keeps no
+// row, an anti join every row, and a left join every row with zero
+// payload.
+func TestJoinEmptyBuildSide(t *testing.T) {
+	fx := newFixture(t)
+	var kept int64
+	for _, o := range fx.orders {
+		if keepOrder(o) {
+			kept++
+		}
+	}
+	for _, k := range []struct{ key, probe string }{{"c_name", "o_cust"}, {"c_key", "o_ckey"}} {
+		empty := func() *Bound {
+			return Scan(fx.cr, fx.pool).Where(&ops.Cmp{Col: "c_nation", Op: sboost.OpEq, Value: []byte("NOSUCH")}).
+				Collect([]string{k.key, "c_nation"}, nil, 0)
+		}
+		for kind, want := range map[ops.RelJoinKind]int64{ops.RelSemi: 0, ops.RelInner: 0, ops.RelAnti: kept, ops.RelLeft: kept} {
+			refs := []string{"o_ckey"}
+			if kind == ops.RelInner || kind == ops.RelLeft {
+				refs = append(refs, "c.c_nation")
+			}
+			b, err := fx.scan().Join(kind, "c", empty(), k.probe).Rows(refs...)
+			if err != nil || int64(b.N) != want {
+				t.Fatalf("%s join on %s over an empty build side: %v rows, %v; want %d", kind, k.key, b, err, want)
+			}
+			if kind == ops.RelLeft {
+				for _, v := range b.Strs[b.Col("c.c_nation")] {
+					if v != nil {
+						t.Fatalf("left join over an empty build side read payload %q", v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinBuildSideFailsAlone: a build side that fails to bind, or fails
+// when it runs, fails its own probe and nothing executed alongside it.
+func TestJoinBuildSideFailsAlone(t *testing.T) {
+	fx := newFixture(t)
+	var kept int64
+	for _, o := range fx.orders {
+		if keepOrder(o) {
+			kept++
+		}
+	}
+	for name, bad := range map[string]func() *Bound{
+		"bind": func() *Bound {
+			return Scan(fx.cr, fx.pool).Where(&ops.Cmp{Col: "nope", Op: sboost.OpEq, Value: 1}).
+				Collect([]string{"c_key"}, nil, 0)
+		},
+		"run": func() *Bound { // a group key on a float column fails in ops.Run
+			return fx.scan().Group(nil, []GKey{{Name: "p", Ref: "o_price"}}, []GAgg{{Name: "n", Kind: ops.RelAggCount}})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			build := bad()
+			probe := fx.scan().Join(ops.RelSemi, "c", build, "o_ckey").Collect(nil, nil, 0)
+			alone := fx.scan().Collect(nil, nil, 0)
+			if err := Exec(probe, alone); err != nil {
+				t.Fatalf("a failing build side was fatal to the pass: %v", err)
+			}
+			if probe.Err == nil || probe.Err != build.Err {
+				t.Fatalf("probe error %v, want the build side's %v", probe.Err, build.Err)
+			}
+			if alone.Err != nil || alone.Rows != kept {
+				t.Fatalf("query alongside = %d rows, %v; want %d", alone.Rows, alone.Err, kept)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package ssb
 
 import (
+	"codecdb/internal/colstore"
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
 	"codecdb/internal/relq"
@@ -8,13 +9,15 @@ import (
 
 // The engine plans compile every SSB query through internal/relq into an
 // ops.RelPlan executed on the morsel pipeline: dictionary-entry
-// predicates on the fact scan, dense-key semi/inner joins against the
-// qualifying dimension rows (attribute strings travel as join payloads),
-// and a multi-column group-by whose keys mix a packed year domain with
-// string dimension attributes. Dimension prep (loadDims) is shared with
-// the Morph and Oblivious baselines, and the grouped batch is folded
-// through the same groupAgg/emit path so output ordering is
-// byte-identical across the three.
+// predicates on the fact scan, then one join per restricted or grouped
+// dimension whose build side is a relq scan of that dimension — the
+// spec's three-attribute predicate as a residual row filter, the key and
+// the grouped attribute collected — and a multi-column group-by whose keys
+// mix a packed year domain with string dimension attributes. No dimension
+// is read by hand (loadDims serves only the Morph and decode-first
+// baselines), and the grouped batch is folded through the same
+// groupAgg/emit path so output ordering is byte-identical across the
+// three.
 
 func (t *Tables) engineFlight1(spec flight1Spec) (Result, error) {
 	b, err := relq.Scan(t.LO, t.Pool).
@@ -43,10 +46,6 @@ func (t *Tables) engineFlight1(spec flight1Spec) (Result, error) {
 }
 
 func (t *Tables) engineFact(spec *factSpec) (Result, error) {
-	cust, supp, part, err := t.loadAllDims(spec)
-	if err != nil {
-		return Result{}, err
-	}
 	q := relq.Scan(t.LO, t.Pool)
 	if spec.datePred != nil {
 		q = q.Where(&ops.Match{Col: "lo_orderdate", Int: spec.datePred})
@@ -54,37 +53,35 @@ func (t *Tables) engineFact(spec *factSpec) (Result, error) {
 	bitmaps := int64(1) // scan selection (full-table when unfiltered)
 
 	dimJoins := []struct {
-		stage    string
-		probeCol string
-		d        *dims
-		pred     bool
+		stage, probeCol string
+		r               *colstore.Reader
+		key             string
+		cols            []string
+		pred            func(a, b, c []byte) bool
+		attr            string // the grouped attribute column, "" when ungrouped
 	}{
-		{"cust", "lo_custkey", cust, spec.custPred != nil},
-		{"supp", "lo_suppkey", supp, spec.suppPred != nil},
-		{"part", "lo_partkey", part, spec.partPred != nil},
+		{"cust", "lo_custkey", t.C, "c_custkey", []string{"c_region", "c_nation", "c_city"},
+			spec.custPred, custAttrCols[spec.groupCust]},
+		{"supp", "lo_suppkey", t.S, "s_suppkey", []string{"s_region", "s_nation", "s_city"},
+			spec.suppPred, suppAttrCols[spec.groupSupp]},
+		{"part", "lo_partkey", t.P, "p_partkey", []string{"p_mfgr", "p_category", "p_brand1"},
+			spec.partPred, partAttrCols[spec.groupPart]},
 	}
-	attrStage := map[string]bool{}
+	var attrKeys []relq.GKey
 	for _, dj := range dimJoins {
-		if !dj.pred && dj.d.attr == nil {
+		if dj.pred == nil && dj.attr == "" {
 			continue // unrestricted and ungrouped: the join is a no-op
 		}
-		keys := make([]int64, 0, len(dj.d.ok))
-		var attrs [][]byte
-		for i, ok := range dj.d.ok {
-			if !ok {
-				continue
-			}
-			keys = append(keys, int64(i+1))
-			if dj.d.attr != nil {
-				attrs = append(attrs, dj.d.attr[i])
-			}
+		dim := relq.Scan(dj.r, t.Pool)
+		if pred := dj.pred; pred != nil {
+			dim = dim.WhereRow("pred", dj.cols, func(r relq.Row) bool { return pred(r.Str(0), r.Str(1), r.Str(2)) })
 		}
-		if dj.d.attr != nil {
-			q = q.Join(dj.stage, keys, (&ops.Batch{}).AddStrs("a", attrs), dj.probeCol)
-			attrStage[dj.stage] = true
-		} else {
-			q = q.Semi(dj.stage, keys, dj.probeCol)
+		kind, refs := ops.RelSemi, []string{dj.key}
+		if dj.attr != "" {
+			kind, refs = ops.RelInner, append(refs, dj.attr)
+			attrKeys = append(attrKeys, relq.GKey{Name: dj.stage, Ref: dj.stage + "." + dj.attr})
 		}
+		q = q.Join(kind, dj.stage, dim.Collect(refs, nil, 0), dj.probeCol)
 		bitmaps++
 	}
 
@@ -94,13 +91,8 @@ func (t *Tables) engineFact(spec *factSpec) (Result, error) {
 		refs = append(refs, "lo_supplycost")
 		costIdx = 2
 	}
-	gkeys := []relq.GKey{{Name: "year", Lo: 1992, Hi: 1999,
-		Fn: func(r relq.Row) int64 { return YearOf(r.Int(0)) }}}
-	for _, stage := range []string{"cust", "supp", "part"} {
-		if attrStage[stage] {
-			gkeys = append(gkeys, relq.GKey{Name: stage, Ref: stage + ".a"})
-		}
-	}
+	gkeys := append([]relq.GKey{{Name: "year", Lo: 1992, Hi: 1999,
+		Fn: func(r relq.Row) int64 { return YearOf(r.Int(0)) }}}, attrKeys...)
 	b, err := q.GroupByOver(refs, gkeys,
 		[]relq.GAgg{{Name: "v", Kind: ops.RelAggSumInt, FnI: func(r relq.Row) int64 {
 			v := r.Int(1)
@@ -115,10 +107,10 @@ func (t *Tables) engineFact(spec *factSpec) (Result, error) {
 
 	years, vals := b.Ints[b.Col("year")], b.Ints[b.Col("v")]
 	attrCol := func(stage string) [][]byte {
-		if !attrStage[stage] {
-			return nil
+		if j := b.Col(stage); j >= 0 {
+			return b.Strs[j]
 		}
-		return b.Strs[b.Col(stage)]
+		return nil
 	}
 	ca, sa, pa := attrCol("cust"), attrCol("supp"), attrCol("part")
 	at := func(col [][]byte, i int) []byte {

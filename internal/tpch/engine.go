@@ -1,18 +1,25 @@
 package tpch
 
 import (
+	"slices"
+
+	"codecdb/internal/colstore"
 	"codecdb/internal/ops"
+	"codecdb/internal/relq"
 	"codecdb/internal/sboost"
 )
 
-// The engine plans compile every query through internal/relq into an
-// ops.RelPlan — scan filters, late-materialized dict-key joins, residual
-// row predicates, multi-column group-by — and execute it on the morsel
-// pipeline. Small dimension prep (nation/region lookups, dense-key build
-// sides) stays in plain Go; everything touching a fact table runs through
-// the relational executor. The decode-first Oblivious plans
-// (queries_{a,b,c}.go) are the independent reference the equivalence
-// tests compare against.
+// The engine plans compile every query through internal/relq into
+// ops.RelPlans — scan filters, late-materialized joins, residual row
+// predicates, multi-column group-by — and execute them on the morsel
+// pipeline. Every join's build side is itself a relq query over its own
+// table (a dimension's filtered rows, or a grouped reduction joined back
+// through its key), so no plan reads a whole column by hand or joins,
+// groups or counts distinct values in Go. What stays in Go is the final
+// shaping of a small result: nation names, ordering, rounding. The
+// decode-first Oblivious plans (queries_{a,b,c}.go) are the independent
+// reference the equivalence tests compare against; the two share only the
+// result formatters in plans.go.
 
 func init() {
 	registerEngine(1, q1Engine)
@@ -53,22 +60,60 @@ func lt(col string, v int64) ops.Filter { return cmp(col, sboost.OpLt, v) }
 func le(col string, v int64) ops.Filter { return cmp(col, sboost.OpLe, v) }
 func eqS(col, v string) ops.Filter      { return cmp(col, sboost.OpEq, v) }
 
+// inRange keeps lo <= col < hi as one leaf, so the column is read once.
+func inRange(col string, lo, hi int64) ops.Filter {
+	return &ops.Match{Col: col, Int: func(v int64) bool { return v >= lo && v < hi }}
+}
+
 func bInts(b *ops.Batch, name string) []int64 { return b.Ints[b.Col(name)] }
 
 func bFloats(b *ops.Batch, name string) []float64 { return b.Floats[b.Col(name)] }
 
 func bStrs(b *ops.Batch, name string) [][]byte { return b.Strs[b.Col(name)] }
 
-// suppNationSide loads the supplier join side: dense supplier keys with
-// the nation key as payload column "sn".
-func suppNationSide(t *Tables) ([]int64, *ops.Batch, error) {
-	sKey, err := ops.ReadAllInts(t.S, "s_suppkey", t.Pool)
-	if err != nil {
-		return nil, nil, err
+// scan starts a query over one of the tables.
+func (t *Tables) scan(r *colstore.Reader) *relq.Q { return relq.Scan(r, t.Pool) }
+
+// rows binds q to a collect of refs in table order: a build side.
+func rows(q *relq.Q, refs ...string) *relq.Bound { return q.Collect(refs, nil, 0) }
+
+// nations is every nation: (n_nationkey, n_name).
+func (t *Tables) nations() *relq.Bound { return rows(t.scan(t.N), "n_nationkey", "n_name") }
+
+// nationsNamed is the nations with the given names: (n_nationkey, n_name).
+// The names are tested on the gathered n_name values the build side
+// returns anyway, so the column is read once.
+func (t *Tables) nationsNamed(names ...string) *relq.Bound {
+	return rows(t.scan(t.N).WhereRow("named", []string{"n_name"}, func(r relq.Row) bool {
+		return slices.Contains(names, string(r.Str(0)))
+	}), "n_nationkey", "n_name")
+}
+
+// nationsOf is the nations of a region: (n_nationkey, n_name).
+func (t *Tables) nationsOf(region string) *relq.Bound {
+	regions := rows(t.scan(t.R).Where(eqS("r_name", region)), "r_regionkey")
+	return rows(t.scan(t.N).Join(ops.RelSemi, "r", regions, "n_regionkey"), "n_nationkey", "n_name")
+}
+
+// nameOf indexes an executed (n_nationkey, n_name) build side by key: the
+// lookup that turns a grouped nation key back into its name.
+func nameOf(nations *relq.Bound) map[int64][]byte {
+	out := make(map[int64][]byte, nations.Batch.N)
+	for i, k := range bInts(nations.Batch, "n_nationkey") {
+		out[k] = bStrs(nations.Batch, "n_name")[i]
 	}
-	sNation, err := ops.ReadAllInts(t.S, "s_nationkey", t.Pool)
-	if err != nil {
-		return nil, nil, err
+	return out
+}
+
+// one reads the only row of a key-less aggregate (zero over no rows).
+func one(b *ops.Batch, name string) float64 {
+	if b.N == 0 {
+		return 0
 	}
-	return sKey, (&ops.Batch{}).AddInts("sn", sNation), nil
+	return bFloats(b, name)[0]
+}
+
+// revenue is price * (1 - discount) over inputs i and i+1 of the row.
+func revenue(i int) func(relq.Row) float64 {
+	return func(r relq.Row) float64 { return r.Float(i) * (1 - r.Float(i+1)) }
 }

@@ -55,64 +55,37 @@ func q1Engine(t *Tables) (*memtable.RowTable, error) {
 	return emit(q1Names, q1Types, rows, 0), nil
 }
 
+// q2Engine reduces, then gathers through the reduced key: the least
+// European supply cost per qualifying part is a grouped build side, and
+// partsupp joins back to it to keep the rows that achieve it.
 func q2Engine(t *Tables) (*memtable.RowTable, error) {
-	pb, err := relq.Scan(t.P, t.Pool).
+	parts := rows(t.scan(t.P).
 		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return bytes.HasSuffix(e, []byte("BRASS"))
 		}}).
-		Where(cmp("p_size", sboost.OpEq, 15)).
-		Rows("p_partkey")
+		Where(cmp("p_size", sboost.OpEq, 15)), "p_partkey")
+	supp := rows(t.scan(t.S).Join(ops.RelInner, "n", t.nationsOf("EUROPE"), "s_nationkey"),
+		"s_suppkey", "s_acctbal", "s_name", "n.n_name")
+	minCost := t.scan(t.PS).
+		Join(ops.RelSemi, "p", parts, "ps_partkey").
+		Join(ops.RelSemi, "s", supp, "ps_suppkey").
+		Group(nil,
+			[]relq.GKey{{Name: "pk", Ref: "ps_partkey", Lo: 0, Hi: t.P.NumRows() + 1}},
+			[]relq.GAgg{{Name: "cost", Kind: ops.RelAggMinFloat, Ref: "ps_supplycost"}})
+	b, err := t.scan(t.PS).
+		Join(ops.RelInner, "m", minCost, "ps_partkey").
+		Join(ops.RelInner, "s", supp, "ps_suppkey").
+		WhereRow("min", []string{"ps_supplycost", "m.cost"}, func(r relq.Row) bool {
+			return r.Float(0) == r.Float(1)
+		}).
+		Rows("s.s_acctbal", "s.s_name", "s.n.n_name", "ps_partkey")
 	if err != nil {
 		return nil, err
 	}
-	euroNations, nationName, err := nationsOfRegion(t, "EUROPE")
-	if err != nil {
-		return nil, err
-	}
-	sKey, err := ops.ReadAllInts(t.S, "s_suppkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sNation, err := ops.ReadAllInts(t.S, "s_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sName, err := ops.ReadAllStrings(t.S, "s_name", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	sBal, err := ops.ReadAllFloats(t.S, "s_acctbal", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var euroSupp []int64
-	for i := range sKey {
-		if euroNations[sNation[i]] {
-			euroSupp = append(euroSupp, sKey[i])
-		}
-	}
-	psb, err := relq.Scan(t.PS, t.Pool).
-		Semi("pt", bInts(pb, "p_partkey"), "ps_partkey").
-		Semi("eu", euroSupp, "ps_suppkey").
-		Rows("ps_partkey", "ps_suppkey", "ps_supplycost")
-	if err != nil {
-		return nil, err
-	}
-	pk, sk := bInts(psb, "ps_partkey"), bInts(psb, "ps_suppkey")
-	cost := bFloats(psb, "ps_supplycost")
-	minCost := map[int64]float64{}
-	for i := 0; i < psb.N; i++ {
-		if c, ok := minCost[pk[i]]; !ok || cost[i] < c {
-			minCost[pk[i]] = cost[i]
-		}
-	}
-	var rows [][]any
-	for i := 0; i < psb.N; i++ {
-		if cost[i] != minCost[pk[i]] {
-			continue
-		}
-		si := sk[i] - 1
-		rows = append(rows, []any{round2(sBal[si]), bin(sName[si]), bin(nationName[sNation[si]]), pk[i]})
+	bal, name, nation := bFloats(b, "s.s_acctbal"), bStrs(b, "s.s_name"), bStrs(b, "s.n.n_name")
+	rows := make([][]any, 0, b.N)
+	for i, pk := range bInts(b, "ps_partkey") {
+		rows = append(rows, []any{round2(bal[i]), bin(name[i]), bin(nation[i]), pk})
 	}
 	sortRows(rows, -1, 2, 1, 3)
 	return emit(q2Names, q2Types, rows, 100), nil
@@ -120,123 +93,79 @@ func q2Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q3Engine(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1995, 3, 15)
-	cb, err := relq.Scan(t.C, t.Pool).
-		Where(eqS("c_mktsegment", "BUILDING")).
-		Rows("c_custkey")
-	if err != nil {
-		return nil, err
-	}
-	ob, err := relq.Scan(t.O, t.Pool).
+	cust := rows(t.scan(t.C).Where(eqS("c_mktsegment", "BUILDING")), "c_custkey")
+	orders := rows(t.scan(t.O).
 		Where(lt("o_orderdate", cutoff)).
-		Semi("c", bInts(cb, "c_custkey"), "o_custkey").
-		Rows("o_orderkey", "o_orderdate")
-	if err != nil {
-		return nil, err
-	}
-	orderKeys, oDate := bInts(ob, "o_orderkey"), bInts(ob, "o_orderdate")
-	orderDate := make(map[int64]int64, ob.N)
-	for i := 0; i < ob.N; i++ {
-		orderDate[orderKeys[i]] = oDate[i]
-	}
-	lb, err := relq.Scan(t.L, t.Pool).
+		Join(ops.RelSemi, "c", cust, "o_custkey"), "o_orderkey", "o_orderdate")
+	b, err := t.scan(t.L).
 		Where(gt("l_shipdate", cutoff)).
-		Semi("o", orderKeys, "l_orderkey").
+		Join(ops.RelInner, "o", orders, "l_orderkey").
 		GroupByOver(
-			[]string{"l_orderkey", "l_extendedprice", "l_discount"},
+			[]string{"l_extendedprice", "l_discount"},
 			[]relq.GKey{{Name: "ok", Ref: "l_orderkey", Lo: 0, Hi: t.O.NumRows() + 1}},
-			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: func(r relq.Row) float64 {
-				return r.Float(1) * (1 - r.Float(2))
-			}}})
+			[]relq.GAgg{
+				{Name: "rev", Kind: ops.RelAggSumFloat, FnF: revenue(0)},
+				{Name: "od", Kind: ops.RelAggMinInt, Ref: "o.o_orderdate"},
+			})
 	if err != nil {
 		return nil, err
 	}
-	ok, rev := bInts(lb, "ok"), bFloats(lb, "rev")
-	orderRevenue := make(map[int64]float64, lb.N)
-	for i := 0; i < lb.N; i++ {
-		orderRevenue[ok[i]] = rev[i]
+	rev, od := bFloats(b, "rev"), bInts(b, "od")
+	rows := make([][]any, 0, b.N)
+	for i, ok := range bInts(b, "ok") {
+		rows = append(rows, []any{ok, round2(rev[i]), od[i], int64(0)})
 	}
-	return q3Finish(t, orderRevenue, orderDate), nil
+	sortRows(rows, -2, 2, 0)
+	return emit(q3Names, q3Types, rows, 10), nil
 }
 
 func q4Engine(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1993, 7, 1), Date(1993, 10, 1)
-	lb, err := relq.Scan(t.L, t.Pool).
-		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
-		Rows("l_orderkey")
-	if err != nil {
-		return nil, err
-	}
-	ob, err := relq.Scan(t.O, t.Pool).
-		Where(ge("o_orderdate", lo)).
-		Where(lt("o_orderdate", hi)).
-		Semi("late", bInts(lb, "l_orderkey"), "o_orderkey").
+	late := rows(t.scan(t.L).Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}), "l_orderkey")
+	b, err := t.scan(t.O).
+		Where(inRange("o_orderdate", Date(1993, 7, 1), Date(1993, 10, 1))).
+		Join(ops.RelSemi, "late", late, "o_orderkey").
 		GroupBy(
-			[]relq.GKey{{Name: "prio", Ref: "#o_orderpriority"}},
+			[]relq.GKey{{Name: "prio", Ref: "@o_orderpriority"}},
 			[]relq.GAgg{{Name: "n", Kind: ops.RelAggCount}})
 	if err != nil {
 		return nil, err
 	}
-	prios, err := relq.DecodeKeys(t.O, "o_orderpriority", bInts(ob, "prio"))
-	if err != nil {
-		return nil, err
+	n := bInts(b, "n")
+	rows := make([][]any, 0, b.N)
+	for i, p := range bStrs(b, "prio") {
+		rows = append(rows, []any{bin(p), n[i]})
 	}
-	n := bInts(ob, "n")
-	counts := make(map[string]int64, ob.N)
-	for i := 0; i < ob.N; i++ {
-		counts[string(prios[i])] = n[i]
-	}
-	return q4Finish(counts), nil
+	sortRows(rows, 0)
+	return emit(q4Names, q4Types, rows, 0), nil
 }
 
+// q5Engine restricts both sides to Asia before lineitem probes them: the
+// customers and suppliers of Asian nations, the year's orders of those
+// customers carrying the customer's nation.
 func q5Engine(t *Tables) (*memtable.RowTable, error) {
-	lo, hi := Date(1994, 1, 1), Date(1995, 1, 1)
-	asia, nationName, err := nationsOfRegion(t, "ASIA")
-	if err != nil {
-		return nil, err
-	}
-	ob, err := relq.Scan(t.O, t.Pool).
-		Where(ge("o_orderdate", lo)).
-		Where(lt("o_orderdate", hi)).
-		Rows("o_orderkey", "o_custkey")
-	if err != nil {
-		return nil, err
-	}
-	cNation, err := ops.ReadAllInts(t.C, "c_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oKey, oCust := bInts(ob, "o_orderkey"), bInts(ob, "o_custkey")
-	var oks, ocn []int64
-	for i := 0; i < ob.N; i++ {
-		cn := cNation[oCust[i]-1]
-		if asia[cn] {
-			oks = append(oks, oKey[i])
-			ocn = append(ocn, cn)
-		}
-	}
-	sKey, sSide, err := suppNationSide(t)
-	if err != nil {
-		return nil, err
-	}
-	b, err := relq.Scan(t.L, t.Pool).
-		Join("o", oks, (&ops.Batch{}).AddInts("cn", ocn), "l_orderkey").
-		Join("s", sKey, sSide, "l_suppkey").
-		WhereRow("local", []string{"o.cn", "s.sn"}, func(r relq.Row) bool {
+	asia := t.nationsOf("ASIA")
+	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", asia, "c_nationkey"), "c_custkey", "c_nationkey")
+	orders := rows(t.scan(t.O).
+		Where(inRange("o_orderdate", Date(1994, 1, 1), Date(1995, 1, 1))).
+		Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
+	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", asia, "s_nationkey"), "s_suppkey", "s_nationkey")
+	b, err := t.scan(t.L).
+		Join(ops.RelInner, "o", orders, "l_orderkey").
+		Join(ops.RelInner, "s", supp, "l_suppkey").
+		WhereRow("local", []string{"o.c.c_nationkey", "s.s_nationkey"}, func(r relq.Row) bool {
 			return r.Int(0) == r.Int(1)
 		}).
 		GroupByOver(
-			[]string{"o.cn", "l_extendedprice", "l_discount"},
-			[]relq.GKey{{Name: "cn", Ref: "o.cn", Lo: 0, Hi: 25}},
-			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: func(r relq.Row) float64 {
-				return r.Float(1) * (1 - r.Float(2))
-			}}})
+			[]string{"l_extendedprice", "l_discount"},
+			[]relq.GKey{{Name: "nation", Ref: "s.s_nationkey", Lo: 0, Hi: 25}},
+			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: revenue(0)}})
 	if err != nil {
 		return nil, err
 	}
-	cn, rev := bInts(b, "cn"), bFloats(b, "rev")
+	names, rev := nameOf(asia), bFloats(b, "rev")
 	rows := make([][]any, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		rows = append(rows, []any{bin(nationName[cn[i]]), round2(rev[i])})
+	for i, n := range bInts(b, "nation") {
+		rows = append(rows, []any{bin(names[n]), round2(rev[i])})
 	}
 	sortRows(rows, -2)
 	return emit(q5Names, q5Types, rows, 0), nil
@@ -259,77 +188,37 @@ func q6Engine(t *Tables) (*memtable.RowTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	var revenue float64
-	if b.N > 0 {
-		revenue = bFloats(b, "revenue")[0]
-	}
 	out := memtable.NewRowTable(q6Names, q6Types)
-	out.Append(round2(revenue))
+	out.Append(round2(one(b, "revenue")))
 	return out, nil
 }
 
+// q7Engine restricts suppliers and customers to France and Germany before
+// lineitem probes them.
 func q7Engine(t *Tables) (*memtable.RowTable, error) {
-	nKey, err := ops.ReadAllInts(t.N, "n_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	nName, err := ops.ReadAllStrings(t.N, "n_name", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var france, germany int64 = -1, -1
-	names := map[int64][]byte{}
-	for i, k := range nKey {
-		names[k] = nName[i]
-		if string(nName[i]) == "FRANCE" {
-			france = k
-		}
-		if string(nName[i]) == "GERMANY" {
-			germany = k
-		}
-	}
-	cNation, err := ops.ReadAllInts(t.C, "c_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oKey, err := ops.ReadAllInts(t.O, "o_orderkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	ocn := make([]int64, len(oKey))
-	for i := range oKey {
-		ocn[i] = cNation[oCust[i]-1]
-	}
-	sKey, sSide, err := suppNationSide(t)
-	if err != nil {
-		return nil, err
-	}
-	b, err := relq.Scan(t.L, t.Pool).
-		Where(ge("l_shipdate", Date(1995, 1, 1))).
-		Where(le("l_shipdate", Date(1996, 12, 31))).
-		Join("o", oKey, (&ops.Batch{}).AddInts("cn", ocn), "l_orderkey").
-		Join("s", sKey, sSide, "l_suppkey").
-		WhereRow("pair", []string{"s.sn", "o.cn"}, func(r relq.Row) bool {
-			sn, cn := r.Int(0), r.Int(1)
-			return (sn == france && cn == germany) || (sn == germany && cn == france)
+	pair := t.nationsNamed("FRANCE", "GERMANY")
+	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", pair, "c_nationkey"), "c_custkey", "c_nationkey")
+	orders := rows(t.scan(t.O).Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
+	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", pair, "s_nationkey"), "s_suppkey", "s_nationkey")
+	b, err := t.scan(t.L).
+		Where(inRange("l_shipdate", Date(1995, 1, 1), Date(1997, 1, 1))).
+		Join(ops.RelInner, "s", supp, "l_suppkey").
+		Join(ops.RelInner, "o", orders, "l_orderkey").
+		WhereRow("pair", []string{"s.s_nationkey", "o.c.c_nationkey"}, func(r relq.Row) bool {
+			return r.Int(0) != r.Int(1)
 		}).
 		GroupByOver(
-			[]string{"s.sn", "o.cn", "l_shipdate", "l_extendedprice", "l_discount"},
+			[]string{"l_shipdate", "l_extendedprice", "l_discount"},
 			[]relq.GKey{
-				{Name: "sn", Ref: "s.sn", Lo: 0, Hi: 25},
-				{Name: "cn", Ref: "o.cn", Lo: 0, Hi: 25},
-				{Name: "year", Fn: func(r relq.Row) int64 { return yearOf(r.Int(2)) }, Lo: 1992, Hi: 1999},
+				{Name: "sn", Ref: "s.s_nationkey", Lo: 0, Hi: 25},
+				{Name: "cn", Ref: "o.c.c_nationkey", Lo: 0, Hi: 25},
+				{Name: "year", Fn: func(r relq.Row) int64 { return yearOf(r.Int(0)) }, Lo: 1992, Hi: 1999},
 			},
-			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: func(r relq.Row) float64 {
-				return r.Float(3) * (1 - r.Float(4))
-			}}})
+			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: revenue(1)}})
 	if err != nil {
 		return nil, err
 	}
+	names := nameOf(pair)
 	sn, cn := bInts(b, "sn"), bInts(b, "cn")
 	year, rev := bInts(b, "year"), bFloats(b, "rev")
 	rows := make([][]any, 0, b.N)
@@ -342,74 +231,28 @@ func q7Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q8Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 1, 1), Date(1996, 12, 31)
-	pb, err := relq.Scan(t.P, t.Pool).
-		Where(eqS("p_type", "ECONOMY ANODIZED STEEL")).
-		Rows("p_partkey")
-	if err != nil {
-		return nil, err
-	}
-	america, _, err := nationsOfRegion(t, "AMERICA")
-	if err != nil {
-		return nil, err
-	}
-	nKey, err := ops.ReadAllInts(t.N, "n_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	nName, err := ops.ReadAllStrings(t.N, "n_name", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var brazil int64 = -1
-	for i := range nKey {
-		if string(nName[i]) == "BRAZIL" {
-			brazil = nKey[i]
-		}
-	}
-	cNation, err := ops.ReadAllInts(t.C, "c_nationkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oKey, err := ops.ReadAllInts(t.O, "o_orderkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oCust, err := ops.ReadAllInts(t.O, "o_custkey", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	oDate, err := ops.ReadAllInts(t.O, "o_orderdate", t.Pool)
-	if err != nil {
-		return nil, err
-	}
-	var oks, ods []int64
-	for i := range oKey {
-		if oDate[i] < lo || oDate[i] > hi {
-			continue
-		}
-		if !america[cNation[oCust[i]-1]] {
-			continue
-		}
-		oks = append(oks, oKey[i])
-		ods = append(ods, oDate[i])
-	}
-	sKey, sSide, err := suppNationSide(t)
-	if err != nil {
-		return nil, err
-	}
-	b, err := relq.Scan(t.L, t.Pool).
-		Semi("p", bInts(pb, "p_partkey"), "l_partkey").
-		Join("o", oks, (&ops.Batch{}).AddInts("od", ods), "l_orderkey").
-		Join("s", sKey, sSide, "l_suppkey").
+	parts := rows(t.scan(t.P).Where(eqS("p_type", "ECONOMY ANODIZED STEEL")), "p_partkey")
+	america := t.nationsOf("AMERICA")
+	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", america, "c_nationkey"), "c_custkey")
+	orders := rows(t.scan(t.O).
+		WhereRow("year", []string{"o_orderdate"}, func(r relq.Row) bool {
+			return r.Int(0) >= lo && r.Int(0) <= hi
+		}).
+		Join(ops.RelSemi, "c", cust, "o_custkey"), "o_orderkey", "o_orderdate")
+	// Brazil is an American nation: a supplier's American nation, if it
+	// has one, tells Brazil apart.
+	supp := rows(t.scan(t.S).Join(ops.RelLeft, "n", america, "s_nationkey"), "s_suppkey", "n.n_name")
+	b, err := t.scan(t.L).
+		Join(ops.RelSemi, "p", parts, "l_partkey").
+		Join(ops.RelInner, "o", orders, "l_orderkey").
+		Join(ops.RelInner, "s", supp, "l_suppkey").
 		GroupByOver(
-			[]string{"o.od", "s.sn", "l_extendedprice", "l_discount"},
+			[]string{"o.o_orderdate", "s.n.n_name", "l_extendedprice", "l_discount"},
 			[]relq.GKey{{Name: "year", Fn: func(r relq.Row) int64 { return yearOf(r.Int(0)) }, Lo: 1992, Hi: 1999}},
 			[]relq.GAgg{
-				{Name: "total", Kind: ops.RelAggSumFloat, FnF: func(r relq.Row) float64 {
-					return r.Float(2) * (1 - r.Float(3))
-				}},
+				{Name: "total", Kind: ops.RelAggSumFloat, FnF: revenue(2)},
 				{Name: "brazil", Kind: ops.RelAggSumFloat, FnF: func(r relq.Row) float64 {
-					if r.Int(1) != brazil {
+					if string(r.Str(1)) != "BRAZIL" {
 						return 0
 					}
 					return r.Float(2) * (1 - r.Float(3))

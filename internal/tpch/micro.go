@@ -77,11 +77,8 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 		}
 		return int64(b.N), nil
 	case MicroJoin:
-		cb, err := relq.Scan(t.C, t.Pool).Where(eqS("c_mktsegment", "HOUSEHOLD")).Rows("c_custkey")
-		if err != nil {
-			return 0, err
-		}
-		return relq.Scan(t.O, t.Pool).Join("c", bInts(cb, "c_custkey"), nil, "o_custkey").Count()
+		household := rows(t.scan(t.C).Where(eqS("c_mktsegment", "HOUSEHOLD")), "c_custkey")
+		return t.scan(t.O).Join(ops.RelInner, "c", household, "o_custkey").Count()
 	}
 	return 0, fmt.Errorf("tpch: unknown micro op %d", op)
 }

@@ -182,3 +182,14 @@ func round2(f float64) float64 {
 	}
 	return float64(int64(f*100+0.5)) / 100
 }
+
+// q14Finish is Q14's one-row result: the promotion share of revenue.
+func q14Finish(promo, total float64) *memtable.RowTable {
+	out := memtable.NewRowTable(q14Names, q14Types)
+	share := 0.0
+	if total > 0 {
+		share = 100 * promo / total
+	}
+	out.Append(round2(share))
+	return out
+}

@@ -362,7 +362,11 @@ func q13Shared(t *Tables, orderCounts map[int64]int64, numCustomers int) *memtab
 	for _, c := range orderCounts {
 		dist[c]++
 	}
-	dist[0] = int64(numCustomers - len(orderCounts))
+	// Customers without an order count zero; there is no zero row when
+	// every customer has one.
+	if none := numCustomers - len(orderCounts); none > 0 {
+		dist[0] = int64(none)
+	}
 	var rows [][]any
 	for c, d := range dist {
 		rows = append(rows, []any{c, d})
@@ -396,16 +400,6 @@ func q13Obliv(t *Tables) (*memtable.RowTable, error) {
 
 var q14Names = []string{"promo_revenue"}
 var q14Types = []memtable.ColType{memtable.ColFloat64}
-
-func q14Finish(promo, total float64) *memtable.RowTable {
-	out := memtable.NewRowTable(q14Names, q14Types)
-	share := 0.0
-	if total > 0 {
-		share = 100 * promo / total
-	}
-	out.Append(round2(share))
-	return out
-}
 
 func q14Obliv(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 9, 1), Date(1995, 10, 1)

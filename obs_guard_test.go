@@ -193,12 +193,23 @@ func TestRelMorselBytesPerRowGroupBounded(t *testing.T) {
 	for i := range dimKeys {
 		dimKeys[i], weights[i] = int64(i), int64(i%9)
 	}
-	payload := (&ops.Batch{}).AddInts("w", weights)
+	dimPath := filepath.Join(t.TempDir(), "rel_guard_dim.cdb")
+	if err := colstore.WriteFile(dimPath, colstore.Schema{Columns: []colstore.Column{
+		{Name: "key", Type: colstore.TypeInt64, Encoding: encoding.KindPlain},
+		{Name: "w", Type: colstore.TypeInt64, Encoding: encoding.KindPlain},
+	}}, []colstore.ColumnData{{Ints: dimKeys}, {Ints: weights}}, colstore.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	dim, err := colstore.Open(dimPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dim.Close() })
 	bytesPerRun := func(r *colstore.Reader) float64 {
 		run := func() {
 			b, err := relq.Scan(r, pool).
 				Where(&ops.Cmp{Col: "k", Op: sboost.OpLt, Value: int64(6)}).
-				Join("d", dimKeys, payload, "fk").
+				Join(ops.RelInner, "d", relq.Scan(dim, pool).Collect([]string{"key", "w"}, nil, 0), "fk").
 				GroupBy([]relq.GKey{{Name: "k", Ref: "k"}}, []relq.GAgg{
 					{Name: "n", Kind: ops.RelAggCount},
 					{Name: "s", Kind: ops.RelAggSumFloat, Ref: "f"},

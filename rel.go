@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"codecdb/internal/obs"
 	"codecdb/internal/ops"
 	"codecdb/internal/relq"
 )
@@ -160,8 +159,7 @@ func Max(col string) AggSpec {
 func (a AggSpec) As(name string) AggSpec { a.name = name; return a }
 
 // relCompiler resolves column references across the probe table and the
-// joined build tables, materializes build sides, and assembles the relq
-// query.
+// joined build tables and assembles the relq query.
 type relCompiler struct {
 	q   *Query
 	ctx context.Context
@@ -242,14 +240,10 @@ func (c *relCompiler) groupRefs(specs []AggSpec) ([]relq.GKey, []relq.GAgg, erro
 	return keys, aggs, nil
 }
 
-// addJoinStage materializes join i's build side — one query over one
-// snapshot of the other table, collecting the key column and every payload
-// column later references claimed — and appends the probe stage. Under a
-// trace the Build span wraps it: the other table's scan nests under it, and
-// its own IO books every page the preparation touched there, so the
-// trace's per-stage IO still sums exactly to the tables' IOStats deltas.
-// (What each probe part reads to map its dictionary onto the build keys
-// books under the probe's Plan span.)
+// addJoinStage appends join i's probe stage. Its build side is the other
+// query bound to a collect over one snapshot of its table: the key column,
+// then every payload column later references claimed. relq runs it when
+// the probe binds, in the Build span.
 func (c *relCompiler) addJoinStage(i int) error {
 	j := c.q.joins[i]
 	cols := []string{j.rightCol}
@@ -259,31 +253,11 @@ func (c *relCompiler) addJoinStage(i int) error {
 		}
 	}
 	sort.Strings(cols[1:])
-	ctx := c.ctx
-	var bs *obs.Span
-	var before IOStats
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		bs = sp.StartChild("Build[" + stageName(i) + "]")
-		before = j.other.t.IOStats()
-		ctx = obs.ContextWithSpan(ctx, bs)
-	}
-	built, err := j.other.WithContext(ctx).run(sink{kind: sinkRows, cols: cols})
-	if bs != nil {
-		bs.AddIO(ops.IODelta(before, j.other.t.IOStats()))
-		if err == nil {
-			bs.SetRows(built.Rows, built.Rows)
-		}
-		bs.End()
-	}
+	parts, err := j.other.t.parts()
 	if err != nil {
 		return err
 	}
-	// The key is the batch's first column; the whole batch rides as payload.
-	if built.Batch.Kinds[0] == ops.RelStr {
-		c.rq.JoinStrs(j.kind, stageName(i), built.Batch.Strs[0], built.Batch, j.leftCol)
-	} else {
-		c.rq.JoinOn(j.kind, stageName(i), built.Batch.Ints[0], built.Batch, []string{j.leftCol}, nil)
-	}
+	c.rq.Join(j.kind, stageName(i), j.other.bind(c.ctx, parts, sink{kind: sinkRows, cols: cols}), j.leftCol)
 	return nil
 }
 

@@ -72,8 +72,9 @@ type WaveResult struct {
 // per query (with a page cache configured, repeat waves skip even that).
 // This is the decompress-once primitive a multi-user serving layer batches
 // concurrent queries onto; on an ingest table the wave sees one consistent
-// snapshot of shards and tail. A member's joins materialize their build
-// sides as it binds, each a query of its own over the other table.
+// snapshot of shards and tail. A member's joins run their build sides as
+// it binds: each a relq query over the other table, under the wave's
+// context.
 //
 // Budgets (deadline, worker cap, prefetch) travel on ctx the same way
 // ExecOptions lowers them — use ExecOptions.Context to derive one. A
