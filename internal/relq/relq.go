@@ -6,15 +6,16 @@
 // Group) yields a Bound; Exec compiles each per part into an ops.Member and
 // runs any number of them over the same table as one morsel pass through
 // ops.Run. A join's build side is itself a Bound, usually over another
-// table, which runs when its probe compiles. Both benchmark suites (internal/tpch, internal/ssb) and every
-// terminal of the public codecdb.Query API compile through this package,
-// so there is exactly one executor in the engine.
+// table, which runs when its probe compiles. Both benchmark suites
+// (internal/tpch, internal/ssb) and every terminal of the public
+// codecdb.Query API compile through this package, so there is exactly one
+// executor in the engine.
 //
 // The central trick is the dictionary key space: a column name prefixed
 // with "#" denotes the dict-code view of a dict-encoded column. String
 // joins probe on those codes, so equi-joins over encoded columns never
-// decode a string, and group-by keys on "#col" automatically learn the dictionary
-// cardinality as their packed domain.
+// decode a string, and group-by keys on "#col" automatically learn the
+// dictionary cardinality as their packed domain.
 //
 // A probe table is an ordered list of parts (ops.Part) whose encodings —
 // and therefore code spaces — may differ: a query compiles once per part,

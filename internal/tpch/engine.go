@@ -74,25 +74,25 @@ func bStrs(b *ops.Batch, name string) [][]byte { return b.Strs[b.Col(name)] }
 // scan starts a query over one of the tables.
 func (t *Tables) scan(r *colstore.Reader) *relq.Q { return relq.Scan(r, t.Pool) }
 
-// rows binds q to a collect of refs in table order: a build side.
-func rows(q *relq.Q, refs ...string) *relq.Bound { return q.Collect(refs, nil, 0) }
+// collect binds q to a collect of refs in table order: a build side.
+func collect(q *relq.Q, refs ...string) *relq.Bound { return q.Collect(refs, nil, 0) }
 
 // nations is every nation: (n_nationkey, n_name).
-func (t *Tables) nations() *relq.Bound { return rows(t.scan(t.N), "n_nationkey", "n_name") }
+func (t *Tables) nations() *relq.Bound { return collect(t.scan(t.N), "n_nationkey", "n_name") }
 
 // nationsNamed is the nations with the given names: (n_nationkey, n_name).
 // The names are tested on the gathered n_name values the build side
 // returns anyway, so the column is read once.
 func (t *Tables) nationsNamed(names ...string) *relq.Bound {
-	return rows(t.scan(t.N).WhereRow("named", []string{"n_name"}, func(r relq.Row) bool {
+	return collect(t.scan(t.N).WhereRow("named", []string{"n_name"}, func(r relq.Row) bool {
 		return slices.Contains(names, string(r.Str(0)))
 	}), "n_nationkey", "n_name")
 }
 
 // nationsOf is the nations of a region: (n_nationkey, n_name).
 func (t *Tables) nationsOf(region string) *relq.Bound {
-	regions := rows(t.scan(t.R).Where(eqS("r_name", region)), "r_regionkey")
-	return rows(t.scan(t.N).Join(ops.RelSemi, "r", regions, "n_regionkey"), "n_nationkey", "n_name")
+	regions := collect(t.scan(t.R).Where(eqS("r_name", region)), "r_regionkey")
+	return collect(t.scan(t.N).Join(ops.RelSemi, "r", regions, "n_regionkey"), "n_nationkey", "n_name")
 }
 
 // nameOf indexes an executed (n_nationkey, n_name) build side by key: the

@@ -59,12 +59,12 @@ func q1Engine(t *Tables) (*memtable.RowTable, error) {
 // European supply cost per qualifying part is a grouped build side, and
 // partsupp joins back to it to keep the rows that achieve it.
 func q2Engine(t *Tables) (*memtable.RowTable, error) {
-	parts := rows(t.scan(t.P).
+	parts := collect(t.scan(t.P).
 		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return bytes.HasSuffix(e, []byte("BRASS"))
 		}}).
 		Where(cmp("p_size", sboost.OpEq, 15)), "p_partkey")
-	supp := rows(t.scan(t.S).Join(ops.RelInner, "n", t.nationsOf("EUROPE"), "s_nationkey"),
+	supp := collect(t.scan(t.S).Join(ops.RelInner, "n", t.nationsOf("EUROPE"), "s_nationkey"),
 		"s_suppkey", "s_acctbal", "s_name", "n.n_name")
 	minCost := t.scan(t.PS).
 		Join(ops.RelSemi, "p", parts, "ps_partkey").
@@ -93,8 +93,8 @@ func q2Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q3Engine(t *Tables) (*memtable.RowTable, error) {
 	cutoff := Date(1995, 3, 15)
-	cust := rows(t.scan(t.C).Where(eqS("c_mktsegment", "BUILDING")), "c_custkey")
-	orders := rows(t.scan(t.O).
+	cust := collect(t.scan(t.C).Where(eqS("c_mktsegment", "BUILDING")), "c_custkey")
+	orders := collect(t.scan(t.O).
 		Where(lt("o_orderdate", cutoff)).
 		Join(ops.RelSemi, "c", cust, "o_custkey"), "o_orderkey", "o_orderdate")
 	b, err := t.scan(t.L).
@@ -120,7 +120,7 @@ func q3Engine(t *Tables) (*memtable.RowTable, error) {
 }
 
 func q4Engine(t *Tables) (*memtable.RowTable, error) {
-	late := rows(t.scan(t.L).Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}), "l_orderkey")
+	late := collect(t.scan(t.L).Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}), "l_orderkey")
 	b, err := t.scan(t.O).
 		Where(inRange("o_orderdate", Date(1993, 7, 1), Date(1993, 10, 1))).
 		Join(ops.RelSemi, "late", late, "o_orderkey").
@@ -144,11 +144,11 @@ func q4Engine(t *Tables) (*memtable.RowTable, error) {
 // customers carrying the customer's nation.
 func q5Engine(t *Tables) (*memtable.RowTable, error) {
 	asia := t.nationsOf("ASIA")
-	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", asia, "c_nationkey"), "c_custkey", "c_nationkey")
-	orders := rows(t.scan(t.O).
+	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", asia, "c_nationkey"), "c_custkey", "c_nationkey")
+	orders := collect(t.scan(t.O).
 		Where(inRange("o_orderdate", Date(1994, 1, 1), Date(1995, 1, 1))).
 		Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
-	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", asia, "s_nationkey"), "s_suppkey", "s_nationkey")
+	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", asia, "s_nationkey"), "s_suppkey", "s_nationkey")
 	b, err := t.scan(t.L).
 		Join(ops.RelInner, "o", orders, "l_orderkey").
 		Join(ops.RelInner, "s", supp, "l_suppkey").
@@ -197,9 +197,9 @@ func q6Engine(t *Tables) (*memtable.RowTable, error) {
 // lineitem probes them.
 func q7Engine(t *Tables) (*memtable.RowTable, error) {
 	pair := t.nationsNamed("FRANCE", "GERMANY")
-	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", pair, "c_nationkey"), "c_custkey", "c_nationkey")
-	orders := rows(t.scan(t.O).Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
-	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", pair, "s_nationkey"), "s_suppkey", "s_nationkey")
+	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", pair, "c_nationkey"), "c_custkey", "c_nationkey")
+	orders := collect(t.scan(t.O).Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
+	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", pair, "s_nationkey"), "s_suppkey", "s_nationkey")
 	b, err := t.scan(t.L).
 		Where(inRange("l_shipdate", Date(1995, 1, 1), Date(1997, 1, 1))).
 		Join(ops.RelInner, "s", supp, "l_suppkey").
@@ -231,17 +231,17 @@ func q7Engine(t *Tables) (*memtable.RowTable, error) {
 
 func q8Engine(t *Tables) (*memtable.RowTable, error) {
 	lo, hi := Date(1995, 1, 1), Date(1996, 12, 31)
-	parts := rows(t.scan(t.P).Where(eqS("p_type", "ECONOMY ANODIZED STEEL")), "p_partkey")
+	parts := collect(t.scan(t.P).Where(eqS("p_type", "ECONOMY ANODIZED STEEL")), "p_partkey")
 	america := t.nationsOf("AMERICA")
-	cust := rows(t.scan(t.C).Join(ops.RelSemi, "n", america, "c_nationkey"), "c_custkey")
-	orders := rows(t.scan(t.O).
+	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", america, "c_nationkey"), "c_custkey")
+	orders := collect(t.scan(t.O).
 		WhereRow("year", []string{"o_orderdate"}, func(r relq.Row) bool {
 			return r.Int(0) >= lo && r.Int(0) <= hi
 		}).
 		Join(ops.RelSemi, "c", cust, "o_custkey"), "o_orderkey", "o_orderdate")
 	// Brazil is an American nation: a supplier's American nation, if it
 	// has one, tells Brazil apart.
-	supp := rows(t.scan(t.S).Join(ops.RelLeft, "n", america, "s_nationkey"), "s_suppkey", "n.n_name")
+	supp := collect(t.scan(t.S).Join(ops.RelLeft, "n", america, "s_nationkey"), "s_suppkey", "n.n_name")
 	b, err := t.scan(t.L).
 		Join(ops.RelSemi, "p", parts, "l_partkey").
 		Join(ops.RelInner, "o", orders, "l_orderkey").

@@ -10,19 +10,19 @@ import (
 )
 
 func q9Engine(t *Tables) (*memtable.RowTable, error) {
-	parts := rows(t.scan(t.P).Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
+	parts := collect(t.scan(t.P).Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
 		return bytes.Contains(v, []byte("green"))
 	}}), "p_partkey")
 	nSupp := t.S.NumRows()
 	pairKey := func(vecs [][]int64, i int) int64 { return vecs[0][i]*nSupp + vecs[1][i] }
-	supply := rows(t.scan(t.PS).Join(ops.RelSemi, "p", parts, "ps_partkey"),
+	supply := collect(t.scan(t.PS).Join(ops.RelSemi, "p", parts, "ps_partkey"),
 		"ps_partkey", "ps_suppkey", "ps_supplycost")
 	nations := t.nations()
-	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", nations, "s_nationkey"), "s_suppkey", "s_nationkey")
+	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", nations, "s_nationkey"), "s_suppkey", "s_nationkey")
 	b, err := t.scan(t.L).
 		Join(ops.RelSemi, "p", parts, "l_partkey").
 		JoinOn(ops.RelLeft, "ps", supply, []string{"l_partkey", "l_suppkey"}, pairKey).
-		Join(ops.RelInner, "o", rows(t.scan(t.O), "o_orderkey", "o_orderdate"), "l_orderkey").
+		Join(ops.RelInner, "o", collect(t.scan(t.O), "o_orderkey", "o_orderdate"), "l_orderkey").
 		Join(ops.RelInner, "s", supp, "l_suppkey").
 		GroupByOver(
 			[]string{"s.s_nationkey", "o.o_orderdate", "l_quantity", "l_extendedprice", "l_discount", "ps.ps_supplycost"},
@@ -49,7 +49,7 @@ func q9Engine(t *Tables) (*memtable.RowTable, error) {
 // q10Engine reduces returned lineitems to revenue per customer, then
 // gathers the customers through that key.
 func q10Engine(t *Tables) (*memtable.RowTable, error) {
-	orders := rows(t.scan(t.O).Where(inRange("o_orderdate", Date(1993, 10, 1), Date(1994, 1, 1))),
+	orders := collect(t.scan(t.O).Where(inRange("o_orderdate", Date(1993, 10, 1), Date(1994, 1, 1))),
 		"o_orderkey", "o_custkey")
 	revenueOf := t.scan(t.L).
 		Where(eqS("l_returnflag", "R")).
@@ -74,7 +74,7 @@ func q10Engine(t *Tables) (*memtable.RowTable, error) {
 }
 
 func q11Engine(t *Tables) (*memtable.RowTable, error) {
-	supp := rows(t.scan(t.S).Join(ops.RelSemi, "n", t.nationsNamed("GERMANY"), "s_nationkey"), "s_suppkey")
+	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", t.nationsNamed("GERMANY"), "s_nationkey"), "s_suppkey")
 	b, err := t.scan(t.PS).
 		Join(ops.RelSemi, "s", supp, "ps_suppkey").
 		GroupByOver(
@@ -105,7 +105,7 @@ func q11Engine(t *Tables) (*memtable.RowTable, error) {
 // q12Engine tells high from low priority by a left join against the
 // urgent and high-priority orders, never decoding a priority.
 func q12Engine(t *Tables) (*memtable.RowTable, error) {
-	high := rows(t.scan(t.O).Where(&ops.In{Col: "o_orderpriority", Values: []any{"1-URGENT", "2-HIGH"}}), "o_orderkey")
+	high := collect(t.scan(t.O).Where(&ops.In{Col: "o_orderpriority", Values: []any{"1-URGENT", "2-HIGH"}}), "o_orderkey")
 	isHigh := func(r relq.Row) bool { return r.Int(0) != 0 }
 	b, err := t.scan(t.L).
 		Where(&ops.In{Col: "l_shipmode", Values: []any{"MAIL", "SHIP"}}).
@@ -168,7 +168,7 @@ func q13Engine(t *Tables) (*memtable.RowTable, error) {
 }
 
 func q14Engine(t *Tables) (*memtable.RowTable, error) {
-	promo := rows(t.scan(t.P).Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
+	promo := collect(t.scan(t.P).Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 		return bytes.HasPrefix(e, []byte("PROMO"))
 	}}), "p_partkey")
 	b, err := t.scan(t.L).

@@ -11,14 +11,14 @@ import (
 )
 
 func q16Engine(t *Tables) (*memtable.RowTable, error) {
-	parts := rows(t.scan(t.P).
+	parts := collect(t.scan(t.P).
 		Where(cmp("p_brand", sboost.OpNe, "Brand#45")).
 		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
 			return !bytes.HasPrefix(e, []byte("MEDIUM POLISHED"))
 		}}).
 		Where(&ops.Match{Col: "p_size", Int: func(v int64) bool { return q16Sizes[v] }}),
 		"p_partkey", "@p_brand", "@p_type", "p_size")
-	complaints := rows(t.scan(t.S).Where(&ops.Match{Col: "s_comment", Str: func(v []byte) bool {
+	complaints := collect(t.scan(t.S).Where(&ops.Match{Col: "s_comment", Str: func(v []byte) bool {
 		return bytes.Contains(v, []byte("Customer Complaints"))
 	}}), "s_suppkey")
 	b, err := t.scan(t.PS).
@@ -44,10 +44,10 @@ func q16Engine(t *Tables) (*memtable.RowTable, error) {
 // count a grouped one, and each lineitem is judged against its part's
 // average by joining both back through the part key.
 func q17Engine(t *Tables) (*memtable.RowTable, error) {
-	parts := rows(t.scan(t.P).
+	parts := collect(t.scan(t.P).
 		Where(eqS("p_brand", "Brand#23")).
 		Where(eqS("p_container", "MED BOX")), "p_partkey")
-	lines := rows(t.scan(t.L).Join(ops.RelSemi, "p", parts, "l_partkey"),
+	lines := collect(t.scan(t.L).Join(ops.RelSemi, "p", parts, "l_partkey"),
 		"l_partkey", "l_quantity", "l_extendedprice")
 	perPart := t.scan(t.P).
 		Join(ops.RelInner, "l", lines, "p_partkey").
@@ -110,7 +110,7 @@ func q19BranchOf(brand []byte) *q19Branch {
 // the part's brand names its branch, whose quantity range the residual
 // checks.
 func q19Engine(t *Tables) (*memtable.RowTable, error) {
-	parts := rows(t.scan(t.P).
+	parts := collect(t.scan(t.P).
 		WhereRow("branch", []string{"p_brand", "p_container", "p_size"}, func(r relq.Row) bool {
 			br := q19BranchOf(r.Str(0))
 			return br != nil && br.containers[string(r.Str(1))] && r.Int(2) >= 1 && r.Int(2) <= br.sizeHi
@@ -138,7 +138,7 @@ func q19Engine(t *Tables) (*memtable.RowTable, error) {
 // supplier), gathers the partsupp rows holding more than half of it
 // through that pair, and keeps the Canadian suppliers among them.
 func q20Engine(t *Tables) (*memtable.RowTable, error) {
-	forest := rows(t.scan(t.P).Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
+	forest := collect(t.scan(t.P).Where(&ops.Match{Col: "p_name", Str: func(v []byte) bool {
 		return bytes.HasPrefix(v, []byte("forest"))
 	}}), "p_partkey")
 	shipped := t.scan(t.L).
@@ -151,7 +151,7 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 			},
 			[]relq.GAgg{{Name: "qty", Kind: ops.RelAggSumInt, Ref: "l_quantity"}})
 	nSupp := t.S.NumRows()
-	excess := rows(t.scan(t.PS).
+	excess := collect(t.scan(t.PS).
 		JoinOn(ops.RelInner, "sh", shipped, []string{"ps_partkey", "ps_suppkey"},
 			func(vecs [][]int64, i int) int64 { return vecs[0][i]*nSupp + vecs[1][i] }).
 		WhereRow("excess", []string{"ps_availqty", "sh.qty"}, func(r relq.Row) bool {
@@ -248,7 +248,7 @@ func q22Engine(t *Tables) (*memtable.RowTable, error) {
 		WhereRow("rich", []string{"c_phone", "c_acctbal"}, func(r relq.Row) bool {
 			return inCodes(r) && r.Float(1) > avg
 		}).
-		Join(ops.RelAnti, "o", rows(t.scan(t.O), "o_custkey"), "c_custkey").
+		Join(ops.RelAnti, "o", collect(t.scan(t.O), "o_custkey"), "c_custkey").
 		GroupByOver([]string{"c_phone", "c_acctbal"},
 			[]relq.GKey{{Name: "code", Fn: func(r relq.Row) int64 { return q22Code(r.Str(0)) }, Lo: 0, Hi: 100}},
 			[]relq.GAgg{

@@ -77,7 +77,7 @@ func (t *Tables) RunMicro(op MicroOp) (int64, error) {
 		}
 		return int64(b.N), nil
 	case MicroJoin:
-		household := rows(t.scan(t.C).Where(eqS("c_mktsegment", "HOUSEHOLD")), "c_custkey")
+		household := collect(t.scan(t.C).Where(eqS("c_mktsegment", "HOUSEHOLD")), "c_custkey")
 		return t.scan(t.O).Join(ops.RelInner, "c", household, "o_custkey").Count()
 	}
 	return 0, fmt.Errorf("tpch: unknown micro op %d", op)
