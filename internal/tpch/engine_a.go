@@ -55,9 +55,10 @@ func q1Engine(t *Tables) (*memtable.RowTable, error) {
 	return emit(q1Names, q1Types, rows, 0), nil
 }
 
-// q2Engine reduces, then gathers through the reduced key: the least
-// European supply cost per qualifying part is a grouped build side, and
-// partsupp joins back to it to keep the rows that achieve it.
+// q2Engine reduces, then gathers through the reduced key: partsupp is read
+// once, into the European offers for qualifying parts; the least cost per
+// part is a grouped build side over them, and each part joins both back to
+// keep the offers that achieve it.
 func q2Engine(t *Tables) (*memtable.RowTable, error) {
 	parts := collect(t.scan(t.P).
 		Where(&ops.Match{Col: "p_type", Str: func(e []byte) bool {
@@ -66,25 +67,28 @@ func q2Engine(t *Tables) (*memtable.RowTable, error) {
 		Where(cmp("p_size", sboost.OpEq, 15)), "p_partkey")
 	supp := collect(t.scan(t.S).Join(ops.RelInner, "n", t.nationsOf("EUROPE"), "s_nationkey"),
 		"s_suppkey", "s_acctbal", "s_name", "n.n_name")
-	minCost := t.scan(t.PS).
+	offers := collect(t.scan(t.PS).
 		Join(ops.RelSemi, "p", parts, "ps_partkey").
-		Join(ops.RelSemi, "s", supp, "ps_suppkey").
+		Join(ops.RelInner, "s", supp, "ps_suppkey"),
+		"ps_partkey", "ps_supplycost", "s.s_acctbal", "s.s_name", "s.n.n_name")
+	minCost := t.scan(t.P).
+		Join(ops.RelInner, "o", offers, "p_partkey").
 		Group(nil,
-			[]relq.GKey{{Name: "pk", Ref: "ps_partkey", Lo: 0, Hi: t.P.NumRows() + 1}},
-			[]relq.GAgg{{Name: "cost", Kind: ops.RelAggMinFloat, Ref: "ps_supplycost"}})
-	b, err := t.scan(t.PS).
-		Join(ops.RelInner, "m", minCost, "ps_partkey").
-		Join(ops.RelInner, "s", supp, "ps_suppkey").
-		WhereRow("min", []string{"ps_supplycost", "m.cost"}, func(r relq.Row) bool {
+			[]relq.GKey{{Name: "pk", Ref: "p_partkey", Lo: 0, Hi: t.P.NumRows() + 1}},
+			[]relq.GAgg{{Name: "cost", Kind: ops.RelAggMinFloat, Ref: "o.ps_supplycost"}})
+	b, err := t.scan(t.P).
+		Join(ops.RelInner, "m", minCost, "p_partkey").
+		Join(ops.RelInner, "o", offers, "p_partkey").
+		WhereRow("min", []string{"o.ps_supplycost", "m.cost"}, func(r relq.Row) bool {
 			return r.Float(0) == r.Float(1)
 		}).
-		Rows("s.s_acctbal", "s.s_name", "s.n.n_name", "ps_partkey")
+		Rows("o.s.s_acctbal", "o.s.s_name", "o.s.n.n_name", "p_partkey")
 	if err != nil {
 		return nil, err
 	}
-	bal, name, nation := bFloats(b, "s.s_acctbal"), bStrs(b, "s.s_name"), bStrs(b, "s.n.n_name")
+	bal, name, nation := bFloats(b, "o.s.s_acctbal"), bStrs(b, "o.s.s_name"), bStrs(b, "o.s.n.n_name")
 	rows := make([][]any, 0, b.N)
-	for i, pk := range bInts(b, "ps_partkey") {
+	for i, pk := range bInts(b, "p_partkey") {
 		rows = append(rows, []any{round2(bal[i]), bin(name[i]), bin(nation[i]), pk})
 	}
 	sortRows(rows, -1, 2, 1, 3)
@@ -234,8 +238,11 @@ func q8Engine(t *Tables) (*memtable.RowTable, error) {
 	parts := collect(t.scan(t.P).Where(eqS("p_type", "ECONOMY ANODIZED STEEL")), "p_partkey")
 	america := t.nationsOf("AMERICA")
 	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", america, "c_nationkey"), "c_custkey")
+	// The build side gathers o_orderdate anyway, so the date range is a
+	// row filter on the gathered values: an inRange leaf would read the
+	// column's pages a second time to gather them.
 	orders := collect(t.scan(t.O).
-		WhereRow("year", []string{"o_orderdate"}, func(r relq.Row) bool {
+		WhereRow("years", []string{"o_orderdate"}, func(r relq.Row) bool {
 			return r.Int(0) >= lo && r.Int(0) <= hi
 		}).
 		Join(ops.RelSemi, "c", cust, "o_custkey"), "o_orderkey", "o_orderdate")
