@@ -38,7 +38,10 @@ type orderSpec struct {
 // column both tables share by name. The other query's predicates filter
 // the build side; its table's columns become referencable in Rows,
 // GroupBy, OrderBy, and AggRows. Joins on dictionary-encoded columns
-// probe on dictionary keys and never decode the joined values.
+// probe on dictionary keys and never decode the joined values. The build
+// side runs inside the probing query's evaluation, under its context and
+// ExecOptions: a build-side query carrying ExecOptions of its own is
+// rejected (this holds for SemiJoin and AntiJoin too).
 func (q *Query) Join(other *Query, on string) *Query {
 	return q.JoinOn(other, on, on)
 }
@@ -73,6 +76,8 @@ func (q *Query) addJoin(kind ops.RelJoinKind, other *Query, leftCol, rightCol st
 		cp.err = other.err
 	case other.rel():
 		cp.err = fmt.Errorf("codecdb: the build side of a join must be a single-table query")
+	case other.exec != ExecOptions{}:
+		cp.err = fmt.Errorf("codecdb: a join's build side runs under the probing query's ExecOptions; set them there")
 	default:
 		lt, lok := q.t.ColumnType(leftCol)
 		rt, rok := other.t.ColumnType(rightCol)

@@ -257,6 +257,11 @@ func TestQueryJoinValidation(t *testing.T) {
 	if _, err := ot.All().JoinOn(nested, "o_cust", "c_name").Count(); err == nil {
 		t.Fatal("nested relational build side not rejected")
 	}
+	// Build side with ExecOptions of its own is rejected: it runs under
+	// the probe's.
+	if _, err := ot.All().SemiJoin(ct.All().WithExec(ExecOptions{MaxWorkers: 1}), "o_cust", "c_name").Count(); err == nil {
+		t.Fatal("build side with its own ExecOptions not rejected")
+	}
 }
 
 // TestQueryJoinBuildOnePass: a join's build side is ONE query over one
