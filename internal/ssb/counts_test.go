@@ -1,92 +1,25 @@
 package ssb
 
 import (
-	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"codecdb/internal/colstore"
+	"codecdb/internal/iogolden"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/counts.golden")
-
-// ioTotal sums the timing-independent IO counts over every table reader.
-func ioTotal(rs []*colstore.Reader) colstore.IOStats {
-	var s colstore.IOStats
-	for _, r := range rs {
-		st := r.Stats()
-		s.PagesRead += st.PagesRead
-		s.PagesPruned += st.PagesPruned
-		s.PagesSkipped += st.PagesSkipped
-		s.BytesDecompressed += st.BytesDecompressed
-	}
-	return s
-}
-
-// TestCountsGolden pins what every plan reads: per query, the engine
-// plan's pages read, pruned and skipped and bytes decompressed, and the
-// decode-first plan's pages read, summed over the five tables of the
-// shared fixture. The counts do not depend on timing or worker count, so
-// they must equal testdata/counts.golden exactly; a change that moves one
+// TestCountsGolden pins what every plan reads over the five tables of the
+// shared fixture: per query, the engine plan's pages read, pruned and
+// skipped and bytes decompressed, and the decode-first plan's pages read,
+// equal to testdata/counts.golden exactly; a change that moves one
 // rewrites the file with -update and says why.
 func TestCountsGolden(t *testing.T) {
 	ts := sharedTables
-	var buf bytes.Buffer
-	fmt.Fprintln(&buf, "# query: engine pages_read pages_pruned pages_skipped bytes_decompressed | decode-first pages_read")
+	var qs []iogolden.Query
 	for _, q := range QueryIDs() {
-		before := ioTotal(ts.Readers())
-		if _, err := ts.CodecDB(q); err != nil {
-			t.Fatalf("%s engine: %v", q, err)
-		}
-		mid := ioTotal(ts.Readers())
-		if _, err := ts.Oblivious(q); err != nil {
-			t.Fatalf("%s decode-first: %v", q, err)
-		}
-		after := ioTotal(ts.Readers())
-		fmt.Fprintf(&buf, "Q%s: %d %d %d %d | %d\n", q,
-			mid.PagesRead-before.PagesRead, mid.PagesPruned-before.PagesPruned,
-			mid.PagesSkipped-before.PagesSkipped, mid.BytesDecompressed-before.BytesDecompressed,
-			after.PagesRead-mid.PagesRead)
+		qs = append(qs, iogolden.Query{
+			Name:        "Q" + q,
+			Engine:      func() error { _, err := ts.CodecDB(q); return err },
+			DecodeFirst: func() error { _, err := ts.Oblivious(q); return err },
+		})
 	}
-	checkGolden(t, buf.Bytes())
-}
-
-// checkGolden compares got with testdata/counts.golden, or rewrites the
-// file under -update.
-func checkGolden(t *testing.T, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "counts.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run go test -run TestCountsGolden -update to create it)", err)
-	}
-	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < max(len(g), len(w)); i++ {
-		var gl, wl string
-		if i < len(g) {
-			gl = g[i]
-		}
-		if i < len(w) {
-			wl = w[i]
-		}
-		if gl != wl {
-			t.Errorf("%s line %d: got %q, want %q", path, i+1, gl, wl)
-		}
-	}
-	if t.Failed() {
-		t.Log("rerun with -update if the change is intended")
-	}
+	iogolden.Check(t, ts.Readers(), qs)
 }
