@@ -136,41 +136,21 @@ func (b *Batch) AddStrs(name string, vals [][]byte) *Batch {
 	return b
 }
 
-// JoinTable is a multi-map over build-side keys, probed per row group by
-// the pipeline's join stages. Build is single-threaded so match lists are
-// insertion-ordered and results are deterministic run to run. Keys that
-// span a range at most about twice the build size — the dense surrogate
-// keys a dimension or a group over one carries — index a flat array;
-// others go to a hash multi-map, whose two reserved keys are diverted to
-// side lists rather than rejected.
+// JoinTable is a hash multi-map over build-side keys, probed per row group
+// by the pipeline's join stages. Build is single-threaded so match lists
+// are insertion-ordered and results are deterministic run to run. The two
+// PCH-reserved keys are diverted to side lists rather than rejected.
 type JoinTable struct {
-	n int
-	// Dense form: head[k-lo] is 1 + the first build row carrying key k (0:
-	// none), next[r] 1 + the next build row carrying row r's key.
-	lo         int64
-	head, next []int32
-	// Hash form.
 	m       *PCHMulti
 	special [2][]int32
+	n       int
 }
 
-// NewJoinTable builds the table over keys; keys[i] maps to build row i.
-// Duplicate keys multi-map.
+// NewJoinTable builds the hash table over keys; keys[i] maps to build row
+// i. Duplicate keys multi-map.
 func NewJoinTable(keys []int64) *JoinTable {
 	t := &JoinTable{n: len(keys)}
 	if len(keys) == 0 {
-		return t
-	}
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	if span := uint64(hi) - uint64(lo); span < uint64(2*len(keys)+64) {
-		t.lo, t.head, t.next = lo, make([]int32, span+1), make([]int32, len(keys))
-		for i := len(keys) - 1; i >= 0; i-- { // back to front: chains run in insertion order
-			d := keys[i] - lo
-			t.next[i], t.head[d] = t.head[d], int32(i+1)
-		}
 		return t
 	}
 	t.m = NewPCHMulti(len(keys))
@@ -187,21 +167,9 @@ func NewJoinTable(keys []int64) *JoinTable {
 // Len reports the number of build rows.
 func (t *JoinTable) Len() int { return t.n }
 
-// first is 1 + the first build row carrying k in the dense form, 0 when
-// none does.
-func (t *JoinTable) first(k int64) int32 {
-	if d := uint64(k) - uint64(t.lo); d < uint64(len(t.head)) {
-		return t.head[d]
-	}
-	return 0
-}
-
 // Contains reports whether any build row carries key k.
 func (t *JoinTable) Contains(k int64) bool {
-	switch {
-	case t.head != nil:
-		return t.first(k) != 0
-	case k == emptyKey || k == tombKey:
+	if k == emptyKey || k == tombKey {
 		return len(t.special[k-emptyKey]) > 0
 	}
 	return t.m != nil && t.m.Contains(k)
@@ -209,12 +177,6 @@ func (t *JoinTable) Contains(k int64) bool {
 
 // Each calls fn for every build row carrying key k, in insertion order.
 func (t *JoinTable) Each(k int64, fn func(row int32)) {
-	if t.head != nil {
-		for r := t.first(k); r != 0; r = t.next[r-1] {
-			fn(r - 1)
-		}
-		return
-	}
 	if k == emptyKey || k == tombKey {
 		for _, r := range t.special[k-emptyKey] {
 			fn(r)
