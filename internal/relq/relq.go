@@ -516,6 +516,10 @@ type Bound struct {
 	keys    []GKey
 	aggs    []GAgg
 
+	// having filters the merged result on the output columns havingRefs.
+	havingRefs []string
+	having     func(Row) bool
+
 	bound  bool
 	ran    bool // executed as a build side; its Batch is reused
 	member ops.Member
@@ -523,6 +527,48 @@ type Bound struct {
 	// dictionary codes (output column → the column whose dictionary decodes
 	// them); merge folds the decoded per-part batches in value space.
 	decode []map[int]string
+}
+
+// Having keeps the rows of b's result whose output columns refs pass
+// keep (Row input j is refs[j]): SQL's HAVING, applied to the merged
+// result, so a grouped build side reaches its probe holding only the
+// groups that pass. It returns b.
+func (b *Bound) Having(refs []string, keep func(Row) bool) *Bound {
+	for _, ref := range refs {
+		if !slices.Contains(b.names, ref) && b.Err == nil {
+			b.Err = fmt.Errorf("relq: Having column %q is not an output column", ref)
+		}
+	}
+	b.havingRefs, b.having = refs, keep
+	return b
+}
+
+// filter applies b's Having to its merged result, compacting it in place.
+func (b *Bound) filter() {
+	out, k := b.Batch, len(b.havingRefs)
+	env := &ops.RelEnv{N: out.N, I: make([][]int64, k), F: make([][]float64, k), S: make([][][]byte, k)}
+	for j, ref := range b.havingRefs {
+		c := out.Col(ref)
+		env.I[j], env.F[j], env.S[j] = out.Ints[c], out.Floats[c], out.Strs[c]
+	}
+	n := 0
+	for i := 0; i < out.N; i++ {
+		if !b.having(Row{E: env, I: i}) {
+			continue
+		}
+		for c, kind := range out.Kinds {
+			switch kind {
+			case ops.RelFloat:
+				out.Floats[c][n] = out.Floats[c][i]
+			case ops.RelStr:
+				out.Strs[c][n] = out.Strs[c][i]
+			default:
+				out.Ints[c][n] = out.Ints[c][i]
+			}
+		}
+		n++
+	}
+	out.Truncate(n)
 }
 
 func (b *Bound) run() (*ops.Batch, error) {
@@ -768,6 +814,9 @@ func Exec(bounds ...*Bound) error {
 		if b.Err == nil {
 			b.Rows = res.Rows
 			b.Batch, b.Err = b.merge(res.Parts)
+			if b.Err == nil && b.having != nil {
+				b.filter()
+			}
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -453,6 +454,11 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := fx.scan().Sorted([]string{"o_price"}, SortBy{Ref: "o_year"}); err == nil {
 		t.Fatal("sort key outside the collected columns not rejected")
 	}
+	having := fx.scan().Group(nil, []GKey{{Name: "ck", Ref: "o_ckey"}}, []GAgg{{Name: "n", Kind: ops.RelAggCount}}).
+		Having([]string{"o_ckey"}, func(Row) bool { return true })
+	if _, err := having.run(); err == nil {
+		t.Fatal("Having on a column the query does not output not rejected")
+	}
 }
 
 // cloneBatch deep-copies a batch, string bytes included.
@@ -622,6 +628,36 @@ func TestJoinGroupBuildSide(t *testing.T) {
 				delete(wantN, k)
 				delete(wantSum, k)
 			}
+		}
+		check(t, b, true)
+	})
+	t.Run("int key, inner, having", func(t *testing.T) {
+		// The customers whose kept orders sum above the median of those
+		// sums: the group is filtered before the probe meets it.
+		wantN, wantSum = map[int64]int64{}, map[int64]float64{}
+		for _, o := range fx.orders {
+			if keepOrder(o) {
+				wantN[o.ckey]++
+				wantSum[o.ckey] += o.price
+			}
+		}
+		var sums []float64
+		for _, v := range wantSum {
+			sums = append(sums, v)
+		}
+		slices.Sort(sums)
+		cut := sums[len(sums)/2]
+		for k, v := range wantSum {
+			if v <= cut {
+				delete(wantN, k)
+				delete(wantSum, k)
+			}
+		}
+		build := fx.scan().Group(nil, []GKey{{Name: "ck", Ref: "o_ckey"}}, aggs).
+			Having([]string{"n", "sum"}, func(r Row) bool { return r.Int(0) > 0 && r.Float(1) > cut })
+		b, err := Scan(fx.cr, fx.pool).Join(ops.RelInner, "g", build, "c_key").Rows("c_key", "g.n", "g.sum")
+		if err != nil {
+			t.Fatal(err)
 		}
 		check(t, b, true)
 	})

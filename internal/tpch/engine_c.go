@@ -72,15 +72,15 @@ func q17Engine(t *Tables) (*memtable.RowTable, error) {
 	return out, nil
 }
 
-// q18Engine reduces lineitem to quantity per order, then gathers the
-// orders above the threshold through that key.
+// q18Engine reduces lineitem to quantity per order, keeps the orders
+// above the threshold, and gathers them through that key.
 func q18Engine(t *Tables) (*memtable.RowTable, error) {
 	qty := t.scan(t.L).Group(nil,
 		[]relq.GKey{{Name: "ok", Ref: "l_orderkey", Lo: 0, Hi: t.O.NumRows() + 1}},
-		[]relq.GAgg{{Name: "qty", Kind: ops.RelAggSumInt, Ref: "l_quantity"}})
+		[]relq.GAgg{{Name: "qty", Kind: ops.RelAggSumInt, Ref: "l_quantity"}}).
+		Having([]string{"qty"}, func(r relq.Row) bool { return float64(r.Int(0)) > q18Threshold })
 	b, err := t.scan(t.O).
 		Join(ops.RelInner, "l", qty, "o_orderkey").
-		WhereRow("large", []string{"l.qty"}, func(r relq.Row) bool { return float64(r.Int(0)) > q18Threshold }).
 		Rows("o_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "l.qty")
 	if err != nil {
 		return nil, err
@@ -177,8 +177,9 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 // lineitem groups by order the least and greatest supplier over all lines
 // and over the late lines only. An order has two or more suppliers iff
 // its min and max differ, and exactly one late supplier iff its late min
-// and max agree; orders join that group to count, per such supplier, the
-// orders it kept waiting, and the Saudi suppliers join those counts.
+// and max agree; the group keeps those orders, orders join it to count,
+// per such supplier, the orders it kept waiting, and the Saudi suppliers
+// join those counts.
 func q21Engine(t *Tables) (*memtable.RowTable, error) {
 	late := func(r relq.Row) bool { return r.Int(1) < r.Int(2) }
 	perOrder := t.scan(t.L).Group([]string{"l_suppkey", "l_commitdate", "l_receiptdate"},
@@ -198,12 +199,12 @@ func q21Engine(t *Tables) (*memtable.RowTable, error) {
 				}
 				return math.MinInt64
 			}},
+		}).
+		Having([]string{"lo", "hi", "late_lo", "late_hi"}, func(r relq.Row) bool {
+			return r.Int(0) != r.Int(1) && r.Int(2) == r.Int(3)
 		})
 	waits := t.scan(t.O).
 		Join(ops.RelInner, "g", perOrder, "o_orderkey").
-		WhereRow("waited", []string{"g.lo", "g.hi", "g.late_lo", "g.late_hi"}, func(r relq.Row) bool {
-			return r.Int(0) != r.Int(1) && r.Int(2) == r.Int(3)
-		}).
 		Group(nil,
 			[]relq.GKey{{Name: "sk", Ref: "g.late_lo", Lo: 0, Hi: t.S.NumRows() + 1}},
 			[]relq.GAgg{{Name: "n", Kind: ops.RelAggCount}})
