@@ -6,7 +6,8 @@
 // Group) yields a Bound; Exec compiles each per part into an ops.Member and
 // runs any number of them over the same table as one morsel pass through
 // ops.Run. A join's build side is itself a Bound, usually over another
-// table, which runs when its probe compiles. Both benchmark suites
+// table, which runs when its probe compiles; Having filters a Bound's
+// merged result, so a grouped build side arrives reduced. Both benchmark suites
 // (internal/tpch, internal/ssb) and every terminal of the public
 // codecdb.Query API compile through this package, so there is exactly one
 // executor in the engine.
