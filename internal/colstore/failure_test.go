@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -191,6 +193,88 @@ func TestVerifyScrubFindsCorruption(t *testing.T) {
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Verify = %v, want *CorruptionError", err)
+	}
+}
+
+// tailLen is the size of a file's tail: u32 footer length, u32 footer
+// CRC32-C, the "CDB2" magic.
+const tailLen = 12
+
+// splitFile cuts a file into its body (head magic through the last data
+// blob) and its footer; ok is false when b has no well-formed tail.
+func splitFile(b []byte) (body, footer []byte, ok bool) {
+	if len(b) < len(MagicV2)+tailLen || string(b[len(b)-len(MagicV2):]) != string(MagicV2) {
+		return nil, nil, false
+	}
+	end := len(b) - tailLen
+	n := int(binary.LittleEndian.Uint32(b[end:]))
+	if n <= 0 || n > end {
+		return nil, nil, false
+	}
+	return b[:end-n], b[end-n : end], true
+}
+
+// sealFile frames body and footer as a file: footer | u32 len |
+// u32 crc32c(footer) | magic.
+func sealFile(body, footer, magic []byte) []byte {
+	out := append(append([]byte(nil), body...), footer...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
+	out = binary.LittleEndian.AppendUint32(out, Checksum(footer))
+	return append(out, magic...)
+}
+
+// TestOpenRejectsRetiredFormats checks that Open reads one format: a file
+// framed with the retired "CDB1" magic, and a "CDB2" file whose footer
+// claims version 1 or 2, each fail with ErrFormat and never panic.
+func TestOpenRejectsRetiredFormats(t *testing.T) {
+	orig, err := os.ReadFile(writeSmallTable(t, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, footer, ok := splitFile(orig)
+	if !ok {
+		t.Fatal("written file has no tail")
+	}
+	footerWith := func(version int) []byte {
+		var m FileMeta
+		if err := json.Unmarshal(footer, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Version = version
+		f, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// The "CDB1" layout: no checksums, no footer version, and a tail of
+	// footer | u32 len | magic.
+	v0 := footerWith(0)
+	cdb1 := append([]byte("CDB1"), body[len(MagicV2):]...)
+	cdb1 = append(cdb1, v0...)
+	cdb1 = binary.LittleEndian.AppendUint32(cdb1, uint32(len(v0)))
+	cdb1 = append(cdb1, "CDB1"...)
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		{"CDB1", cdb1},
+		{"footer-v1", sealFile(body, footerWith(1), MagicV2)},
+		{"footer-v2", sealFile(body, footerWith(2), MagicV2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old.cdb")
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(path)
+			if err == nil {
+				r.Close()
+			}
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Open = %v, want ErrFormat", err)
+			}
+		})
 	}
 }
 
