@@ -170,9 +170,8 @@ func (c Column) colType() (colstore.Type, colstore.ColumnData, error) {
 
 // LoadOptions tunes table layout.
 type LoadOptions struct {
-	RowGroupRows  int // rows per row group (default 65536)
-	PageRows      int // rows per page (default 8192)
-	FormatVersion int // on-disk format version to write (0 = current)
+	RowGroupRows int // rows per row group (default 65536)
+	PageRows     int // rows per page (default 8192)
 }
 
 // LoadTable encodes and persists a table. Columns without a forced
@@ -198,7 +197,7 @@ func (db *DB) LoadTable(name string, cols []Column, opts ...LoadOptions) (*Table
 		data[i] = cd
 	}
 	t, err := db.inner.LoadTable(name, specs, data,
-		colstore.Options{RowGroupRows: lo.RowGroupRows, PageRows: lo.PageRows, FormatVersion: lo.FormatVersion})
+		colstore.Options{RowGroupRows: lo.RowGroupRows, PageRows: lo.PageRows})
 	if err != nil {
 		return nil, err
 	}
@@ -358,9 +357,8 @@ func (t *Table) ResetIOStats() {
 }
 
 // Verify scrubs the table's file: every page and dictionary blob is read
-// and its checksum checked, without decoding values. It returns nil for
-// clean files (including legacy checksum-less files, where it only proves
-// readability), a *CorruptionError naming the damaged object, or ctx.Err()
+// and its checksum checked, without decoding values. It returns nil for a
+// clean file, a *CorruptionError naming the damaged object, or ctx.Err()
 // if cancelled mid-scrub.
 func (t *Table) Verify(ctx context.Context) error {
 	if t.inner.S != nil {

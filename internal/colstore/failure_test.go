@@ -278,40 +278,6 @@ func TestOpenRejectsRetiredFormats(t *testing.T) {
 	}
 }
 
-// TestLegacyV1FilesStillReadable writes the checksum-less v1 layout and
-// reads it back with the current reader: version negotiation must accept
-// it (no checksums to verify, values intact).
-func TestLegacyV1FilesStillReadable(t *testing.T) {
-	path := writeSmallTable(t, Options{FormatVersion: FormatV1})
-	head := make([]byte, 4)
-	f, _ := os.Open(path)
-	f.ReadAt(head, 0)
-	f.Close()
-	if string(head) != string(Magic) {
-		t.Fatalf("v1 file has head magic %q", head)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Meta().checksummed() {
-		t.Fatal("v1 file must not claim checksums")
-	}
-	vals, err := r.Chunk(0, 0).Ints()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if v != int64(i%9) {
-			t.Fatalf("vals[%d] = %d", i, v)
-		}
-	}
-	if err := r.Verify(t.Context()); err != nil {
-		t.Fatalf("v1 scrub (readability only) failed: %v", err)
-	}
-}
-
 // TestBitFlippedPagesNeverPanic retains the blanket safety net: arbitrary
 // flips anywhere in the file (including the footer region) must never
 // crash, whatever else they do.

@@ -1,36 +1,53 @@
 package colstore
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"codecdb/internal/bitutil"
 	"codecdb/internal/encoding"
 )
 
 // FuzzOpen feeds arbitrary byte strings to Open followed by a full read of
 // everything reachable. The invariant is memory safety: no panic, no
 // out-of-bounds access, no runaway allocation — corrupt input must always
-// surface as an error (or, for undetectable v1 damage, as garbage values
-// returned without crashing).
+// surface as an error. Every input is re-sealed first (reseal), so a
+// mutation of the footer or of a page reaches the footer validator and the
+// page decoders instead of stopping at a checksum.
 func FuzzOpen(f *testing.F) {
-	// Seed with both format versions of a real file so the fuzzer starts
+	// Seed with real files over every page decoder, so the fuzzer starts
 	// from structurally valid inputs and mutates inward.
 	dir := f.TempDir()
-	schema := Schema{Columns: []Column{
-		{Name: "v", Type: TypeInt64, Encoding: encoding.KindDict},
-		{Name: "s", Type: TypeString, Encoding: encoding.KindDict},
-	}}
-	ints := make([]int64, 96)
-	strs := make([][]byte, 96)
+	const n = 96
+	ints := make([]int64, n)
+	floats := make([]float64, n)
+	strs := make([][]byte, n)
 	for i := range ints {
-		ints[i] = int64(i % 7)
+		ints[i] = int64(i%7) - 3
+		floats[i] = float64(i) / 8
 		strs[i] = []byte{byte('a' + i%3)}
 	}
-	data := []ColumnData{{Ints: ints}, {Strings: strs}}
-	for _, ver := range []int{FormatV1, FormatV2, FormatV21} {
+	col := func(name string, t Type, k encoding.Kind, comp string) Column {
+		return Column{Name: name, Type: t, Encoding: k, Compression: comp}
+	}
+	seeds := []struct {
+		schema []Column
+		data   []ColumnData
+	}{
+		{[]Column{col("v", TypeInt64, encoding.KindDict, ""), col("s", TypeString, encoding.KindDict, "")},
+			[]ColumnData{{Ints: ints}, {Strings: strs}}},
+		{[]Column{col("b", TypeInt64, encoding.KindBitPacked, "snappy"), col("d", TypeInt64, encoding.KindDelta, ""),
+			col("p", TypeFloat64, encoding.KindPlain, ""), col("x", TypeFloat64, encoding.KindXorFloat, "snappy")},
+			[]ColumnData{{Ints: ints}, {Ints: ints}, {Floats: floats}, {Floats: floats}}},
+		{[]Column{col("r", TypeInt64, encoding.KindRLE, "gzip"), col("k", TypeString, encoding.KindDictRLE, ""),
+			col("l", TypeString, encoding.KindDeltaLength, "gzip")},
+			[]ColumnData{{Ints: ints}, {Strings: strs}, {Strings: strs}}},
+	}
+	for _, sd := range seeds {
 		p := filepath.Join(dir, "seed.cdb")
-		if err := WriteFile(p, schema, data, Options{PageRows: 32, FormatVersion: ver}); err != nil {
+		if err := WriteFile(p, Schema{Columns: sd.schema}, sd.data, Options{PageRows: 32}); err != nil {
 			f.Fatal(err)
 		}
 		b, err := os.ReadFile(p)
@@ -44,7 +61,7 @@ func FuzzOpen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p := filepath.Join(t.TempDir(), "in.cdb")
-		if err := os.WriteFile(p, b, 0o644); err != nil {
+		if err := os.WriteFile(p, reseal(b), 0o644); err != nil {
 			t.Skip()
 		}
 		r, err := Open(p)
@@ -52,8 +69,13 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		// Walk everything the metadata claims exists.
+		// Walk everything the metadata claims exists, whole and through
+		// a selection of every other row.
 		for rg := 0; rg < r.NumRowGroups(); rg++ {
+			sel := bitutil.NewBitmap(r.RowGroupRows(rg))
+			for i := 0; i < sel.Len(); i += 2 {
+				sel.Set(i)
+			}
 			for col := range r.Schema().Columns {
 				c := r.Chunk(rg, col)
 				c.Ints()
@@ -61,6 +83,10 @@ func FuzzOpen(f *testing.F) {
 				c.Strings()
 				c.Keys()
 				c.PackedPages()
+				c.GatherInts(sel, nil)
+				c.GatherFloats(sel, nil)
+				c.GatherStrings(sel, nil)
+				c.GatherKeys(sel, nil)
 			}
 		}
 		for col := range r.Schema().Columns {
@@ -70,4 +96,44 @@ func FuzzOpen(f *testing.F) {
 		}
 		r.Verify(t.Context())
 	})
+}
+
+// reseal recomputes every checksum of b — each page's and dictionary's
+// CRC in the footer, then the footer's own CRC in the tail — so a mutated
+// file reaches the footer validator and the page decoders instead of
+// stopping at a checksum. A footer that does not parse keeps its bytes and
+// is only re-sealed; an input with no tail is returned as it is.
+func reseal(b []byte) []byte {
+	body, footer, ok := splitFile(b)
+	if !ok {
+		return b
+	}
+	blob := func(off int64, size int32) []byte {
+		if off < 0 || size < 0 || off+int64(size) > int64(len(body)) {
+			return nil
+		}
+		return body[off : off+int64(size)]
+	}
+	var m FileMeta
+	if json.Unmarshal(footer, &m) == nil {
+		for _, rg := range m.RowGroups {
+			for _, ch := range rg.Chunks {
+				for p := range ch.Pages {
+					if s := blob(ch.Pages[p].Offset, ch.Pages[p].CompressedSize); s != nil {
+						ch.Pages[p].Crc32C = Checksum(s)
+					}
+				}
+			}
+		}
+		for g, d := range m.Dicts {
+			if s := blob(d.Offset, d.Size); s != nil {
+				d.Crc32C = Checksum(s)
+				m.Dicts[g] = d
+			}
+		}
+		if f, err := json.Marshal(&m); err == nil {
+			footer = f
+		}
+	}
+	return sealFile(body, footer, MagicV2)
 }

@@ -5,21 +5,14 @@ import (
 	"hash/crc32"
 )
 
-// Format versions. Version 1 files (magic "CDB1") carry no checksums and
-// remain readable; version 2 files (magic "CDB2") add a CRC32-Castagnoli
-// checksum to every page, every dictionary blob, and the footer, upgrading
-// the corruption contract from "no panic" to "detected and reported".
-// Version 2.1 files keep the v2 framing and checksums ("CDB2" magic) and
-// additionally carry per-page packed-domain statistics in the footer,
-// enabling true page-level zone-map pruning: unselective pages are never
-// read, verified, or decompressed.
-const (
-	FormatV1  = 1
-	FormatV2  = 2
-	FormatV21 = 3 // "v2.1": v2 plus per-page statistics
-	// CurrentFormat is what WriteFile produces by default.
-	CurrentFormat = FormatV21
-)
+// CurrentFormat is the footer version of the one format colstore writes
+// and reads ("v2.1", magic "CDB2"): a CRC32-Castagnoli checksum on every
+// page, every dictionary blob and the footer, which makes corruption
+// detected and reported rather than merely non-fatal, and per-page
+// packed-domain statistics in the footer, which let a scan leave
+// unselective pages unread, unverified and undecompressed. Open rejects
+// every other version with ErrFormat.
+const CurrentFormat = 3
 
 // castagnoli is the CRC32-C polynomial table (same polynomial iSCSI and
 // Parquet use; hardware-accelerated on amd64/arm64).

@@ -9,10 +9,10 @@ import (
 	"codecdb/internal/encoding"
 )
 
-func writeVersioned(t *testing.T, ver int, schema Schema, data []ColumnData) *Reader {
+func writePaged(t *testing.T, schema Schema, data []ColumnData) *Reader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "f.cdb")
-	opts := Options{RowGroupRows: 512, PageRows: 128, FormatVersion: ver}
+	opts := Options{RowGroupRows: 512, PageRows: 128}
 	if err := WriteFile(path, schema, data, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func writeVersioned(t *testing.T, ver int, schema Schema, data []ColumnData) *Re
 	return r
 }
 
-// TestPageStatsRoundTrip writes a v2.1 file and checks the persisted zone
+// TestPageStatsRoundTrip writes a file and checks the persisted zone
 // maps: present on dict/int/string pages, absent on float pages, and
 // correct in the packed domain against a reference computed from the rows.
 func TestPageStatsRoundTrip(t *testing.T) {
@@ -49,7 +49,7 @@ func TestPageStatsRoundTrip(t *testing.T) {
 		{Name: "f", Type: TypeFloat64, Encoding: encoding.KindXorFloat},
 		{Name: "s", Type: TypeString, Encoding: encoding.KindDeltaLength},
 	}}
-	r := writeVersioned(t, FormatV21, schema, []ColumnData{
+	r := writePaged(t, schema, []ColumnData{
 		{Ints: dictv}, {Ints: bpv}, {Ints: negv}, {Floats: fv}, {Strings: sv},
 	})
 
@@ -149,55 +149,6 @@ func TestPageStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPageStatsVersionCompat proves v1 and v2 files read identically to
-// v2.1 and carry no zone maps — no-stats pages must never prune.
-func TestPageStatsVersionCompat(t *testing.T) {
-	const n = 700
-	rng := rand.New(rand.NewSource(12))
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(rng.Intn(64))
-	}
-	schema := Schema{Columns: []Column{
-		{Name: "v", Type: TypeInt64, Encoding: encoding.KindDict},
-	}}
-	data := []ColumnData{{Ints: vals}}
-
-	var byVersion [][]int64
-	for _, ver := range []int{FormatV1, FormatV2, FormatV21} {
-		r := writeVersioned(t, ver, schema, data)
-		var got []int64
-		hasStats := false
-		for rg := 0; rg < r.NumRowGroups(); rg++ {
-			c := r.Chunk(rg, 0)
-			ints, err := c.Ints()
-			if err != nil {
-				t.Fatalf("version %d: %v", ver, err)
-			}
-			got = append(got, ints...)
-			for p := 0; p < c.NumPages(); p++ {
-				if c.PageStatsOf(p) != nil {
-					hasStats = true
-				}
-			}
-		}
-		if wantStats := ver >= FormatV21; hasStats != wantStats {
-			t.Fatalf("version %d: hasStats=%v, want %v", ver, hasStats, wantStats)
-		}
-		byVersion = append(byVersion, got)
-	}
-	for i, got := range byVersion {
-		if len(got) != n {
-			t.Fatalf("version index %d: %d rows", i, len(got))
-		}
-		for j := range got {
-			if got[j] != vals[j] {
-				t.Fatalf("version index %d row %d: %d != %d", i, j, got[j], vals[j])
-			}
-		}
-	}
-}
-
 // TestPageStatsValidation checks that metadata with inconsistent zone maps
 // is rejected at Open.
 func TestPageStatsValidation(t *testing.T) {
@@ -210,7 +161,7 @@ func TestPageStatsValidation(t *testing.T) {
 	for i, st := range bad {
 		st := st
 		meta := FileMeta{
-			Version: FormatV21,
+			Version: CurrentFormat,
 			NumRows: 1,
 			Schema:  Schema{Columns: []Column{{Name: "v", Type: TypeInt64, Encoding: encoding.KindPlain}}},
 			RowGroups: []RowGroupMeta{{
@@ -227,7 +178,8 @@ func TestPageStatsValidation(t *testing.T) {
 }
 
 // TestPageStatsPruningDisabledByToggle checks the SetPagePruning escape
-// hatch: with pruning off, PageStatsOf returns nil even on v2.1 files.
+// hatch: with pruning off, PageStatsOf returns nil even where a page has
+// stats.
 func TestPageStatsPruningDisabledByToggle(t *testing.T) {
 	vals := make([]int64, 300)
 	for i := range vals {
@@ -236,10 +188,10 @@ func TestPageStatsPruningDisabledByToggle(t *testing.T) {
 	schema := Schema{Columns: []Column{
 		{Name: "v", Type: TypeInt64, Encoding: encoding.KindDict},
 	}}
-	r := writeVersioned(t, FormatV21, schema, []ColumnData{{Ints: vals}})
+	r := writePaged(t, schema, []ColumnData{{Ints: vals}})
 	c := r.Chunk(0, 0)
 	if c.PageStatsOf(0) == nil {
-		t.Fatal("expected stats on v2.1 file")
+		t.Fatal("expected page stats")
 	}
 	r.SetPagePruning(false)
 	if r.Chunk(0, 0).PageStatsOf(0) != nil {

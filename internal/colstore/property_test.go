@@ -6,15 +6,17 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-)
 
-import "codecdb/internal/encoding"
+	"codecdb/internal/bitutil"
+	"codecdb/internal/encoding"
+)
 
 // TestRandomTableRoundTripProperty writes tables with random shapes —
 // random column counts, types, encodings, compressors, dictionary
 // groups, row-group and page sizes — and verifies every column reads
-// back exactly. This is the whole-format invariant the unit tests
-// approach piecewise.
+// back exactly, whole and through its gather under a random selection and
+// an empty one, which must skip exactly the pages holding no selected row.
+// This is the whole-format invariant the unit tests approach piecewise.
 func TestRandomTableRoundTripProperty(t *testing.T) {
 	intEncs := []encoding.Kind{encoding.KindPlain, encoding.KindBitPacked,
 		encoding.KindRLE, encoding.KindDelta, encoding.KindDict, encoding.KindDictRLE}
@@ -105,6 +107,7 @@ func TestRandomTableRoundTripProperty(t *testing.T) {
 				t.Fatalf("rows = %d, want %d", r.NumRows(), rows)
 			}
 			for c := range schema.Columns {
+				checkGathers(t, r, c, rng, intRef[c], strRef[c], fltRef[c])
 				switch schema.Columns[c].Type {
 				case TypeInt64:
 					var got []int64
@@ -152,4 +155,71 @@ func TestRandomTableRoundTripProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkGathers reads column c of every row group through its gather under
+// a random selection and under an empty one, and checks the values at the
+// selected rows against the reference and the skipped-page count against
+// the pages holding no selected row.
+func checkGathers(t *testing.T, r *Reader, c int, rng *rand.Rand, ints []int64, strs [][]byte, flts []float64) {
+	t.Helper()
+	density := []float64{0.001, 0.05, 0.5}[rng.Intn(3)]
+	base := 0
+	for rg := 0; rg < r.NumRowGroups(); rg++ {
+		rows := r.RowGroupRows(rg)
+		random := bitutil.NewBitmap(rows)
+		for i := 0; i < rows; i++ {
+			if rng.Float64() < density {
+				random.Set(i)
+			}
+		}
+		for _, sel := range []*bitutil.Bitmap{random, bitutil.NewBitmap(rows)} {
+			var tap IOTap
+			chunk := r.Chunk(rg, c).Tap(&tap)
+			want := 0
+			for p := 0; p < chunk.NumPages(); p++ {
+				if !chunk.PageSelected(sel, p) {
+					want++
+				}
+			}
+			var err error
+			switch {
+			case ints != nil:
+				got, gerr := chunk.GatherInts(sel, nil)
+				err = checkSelected(got, gerr, ints[base:], sel, func(a, b int64) bool { return a == b })
+			case strs != nil:
+				got, gerr := chunk.GatherStrings(sel, nil)
+				err = checkSelected(got, gerr, strs[base:], sel, bytes.Equal)
+			default:
+				got, gerr := chunk.GatherFloats(sel, nil)
+				err = checkSelected(got, gerr, flts[base:], sel, func(a, b float64) bool { return a == b })
+			}
+			if err != nil {
+				t.Fatalf("col %d rg %d: %v", c, rg, err)
+			}
+			if tap.PagesSkipped != int64(want) {
+				t.Fatalf("col %d rg %d: %d pages skipped, %d hold no selected row", c, rg, tap.PagesSkipped, want)
+			}
+		}
+		base += rows
+	}
+}
+
+// checkSelected reports how a gather's result got, err differs from the
+// values of ref at the rows sel keeps.
+func checkSelected[T any](got []T, err error, ref []T, sel *bitutil.Bitmap, eq func(a, b T) bool) error {
+	if err != nil {
+		return err
+	}
+	if len(got) != sel.Cardinality() {
+		return fmt.Errorf("gathered %d values for %d selected rows", len(got), sel.Cardinality())
+	}
+	k := 0
+	for i := sel.NextSet(0); i >= 0; i = sel.NextSet(i + 1) {
+		if !eq(got[k], ref[i]) {
+			return fmt.Errorf("row %d: gathered %v, want %v", i, got[k], ref[i])
+		}
+		k++
+	}
+	return nil
 }

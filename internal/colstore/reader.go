@@ -29,9 +29,9 @@ const readAttempts = 3
 // dictionaries. A Reader is safe for concurrent use: page reads go through
 // ReadAt and the dictionary cache is mutex-guarded.
 //
-// On format-v2 files every page and dictionary blob is verified against
-// its CRC32-C checksum lazily, on first touch; a mismatch surfaces as a
-// *CorruptionError naming the file, column, row group, and page.
+// Every page and dictionary blob is verified against its CRC32-C checksum
+// lazily, on first touch; a mismatch surfaces as a *CorruptionError naming
+// the file, column, row group, and page.
 type Reader struct {
 	f    vfs.File
 	path string
@@ -192,10 +192,9 @@ func (r *Reader) SetPagePruning(on bool) {
 func Open(path string) (*Reader, error) { return OpenFS(vfs.OS(), path) }
 
 // OpenFS is Open over an explicit filesystem — the seam the
-// fault-injection tests use. It negotiates the format version from the
-// trailing magic: "CDB1" files read without checksum verification,
-// "CDB2" files verify the footer checksum here and page/dictionary
-// checksums lazily on first touch.
+// fault-injection tests use. It verifies the footer checksum here and
+// page/dictionary checksums lazily, on first touch; a file that is not
+// "CDB2"-framed with a CurrentFormat footer is ErrFormat.
 func OpenFS(fsys vfs.FS, path string) (*Reader, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -214,55 +213,32 @@ func openFile(f vfs.File, path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Smallest possible file: head magic + v1 tail (u32 len + magic).
-	if size < int64(2*len(Magic)+4) {
+	// Smallest possible file: head magic + tail (u32 len, u32 crc, magic).
+	const tailLen = 8 + 4
+	if size < int64(len(MagicV2)+tailLen) {
 		return nil, ErrFormat
 	}
-	head := make([]byte, len(Magic))
+	head := make([]byte, len(MagicV2))
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, err
 	}
-	if string(head) != string(Magic) && string(head) != string(MagicV2) {
-		return nil, ErrFormat
-	}
-	tail := make([]byte, len(Magic)+4)
-	if _, err := f.ReadAt(tail, size-int64(len(tail))); err != nil {
+	tail := make([]byte, tailLen)
+	if _, err := f.ReadAt(tail, size-tailLen); err != nil {
 		return nil, err
 	}
-	var (
-		footerLen   int64
-		footerEnd   int64 // file offset one past the footer bytes
-		wantCrc     uint32
-		checksummed bool
-	)
-	switch string(tail[4:]) {
-	case string(Magic): // v1 tail: footer | u32 len | magic
-		footerLen = int64(binary.LittleEndian.Uint32(tail[:4]))
-		footerEnd = size - int64(len(tail))
-	case string(MagicV2): // v2 tail: footer | u32 len | u32 crc | magic
-		tailLen := int64(len(MagicV2) + 8)
-		if size < int64(len(Magic))+tailLen {
-			return nil, ErrFormat
-		}
-		t2 := make([]byte, tailLen)
-		if _, err := f.ReadAt(t2, size-tailLen); err != nil {
-			return nil, err
-		}
-		footerLen = int64(binary.LittleEndian.Uint32(t2[:4]))
-		wantCrc = binary.LittleEndian.Uint32(t2[4:8])
-		footerEnd = size - tailLen
-		checksummed = true
-	default:
+	if string(head) != string(MagicV2) || string(tail[8:]) != string(MagicV2) {
 		return nil, ErrFormat
 	}
-	if footerLen <= 0 || footerLen > footerEnd-int64(len(Magic)) {
+	footerLen := int64(binary.LittleEndian.Uint32(tail[:4]))
+	footerEnd := size - tailLen // file offset one past the footer bytes
+	if footerLen <= 0 || footerLen > footerEnd-int64(len(MagicV2)) {
 		return nil, ErrFormat
 	}
 	footer := make([]byte, footerLen)
 	if _, err := f.ReadAt(footer, footerEnd-footerLen); err != nil {
 		return nil, err
 	}
-	if checksummed && Checksum(footer) != wantCrc {
+	if Checksum(footer) != binary.LittleEndian.Uint32(tail[4:8]) {
 		return nil, &CorruptionError{Path: path, RowGroup: -1, Page: -1,
 			Detail: "footer checksum mismatch"}
 	}
@@ -270,10 +246,7 @@ func openFile(f vfs.File, path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if checksummed && meta.Version < FormatV2 {
-		return nil, ErrFormat // v2 framing requires a v2 footer
-	}
-	if meta.Version > CurrentFormat {
+	if meta.Version != CurrentFormat {
 		return nil, fmt.Errorf("colstore: %s: unsupported format version %d: %w",
 			path, meta.Version, ErrFormat)
 	}
@@ -481,42 +454,24 @@ func (r *Reader) dictMetaFor(col int, want Type) (string, DictMeta, error) {
 	return group, dm, nil
 }
 
-// readAt reads size bytes at off with the bounded retry-on-transient-read
-// policy: up to readAttempts attempts, so one flaky read (short read, I/O
-// error) does not fail the query, while a persistent failure still
-// surfaces after the budget is spent.
-func (r *Reader) readAt(off int64, size int) ([]byte, error) {
-	return r.readAtBuf(make([]byte, size), off)
-}
-
-// readAtBuf is readAt into a caller-supplied buffer (the pooled-scratch
-// hot path); it reads len(buf) bytes at off and returns buf.
+// readAtBuf is readAtRaw that also books the bytes read; it returns buf.
 func (r *Reader) readAtBuf(buf []byte, off int64) ([]byte, error) {
-	start := time.Now()
-	size := len(buf)
-	var err error
-	for attempt := 0; attempt < readAttempts; attempt++ {
-		if _, err = r.f.ReadAt(buf, off); err == nil {
-			break
-		}
+	if err := r.readAtRaw(buf, off); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("colstore: %s: read %d bytes at %d failed after %d attempts: %w",
-			r.path, size, off, readAttempts, err)
-	}
-	nanos := time.Since(start).Nanoseconds()
-	r.io.bytesRead.Add(int64(size))
-	r.io.ioNanos.Add(nanos)
-	globalIO.bytesRead.Add(int64(size))
-	globalIO.ioNanos.Add(nanos)
+	r.io.bytesRead.Add(int64(len(buf)))
+	globalIO.bytesRead.Add(int64(len(buf)))
 	return buf, nil
 }
 
-// readAtRaw is readAtBuf for the prefetcher: same bounded retries and
-// error shape, but it books only the ReadAt wall time. Bytes are booked
-// at serve time, page by page, so gap bytes a coalesced run dragged in
-// but no consumer ever touched never inflate BytesRead — the per-span IO
-// attribution keeps summing exactly to the reader's delta.
+// readAtRaw reads len(buf) bytes at off with the bounded
+// retry-on-transient-read policy: up to readAttempts attempts, so one
+// flaky read (short read, I/O error) does not fail the query, while a
+// persistent failure still surfaces after the budget is spent. It books
+// only the ReadAt wall time: the prefetcher calls it directly and books
+// bytes at serve time, page by page, so gap bytes a coalesced run dragged
+// in but no consumer ever touched never inflate BytesRead — the per-span
+// IO attribution keeps summing exactly to the reader's delta.
 func (r *Reader) readAtRaw(buf []byte, off int64) error {
 	start := time.Now()
 	var err error
@@ -535,16 +490,16 @@ func (r *Reader) readAtRaw(buf []byte, off int64) error {
 	return nil
 }
 
-// readDictBlob reads and, on checksummed files, verifies one dictionary
-// blob. A checksum mismatch is retried with one fresh read (the flip may
-// have happened in transit) before being reported as corruption.
+// readDictBlob reads and verifies one dictionary blob. A checksum mismatch
+// is retried with one fresh read (the flip may have happened in transit)
+// before being reported as corruption.
 func (r *Reader) readDictBlob(group string, dm DictMeta) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		buf, err := r.readAt(dm.Offset, int(dm.Size))
+		buf, err := r.readAtBuf(make([]byte, dm.Size), dm.Offset)
 		if err != nil {
 			return nil, err
 		}
-		if !r.meta.checksummed() || Checksum(buf) == dm.Crc32C {
+		if Checksum(buf) == dm.Crc32C {
 			return buf, nil
 		}
 		if attempt > 0 {
@@ -555,9 +510,9 @@ func (r *Reader) readDictBlob(group string, dm DictMeta) ([]byte, error) {
 }
 
 // Verify scrubs the whole file: every dictionary blob and every data page
-// is read and checked against its checksum (format v2; v1 files only
-// verify readability). It returns the first problem found — a
-// *CorruptionError for checksum mismatches — or nil if the file is clean.
+// is read and checked against its checksum. It returns the first problem
+// found — a *CorruptionError for checksum mismatches — or nil if the file
+// is clean.
 func (r *Reader) Verify(ctx context.Context) error {
 	for group, dm := range r.meta.Dicts {
 		if err := ctx.Err(); err != nil {
@@ -745,8 +700,8 @@ func (c *Chunk) PageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 func (c *Chunk) PageRowRange(p int) (first, last int) { return c.pageRange(p) }
 
 // PageStatsOf returns page p's packed-domain zone map, or nil when the
-// file carries no page statistics (v1/v2, float pages) or pruning has been
-// disabled on the reader. A nil result means "cannot prune".
+// page carries none (float and empty pages) or pruning has been disabled
+// on the reader. A nil result means "cannot prune".
 func (c *Chunk) PageStatsOf(p int) *PageStats {
 	if c.r.noPrune.Load() {
 		return nil
@@ -785,9 +740,9 @@ func (c *Chunk) PageSelected(sel *bitutil.Bitmap, p int) bool {
 	return next >= 0 && next < last
 }
 
-// rawPage reads the stored bytes of page p and, on checksummed files,
-// verifies the page CRC. A mismatch is retried with one fresh read before
-// being reported as a *CorruptionError naming the exact page.
+// rawPage reads the stored bytes of page p and verifies the page CRC. A
+// mismatch is retried with one fresh read before being reported as a
+// *CorruptionError naming the exact page.
 func (c *Chunk) rawPage(p int) ([]byte, error) {
 	raw, _, err := c.rawPageBuf(p, nil)
 	return raw, err
@@ -805,7 +760,7 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) (raw []byte, staged bool, e
 	attempt := 0
 	if c.fetch != nil {
 		if raw, ok := c.fetch.page(c, p); ok {
-			if !c.r.meta.checksummed() || Checksum(raw) == pm.Crc32C {
+			if Checksum(raw) == pm.Crc32C {
 				return raw, true, nil
 			}
 			attempt = 1
@@ -827,7 +782,7 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) (raw []byte, staged bool, e
 			// checksum-retry re-read is real IO on both tallies).
 			c.tap.BytesRead += int64(len(raw))
 		}
-		if !c.r.meta.checksummed() || Checksum(raw) == pm.Crc32C {
+		if Checksum(raw) == pm.Crc32C {
 			return raw, false, nil
 		}
 		if attempt > 0 {
@@ -905,7 +860,7 @@ func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.r.meta.checksummed() && len(body) != int(c.meta.Pages[p].UncompressedSize) {
+	if len(body) != int(c.meta.Pages[p].UncompressedSize) {
 		return nil, &CorruptionError{Path: c.r.path, Column: c.column.Name,
 			RowGroup: c.rg, Page: p, Detail: fmt.Sprintf(
 				"decompressed to %d bytes, footer says %d", len(body), c.meta.Pages[p].UncompressedSize)}
@@ -1021,98 +976,252 @@ func (c *Chunk) PackedPages() ([]PackedPage, error) {
 }
 
 // Keys decodes the dictionary keys of a dict-encoded chunk.
-func (c *Chunk) Keys() ([]int64, error) {
-	if !usesDict(c.column.Encoding) {
-		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
+func (c *Chunk) Keys() ([]int64, error) { return c.GatherKeys(nil, nil) }
+
+// Ints decodes the whole chunk of an integer column.
+func (c *Chunk) Ints() ([]int64, error) { return c.GatherInts(nil, nil) }
+
+// Floats decodes the whole chunk of a float column.
+func (c *Chunk) Floats() ([]float64, error) { return c.GatherFloats(nil, nil) }
+
+// Strings decodes the whole chunk of a string column. Returned slices may
+// alias internal buffers; callers must not mutate them.
+func (c *Chunk) Strings() ([][]byte, error) { return c.GatherStrings(nil, nil) }
+
+// pageRange returns [first, last) chunk-relative rows of page p.
+func (c *Chunk) pageRange(p int) (int, int) {
+	first := int(c.meta.Pages[p].FirstRow)
+	return first, first + int(c.meta.Pages[p].NumValues)
+}
+
+// eachPage declares and then reads, in order, every page holding a row sel
+// keeps, calling read with the page and its [first, last) chunk rows; it
+// counts every other page skipped. A nil sel keeps every row.
+func (c *Chunk) eachPage(sel *bitutil.Bitmap, read func(p, first, last int) error) error {
+	if sel != nil && sel.Len() != c.rows {
+		return fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
-	c.declare(nil, nil, true)
-	out := make([]int64, 0, c.rows)
+	c.declare(nil, sel, sel == nil)
 	for p := range c.meta.Pages {
-		body, err := c.pageBody(p)
-		if err != nil {
-			return nil, err
-		}
-		if c.column.Encoding == encoding.KindDictRLE {
-			vals, err := (encoding.RLEInt{}).Decode(body)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vals...)
+		if sel != nil && !c.PageSelected(sel, p) {
+			c.skipPage()
 			continue
 		}
-		width, n, packed, err := decodePackedKeys(body)
-		if err != nil {
-			return nil, err
+		first, last := c.pageRange(p)
+		if err := read(p, first, last); err != nil {
+			return err
 		}
-		r := bitutil.NewReader(packed)
-		for i := 0; i < n; i++ {
-			out = append(out, int64(r.ReadBits(width)))
-		}
+	}
+	return nil
+}
+
+// kept returns the number of rows sel keeps: every row when sel is nil.
+func (c *Chunk) kept(sel *bitutil.Bitmap) int {
+	if sel == nil {
+		return c.rows
+	}
+	return sel.Cardinality()
+}
+
+// typed rejects a decode of the chunk as values of type t.
+func (c *Chunk) typed(t Type) error {
+	if c.column.Type != t {
+		return fmt.Errorf("colstore: column %q is %v", c.column.Name, c.column.Type)
+	}
+	return nil
+}
+
+// appendRows appends to out the values of one page decoded whole — rows
+// [first, last) of the chunk — that sel keeps, all of them when sel is nil.
+func appendRows[T any](out, vals []T, sel *bitutil.Bitmap, first, last int) ([]T, error) {
+	if len(vals) != last-first {
+		return nil, ErrFormat
+	}
+	if sel == nil {
+		return append(out, vals...), nil
+	}
+	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
+		out = append(out, vals[i-first])
 	}
 	return out, nil
 }
 
-// Ints decodes the whole chunk of an integer column.
-func (c *Chunk) Ints() ([]int64, error) {
-	if c.column.Type != TypeInt64 {
-		return nil, fmt.Errorf("colstore: column %q is %v", c.column.Name, c.column.Type)
+// lookup maps every key to its dictionary entry, in out's storage when it
+// has room. out may be keys itself: entry i is written after key i is read.
+func lookup[T any](out []T, keys []int64, dict []T) ([]T, error) {
+	out = slices.Grow(out[:0], len(keys))[:len(keys)]
+	for i, k := range keys {
+		if k < 0 || int(k) >= len(dict) {
+			return nil, ErrFormat
+		}
+		out[i] = dict[k]
+	}
+	return out, nil
+}
+
+// GatherInts returns the values at the selected chunk-relative rows, every
+// row when sel is nil, implementing page-level skipping (unselected pages
+// are never decompressed) and row-level skipping (bit-packed and
+// dictionary pages jump over unselected rows without decoding them) —
+// §5.2. Without a selection each page decodes whole through its codec. The
+// result reuses dst's storage when it has room; pass nil for a fresh slice.
+func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
+	if err := c.typed(TypeInt64); err != nil {
+		return nil, err
 	}
 	if usesDict(c.column.Encoding) {
 		dict, err := c.r.IntDict(c.col)
 		if err != nil {
 			return nil, err
 		}
-		keys, err := c.Keys()
+		keys, err := c.GatherKeys(sel, dst)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]int64, len(keys))
-		for i, k := range keys {
-			if k < 0 || int(k) >= len(dict) {
-				return nil, ErrFormat
-			}
-			out[i] = dict[k]
-		}
-		return out, nil
+		return lookup(keys, keys, dict)
 	}
 	codec, err := encoding.IntCodecFor(c.column.Encoding)
 	if err != nil {
 		return nil, err
 	}
-	c.declare(nil, nil, true)
-	out := make([]int64, 0, c.rows)
-	for p := range c.meta.Pages {
-		body, err := c.pageBody(p)
+	out := slices.Grow(dst[:0], c.kept(sel))
+	sc := arena.Get()
+	defer arena.Put(sc)
+	err = c.eachPage(sel, func(p, first, last int) error {
+		body, err := c.pageBodyScratch(p, sc)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if sel != nil && c.column.Encoding == encoding.KindBitPacked {
+			n, width, packed, err := encoding.InspectBitPacked(body)
+			if err != nil || n != last-first {
+				return ErrFormat
+			}
+			out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
+			return nil
 		}
 		vals, err := codec.Decode(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, vals...)
+		out, err = appendRows(out, vals, sel, first, last)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Floats decodes the whole chunk of a float column.
-func (c *Chunk) Floats() ([]float64, error) {
-	if c.column.Type != TypeFloat64 {
-		return nil, fmt.Errorf("colstore: column %q is %v", c.column.Name, c.column.Type)
+// GatherKeys returns dictionary keys at the selected rows, every row when
+// sel is nil, with page- and row-level skipping, reusing dst's storage
+// when it has room.
+func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
+	if !usesDict(c.column.Encoding) {
+		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
 	}
-	c.declare(nil, nil, true)
-	out := make([]float64, 0, c.rows)
+	out := slices.Grow(dst[:0], c.kept(sel))
 	sc := arena.Get()
 	defer arena.Put(sc)
-	for p := range c.meta.Pages {
+	err := c.eachPage(sel, func(p, first, last int) error {
 		body, err := c.pageBodyScratch(p, sc)
+		if err != nil {
+			return err
+		}
+		if c.column.Encoding == encoding.KindDictRLE {
+			vals, err := (encoding.RLEInt{}).Decode(body)
+			if err != nil {
+				return err
+			}
+			out, err = appendRows(out, vals, sel, first, last)
+			return err
+		}
+		width, n, packed, err := decodePackedKeys(body)
+		if err != nil || n != last-first {
+			return ErrFormat
+		}
+		if sel != nil {
+			out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
+			return nil
+		}
+		r := bitutil.NewReader(packed)
+		for i := 0; i < n; i++ {
+			out = append(out, int64(r.ReadBits(width)))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// GatherStrings returns string values at the selected rows, every row when
+// sel is nil, with page-level skipping, reusing dst's storage when it has
+// room. Values alias the column's dictionary or the page bodies read;
+// callers must not mutate them.
+func (c *Chunk) GatherStrings(sel *bitutil.Bitmap, dst [][]byte) ([][]byte, error) {
+	if err := c.typed(TypeString); err != nil {
+		return nil, err
+	}
+	if usesDict(c.column.Encoding) {
+		dict, err := c.r.StrDict(c.col)
 		if err != nil {
 			return nil, err
 		}
-		first, last := c.pageRange(p)
-		if out, err = c.appendFloats(out, body, nil, first, last); err != nil {
+		sc := arena.Get()
+		defer arena.Put(sc)
+		keys, err := c.GatherKeys(sel, sc.Ints(0))
+		if err != nil {
 			return nil, err
 		}
+		sc.KeepInts(keys)
+		return lookup(dst, keys, dict)
+	}
+	codec, err := encoding.StringCodecFor(c.column.Encoding)
+	if err != nil {
+		return nil, err
+	}
+	out := slices.Grow(dst[:0], c.kept(sel))
+	err = c.eachPage(sel, func(p, first, last int) error {
+		// Strings alias the body, so it must not live in scratch.
+		body, err := c.pageBody(p)
+		if err != nil {
+			return err
+		}
+		vals, err := codec.Decode(nil, body)
+		if err != nil {
+			return err
+		}
+		out, err = appendRows(out, vals, sel, first, last)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// GatherFloats returns float values at the selected rows, every row when
+// sel is nil, with page-level skipping, reusing dst's storage when it has
+// room.
+func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, error) {
+	if err := c.typed(TypeFloat64); err != nil {
+		return nil, err
+	}
+	out := slices.Grow(dst[:0], c.kept(sel))
+	sc := arena.Get()
+	defer arena.Put(sc)
+	err := c.eachPage(sel, func(p, first, last int) error {
+		body, err := c.pageBodyScratch(p, sc)
+		if err != nil {
+			return err
+		}
+		out, err = c.appendFloats(out, body, sel, first, last)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -1129,11 +1238,11 @@ func (c *Chunk) appendFloats(out []float64, body []byte, sel *bitutil.Bitmap, fi
 		if err != nil {
 			return nil, err
 		}
-		if sel == nil {
-			return out, nil
-		}
 		if len(out)-base != last-first {
 			return nil, ErrFormat
+		}
+		if sel == nil {
+			return out, nil
 		}
 		k := base
 		for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
@@ -1143,8 +1252,8 @@ func (c *Chunk) appendFloats(out []float64, body []byte, sel *bitutil.Bitmap, fi
 		return out[:k], nil
 	}
 	n, vals, err := encoding.InspectPlain(body)
-	if err != nil {
-		return nil, err
+	if err != nil || n != last-first {
+		return nil, ErrFormat
 	}
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -1153,249 +1262,7 @@ func (c *Chunk) appendFloats(out []float64, body []byte, sel *bitutil.Bitmap, fi
 		return out, nil
 	}
 	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
-		if i-first >= n {
-			return nil, ErrFormat
-		}
 		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[(i-first)*8:])))
-	}
-	return out, nil
-}
-
-// Strings decodes the whole chunk of a string column. Returned slices may
-// alias internal buffers; callers must not mutate them.
-func (c *Chunk) Strings() ([][]byte, error) {
-	if c.column.Type != TypeString {
-		return nil, fmt.Errorf("colstore: column %q is %v", c.column.Name, c.column.Type)
-	}
-	if usesDict(c.column.Encoding) {
-		dict, err := c.r.StrDict(c.col)
-		if err != nil {
-			return nil, err
-		}
-		keys, err := c.Keys()
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]byte, len(keys))
-		for i, k := range keys {
-			if k < 0 || int(k) >= len(dict) {
-				return nil, ErrFormat
-			}
-			out[i] = dict[k]
-		}
-		return out, nil
-	}
-	codec, err := encoding.StringCodecFor(c.column.Encoding)
-	if err != nil {
-		return nil, err
-	}
-	c.declare(nil, nil, true)
-	out := make([][]byte, 0, c.rows)
-	for p := range c.meta.Pages {
-		body, err := c.pageBody(p)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := codec.Decode(nil, body)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
-	}
-	return out, nil
-}
-
-// pageRange returns [first, last) chunk-relative rows of page p.
-func (c *Chunk) pageRange(p int) (int, int) {
-	first := int(c.meta.Pages[p].FirstRow)
-	return first, first + int(c.meta.Pages[p].NumValues)
-}
-
-// GatherInts returns the values at the selected chunk-relative rows,
-// implementing page-level skipping (unselected pages are never
-// decompressed) and row-level skipping (bit-packed and dictionary pages
-// jump over unselected rows without decoding them) — §5.2. The result
-// reuses dst's storage when it has room; pass nil for a fresh slice.
-func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
-	if sel.Len() != c.rows {
-		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
-	}
-	if usesDict(c.column.Encoding) {
-		dict, err := c.r.IntDict(c.col)
-		if err != nil {
-			return nil, err
-		}
-		out, err := c.GatherKeys(sel, dst)
-		if err != nil {
-			return nil, err
-		}
-		for i, k := range out {
-			if k < 0 || int(k) >= len(dict) {
-				return nil, ErrFormat
-			}
-			out[i] = dict[k]
-		}
-		return out, nil
-	}
-	out := slices.Grow(dst[:0], sel.Cardinality())
-	codec, err := encoding.IntCodecFor(c.column.Encoding)
-	if err != nil {
-		return nil, err
-	}
-	sc := arena.Get()
-	defer arena.Put(sc)
-	c.declare(nil, sel, false)
-	for p := range c.meta.Pages {
-		first, last := c.pageRange(p)
-		next := sel.NextSet(first)
-		if next < 0 || next >= last {
-			c.skipPage()
-			continue
-		}
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		if c.column.Encoding == encoding.KindBitPacked {
-			_, width, packed, err := encoding.InspectBitPacked(body)
-			if err != nil {
-				return nil, ErrFormat
-			}
-			out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
-			continue
-		}
-		vals, err := codec.Decode(body)
-		if err != nil {
-			return nil, err
-		}
-		for i := next; i >= 0 && i < last; i = sel.NextSet(i + 1) {
-			out = append(out, vals[i-first])
-		}
-	}
-	return out, nil
-}
-
-// GatherKeys returns dictionary keys at the selected rows with page- and
-// row-level skipping, reusing dst's storage when it has room.
-func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
-	if !usesDict(c.column.Encoding) {
-		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
-	}
-	out := slices.Grow(dst[:0], sel.Cardinality())
-	sc := arena.Get()
-	defer arena.Put(sc)
-	c.declare(nil, sel, false)
-	for p := range c.meta.Pages {
-		first, last := c.pageRange(p)
-		next := sel.NextSet(first)
-		if next < 0 || next >= last {
-			c.skipPage()
-			continue
-		}
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		if c.column.Encoding == encoding.KindDictRLE {
-			vals, err := (encoding.RLEInt{}).Decode(body)
-			if err != nil {
-				return nil, err
-			}
-			for i := next; i >= 0 && i < last; i = sel.NextSet(i + 1) {
-				out = append(out, vals[i-first])
-			}
-			continue
-		}
-		width, _, packed, err := decodePackedKeys(body)
-		if err != nil {
-			return nil, err
-		}
-		out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
-	}
-	return out, nil
-}
-
-// GatherStrings returns string values at the selected rows with page-level
-// skipping, reusing dst's storage when it has room. Values alias the
-// column's dictionary or the page bodies read; callers must not mutate
-// them.
-func (c *Chunk) GatherStrings(sel *bitutil.Bitmap, dst [][]byte) ([][]byte, error) {
-	if sel.Len() != c.rows {
-		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
-	}
-	if usesDict(c.column.Encoding) {
-		dict, err := c.r.StrDict(c.col)
-		if err != nil {
-			return nil, err
-		}
-		sc := arena.Get()
-		defer arena.Put(sc)
-		keys, err := c.GatherKeys(sel, sc.Ints(0))
-		if err != nil {
-			return nil, err
-		}
-		sc.KeepInts(keys)
-		out := slices.Grow(dst[:0], len(keys))[:len(keys)]
-		for i, k := range keys {
-			if k < 0 || int(k) >= len(dict) {
-				return nil, ErrFormat
-			}
-			out[i] = dict[k]
-		}
-		return out, nil
-	}
-	codec, err := encoding.StringCodecFor(c.column.Encoding)
-	if err != nil {
-		return nil, err
-	}
-	out := slices.Grow(dst[:0], sel.Cardinality())
-	c.declare(nil, sel, false)
-	for p := range c.meta.Pages {
-		first, last := c.pageRange(p)
-		next := sel.NextSet(first)
-		if next < 0 || next >= last {
-			c.skipPage()
-			continue
-		}
-		body, err := c.pageBody(p)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := codec.Decode(nil, body)
-		if err != nil {
-			return nil, err
-		}
-		for i := next; i >= 0 && i < last; i = sel.NextSet(i + 1) {
-			out = append(out, vals[i-first])
-		}
-	}
-	return out, nil
-}
-
-// GatherFloats returns float values at the selected rows with page-level
-// skipping, reusing dst's storage when it has room.
-func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, error) {
-	if sel.Len() != c.rows {
-		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
-	}
-	out := slices.Grow(dst[:0], sel.Cardinality())
-	sc := arena.Get()
-	defer arena.Put(sc)
-	c.declare(nil, sel, false)
-	for p := range c.meta.Pages {
-		first, last := c.pageRange(p)
-		next := sel.NextSet(first)
-		if next < 0 || next >= last {
-			c.skipPage()
-			continue
-		}
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = c.appendFloats(out, body, sel, first, last); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

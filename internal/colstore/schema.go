@@ -16,12 +16,8 @@ import (
 	"codecdb/internal/encoding"
 )
 
-// Magic bytes framing every CodecDB column file: MagicV1 frames legacy
-// checksum-less files, MagicV2 frames files with page/footer checksums.
-var (
-	Magic   = []byte("CDB1") // format version 1 (kept for compatibility)
-	MagicV2 = []byte("CDB2") // format version 2: CRC32-C checksums
-)
+// MagicV2 frames every CodecDB column file, at its head and its tail.
+var MagicV2 = []byte("CDB2")
 
 // Type is a column's logical type.
 type Type uint8
@@ -85,11 +81,10 @@ type PageMeta struct {
 	NumValues        int32 `json:"numValues"`
 	FirstRow         int64 `json:"firstRow"` // row index within the row group
 	// Crc32C is the CRC32-Castagnoli of the stored (compressed) page
-	// bytes; zero in format-v1 files, which carry no checksums.
+	// bytes.
 	Crc32C uint32 `json:"crc32c,omitempty"`
-	// Stats carries the page's packed-domain zone map (format v2.1). Nil
-	// in v1/v2 files and for float pages; a nil zone map simply never
-	// prunes.
+	// Stats carries the page's packed-domain zone map. Nil for float and
+	// empty pages; a nil zone map simply never prunes.
 	Stats *PageStats `json:"stats,omitempty"`
 }
 
@@ -149,8 +144,7 @@ type DictMeta struct {
 	NumEntries int32 `json:"numEntries"`
 	// Type distinguishes int and string dictionaries.
 	Type Type `json:"type"`
-	// Crc32C is the CRC32-Castagnoli of the serialized dictionary blob;
-	// zero in format-v1 files.
+	// Crc32C is the CRC32-Castagnoli of the serialized dictionary blob.
 	Crc32C uint32 `json:"crc32c,omitempty"`
 }
 
@@ -159,17 +153,13 @@ type DictMeta struct {
 // plain text file and maintains in memory as a hashmap" (§3) — we keep it
 // as JSON inside the file footer plus the in-memory maps on Reader.
 type FileMeta struct {
-	// Version is the format version (FormatV1/FormatV2); absent in files
-	// written before versioning, which are treated as FormatV1.
+	// Version is the format version; Open accepts only CurrentFormat.
 	Version   int                 `json:"version,omitempty"`
 	Schema    Schema              `json:"schema"`
 	NumRows   int64               `json:"numRows"`
 	RowGroups []RowGroupMeta      `json:"rowGroups"`
 	Dicts     map[string]DictMeta `json:"dicts,omitempty"` // by dict group name
 }
-
-// checksummed reports whether pages and dictionaries carry checksums.
-func (m *FileMeta) checksummed() bool { return m.Version >= FormatV2 }
 
 func (m *FileMeta) marshal() ([]byte, error) { return json.Marshal(m) }
 

@@ -21,10 +21,6 @@ type Options struct {
 	// PageRows is the encoding/compression unit within a chunk
 	// (default 8192).
 	PageRows int
-	// FormatVersion selects the on-disk format: 0 means CurrentFormat
-	// (checksummed); FormatV1 writes the legacy checksum-less layout for
-	// compatibility testing.
-	FormatVersion int
 }
 
 func (o Options) withDefaults() Options {
@@ -36,9 +32,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PageRows > o.RowGroupRows {
 		o.PageRows = o.RowGroupRows
-	}
-	if o.FormatVersion <= 0 {
-		o.FormatVersion = CurrentFormat
 	}
 	return o
 }
@@ -106,18 +99,11 @@ func WriteFileFS(fsys vfs.FS, path string, schema Schema, data []ColumnData, opt
 		off += int64(n)
 		return err
 	}
-	magic := Magic
-	if opts.FormatVersion >= FormatV2 {
-		magic = MagicV2
-	}
-	if err := write(magic); err != nil {
+	if err := write(MagicV2); err != nil {
 		return err
 	}
 
-	meta := &FileMeta{Schema: schema, NumRows: int64(numRows), Dicts: map[string]DictMeta{}}
-	if opts.FormatVersion >= FormatV2 {
-		meta.Version = opts.FormatVersion
-	}
+	meta := &FileMeta{Version: CurrentFormat, Schema: schema, NumRows: int64(numRows), Dicts: map[string]DictMeta{}}
 
 	// Serialise global dictionaries up front, in sorted group order: map
 	// iteration would move the blobs (and with them every later offset's
@@ -141,10 +127,7 @@ func WriteFileFS(fsys vfs.FS, path string, schema Schema, data []ColumnData, opt
 			return err
 		}
 		dm := DictMeta{Offset: off, Size: int32(len(buf)), KeyWidth: uint8(d.keyWidth),
-			NumEntries: int32(d.numEntries()), Type: d.typ}
-		if meta.checksummed() {
-			dm.Crc32C = Checksum(buf)
-		}
+			NumEntries: int32(d.numEntries()), Type: d.typ, Crc32C: Checksum(buf)}
 		if err := write(buf); err != nil {
 			return err
 		}
@@ -177,20 +160,10 @@ func WriteFileFS(fsys vfs.FS, path string, schema Schema, data []ColumnData, opt
 	if err := write(footer); err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(footer)))
-	if err := write(lenBuf[:]); err != nil {
-		return err
-	}
-	if meta.checksummed() {
-		// v2 tail: ... footer | u32 len | u32 crc32c(footer) | "CDB2".
-		var crcBuf [4]byte
-		binary.LittleEndian.PutUint32(crcBuf[:], Checksum(footer))
-		if err := write(crcBuf[:]); err != nil {
-			return err
-		}
-	}
-	if err := write(magic); err != nil {
+	// Tail: ... footer | u32 len | u32 crc32c(footer) | "CDB2".
+	tail := binary.LittleEndian.AppendUint32(nil, uint32(len(footer)))
+	tail = binary.LittleEndian.AppendUint32(tail, Checksum(footer))
+	if err := write(append(tail, MagicV2...)); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
@@ -336,12 +309,8 @@ func writeChunk(write func([]byte) error, off *int64, col Column, ci int, data C
 			UncompressedSize: int32(len(body)),
 			NumValues:        int32(pe - p),
 			FirstRow:         int64(p - start),
-		}
-		if opts.FormatVersion >= FormatV2 {
-			pm.Crc32C = Checksum(compressed)
-		}
-		if opts.FormatVersion >= FormatV21 {
-			pm.Stats = pageStats(col, ci, data, p, pe, keyCols)
+			Crc32C:           Checksum(compressed),
+			Stats:            pageStats(col, ci, data, p, pe, keyCols),
 		}
 		if err := write(compressed); err != nil {
 			return ChunkMeta{}, err
@@ -420,7 +389,7 @@ func decodePackedKeys(body []byte) (width uint, n int, packed []byte, err error)
 		return 0, 0, nil, ErrFormat
 	}
 	packed = body[1+k:]
-	if uint64(len(packed))*8 < nv*uint64(width) {
+	if nv > uint64(len(packed))*8/uint64(width) {
 		return 0, 0, nil, ErrFormat
 	}
 	return width, int(nv), packed, nil
@@ -431,7 +400,7 @@ func decodePackedKeys(body []byte) (width uint, n int, packed []byte, err error)
 func zigzagOf(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 // pageStats builds the packed-domain zone map for rows [p, pe) of the
-// column (format v2.1): dictionary keys for dict-encoded columns,
+// column: dictionary keys for dict-encoded columns,
 // zigzag(value) for other integer columns, raw bytes for string columns.
 // Float pages carry no zone map.
 func pageStats(col Column, ci int, data ColumnData, p, pe int, keyCols map[int][]int64) *PageStats {

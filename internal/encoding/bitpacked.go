@@ -62,7 +62,7 @@ func InspectBitPacked(data []byte) (n int, width uint, packed []byte, err error)
 		return 0, 0, nil, ErrCorrupt
 	}
 	packed = rest[1:]
-	if uint64(len(packed))*8 < nv*uint64(width) {
+	if nv > uint64(len(packed))*8/uint64(width) {
 		return 0, 0, nil, ErrCorrupt
 	}
 	return int(nv), width, packed, nil
@@ -115,6 +115,9 @@ func (NullSuppInt) Decode(data []byte) ([]int64, error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {
 		return nil, err
+	}
+	if n > uint64(len(rest))*4 {
+		return nil, ErrCorrupt // every value takes at least a two-bit tag
 	}
 	tagBytes := (int(n)*2 + 7) / 8
 	if len(rest) < tagBytes {

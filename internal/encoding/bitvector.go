@@ -38,6 +38,9 @@ func (BitVectorInt) Decode(data []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(rest))*8 {
+		return nil, ErrCorrupt // every value takes a bit of some value's bitmap
+	}
 	out := make([]int64, n)
 	filled := bitutil.NewBitmap(int(n))
 	bmBytes := (int(n) + 7) / 8
@@ -92,6 +95,9 @@ func (BitVectorString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
 	nd, rest, err := readUvarint(rest)
 	if err != nil {
 		return nil, err
+	}
+	if n > uint64(len(rest))*8 {
+		return nil, ErrCorrupt // every value takes a bit of some value's bitmap
 	}
 	out := sliceFor(dst, int(n))
 	bmBytes := (int(n) + 7) / 8

@@ -67,6 +67,9 @@ func (DeltaInt) Decode(data []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(rest))*8 {
+		return nil, ErrCorrupt // every value takes at least one bit
+	}
 	out := make([]int64, 0, n)
 	if n == 0 {
 		return out, nil
@@ -124,6 +127,9 @@ func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []in
 	n, rest, err := readUvarint(data)
 	if err != nil {
 		return 0, nil, err
+	}
+	if n > uint64(len(rest))*8 {
+		return 0, nil, ErrCorrupt // every value takes at least one bit
 	}
 	if n == 0 {
 		return 0, dst, nil
@@ -247,7 +253,7 @@ func InspectFOR(data []byte) (n int, ref int64, width uint, packed []byte, err e
 		return 0, 0, 0, nil, ErrCorrupt
 	}
 	packed = rest[1:]
-	if uint64(len(packed))*8 < nv*uint64(width) {
+	if nv > uint64(len(packed))*8/uint64(width) {
 		return 0, 0, 0, nil, ErrCorrupt
 	}
 	return int(nv), unzigzag(refZ), width, packed, nil
@@ -332,6 +338,9 @@ func (PFORInt) Decode(data []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(rest))*8 {
+		return nil, ErrCorrupt // every value takes at least one bit
+	}
 	out := make([]int64, n)
 	if n == 0 {
 		return out, nil
@@ -351,6 +360,9 @@ func (PFORInt) Decode(data []byte) ([]int64, error) {
 	numExc, rest, err := readUvarint(rest[1:])
 	if err != nil {
 		return nil, err
+	}
+	if numExc > uint64(len(rest))/2 {
+		return nil, ErrCorrupt // every exception takes at least two bytes
 	}
 	type exception struct {
 		idx int
@@ -374,7 +386,7 @@ func (PFORInt) Decode(data []byte) ([]int64, error) {
 		excs[i] = exception{idx: prevIdx, off: o}
 		rest = r
 	}
-	if uint64(len(rest))*8 < n*uint64(width) {
+	if n > uint64(len(rest))*8/uint64(width) {
 		return nil, ErrCorrupt
 	}
 	r := bitutil.NewReader(rest)

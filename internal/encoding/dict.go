@@ -285,7 +285,7 @@ func inspectDictKeys(data []byte) (mode byte, width uint, n int, packed []byte, 
 		if err != nil {
 			return 0, 0, 0, nil, err
 		}
-		if uint64(len(r))*8 < nv*uint64(width) {
+		if nv > uint64(len(r))*8/uint64(width) {
 			return 0, 0, 0, nil, ErrCorrupt
 		}
 		return mode, width, int(nv), r, nil

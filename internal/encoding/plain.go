@@ -77,6 +77,9 @@ func (PlainString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n > uint64(len(rest)) {
+		return nil, ErrCorrupt // every value takes at least its length byte
+	}
 	out := sliceFor(dst, int(n))
 	for i := 0; i < int(n); i++ {
 		l, r, err := readUvarint(rest)

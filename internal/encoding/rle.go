@@ -76,25 +76,32 @@ func (RLEInt) Decode(data []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
+	if numRuns > uint64(len(rest))*8/uint64(vw) {
+		return nil, ErrCorrupt
+	}
 	valBytes := (numRuns*uint64(vw) + 7) / 8
-	if uint64(len(rest)) < valBytes {
+	// Runs expand, so nothing but the run lengths bounds n: they must sum
+	// to it before it sizes the output.
+	rr := bitutil.NewReader(rest[valBytes:])
+	left := n
+	for i := uint64(0); i < numRuns; i++ {
+		l := rr.ReadBits(rw)
+		if l > left {
+			return nil, ErrCorrupt
+		}
+		left -= l
+	}
+	if left != 0 {
 		return nil, ErrCorrupt
 	}
 	vr := bitutil.NewReader(rest[:valBytes])
-	rr := bitutil.NewReader(rest[valBytes:])
+	rr = bitutil.NewReader(rest[valBytes:])
 	out := make([]int64, 0, n)
 	for i := uint64(0); i < numRuns; i++ {
 		v := unzigzag(vr.ReadBits(vw))
-		l := rr.ReadBits(rw)
-		if uint64(len(out))+l > n {
-			return nil, ErrCorrupt
-		}
-		for j := uint64(0); j < l; j++ {
+		for l := rr.ReadBits(rw); l > 0; l-- {
 			out = append(out, v)
 		}
-	}
-	if uint64(len(out)) != n {
-		return nil, ErrCorrupt
 	}
 	return out, nil
 }
@@ -117,10 +124,10 @@ func (RLEInt) DecodeRuns(data []byte) (vals []int64, lengths []int, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	valBytes := (numRuns*uint64(vw) + 7) / 8
-	if uint64(len(rest)) < valBytes {
+	if numRuns > uint64(len(rest))*8/uint64(vw) {
 		return nil, nil, ErrCorrupt
 	}
+	valBytes := (numRuns*uint64(vw) + 7) / 8
 	vr := bitutil.NewReader(rest[:valBytes])
 	rr := bitutil.NewReader(rest[valBytes:])
 	vals = make([]int64, numRuns)

@@ -326,50 +326,40 @@ func chunkMatch(v int64, op sboost.Op, target int64) bool {
 	return false
 }
 
-// decodeChunk is the decode-first kernel: with a selection the chunk is
-// read through the gathering decoder (pages holding no selected row are
-// skipped, only surviving entries decode); without one, every row decodes
-// and tests.
+// decodeChunk is the decode-first kernel: the chunk is read through the
+// gathering decoder — with a selection, pages holding no selected row are
+// skipped and only surviving entries decode; without one, every page
+// decodes whole — and every decoded row is tested.
 func (b *boundLeaf) decodeChunk(chunk *colstore.Chunk, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
 	switch {
 	case b.kern == kernPacked: // a chunk the zigzag comparison is out of domain on
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts, (*colstore.Chunk).Ints,
+		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts,
 			func(v int64) bool { return chunkMatch(v, b.op, b.value) })
 	case b.test.ints != nil:
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts, (*colstore.Chunk).Ints, b.test.ints)
+		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts, b.test.ints)
 	case b.test.strs != nil:
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherStrings, (*colstore.Chunk).Strings, b.test.strs)
+		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherStrings, b.test.strs)
 	}
-	return decodeTest(chunk, secSel, (*colstore.Chunk).GatherFloats, (*colstore.Chunk).Floats, b.test.floats)
+	return decodeTest(chunk, secSel, (*colstore.Chunk).GatherFloats, b.test.floats)
 }
 
 func decodeTest[T any](chunk *colstore.Chunk, secSel *bitutil.Bitmap,
 	gather func(*colstore.Chunk, *bitutil.Bitmap, []T) ([]T, error),
-	decode func(*colstore.Chunk) ([]T, error),
 	pred func(T) bool) (*bitutil.Bitmap, error) {
-	if secSel != nil {
-		vals, err := gather(chunk, secSel, nil)
-		if err != nil {
-			return nil, err
-		}
-		section := bitutil.NewBitmap(chunk.Rows())
-		i := 0
-		secSel.ForEach(func(row int) {
-			if pred(vals[i]) {
-				section.Set(row)
-			}
-			i++
-		})
-		return section, nil
-	}
-	vals, err := decode(chunk)
+	vals, err := gather(chunk, secSel, nil)
 	if err != nil {
 		return nil, err
 	}
-	section := bitutil.NewBitmap(len(vals))
-	for i, v := range vals {
+	section := bitutil.NewBitmap(chunk.Rows())
+	row := -1
+	for _, v := range vals {
+		if secSel == nil {
+			row++
+		} else {
+			row = secSel.NextSet(row + 1)
+		}
 		if pred(v) {
-			section.Set(i)
+			section.Set(row)
 		}
 	}
 	return section, nil

@@ -11,19 +11,20 @@ import (
 // TestEngineMatchesObliviousAllFormats is the engine-equivalence property:
 // every TPC-H query compiled through the relational engine must produce
 // the same result as the decode-first Oblivious plan — plain Go loops over
-// fully decoded columns, sharing no operator with the engine — on both the
-// v1 and the current file format. (TestAllQueriesPlansAgree runs the same
+// fully decoded columns, sharing no operator with the engine — with page
+// zone maps on ("v21") and off ("v1": every page is fetched and tested).
+// (TestAllQueriesPlansAgree runs the same
 // comparison on the shared tables and their different layout parameters.)
 func TestEngineMatchesObliviousAllFormats(t *testing.T) {
 	if len(enginePlans) != QueryCount {
 		t.Fatalf("only %d of %d queries have engine plans", len(enginePlans), QueryCount)
 	}
 	for _, f := range []struct {
-		name string
-		ver  int
+		name  string
+		prune bool
 	}{
-		{"v1", colstore.FormatV1},
-		{"v21", colstore.CurrentFormat},
+		{"v1", false},
+		{"v21", true},
 	} {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
@@ -34,9 +35,16 @@ func TestEngineMatchesObliviousAllFormats(t *testing.T) {
 			}
 			defer db.Close()
 			data := Generate(0.004, 31)
-			opts := colstore.Options{RowGroupRows: 6144, PageRows: 768, FormatVersion: f.ver}
+			opts := colstore.Options{RowGroupRows: 6144, PageRows: 768}
 			if err := LoadCodecDB(db, data, opts); err != nil {
 				t.Fatal(err)
+			}
+			for _, name := range db.TableNames() {
+				tbl, err := db.Table(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl.R.SetPagePruning(f.prune)
 			}
 			ts, err := OpenTables(db)
 			if err != nil {

@@ -12,7 +12,7 @@ import (
 func pipelineAcceptanceTable(t *testing.T, name string) *Table {
 	t.Helper()
 	db := openTestDB(t)
-	propTable(t, db, name, 5000, 0)
+	propTable(t, db, name, 5000)
 	tbl, err := db.Table(name)
 	if err != nil {
 		t.Fatal(err)

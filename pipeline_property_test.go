@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"codecdb/internal/colstore"
 )
 
 // checkAgainstNaive runs every terminal and compares it with a full scan
@@ -60,27 +58,21 @@ func checkAgainstNaive(t *testing.T, iter int, q *Query, d *propData, ref func(i
 // TestPipelineMatchesNaiveAllFormats is the executor property on static
 // tables: for random predicate trees over every encoding — two-column
 // compares through the shared dictionary included — every terminal of the
-// morsel pipeline agrees with the naive scan, on v2.1 files (page
-// statistics, checksums) and on v1 files (neither).
+// morsel pipeline agrees with the naive scan, with page zone maps on and
+// off (zoneMapModes).
 func TestPipelineMatchesNaiveAllFormats(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
-	formats := []struct {
-		name    string
-		version int
-	}{
-		{"v2.1", 0},
-		{"v1", colstore.FormatV1},
-	}
-	for fi, f := range formats {
+	for fi, f := range zoneMapModes {
 		fi, f := fi, f
 		t.Run(f.name, func(t *testing.T) {
 			name := fmt.Sprintf("pipeprop%d", fi)
-			d := propTable(t, db, name, n, f.version)
+			d := propTable(t, db, name, n)
 			tbl, err := db.Table(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tbl.inner.R.SetPagePruning(f.prune)
 			// The degenerate query: no predicate at all.
 			checkAgainstNaive(t, -1, tbl.All(), d, func(int) bool { return true })
 			sawCols := false

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"codecdb/internal/colstore"
 )
 
 // propData holds the raw arrays behind the property-test table, so the
@@ -71,13 +69,21 @@ func (d *propData) columns() []Column {
 
 var propLoad = LoadOptions{RowGroupRows: 512, PageRows: 128}
 
+// zoneMapModes are the two ways a scan reads one file: "v2.1" consults the
+// page zone maps, "v1" ignores them and fetches and tests every page.
+var zoneMapModes = []struct {
+	name  string
+	prune bool
+}{
+	{"v2.1", true},
+	{"v1", false},
+}
+
 // propTable loads the property-test rows as a static table.
-func propTable(t *testing.T, db *DB, name string, n, formatVersion int) *propData {
+func propTable(t *testing.T, db *DB, name string, n int) *propData {
 	t.Helper()
 	d := propRows(n)
-	opts := propLoad
-	opts.FormatVersion = formatVersion
-	if _, err := db.LoadTable(name, d.columns(), opts); err != nil {
+	if _, err := db.LoadTable(name, d.columns(), propLoad); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -210,27 +216,21 @@ func genPred(rng *rand.Rand, d *propData, depth int) (Pred, func(i int) bool) {
 // TestPlannerMatchesNaiveFullScan is the planner's correctness property:
 // for random AND/OR/NOT trees over every encoding, the planned, selection-
 // threaded, reordered execution returns bit-identical row sets to a naive
-// in-memory full scan — on v2.1 files (page statistics drive estimates and
-// skipping) and on legacy v1 files (no page stats, estimator falls back to
-// structural heuristics).
+// in-memory full scan — with page zone maps driving estimates and skipping
+// ("v2.1"), and with zone maps off ("v1": no page stats, the estimator
+// falls back to structural heuristics).
 func TestPlannerMatchesNaiveFullScan(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
-	formats := []struct {
-		name    string
-		version int
-	}{
-		{"v2.1", 0}, // 0 = current format: checksums + page statistics
-		{"v1", colstore.FormatV1},
-	}
-	for fi, f := range formats {
+	for fi, f := range zoneMapModes {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			d := propTable(t, db, fmt.Sprintf("prop%d", fi), n, f.version)
+			d := propTable(t, db, fmt.Sprintf("prop%d", fi), n)
 			tbl, err := db.Table(fmt.Sprintf("prop%d", fi))
 			if err != nil {
 				t.Fatal(err)
 			}
+			tbl.inner.R.SetPagePruning(f.prune)
 			for iter := 0; iter < 60; iter++ {
 				rng := rand.New(rand.NewSource(int64(1000*fi + iter)))
 				p, ref := genPred(rng, d, 1+rng.Intn(2))

@@ -103,27 +103,21 @@ func checkPrefetchAgree(t *testing.T, iter int, q *Query) {
 // TestPrefetchMatchesSynchronous is the prefetch-equivalence property:
 // for random predicate trees over every encoding, every terminal with
 // async page prefetch enabled agrees with the same pipeline reading
-// synchronously — on v2.1 files and on legacy v1 files. After each
-// round the bytes-in-flight gauge must be back at zero: every pooled
+// synchronously — with page zone maps on and off (zoneMapModes). After
+// each round the bytes-in-flight gauge must be back at zero: every pooled
 // buffer the fetcher staged was released.
 func TestPrefetchMatchesSynchronous(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
-	formats := []struct {
-		name    string
-		version int
-	}{
-		{"v2.1", 0},
-		{"v1", colstore.FormatV1},
-	}
-	for fi, f := range formats {
+	for fi, f := range zoneMapModes {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			d := propTable(t, db, fmt.Sprintf("preprop%d", fi), n, f.version)
+			d := propTable(t, db, fmt.Sprintf("preprop%d", fi), n)
 			tbl, err := db.Table(fmt.Sprintf("preprop%d", fi))
 			if err != nil {
 				t.Fatal(err)
 			}
+			tbl.inner.R.SetPagePruning(f.prune)
 			before := colstore.GlobalStats()
 			// The degenerate query: no predicate, terminal-only prefetch.
 			checkPrefetchAgree(t, -1, tbl.All())
@@ -189,7 +183,7 @@ func TestPrefetchFaultsSurfaceTyped(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			propTable(t, db, "faulty", 3000, 0)
+			propTable(t, db, "faulty", 3000)
 			tbl, err := db.Table("faulty")
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 func TestPrefetchUnderConcurrentQueries(t *testing.T) {
 	const n = 3000
 	db := openTestDB(t)
-	propTable(t, db, "preflight", n, 0)
+	propTable(t, db, "preflight", n)
 	tbl, err := db.Table("preflight")
 	if err != nil {
 		t.Fatal(err)
