@@ -129,10 +129,12 @@ serve-demo:
 # fuzz gives the colstore Open fuzzer, the two page decompressor fuzzers
 # (gzip differential against compress/gzip, snappy) and the selected-entry
 # gather (differential against bitutil.Reader) a short budget each; extend
-# FUZZTIME for longer campaigns.
+# FUZZTIME for longer campaigns. FuzzOpen's inputs are whole files, and
+# shrinking one new input for the default minimize time (60 s) used up the
+# whole budget, so it shrinks each for at most 100 runs.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/bitutil/ -run xxx -fuzz FuzzGatherSelected -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)

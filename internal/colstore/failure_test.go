@@ -215,12 +215,12 @@ func splitFile(b []byte) (body, footer []byte, ok bool) {
 }
 
 // sealFile frames body and footer as a file: footer | u32 len |
-// u32 crc32c(footer) | magic.
-func sealFile(body, footer, magic []byte) []byte {
+// u32 crc32c(footer) | "CDB2".
+func sealFile(body, footer []byte) []byte {
 	out := append(append([]byte(nil), body...), footer...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
 	out = binary.LittleEndian.AppendUint32(out, Checksum(footer))
-	return append(out, magic...)
+	return append(out, MagicV2...)
 }
 
 // TestOpenRejectsRetiredFormats checks that Open reads one format: a file
@@ -259,8 +259,8 @@ func TestOpenRejectsRetiredFormats(t *testing.T) {
 		file []byte
 	}{
 		{"CDB1", cdb1},
-		{"footer-v1", sealFile(body, footerWith(1), MagicV2)},
-		{"footer-v2", sealFile(body, footerWith(2), MagicV2)},
+		{"footer-v1", sealFile(body, footerWith(1))},
+		{"footer-v2", sealFile(body, footerWith(2))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "old.cdb")

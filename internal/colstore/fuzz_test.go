@@ -8,6 +8,7 @@ import (
 
 	"codecdb/internal/bitutil"
 	"codecdb/internal/encoding"
+	"codecdb/internal/vfs"
 )
 
 // FuzzOpen feeds arbitrary byte strings to Open followed by a full read of
@@ -60,11 +61,12 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p := filepath.Join(t.TempDir(), "in.cdb")
-		if err := os.WriteFile(p, reseal(b), 0o644); err != nil {
-			t.Skip()
-		}
-		r, err := Open(p)
+		// In memory: an input costs no temporary file.
+		fsys := vfs.NewMemFS()
+		w, _ := fsys.Create("in.cdb")
+		w.Write(reseal(b))
+		w.Close()
+		r, err := OpenFS(fsys, "in.cdb")
 		if err != nil {
 			return
 		}
@@ -135,5 +137,5 @@ func reseal(b []byte) []byte {
 			footer = f
 		}
 	}
-	return sealFile(body, footer, MagicV2)
+	return sealFile(body, footer)
 }

@@ -563,7 +563,8 @@ type Chunk struct {
 	funit *fetchUnit
 	// The pages the caller declared it will read — an ascending list
 	// (Want), the pages holding a row of a selection (gathers), or every
-	// page (whole-chunk decodes): a miss demand-reads the ones still ahead.
+	// page (a gather without a selection, PackedPages): a miss demand-reads
+	// the ones still ahead.
 	want    []int
 	wantSel *bitutil.Bitmap
 	wantAll bool
@@ -629,8 +630,8 @@ func (c *Chunk) Fetch(f *PageFetcher) *Chunk {
 // Want declares the pages, ascending, the caller is about to read one by
 // one (PageBodyScratch, PackedPageAt): with a fetcher attached, the first
 // of them that is neither staged nor cached is read together with every
-// later one in one coalesced request. The gathers and whole-chunk decodes
-// declare their own pages. The slice must stay unchanged while in use.
+// later one in one coalesced request. The gathers and PackedPages declare
+// their own pages. The slice must stay unchanged while in use.
 func (c *Chunk) Want(pages []int) *Chunk {
 	c.declare(pages, nil, false)
 	return c
@@ -1144,10 +1145,12 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 			out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
 			return nil
 		}
-		r := bitutil.NewReader(packed)
+		// A local slice keeps the per-key loop off the captured variable.
+		keys, r := out, bitutil.NewReader(packed)
 		for i := 0; i < n; i++ {
-			out = append(out, int64(r.ReadBits(width)))
+			keys = append(keys, int64(r.ReadBits(width)))
 		}
+		out = keys
 		return nil
 	})
 	if err != nil {

@@ -103,7 +103,8 @@ func WriteFileFS(fsys vfs.FS, path string, schema Schema, data []ColumnData, opt
 		return err
 	}
 
-	meta := &FileMeta{Version: CurrentFormat, Schema: schema, NumRows: int64(numRows), Dicts: map[string]DictMeta{}}
+	meta := &FileMeta{Version: CurrentFormat, Schema: schema, NumRows: int64(numRows),
+		Dicts: map[string]DictMeta{}}
 
 	// Serialise global dictionaries up front, in sorted group order: map
 	// iteration would move the blobs (and with them every later offset's
@@ -400,9 +401,9 @@ func decodePackedKeys(body []byte) (width uint, n int, packed []byte, err error)
 func zigzagOf(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 // pageStats builds the packed-domain zone map for rows [p, pe) of the
-// column: dictionary keys for dict-encoded columns,
-// zigzag(value) for other integer columns, raw bytes for string columns.
-// Float pages carry no zone map.
+// column: dictionary keys for dict-encoded columns, zigzag(value) for
+// other integer columns, raw bytes for string columns. Float pages carry
+// no zone map.
 func pageStats(col Column, ci int, data ColumnData, p, pe int, keyCols map[int][]int64) *PageStats {
 	if pe <= p {
 		return nil

@@ -255,6 +255,26 @@ func TestCorruptInputsReturnErrors(t *testing.T) {
 	if _, err := (PlainInt{}).Decode(nil); err == nil {
 		t.Fatal("decode of empty buffer should error")
 	}
+	// A leading count claiming far more values than the bytes after it
+	// can hold must fail before it sizes an allocation.
+	huge := putUvarint(nil, 1<<40)
+	for _, kind := range AllIntKinds() {
+		codec, _ := IntCodecFor(kind)
+		buf, _ := codec.Encode(vals)
+		_, rest, _ := readUvarint(buf)
+		if got, err := codec.Decode(append(huge, rest...)); err == nil && len(got) != len(vals) {
+			t.Fatalf("%v: a count of 2^40 decoded %d values", kind, len(got))
+		}
+	}
+	strs := [][]byte{[]byte("a"), []byte("bc"), []byte("a")}
+	for _, kind := range AllStringKinds() {
+		codec, _ := StringCodecFor(kind)
+		buf, _ := codec.Encode(strs)
+		_, rest, _ := readUvarint(buf)
+		if got, err := codec.Decode(nil, append(huge, rest...)); err == nil && len(got) != len(strs) {
+			t.Fatalf("%v: a count of 2^40 decoded %d values", kind, len(got))
+		}
+	}
 }
 
 func TestDictOrderPreserving(t *testing.T) {

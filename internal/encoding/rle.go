@@ -96,12 +96,14 @@ func (RLEInt) Decode(data []byte) ([]int64, error) {
 	}
 	vr := bitutil.NewReader(rest[:valBytes])
 	rr = bitutil.NewReader(rest[valBytes:])
-	out := make([]int64, 0, n)
-	for i := uint64(0); i < numRuns; i++ {
+	out := make([]int64, n)
+	for i, pos := uint64(0), uint64(0); i < numRuns; i++ {
 		v := unzigzag(vr.ReadBits(vw))
-		for l := rr.ReadBits(rw); l > 0; l-- {
-			out = append(out, v)
+		run := out[pos : pos+rr.ReadBits(rw)]
+		for j := range run {
+			run[j] = v
 		}
+		pos += uint64(len(run))
 	}
 	return out, nil
 }
