@@ -1,19 +1,25 @@
 GO ?= go
 
-.PHONY: check check-run-patterns build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
+.PHONY: check check-run-patterns fmt build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
 
 # check is the tier-1 verification gate: everything must compile, pass
-# vet, and pass the full test suite under the race detector, with the
+# vet and gofmt, and pass the full test suite under the race detector, with the
 # observability-layer, morsel-executor, prefetch, serving-layer, and
 # relational-executor race tests called out explicitly, the crash-point
 # matrix for the durable write path, the allocation guards, one iteration
 # of the planner pipeline benchmarks as a smoke test, the benchmark
 # module's own vet + toy-scale run, and a check that every test pattern
 # named here still matches a test.
-check: vet build check-run-patterns race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-smoke
+check: vet fmt build check-run-patterns race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs bench-planner-smoke bench-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would change any Go file tracked by git, and
+# lists those files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

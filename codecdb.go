@@ -77,12 +77,12 @@ type Options struct {
 	// Selector is a trained encoding selector (see TrainSelector); nil
 	// falls back to exhaustive selection on the head sample.
 	Selector *Selector
-	// Logger receives the engine's structured events — flush,
-	// quarantine, recovery, torn-tail truncation, slow queries — as one
-	// JSON-friendly record each, carrying the query/flush ID that joins
-	// logs with metrics and traces. Nil drops every event (the
-	// instrumented paths are nil-safe, like the tracer). Build one with
-	// NewJSONLogger or wrap an existing *slog.Logger with NewLogger.
+	// Logger receives the engine's structured events — encoding
+	// decisions, flush, quarantine, recovery, torn-tail truncation, slow
+	// queries — as one JSON-friendly record each, carrying the query/flush
+	// ID that joins logs with metrics and traces. Nil drops every event
+	// (the instrumented paths are nil-safe, like the tracer). Build one
+	// with NewJSONLogger or wrap an existing *slog.Logger with NewLogger.
 	Logger *Logger
 	// PageCacheBytes, when positive, sizes a byte-budgeted cache of
 	// decompressed page bodies shared by every table this DB opens:

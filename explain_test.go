@@ -1,6 +1,8 @@
 package codecdb
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -425,39 +427,54 @@ func TestQueryMetricsObserved(t *testing.T) {
 	}
 }
 
-// TestEncodingDecisionEvents checks LoadTable emits one structured
-// selector event per auto-encoded column, carrying features and scores.
+// TestEncodingDecisionEvents checks LoadTable logs one structured
+// selector event per auto-encoded column through the DB's logger,
+// carrying features and scores.
 func TestEncodingDecisionEvents(t *testing.T) {
-	var got []obs.Event
-	prev := obs.SetEventSink(func(e obs.Event) { got = append(got, e) })
-	defer obs.SetEventSink(prev)
-
-	db := openTestDB(t)
+	var buf bytes.Buffer
+	db, err := Open(t.TempDir(), Options{Logger: NewJSONLogger(&buf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		db.Close()
+		obs.DefaultRecorder().SetLogger(nil) // Open installed the logger there too
+	})
 	loadEvents(t, db, 1000) // ts and latency auto-encode; status/level forced
 
-	decisions := map[string]obs.Event{}
-	for _, e := range got {
-		if e.Name == "encoding_decision" {
-			decisions[e.Fields["column"].(string)] = e
+	type decision struct {
+		Msg      string             `json:"msg"`
+		Column   string             `json:"column"`
+		Mode     string             `json:"mode"`
+		Chosen   string             `json:"chosen"`
+		Features []float64          `json:"features"`
+		Scores   map[string]float64 `json:"scores"`
+	}
+	decisions := map[string]decision{}
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var e decision
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if e.Msg == "encoding_decision" {
+			decisions[e.Column] = e
 		}
 	}
 	e, ok := decisions["ts"]
 	if !ok {
-		t.Fatalf("no encoding_decision for ts; events = %+v", got)
+		t.Fatalf("no encoding_decision for ts; log = %s", buf.String())
 	}
-	if e.Fields["mode"] != "exhaustive" {
-		t.Fatalf("mode = %v", e.Fields["mode"])
+	if e.Mode != "exhaustive" {
+		t.Fatalf("mode = %v", e.Mode)
 	}
-	if e.Fields["chosen"] != "DELTA_BINARY_PACKED" {
-		t.Fatalf("chosen = %v", e.Fields["chosen"])
+	if e.Chosen != "DELTA_BINARY_PACKED" {
+		t.Fatalf("chosen = %v", e.Chosen)
 	}
-	feats, ok := e.Fields["features"].([]float64)
-	if !ok || len(feats) == 0 {
-		t.Fatalf("features = %v", e.Fields["features"])
+	if len(e.Features) == 0 {
+		t.Fatalf("features = %v", e.Features)
 	}
-	scores, ok := e.Fields["scores"].(map[string]float64)
-	if !ok || len(scores) == 0 {
-		t.Fatalf("scores = %v", e.Fields["scores"])
+	if len(e.Scores) == 0 {
+		t.Fatalf("scores = %v", e.Scores)
 	}
 	if _, ok := decisions["status"]; ok {
 		t.Fatal("forced column must not emit a selection decision")

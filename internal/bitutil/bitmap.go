@@ -1,7 +1,6 @@
 // Package bitutil provides bit-level primitives used throughout CodecDB:
-// word-parallel bitmaps that serve as selection vectors, sectional bitmaps
-// that shard a large selection into per-block sections, and bit-granular
-// readers and writers used by the encoding layer.
+// word-parallel bitmaps that serve as selection vectors, one per row
+// group, and bit-granular readers and writers used by the encoding layer.
 //
 // Bitmaps are the universal intermediate result of CodecDB's filter
 // operators (paper §5.1). All logical operations work on 64-bit words at a
@@ -52,11 +51,6 @@ func (b *Bitmap) Words() []uint64 { return b.words }
 // Set sets bit i to one.
 func (b *Bitmap) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear sets bit i to zero.
-func (b *Bitmap) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Get reports whether bit i is set.
@@ -200,15 +194,6 @@ func (b *Bitmap) AndNot(other *Bitmap) *Bitmap {
 	return b
 }
 
-// Xor replaces b with b XOR other. The bitmaps must have equal length.
-func (b *Bitmap) Xor(other *Bitmap) *Bitmap {
-	b.checkLen(other)
-	for i := range b.words {
-		b.words[i] ^= other.words[i]
-	}
-	return b
-}
-
 // Not inverts every bit in place.
 func (b *Bitmap) Not() *Bitmap {
 	for i := range b.words {
@@ -236,8 +221,7 @@ func (b *Bitmap) Any() bool {
 }
 
 // NextSet returns the index of the first set bit at or after from, or -1 if
-// none exists. It is the core of the fast position iterator used by the
-// data-skipping column readers.
+// none exists.
 func (b *Bitmap) NextSet(from int) int {
 	if from >= b.n {
 		return -1
@@ -266,31 +250,8 @@ func (b *Bitmap) ForEach(fn func(i int)) {
 	}
 }
 
-// Positions returns the indexes of all set bits.
-func (b *Bitmap) Positions() []int {
-	out := make([]int, 0, b.Cardinality())
-	b.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
 func (b *Bitmap) checkLen(other *Bitmap) {
 	if b.n != other.n {
 		panic(fmt.Sprintf("bitutil: bitmap length mismatch %d vs %d", b.n, other.n))
 	}
-}
-
-// Iterator walks the set bits of a bitmap without allocating.
-type Iterator struct {
-	b   *Bitmap
-	pos int
-}
-
-// Iter returns an iterator positioned before the first set bit.
-func (b *Bitmap) Iter() *Iterator { return &Iterator{b: b, pos: -1} }
-
-// Next advances to the next set bit and returns its index, or -1 when the
-// iteration is exhausted.
-func (it *Iterator) Next() int {
-	it.pos = it.b.NextSet(it.pos + 1)
-	return it.pos
 }

@@ -2,10 +2,13 @@ package bitutil
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// TestBitmapSetGetClear sets bits at word edges, counts them, and clears
+// them all with Reset.
 func TestBitmapSetGetClear(t *testing.T) {
 	b := NewBitmap(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
@@ -20,12 +23,9 @@ func TestBitmapSetGetClear(t *testing.T) {
 	if got := b.Cardinality(); got != 8 {
 		t.Fatalf("cardinality = %d, want 8", got)
 	}
-	b.Clear(64)
-	if b.Get(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := b.Cardinality(); got != 7 {
-		t.Fatalf("cardinality = %d, want 7", got)
+	b.Reset()
+	if b.Any() || b.Get(64) {
+		t.Fatal("bits still set after Reset")
 	}
 }
 
@@ -82,7 +82,6 @@ func TestBitmapLogicalOps(t *testing.T) {
 	and := a.Clone().And(b)
 	or := a.Clone().Or(b)
 	andnot := a.Clone().AndNot(b)
-	xor := a.Clone().Xor(b)
 	for i := 0; i < n; i++ {
 		if and.Get(i) != (ref[i].a && ref[i].b) {
 			t.Fatalf("And bit %d wrong", i)
@@ -92,9 +91,6 @@ func TestBitmapLogicalOps(t *testing.T) {
 		}
 		if andnot.Get(i) != (ref[i].a && !ref[i].b) {
 			t.Fatalf("AndNot bit %d wrong", i)
-		}
-		if xor.Get(i) != (ref[i].a != ref[i].b) {
-			t.Fatalf("Xor bit %d wrong", i)
 		}
 	}
 }
@@ -108,24 +104,21 @@ func TestBitmapLengthMismatchPanics(t *testing.T) {
 	NewBitmap(10).And(NewBitmap(11))
 }
 
+// TestBitmapNextSetAndIterator walks the set bits with NextSet, the way
+// callers iterate a bitmap without a callback, and with ForEach.
 func TestBitmapNextSetAndIterator(t *testing.T) {
 	b := NewBitmap(200)
 	set := []int{0, 3, 63, 64, 130, 199}
 	for _, i := range set {
 		b.Set(i)
 	}
-	got := []int{}
-	it := b.Iter()
-	for i := it.Next(); i >= 0; i = it.Next() {
-		got = append(got, i)
+	var walked, each []int
+	for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
+		walked = append(walked, i)
 	}
-	if len(got) != len(set) {
-		t.Fatalf("iterator yielded %v, want %v", got, set)
-	}
-	for i := range set {
-		if got[i] != set[i] {
-			t.Fatalf("iterator yielded %v, want %v", got, set)
-		}
+	b.ForEach(func(i int) { each = append(each, i) })
+	if !slices.Equal(walked, set) || !slices.Equal(each, set) {
+		t.Fatalf("NextSet walk %v, ForEach %v, want %v", walked, each, set)
 	}
 	if b.NextSet(200) != -1 {
 		t.Fatal("NextSet past end should be -1")
@@ -135,6 +128,8 @@ func TestBitmapNextSetAndIterator(t *testing.T) {
 	}
 }
 
+// TestBitmapPositionsMatchForEach checks that the positions ForEach yields
+// are exactly the set bits, ascending.
 func TestBitmapPositionsMatchForEach(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -145,12 +140,14 @@ func TestBitmapPositionsMatchForEach(t *testing.T) {
 				b.Set(i)
 			}
 		}
-		pos := b.Positions()
-		if len(pos) != b.Cardinality() {
+		// ForEach yields every set position once, ascending.
+		var pos []int
+		b.ForEach(func(i int) { pos = append(pos, i) })
+		if len(pos) != b.Cardinality() || !slices.IsSorted(pos) {
 			return false
 		}
-		for _, p := range pos {
-			if !b.Get(p) {
+		for i, p := range pos {
+			if !b.Get(p) || (i > 0 && pos[i-1] == p) {
 				return false
 			}
 		}
@@ -183,104 +180,6 @@ func TestBitmapDeMorganProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSectionalBitmapBasics(t *testing.T) {
-	s := NewSectionalBitmap(250, 64)
-	if s.NumSections() != 4 {
-		t.Fatalf("NumSections = %d, want 4", s.NumSections())
-	}
-	s.Set(0)
-	s.Set(63)
-	s.Set(64)
-	s.Set(249)
-	if s.Cardinality() != 4 {
-		t.Fatalf("cardinality = %d", s.Cardinality())
-	}
-	if !s.Get(63) || s.Get(62) {
-		t.Fatal("Get wrong")
-	}
-	if s.SectionEmpty(0) || !s.SectionEmpty(2) {
-		t.Fatal("SectionEmpty wrong")
-	}
-}
-
-func TestSectionalBitmapOps(t *testing.T) {
-	a := NewSectionalBitmap(200, 50)
-	b := NewSectionalBitmap(200, 50)
-	for i := 0; i < 200; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 100; i += 3 {
-		b.Set(i)
-	}
-	inter := cloneSectional(a).And(b)
-	for i := 0; i < 200; i++ {
-		want := i%2 == 0 && i < 100 && i%3 == 0
-		if inter.Get(i) != want {
-			t.Fatalf("And bit %d = %v, want %v", i, inter.Get(i), want)
-		}
-	}
-	// Sections 2 and 3 must have become empty (skippable).
-	if !inter.SectionEmpty(2) || !inter.SectionEmpty(3) {
-		t.Fatal("And should empty out sections with no overlap")
-	}
-	un := cloneSectional(a).Or(b)
-	for i := 0; i < 200; i++ {
-		want := i%2 == 0 || (i < 100 && i%3 == 0)
-		if un.Get(i) != want {
-			t.Fatalf("Or bit %d wrong", i)
-		}
-	}
-	diff := cloneSectional(a).AndNot(b)
-	for i := 0; i < 200; i++ {
-		want := i%2 == 0 && !(i < 100 && i%3 == 0)
-		if diff.Get(i) != want {
-			t.Fatalf("AndNot bit %d wrong", i)
-		}
-	}
-}
-
-func cloneSectional(s *SectionalBitmap) *SectionalBitmap {
-	c := NewSectionalBitmap(s.Len(), s.SectionSize())
-	s.ForEach(func(i int) { c.Set(i) })
-	return c
-}
-
-func TestSectionalBitmapCompressRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		s := NewSectionalBitmap(n, 37)
-		ref := map[int]bool{}
-		// Runs of set bits exercise the RLE path.
-		for i := 0; i < n; {
-			if rng.Intn(3) == 0 {
-				l := 1 + rng.Intn(10)
-				for j := i; j < i+l && j < n; j++ {
-					s.Set(j)
-					ref[j] = true
-				}
-				i += l
-			} else {
-				i++
-			}
-		}
-		for i := 0; i < s.NumSections(); i++ {
-			s.Compress(i)
-		}
-		for i := 0; i < n; i++ {
-			if s.Get(i) != ref[i] {
-				return false
-			}
-		}
-		// Mutation after compression must decompress transparently.
-		s.Set(0)
-		return s.Get(0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -39,9 +39,9 @@ type PageCache struct {
 const pcShards = 16
 
 type pageKey struct {
-	reader   uint64
-	rg, col  int32
-	page     int32
+	reader  uint64
+	rg, col int32
+	page    int32
 }
 
 type pcEntry struct {

@@ -50,9 +50,9 @@ type Options struct {
 	// the historical behavior, which the IO-accounting property tests
 	// rely on.
 	PageCacheBytes int64
-	// Logger receives the engine's structured events (flush,
-	// quarantine, recovery, torn-tail truncation, slow queries). Nil
-	// drops them, mirroring the tracer's nil-safety.
+	// Logger receives the engine's structured events (encoding
+	// decisions, flush, quarantine, recovery, torn-tail truncation, slow
+	// queries). Nil drops them, mirroring the tracer's nil-safety.
 	Logger *obs.Logger
 }
 
@@ -230,9 +230,8 @@ func (db *DB) LoadTable(name string, specs []ColumnSpec, data []colstore.ColumnD
 
 // selectEncoding picks a scheme for one column using the configured
 // selector on a head sample, or exhaustive selection when no model is
-// loaded. Each decision is emitted as an "encoding_decision" structured
-// event (features in, per-candidate scores out) when an event sink is
-// installed.
+// loaded. Each decision is logged as an "encoding_decision" event
+// (features in, per-candidate scores out) through Options.Logger.
 func (db *DB) selectEncoding(s ColumnSpec, data colstore.ColumnData) encoding.Kind {
 	switch s.Type {
 	case colstore.TypeInt64:
@@ -240,17 +239,17 @@ func (db *DB) selectEncoding(s ColumnSpec, data colstore.ColumnData) encoding.Ki
 		if db.opts.Selector != nil {
 			v := features.ExtractInts(sample)
 			kind := db.opts.Selector.SelectIntFromVector(v)
-			emitDecision(s.Name, "learned", v.Slice(), ratioScores(db.opts.Selector.ScoresInt(v)), kind)
+			db.logDecision(s.Name, "learned", v.Slice(), ratioScores(db.opts.Selector.ScoresInt(v)), kind)
 			return kind
 		}
 		kind, _, err := selector.BestInt(sample)
 		if err != nil {
 			return encoding.KindPlain
 		}
-		if obs.EventsEnabled() {
+		if db.opts.Logger != nil {
 			sizes, _ := selector.SizesInt(sample, encoding.IntCandidates())
 			fv := features.ExtractInts(sample)
-			emitDecision(s.Name, "exhaustive", fv.Slice(), sizeScores(sizes), kind)
+			db.logDecision(s.Name, "exhaustive", fv.Slice(), sizeScores(sizes), kind)
 		}
 		return kind
 	case colstore.TypeString:
@@ -258,17 +257,17 @@ func (db *DB) selectEncoding(s ColumnSpec, data colstore.ColumnData) encoding.Ki
 		if db.opts.Selector != nil {
 			v := features.ExtractStrings(sample)
 			kind := db.opts.Selector.SelectStringFromVector(v)
-			emitDecision(s.Name, "learned", v.Slice(), ratioScores(db.opts.Selector.ScoresString(v)), kind)
+			db.logDecision(s.Name, "learned", v.Slice(), ratioScores(db.opts.Selector.ScoresString(v)), kind)
 			return kind
 		}
 		kind, _, err := selector.BestString(sample)
 		if err != nil {
 			return encoding.KindPlain
 		}
-		if obs.EventsEnabled() {
+		if db.opts.Logger != nil {
 			sizes, _ := selector.SizesString(sample, encoding.StringCandidates())
 			fv := features.ExtractStrings(sample)
-			emitDecision(s.Name, "exhaustive", fv.Slice(), sizeScores(sizes), kind)
+			db.logDecision(s.Name, "exhaustive", fv.Slice(), sizeScores(sizes), kind)
 		}
 		return kind
 	default:
@@ -276,22 +275,18 @@ func (db *DB) selectEncoding(s ColumnSpec, data colstore.ColumnData) encoding.Ki
 	}
 }
 
-// emitDecision publishes one encoding-selection outcome as a structured
-// event: the feature vector that went in, the per-candidate scores that
-// came out (predicted ratios for the learned path, encoded byte sizes
-// for the exhaustive path), and the chosen scheme.
-func emitDecision(col, mode string, feats []float64, scores map[string]float64, chosen encoding.Kind) {
-	if !obs.EventsEnabled() {
-		return
-	}
-	obs.Emit("encoding_decision", map[string]any{
-		"column":   col,
-		"mode":     mode,
-		"features": feats,
-		"names":    features.Names(),
-		"scores":   scores,
-		"chosen":   chosen.String(),
-	})
+// logDecision logs one encoding-selection outcome: the feature vector
+// that went in, the per-candidate scores that came out (predicted ratios
+// for the learned path, encoded byte sizes for the exhaustive path), and
+// the chosen scheme.
+func (db *DB) logDecision(col, mode string, feats []float64, scores map[string]float64, chosen encoding.Kind) {
+	db.opts.Logger.Info("encoding_decision",
+		"column", col,
+		"mode", mode,
+		"features", feats,
+		"names", features.Names(),
+		"scores", scores,
+		"chosen", chosen.String())
 }
 
 func ratioScores(m map[encoding.Kind]float64) map[string]float64 {

@@ -90,7 +90,7 @@ func TestParallelMorselsCancellation(t *testing.T) {
 	p := NewPool(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := ParallelMorsels(ctx, p, 1 << 20,
+	_, err := ParallelMorsels(ctx, p, 1<<20,
 		func(worker int) struct{} { return struct{}{} },
 		func(ctx context.Context, s struct{}, m int) error {
 			if ran.Add(1) == 4 {

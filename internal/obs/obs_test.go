@@ -165,48 +165,46 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 }
 
+// TestEventsSink checks the one structured-event path under concurrent
+// writers, as the loader, the flusher and the flight recorder log from
+// their own goroutines: every event through one JSON logger comes out as
+// one whole JSON line, and the composite fields an encoding_decision
+// carries — a feature vector, per-candidate scores — as JSON arrays and
+// objects.
 func TestEventsSink(t *testing.T) {
-	var mu sync.Mutex
-	var got []Event
-	prev := SetEventSink(func(e Event) {
-		mu.Lock()
-		got = append(got, e)
-		mu.Unlock()
-	})
-	defer SetEventSink(prev)
-
-	if !EventsEnabled() {
-		t.Fatal("EventsEnabled must be true with a sink installed")
-	}
-	Emit("encoding_decision", map[string]any{"column": "l_shipmode", "chosen": "dict"})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Name != "encoding_decision" || got[0].Fields["column"] != "l_shipmode" {
-		t.Fatalf("events = %+v", got)
-	}
-}
-
-func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
-	prev := SetEventSink(JSONSink(&buf))
-	defer SetEventSink(prev)
-	Emit("e1", map[string]any{"k": 1})
-	var e Event
-	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
-		t.Fatalf("sink output is not JSON: %v (%q)", err, buf.String())
+	l := NewJSONLogger(&buf)
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Info("encoding_decision",
+					"column", "l_shipmode",
+					"features", []float64{float64(w), float64(i)},
+					"scores", map[string]float64{"PLAIN": 800})
+			}
+		}()
 	}
-	if e.Name != "e1" {
-		t.Fatalf("event name = %q", e.Name)
+	wg.Wait()
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != writers*each {
+		t.Fatalf("%d lines, want %d", len(lines), writers*each)
 	}
-}
-
-func TestEventsDisabled(t *testing.T) {
-	prev := SetEventSink(nil)
-	defer SetEventSink(prev)
-	if EventsEnabled() {
-		t.Fatal("EventsEnabled must be false with no sink")
+	for _, line := range lines {
+		var e struct {
+			Msg      string             `json:"msg"`
+			Column   string             `json:"column"`
+			Features []float64          `json:"features"`
+			Scores   map[string]float64 `json:"scores"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Msg != "encoding_decision" ||
+			e.Column != "l_shipmode" || len(e.Features) != 2 || e.Scores["PLAIN"] != 800 {
+			t.Fatalf("line %q: %+v, %v", line, e, err)
+		}
 	}
-	Emit("dropped", nil) // must not panic
 }
 
 func TestPublishExpvar(t *testing.T) {

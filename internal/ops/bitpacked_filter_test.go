@@ -44,8 +44,8 @@ func TestBitPackedFilterNonNegative(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, v := range vals {
-				if bm.Get(i) != chunkMatch(v, op, target) {
-					t.Fatalf("op=%v target=%d row %d (value %d): got %v", op, target, i, v, bm.Get(i))
+				if selected(bm, i) != chunkMatch(v, op, target) {
+					t.Fatalf("op=%v target=%d row %d (value %d): got %v", op, target, i, v, selected(bm, i))
 				}
 			}
 		}
@@ -73,11 +73,11 @@ func TestBitPackedFilterWithNegatives(t *testing.T) {
 				if chunkMatch(v, op, target) {
 					count++
 				}
-				if bm.Get(i) != chunkMatch(v, op, target) {
+				if selected(bm, i) != chunkMatch(v, op, target) {
 					t.Fatalf("op=%v target=%d row %d (value %d)", op, target, i, v)
 				}
 			}
-			if bm.Cardinality() != count {
+			if selCount(bm) != count {
 				t.Fatalf("cardinality mismatch")
 			}
 		}

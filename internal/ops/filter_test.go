@@ -18,18 +18,18 @@ import (
 // applyAll binds f once and runs its kernel — the one the pipeline
 // compiles from the bound leaf — over every row group of the table, row
 // groups split across the pool's workers with a scratch arena each, and
-// returns the matches as one section per row group.
-func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) (*bitutil.SectionalBitmap, error) {
+// returns the matches as one bitmap per row group, the way the pipeline
+// holds a selection.
+func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) ([]*bitutil.Bitmap, error) {
 	b, err := f.bind(r, true)
 	if err != nil {
 		return nil, err
 	}
-	section := 1
-	if r.NumRowGroups() > 0 {
-		section = max(r.RowGroupRows(0), 1)
-	}
-	out := bitutil.NewSectionalBitmap(int(r.NumRows()), section)
+	out := make([]*bitutil.Bitmap, r.NumRowGroups())
 	if b.empty {
+		for rg := range out {
+			out[rg] = bitutil.NewBitmap(r.RowGroupRows(rg))
+		}
 		return out, nil
 	}
 	err = pool.ParallelChunksErr(context.Background(), r.NumRowGroups(), func(start, end int) error {
@@ -41,11 +41,27 @@ func applyAll(f Filter, r *colstore.Reader, pool *exec.Pool) (*bitutil.Sectional
 			if err != nil {
 				return err
 			}
-			out.SetSection(rg, bm)
+			out[rg] = bm
 		}
 		return nil
 	})
 	return out, err
+}
+
+// selected reports whether row i is set in a selection held one bitmap per
+// row group; every row group but the last has the first one's rows.
+func selected(sel []*bitutil.Bitmap, i int) bool {
+	rows := sel[0].Len()
+	return sel[i/rows].Get(i % rows)
+}
+
+// selCount returns the number of rows a per-row-group selection selects.
+func selCount(sel []*bitutil.Bitmap) int {
+	c := 0
+	for _, bm := range sel {
+		c += bm.Cardinality()
+	}
+	return c
 }
 
 // mustPlan is BuildPlan for predicates the test knows fit the reader.
@@ -96,14 +112,18 @@ func testReader(t *testing.T, n int) (*colstore.Reader, []int64, []int64, [][]by
 	return r, ship, commit, mode
 }
 
-func checkBitmap(t *testing.T, got *bitutil.SectionalBitmap, n int, want func(i int) bool) {
+func checkBitmap(t *testing.T, got []*bitutil.Bitmap, n int, want func(i int) bool) {
 	t.Helper()
-	if got.Len() != n {
-		t.Fatalf("bitmap length %d, want %d", got.Len(), n)
+	rows := 0
+	for _, bm := range got {
+		rows += bm.Len()
+	}
+	if rows != n {
+		t.Fatalf("selection spans %d rows, want %d", rows, n)
 	}
 	for i := 0; i < n; i++ {
-		if got.Get(i) != want(i) {
-			t.Fatalf("row %d: got %v, want %v", i, got.Get(i), want(i))
+		if selected(got, i) != want(i) {
+			t.Fatalf("row %d: got %v, want %v", i, selected(got, i), want(i))
 		}
 	}
 }
@@ -154,8 +174,8 @@ func TestDictFilterAbsentValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm.Cardinality() != n {
-		t.Fatalf("Ge below-min should match all, got %d", bm.Cardinality())
+	if selCount(bm) != n {
+		t.Fatalf("Ge below-min should match all, got %d", selCount(bm))
 	}
 }
 
@@ -199,8 +219,8 @@ func TestDictFilterPowerOfTwoDictOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bm.Cardinality() != c.want {
-			t.Fatalf("op=%v value=%d: got %d rows, want %d", c.op, c.v, bm.Cardinality(), c.want)
+		if selCount(bm) != c.want {
+			t.Fatalf("op=%v value=%d: got %d rows, want %d", c.op, c.v, selCount(bm), c.want)
 		}
 	}
 }
@@ -242,7 +262,7 @@ func TestDictInFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm2.Cardinality() != 0 {
+	if selCount(bm2) != 0 {
 		t.Fatal("absent IN list should match nothing")
 	}
 }
@@ -311,8 +331,8 @@ func TestObliviousFiltersMatchAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if aware.Get(i) != obliv.Get(i) {
-			t.Fatalf("row %d: aware %v oblivious %v (value %d)", i, aware.Get(i), obliv.Get(i), ship[i])
+		if selected(aware, i) != selected(obliv, i) {
+			t.Fatalf("row %d: aware %v oblivious %v (value %d)", i, selected(aware, i), selected(obliv, i), ship[i])
 		}
 	}
 	strBm, err := applyAll(&Decode{Col: "shipmode", Str: func(v []byte) bool { return len(v) == 4 }}, r, pool)

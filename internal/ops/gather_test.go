@@ -49,8 +49,8 @@ func gatherFixture(t *testing.T) (*colstore.Reader, []int64, []float64, [][]byte
 
 // gatherChunks gathers the selected rows of col row group by row group
 // through the chunk gathers the pipeline's collects run, concatenated in
-// row order; a nil selection selects every row.
-func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalBitmap,
+// row order; sel holds one bitmap per row group, and nil selects every row.
+func gatherChunks[T any](r *colstore.Reader, col string, sel []*bitutil.Bitmap,
 	fetch func(*colstore.Chunk, *bitutil.Bitmap, []T) ([]T, error)) ([]T, error) {
 	ci, _, err := r.Column(col)
 	if err != nil {
@@ -59,16 +59,17 @@ func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalB
 	var out []T
 	for rg := 0; rg < r.NumRowGroups(); rg++ {
 		chunk := r.Chunk(rg, ci)
-		sec := bitutil.NewBitmap(chunk.Rows())
+		var bm *bitutil.Bitmap
 		switch {
 		case sel == nil:
-			sec.SetAll()
-		case sel.SectionEmpty(rg):
+			bm = bitutil.NewBitmap(chunk.Rows())
+			bm.SetAll()
+		case !sel[rg].Any():
 			continue
 		default:
-			sec = sel.Section(rg)
+			bm = sel[rg]
 		}
-		vals, err := fetch(chunk, sec, nil)
+		vals, err := fetch(chunk, bm, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -77,18 +78,31 @@ func gatherChunks[T any](r *colstore.Reader, col string, sel *bitutil.SectionalB
 	return out, nil
 }
 
+// selectRows returns a selection of r's rows, one bitmap per row group,
+// with the given rows set.
+func selectRows(r *colstore.Reader, rows []int) []*bitutil.Bitmap {
+	sel := make([]*bitutil.Bitmap, r.NumRowGroups())
+	for rg := range sel {
+		sel[rg] = bitutil.NewBitmap(r.RowGroupRows(rg))
+	}
+	per := r.RowGroupRows(0)
+	for _, i := range rows {
+		sel[i/per].Set(i % per)
+	}
+	return sel
+}
+
 func TestGatherHelpersAgainstReference(t *testing.T) {
 	r, ints, floats, _ := gatherFixture(t)
 	n := int(r.NumRows())
-	sel := bitutil.NewSectionalBitmap(n, 1500)
 	rng := rand.New(rand.NewSource(32))
 	var wantRows []int
 	for i := 0; i < n; i++ {
 		if rng.Intn(7) == 0 {
-			sel.Set(i)
 			wantRows = append(wantRows, i)
 		}
 	}
+	sel := selectRows(r, wantRows)
 	gi, err := gatherChunks(r, "i", sel, (*colstore.Chunk).GatherInts)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +200,7 @@ func TestDictIntPredFilterDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range ints {
-		if bm.Get(i) != (v%7 == 0) {
+		if selected(bm, i) != (v%7 == 0) {
 			t.Fatalf("row %d (value %d)", i, v)
 		}
 	}
@@ -204,7 +218,7 @@ func TestFloatPredicateFilterDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range floats {
-		if bm.Get(i) != (v > 1000) {
+		if selected(bm, i) != (v > 1000) {
 			t.Fatalf("row %d", i)
 		}
 	}
@@ -212,9 +226,7 @@ func TestFloatPredicateFilterDirect(t *testing.T) {
 
 func TestNonDictKeysRejected(t *testing.T) {
 	r, _, _, _ := gatherFixture(t)
-	sel := bitutil.NewSectionalBitmap(int(r.NumRows()), 1500)
-	sel.Set(0)
-	if _, err := gatherChunks(r, "p", sel, (*colstore.Chunk).GatherKeys); err == nil {
+	if _, err := gatherChunks(r, "p", selectRows(r, []int{0}), (*colstore.Chunk).GatherKeys); err == nil {
 		t.Fatal("plain column has no dictionary keys")
 	}
 }

@@ -1,37 +1,21 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestPCHMultiDuplicates(t *testing.T) {
-	m := NewPCHMulti(10)
-	m.Insert(5, 100)
-	m.Insert(5, 101)
-	m.Insert(9, 200)
-	var rows []int64
-	m.Each(5, func(r int64) { rows = append(rows, r) })
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	if len(rows) != 2 || rows[0] != 100 || rows[1] != 101 {
-		t.Fatalf("rows = %v", rows)
+// chain walks key k's build rows through First and Next.
+func chain(tbl *JoinTable, k int64) []int32 {
+	var rows []int32
+	for r := tbl.First(k); r >= 0; r = tbl.Next(r) {
+		rows = append(rows, r)
 	}
-	if !m.Contains(9) || m.Contains(6) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestPCHReservedKeysPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewPCHMulti(4).Insert(emptyKey, 1)
+	return rows
 }
 
 // probeAll probes every key through tbl the way the pipeline's inner join
@@ -39,7 +23,9 @@ func TestPCHReservedKeysPanic(t *testing.T) {
 func probeAll(tbl *JoinTable, probeKeys []int64) [][2]int64 {
 	var out [][2]int64
 	for p, k := range probeKeys {
-		tbl.Each(k, func(b int32) { out = append(out, [2]int64{int64(p), int64(b)}) })
+		for _, b := range chain(tbl, k) {
+			out = append(out, [2]int64{int64(p), int64(b)})
+		}
 	}
 	return out
 }
@@ -58,12 +44,57 @@ func nestedLoopOracle(buildKeys, probeKeys []int64) [][2]int64 {
 	return out
 }
 
+// matchesOracle reports whether probing a table over buildKeys with
+// probeKeys yields exactly the nested loop's pairs — each probe row's build
+// rows in insertion order — and Contains agrees with it.
+func matchesOracle(t *testing.T, name string, buildKeys, probeKeys []int64) bool {
+	tbl := NewJoinTable(buildKeys)
+	if tbl.Len() != len(buildKeys) {
+		t.Logf("%s: Len %d, want %d", name, tbl.Len(), len(buildKeys))
+		return false
+	}
+	// The oracle lists build rows ascending, which is insertion order:
+	// equality checks both the pair set and the per-key order.
+	got, want := probeAll(tbl, probeKeys), nestedLoopOracle(buildKeys, probeKeys)
+	if !slices.Equal(got, want) {
+		t.Logf("%s: got %d pairs, want %d", name, len(got), len(want))
+		return false
+	}
+	for _, k := range probeKeys {
+		if tbl.Contains(k) != slices.Contains(buildKeys, k) {
+			t.Logf("%s: Contains(%d) = %v", name, k, tbl.Contains(k))
+			return false
+		}
+	}
+	return true
+}
+
+// wrappingKeys returns n build keys, two rows each of n/2 distinct keys
+// that all hash to the last slot of a table over n rows, so their chains
+// sit in slots that wrap around to the start of the slot array.
+func wrappingKeys(t *testing.T, n int) []int64 {
+	last := NewJoinTable(make([]int64, n)).mask
+	var keys []int64
+	for k := int64(0); len(keys) < n; k++ {
+		if hash64(k)&last == last {
+			keys = append(keys, k, k)
+		}
+	}
+	// Rows go in last to first, so the first key's chain is placed last.
+	if s := NewJoinTable(keys).slot(keys[0]); s >= last {
+		t.Fatalf("first key's chain is in slot %d; the keys do not wrap", s)
+	}
+	return keys
+}
+
 // TestHashJoinMatchesNestedLoopOracle is the join-correctness property of
-// the hash table every engine join stage probes: across randomized inputs —
+// the hash table every engine join stage probes. Across randomized inputs —
 // duplicate keys on both sides (cross products), empty sides, heavily
-// skewed multi-maps, and the two keys PCHMulti reserves — probing with
-// Each yields exactly the nested loop's pair set, each probe row's build
-// rows in insertion order, and Contains agrees with it.
+// skewed multi-maps — and adversarial key sets — the int64 extremes,
+// sequential keys, keys strided by 2^16 and 2^32 (identical low bits), one
+// key repeated, chains that wrap around the slot array — probing yields
+// exactly the nested loop's pair set, each probe row's build rows in
+// insertion order, and Contains agrees with it.
 func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,28 +127,40 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 		for i := range probeKeys {
 			probeKeys[i] = draw()
 		}
-		tbl := NewJoinTable(buildKeys)
-		if tbl.Len() != buildN {
-			t.Logf("seed %d: Len %d, want %d", seed, tbl.Len(), buildN)
-			return false
-		}
-		// The oracle lists build rows ascending, which is insertion order:
-		// equality checks both the pair set and the per-key order.
-		got, want := probeAll(tbl, probeKeys), nestedLoopOracle(buildKeys, probeKeys)
-		if !slices.Equal(got, want) {
-			t.Logf("seed %d: got %d pairs, want %d", seed, len(got), len(want))
-			return false
-		}
-		for _, k := range probeKeys {
-			if tbl.Contains(k) != slices.Contains(buildKeys, k) {
-				t.Logf("seed %d: Contains(%d) = %v", seed, k, tbl.Contains(k))
-				return false
-			}
-		}
-		return true
+		return matchesOracle(t, fmt.Sprintf("seed %d", seed), buildKeys, probeKeys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+
+	const n = 1000
+	keyed := func(key func(i int) int64) []int64 {
+		keys := make([]int64, n)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		return keys
+	}
+	adversarial := map[string][]int64{
+		"extremes":    {math.MaxInt64, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MinInt64, 0, -1, math.MinInt64 + 1},
+		"sequential":  keyed(func(i int) int64 { return int64(i) }),
+		"stride 2^16": keyed(func(i int) int64 { return int64(i) << 16 }),
+		"stride 2^32": keyed(func(i int) int64 { return int64(i) << 32 }),
+		"one key":     keyed(func(int) int64 { return 7 }),
+		"wrapping":    wrappingKeys(t, 64),
+	}
+	for name, build := range adversarial {
+		// Probe every build key shuffled, each neighbour of one (mostly
+		// absent), and the extremes.
+		rng := rand.New(rand.NewSource(int64(len(build))))
+		probe := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64}
+		for _, k := range build {
+			probe = append(probe, k, k-1, k+1)
+		}
+		rng.Shuffle(len(probe), func(i, j int) { probe[i], probe[j] = probe[j], probe[i] })
+		if !matchesOracle(t, name, build, probe) {
+			t.Fatalf("%s: the join differs from the nested loop", name)
+		}
 	}
 }
 

@@ -136,65 +136,81 @@ func (b *Batch) AddStrs(name string, vals [][]byte) *Batch {
 	return b
 }
 
-// JoinTable is a hash multi-map over build-side keys, probed per row group
-// by the pipeline's join stages. Build is single-threaded so match lists
-// are insertion-ordered and results are deterministic run to run. The two
-// PCH-reserved keys are diverted to side lists rather than rejected.
+// JoinTable is a chained hash multi-map over build-side keys, probed per
+// row group by the pipeline's join stages. It is built before the pass
+// starts and only read after, so probes need no synchronization. Each
+// key's chain runs in insertion order, so probe output is deterministic
+// run to run.
 type JoinTable struct {
-	m       *PCHMulti
-	special [2][]int32
-	n       int
+	keys  []int64 // keys[r] is build row r's key
+	next  []int32 // next[r] is the next build row carrying keys[r], or -1
+	heads []int32 // per slot: the first build row of one key, or -1 if free
+	mask  uint64
+}
+
+// hash64 mixes a key's bits so sequential keys and keys that differ only
+// in their high bits spread over the slots.
+func hash64(k int64) uint64 {
+	x := uint64(k)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // NewJoinTable builds the hash table over keys; keys[i] maps to build row
-// i. Duplicate keys multi-map.
+// i. Duplicate keys multi-map. The table keeps keys, which must not change
+// after.
 func NewJoinTable(keys []int64) *JoinTable {
-	t := &JoinTable{n: len(keys)}
-	if len(keys) == 0 {
-		return t
+	slots := 16
+	for slots < 2*len(keys) {
+		slots *= 2
 	}
-	t.m = NewPCHMulti(len(keys))
-	for i, k := range keys {
-		if k == emptyKey || k == tombKey {
-			t.special[k-emptyKey] = append(t.special[k-emptyKey], int32(i))
-			continue
-		}
-		t.m.Insert(k, int64(i))
+	t := &JoinTable{
+		keys:  keys,
+		next:  make([]int32, len(keys)),
+		heads: make([]int32, slots),
+		mask:  uint64(slots - 1),
+	}
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+	// Pushing rows last to first leaves each chain in insertion order.
+	for r := len(keys) - 1; r >= 0; r-- {
+		s := t.slot(keys[r])
+		t.next[r] = t.heads[s]
+		t.heads[s] = int32(r)
 	}
 	return t
 }
 
+// slot finds key k's slot by linear probing: the one whose chain carries
+// k, or the free slot that ends k's probe sequence. At most half the slots
+// are taken, so the search ends.
+func (t *JoinTable) slot(k int64) uint64 {
+	i := hash64(k) & t.mask
+	for {
+		if h := t.heads[i]; h < 0 || t.keys[h] == k {
+			return i
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
 // Len reports the number of build rows.
-func (t *JoinTable) Len() int { return t.n }
+func (t *JoinTable) Len() int { return len(t.keys) }
+
+// First returns the first build row carrying key k, or -1 if none does.
+func (t *JoinTable) First(k int64) int32 { return t.heads[t.slot(k)] }
+
+// Next returns the build row after r carrying r's key, or -1 after the
+// last.
+func (t *JoinTable) Next(r int32) int32 { return t.next[r] }
 
 // Contains reports whether any build row carries key k.
-func (t *JoinTable) Contains(k int64) bool {
-	if k == emptyKey || k == tombKey {
-		return len(t.special[k-emptyKey]) > 0
-	}
-	return t.m != nil && t.m.Contains(k)
-}
-
-// Each calls fn for every build row carrying key k, in insertion order.
-func (t *JoinTable) Each(k int64, fn func(row int32)) {
-	if k == emptyKey || k == tombKey {
-		for _, r := range t.special[k-emptyKey] {
-			fn(r)
-		}
-		return
-	}
-	if t.m == nil {
-		return
-	}
-	// PCHMulti lists iterate newest-first; reverse to insertion order so
-	// probe output is stable against the build sequence.
-	var buf [8]int64
-	rows := buf[:0]
-	t.m.Each(k, func(row int64) { rows = append(rows, row) })
-	for i := len(rows) - 1; i >= 0; i-- {
-		fn(int32(rows[i]))
-	}
-}
+func (t *JoinTable) Contains(k int64) bool { return t.First(k) >= 0 }
 
 // RelInput names one value vector a stage or sink consumes: a scan column
 // of the probe table (FromStage -1) in one of the four column kinds, the
@@ -544,18 +560,18 @@ func (w *pipeWorker) runRelStage(si int) error {
 		var keys []int64
 		keys, err = w.probeKeys(st, tap)
 		if err == nil {
+			tbl := st.Table
 			perm := m.idx.take(rows.n)[:0]
 			build := m.idx.take(rows.n)[:0]
 			for i := 0; i < rows.n; i++ {
-				matched := false
-				st.Table.Each(keys[i], func(r int32) {
-					matched = true
-					perm = append(perm, int32(i))
-					build = append(build, r)
-				})
-				if !matched && st.Kind == RelLeft {
+				r := tbl.First(keys[i])
+				if r < 0 && st.Kind == RelLeft {
 					perm = append(perm, int32(i))
 					build = append(build, -1)
+				}
+				for ; r >= 0; r = tbl.Next(r) {
+					perm = append(perm, int32(i))
+					build = append(build, r)
 				}
 			}
 			m.apply(perm)

@@ -108,12 +108,17 @@ func runPrunedAndUnpruned(t *testing.T, r *colstore.Reader, pool *exec.Pool, f F
 	if err != nil {
 		t.Fatalf("%s pruned: %v", label, err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: pruned len %d, unpruned len %d", label, got.Len(), want.Len())
+	if len(got) != len(want) {
+		t.Fatalf("%s: pruned %d row groups, unpruned %d", label, len(got), len(want))
 	}
-	for i := 0; i < want.Len(); i++ {
-		if got.Get(i) != want.Get(i) {
-			t.Fatalf("%s: row %d pruned=%v unpruned=%v", label, i, got.Get(i), want.Get(i))
+	for rg, w := range want {
+		if got[rg].Len() != w.Len() {
+			t.Fatalf("%s: row group %d pruned len %d, unpruned len %d", label, rg, got[rg].Len(), w.Len())
+		}
+		for i := 0; i < w.Len(); i++ {
+			if got[rg].Get(i) != w.Get(i) {
+				t.Fatalf("%s: row group %d row %d pruned=%v unpruned=%v", label, rg, i, got[rg].Get(i), w.Get(i))
+			}
 		}
 	}
 }

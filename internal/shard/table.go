@@ -657,12 +657,6 @@ func (t *Table) flushShard(e *sealedEntry, id uint64) (*obs.Span, string, error)
 	t.retire(e.built())
 	flushesTotal.Inc()
 	flushRowsTotal.Add(int64(e.mem.NumRows()))
-	if obs.EventsEnabled() {
-		obs.Emit("flush", map[string]any{
-			"flush_id": id, "shard": file, "rows": e.mem.NumRows(),
-			"wal_floor": floor, "encodings": encodings, "manifest_seq": newMan.Seq,
-		})
-	}
 	return sp, file, nil
 }
 

@@ -87,7 +87,7 @@ type Writer struct {
 	f       vfs.WFile
 	seq     uint64
 	broken  error
-	pending []byte      // encoded records awaiting the next batch write
+	pending []byte       // encoded records awaiting the next batch write
 	waiters []chan error // one per pending appender
 	leading bool         // a leader is currently writing a batch
 	cond    *sync.Cond
