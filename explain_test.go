@@ -451,10 +451,10 @@ func TestEncodingDecisionEvents(t *testing.T) {
 		Scores   map[string]float64 `json:"scores"`
 	}
 	decisions := map[string]decision{}
-	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+	for dec := json.NewDecoder(bytes.NewReader(buf.Bytes())); dec.More(); {
 		var e decision
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("log line %q: %v", line, err)
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("log %q: %v", buf.String(), err)
 		}
 		if e.Msg == "encoding_decision" {
 			decisions[e.Column] = e
