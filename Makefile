@@ -3,9 +3,9 @@ GO ?= go
 .PHONY: check check-run-patterns fmt build test vet race race-obs race-pipeline race-prefetch race-serve race-join crash guard-obs fuzz bench bench-smoke bench-planner-smoke serve-demo loc
 
 # check is the tier-1 verification gate: everything must compile, pass
-# vet and gofmt, and pass the full test suite under the race detector, with the
-# observability-layer, morsel-executor, prefetch, serving-layer, and
-# relational-executor race tests called out explicitly, the crash-point
+# vet and gofmt, and pass the full test suite under the race detector,
+# with the observability-layer, morsel-executor, prefetch, serving-layer,
+# and relational-executor race tests called out explicitly, the crash-point
 # matrix for the durable write path, the allocation guards, one iteration
 # of the planner pipeline benchmarks as a smoke test, the benchmark
 # module's own vet + toy-scale run, and a check that every test pattern
