@@ -45,11 +45,13 @@ race-obs:
 # not scale with morsel count), the per-extra-row-group bound on the
 # sinks every terminal is made of (per-morsel sink state is worker-local),
 # the per-extra-row-group byte bound on a join + grouped relational morsel
-# (its vectors come from pooled worker slabs), and zero allocations for
-# gzip and snappy page decompression into a large-enough buffer.
+# (its vectors come from pooled worker slabs), zero allocations for gzip
+# and snappy page decompression into a large-enough buffer, and zero
+# allocations for every SBoost scan kernel into a pre-sized bitmap.
 guard-obs:
 	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded|TestRelMorselBytesPerRowGroupBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
+	$(GO) test -count=1 -run 'TestScanKernelsAllocFree' ./internal/sboost/
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
@@ -122,9 +124,11 @@ bench-smoke:
 
 # bench-planner-smoke runs one iteration of each planner pipeline
 # benchmark (they self-check counts, so this doubles as a correctness
-# gate in check).
+# gate in check) and of each SBoost kernel benchmark (ns/row per width
+# and kernel).
 bench-planner-smoke:
 	$(GO) test -run xxx -bench BenchmarkPlannerPipeline -benchtime 1x .
+	$(GO) test -run xxx -bench BenchmarkScanKernels -benchtime 1x ./internal/sboost/
 
 # serve-demo loads a TPC-H sample into ./demodb and serves /metrics,
 # /debug/vars, and /debug/pprof on :8080 until interrupted.
@@ -133,8 +137,9 @@ serve-demo:
 	$(GO) run ./cmd/codecdb serve -db ./demodb -metrics :8080 -warm
 
 # fuzz gives the colstore Open fuzzer, the two page decompressor fuzzers
-# (gzip differential against compress/gzip, snappy) and the selected-entry
-# gather (differential against bitutil.Reader) a short budget each; extend
+# (gzip differential against compress/gzip, snappy), the selected-entry
+# gather (differential against bitutil.Reader) and the SBoost scan kernels
+# (differential against the scalar reference) a short budget each; extend
 # FUZZTIME for longer campaigns. FuzzOpen's inputs are whole files, and
 # shrinking one new input for the default minimize time (60 s) used up the
 # whole budget, so it shrinks each for at most 100 runs.
@@ -144,6 +149,7 @@ fuzz:
 	$(GO) test ./internal/bitutil/ -run xxx -fuzz FuzzGatherSelected -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sboost/ -run xxx -fuzz FuzzScanKernels -fuzztime $(FUZZTIME)
 
 # loc prints the line counts every simplicity PR states its delta in:
 # non-test Go lines of the root package, of internal/ops, of internal/serve,

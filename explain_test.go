@@ -219,6 +219,98 @@ func TestExplainSignedDataAgreesWithKernel(t *testing.T) {
 	}
 }
 
+// TestExplainFusedRange: comparisons on one column of one conjunction
+// bind as one range leaf on every packed encoding — Explain prints one
+// filter naming them all and how many were fused — while `<>`, IN and
+// decode-first comparisons keep leaves of their own, disjoint bounds are
+// the empty verdict, and every count is the naive one.
+func TestExplainFusedRange(t *testing.T) {
+	const n = 4000
+	cols := map[string][]int64{"v": make([]int64, n), "d": make([]int64, n), "t": make([]int64, n), "p": make([]int64, n)}
+	for i := 0; i < n; i++ {
+		cols["v"][i], cols["d"][i], cols["t"][i], cols["p"][i] = int64(i), int64(i%50), int64(3*i), int64(i%50)
+	}
+	db := openTestDB(t)
+	tbl, err := db.LoadTable("ranges", []Column{
+		{Name: "v", Ints: cols["v"], ForceEncoding: BitPacked, Forced: true},
+		{Name: "d", Ints: cols["d"], ForceEncoding: Dictionary, Forced: true},
+		{Name: "t", Ints: cols["t"], ForceEncoding: Delta, Forced: true},
+		{Name: "p", Ints: cols["p"], ForceEncoding: Plain, Forced: true},
+	}, eventsLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cmp struct {
+		col string
+		op  CmpOp
+		v   int64
+	}
+	for _, c := range []struct {
+		conj    []cmp
+		filters int      // Filter[...] lines Explain prints
+		want    []string // in Explain
+	}{
+		{[]cmp{{"v", Ge, 1000}, {"v", Lt, 2000}}, 1,
+			[]string{"BitPackedFilter(v >= 1000 AND v < 2000)", "2 conjuncts fused", "kernel=sboost.ScanPackedRange"}},
+		{[]cmp{{"t", Gt, 300}, {"t", Le, 900}}, 1,
+			[]string{"DeltaFilter(t > 300 AND t <= 900)", "2 conjuncts fused", "range test"}},
+		{[]cmp{{"d", Ge, 10}, {"d", Lt, 20}, {"d", Ne, 15}}, 2,
+			[]string{"DictFilter(d >= 10 AND d < 20)", "DictFilter(d <> 15)", "2 conjuncts fused into key range [10, 19]"}},
+		{[]cmp{{"d", Gt, 5}, {"v", Lt, 3000}, {"d", Le, 30}, {"v", Eq, 77}, {"d", Eq, 27}}, 2,
+			[]string{"DictFilter(d > 5 AND d <= 30 AND d = 27)", "BitPackedFilter(v < 3000 AND v = 77)", "3 conjuncts fused"}},
+		{[]cmp{{"v", Ge, 2000}, {"v", Lt, 1000}}, 1, []string{"provably empty"}},
+		{[]cmp{{"p", Ge, 10}, {"p", Lt, 20}}, 2, []string{"IntPredicateFilter(p >= 10)", "IntPredicateFilter(p < 20)"}},
+	} {
+		q := tbl.Where(c.conj[0].col, c.conj[0].op, c.conj[0].v)
+		for _, k := range c.conj[1:] {
+			q = q.And(k.col, k.op, k.v)
+		}
+		out, err := q.Explain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(out, "Filter["); got != c.filters {
+			t.Errorf("%v: %d filters, want %d:\n%s", c.conj, got, c.filters, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%v: Explain missing %q in:\n%s", c.conj, w, out)
+			}
+		}
+		var want int64
+		for i := 0; i < n; i++ {
+			keep := true
+			for _, k := range c.conj {
+				keep = keep && refCmp(cmpInt(cols[k.col][i], k.v), k.op)
+			}
+			if keep {
+				want++
+			}
+		}
+		if got, err := q.Count(); err != nil || got != want {
+			t.Errorf("%v: Count = %d, %v; want %d", c.conj, got, err, want)
+		}
+	}
+	// IN and a comparison on the same column stay two leaves.
+	out, err := tbl.Query(AllOf(In("d", 1, 2, 3), Col("d", Lt, 3))).Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out, "Filter[") != 2 || strings.Contains(out, "fused") {
+		t.Errorf("IN ∧ Cmp fused:\n%s", out)
+	}
+}
+
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // TestExplainDictRLEIntComparisonRunsInSitu: a comparison on an INT64
 // DICTIONARY_RLE column binds the dictionary kernel, like IN and like
 // string comparisons do, and prunes pages from the key-domain zone maps.

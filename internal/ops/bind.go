@@ -3,7 +3,9 @@ package ops
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
@@ -60,25 +62,26 @@ type valueTest struct {
 
 // packedPred is a leaf's predicate in a column's packed domain — dictionary
 // keys, or zigzag(value) — where page zone maps and the SBoost kernels
-// live: one comparison against lo (== hi), or membership in a key set.
+// live: one comparison against lo (== hi), the range [lo, hi], or
+// membership in a key set.
 type packedPred struct {
-	op         sboost.Op
-	lo, hi     uint64
-	keys       []uint64 // sorted and distinct; nil for a comparison
-	contiguous bool     // keys are exactly lo..hi: a range scan
+	op     sboost.Op
+	lo, hi uint64
+	keys   []uint64 // sorted and distinct; nil for a comparison or a range
+	rng    bool     // lo <= entry <= hi: contiguous keys, or fused comparisons
 }
 
-// dispose classifies a page from its packed-domain zone map. A contiguous
-// key set is a range predicate (full all/none resolution); a scattered set
+// dispose classifies a page from its packed-domain zone map. A range (and
+// a contiguous key set) gets full all/none resolution; a scattered set
 // prunes when no member falls inside [Min, Max].
 func (q *packedPred) dispose(st *colstore.PageStats) sboost.Disposition {
 	switch {
 	case st == nil:
 		return sboost.DispMixed
+	case q.rng:
+		return sboost.DisposeRange(q.lo, q.hi, st.Min, st.Max)
 	case q.keys == nil:
 		return sboost.Dispose(q.op, q.lo, st.Min, st.Max)
-	case q.contiguous:
-		return sboost.DisposeRange(q.lo, q.hi, st.Min, st.Max)
 	}
 	if i := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min }); i == len(q.keys) || q.keys[i] > st.Max {
 		return sboost.DispNone
@@ -90,6 +93,13 @@ func (q *packedPred) dispose(st *colstore.PageStats) sboost.Disposition {
 // the predicate, assuming values spread uniformly over [Min, Max].
 func (q *packedPred) fraction(st *colstore.PageStats) float64 {
 	span := float64(st.Max-st.Min) + 1
+	if q.rng {
+		lo, hi := max(q.lo, st.Min), min(q.hi, st.Max)
+		if lo > hi {
+			return 0
+		}
+		return (float64(hi-lo) + 1) / span
+	}
 	if q.keys != nil {
 		in := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] > st.Max }) -
 			sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min })
@@ -125,8 +135,10 @@ type boundLeaf struct {
 	q      packedPred
 	// zigzag: q lives in the zigzag domain of a plain integer column.
 	// Zigzag is a bijection, so equality and key sets hold everywhere; it is
-	// monotone only on non-negative values, so an order comparison holds on
-	// a chunk only when its statistics prove Min >= 0 (inDomain).
+	// monotone only on non-negative values, so an order comparison or range
+	// holds on a chunk only when its statistics prove Min >= 0 (inDomain).
+	// Elsewhere — and in the delta kernel, which reconstructs values — the
+	// leaf runs test.
 	zigzag bool
 	op     sboost.Op // the value-domain comparison: Cmp on integers, Cols
 	value  int64
@@ -156,7 +168,7 @@ func newBound(r *colstore.Reader, leaf Filter, ci int) *boundLeaf {
 
 // inDomain reports whether q means on this chunk what the leaf means.
 func (b *boundLeaf) inDomain(a *colstore.Chunk) bool {
-	return !b.zigzag || b.q.keys != nil || b.op == sboost.OpEq || b.op == sboost.OpNe || a.Stats().MinInt >= 0
+	return !b.zigzag || b.q.keys != nil || (!b.q.rng && (b.op == sboost.OpEq || b.op == sboost.OpNe)) || a.Stats().MinInt >= 0
 }
 
 // verdict classifies page p of the leaf's chunk(s) from metadata alone: the
@@ -380,7 +392,7 @@ func (f *Cmp) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 	if kern, weight, name, _, ok := zigzagPaged(col); ok {
 		// Entries and zone maps are zigzag-mapped: equality rewrites
 		// directly; order comparisons rewrite chunk by chunk (inDomain).
-		b.kern, b.zigzag = kern, true
+		b.kern, b.zigzag, b.test = kern, true, cmpTest(f.Op, c)
 		b.q = packedPred{op: f.Op, lo: zigzag(c.i), hi: zigzag(c.i)}
 		b.kernel, b.weight, b.guess = name, weight, opGuess(f.Op, 1.0/3)
 		b.details = func() []string {
@@ -407,6 +419,171 @@ func (f *Cmp) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 	}
 	b.decodeFirst(col, cmpTest(f.Op, c))
 	return b, nil
+}
+
+// rangeLeaf is comparisons on one column, from one conjunction, bound as a
+// single range leaf: the planner makes it (fuseRanges), so one walk of the
+// column's pages runs one range scan where each comparison would run its
+// own.
+type rangeLeaf []*Cmp
+
+func (f rangeLeaf) expr() string {
+	parts := make([]string, len(f))
+	for i, c := range f {
+		parts[i] = c.expr()
+	}
+	return strings.Join(parts, " AND ")
+}
+
+func (f rangeLeaf) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
+	parts := make([]*boundLeaf, len(f))
+	for i, c := range f {
+		b, err := c.bind(r, resolve)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = b
+	}
+	if !resolve {
+		return nil, nil
+	}
+	for _, b := range parts {
+		if !fusable(b) || b.ci != parts[0].ci {
+			return nil, fmt.Errorf("ops: %s does not bind as one range", f.expr())
+		}
+	}
+	return fuse(parts), nil
+}
+
+// fusable reports whether a bound leaf is a comparison a range can absorb:
+// an order comparison or equality scanned in the packed domain (dictionary
+// keys or zigzag) that metadata has not already decided.
+func fusable(b *boundLeaf) bool {
+	c, ok := b.leaf.(*Cmp)
+	return ok && c.Op != sboost.OpNe && (b.kern == kernPacked || b.kern == kernDelta) &&
+		b.q.keys == nil && !b.q.rng && !b.empty && !b.all
+}
+
+// fuseRanges binds the fusable comparisons of a conjunction that share a
+// column as one range leaf, in the place of the first of them; the other
+// conjuncts keep their nodes.
+func fuseRanges(kids []*PlanNode) []*PlanNode {
+	out := make([]*PlanNode, 0, len(kids))
+	used := make([]bool, len(kids))
+	for i, k := range kids {
+		if used[i] {
+			continue
+		}
+		if k.Pred.Kind != PredLeaf || !fusable(k.leaf) {
+			out = append(out, k)
+			continue
+		}
+		parts := []*boundLeaf{k.leaf}
+		for j := i + 1; j < len(kids); j++ {
+			o := kids[j]
+			if o.Pred.Kind == PredLeaf && fusable(o.leaf) && o.leaf.ci == k.leaf.ci {
+				parts, used[j] = append(parts, o.leaf), true
+			}
+		}
+		if len(parts) == 1 {
+			out = append(out, k)
+			continue
+		}
+		b := fuse(parts)
+		out = append(out, &PlanNode{Pred: LeafPred(b.leaf), Est: b.estimate(), leaf: b})
+	}
+	return out
+}
+
+// fuse binds fusable comparisons on one column as the range they intersect
+// to. Dictionary keys intersect in the key domain. A zigzag column's range
+// is kept in the value domain as test and holds in the packed domain, as
+// the zigzag image of its non-negative part, on chunks proven non-negative
+// (inDomain).
+func fuse(parts []*boundLeaf) *boundLeaf {
+	first := parts[0]
+	f := make(rangeLeaf, len(parts))
+	b := newBound(first.r, f, first.ci)
+	b.kern, b.zigzag, b.weight, b.kernel, b.guess = first.kern, first.zigzag, first.weight, first.kernel, 1
+	for i, p := range parts {
+		f[i] = p.leaf.(*Cmp)
+		b.guess *= p.guess
+	}
+	b.q.rng = true
+	if !b.zigzag {
+		b.q.lo, b.q.hi = 0, math.MaxUint64
+		for _, p := range parts {
+			lo, hi := opRange(p.q.op, p.q.lo, 0, math.MaxUint64)
+			b.q.lo, b.q.hi = max(b.q.lo, lo), min(b.q.hi, hi)
+		}
+		b.empty = b.q.lo > b.q.hi
+		b.details = func() []string {
+			if b.empty {
+				return []string{fmt.Sprintf("dict rewrite: %d conjuncts fused, key ranges disjoint: provably empty (no scan)", len(f))}
+			}
+			return []string{
+				fmt.Sprintf("dict rewrite: %d conjuncts fused into key range [%d, %d], one walk", len(f), b.q.lo, b.q.hi),
+				"kernel=sboost.ScanPackedRange",
+				"zone-maps=key-domain min/max per page",
+			}
+		}
+		return b
+	}
+	vlo, vhi := int64(math.MinInt64), int64(math.MaxInt64)
+	for _, p := range parts {
+		lo, hi := opRange(p.op, p.value, math.MinInt64, math.MaxInt64)
+		vlo, vhi = max(vlo, lo), min(vhi, hi)
+	}
+	b.empty = vlo > vhi
+	b.test.ints = func(v int64) bool { return v >= vlo && v <= vhi }
+	b.q.lo, b.q.hi = 1, 0 // no non-negative value in range
+	if vhi >= 0 {
+		b.q.lo, b.q.hi = zigzag(max(vlo, 0)), zigzag(vhi)
+	}
+	b.details = func() []string {
+		if b.empty {
+			return []string{fmt.Sprintf("zigzag rewrite: %d conjuncts fused, value ranges disjoint: provably empty (no scan)", len(f))}
+		}
+		how, rest := "kernel=sboost.ScanPackedRange", "decode-and-test"
+		if b.kern == kernDelta {
+			how, rest = "kernel=sboost.CumSum (SWAR cumulative-sum reconstruct, then range test)", "reconstruct every page"
+		}
+		in := 0
+		for rg := 0; rg < b.r.NumRowGroups(); rg++ {
+			if b.inDomain(b.r.Chunk(rg, b.ci)) {
+				in++
+			}
+		}
+		return []string{
+			fmt.Sprintf("zigzag rewrite: %d conjuncts fused into value range [%d, %d] → packed range [%d, %d] on %d of %d chunks with min >= 0, else %s",
+				len(f), vlo, vhi, b.q.lo, b.q.hi, in, b.r.NumRowGroups(), rest),
+			how,
+			"zone-maps=zigzag-domain min/max per page",
+		}
+	}
+	return b
+}
+
+// opRange is `x op v` as the interval [lo, hi] of the domain [least, most],
+// for the operators a range absorbs; lo > hi where it is empty.
+func opRange[T int64 | uint64](op sboost.Op, v, least, most T) (lo, hi T) {
+	switch op {
+	case sboost.OpEq:
+		return v, v
+	case sboost.OpLt:
+		if v == least {
+			return most, least
+		}
+		return least, v - 1
+	case sboost.OpLe:
+		return least, v
+	case sboost.OpGt:
+		if v == most {
+			return most, least
+		}
+		return v + 1, most
+	}
+	return v, most // OpGe
 }
 
 // cmpTest is `v op c` in the value domain.
@@ -552,7 +729,7 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 	b.q = packedPred{keys: uniq}
 	if b.empty = len(uniq) == 0; !b.empty {
 		b.q.lo, b.q.hi = uniq[0], uniq[len(uniq)-1]
-		b.q.contiguous = b.q.hi-b.q.lo == uint64(len(uniq)-1)
+		b.q.rng = b.q.hi-b.q.lo == uint64(len(uniq)-1)
 	}
 	b.details = func() []string {
 		var how string
@@ -561,7 +738,7 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 			how = "kernel=none (empty key set, provably empty)"
 		case b.kern == kernDelta:
 			how = "kernel=sboost.CumSum (SWAR cumulative-sum reconstruct, then set test)"
-		case b.q.contiguous:
+		case b.q.rng:
 			how = fmt.Sprintf("kernel=sboost.ScanPackedRange (%d contiguous keys)", len(uniq))
 		case len(uniq) <= swarInThreshold:
 			how = fmt.Sprintf("kernel=sboost.ScanPackedIn (SWAR disjunction, %d keys)", len(uniq))

@@ -208,22 +208,11 @@ func (w *kernel) scanPage(a, bb *colstore.Chunk, p, first, last int) error {
 		}
 		w.sc.KeepInts(sums)
 		sboost.CumulativeSum(sums, sums) // in-place prefix sum
-		if b.q.keys != nil {
-			if b.test.ints(head) {
-				w.section.Set(first)
-			}
-			for i, s := range sums {
-				if b.test.ints(head + s) {
-					w.section.Set(first + 1 + i)
-				}
-			}
-			return nil
-		}
-		if chunkMatch(head, b.op, b.value) {
+		if b.test.ints(head) {
 			w.section.Set(first)
 		}
 		for i, s := range sums {
-			if chunkMatch(head+s, b.op, b.value) {
+			if b.test.ints(head + s) {
 				w.section.Set(first + 1 + i)
 			}
 		}
@@ -248,13 +237,13 @@ func (w *kernel) scanPage(a, bb *colstore.Chunk, p, first, last int) error {
 	}
 	// Entries of this page are below 1<<Width: resolve what lies beyond
 	// statically instead of letting a SWAR broadcast wrap. Dictionary keys
-	// never get here (the dictionary fits the key width); zigzag targets
-	// wider than a narrow page do.
+	// get here only as the open end of a fused range; zigzag targets wider
+	// than a narrow page do too.
 	q := b.q
 	if pp.Width < 64 && q.hi >= 1<<pp.Width {
 		lim := uint64(1) << pp.Width
 		switch {
-		case q.keys == nil:
+		case q.keys == nil && !q.rng:
 			switch q.op {
 			case sboost.OpNe, sboost.OpLt, sboost.OpLe:
 				w.section.SetRange(first, last)
@@ -268,10 +257,10 @@ func (w *kernel) scanPage(a, bb *colstore.Chunk, p, first, last int) error {
 	}
 	bm := w.sc.Bitmap(pp.N)
 	switch {
+	case q.rng:
+		sboost.ScanPackedRangeIntoSel(bm, pp.Data, pp.Width, q.lo, q.hi, w.secSel, pp.FirstRow)
 	case q.keys == nil:
 		sboost.ScanPackedIntoSel(bm, pp.Data, pp.Width, q.op, q.lo, w.secSel, pp.FirstRow)
-	case q.contiguous:
-		sboost.ScanPackedRangeIntoSel(bm, pp.Data, pp.Width, q.lo, q.hi, w.secSel, pp.FirstRow)
 	case len(q.keys) <= swarInThreshold || pp.Width > 24:
 		sboost.ScanPackedInIntoSel(bm, pp.Data, pp.Width, q.keys, w.secSel, pp.FirstRow)
 	default:
@@ -332,9 +321,6 @@ func chunkMatch(v int64, op sboost.Op, target int64) bool {
 // decodes whole — and every decoded row is tested.
 func (b *boundLeaf) decodeChunk(chunk *colstore.Chunk, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
 	switch {
-	case b.kern == kernPacked: // a chunk the zigzag comparison is out of domain on
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts,
-			func(v int64) bool { return chunkMatch(v, b.op, b.value) })
 	case b.test.ints != nil:
 		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts, b.test.ints)
 	case b.test.strs != nil:

@@ -156,14 +156,23 @@ func buildNode(p *Pred, r *colstore.Reader) (*PlanNode, error) {
 		return n, nil
 	}
 	n.Kids = make([]*PlanNode, len(p.Kids))
-	// acc is the conjunction's selectivity, or the disjunction's miss rate.
-	acc := 1.0
 	for i, k := range p.Kids {
 		kid, err := buildNode(k, r)
 		if err != nil {
 			return nil, err
 		}
 		n.Kids[i] = kid
+	}
+	if p.Kind == PredAnd {
+		// Comparisons on one column become one range leaf (bind.go); a
+		// conjunction left with one conjunct is that conjunct.
+		if n.Kids = fuseRanges(n.Kids); len(n.Kids) == 1 {
+			return n.Kids[0], nil
+		}
+	}
+	// acc is the conjunction's selectivity, or the disjunction's miss rate.
+	acc := 1.0
+	for _, kid := range n.Kids {
 		n.Est.Cost += kid.Est.Cost
 		if p.Kind == PredAnd {
 			acc *= kid.Est.Sel

@@ -25,8 +25,10 @@
 package sboost
 
 import (
-	"codecdb/internal/bitutil"
 	"encoding/binary"
+	"slices"
+
+	"codecdb/internal/bitutil"
 )
 
 // Op is a relational comparison operator.
@@ -189,53 +191,115 @@ func DisposeStreams(op Op, aMin, aMax, bMin, bMax uint64) Disposition {
 	return DispMixed
 }
 
-// masks holds the per-width SWAR constants.
+// masks holds one width's SWAR constants. They depend on the width alone,
+// so every width up to 32 is computed once, into widthMasks.
 type masks struct {
 	width  uint
 	fields int    // complete fields processed per 64-bit window
 	span   uint   // fields * width, bits consumed per window
 	h      uint64 // MSB of each field
 	l      uint64 // bit 0 of each field
+	low    uint64 // the low `fields` bits: a compacted verdict run
+	// Verdict compaction (compact). Widths >= 9 gather the field MSBs with
+	// one multiply by mul and a right shift by shift; narrower widths run
+	// Hacker's Delight §7-4 compress with the move masks mv of h.
+	mul   uint64
+	shift uint
+	mv    [6]uint64
 }
 
-func masksFor(width uint) masks {
-	if width == 0 || width > 64 {
-		panic("sboost: width out of range")
+// widthMasks is the constant table, indexed by width (1..32).
+var widthMasks = func() (t [33]masks) {
+	for w := uint(1); w <= 32; w++ {
+		t[w] = newMasks(w)
 	}
+	return t
+}()
+
+func newMasks(width uint) masks {
 	m := masks{width: width, fields: int(64 / width)}
-	m.span = uint(m.fields) * width
-	for f := 0; f < m.fields; f++ {
-		m.h |= 1 << (uint(f)*width + width - 1)
-		m.l |= 1 << (uint(f) * width)
+	f := uint(m.fields)
+	m.span = f * width
+	for j := uint(0); j < f; j++ {
+		m.h |= 1 << (j*width + width - 1)
+		m.l |= 1 << (j * width)
+	}
+	m.low = 1<<f - 1 // f == 64 (width 1) wraps to all ones
+	if width >= 9 {
+		// Field j's verdict, at bit j*width + width-1 = j + (j+1)(width-1),
+		// lands at bit f(width-1) + j through the partial product of term
+		// f-1-j. Term k moves it to j + (j+k+1)(width-1): with j < f <=
+		// width-1 no two partial products share a bit, so the product
+		// carries nothing, and the run ends at bit f*width-1 <= 63.
+		for j := uint(0); j < f; j++ {
+			m.mul |= 1 << (j * (width - 1))
+		}
+		m.shift = f * (width - 1)
+		return m
+	}
+	// compress(x, h) moves the bits of x selected by h to the low end; its
+	// per-step move masks depend on h alone.
+	mask := m.h
+	mk := ^mask << 1
+	for i := range m.mv {
+		mp := mk ^ mk<<1
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv := mp & mask
+		m.mv[i] = mv
+		mask = mask ^ mv | mv>>(1<<i)
+		mk &^= mp
 	}
 	return m
 }
 
-// broadcast repeats the low width bits of v across every field.
-func (m masks) broadcast(v uint64) uint64 {
-	if m.width < 64 {
-		v &= 1<<m.width - 1
+// compact gathers the per-field verdict MSBs of hit (a subset of h) into
+// its low `fields` bits, field f to bit f, without a per-field loop.
+func (m *masks) compact(hit uint64) uint64 {
+	if m.width >= 9 {
+		return hit * m.mul >> m.shift & m.low
 	}
-	var out uint64
-	for f := 0; f < m.fields; f++ {
-		out |= v << (uint(f) * m.width)
-	}
-	return out
+	return m.compress(hit)
+}
+
+// compress is compact for widths up to 8.
+func (m *masks) compress(hit uint64) uint64 {
+	t := hit & m.mv[0]
+	hit = hit ^ t | t>>1
+	t = hit & m.mv[1]
+	hit = hit ^ t | t>>2
+	t = hit & m.mv[2]
+	hit = hit ^ t | t>>4
+	t = hit & m.mv[3]
+	hit = hit ^ t | t>>8
+	t = hit & m.mv[4]
+	hit = hit ^ t | t>>16
+	t = hit & m.mv[5]
+	return hit ^ t | t>>32
+}
+
+// broadcast repeats the low width bits of v across every field: the fields
+// do not overlap, so the multiply carries nothing between them.
+func (m *masks) broadcast(v uint64) uint64 {
+	return (v & (1<<m.width - 1)) * m.l
 }
 
 // sub computes the fieldwise difference x-y (mod 2^width per field).
-func (m masks) sub(x, y uint64) uint64 {
+func (m *masks) sub(x, y uint64) uint64 {
 	return ((x | m.h) - (y &^ m.h)) ^ ((x ^ ^y) & m.h)
 }
 
 // lt returns a mask with the MSB of each field set where x < y (unsigned).
-func (m masks) lt(x, y uint64) uint64 {
+func (m *masks) lt(x, y uint64) uint64 {
 	d := m.sub(x, y)
 	return ((^x & y) | ((^x | y) & d)) & m.h
 }
 
 // eq returns a mask with the MSB of each field set where x == y.
-func (m masks) eq(x, y uint64) uint64 {
+func (m *masks) eq(x, y uint64) uint64 {
 	return m.lt(x^y, m.l)
 }
 
@@ -271,10 +335,9 @@ func ScanPackedInto(out *bitutil.Bitmap, data []byte, width uint, op Op, target 
 		scanScalar(data, 0, n, width, op, target, out)
 		return
 	}
-	m := masksFor(width)
+	m := &widthMasks[width]
 	bc := m.broadcast(target)
-	// The op dispatch is hoisted out of the hot loop and hits are
-	// extracted branchlessly into the bitmap's words.
+	// The op dispatch is hoisted out of the hot loop.
 	var cmp func(x uint64) uint64
 	switch op {
 	case OpEq:
@@ -298,14 +361,12 @@ func ScanPackedInto(out *bitutil.Bitmap, data []byte, width uint, op Op, target 
 // windows per iteration — and returns the first unprocessed entry index.
 // Each iteration evaluates both windows back to back (the carry-isolated
 // arithmetic of one overlaps the load of the other), compacts the
-// per-field verdict MSBs of both lanes into one register branch-free,
-// and commits the combined run to the bitmap in at most two word writes
-// instead of one read-modify-write per field.
-func scanWindows(data []byte, n int, m masks, cmp func(uint64) uint64, out *bitutil.Bitmap) int {
+// per-field verdict MSBs of both lanes into one register branch-free
+// (masks.compact), and commits the combined run to the bitmap in at most
+// two word writes.
+func scanWindows(data []byte, n int, m *masks, cmp func(uint64) uint64, out *bitutil.Bitmap) int {
 	words := out.Words()
-	width := m.width
 	fields := uint(m.fields)
-	msb := width - 1
 	pos, i := uint(0), 0
 	// Two-lane main loop. The combined verdict run is 2*fields bits, so
 	// it only fits a register for width >= 2; width 1 (fields == 64) is
@@ -314,38 +375,14 @@ func scanWindows(data []byte, n int, m masks, cmp func(uint64) uint64, out *bitu
 		for i+2*m.fields <= n && (pos+m.span)/8+9 <= uint(len(data)) {
 			h0 := cmp(window(data, pos))
 			h1 := cmp(window(data, pos+m.span))
-			if h0|h1 != 0 {
-				var bits uint64
-				for f := uint(0); f < fields; f++ {
-					sh := f*width + msb
-					bits |= (h0 >> sh & 1) << f
-					bits |= (h1 >> sh & 1) << (fields + f)
-				}
-				idx := uint(i)
-				lo := idx & 63
-				words[idx>>6] |= bits << lo
-				// Go defines shifts >= 64 as 0, so when the run fits one
-				// word this second write ORs zero (possibly into the same
-				// word); when it straddles, it carries the high part over.
-				words[(idx+2*fields-1)>>6] |= bits >> (64 - lo)
-			}
+			commit(words, uint(i), 2*fields, m.compact(h0)|m.compact(h1)<<fields)
 			pos += 2 * m.span
 			i += 2 * m.fields
 		}
 	}
 	// One-lane tail window (and the whole stream for width 1).
 	for i+m.fields <= n && pos/8+9 <= uint(len(data)) {
-		hit := cmp(window(data, pos))
-		if hit != 0 {
-			var bits uint64
-			for f := uint(0); f < fields; f++ {
-				bits |= (hit >> (f*width + msb) & 1) << f
-			}
-			idx := uint(i)
-			lo := idx & 63
-			words[idx>>6] |= bits << lo
-			words[(idx+fields-1)>>6] |= bits >> (64 - lo)
-		}
+		commit(words, uint(i), fields, m.compact(cmp(window(data, pos))))
 		pos += m.span
 		i += m.fields
 	}
@@ -353,27 +390,14 @@ func scanWindows(data []byte, n int, m masks, cmp func(uint64) uint64, out *bitu
 	return i
 }
 
-// scanWindows1 is the one-window-per-iteration predecessor of scanWindows,
-// kept as the baseline for the two-lane micro-benchmark.
-func scanWindows1(data []byte, n int, m masks, cmp func(uint64) uint64, out *bitutil.Bitmap) int {
-	words := out.Words()
-	width := m.width
-	pos, i := uint(0), 0
-	for i+m.fields <= n && pos/8+9 <= uint(len(data)) {
-		hit := cmp(window(data, pos))
-		if hit != 0 {
-			msb := width - 1
-			for f := 0; f < m.fields; f++ {
-				bit := (hit >> (uint(f)*width + msb)) & 1
-				idx := uint(i + f)
-				words[idx>>6] |= bit << (idx & 63)
-			}
-		}
-		pos += m.span
-		i += m.fields
-	}
-	out.Mask()
-	return i
+// commit ORs the k-bit verdict run bits into words at bit idx.
+func commit(words []uint64, idx, k uint, bits uint64) {
+	lo := idx & 63
+	words[idx>>6] |= bits << lo
+	// Go defines shifts >= 64 as 0, so when the run fits one word this
+	// second write ORs zero (possibly into the same word); when it
+	// straddles, it carries the high part over.
+	words[(idx+k-1)>>6] |= bits >> (64 - lo)
 }
 
 // ScanPackedRange evaluates `lo <= entry <= hi` over the packed stream.
@@ -390,21 +414,14 @@ func ScanPackedRangeInto(out *bitutil.Bitmap, data []byte, width uint, lo, hi ui
 	if n == 0 || lo > hi {
 		return
 	}
-	if width > 32 {
-		r := bitutil.NewReader(data)
-		for i := 0; i < n; i++ {
-			v := r.ReadBits(width)
-			if v >= lo && v <= hi {
-				out.Set(i)
-			}
-		}
-		return
+	i := 0
+	if width <= 32 {
+		m := &widthMasks[width]
+		bcLo, bcHi := m.broadcast(lo), m.broadcast(hi)
+		i = scanWindows(data, n, m, func(x uint64) uint64 {
+			return ^m.lt(x, bcLo) & ^m.lt(bcHi, x) & m.h
+		}, out)
 	}
-	m := masksFor(width)
-	bcLo, bcHi := m.broadcast(lo), m.broadcast(hi)
-	i := scanWindows(data, n, m, func(x uint64) uint64 {
-		return ^m.lt(x, bcLo) & ^m.lt(bcHi, x) & m.h
-	}, out)
 	r := bitutil.NewReader(data)
 	r.SkipBits(i * int(width))
 	for ; i < n; i++ {
@@ -424,48 +441,55 @@ func ScanPackedIn(data []byte, n int, width uint, targets []uint64) *bitutil.Bit
 	return out
 }
 
+// inGroup is how many targets one SWAR pass of the IN kernel compares each
+// window with. Their broadcasts live in a stack array, so the kernel
+// allocates nothing; a larger set takes one pass per group, each OR-ing its
+// hits into the bitmap.
+const inGroup = 8
+
 // ScanPackedInInto is ScanPackedIn into a caller-supplied all-zero bitmap.
+// Targets sorted ascending (as the binder passes them) are looked up by
+// binary search where the scan decodes entries.
 func ScanPackedInInto(out *bitutil.Bitmap, data []byte, width uint, targets []uint64) {
 	n := out.Len()
 	if n == 0 || len(targets) == 0 {
 		return
 	}
-	if width > 32 {
-		set := make(map[uint64]struct{}, len(targets))
-		for _, t := range targets {
-			set[t] = struct{}{}
-		}
-		r := bitutil.NewReader(data)
-		for i := 0; i < n; i++ {
-			if _, ok := set[r.ReadBits(width)]; ok {
-				out.Set(i)
+	i := 0
+	if width <= 32 {
+		m := &widthMasks[width]
+		for g := 0; g < len(targets); g += inGroup {
+			var bcs [inGroup]uint64
+			k := min(len(targets)-g, inGroup)
+			for j, t := range targets[g : g+k] {
+				bcs[j] = m.broadcast(t)
 			}
+			i = scanWindows(data, n, m, func(x uint64) uint64 {
+				var hit uint64
+				for _, bc := range bcs[:k] {
+					hit |= m.eq(x, bc)
+				}
+				return hit
+			}, out)
 		}
-		return
 	}
-	m := masksFor(width)
-	bcs := make([]uint64, len(targets))
-	for j, t := range targets {
-		bcs[j] = m.broadcast(t)
-	}
-	i := scanWindows(data, n, m, func(x uint64) uint64 {
-		var hit uint64
-		for _, bc := range bcs {
-			hit |= m.eq(x, bc)
-		}
-		return hit
-	}, out)
+	sorted := slices.IsSorted(targets)
 	r := bitutil.NewReader(data)
 	r.SkipBits(i * int(width))
 	for ; i < n; i++ {
-		v := r.ReadBits(width)
-		for _, t := range targets {
-			if v == t {
-				out.Set(i)
-				break
-			}
+		if member(targets, sorted, r.ReadBits(width)) {
+			out.Set(i)
 		}
 	}
+}
+
+// member reports whether v is one of targets.
+func member(targets []uint64, sorted bool, v uint64) bool {
+	if sorted {
+		_, ok := slices.BinarySearch(targets, v)
+		return ok
+	}
+	return slices.Contains(targets, v)
 }
 
 // ScanPackedLookup evaluates `table[entry]` over the packed stream, for
@@ -512,7 +536,7 @@ func CompareStreamsInto(out *bitutil.Bitmap, a, b []byte, width uint, op Op) {
 		compareScalar(a, b, 0, n, width, op, out)
 		return
 	}
-	m := masksFor(width)
+	m := &widthMasks[width]
 	var cmp func(x, y uint64) uint64
 	switch op {
 	case OpEq:
@@ -535,44 +559,21 @@ func CompareStreamsInto(out *bitutil.Bitmap, a, b []byte, width uint, op Op) {
 // compareWindows is scanWindows for two parallel packed streams: two
 // window pairs per iteration, verdicts of both lanes compacted into one
 // register and committed with at most two word writes.
-func compareWindows(a, b []byte, n int, m masks, cmp func(x, y uint64) uint64, out *bitutil.Bitmap) int {
+func compareWindows(a, b []byte, n int, m *masks, cmp func(x, y uint64) uint64, out *bitutil.Bitmap) int {
 	words := out.Words()
-	width := m.width
 	fields := uint(m.fields)
-	msb := width - 1
 	pos, i := uint(0), 0
 	if 2*fields <= 64 {
 		for i+2*m.fields <= n && (pos+m.span)/8+9 <= uint(len(a)) && (pos+m.span)/8+9 <= uint(len(b)) {
 			h0 := cmp(window(a, pos), window(b, pos))
 			h1 := cmp(window(a, pos+m.span), window(b, pos+m.span))
-			if h0|h1 != 0 {
-				var bits uint64
-				for f := uint(0); f < fields; f++ {
-					sh := f*width + msb
-					bits |= (h0 >> sh & 1) << f
-					bits |= (h1 >> sh & 1) << (fields + f)
-				}
-				idx := uint(i)
-				lo := idx & 63
-				words[idx>>6] |= bits << lo
-				words[(idx+2*fields-1)>>6] |= bits >> (64 - lo)
-			}
+			commit(words, uint(i), 2*fields, m.compact(h0)|m.compact(h1)<<fields)
 			pos += 2 * m.span
 			i += 2 * m.fields
 		}
 	}
 	for i+m.fields <= n && pos/8+9 <= uint(len(a)) && pos/8+9 <= uint(len(b)) {
-		hit := cmp(window(a, pos), window(b, pos))
-		if hit != 0 {
-			var bits uint64
-			for f := uint(0); f < fields; f++ {
-				bits |= (hit >> (f*width + msb) & 1) << f
-			}
-			idx := uint(i)
-			lo := idx & 63
-			words[idx>>6] |= bits << lo
-			words[(idx+fields-1)>>6] |= bits >> (64 - lo)
-		}
+		commit(words, uint(i), fields, m.compact(cmp(window(a, pos), window(b, pos))))
 		pos += m.span
 		i += m.fields
 	}

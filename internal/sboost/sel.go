@@ -1,6 +1,10 @@
 package sboost
 
-import "codecdb/internal/bitutil"
+import (
+	"slices"
+
+	"codecdb/internal/bitutil"
+)
 
 // Selection-aware variants of the Into scan kernels (paper §5.2's lazy
 // pipelined evaluation): a later conjunct receives the bitmap accumulated
@@ -84,12 +88,10 @@ func ScanPackedInIntoSel(out *bitutil.Bitmap, data []byte, width uint, targets [
 		ScanPackedInInto(out, data, width, targets)
 		out.AndRange(sel, selOff)
 	default:
+		sorted := slices.IsSorted(targets)
 		scanSelected(data, n, width, sel, selOff, func(i int, v uint64) {
-			for _, t := range targets {
-				if v == t {
-					out.Set(i)
-					break
-				}
+			if member(targets, sorted, v) {
+				out.Set(i)
 			}
 		})
 	}

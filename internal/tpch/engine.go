@@ -60,11 +60,6 @@ func lt(col string, v int64) ops.Filter { return cmp(col, sboost.OpLt, v) }
 func le(col string, v int64) ops.Filter { return cmp(col, sboost.OpLe, v) }
 func eqS(col, v string) ops.Filter      { return cmp(col, sboost.OpEq, v) }
 
-// inRange keeps lo <= col < hi as one leaf, so the column is read once.
-func inRange(col string, lo, hi int64) ops.Filter {
-	return &ops.Match{Col: col, Int: func(v int64) bool { return v >= lo && v < hi }}
-}
-
 func bInts(b *ops.Batch, name string) []int64 { return b.Ints[b.Col(name)] }
 
 func bFloats(b *ops.Batch, name string) []float64 { return b.Floats[b.Col(name)] }

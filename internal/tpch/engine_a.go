@@ -126,7 +126,7 @@ func q3Engine(t *Tables) (*memtable.RowTable, error) {
 func q4Engine(t *Tables) (*memtable.RowTable, error) {
 	late := collect(t.scan(t.L).Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}), "l_orderkey")
 	b, err := t.scan(t.O).
-		Where(inRange("o_orderdate", Date(1993, 7, 1), Date(1993, 10, 1))).
+		Where(ge("o_orderdate", Date(1993, 7, 1))).Where(lt("o_orderdate", Date(1993, 10, 1))).
 		Join(ops.RelSemi, "late", late, "o_orderkey").
 		GroupBy(
 			[]relq.GKey{{Name: "prio", Ref: "@o_orderpriority"}},
@@ -150,7 +150,7 @@ func q5Engine(t *Tables) (*memtable.RowTable, error) {
 	asia := t.nationsOf("ASIA")
 	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", asia, "c_nationkey"), "c_custkey", "c_nationkey")
 	orders := collect(t.scan(t.O).
-		Where(inRange("o_orderdate", Date(1994, 1, 1), Date(1995, 1, 1))).
+		Where(ge("o_orderdate", Date(1994, 1, 1))).Where(lt("o_orderdate", Date(1995, 1, 1))).
 		Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
 	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", asia, "s_nationkey"), "s_suppkey", "s_nationkey")
 	b, err := t.scan(t.L).
@@ -205,7 +205,7 @@ func q7Engine(t *Tables) (*memtable.RowTable, error) {
 	orders := collect(t.scan(t.O).Join(ops.RelInner, "c", cust, "o_custkey"), "o_orderkey", "c.c_nationkey")
 	supp := collect(t.scan(t.S).Join(ops.RelSemi, "n", pair, "s_nationkey"), "s_suppkey", "s_nationkey")
 	b, err := t.scan(t.L).
-		Where(inRange("l_shipdate", Date(1995, 1, 1), Date(1997, 1, 1))).
+		Where(ge("l_shipdate", Date(1995, 1, 1))).Where(lt("l_shipdate", Date(1997, 1, 1))).
 		Join(ops.RelInner, "s", supp, "l_suppkey").
 		Join(ops.RelInner, "o", orders, "l_orderkey").
 		WhereRow("pair", []string{"s.s_nationkey", "o.c.c_nationkey"}, func(r relq.Row) bool {
@@ -239,7 +239,7 @@ func q8Engine(t *Tables) (*memtable.RowTable, error) {
 	america := t.nationsOf("AMERICA")
 	cust := collect(t.scan(t.C).Join(ops.RelSemi, "n", america, "c_nationkey"), "c_custkey")
 	// The build side gathers o_orderdate anyway, so the date range is a
-	// row filter on the gathered values: an inRange leaf would read the
+	// row filter on the gathered values: a range leaf would read the
 	// column's pages a second time to gather them.
 	orders := collect(t.scan(t.O).
 		WhereRow("years", []string{"o_orderdate"}, func(r relq.Row) bool {

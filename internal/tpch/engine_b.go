@@ -49,7 +49,7 @@ func q9Engine(t *Tables) (*memtable.RowTable, error) {
 // q10Engine reduces returned lineitems to revenue per customer, then
 // gathers the customers through that key.
 func q10Engine(t *Tables) (*memtable.RowTable, error) {
-	orders := collect(t.scan(t.O).Where(inRange("o_orderdate", Date(1993, 10, 1), Date(1994, 1, 1))),
+	orders := collect(t.scan(t.O).Where(ge("o_orderdate", Date(1993, 10, 1))).Where(lt("o_orderdate", Date(1994, 1, 1))),
 		"o_orderkey", "o_custkey")
 	revenueOf := t.scan(t.L).
 		Where(eqS("l_returnflag", "R")).
@@ -111,7 +111,7 @@ func q12Engine(t *Tables) (*memtable.RowTable, error) {
 		Where(&ops.In{Col: "l_shipmode", Values: []any{"MAIL", "SHIP"}}).
 		Where(&ops.Cols{A: "l_commitdate", B: "l_receiptdate", Op: sboost.OpLt}).
 		Where(&ops.Cols{A: "l_shipdate", B: "l_commitdate", Op: sboost.OpLt}).
-		Where(inRange("l_receiptdate", Date(1994, 1, 1), Date(1995, 1, 1))).
+		Where(ge("l_receiptdate", Date(1994, 1, 1))).Where(lt("l_receiptdate", Date(1995, 1, 1))).
 		Join(ops.RelLeft, "h", high, "l_orderkey").
 		GroupByOver(
 			[]string{"h.o_orderkey"},
@@ -172,7 +172,7 @@ func q14Engine(t *Tables) (*memtable.RowTable, error) {
 		return bytes.HasPrefix(e, []byte("PROMO"))
 	}}), "p_partkey")
 	b, err := t.scan(t.L).
-		Where(inRange("l_shipdate", Date(1995, 9, 1), Date(1995, 10, 1))).
+		Where(ge("l_shipdate", Date(1995, 9, 1))).Where(lt("l_shipdate", Date(1995, 10, 1))).
 		Join(ops.RelLeft, "p", promo, "l_partkey").
 		GroupByOver(
 			[]string{"l_extendedprice", "l_discount", "p.p_partkey"}, nil,
@@ -195,7 +195,7 @@ func q14Engine(t *Tables) (*memtable.RowTable, error) {
 // gathers the suppliers through that key.
 func q15Engine(t *Tables) (*memtable.RowTable, error) {
 	revenueOf := t.scan(t.L).
-		Where(inRange("l_shipdate", Date(1996, 1, 1), Date(1996, 4, 1))).
+		Where(ge("l_shipdate", Date(1996, 1, 1))).Where(lt("l_shipdate", Date(1996, 4, 1))).
 		Group([]string{"l_extendedprice", "l_discount"},
 			[]relq.GKey{{Name: "sk", Ref: "l_suppkey", Lo: 0, Hi: t.S.NumRows() + 1}},
 			[]relq.GAgg{{Name: "rev", Kind: ops.RelAggSumFloat, FnF: revenue(0)}})

@@ -142,7 +142,7 @@ func q20Engine(t *Tables) (*memtable.RowTable, error) {
 		return bytes.HasPrefix(v, []byte("forest"))
 	}}), "p_partkey")
 	shipped := t.scan(t.L).
-		Where(inRange("l_shipdate", Date(1994, 1, 1), Date(1995, 1, 1))).
+		Where(ge("l_shipdate", Date(1994, 1, 1))).Where(lt("l_shipdate", Date(1995, 1, 1))).
 		Join(ops.RelSemi, "f", forest, "l_partkey").
 		Group(nil,
 			[]relq.GKey{

@@ -289,3 +289,58 @@ func TestPlannerMatchesNaiveAcrossSources(t *testing.T) {
 		}
 	})
 }
+
+// TestPlannerFusedRangesMatchNaive runs conjunctions built to fuse —
+// several comparisons on one column, next to a leaf on another — over every
+// source kind: whatever parts the rows are in and whichever comparisons a
+// part's encoding lets the binder fuse into one range leaf, the rows are the
+// naive scan's.
+func TestPlannerFusedRangesMatchNaive(t *testing.T) {
+	const n = 3000
+	d := propRows(n)
+	d.noCols = true
+	ops := []CmpOp{Eq, Lt, Le, Gt, Ge, Ne}
+	forEachSource(t, "fused", d.columns(), propLoad, func(t *testing.T, tbl *Table) {
+		for iter := 0; iter < 60; iter++ {
+			rng := rand.New(rand.NewSource(int64(7000 + iter)))
+			col, vals := "small", d.small
+			switch iter % 3 {
+			case 1:
+				col, vals = "seq", d.seq
+			case 2:
+				col, vals = "grade", d.grade
+			}
+			lo, hi := vals[rng.Intn(n)], vals[rng.Intn(n)]
+			loOp, hiOp := ops[3+rng.Intn(2)], ops[1+rng.Intn(2)]
+			kids := []Pred{Col(col, loOp, lo), Col(col, hiOp, hi)}
+			refs := []func(i int) bool{
+				func(i int) bool { return refCmp(cmp.Compare(vals[i], lo), loOp) },
+				func(i int) bool { return refCmp(cmp.Compare(vals[i], hi), hiOp) },
+			}
+			if rng.Intn(2) == 0 {
+				op, v := ops[rng.Intn(len(ops))], vals[rng.Intn(n)]+int64(rng.Intn(3)-1)
+				kids = append(kids, Col(col, op, v))
+				refs = append(refs, func(i int) bool { return refCmp(cmp.Compare(vals[i], v), op) })
+			}
+			other, ref := genLeaf(rng, d)
+			kids, refs = append(kids, other), append(refs, ref)
+			got, err := tbl.Query(AllOf(kids...)).RowIDs()
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			var want []int64
+			for i := 0; i < n; i++ {
+				keep := true
+				for _, r := range refs {
+					keep = keep && r(i)
+				}
+				if keep {
+					want = append(want, int64(i))
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("iter %d: %d rows, naive scan %d rows (or ids differ)", iter, len(got), len(want))
+			}
+		}
+	})
+}
