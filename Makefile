@@ -82,13 +82,16 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestWave|TestEpoch|TestWithExec|TestPageCacheOption' .
 
 # race-join focuses the race detector on the relational executor: the
-# join hash table against its nested-loop oracle, the join/group/sort
-# stages and sinks, members of one pass against their solo runs, the relq builder against its nested-loop
-# references (the whole package, so every build-side test — TestJoinCompositeKey,
-# TestJoinGroupBuildSide, TestJoinEmptyBuildSide, TestJoinBuildSideFailsAlone —
-# runs here), the engine-compiled ≡ oblivious equivalence suites for TPC-H
-# and SSB, and the public relational Query API (joins under every
-# terminal, order-by/limit, trace spans).
+# join table (direct and hashed) against its nested-loop oracle, the
+# join/group/sort stages and sinks, the narrowed row basis against a
+# decode-first reference, members of one pass against their solo runs,
+# the relq builder against its nested-loop references (the whole
+# package, so every build-side test — TestJoinCompositeKey,
+# TestJoinGroupBuildSide, TestJoinEmptyBuildSide,
+# TestJoinBuildSideFailsAlone — runs here), the engine-compiled ≡
+# oblivious equivalence suites for TPC-H and SSB, and the public
+# relational Query API (joins under every terminal, order-by/limit, trace
+# spans).
 race-join:
 	$(GO) test -race -count=1 -run 'TestHashJoin|TestJoinTable|TestRel|TestRunWave' ./internal/ops/
 	$(GO) test -race -count=1 ./internal/relq/
@@ -124,11 +127,13 @@ bench-smoke:
 
 # bench-planner-smoke runs one iteration of each planner pipeline
 # benchmark (they self-check counts, so this doubles as a correctness
-# gate in check) and of each SBoost kernel benchmark (ns/row per width
-# and kernel).
+# gate in check), of each SBoost kernel benchmark (ns/row per width and
+# kernel) and of the join-table probe benchmark (ns per probe, direct and
+# hashed layouts, 1k and 75k keys, 0/50/100% hits).
 bench-planner-smoke:
 	$(GO) test -run xxx -bench BenchmarkPlannerPipeline -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkScanKernels -benchtime 1x ./internal/sboost/
+	$(GO) test -run xxx -bench BenchmarkJoinProbe -benchtime 1x ./internal/ops/
 
 # serve-demo loads a TPC-H sample into ./demodb and serves /metrics,
 # /debug/vars, and /debug/pprof on :8080 until interrupted.
@@ -138,8 +143,9 @@ serve-demo:
 
 # fuzz gives the colstore Open fuzzer, the two page decompressor fuzzers
 # (gzip differential against compress/gzip, snappy), the selected-entry
-# gather (differential against bitutil.Reader) and the SBoost scan kernels
-# (differential against the scalar reference) a short budget each; extend
+# gather (differential against bitutil.Reader), the SBoost scan kernels
+# (differential against the scalar reference) and the join table (both
+# layouts, against a map from key to build rows) a short budget each; extend
 # FUZZTIME for longer campaigns. FuzzOpen's inputs are whole files, and
 # shrinking one new input for the default minimize time (60 s) used up the
 # whole budget, so it shrinks each for at most 100 runs.
@@ -150,6 +156,7 @@ fuzz:
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sboost/ -run xxx -fuzz FuzzScanKernels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ops/ -run xxx -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 
 # loc prints the line counts every simplicity PR states its delta in:
 # non-test Go lines of the root package, of internal/ops, of internal/serve,

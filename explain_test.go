@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -298,6 +299,48 @@ func TestExplainFusedRange(t *testing.T) {
 	}
 	if strings.Count(out, "Filter[") != 2 || strings.Contains(out, "fused") {
 		t.Errorf("IN ∧ Cmp fused:\n%s", out)
+	}
+}
+
+// TestExplainMetadataDecidedLeafFirst: a leaf whose every page the zone
+// maps decide reads no page, so it costs nothing and plans before a
+// cheaper-looking leaf that must scan. Here a range on ts that falls on
+// page boundaries is decided on every page, while code < 16 must scan
+// every page of a column a third of ts's size.
+func TestExplainMetadataDecidedLeafFirst(t *testing.T) {
+	const n, pageRows = 4096, 256
+	rng := rand.New(rand.NewSource(17))
+	ts, code := make([]int64, n), make([]int64, n)
+	for i := range ts {
+		ts[i] = int64(i/pageRows)*4096 + rng.Int63n(4096)
+		code[i] = rng.Int63n(64)
+	}
+	db := openTestDB(t)
+	tbl, err := db.LoadTable("decided", []Column{
+		{Name: "ts", Ints: ts, ForceEncoding: BitPacked, Forced: true},
+		{Name: "code", Ints: code, ForceEncoding: Dictionary, Forced: true},
+	}, LoadOptions{RowGroupRows: 1024, PageRows: pageRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = 3 * 4096, 10 * 4096
+	q := tbl.Where("code", Lt, 16).And("ts", Ge, lo).And("ts", Lt, hi)
+	out, err := q.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsAt, codeAt := strings.Index(out, "Filter(ts >="), strings.Index(out, "Filter(code <")
+	if tsAt < 0 || codeAt < 0 || tsAt > codeAt {
+		t.Fatalf("the zone-map-decided ts range does not plan first:\n%s", out)
+	}
+	var want int64
+	for i := range ts {
+		if code[i] < 16 && ts[i] >= lo && ts[i] < hi {
+			want++
+		}
+	}
+	if got, err := q.Count(); err != nil || got != want {
+		t.Fatalf("Count = %d, %v; want %d", got, err, want)
 	}
 }
 

@@ -221,14 +221,13 @@ func (b *boundLeaf) pages(rg int) []schedSet {
 // every page: pages metadata resolves count exactly, mixed pages by the
 // predicate's share of the page's zone-map span — or by guess where the
 // file carries no page statistics or the zone map is out of domain. Cost
-// is the column bytes weighted by the scan primitive. Any mixed page keeps
-// Sel strictly inside (0, 1): the kernel will read it, so nothing is
+// is the column bytes weighted by the scan primitive, charged for the
+// share of pages whose verdict is mixed: those are the only pages the
+// kernel reads, so a leaf metadata decides costs nothing. Any mixed page
+// keeps Sel strictly inside (0, 1): the kernel will read it, so nothing is
 // proven. Metadata only — no page is fetched.
 func (b *boundLeaf) estimate() PredEstimate {
-	est := PredEstimate{Sel: b.guess, Cost: b.weight * float64(b.r.ColumnBytes(b.ci)+1)}
-	if b.cj >= 0 {
-		est.Cost += b.weight * float64(b.r.ColumnBytes(b.cj)+1)
-	}
+	est := PredEstimate{Sel: b.guess}
 	if b.empty || b.all {
 		est.Sel = 0
 		if b.all {
@@ -237,11 +236,16 @@ func (b *boundLeaf) estimate() PredEstimate {
 		return est
 	}
 	var rows, keep, mixed float64
+	var pages, mixedPages int
 	for rg := 0; rg < b.r.NumRowGroups(); rg++ {
 		a, bb := b.r.Chunk(rg, b.ci), b.second(rg)
 		for p := 0; p < a.NumPages(); p++ {
 			n := float64(a.PageValues(p))
+			if n == 0 {
+				continue
+			}
 			rows += n
+			pages++
 			switch b.verdict(a, bb, p) {
 			case sboost.DispAll:
 				keep += n
@@ -252,6 +256,7 @@ func (b *boundLeaf) estimate() PredEstimate {
 				}
 				keep += n * f
 				mixed += n
+				mixedPages++
 			}
 		}
 	}
@@ -260,6 +265,11 @@ func (b *boundLeaf) estimate() PredEstimate {
 	}
 	if mixed > 0 {
 		est.Sel = min(max(est.Sel, 0.5/rows), 1-0.5/rows)
+		bytes := float64(b.r.ColumnBytes(b.ci) + 1)
+		if b.cj >= 0 {
+			bytes += float64(b.r.ColumnBytes(b.cj) + 1)
+		}
+		est.Cost = b.weight * bytes * float64(mixedPages) / float64(pages)
 	}
 	return est
 }

@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -70,10 +71,10 @@ func matchesOracle(t *testing.T, name string, buildKeys, probeKeys []int64) bool
 }
 
 // wrappingKeys returns n build keys, two rows each of n/2 distinct keys
-// that all hash to the last slot of a table over n rows, so their chains
-// sit in slots that wrap around to the start of the slot array.
+// that all hash to the last slot of a hashed table over n rows, so their
+// chains sit in slots that wrap around to the start of the slot array.
 func wrappingKeys(t *testing.T, n int) []int64 {
-	last := NewJoinTable(make([]int64, n)).mask
+	last := hashMask(n)
 	var keys []int64
 	for k := int64(0); len(keys) < n; k++ {
 		if hash64(k)&last == last {
@@ -81,7 +82,11 @@ func wrappingKeys(t *testing.T, n int) []int64 {
 		}
 	}
 	// Rows go in last to first, so the first key's chain is placed last.
-	if s := NewJoinTable(keys).slot(keys[0]); s >= last {
+	tbl := NewJoinTable(keys)
+	if tbl.direct {
+		t.Fatalf("keys spanning [%d, %d] index directly; they cannot wrap", keys[0], keys[len(keys)-1])
+	}
+	if s := tbl.hashSlot(keys[0]); s >= last {
 		t.Fatalf("first key's chain is in slot %d; the keys do not wrap", s)
 	}
 	return keys
@@ -222,5 +227,164 @@ func TestJoinEmptyInputs(t *testing.T) {
 	}
 	if len(probeAll(NewJoinTable([]int64{1}), nil)) != 0 {
 		t.Fatal("empty probe should be empty")
+	}
+}
+
+// spanKeys returns n build keys spanning exactly [lo, lo+span]: both ends,
+// then keys drawn inside with repeats. span is taken in uint64, so the
+// keys may run past MaxInt64 into negative values.
+func spanKeys(rng *rand.Rand, n int, lo int64, span uint64) []int64 {
+	keys := []int64{lo, int64(uint64(lo) + span)}
+	for len(keys) < n {
+		keys = append(keys, int64(uint64(lo)+uint64(rng.Int63n(int64(span)+1))))
+		if rng.Intn(4) == 0 {
+			keys = append(keys, keys[rng.Intn(len(keys))])
+		}
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return keys[:n]
+}
+
+// edgeProbes returns probes around a key set: every key and its
+// neighbours, the ends of int64, and keys whose k−min wraps (below min by
+// 2^63, above max by the slot count, and min−1).
+func edgeProbes(keys []int64) []int64 {
+	lo, hi := slices.Min(keys), slices.Max(keys)
+	probe := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1, 0, -1,
+		lo - 1, hi + 1, lo + math.MinInt64, hi + math.MinInt64, int64(uint64(hi) - uint64(lo) + uint64(hi) + 1)}
+	for _, k := range keys {
+		probe = append(probe, k, k-1, k+1)
+	}
+	return probe
+}
+
+// TestJoinTableSpanThreshold checks the layout rule at its edge — a key set
+// spanning one less than 8n+directSlack indexes directly, the threshold
+// itself and one past it hash — and that both layouts match the nested
+// loop on negative keys, keys ending at either int64 extreme, and probes
+// below the minimum, above the maximum and where k−min wraps.
+func TestJoinTableSpanThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{2, 9, 300} {
+		thr := 8*uint64(n) + directSlack
+		for _, span := range []uint64{thr - 1, thr, thr + 1} {
+			for _, lo := range []int64{0, -int64(thr) / 2, -5000, math.MinInt64, math.MaxInt64 - int64(span), 1 << 40} {
+				keys := spanKeys(rng, n, lo, span)
+				name := fmt.Sprintf("n=%d span=%d lo=%d", n, span, lo)
+				if got, want := NewJoinTable(keys).direct, span < thr; got != want {
+					t.Fatalf("%s: direct = %v, want %v", name, got, want)
+				}
+				if !matchesOracle(t, name, keys, edgeProbes(keys)) {
+					t.Fatalf("%s: the join differs from the nested loop", name)
+				}
+			}
+		}
+	}
+	// A set holding both extremes spans 2^64−1 in uint64: it hashes.
+	both := []int64{math.MaxInt64, math.MinInt64, 0, math.MinInt64}
+	if NewJoinTable(both).direct {
+		t.Fatal("a key set holding both int64 extremes indexes directly")
+	}
+	if !matchesOracle(t, "both extremes", both, edgeProbes(both)) {
+		t.Fatal("both extremes: the join differs from the nested loop")
+	}
+	if NewJoinTable(nil).direct {
+		t.Fatal("an empty key set indexes directly")
+	}
+}
+
+// FuzzJoinTable checks both layouts against a map from key to build rows:
+// the fuzzer picks the keys' base and spread (a narrow spread indexes
+// directly, a wide one hashes), build keys and probes. Every probe's chain
+// must list exactly the key's build rows in insertion order.
+func FuzzJoinTable(f *testing.F) {
+	f.Add(int64(0), uint64(10), []byte{1, 2, 3, 3, 9, 0, 1, 7})
+	f.Add(int64(-3), uint64(1<<40), []byte{0, 255, 17, 17, 4, 200, 1})
+	f.Add(int64(math.MaxInt64-5), uint64(6), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), []byte{0, 255, 0, 255, 128, 1})
+	f.Fuzz(func(t *testing.T, base int64, spread uint64, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		key := func(b byte) int64 {
+			// Byte b lands at base + b·spread/255 (wrapping), so b = 0 and
+			// b = 255 are the ends of the spread.
+			hi, lo := bits.Mul64(spread, uint64(b))
+			q, _ := bits.Div64(hi%255, lo, 255)
+			return int64(uint64(base) + q)
+		}
+		half := len(data) / 2
+		build := make([]int64, half)
+		rowsOf := map[int64][]int32{}
+		for i, b := range data[:half] {
+			build[i] = key(b)
+			rowsOf[build[i]] = append(rowsOf[build[i]], int32(i))
+		}
+		tbl := NewJoinTable(build)
+		if tbl.Len() != len(build) {
+			t.Fatalf("Len %d, want %d", tbl.Len(), len(build))
+		}
+		probes := append(slices.Clone(build), math.MinInt64, math.MaxInt64, base-1)
+		for _, b := range data[half:] {
+			probes = append(probes, key(b), key(b)+1)
+		}
+		for _, k := range probes {
+			if got, want := chain(tbl, k), rowsOf[k]; !slices.Equal(got, want) {
+				t.Fatalf("key %d (direct %v): rows %v, want %v", k, tbl.direct, got, want)
+			}
+			if tbl.Contains(k) != (rowsOf[k] != nil) {
+				t.Fatalf("Contains(%d) = %v", k, tbl.Contains(k))
+			}
+		}
+	})
+}
+
+// BenchmarkJoinProbe reports ns per First of a direct and a hashed table at
+// 1k and 75k build keys, with 0%, 50% and 100% of probes hitting. The
+// direct keys are the even numbers and the hashed ones a wide stride, so a
+// miss lands inside the key range in both layouts.
+func BenchmarkJoinProbe(b *testing.B) {
+	const probes = 1 << 16
+	for _, layout := range []struct {
+		name string
+		key  func(i int) int64
+	}{
+		{"direct", func(i int) int64 { return 2 * int64(i) }},
+		{"hashed", func(i int) int64 { return int64(i) * 1000003 }},
+	} {
+		for _, n := range []int{1000, 75000} {
+			keys := make([]int64, n)
+			for i := range keys {
+				keys[i] = layout.key(i)
+			}
+			tbl := NewJoinTable(keys)
+			if tbl.direct != (layout.name == "direct") {
+				b.Fatalf("%s keys: direct = %v", layout.name, tbl.direct)
+			}
+			for _, hit := range []int{0, 50, 100} {
+				rng := rand.New(rand.NewSource(int64(n + hit)))
+				probe := make([]int64, probes)
+				for i := range probe {
+					probe[i] = layout.key(rng.Intn(n))
+					if rng.Intn(100) >= hit {
+						probe[i]++ // odd, or off the stride: a miss
+					}
+				}
+				b.Run(fmt.Sprintf("%s/keys=%d/hit=%d%%", layout.name, n, hit), func(b *testing.B) {
+					var found int
+					for i := 0; i < b.N; i++ {
+						for _, k := range probe {
+							if tbl.First(k) >= 0 {
+								found++
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/probe")
+					if b.N > 0 && found%b.N != 0 {
+						b.Fatalf("found %d over %d passes", found, b.N)
+					}
+				})
+			}
+		}
 	}
 }

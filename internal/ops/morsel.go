@@ -19,10 +19,12 @@ import (
 // is copied out.
 
 // relRows tracks the current row set of one morsel through the probe
-// stages, relative to the basis selection bitmap the filter stages
-// produced: src maps each live row to its position in bitmap-gather order
+// stages, relative to the basis selection bitmap — the filter stages'
+// output, narrowed to the live rows after a stage drops most of them (see
+// narrow): src maps each live row to its position in bitmap-gather order
 // (nil = identity), builds[s] holds the attached build row per live row
-// for inner/left stage s (-1 = left miss).
+// for inner/left stage s (-1 = left miss). Every stage emits rows in probe
+// order, so src never decreases.
 type relRows struct {
 	n      int
 	src    []int32
@@ -89,6 +91,9 @@ type relMorsel struct {
 	vecs []relVec
 	e    RelEnv
 	keys [][]int64 // a join stage's probe key vectors
+	// spare is the worker's bitmap a narrowed basis lives in; it holds no
+	// value, so it stays with the morsel state between morsels.
+	spare *bitutil.Bitmap
 
 	ints   slab[int64]
 	idx    slab[int32]
@@ -158,6 +163,84 @@ func (m *relMorsel) apply(perm []int32) {
 		st.builds[t] = nb
 	}
 	st.n = len(perm)
+}
+
+// narrow shrinks the basis to the distinct live rows once a stage has left
+// at most half of it, so later probe keys, sink inputs and row ids are
+// gathered through the rows that survive, and a page holding none of them
+// is never read. The narrowed bitmap goes into the worker's spare (the
+// filter's bitmap is not the morsel's to change); cached basis vectors
+// compact through the distinct positions and src is renumbered onto them,
+// nil when no live row repeats.
+func (m *relMorsel) narrow() {
+	rows := &m.rows
+	src := rows.src
+	if src == nil || rows.n == 0 {
+		return
+	}
+	distinct := 1
+	for i := 1; i < len(src); i++ {
+		if src[i] != src[i-1] {
+			distinct++
+		}
+	}
+	if 2*distinct > m.card {
+		return
+	}
+	pos := m.idx.take(distinct) // the distinct live positions, ascending
+	d := -1
+	for i, o := range src {
+		if d < 0 || o != pos[d] {
+			d++
+			pos[d] = o
+		}
+		src[i] = int32(d)
+	}
+	if distinct == len(src) {
+		rows.src = nil
+	}
+	if m.spare == nil || m.spare.Len() != m.bm.Len() {
+		m.spare = bitutil.NewBitmap(m.bm.Len())
+	}
+	// One pass over the basis bits: k is the gather position of each set
+	// bit, j the next live one. The spare may be the basis itself; each
+	// word is read before it is rewritten.
+	out := m.spare.Words()
+	k, j := int32(0), 0
+	for wi, word := range m.bm.Words() {
+		c := int32(bits.OnesCount64(word))
+		if j == len(pos) || pos[j] >= k+c {
+			out[wi] = 0
+			k += c
+			continue
+		}
+		var keep uint64
+		for ; word != 0; word &= word - 1 {
+			if j < len(pos) && pos[j] == k {
+				keep |= word & -word
+				j++
+			}
+			k++
+		}
+		out[wi] = keep
+	}
+	for i := range m.vecs {
+		v := &m.vecs[i]
+		v.i, v.f, v.s = compactBasis(v.i, pos), compactBasis(v.f, pos), compactBasis(v.s, pos)
+	}
+	m.bm, m.card = m.spare, distinct
+}
+
+// compactBasis moves a basis vector's values at the ascending positions pos
+// to its front, in place: the d-th position is at least d.
+func compactBasis[T any](v []T, pos []int32) []T {
+	if v == nil {
+		return nil
+	}
+	for d, o := range pos {
+		v[d] = v[o]
+	}
+	return v[:len(pos)]
 }
 
 // scan gathers (once per morsel) the basis vector behind a scan input.

@@ -136,16 +136,38 @@ func (b *Batch) AddStrs(name string, vals [][]byte) *Batch {
 	return b
 }
 
-// JoinTable is a chained hash multi-map over build-side keys, probed per
-// row group by the pipeline's join stages. It is built before the pass
-// starts and only read after, so probes need no synchronization. Each
-// key's chain runs in insertion order, so probe output is deterministic
-// run to run.
+// JoinTable is a chained multi-map over build-side keys, probed per row
+// group by the pipeline's join stages. It is built before the pass starts
+// and only read after, so probes need no synchronization. Each key's chain
+// runs in insertion order, so probe output is deterministic run to run.
+//
+// The chain heads take one of two layouts, chosen from the build keys.
+// Keys whose span max−min is small against their count (the dense
+// surrogate keys of nearly every build side) index heads directly by k−min,
+// so a probe is one bounds test and one load. Any other key set hashes into
+// a power-of-two slot array with linear probing.
 type JoinTable struct {
 	keys  []int64 // keys[r] is build row r's key
 	next  []int32 // next[r] is the next build row carrying keys[r], or -1
 	heads []int32 // per slot: the first build row of one key, or -1 if free
-	mask  uint64
+	// direct: heads[k-min] is key k's slot. Otherwise mask+1 hashed slots.
+	direct bool
+	min    int64
+	mask   uint64
+}
+
+// directSlack is the span, beyond 8 slots per build row, a direct table may
+// add: it keeps small build sides with gaps in their keys direct.
+const directSlack = 1024
+
+// hashMask returns the slot mask of a hashed table over n keys: at least 2n
+// power-of-two slots, so at most half are taken.
+func hashMask(n int) uint64 {
+	slots := 16
+	for slots < 2*n {
+		slots *= 2
+	}
+	return uint64(slots - 1)
 }
 
 // hash64 mixes a key's bits so sequential keys and keys that differ only
@@ -160,36 +182,44 @@ func hash64(k int64) uint64 {
 	return x
 }
 
-// NewJoinTable builds the hash table over keys; keys[i] maps to build row
-// i. Duplicate keys multi-map. The table keeps keys, which must not change
+// NewJoinTable builds the table over keys; keys[i] maps to build row i.
+// Duplicate keys multi-map. The table keeps keys, which must not change
 // after.
 func NewJoinTable(keys []int64) *JoinTable {
-	slots := 16
-	for slots < 2*len(keys) {
-		slots *= 2
+	t := &JoinTable{keys: keys, next: make([]int32, len(keys))}
+	// Keys index directly when their span is below 8 slots per row plus
+	// directSlack. The span is taken in uint64, so a set holding both int64
+	// extremes hashes.
+	if n := len(keys); n > 0 {
+		lo, hi := slices.Min(keys), slices.Max(keys)
+		if span := uint64(hi) - uint64(lo); span < 8*uint64(n)+directSlack {
+			t.direct, t.min = true, lo
+			t.heads = make([]int32, span+1)
+		}
 	}
-	t := &JoinTable{
-		keys:  keys,
-		next:  make([]int32, len(keys)),
-		heads: make([]int32, slots),
-		mask:  uint64(slots - 1),
+	if !t.direct {
+		t.mask = hashMask(len(keys))
+		t.heads = make([]int32, t.mask+1)
 	}
 	for i := range t.heads {
 		t.heads[i] = -1
 	}
 	// Pushing rows last to first leaves each chain in insertion order.
 	for r := len(keys) - 1; r >= 0; r-- {
-		s := t.slot(keys[r])
+		s := uint64(keys[r]) - uint64(t.min)
+		if !t.direct {
+			s = t.hashSlot(keys[r])
+		}
 		t.next[r] = t.heads[s]
 		t.heads[s] = int32(r)
 	}
 	return t
 }
 
-// slot finds key k's slot by linear probing: the one whose chain carries
-// k, or the free slot that ends k's probe sequence. At most half the slots
-// are taken, so the search ends.
-func (t *JoinTable) slot(k int64) uint64 {
+// hashSlot finds key k's slot in a hashed table by linear probing: the one
+// whose chain carries k, or the free slot that ends k's probe sequence. At
+// most half the slots are taken, so the search ends.
+func (t *JoinTable) hashSlot(k int64) uint64 {
 	i := hash64(k) & t.mask
 	for {
 		if h := t.heads[i]; h < 0 || t.keys[h] == k {
@@ -202,8 +232,18 @@ func (t *JoinTable) slot(k int64) uint64 {
 // Len reports the number of build rows.
 func (t *JoinTable) Len() int { return len(t.keys) }
 
-// First returns the first build row carrying key k, or -1 if none does.
-func (t *JoinTable) First(k int64) int32 { return t.heads[t.slot(k)] }
+// First returns the first build row carrying key k, or -1 if none does. A
+// direct table's probe below min wraps past the slots, so one bounds test
+// rejects every key outside [min, max].
+func (t *JoinTable) First(k int64) int32 {
+	if t.direct {
+		if d := uint64(k) - uint64(t.min); d < uint64(len(t.heads)) {
+			return t.heads[d]
+		}
+		return -1
+	}
+	return t.heads[t.hashSlot(k)]
+}
 
 // Next returns the build row after r carrying r's key, or -1 after the
 // last.
@@ -618,6 +658,7 @@ func (w *pipeWorker) sink(rg int, bm *bitutil.Bitmap) error {
 		if rows.n == 0 {
 			break
 		}
+		w.m.narrow()
 	}
 	var start time.Time
 	if w.stats != nil {
