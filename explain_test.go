@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"codecdb/internal/obs"
-	"codecdb/internal/ops"
 )
 
 // TestExplainStatic checks Explain renders the operator tree and the
@@ -48,8 +47,8 @@ func TestExplainStatic(t *testing.T) {
 const smallCache = 64 << 10
 
 // TestExplainAnalyzeConsistentWithIOStats is the acceptance check: on a
-// two-predicate query, the per-operator page counters in the rendered
-// span tree must sum to exactly the Table.IOStats() delta of the run —
+// two-predicate query, the per-operator IO counters in the rendered span
+// tree must sum to exactly the Table.IOStats() delta of the run —
 // also behind a page cache smaller than the table, run after run, where
 // pages arrive as cache hits, scheduled units and demand units.
 func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
@@ -65,7 +64,9 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 		const n = 40000
 		tbl := loadEvents(t, db, n)
 		for run := 0; run < 3; run++ {
-			checkAnalyzeIOConsistent(t, tbl, n)
+			if io := checkAnalyzeIOConsistent(t, tbl, n); io.PageCacheHits+io.PageCacheMisses == 0 {
+				t.Fatalf("run %d made no page-cache lookups (%+v): the cache counters went unchecked", run, io)
+			}
 		}
 		if st := db.PageCacheStats(); st.Evictions == 0 {
 			t.Fatalf("page cache never evicted (%+v): it is not smaller than the table", st)
@@ -73,7 +74,9 @@ func TestExplainAnalyzeConsistentWithIOStats(t *testing.T) {
 	})
 }
 
-func checkAnalyzeIOConsistent(t *testing.T, tbl *Table, rows int64) {
+// checkAnalyzeIOConsistent returns the run's IOStats delta in the fields
+// its span tree is held to.
+func checkAnalyzeIOConsistent(t *testing.T, tbl *Table, rows int64) obs.IOStats {
 	before := tbl.IOStats()
 	root, n, err := tbl.Where("status", Eq, "ERROR").And("level", Lt, 2).AnalyzeTrace()
 	if err != nil {
@@ -132,15 +135,18 @@ func checkAnalyzeIOConsistent(t *testing.T, tbl *Table, rows int64) {
 	// The invariant, now at two levels: the root's direct children (Plan +
 	// Pipeline) sum to the IOStats delta, and within the pipeline the
 	// stage children account every page of the pipeline's own delta.
-	delta := ops.IODelta(before, after)
-	if sum := root.SumIO(); sum != delta {
+	delta := attributed(after.Sub(before))
+	if sum := attributed(root.SumIO()); sum != delta {
 		t.Fatalf("span IO sum %+v != IOStats delta %+v (before=%+v after=%+v)", sum, delta, before, after)
 	}
-	if sum := pipe.SumIO(); sum != pipe.IO() {
+	if sum := attributed(pipe.SumIO()); sum != attributed(pipe.IO()) {
 		t.Fatalf("pipeline stage IO sum %+v != pipeline delta %+v", sum, pipe.IO())
 	}
 	if pipe.IO().PagesRead == 0 {
 		t.Fatal("trace recorded no page reads; instrumentation is not wired")
+	}
+	if delta.PrefetchHits+delta.PrefetchMisses == 0 {
+		t.Fatalf("no fetch unit booked (%+v): the prefetch counters went unchecked", delta)
 	}
 	checkFetchDetails(t, root)
 
@@ -150,6 +156,16 @@ func checkAnalyzeIOConsistent(t *testing.T, tbl *Table, rows int64) {
 			t.Errorf("render missing %q in:\n%s", want, out)
 		}
 	}
+	return delta
+}
+
+// attributed keeps the IO counters a stage tap books exactly — all but the
+// reader-only PagesCoalesced, BytesInFlight and IONanos and the tap-only
+// WaitNanos and DecompressNanos: the fields in which a span tree sums to
+// its readers' IOStats delta.
+func attributed(io obs.IOStats) obs.IOStats {
+	io.PagesCoalesced, io.BytesInFlight, io.IONanos, io.WaitNanos, io.DecompressNanos = 0, 0, 0, 0, 0
+	return io
 }
 
 // filterSpan runs q under a tracer and returns its single filter stage's
@@ -393,7 +409,7 @@ func checkSpanIOSums(t *testing.T, root *obs.Span) {
 	t.Helper()
 	var walk func(s *obs.Span)
 	walk = func(s *obs.Span) {
-		if kids := s.Children(); len(kids) > 0 && s != root && s.SumIO() != s.IO() {
+		if kids := s.Children(); len(kids) > 0 && s != root && attributed(s.SumIO()) != attributed(s.IO()) {
 			t.Errorf("span %s owns IO %+v, its children account %+v\n%s", s.Name(), s.IO(), s.SumIO(), root.Render())
 		}
 		for _, c := range s.Children() {
@@ -462,7 +478,7 @@ func checkAnalyzeIngestIO(t *testing.T, tbl *Table) {
 		if want := tbl.NumRows() / 10; n != want {
 			t.Fatalf("count = %d, want %d", n, want)
 		}
-		if sum, delta := root.SumIO(), ops.IODelta(before, tbl.IOStats()); sum != delta || delta.PagesRead == 0 {
+		if sum, delta := attributed(root.SumIO()), attributed(tbl.IOStats().Sub(before)); sum != delta || delta.PagesRead == 0 {
 			t.Fatalf("span IO sum %+v != IOStats delta %+v\n%s", sum, delta, root.Render())
 		}
 		checkSpanIOSums(t, root)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"codecdb/internal/arena"
+	"codecdb/internal/obs"
 )
 
 // PageFetcher is the one path page bytes take from the device to a scan
@@ -297,8 +298,7 @@ func (f *PageFetcher) readUnit(u *fetchUnit) error {
 		coalesced += int64(run.pages - 1)
 	}
 	if coalesced > 0 {
-		f.r.io.pagesCoalesced.Add(coalesced)
-		globalIO.pagesCoalesced.Add(coalesced)
+		f.r.count(obs.PagesCoalesced, coalesced, nil)
 	}
 	return nil
 }
@@ -366,8 +366,7 @@ func (f *PageFetcher) dropBufsLocked(u *fetchUnit) {
 // addInFlight moves the in-flight gauge; caller holds f.mu.
 func (f *PageFetcher) addInFlight(d int64) {
 	f.inflight += d
-	f.r.io.bytesInFlight.Add(d)
-	globalIO.bytesInFlight.Add(d)
+	f.r.count(obs.BytesInFlight, d, nil)
 }
 
 // coveringLocked returns the live unit of c's (row group, column) whose
@@ -466,11 +465,7 @@ func (f *PageFetcher) page(c *Chunk, p int) ([]byte, bool) {
 			run := u.runs[i]
 			raw := u.bufs[i][pm.Offset-run.off : pm.Offset-run.off+int64(pm.CompressedSize)]
 			f.mu.Unlock()
-			f.r.io.bytesRead.Add(int64(len(raw)))
-			globalIO.bytesRead.Add(int64(len(raw)))
-			if c.tap != nil {
-				c.tap.BytesRead += int64(len(raw))
-			}
+			f.r.count(obs.BytesRead, int64(len(raw)), c.tap)
 			return raw, true
 
 		default: // unitFailed, unitReleased
@@ -486,19 +481,11 @@ func (f *PageFetcher) recordUnit(u *fetchUnit, c *Chunk, hit bool) {
 		return
 	}
 	u.counted = true
+	k := obs.PrefetchMisses
 	if hit {
-		f.r.io.prefetchHits.Add(1)
-		globalIO.prefetchHits.Add(1)
-		if c.tap != nil {
-			c.tap.PrefetchHits++
-		}
-	} else {
-		f.r.io.prefetchMisses.Add(1)
-		globalIO.prefetchMisses.Add(1)
-		if c.tap != nil {
-			c.tap.PrefetchMisses++
-		}
+		k = obs.PrefetchHits
 	}
+	f.r.count(k, 1, c.tap)
 }
 
 // FinishGroup releases every unit of row group rg, freeing budget for the

@@ -174,7 +174,7 @@ func checkGathers(t *testing.T, r *Reader, c int, rng *rand.Rand, ints []int64, 
 			}
 		}
 		for _, sel := range []*bitutil.Bitmap{random, bitutil.NewBitmap(rows)} {
-			var tap IOTap
+			var tap IOStats
 			chunk := r.Chunk(rg, c).Tap(&tap)
 			want := 0
 			for p := 0; p < chunk.NumPages(); p++ {

@@ -14,6 +14,7 @@ import (
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
 	"codecdb/internal/encoding"
+	"codecdb/internal/obs"
 	"codecdb/internal/vfs"
 	"codecdb/internal/xcompress"
 )
@@ -68,76 +69,33 @@ type Reader struct {
 // readerIDs hands every opened Reader a process-unique identity.
 var readerIDs atomic.Uint64
 
-// ioCounters are the reader's atomic IO instrumentation counters.
-// Increments need no lock; consistent multi-field snapshots are taken
-// under Reader.statsMu.
-type ioCounters struct {
-	pagesRead         atomic.Int64
-	pagesPruned       atomic.Int64
-	pagesSkipped      atomic.Int64
-	bytesRead         atomic.Int64
-	bytesDecompressed atomic.Int64
-	ioNanos           atomic.Int64
-	pagesCoalesced    atomic.Int64
-	prefetchHits      atomic.Int64
-	prefetchMisses    atomic.Int64
-	bytesInFlight     atomic.Int64 // gauge, not a counter: live prefetch bytes
-	pageCacheHits     atomic.Int64
-	pageCacheMisses   atomic.Int64
+// IOStats is a snapshot of a Reader's IO instrumentation; obs.IOStats
+// documents the counters. A reader leaves WaitNanos and DecompressNanos,
+// which only a tap counts, at zero.
+type IOStats = obs.IOStats
+
+// ioCounters is a set of atomic IO counters indexed by obs.IOCounter: a
+// reader's own, or the process-wide set. Increments need no lock;
+// consistent multi-field snapshots are taken under Reader.statsMu.
+type ioCounters [obs.NumIOCounters]atomic.Int64
+
+func (c *ioCounters) snapshot() IOStats {
+	var s IOStats
+	for k, p := range s.Fields() {
+		*p = c[k].Load()
+	}
+	return s
 }
 
-// IOStats is a snapshot of a Reader's IO instrumentation.
-type IOStats struct {
-	// PagesRead counts pages fetched, verified, and decompressed.
-	PagesRead int64
-	// PagesPruned counts pages rejected from their zone map alone —
-	// never read, never checksummed, never decompressed.
-	PagesPruned int64
-	// PagesSkipped counts pages fetched (or considered for fetch by row
-	// selection) and then skipped because no selected row fell in them.
-	PagesSkipped int64
-	// BytesRead is total bytes handed back by ReadAt.
-	BytesRead int64
-	// BytesDecompressed is total page-body bytes after decompression
-	// (equal to BytesRead minus framing for uncompressed columns).
-	BytesDecompressed int64
-	// IONanos is wall time spent inside ReadAt.
-	IONanos int64
-	// PagesCoalesced counts ReadAt calls saved by merging adjacent
-	// selected pages into one fetch: a coalesced run of k pages adds k-1.
-	PagesCoalesced int64
-	// PrefetchHits counts fetch units a consumer found already fetched
-	// (or in flight) by the background prefetcher; PrefetchMisses counts
-	// units the consumer had to fetch synchronously itself.
-	PrefetchHits   int64
-	PrefetchMisses int64
-	// BytesInFlight is a gauge of prefetched-but-unreleased bytes held in
-	// pooled buffers right now; it returns to zero when every in-flight
-	// PageFetcher closes.
-	BytesInFlight int64
-	// PageCacheHits counts page bodies served from the shared page cache
-	// — no read, no checksum, no decompression (and therefore no bump of
-	// PagesRead/BytesRead/BytesDecompressed). PageCacheMisses counts
-	// bodies that went to disk with a cache attached.
-	PageCacheHits   int64
-	PageCacheMisses int64
-}
-
-// Add folds another snapshot's counters into s (summing a table's
-// readers).
-func (s *IOStats) Add(o IOStats) {
-	s.PagesRead += o.PagesRead
-	s.PagesPruned += o.PagesPruned
-	s.PagesSkipped += o.PagesSkipped
-	s.BytesRead += o.BytesRead
-	s.BytesDecompressed += o.BytesDecompressed
-	s.IONanos += o.IONanos
-	s.PagesCoalesced += o.PagesCoalesced
-	s.PrefetchHits += o.PrefetchHits
-	s.PrefetchMisses += o.PrefetchMisses
-	s.BytesInFlight += o.BytesInFlight
-	s.PageCacheHits += o.PageCacheHits
-	s.PageCacheMisses += o.PageCacheMisses
+// count books n of counter k on the reader, on the process-wide set and,
+// when the caller attached one, on its tap: every IO event is this one
+// call.
+func (r *Reader) count(k obs.IOCounter, n int64, tap *IOStats) {
+	r.io[k].Add(n)
+	globalIO[k].Add(n)
+	if tap != nil {
+		*tap.Fields()[k] += n
+	}
 }
 
 // Stats returns a snapshot of the reader's IO instrumentation. The
@@ -146,20 +104,7 @@ func (s *IOStats) Add(o IOStats) {
 func (r *Reader) Stats() IOStats {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	return IOStats{
-		PagesRead:         r.io.pagesRead.Load(),
-		PagesPruned:       r.io.pagesPruned.Load(),
-		PagesSkipped:      r.io.pagesSkipped.Load(),
-		BytesRead:         r.io.bytesRead.Load(),
-		BytesDecompressed: r.io.bytesDecompressed.Load(),
-		IONanos:           r.io.ioNanos.Load(),
-		PagesCoalesced:    r.io.pagesCoalesced.Load(),
-		PrefetchHits:      r.io.prefetchHits.Load(),
-		PrefetchMisses:    r.io.prefetchMisses.Load(),
-		BytesInFlight:     r.io.bytesInFlight.Load(),
-		PageCacheHits:     r.io.pageCacheHits.Load(),
-		PageCacheMisses:   r.io.pageCacheMisses.Load(),
-	}
+	return r.io.snapshot()
 }
 
 // ResetStats zeroes the IO instrumentation counters. BytesInFlight is a
@@ -168,17 +113,11 @@ func (r *Reader) Stats() IOStats {
 func (r *Reader) ResetStats() {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
-	r.io.pagesRead.Store(0)
-	r.io.pagesPruned.Store(0)
-	r.io.pagesSkipped.Store(0)
-	r.io.bytesRead.Store(0)
-	r.io.bytesDecompressed.Store(0)
-	r.io.ioNanos.Store(0)
-	r.io.pagesCoalesced.Store(0)
-	r.io.prefetchHits.Store(0)
-	r.io.prefetchMisses.Store(0)
-	r.io.pageCacheHits.Store(0)
-	r.io.pageCacheMisses.Store(0)
+	for k := range r.io {
+		if obs.IOCounter(k) != obs.BytesInFlight {
+			r.io[k].Store(0)
+		}
+	}
 }
 
 // SetPagePruning toggles zone-map page pruning; pruning is on by default.
@@ -454,13 +393,13 @@ func (r *Reader) dictMetaFor(col int, want Type) (string, DictMeta, error) {
 	return group, dm, nil
 }
 
-// readAtBuf is readAtRaw that also books the bytes read; it returns buf.
-func (r *Reader) readAtBuf(buf []byte, off int64) ([]byte, error) {
+// readAtBuf is readAtRaw that also books the bytes read, on tap too; it
+// returns buf.
+func (r *Reader) readAtBuf(buf []byte, off int64, tap *IOStats) ([]byte, error) {
 	if err := r.readAtRaw(buf, off); err != nil {
 		return nil, err
 	}
-	r.io.bytesRead.Add(int64(len(buf)))
-	globalIO.bytesRead.Add(int64(len(buf)))
+	r.count(obs.BytesRead, int64(len(buf)), tap)
 	return buf, nil
 }
 
@@ -484,9 +423,7 @@ func (r *Reader) readAtRaw(buf []byte, off int64) error {
 		return fmt.Errorf("colstore: %s: read %d bytes at %d failed after %d attempts: %w",
 			r.path, len(buf), off, readAttempts, err)
 	}
-	nanos := time.Since(start).Nanoseconds()
-	r.io.ioNanos.Add(nanos)
-	globalIO.ioNanos.Add(nanos)
+	r.count(obs.IONanos, time.Since(start).Nanoseconds(), nil)
 	return nil
 }
 
@@ -495,7 +432,7 @@ func (r *Reader) readAtRaw(buf []byte, off int64) error {
 // before being reported as corruption.
 func (r *Reader) readDictBlob(group string, dm DictMeta) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		buf, err := r.readAtBuf(make([]byte, dm.Size), dm.Offset)
+		buf, err := r.readAtBuf(make([]byte, dm.Size), dm.Offset, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -556,7 +493,7 @@ type Chunk struct {
 	meta   *ChunkMeta
 	column Column
 	rows   int
-	tap    *IOTap
+	tap    *IOStats
 	// fetch serves page bytes through the scan's PageFetcher; funit caches
 	// the unit that served the last page.
 	fetch *PageFetcher
@@ -570,51 +507,11 @@ type Chunk struct {
 	wantAll bool
 }
 
-// IOTap is a per-caller tally of the chunk-level IO counters. A tapped
-// chunk mirrors every counter bump into the tap alongside the reader's
-// atomic totals, letting a single-threaded caller (one pipeline stage on
-// one worker) attribute IO without any barrier or snapshot: the tap is
-// plain fields, owned by exactly one goroutine at a time.
-type IOTap struct {
-	PagesRead         int64
-	PagesPruned       int64
-	PagesSkipped      int64
-	BytesRead         int64
-	BytesDecompressed int64
-	// PrefetchHits/PrefetchMisses attribute fetch units this stage
-	// consumed; WaitNanos is wall time the stage stalled on an in-flight
-	// background read, DecompressNanos wall time inside decompression —
-	// together they split stage time into wait vs decompress vs scan.
-	PrefetchHits    int64
-	PrefetchMisses  int64
-	WaitNanos       int64
-	DecompressNanos int64
-	// PageCacheHits/PageCacheMisses attribute shared-page-cache lookups
-	// this stage made; a hit means the stage's other IO counters did not
-	// move for that page.
-	PageCacheHits   int64
-	PageCacheMisses int64
-}
-
-// Add folds another tap's counts into t.
-func (t *IOTap) Add(o *IOTap) {
-	t.PagesRead += o.PagesRead
-	t.PagesPruned += o.PagesPruned
-	t.PagesSkipped += o.PagesSkipped
-	t.BytesRead += o.BytesRead
-	t.BytesDecompressed += o.BytesDecompressed
-	t.PrefetchHits += o.PrefetchHits
-	t.PrefetchMisses += o.PrefetchMisses
-	t.WaitNanos += o.WaitNanos
-	t.DecompressNanos += o.DecompressNanos
-	t.PageCacheHits += o.PageCacheHits
-	t.PageCacheMisses += o.PageCacheMisses
-}
-
-// Tap attaches t to the chunk and returns the chunk for chaining. A nil
-// tap (the untraced path) keeps every hot-path bump a single predictable
-// branch.
-func (c *Chunk) Tap(t *IOTap) *Chunk {
+// Tap attaches t to the chunk and returns the chunk for chaining: every
+// IO event the chunk counts on its reader lands in t too, letting a
+// single-threaded caller (one pipeline stage on one worker) attribute IO
+// without any barrier or snapshot. A nil tap is the untraced path.
+func (c *Chunk) Tap(t *IOStats) *Chunk {
 	c.tap = t
 	return c
 }
@@ -712,25 +609,13 @@ func (c *Chunk) PageStatsOf(p int) *PageStats {
 
 // MarkPruned records that one page was rejected from its zone map alone —
 // the page is never fetched, verified, or decompressed.
-func (c *Chunk) MarkPruned() {
-	c.r.io.pagesPruned.Add(1)
-	globalIO.pagesPruned.Add(1)
-	if c.tap != nil {
-		c.tap.PagesPruned++
-	}
-}
+func (c *Chunk) MarkPruned() { c.r.count(obs.PagesPruned, 1, c.tap) }
 
 // MarkSkipped records n pages bypassed because an earlier predicate's
 // selection already rules out every row they hold — the selection-pushdown
 // counterpart of the row-ID skipping the gather paths count through the
 // same statistic.
-func (c *Chunk) MarkSkipped(n int) {
-	c.r.io.pagesSkipped.Add(int64(n))
-	globalIO.pagesSkipped.Add(int64(n))
-	if c.tap != nil {
-		c.tap.PagesSkipped += int64(n)
-	}
-}
+func (c *Chunk) MarkSkipped(n int) { c.r.count(obs.PagesSkipped, int64(n), c.tap) }
 
 // PageSelected reports whether the chunk-relative selection sel keeps any
 // row of page p. Pages that lost every row to earlier predicates need not
@@ -774,14 +659,10 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) (raw []byte, staged bool, e
 		} else {
 			buf = make([]byte, pm.CompressedSize)
 		}
-		raw, err := c.r.readAtBuf(buf, pm.Offset)
+		// Counted per attempt: a checksum-retry re-read is real IO.
+		raw, err := c.r.readAtBuf(buf, pm.Offset, c.tap)
 		if err != nil {
 			return nil, false, err
-		}
-		if c.tap != nil {
-			// Counted per attempt, matching the reader's own bytesRead (a
-			// checksum-retry re-read is real IO on both tallies).
-			c.tap.BytesRead += int64(len(raw))
 		}
 		if Checksum(raw) == pm.Crc32C {
 			return raw, false, nil
@@ -809,28 +690,16 @@ func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 			// untouched on both the reader and the tap, so the span-IO ≡
 			// IOStats-delta discipline holds with the cache on. The body
 			// is shared and read-only; it does not enter the scratch.
-			c.r.io.pageCacheHits.Add(1)
-			globalIO.pageCacheHits.Add(1)
-			if c.tap != nil {
-				c.tap.PageCacheHits++
-			}
+			c.r.count(obs.PageCacheHits, 1, c.tap)
 			return body, nil
 		}
-		c.r.io.pageCacheMisses.Add(1)
-		globalIO.pageCacheMisses.Add(1)
-		if c.tap != nil {
-			c.tap.PageCacheMisses++
-		}
+		c.r.count(obs.PageCacheMisses, 1, c.tap)
 	}
 	raw, staged, err := c.rawPageBuf(p, sc)
 	if err != nil {
 		return nil, err
 	}
-	c.r.io.pagesRead.Add(1)
-	globalIO.pagesRead.Add(1)
-	if c.tap != nil {
-		c.tap.PagesRead++
-	}
+	c.r.count(obs.PagesRead, 1, c.tap)
 	comp, err := xcompress.For(c.column.Compression)
 	if err != nil {
 		return nil, err
@@ -866,23 +735,11 @@ func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 			RowGroup: c.rg, Page: p, Detail: fmt.Sprintf(
 				"decompressed to %d bytes, footer says %d", len(body), c.meta.Pages[p].UncompressedSize)}
 	}
-	c.r.io.bytesDecompressed.Add(int64(len(body)))
-	globalIO.bytesDecompressed.Add(int64(len(body)))
-	if c.tap != nil {
-		c.tap.BytesDecompressed += int64(len(body))
-	}
+	c.r.count(obs.BytesDecompressed, int64(len(body)), c.tap)
 	if c.r.cache != nil {
 		c.r.cache.Put(c.r.id, c.rg, c.col, p, body)
 	}
 	return body, nil
-}
-
-func (c *Chunk) skipPage() {
-	c.r.io.pagesSkipped.Add(1)
-	globalIO.pagesSkipped.Add(1)
-	if c.tap != nil {
-		c.tap.PagesSkipped++
-	}
 }
 
 // PackedPage exposes one page's packed-key region for in-situ scanning.
@@ -1005,7 +862,7 @@ func (c *Chunk) eachPage(sel *bitutil.Bitmap, read func(p, first, last int) erro
 	c.declare(nil, sel, sel == nil)
 	for p := range c.meta.Pages {
 		if sel != nil && !c.PageSelected(sel, p) {
-			c.skipPage()
+			c.MarkSkipped(1)
 			continue
 		}
 		first, last := c.pageRange(p)

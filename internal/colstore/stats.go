@@ -1,28 +1,12 @@
 package colstore
 
-// Process-wide IO counters, mirrored alongside every per-reader
-// increment. They back the metrics-registry exposition
+// Process-wide IO counters, booked by every Reader.count alongside the
+// reader's own. They back the metrics-registry exposition
 // (codecdb_pages_*_total and friends) without the registry needing a
 // handle on each transient Reader; the extra cost is one atomic add per
 // page event, which is noise next to the fetch itself.
-
 var globalIO ioCounters
 
 // GlobalStats returns the process-wide IO counters accumulated across
 // every Reader since process start (never reset).
-func GlobalStats() IOStats {
-	return IOStats{
-		PagesRead:         globalIO.pagesRead.Load(),
-		PagesPruned:       globalIO.pagesPruned.Load(),
-		PagesSkipped:      globalIO.pagesSkipped.Load(),
-		BytesRead:         globalIO.bytesRead.Load(),
-		BytesDecompressed: globalIO.bytesDecompressed.Load(),
-		IONanos:           globalIO.ioNanos.Load(),
-		PagesCoalesced:    globalIO.pagesCoalesced.Load(),
-		PrefetchHits:      globalIO.prefetchHits.Load(),
-		PrefetchMisses:    globalIO.prefetchMisses.Load(),
-		BytesInFlight:     globalIO.bytesInFlight.Load(),
-		PageCacheHits:     globalIO.pageCacheHits.Load(),
-		PageCacheMisses:   globalIO.pageCacheMisses.Load(),
-	}
-}
+func GlobalStats() IOStats { return globalIO.snapshot() }

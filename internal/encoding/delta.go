@@ -114,15 +114,10 @@ func (DeltaInt) Decode(data []byte) ([]int64, error) {
 	return out, nil
 }
 
-// DecodeDeltas returns the first value and the raw delta sequence without
-// materialising the running sum — the delta filter operator feeds these to
-// the SWAR cumulative-sum kernel (paper §5.3).
-func (d DeltaInt) DecodeDeltas(data []byte) (first int64, deltas []int64, err error) {
-	return d.AppendDeltas(nil, data)
-}
-
-// AppendDeltas is DecodeDeltas appending into dst (typically a pooled
-// buffer), so the steady-state delta scan allocates nothing per page.
+// AppendDeltas returns the first value and the raw delta sequence, appended
+// into dst (typically a pooled buffer), without materialising the running
+// sum — the delta filter operator feeds these to the SWAR cumulative-sum
+// kernel (paper §5.3) and allocates nothing per page in the steady state.
 func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []int64, err error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {

@@ -79,9 +79,6 @@ func (t *ColumnTable) NumRows() int { return t.rows }
 // Names returns the column names.
 func (t *ColumnTable) Names() []string { return t.names }
 
-// Types returns the column types.
-func (t *ColumnTable) Types() []ColType { return t.types }
-
 // ColIndex returns the index of the named column, or -1.
 func (t *ColumnTable) ColIndex(name string) int {
 	for i, n := range t.names {
@@ -122,13 +119,6 @@ func (t *ColumnTable) AppendRow(vals ...any) {
 func (t *ColumnTable) SetIntColumn(i int, vals []int64) {
 	t.checkType(i, ColInt64)
 	t.ints[i] = vals
-	t.rows = len(vals)
-}
-
-// SetFloatColumn installs a whole float column.
-func (t *ColumnTable) SetFloatColumn(i int, vals []float64) {
-	t.checkType(i, ColFloat64)
-	t.flts[i] = vals
 	t.rows = len(vals)
 }
 

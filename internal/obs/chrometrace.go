@@ -63,7 +63,7 @@ func spanArgs(s *Span) map[string]any {
 	if in, out := s.Rows(); in != 0 || out != 0 {
 		args["rowsIn"], args["rowsOut"] = in, out
 	}
-	if io := s.IO(); io != (SpanIO{}) {
+	if io := s.IO(); shownIO(io) {
 		args["pagesRead"] = io.PagesRead
 		args["pagesPruned"] = io.PagesPruned
 		args["pagesSkipped"] = io.PagesSkipped

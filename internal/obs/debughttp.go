@@ -83,7 +83,7 @@ func writeRecordText(w http.ResponseWriter, recs []*QueryRecord) {
 		}
 		fmt.Fprintf(w, "        pages[read=%d pruned=%d skipped=%d coalesced=%d] bytes[read=%d decompressed=%d] io=%s scan=%s workers=%d\n",
 			rec.IO.PagesRead, rec.IO.PagesPruned, rec.IO.PagesSkipped, rec.IO.PagesCoalesced,
-			rec.IO.BytesRead, rec.IO.BytesDecomp,
+			rec.IO.BytesRead, rec.IO.BytesDecompressed,
 			rec.IORead.Round(time.Microsecond), rec.Scan.Round(time.Microsecond), rec.Workers)
 	}
 }
@@ -102,7 +102,7 @@ func (r *Recorder) HandleRecent(w http.ResponseWriter, req *http.Request) {
 // HandleSlow serves /debug/queries/slow: ring entries at or above the
 // slow threshold (override with ?threshold=250ms), slowest first.
 func (r *Recorder) HandleSlow(w http.ResponseWriter, req *http.Request) {
-	d := time.Duration(0)
+	var d time.Duration
 	if t := req.URL.Query().Get("threshold"); t != "" {
 		var err error
 		if d, err = time.ParseDuration(t); err != nil {
@@ -110,19 +110,15 @@ func (r *Recorder) HandleSlow(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
+	if d <= 0 {
+		d = r.SlowThreshold()
+	}
 	recs := r.Slow(d)
 	if wantJSON(req) {
-		writeJSON(w, map[string]any{"threshold": r.pickThreshold(d).String(), "slow": recs})
+		writeJSON(w, map[string]any{"threshold": d.String(), "slow": recs})
 		return
 	}
 	writeRecordText(w, recs)
-}
-
-func (r *Recorder) pickThreshold(d time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return r.SlowThreshold()
 }
 
 // HandleTrace serves /debug/queries/trace?id=N: the recorded span tree

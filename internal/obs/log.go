@@ -30,15 +30,6 @@ func NewJSONLogger(w io.Writer) *Logger {
 	return &Logger{s: slog.New(slog.NewJSONHandler(w, nil))}
 }
 
-// Slog exposes the wrapped slog.Logger (nil for a nil Logger), for
-// callers that want to add context attrs with l.Slog().With(...).
-func (l *Logger) Slog() *slog.Logger {
-	if l == nil {
-		return nil
-	}
-	return l.s
-}
-
 // With returns a Logger whose events all carry the given attrs.
 // Nil-safe: nil stays nil.
 func (l *Logger) With(args ...any) *Logger {

@@ -108,8 +108,8 @@ func TestSpanTreeAndContext(t *testing.T) {
 	child := SpanFrom(ctx).StartChild("Filter[DictFilter]")
 	child.AddDetail("kernel=%s", "ScanPacked")
 	child.SetRows(1000, 10)
-	child.AddIO(SpanIO{PagesRead: 2, PagesPruned: 5, BytesRead: 128})
-	child.AddIO(SpanIO{PagesRead: 1})
+	child.AddIO(IOStats{PagesRead: 2, PagesPruned: 5, BytesRead: 128})
+	child.AddIO(IOStats{PagesRead: 1})
 	child.AddTasks(4)
 	child.End()
 	root.SetRows(1000, 10)
@@ -137,7 +137,7 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	s.End()
 	s.AddDetail("d")
 	s.SetRows(1, 2)
-	s.AddIO(SpanIO{PagesRead: 1})
+	s.AddIO(IOStats{PagesRead: 1})
 	s.AddTasks(1)
 	if s.Name() != "" || s.Tasks() != 0 || len(s.Children()) != 0 {
 		t.Fatal("nil span accessors must return zero values")
@@ -152,7 +152,7 @@ func TestConcurrentChildren(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sp := root.StartChild("c")
-			sp.AddIO(SpanIO{PagesRead: 1})
+			sp.AddIO(IOStats{PagesRead: 1})
 			sp.End()
 		}()
 	}

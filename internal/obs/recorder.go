@@ -38,26 +38,10 @@ func (k RecordKind) String() string {
 	}
 }
 
+// queryIDs is the process-wide monotonic ID sequence. Queries, flushes,
+// and recovery passes draw from it so a single key joins logs, metrics,
+// and traces.
 var queryIDs atomic.Uint64
-
-// NextQueryID returns the next process-wide monotonic ID. Queries,
-// flushes, and recovery passes draw from the same sequence so a single
-// key joins logs, metrics, and traces.
-func NextQueryID() uint64 { return queryIDs.Add(1) }
-
-// RecordIO is the page/byte IO attributed to one record. The fields
-// mirror colstore.IOStats so a record's IO equals the Table.IOStats
-// delta observed across the query.
-type RecordIO struct {
-	PagesRead      int64 `json:"pagesRead"`
-	PagesPruned    int64 `json:"pagesPruned"`
-	PagesSkipped   int64 `json:"pagesSkipped"`
-	PagesCoalesced int64 `json:"pagesCoalesced"`
-	BytesRead      int64 `json:"bytesRead"`
-	BytesDecomp    int64 `json:"bytesDecompressed"`
-	PrefetchHits   int64 `json:"prefetchHits"`
-	PrefetchMisses int64 `json:"prefetchMisses"`
-}
 
 // QueryRecord is one completed query/flush/recovery. Published records
 // are immutable; never mutate one after handing it to Finish.
@@ -71,21 +55,20 @@ type QueryRecord struct {
 
 	Start time.Time     `json:"start"`
 	Wall  time.Duration `json:"wallNs"`
-	// IORead is wall time inside file reads (the IOStats.IONanos
-	// delta); Wait and Decompress are the prefetch-stall and
-	// decompression components, populated on traced runs where the
-	// per-stage IO taps are live. Scan is the residual compute time.
+	// IORead is the IO delta's IONanos; Wait and Decompress, the stage
+	// taps' WaitNanos and DecompressNanos, are set on traced runs only.
+	// Scan is the wall time left.
 	IORead     time.Duration `json:"ioReadNs"`
 	Wait       time.Duration `json:"waitNs"`
 	Decompress time.Duration `json:"decompressNs"`
 	Scan       time.Duration `json:"scanNs"`
 
-	RowsIn       int64    `json:"rowsIn"`
-	RowsOut      int64    `json:"rowsOut"`
-	IO           RecordIO `json:"io"`
-	Workers      int      `json:"workers"`
-	MorselsTotal int32    `json:"morselsTotal"`
-	MorselsDone  int32    `json:"morselsDone"`
+	RowsIn       int64   `json:"rowsIn"`
+	RowsOut      int64   `json:"rowsOut"`
+	IO           IOStats `json:"io"`
+	Workers      int     `json:"workers"`
+	MorselsTotal int32   `json:"morselsTotal"`
+	MorselsDone  int32   `json:"morselsDone"`
 
 	Err       string `json:"error,omitempty"`
 	Cancelled bool   `json:"cancelled,omitempty"`
@@ -127,22 +110,13 @@ func (q *LiveQuery) AddMorsels(total, workers int) {
 	q.workers.Store(int32(workers))
 }
 
-// AddIOTimes accumulates traced prefetch-wait and decompression nanos
-// (from the per-stage IO taps). Nil-safe.
+// AddIOTimes accumulates the stage taps' wait and decompress nanos. Nil-safe.
 func (q *LiveQuery) AddIOTimes(waitNanos, decompressNanos int64) {
 	if q == nil {
 		return
 	}
 	q.waitNanos.Add(waitNanos)
 	q.decompNanos.Add(decompressNanos)
-}
-
-// IOTimes returns the accumulated traced wait/decompress nanos.
-func (q *LiveQuery) IOTimes() (waitNanos, decompressNanos int64) {
-	if q == nil {
-		return 0, 0
-	}
-	return q.waitNanos.Load(), q.decompNanos.Load()
 }
 
 // MorselDone marks one morsel finished. Nil-safe; one atomic add.
@@ -253,7 +227,7 @@ func (r *Recorder) Begin(kind RecordKind, table, terminal, predicate string) *Li
 		return nil
 	}
 	q := &LiveQuery{
-		ID:        NextQueryID(),
+		ID:        queryIDs.Add(1),
 		Kind:      kind,
 		Table:     table,
 		Terminal:  terminal,
@@ -272,9 +246,11 @@ func (r *Recorder) Begin(kind RecordKind, table, terminal, predicate string) *Li
 }
 
 // Finish deregisters q and publishes rec into the ring, filling the
-// identity, timing, and progress fields from the live entry. rec may
-// be partially populated by the caller (IO delta, rows, error); it
-// must not be mutated after Finish returns. Nil-safe on both sides.
+// identity, start, wait and decompress time, scan time (the wall time
+// left), and progress fields from the live entry, and the wall time too
+// when the caller left it zero. The caller fills the rest (IO delta, rows,
+// error, trace); rec must not be mutated after Finish returns. Nil-safe on
+// both sides.
 func (r *Recorder) Finish(q *LiveQuery, rec *QueryRecord) {
 	if r == nil || q == nil {
 		return
@@ -285,31 +261,16 @@ func (r *Recorder) Finish(q *LiveQuery, rec *QueryRecord) {
 	if rec == nil {
 		return
 	}
-	rec.ID = q.ID
-	rec.Kind = q.Kind
-	rec.KindName = q.Kind.String()
-	if rec.Table == "" {
-		rec.Table = q.Table
-	}
-	if rec.Terminal == "" {
-		rec.Terminal = q.Terminal
-	}
-	if rec.Predicate == "" {
-		rec.Predicate = q.Predicate
-	}
-	rec.Start = q.Start
+	rec.ID, rec.Kind, rec.KindName, rec.Start = q.ID, q.Kind, q.Kind.String(), q.Start
+	rec.Table, rec.Terminal, rec.Predicate = q.Table, q.Terminal, q.Predicate
+	rec.Wait, rec.Decompress = time.Duration(q.waitNanos.Load()), time.Duration(q.decompNanos.Load())
 	if rec.Wall == 0 {
 		rec.Wall = time.Since(q.Start)
 	}
-	rec.MorselsDone, rec.MorselsTotal, _ = progress3(q)
-	if rec.Workers == 0 {
-		rec.Workers = int(q.workers.Load())
-	}
-	if rec.Scan == 0 {
-		if scan := rec.Wall - rec.IORead - rec.Decompress; scan > 0 {
-			rec.Scan = scan
-		}
-	}
+	rec.Scan = max(rec.Wall-rec.IORead-rec.Decompress, 0)
+	var workers int32
+	rec.MorselsDone, rec.MorselsTotal, workers = q.Progress()
+	rec.Workers = int(workers)
 	slot := (r.cursor.Add(1) - 1) % uint64(len(r.ring))
 	r.ring[slot].Store(rec)
 	if slow := r.slowNanos.Load(); slow > 0 && int64(rec.Wall) >= slow {
@@ -319,10 +280,6 @@ func (r *Recorder) Finish(q *LiveQuery, rec *QueryRecord) {
 			"wall", rec.Wall, "pagesRead", rec.IO.PagesRead,
 			"bytesRead", rec.IO.BytesRead, "rowsOut", rec.RowsOut)
 	}
-}
-
-func progress3(q *LiveQuery) (done, total, workers int32) {
-	return q.morselsDone.Load(), q.morselsTotal.Load(), q.workers.Load()
 }
 
 // LiveSnapshot is a plain-value copy of one in-flight entry.
@@ -351,7 +308,7 @@ func (r *Recorder) InFlight() []LiveSnapshot {
 		if q == nil {
 			continue
 		}
-		done, total, workers := progress3(q)
+		done, total, workers := q.Progress()
 		out = append(out, LiveSnapshot{
 			ID: q.ID, Kind: q.Kind.String(), Table: q.Table,
 			Terminal: q.Terminal, Predicate: q.Predicate,

@@ -208,7 +208,7 @@ func TestRecorderConcurrentConsistency(t *testing.T) {
 				r.Finish(q, &QueryRecord{
 					Wall:   time.Duration(q.ID),
 					RowsIn: int64(q.ID) * 7, RowsOut: int64(q.ID) * 3,
-					IO: RecordIO{PagesRead: int64(q.ID) * 11},
+					IO: IOStats{PagesRead: int64(q.ID) * 11},
 				})
 			}
 		}()

@@ -8,25 +8,6 @@ import (
 	"time"
 )
 
-// SpanIO is the per-span slice of the storage-layer instrumentation:
-// what the reader did while the span was open.
-type SpanIO struct {
-	PagesRead         int64
-	PagesPruned       int64
-	PagesSkipped      int64
-	BytesRead         int64
-	BytesDecompressed int64
-}
-
-// Add accumulates another delta into io.
-func (io *SpanIO) Add(d SpanIO) {
-	io.PagesRead += d.PagesRead
-	io.PagesPruned += d.PagesPruned
-	io.PagesSkipped += d.PagesSkipped
-	io.BytesRead += d.BytesRead
-	io.BytesDecompressed += d.BytesDecompressed
-}
-
 // Span is one timed node of a query trace: an operator application, a
 // gather, or the query itself. A nil *Span is a valid no-op receiver for
 // every method, so instrumented code paths need only a single nil check
@@ -43,7 +24,7 @@ type Span struct {
 	dur      time.Duration
 	rowsIn   int64
 	rowsOut  int64
-	io       SpanIO
+	io       IOStats
 	tasks    int64
 	children []*Span
 }
@@ -103,8 +84,8 @@ func (s *Span) SetRows(in, out int64) {
 	s.rowsIn, s.rowsOut = in, out
 }
 
-// AddIO accumulates a storage-instrumentation delta.
-func (s *Span) AddIO(d SpanIO) {
+// AddIO accumulates what the storage layer did while the span was open.
+func (s *Span) AddIO(d IOStats) {
 	if s == nil {
 		return
 	}
@@ -152,9 +133,9 @@ func (s *Span) Rows() (in, out int64) {
 }
 
 // IO returns the accumulated storage delta.
-func (s *Span) IO() SpanIO {
+func (s *Span) IO() IOStats {
 	if s == nil {
-		return SpanIO{}
+		return IOStats{}
 	}
 	return s.io
 }
@@ -189,11 +170,10 @@ func (s *Span) Children() []*Span {
 
 // SumIO totals the IO of the span's direct children — the figure that
 // must line up with the reader's own counters over the same window.
-func (s *Span) SumIO() SpanIO {
-	var total SpanIO
+func (s *Span) SumIO() IOStats {
+	var total IOStats
 	for _, c := range s.Children() {
-		io := c.IO()
-		total.Add(io)
+		total.Add(c.IO())
 	}
 	return total
 }
@@ -256,7 +236,7 @@ func (s *Span) statLine() string {
 	if s.rowsIn != 0 || s.rowsOut != 0 {
 		parts = append(parts, fmt.Sprintf("rows=%d→%d", s.rowsIn, s.rowsOut))
 	}
-	if s.io != (SpanIO{}) {
+	if shownIO(s.io) {
 		parts = append(parts, fmt.Sprintf("pages[read=%d pruned=%d skipped=%d]",
 			s.io.PagesRead, s.io.PagesPruned, s.io.PagesSkipped))
 		parts = append(parts, fmt.Sprintf("bytes[read=%d decompressed=%d]",
@@ -266,4 +246,10 @@ func (s *Span) statLine() string {
 		parts = append(parts, fmt.Sprintf("tasks=%d", s.tasks))
 	}
 	return strings.Join(parts, " ")
+}
+
+// shownIO reports whether io moves a page or byte count a span shows.
+func shownIO(io IOStats) bool {
+	return io.PagesRead != 0 || io.PagesPruned != 0 || io.PagesSkipped != 0 ||
+		io.BytesRead != 0 || io.BytesDecompressed != 0
 }

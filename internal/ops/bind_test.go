@@ -11,6 +11,7 @@ import (
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
 	"codecdb/internal/exec"
+	"codecdb/internal/obs"
 	"codecdb/internal/sboost"
 )
 
@@ -128,7 +129,7 @@ func checkScheduleMatchesReads(t *testing.T, r *colstore.Reader, f Filter, label
 		if b.empty { // drivers never run an empty leaf's kernel
 			return 0
 		}
-		var tap colstore.IOTap
+		var tap obs.IOStats
 		if _, err := k.run(rg, sc, sel, &tap); err != nil {
 			t.Fatalf("%s rg %d: %v", label, rg, err)
 		}

@@ -18,6 +18,7 @@ import (
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
+	"codecdb/internal/obs"
 	"codecdb/internal/sboost"
 )
 
@@ -99,7 +100,7 @@ type kernel struct {
 // skip records every page of the leaf's chunks in row group rg as bypassed
 // by selection pushdown, without evaluating anything — used when the
 // incoming selection already rules out every row of the group.
-func (b *boundLeaf) skip(rg int, tap *colstore.IOTap) {
+func (b *boundLeaf) skip(rg int, tap *obs.IOStats) {
 	a, bb := b.r.Chunk(rg, b.ci), b.second(rg)
 	a.Tap(tap).MarkSkipped(a.NumPages())
 	if bb != nil {
@@ -132,7 +133,7 @@ func (b *boundLeaf) second(rg int) *colstore.Chunk {
 // any, so the chunk knows the pages it will read up front: the first one
 // missing from the fetcher's staged units and the page cache brings in all
 // the rest with it.
-func (w *kernel) run(rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *colstore.IOTap) (*bitutil.Bitmap, error) {
+func (w *kernel) run(rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *obs.IOStats) (*bitutil.Bitmap, error) {
 	b := w.leaf
 	if b.all {
 		return fullGroupBitmap(b.r.RowGroupRows(rg)), nil

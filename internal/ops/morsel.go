@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"codecdb/internal/bitutil"
-	"codecdb/internal/colstore"
+	"codecdb/internal/obs"
 )
 
 // This file is the per-morsel state of the relational stages and sink:
@@ -244,7 +244,7 @@ func compactBasis[T any](v []T, pos []int32) []T {
 }
 
 // scan gathers (once per morsel) the basis vector behind a scan input.
-func (w *pipeWorker) scan(in *RelInput, tap *colstore.IOTap) (relVec, error) {
+func (w *pipeWorker) scan(in *RelInput, tap *obs.IOStats) (relVec, error) {
 	m := w.m
 	for _, v := range m.vecs {
 		if v.ci == in.ci && v.kind == in.Kind {
@@ -287,7 +287,7 @@ func (w *pipeWorker) scan(in *RelInput, tap *colstore.IOTap) (relVec, error) {
 // are indexed through src, payload columns through the owning stage's
 // build attachment (left misses read zero values). The env and its
 // vectors are the morsel's, valid until the next morsel starts.
-func (w *pipeWorker) env(inputs []RelInput, tap *colstore.IOTap) (*RelEnv, error) {
+func (w *pipeWorker) env(inputs []RelInput, tap *obs.IOStats) (*RelEnv, error) {
 	m := w.m
 	st, e := &m.rows, &m.e
 	e.N = st.n
@@ -353,7 +353,7 @@ func attach[T any](s *slab[T], col []T, build []int32) []T {
 }
 
 // probeKeys computes the probe key per live row for one join stage.
-func (w *pipeWorker) probeKeys(st *RelStage, tap *colstore.IOTap) ([]int64, error) {
+func (w *pipeWorker) probeKeys(st *RelStage, tap *obs.IOStats) ([]int64, error) {
 	m := w.m
 	rows := &m.rows
 	m.keys = sized(m.keys, len(st.Keys))

@@ -103,7 +103,7 @@ type pipeWorker struct {
 	sc      *arena.Scratch
 	kernels []kernel
 	count   int64 // rows that reached the sink
-	taps    []colstore.IOTap
+	taps    []obs.IOStats
 	stats   []stageStats
 
 	m     *relMorsel // the scan worker's, shared by every pipeline it drives
@@ -200,7 +200,7 @@ func (p *pipeline) newWorker(wi int, sc *arena.Scratch, m *relMorsel) *pipeWorke
 		w.top = newRelTopK(sk)
 	}
 	if p.traced {
-		w.taps = make([]colstore.IOTap, nk+len(p.rel.Stages)+1)
+		w.taps = make([]obs.IOStats, nk+len(p.rel.Stages)+1)
 		w.stats = make([]stageStats, nk+len(p.rel.Stages)+1)
 	}
 	return w
@@ -359,7 +359,7 @@ func (w *pipeWorker) runLeaf(rg int, lf *pipeLeaf, secSel *bitutil.Bitmap) (*bit
 	if w.stats != nil {
 		start = time.Now()
 	}
-	var tap *colstore.IOTap
+	var tap *obs.IOStats
 	if w.taps != nil {
 		tap = &w.taps[lf.idx]
 	}
@@ -401,7 +401,7 @@ func (w *pipeWorker) runLeaf(rg int, lf *pipeLeaf, secSel *bitutil.Bitmap) (*bit
 func (w *pipeWorker) markSkipped(nodes []*pipeNode, rg int) {
 	for _, n := range nodes {
 		if n.leaf != nil && !n.leaf.b.empty {
-			var tap *colstore.IOTap
+			var tap *obs.IOStats
 			if w.taps != nil {
 				tap = &w.taps[n.leaf.idx]
 			}
@@ -468,8 +468,8 @@ func Run(ctx context.Context, parts []Part, pool *exec.Pool, members []Member) (
 		tr = &runTrace{
 			span:     sp.StartChild("Pipeline[" + sinkLabel(members[0].Rels[0]) + "]"),
 			tasks:    pool.Completed(),
-			ioBefore: make([]colstore.IOStats, len(parts)),
-			prepIO:   make([]obs.SpanIO, len(parts)),
+			ioBefore: make([]obs.IOStats, len(parts)),
+			prepIO:   make([]obs.IOStats, len(parts)),
 			prepDur:  make([]time.Duration, len(parts)),
 		}
 		ctx = obs.ContextWithSpan(ctx, tr.span)
@@ -493,7 +493,7 @@ func Run(ctx context.Context, parts []Part, pool *exec.Pool, members []Member) (
 			}
 			pipes[i], results[j].Err = buildPipeline(part, pl, m.Rels[i], tr != nil)
 			if tr != nil {
-				tr.prepIO[i] = IODelta(tr.ioBefore[i], part.R.Stats())
+				tr.prepIO[i] = part.R.Stats().Sub(tr.ioBefore[i])
 				tr.prepDur[i] = time.Since(prepStart)
 			}
 			if results[j].Err != nil {
@@ -542,8 +542,8 @@ type runTrace struct {
 	span     *obs.Span
 	tasks    int64
 	pipes    []*pipeline // per part; nil past a part that failed to build
-	ioBefore []colstore.IOStats
-	prepIO   []obs.SpanIO
+	ioBefore []obs.IOStats
+	prepIO   []obs.IOStats
 	prepDur  []time.Duration
 }
 
@@ -552,7 +552,7 @@ type runTrace struct {
 func (tr *runTrace) finish(ctx context.Context, parts []Part, pool *exec.Pool, err error) {
 	child := tr.span
 	var rowsIn, rowsOut int64
-	var total obs.SpanIO
+	var total, stageIO obs.IOStats
 	morsels := 0
 	for i, part := range parts {
 		p := tr.pipes[i]
@@ -567,12 +567,14 @@ func (tr *runTrace) finish(ctx context.Context, parts []Part, pool *exec.Pool, e
 		busy := tr.prepDur[i]
 		var count int64
 		if p != nil {
-			busy += p.traceStages(parent)
+			stageBusy, io := p.traceStages(parent)
+			busy += stageBusy
+			stageIO.Add(io)
 			for _, w := range p.workers {
 				count += w.count
 			}
 		}
-		delta := IODelta(tr.ioBefore[i], part.R.Stats())
+		delta := part.R.Stats().Sub(tr.ioBefore[i])
 		if parent != child {
 			parent.SetRows(part.R.NumRows(), count)
 			parent.AddIO(delta)
@@ -597,29 +599,17 @@ func (tr *runTrace) finish(ctx context.Context, parts []Part, pool *exec.Pool, e
 	child.AddIO(total)
 	child.AddTasks(pool.Completed() - tr.tasks)
 	child.End()
-	if lq := obs.QueryFrom(ctx); lq != nil {
-		// Traced runs carry per-stage IO taps; total their wait and
-		// decompress time into the live entry so the finished record can
-		// split wall time into wait/decompress/scan.
-		var wait, dec int64
-		for _, p := range tr.pipes {
-			if p == nil {
-				continue
-			}
-			for i := 0; i <= len(p.leaves)+len(p.rel.Stages); i++ {
-				tap := p.mergedIOTap(i)
-				wait += tap.WaitNanos
-				dec += tap.DecompressNanos
-			}
-		}
-		lq.AddIOTimes(wait, dec)
-	}
+	// Traced runs carry per-stage IO taps; their wait and decompress time
+	// goes to the live entry so the finished record can split wall time
+	// into wait/decompress/scan.
+	obs.QueryFrom(ctx).AddIOTimes(stageIO.WaitNanos, stageIO.DecompressNanos)
 }
 
 // traceStages renders one part's stages — filters, relational stages, the
-// sink — as children of parent and returns their summed busy time.
-func (p *pipeline) traceStages(parent *obs.Span) time.Duration {
+// sink — as children of parent and returns their summed busy time and IO.
+func (p *pipeline) traceStages(parent *obs.Span) (time.Duration, obs.IOStats) {
 	var busy int64
+	var io obs.IOStats
 	stage := func(s *obs.Span, idx int, rowsOut int64) {
 		st := p.mergedStats(idx)
 		if rowsOut < 0 {
@@ -628,7 +618,8 @@ func (p *pipeline) traceStages(parent *obs.Span) time.Duration {
 		s.SetRows(st.rowsIn, rowsOut)
 		tap := p.mergedIOTap(idx)
 		addStageTimeDetails(s, &tap, st.nanos)
-		s.AddIO(spanIOFromTap(&tap))
+		s.AddIO(tap)
+		io.Add(tap)
 		s.End()
 		s.SetDuration(time.Duration(st.nanos))
 		busy += st.nanos
@@ -670,46 +661,24 @@ func (p *pipeline) traceStages(parent *obs.Span) time.Duration {
 		rowsOut = int64(p.out.N)
 	}
 	stage(parent.StartChild(sinkSpanName(p.rel)), len(p.leaves)+len(p.rel.Stages), rowsOut)
-	return time.Duration(busy)
+	return time.Duration(busy), io
 }
 
-// mergedIOTap sums one stage's IO across workers, keeping the prefetch
-// and timing fields that SpanIO does not carry.
-func (p *pipeline) mergedIOTap(idx int) colstore.IOTap {
-	var t colstore.IOTap
+// mergedIOTap sums one stage's IO taps across workers.
+func (p *pipeline) mergedIOTap(idx int) obs.IOStats {
+	var t obs.IOStats
 	for _, w := range p.workers {
 		if w != nil && w.taps != nil {
-			t.Add(&w.taps[idx])
+			t.Add(w.taps[idx])
 		}
 	}
 	return t
 }
 
-// IODelta converts a before/after pair of reader snapshots into span IO.
-func IODelta(before, after colstore.IOStats) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         after.PagesRead - before.PagesRead,
-		PagesPruned:       after.PagesPruned - before.PagesPruned,
-		PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-		BytesRead:         after.BytesRead - before.BytesRead,
-		BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-	}
-}
-
-func spanIOFromTap(t *colstore.IOTap) obs.SpanIO {
-	return obs.SpanIO{
-		PagesRead:         t.PagesRead,
-		PagesPruned:       t.PagesPruned,
-		PagesSkipped:      t.PagesSkipped,
-		BytesRead:         t.BytesRead,
-		BytesDecompressed: t.BytesDecompressed,
-	}
-}
-
 // addStageTimeDetails attributes a stage's busy time to waiting on
 // prefetched reads, decompression, and the remainder (the scan/decode
 // kernel itself), and reports prefetch effectiveness when a fetcher ran.
-func addStageTimeDetails(s *obs.Span, t *colstore.IOTap, busyNanos int64) {
+func addStageTimeDetails(s *obs.Span, t *obs.IOStats, busyNanos int64) {
 	if t.PrefetchHits > 0 || t.PrefetchMisses > 0 || t.WaitNanos > 0 {
 		s.AddDetail("prefetch: %d hit / %d miss, io-wait %v",
 			t.PrefetchHits, t.PrefetchMisses, time.Duration(t.WaitNanos))

@@ -9,6 +9,7 @@ import (
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
 	"codecdb/internal/encoding"
+	"codecdb/internal/obs"
 )
 
 // This file is what a pipeline does with a row group's selection: a query
@@ -576,7 +577,7 @@ func (w *pipeWorker) runRelStage(si int) error {
 	if w.stats != nil {
 		start = time.Now()
 	}
-	var tap *colstore.IOTap
+	var tap *obs.IOStats
 	if w.taps != nil {
 		tap = &w.taps[len(p.leaves)+si]
 	}
@@ -664,7 +665,7 @@ func (w *pipeWorker) sink(rg int, bm *bitutil.Bitmap) error {
 	if w.stats != nil {
 		start = time.Now()
 	}
-	var tap *colstore.IOTap
+	var tap *obs.IOStats
 	if w.taps != nil {
 		tap = &w.taps[len(w.taps)-1]
 	}

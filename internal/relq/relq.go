@@ -632,7 +632,7 @@ func (b *Bound) prepare() {
 		}
 	}
 	var ps *obs.Span
-	var before []colstore.IOStats
+	var before []obs.IOStats
 	if sp := obs.SpanFrom(q.ctx); sp != nil {
 		ps = sp.StartChild("Plan")
 		before = partStats(q.parts)
@@ -648,14 +648,14 @@ func (b *Bound) prepare() {
 					ps.AddDetail("%s", line)
 				}
 			}
-			ps.AddIO(ops.IODelta(before[pi], part.R.Stats()))
+			ps.AddIO(part.R.Stats().Sub(before[pi]))
 		}
 		ps.End()
 	}
 }
 
-func partStats(parts []ops.Part) []colstore.IOStats {
-	out := make([]colstore.IOStats, len(parts))
+func partStats(parts []ops.Part) []obs.IOStats {
+	out := make([]obs.IOStats, len(parts))
 	for pi, part := range parts {
 		out[pi] = part.R.Stats()
 	}
@@ -674,7 +674,7 @@ func (q *Q) runBuild(st *stage) error {
 		b.ran = true
 		ctx := q.ctx
 		bs := obs.SpanFrom(ctx).StartChild("Build[" + st.Name + "]")
-		var before []colstore.IOStats
+		var before []obs.IOStats
 		if bs != nil {
 			before = partStats(b.q.parts)
 			ctx = obs.ContextWithSpan(ctx, bs)
@@ -685,7 +685,7 @@ func (q *Q) runBuild(st *stage) error {
 		}
 		if bs != nil {
 			for pi, part := range b.q.parts {
-				bs.AddIO(ops.IODelta(before[pi], part.R.Stats()))
+				bs.AddIO(part.R.Stats().Sub(before[pi]))
 			}
 			if b.Err == nil {
 				bs.SetRows(b.Rows, b.Rows)

@@ -492,18 +492,10 @@ func member(targets []uint64, sorted bool, v uint64) bool {
 	return slices.Contains(targets, v)
 }
 
-// ScanPackedLookup evaluates `table[entry]` over the packed stream, for
-// IN-sets too large for the per-target SWAR disjunction: one table probe
-// per entry instead of one comparison per (entry, target) pair. The table
-// must cover [0, 2^width).
-func ScanPackedLookup(data []byte, n int, width uint, table []bool) *bitutil.Bitmap {
-	out := bitutil.NewBitmap(n)
-	ScanPackedLookupInto(out, data, width, table)
-	return out
-}
-
-// ScanPackedLookupInto is ScanPackedLookup into a caller-supplied all-zero
-// bitmap.
+// ScanPackedLookupInto evaluates `table[entry]` over the packed stream
+// into a caller-supplied all-zero bitmap, for IN-sets too large for the
+// per-target SWAR disjunction: one table probe per entry instead of one
+// comparison per (entry, target) pair. The table must cover [0, 2^width).
 func ScanPackedLookupInto(out *bitutil.Bitmap, data []byte, width uint, table []bool) {
 	n := out.Len()
 	r := bitutil.NewReader(data)

@@ -182,7 +182,7 @@ type Table struct {
 		rows int
 		img  *colstore.Reader
 	}
-	tailIO colstore.IOStats
+	tailIO obs.IOStats
 }
 
 // Open opens (or creates) a sharded table in dir, recovering it to the
@@ -668,16 +668,6 @@ func (t *Table) LastFlushTrace() string {
 	return t.lastFlush
 }
 
-// FlushErr returns the sticky error of the last failed flush or
-// seal/rotate, nil when healthy. Appends keep succeeding while flushes
-// fail — rows accumulate durably in the WAL — so ingestion degrades
-// gracefully instead of going dark.
-func (t *Table) FlushErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.flushErr
-}
-
 // Encodings returns the per-column encoding the most recent flush chose
 // (the selector re-runs each flush, so later shards win; columns never
 // flushed are absent).
@@ -847,8 +837,8 @@ func (t *Table) statReaders() []*colstore.Reader {
 
 // IOStats sums the IO counters of every reader the table has served
 // queries from: live shards, cached tail images, and retired ones.
-func (t *Table) IOStats() colstore.IOStats {
-	var sum colstore.IOStats
+func (t *Table) IOStats() obs.IOStats {
+	var sum obs.IOStats
 	for _, r := range t.statReaders() {
 		sum.Add(r.Stats())
 	}
@@ -865,7 +855,7 @@ func (t *Table) ResetIOStats() {
 	}
 	t.tailMu.Lock()
 	defer t.tailMu.Unlock()
-	t.tailIO = colstore.IOStats{}
+	t.tailIO = obs.IOStats{}
 }
 
 // ScrubReport is the result of a full integrity scrub.

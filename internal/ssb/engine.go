@@ -5,6 +5,7 @@ import (
 	"codecdb/internal/memtable"
 	"codecdb/internal/ops"
 	"codecdb/internal/relq"
+	"codecdb/internal/sboost"
 )
 
 // The engine plans compile every SSB query through internal/relq into an
@@ -19,19 +20,26 @@ import (
 // groupAgg/emit path so output ordering is byte-identical across the
 // three.
 
+// flight1Filters states a flight-1 query's fact predicates; the binder
+// fuses each column's >= / <= pair into one dictionary key range.
+func flight1Filters(spec flight1Spec) []ops.Filter {
+	cmp := func(col string, op sboost.Op, v int64) ops.Filter { return &ops.Cmp{Col: col, Op: op, Value: v} }
+	return []ops.Filter{
+		&ops.Match{Col: "lo_orderdate", Int: spec.datePred},
+		cmp("lo_discount", sboost.OpGe, spec.discLo), cmp("lo_discount", sboost.OpLe, spec.discHi),
+		cmp("lo_quantity", sboost.OpGe, spec.qtyLo), cmp("lo_quantity", sboost.OpLe, spec.qtyHi),
+	}
+}
+
 func (t *Tables) engineFlight1(spec flight1Spec) (Result, error) {
-	b, err := relq.Scan(t.LO, t.Pool).
-		Where(&ops.Match{Col: "lo_orderdate", Int: spec.datePred}).
-		Where(&ops.Match{Col: "lo_discount", Int: func(v int64) bool {
-			return v >= spec.discLo && v <= spec.discHi
-		}}).
-		Where(&ops.Match{Col: "lo_quantity", Int: func(v int64) bool {
-			return v >= spec.qtyLo && v <= spec.qtyHi
-		}}).
-		GroupByOver([]string{"lo_extendedprice", "lo_discount"}, nil,
-			[]relq.GAgg{{Name: "revenue", Kind: ops.RelAggSumInt, FnI: func(r relq.Row) int64 {
-				return r.Int(0) * r.Int(1)
-			}}})
+	q := relq.Scan(t.LO, t.Pool)
+	for _, f := range flight1Filters(spec) {
+		q = q.Where(f)
+	}
+	b, err := q.GroupByOver([]string{"lo_extendedprice", "lo_discount"}, nil,
+		[]relq.GAgg{{Name: "revenue", Kind: ops.RelAggSumInt, FnI: func(r relq.Row) int64 {
+			return r.Int(0) * r.Int(1)
+		}}})
 	if err != nil {
 		return Result{}, err
 	}

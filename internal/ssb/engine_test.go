@@ -1,10 +1,12 @@
 package ssb
 
 import (
+	"strings"
 	"testing"
 
 	"codecdb/internal/colstore"
 	"codecdb/internal/core"
+	"codecdb/internal/ops"
 )
 
 // TestEngineMatchesObliviousAllFormats is the engine-equivalence property:
@@ -59,5 +61,32 @@ func TestEngineMatchesObliviousAllFormats(t *testing.T) {
 				tablesEqual(t, q, eng.Table, obl.Table)
 			}
 		})
+	}
+}
+
+// TestFlight1RangesFuse: flight 1 states lo_discount and lo_quantity as
+// >= / <= comparison pairs, and the binder makes each column's pair one
+// dictionary key-range leaf, walked once per page.
+func TestFlight1RangesFuse(t *testing.T) {
+	for _, q := range []string{"1.1", "1.2", "1.3"} {
+		var preds []*ops.Pred
+		for _, f := range flight1Filters(flight1Specs[q]) {
+			preds = append(preds, ops.LeafPred(f))
+		}
+		pl, err := ops.BuildPlan(ops.AndPred(preds...), sharedTables.LO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"lo_discount", "lo_quantity"} {
+			var leaves []string
+			for _, n := range pl.Root.Kids {
+				if name, details := n.LeafText(); strings.Contains(name, col) {
+					leaves = append(leaves, name+": "+strings.Join(details, "; "))
+				}
+			}
+			if len(leaves) != 1 || !strings.Contains(leaves[0], "2 conjuncts fused into key range") {
+				t.Errorf("Q%s: %s binds as %q, want one fused key-range leaf", q, col, leaves)
+			}
+		}
 	}
 }

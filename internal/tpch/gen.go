@@ -286,9 +286,6 @@ func (d *Data) genCustomer(rng *rand.Rand, n int) {
 	}
 }
 
-// PartTypeCount is the number of distinct p_type strings.
-var PartTypeCount = len(typeSyl1) * len(typeSyl2) * len(typeSyl3)
-
 func (d *Data) genPart(rng *rand.Rand, n int) {
 	p := &d.Part
 	for i := 1; i <= n; i++ {

@@ -118,13 +118,6 @@ func Create(fsys vfs.FS, path string, seq uint64) (*Writer, error) {
 // Seq returns the segment's sequence number.
 func (w *Writer) Seq() uint64 { return w.seq }
 
-// Broken reports the sticky error that poisoned this segment, or nil.
-func (w *Writer) Broken() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.broken
-}
-
 // appendRecord frames payload into buf.
 func appendRecord(buf, payload []byte) []byte {
 	var hdr [recordOverhead]byte

@@ -109,21 +109,14 @@ func TestPipelineTraceIOSumsAcrossTerminals(t *testing.T) {
 			after := tbl.IOStats()
 			root.End()
 
-			delta := obs.SpanIO{
-				PagesRead:         after.PagesRead - before.PagesRead,
-				PagesPruned:       after.PagesPruned - before.PagesPruned,
-				PagesSkipped:      after.PagesSkipped - before.PagesSkipped,
-				BytesRead:         after.BytesRead - before.BytesRead,
-				BytesDecompressed: after.BytesDecompressed - before.BytesDecompressed,
-			}
-			if sum := root.SumIO(); sum != delta {
+			if sum, delta := attributed(root.SumIO()), attributed(after.Sub(before)); sum != delta {
 				t.Fatalf("root children IO sum %+v != IOStats delta %+v\n%s", sum, delta, root.Render())
 			}
 			pipe := findSpan(root, "Pipeline[")
 			if pipe == nil {
 				t.Fatalf("no pipeline span in trace:\n%s", root.Render())
 			}
-			if sum := pipe.SumIO(); sum != pipe.IO() {
+			if sum := attributed(pipe.SumIO()); sum != attributed(pipe.IO()) {
 				t.Fatalf("pipeline stage IO sum %+v != pipeline delta %+v\n%s", sum, pipe.IO(), root.Render())
 			}
 		})

@@ -40,26 +40,14 @@ func (q *Query) record(ctx context.Context, terminal string) (context.Context, f
 	rowsIn := q.t.NumRows()
 	sp := obs.SpanFrom(ctx)
 	return ctx, func(rowsOut int64, err error) {
-		after := q.t.IOStats()
+		io := q.t.IOStats().Sub(before)
 		rec := &obs.QueryRecord{
 			Wall:    time.Since(lq.Start),
-			IORead:  time.Duration(after.IONanos - before.IONanos),
+			IORead:  time.Duration(io.IONanos),
 			RowsIn:  rowsIn,
 			RowsOut: rowsOut,
-			IO: obs.RecordIO{
-				PagesRead:      after.PagesRead - before.PagesRead,
-				PagesPruned:    after.PagesPruned - before.PagesPruned,
-				PagesSkipped:   after.PagesSkipped - before.PagesSkipped,
-				PagesCoalesced: after.PagesCoalesced - before.PagesCoalesced,
-				BytesRead:      after.BytesRead - before.BytesRead,
-				BytesDecomp:    after.BytesDecompressed - before.BytesDecompressed,
-				PrefetchHits:   after.PrefetchHits - before.PrefetchHits,
-				PrefetchMisses: after.PrefetchMisses - before.PrefetchMisses,
-			},
+			IO:      io,
 		}
-		wait, dec := lq.IOTimes()
-		rec.Wait = time.Duration(wait)
-		rec.Decompress = time.Duration(dec)
 		if sp != nil {
 			rec.TraceRoot = sp
 		}

@@ -157,16 +157,7 @@ func TestRecorderIOMatchesTableDelta(t *testing.T) {
 	if rec == nil {
 		t.Fatal("query missing from the ring")
 	}
-	want := obs.RecordIO{
-		PagesRead:      after.PagesRead - before.PagesRead,
-		PagesPruned:    after.PagesPruned - before.PagesPruned,
-		PagesSkipped:   after.PagesSkipped - before.PagesSkipped,
-		PagesCoalesced: after.PagesCoalesced - before.PagesCoalesced,
-		BytesRead:      after.BytesRead - before.BytesRead,
-		BytesDecomp:    after.BytesDecompressed - before.BytesDecompressed,
-		PrefetchHits:   after.PrefetchHits - before.PrefetchHits,
-		PrefetchMisses: after.PrefetchMisses - before.PrefetchMisses,
-	}
+	want := after.Sub(before)
 	if rec.IO != want {
 		t.Fatalf("record IO = %+v, want the IOStats delta %+v", rec.IO, want)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"codecdb/internal/obs"
-	"codecdb/internal/ops"
 )
 
 // relAPITables loads an orders/customers pair for relational API tests as
@@ -330,7 +329,7 @@ func TestQueryJoinBuildOnePass(t *testing.T) {
 	if bs == nil {
 		t.Fatalf("no Build span:\n%s", root.Render())
 	}
-	if delta := ops.IODelta(before, bt.IOStats()); bs.IO() != delta || delta.PagesRead != filter+gather {
+	if delta := attributed(bt.IOStats().Sub(before)); attributed(bs.IO()) != delta || delta.PagesRead != filter+gather {
 		t.Fatalf("Build span IO %+v, build table delta %+v, want %d pages\n%s", bs.IO(), delta, filter+gather, root.Render())
 	}
 }
@@ -577,9 +576,9 @@ func checkExplainAnalyzeRelIO(t *testing.T, ot, ct *Table, _ []string, _ []int64
 	if n <= 0 {
 		t.Fatal("joined count is zero; the check would be vacuous")
 	}
-	delta := ops.IODelta(oBefore, ot.IOStats())
-	delta.Add(ops.IODelta(cBefore, ct.IOStats()))
-	if sum := root.SumIO(); sum != delta {
+	delta := ot.IOStats().Sub(oBefore)
+	delta.Add(ct.IOStats().Sub(cBefore))
+	if sum, delta := attributed(root.SumIO()), attributed(delta); sum != delta {
 		t.Fatalf("span IO sum %+v != combined IOStats delta %+v\n%s", sum, delta, root.Render())
 	}
 	pipe := findSpan(root, "Pipeline[relational]")
