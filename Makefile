@@ -64,13 +64,15 @@ race-pipeline:
 # race-prefetch focuses the race detector on the page fetcher: concurrent
 # queries with mid-scan cancellation sharing the prefetch machinery, the
 # prefetch-on ≡ prefetch-off equivalence property, the fault-injection
-# fallback tests over scheduled and demand units, the one-read-per-chunk-
-# stage count behind a thrashing page cache, and the bound leaf's
-# schedule ≡ kernel reads property the prefetcher relies on.
+# fallback tests over scheduled and demand units, the walk's reads in
+# flight (at least two, at most its depth), the one-read-per-chunk-stage
+# count behind a page cache smaller than the table, the bound leaf's
+# schedule ≡ kernel reads property the prefetcher relies on, and the page
+# cache the fetcher consults (its insertion policy and concurrent use).
 race-prefetch:
 	$(GO) test -race -count=1 -run 'TestPrefetch|TestColdReads' .
 	$(GO) test -race -count=1 -run 'TestBoundLeafScheduleMatchesReads' ./internal/ops/
-	$(GO) test -race -count=1 -run 'TestPrefetch' ./internal/colstore/
+	$(GO) test -race -count=1 -run 'TestPrefetch|TestPageCache' ./internal/colstore/
 
 # race-serve focuses the race detector on the serving layer: admission
 # control (concurrent acquire/release/timeout/cancel against the

@@ -87,9 +87,11 @@ type Options struct {
 	// PageCacheBytes, when positive, sizes a byte-budgeted cache of
 	// decompressed page bodies shared by every table this DB opens:
 	// repeat scans of hot pages skip both the read and the decompress.
-	// Zero disables it (the historical default). The serving layer turns
-	// this on so concurrent queries over the same table decompress each
-	// page once.
+	// The cache is scan-resistant: a scan of a table larger than it keeps
+	// a stable share of its pages resident across passes instead of
+	// evicting each just before its next use. Zero disables it (the
+	// historical default). The serving layer turns this on so concurrent
+	// queries over the same table decompress each page once.
 	PageCacheBytes int64
 	// FS routes every file the engine touches through a virtual
 	// filesystem; nil selects the real one. Test seam for fault and

@@ -20,9 +20,10 @@ import (
 // buffers. A unit comes from one of two places:
 //
 //   - Scheduled units are handed over before the scan — the first planned
-//     stage's surviving pages, which metadata predicts exactly — and a
-//     single background goroutine walks them in morsel order, so the
-//     first stage's reads overlap decompression and scanning (lookahead).
+//     stage's surviving pages, which metadata predicts exactly — and up to
+//     fetchDepth background goroutines walk them in morsel order, each
+//     claiming the next pending unit, so the first stage's reads overlap
+//     one another as well as decompression and scanning (lookahead).
 //   - Demand units are built on a consumer's miss from the pages it
 //     declared it will read (Chunk.Want, a gather's selection, a whole-
 //     chunk decode) and read at once by that consumer: later filter
@@ -88,6 +89,15 @@ const (
 	DefaultFetchBudget = 8 << 20
 	DefaultFetchSlop   = 4 << 10
 )
+
+// fetchDepth caps the walk goroutines of one fetcher, so at most that many
+// scheduled units are read at once: on a device that serves requests
+// concurrently, overlapping reads turns per-request latency into
+// throughput. Start launches no more walkers than the part has scheduled
+// units, so a scan over many small parts (ingest shards) does not pay for
+// walkers with nothing to read. DESIGN.md ("Beyond-RAM") gives the
+// measurements behind the value.
+const fetchDepth = 4
 
 // fetchRun is one coalesced ReadAt: a contiguous extent covering `pages`
 // wanted pages plus any tolerated gaps between them.
@@ -222,8 +232,8 @@ func (f *PageFetcher) linkLocked(u *fetchUnit) {
 }
 
 // Start binds the scan's context — cancellation stops further reads — and
-// launches the background walk when anything was scheduled. Close must
-// still be called to release staged buffers.
+// launches min(fetchDepth, scheduled units) walk goroutines over the
+// schedule. Close must still be called to release staged buffers.
 func (f *PageFetcher) Start(ctx context.Context) {
 	f.mu.Lock()
 	if f.started || f.closed {
@@ -232,17 +242,24 @@ func (f *PageFetcher) Start(ctx context.Context) {
 	}
 	f.started = true
 	f.ctx = ctx
-	walk := len(f.order) > 0
+	walkers := min(fetchDepth, len(f.order))
 	f.mu.Unlock()
-	if walk {
-		f.wg.Add(1)
-		go f.loop()
+	if walkers == 0 {
+		return
+	}
+	// One method value serves every walker: `go f.loop()` would allocate
+	// a closure per goroutine.
+	loop := f.loop
+	f.wg.Add(walkers)
+	for range walkers {
+		go loop()
 	}
 }
 
-// loop is the background walk: claim the next pending unit in schedule
+// loop is one walk goroutine: claim the next pending unit in schedule
 // order, waiting out the budget when staging it would overshoot, read it
-// outside the lock, publish or discard the result.
+// outside the lock, publish or discard the result. The walkers share the
+// frontier, so each unit is claimed once.
 func (f *PageFetcher) loop() {
 	defer f.wg.Done()
 	for {

@@ -18,13 +18,23 @@ import (
 // epoch story: a table that is re-opened, re-loaded, or re-published by
 // a shard flush gets a fresh Reader and therefore a fresh key space, so
 // stale bodies can never serve a new epoch. Closing a reader drops its
-// entries eagerly; anything missed ages out through LRU eviction.
+// entries eagerly; anything missed ages out through eviction.
 //
 // The cache is sharded 16 ways by key hash so concurrent morsel workers
 // on different pages rarely contend; each shard holds its slice of the
-// byte budget with its own LRU list. Bodies returned by Get are shared
+// byte budget with its own recency list. Bodies returned by Get are shared
 // and must be treated as read-only, the same aliasing contract
 // Chunk.PageBody already imposes.
+//
+// Insertion is scan-resistant (bimodal insertion, Qureshi et al., ISCA
+// 2007): a hit moves its page to the most-recently-used end, but a new
+// page enters at the least-recently-used end, except every bipPeriod-th
+// insertion into a shard, which enters at the most-recently-used end. A
+// cyclic scan of a table larger than the cache then keeps a stable set of
+// pages resident and churns one slot per shard, where plain LRU would
+// evict every page just before its next use; a new hot set still gets in,
+// one page per shard through each periodic insertion and the rest through
+// hits.
 type PageCache struct {
 	shards   [pcShards]pcShard
 	perShard int64
@@ -36,7 +46,17 @@ type PageCache struct {
 	rejected  atomic.Int64
 }
 
-const pcShards = 16
+const (
+	pcShardBits = 4
+	pcShards    = 1 << pcShardBits
+)
+
+// bipPeriod is the bimodal insertion period: one new page in 32 enters
+// a shard at the most-recently-used end. A shorter period lets a scan
+// push out the resident set faster; a longer one slows how fast a new
+// hot set, missing several pages per shard on each pass, takes over the
+// shard. 32 is the period of the original study.
+const bipPeriod = 32
 
 type pageKey struct {
 	reader  uint64
@@ -54,7 +74,10 @@ type pcShard struct {
 	mu      sync.Mutex
 	entries map[pageKey]*pcEntry
 	used    int64
-	// Intrusive LRU ring with a sentinel: head.next is most recent,
+	// inserts counts new pages; every bipPeriod-th enters at the
+	// most-recently-used end.
+	inserts uint64
+	// Intrusive recency ring with a sentinel: head.next is most recent,
 	// head.prev least recent.
 	head pcEntry
 }
@@ -84,11 +107,15 @@ func NewPageCache(budget int64) *PageCache {
 	return c
 }
 
+// shard stripes a chunk's pages over consecutive shards, from a start
+// shard taken from the top bits of a multiplicative hash of (reader, row
+// group, column). Chunks of one page still spread over every shard, and
+// a scan fills each shard with the same share of every chunk, so the
+// pages the shards keep resident make up whole chunks, whose fetch units
+// the scheduler then drops.
 func (k pageKey) shard() int {
-	h := k.reader*0x9E3779B97F4A7C15 ^
-		uint64(k.rg)<<40 ^ uint64(k.col)<<20 ^ uint64(k.page)
-	h ^= h >> 29
-	return int(h % pcShards)
+	h := (k.reader*0x9E3779B97F4A7C15 ^ uint64(k.rg)<<32 ^ uint64(k.col)) * 0xBF58476D1CE4E5B9
+	return int((h>>(64-pcShardBits) + uint64(k.page)) % pcShards)
 }
 
 // Get returns the cached body for (reader, rg, col, page), promoting it
@@ -129,10 +156,12 @@ func (c *PageCache) Contains(reader uint64, rg, col, page int) bool {
 	return ok
 }
 
-// Put admits a copy of body under (reader, rg, col, page), evicting
-// least-recently-used entries until the shard fits its budget. Bodies
-// larger than the per-entry admission bound are rejected: a page that
-// would flush half a shard on its own is cheaper to re-decompress.
+// Put admits a copy of body under (reader, rg, col, page): it evicts
+// least-recently-used entries until the body fits the shard's budget,
+// then links the page at the least-recently-used end, or at the most-
+// recently-used end on every bipPeriod-th insertion into the shard.
+// Bodies larger than the per-entry admission bound are rejected: a page
+// that would flush half a shard on its own is cheaper to re-decompress.
 func (c *PageCache) Put(reader uint64, rg, col, page int, body []byte) {
 	if c == nil {
 		return
@@ -152,17 +181,21 @@ func (c *PageCache) Put(reader uint64, rg, col, page int, body []byte) {
 		s.mu.Unlock()
 		return
 	}
-	e := &pcEntry{key: k, body: owned}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.used += int64(len(owned))
-	for s.used > c.perShard {
+	for s.used+int64(len(owned)) > c.perShard {
 		lru := s.head.prev
 		if lru == &s.head {
 			break
 		}
 		s.evict(lru)
 		c.evictions.Add(1)
+	}
+	e := &pcEntry{key: k, body: owned}
+	s.entries[k] = e
+	s.used += int64(len(owned))
+	if s.inserts++; s.inserts%bipPeriod == 0 {
+		s.pushFront(e)
+	} else {
+		s.pushBack(e)
 	}
 	s.mu.Unlock()
 }
@@ -220,6 +253,13 @@ func (s *pcShard) pushFront(e *pcEntry) {
 	e.prev = &s.head
 	s.head.next.prev = e
 	s.head.next = e
+}
+
+func (s *pcShard) pushBack(e *pcEntry) {
+	e.prev = s.head.prev
+	e.next = &s.head
+	s.head.prev.next = e
+	s.head.prev = e
 }
 
 func (s *pcShard) unlink(e *pcEntry) {

@@ -63,6 +63,56 @@ func TestPageCacheEvictionRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestPageCacheScanResistant pins the insertion policy on a cyclic scan
+// larger than the cache: pages that total 1.5× the budget, read in the
+// same order ten times, each miss filled with Put. Plain LRU evicts every
+// page just before its next use and never hits; bimodal insertion keeps a
+// stable share resident, so from the third loop on each loop hits on at
+// least half its pages. A new reader's small hot set, repeated afterwards,
+// must still take over: some round within 64 hits on at least 90% of it.
+// No clock and no randomness: the outcome is the same on every run.
+func TestPageCacheScanResistant(t *testing.T) {
+	const (
+		budget = 256 << 10
+		page   = 1 << 10
+	)
+	c := NewPageCache(budget)
+	body := make([]byte, page)
+	pass := func(reader uint64, pages int) float64 {
+		hits := 0
+		for i := 0; i < pages; i++ {
+			if _, ok := c.Get(reader, i, 0, 0); ok {
+				hits++
+				continue
+			}
+			c.Put(reader, i, 0, 0, body)
+		}
+		if st := c.Stats(); st.Bytes > budget {
+			t.Fatalf("cache holds %d bytes, budget %d", st.Bytes, budget)
+		}
+		return float64(hits) / float64(pages)
+	}
+
+	const loopPages = budget * 3 / 2 / page
+	for loop := 0; loop < 10; loop++ {
+		share := pass(1, loopPages)
+		if loop >= 2 && share < 0.5 {
+			t.Errorf("loop %d over %d pages (1.5x the cache) hit %.3f, want >= 0.5", loop, loopPages, share)
+		}
+	}
+
+	const hotPages = budget / 4 / page
+	for round := 0; ; round++ {
+		if round == 64 {
+			t.Fatalf("a hot set of %d pages (1/4 of the cache) never reached 90%% hits in 64 rounds", hotPages)
+		}
+		if share := pass(2, hotPages); share >= 0.9 {
+			t.Logf("hot set reached %.3f hits in round %d", share, round)
+			break
+		}
+	}
+}
+
 func TestPageCacheConcurrent(t *testing.T) {
 	c := NewPageCache(1 << 20)
 	var wg sync.WaitGroup

@@ -407,11 +407,13 @@ func (r *Reader) readAtBuf(buf []byte, off int64, tap *IOStats) ([]byte, error) 
 // retry-on-transient-read policy: up to readAttempts attempts, so one
 // flaky read (short read, I/O error) does not fail the query, while a
 // persistent failure still surfaces after the budget is spent. It books
-// only the ReadAt wall time: the prefetcher calls it directly and books
-// bytes at serve time, page by page, so gap bytes a coalesced run dragged
-// in but no consumer ever touched never inflate BytesRead — the per-span
-// IO attribution keeps summing exactly to the reader's delta.
+// one ReadCalls, however many attempts it makes, and the ReadAt wall
+// time, and no bytes: the prefetcher calls it directly and books bytes at
+// serve time, page by page, so gap bytes a coalesced run dragged in but
+// no consumer ever touched never inflate BytesRead — the per-span IO
+// attribution keeps summing exactly to the reader's delta.
 func (r *Reader) readAtRaw(buf []byte, off int64) error {
+	r.count(obs.ReadCalls, 1, nil)
 	start := time.Now()
 	var err error
 	for attempt := 0; attempt < readAttempts; attempt++ {

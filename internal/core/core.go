@@ -46,9 +46,10 @@ type Options struct {
 	FS vfs.FS
 	// PageCacheBytes, when positive, sizes a process-wide cache of
 	// decompressed page bodies shared by every reader this DB opens
-	// (static tables and ingest shards alike). Zero disables caching —
-	// the historical behavior, which the IO-accounting property tests
-	// rely on.
+	// (static tables and ingest shards alike), with scan-resistant
+	// insertion (colstore.PageCache). Zero disables caching — the
+	// historical behavior, which the IO-accounting property tests rely
+	// on.
 	PageCacheBytes int64
 	// Logger receives the engine's structured events (encoding
 	// decisions, flush, quarantine, recovery, torn-tail truncation, slow

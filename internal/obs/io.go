@@ -3,8 +3,8 @@ package obs
 // IOStats counts the storage layer's work at every layer: a colstore
 // reader's totals and the process-wide ones (colstore.IOStats), one pipeline
 // stage's tap, a span's share, a flight record's delta. A span tree sums to
-// its readers' delta in all but the reader-only PagesCoalesced, BytesInFlight
-// and IONanos and the tap-only WaitNanos and DecompressNanos.
+// its readers' delta in all but the reader-only PagesCoalesced, BytesInFlight,
+// ReadCalls and IONanos and the tap-only WaitNanos and DecompressNanos.
 type IOStats struct {
 	PagesRead         int64 `json:"pagesRead"`         // fetched, verified and decompressed
 	PagesPruned       int64 `json:"pagesPruned"`       // rejected from their zone map alone, never fetched
@@ -17,6 +17,7 @@ type IOStats struct {
 	PageCacheHits     int64 `json:"pageCacheHits"`     // bodies the shared page cache served: no other counter moves
 	PageCacheMisses   int64 `json:"pageCacheMisses"`   // bodies read with a page cache attached
 	BytesInFlight     int64 `json:"-"`                 // a gauge: prefetched bytes held in pooled buffers now
+	ReadCalls         int64 `json:"readCalls"`         // device requests: reads issued to the file, a retried read counting once
 	IONanos           int64 `json:"-"`                 // wall time inside ReadAt
 	WaitNanos         int64 `json:"-"`                 // wall time stalled on an in-flight prefetch
 	DecompressNanos   int64 `json:"-"`                 // wall time inside decompression
@@ -38,6 +39,7 @@ const (
 	PageCacheHits
 	PageCacheMisses
 	BytesInFlight
+	ReadCalls
 	IONanos
 	WaitNanos
 	DecompressNanos
@@ -48,7 +50,8 @@ const (
 func (s *IOStats) Fields() [NumIOCounters]*int64 {
 	return [...]*int64{&s.PagesRead, &s.PagesPruned, &s.PagesSkipped, &s.PagesCoalesced,
 		&s.BytesRead, &s.BytesDecompressed, &s.PrefetchHits, &s.PrefetchMisses,
-		&s.PageCacheHits, &s.PageCacheMisses, &s.BytesInFlight, &s.IONanos, &s.WaitNanos, &s.DecompressNanos}
+		&s.PageCacheHits, &s.PageCacheMisses, &s.BytesInFlight, &s.ReadCalls, &s.IONanos, &s.WaitNanos,
+		&s.DecompressNanos}
 }
 
 // Add folds o into s.

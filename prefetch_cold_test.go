@@ -60,13 +60,15 @@ func coldColumns(n int) []Column {
 // TestColdReadsOnePerChunkStage pins the fetcher's rule: a page neither
 // staged nor cached costs one coalesced read covering every page its
 // consumer still needs from that chunk. Behind a page cache smaller than
-// the table, a cyclic scan evicts pages before their next use, and each
-// query — a no-predicate sum, a two-conjunct count, a filtered group
-// count, a 1%-selective gather — may issue at most one device request per
-// row group and (column, stage) pair that reads a page, with prefetch on
-// or off. Coalescing changes how pages arrive, never which: every page a
-// query consumes is either read or a cache hit, exactly the pages the same
-// query reads with no cache at all, and the answers agree.
+// the table, the cache keeps a stable share of a cyclic scan's pages
+// resident — so once the scan has cycled, every later round of queries
+// gets page-cache hits — and evicts the rest; each query — a no-predicate
+// sum, a two-conjunct count, a filtered group count, a 1%-selective
+// gather — may still issue at most one device request per row group and
+// (column, stage) pair that reads a page, with prefetch on or off.
+// Coalescing changes how pages arrive, never which: every page a query
+// consumes is either read or a cache hit, exactly the pages the same query
+// reads with no cache at all, and the answers agree.
 func TestColdReadsOnePerChunkStage(t *testing.T) {
 	const (
 		rowGroups = 8
@@ -121,7 +123,8 @@ func TestColdReadsOnePerChunkStage(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
-		for round := 0; round < 3; round++ {
+		var hits [3]int64 // page-cache hits per round, over every query
+		for round := range hits {
 			for _, tc := range queries {
 				label := fmt.Sprintf("%s/prefetch=%v", tc.name, prefetch)
 				before, reads := ct.IOStats(), fsys.reads.Load()
@@ -145,6 +148,7 @@ func TestColdReadsOnePerChunkStage(t *testing.T) {
 					t.Errorf("%s round %d: %d device reads for %d pages, want <= %d (one per row group and column stage)",
 						label, round, calls, after.PagesRead-before.PagesRead, bound)
 				}
+				hits[round] += after.PageCacheHits - before.PageCacheHits
 				consumed := (after.PagesRead - before.PagesRead) + (after.PageCacheHits - before.PageCacheHits)
 				if consumed != wantPages {
 					t.Errorf("%s round %d: %d pages read + cache hits, no cache reads %d", label, round, consumed, wantPages)
@@ -152,6 +156,11 @@ func TestColdReadsOnePerChunkStage(t *testing.T) {
 				if bif := after.BytesInFlight; bif != 0 {
 					t.Errorf("%s round %d: bytes-in-flight = %d after the query", label, round, bif)
 				}
+			}
+		}
+		for round := 1; round < len(hits); round++ {
+			if hits[round] == 0 {
+				t.Errorf("prefetch=%v round %d: no page-cache hits; the cache kept none of the cycled scan's pages", prefetch, round)
 			}
 		}
 	}

@@ -557,7 +557,7 @@ func TestExplainAnalyzeRelIOConsistent(t *testing.T) {
 	forEachRelSource(t, checkExplainAnalyzeRelIO)
 	for _, kind := range sourceKinds {
 		t.Run(kind+"/small-cache", func(t *testing.T) {
-			ot, ct, _, _, _, _ := relAPITablesIn(t, smallCache, kind, 40000)
+			ot, ct, _, _, _, _ := relAPITablesIn(t, smallCache, kind, smallCacheRows)
 			for run := 0; run < 3; run++ {
 				checkExplainAnalyzeRelIO(t, ot, ct, nil, nil, nil, nil)
 			}
