@@ -46,12 +46,16 @@ race-obs:
 # sinks every terminal is made of (per-morsel sink state is worker-local),
 # the per-extra-row-group byte bound on a join + grouped relational morsel
 # (its vectors come from pooled worker slabs), zero allocations for gzip
-# and snappy page decompression into a large-enough buffer, and zero
-# allocations for every SBoost scan kernel into a pre-sized bitmap.
+# and snappy page decompression into a large-enough buffer, zero
+# allocations for every SBoost scan kernel into a pre-sized bitmap, and
+# zero allocations for a selective gather of delta, bit-packed and
+# dictionary-RLE chunks into a pre-sized destination (pages decode into
+# pooled scratch, not a fresh slice per page).
 guard-obs:
 	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded|TestRelMorselBytesPerRowGroupBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
 	$(GO) test -count=1 -run 'TestScanKernelsAllocFree' ./internal/sboost/
+	$(GO) test -count=1 -run 'TestGatherAllocFree' ./internal/colstore/
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
@@ -130,12 +134,16 @@ bench-smoke:
 # bench-planner-smoke runs one iteration of each planner pipeline
 # benchmark (they self-check counts, so this doubles as a correctness
 # gate in check), of each SBoost kernel benchmark (ns/row per width and
-# kernel) and of the join-table probe benchmark (ns per probe, direct and
-# hashed layouts, 1k and 75k keys, 0/50/100% hits).
+# kernel), of the join-table probe benchmark (ns per probe, direct and
+# hashed layouts, 1k and 75k keys, 0/50/100% hits), of the bulk unpack
+# kernel (ns/value at widths 1 to 64) and of the chunk gathers (ns/row of
+# GatherInts/GatherKeys/GatherFloats per encoding, 1/30/100% selected).
 bench-planner-smoke:
 	$(GO) test -run xxx -bench BenchmarkPlannerPipeline -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkScanKernels -benchtime 1x ./internal/sboost/
 	$(GO) test -run xxx -bench BenchmarkJoinProbe -benchtime 1x ./internal/ops/
+	$(GO) test -run xxx -bench BenchmarkUnpack -benchtime 1x ./internal/bitutil/
+	$(GO) test -run xxx -bench BenchmarkGather -benchtime 1x ./internal/colstore/
 
 # serve-demo loads a TPC-H sample into ./demodb and serves /metrics,
 # /debug/vars, and /debug/pprof on :8080 until interrupted.
@@ -145,16 +153,17 @@ serve-demo:
 
 # fuzz gives the colstore Open fuzzer, the two page decompressor fuzzers
 # (gzip differential against compress/gzip, snappy), the selected-entry
-# gather (differential against bitutil.Reader), the SBoost scan kernels
-# (differential against the scalar reference) and the join table (both
-# layouts, against a map from key to build rows) a short budget each; extend
-# FUZZTIME for longer campaigns. FuzzOpen's inputs are whole files, and
+# gather and the bulk unpack (both differential against bitutil.Reader),
+# the SBoost scan kernels (differential against the scalar reference) and
+# the join table (both layouts, against a map from key to build rows) a
+# short budget each; extend FUZZTIME for longer campaigns. FuzzOpen's inputs are whole files, and
 # shrinking one new input for the default minimize time (60 s) used up the
 # whole budget, so it shrinks each for at most 100 runs.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/colstore/ -run xxx -fuzz FuzzOpen -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/bitutil/ -run xxx -fuzz FuzzGatherSelected -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitutil/ -run xxx -fuzz FuzzAppendUnpacked -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzGzipDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcompress/ -run xxx -fuzz FuzzSnappyDecompress -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sboost/ -run xxx -fuzz FuzzScanKernels -fuzztime $(FUZZTIME)

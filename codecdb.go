@@ -110,12 +110,11 @@ func Open(dir string, opts ...Options) (*DB, error) {
 		learned = o.Selector.inner
 	}
 	inner, err := core.Open(dir, core.Options{
-		OperatorThreads: o.Threads,
-		DataThreads:     o.Threads,
-		Selector:        learned,
-		Logger:          o.Logger,
-		FS:              o.FS,
-		PageCacheBytes:  o.PageCacheBytes,
+		DataThreads:    o.Threads,
+		Selector:       learned,
+		Logger:         o.Logger,
+		FS:             o.FS,
+		PageCacheBytes: o.PageCacheBytes,
 	})
 	if err != nil {
 		return nil, err

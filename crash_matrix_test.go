@@ -31,7 +31,7 @@ const crashRows = 24
 // not get to act on them either.
 func crashWorkload(t *testing.T, fsys vfs.FS, dir string) (acked int) {
 	t.Helper()
-	inner, err := core.Open(dir, core.Options{FS: fsys, OperatorThreads: 2, DataThreads: 2})
+	inner, err := core.Open(dir, core.Options{FS: fsys, DataThreads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		}
 
 		// Reopen through the real filesystem, as a restarted process would.
-		inner, err := core.Open(dir, core.Options{OperatorThreads: 2, DataThreads: 2})
+		inner, err := core.Open(dir, core.Options{DataThreads: 2})
 		if err != nil {
 			t.Fatalf("k=%d: reopen: %v", k, err)
 		}
@@ -159,7 +159,7 @@ func TestCrashMatrixDoubleCrash(t *testing.T) {
 	}
 
 	reopenAndFlush := func(fsys vfs.FS) (int, error) {
-		inner, err := core.Open(dir, core.Options{FS: fsys, OperatorThreads: 2, DataThreads: 2})
+		inner, err := core.Open(dir, core.Options{FS: fsys, DataThreads: 2})
 		if err != nil {
 			return 0, err
 		}
@@ -186,7 +186,7 @@ func TestCrashMatrixDoubleCrash(t *testing.T) {
 		fs2.CrashAfterWriteOps(k)
 		_, _ = reopenAndFlush(fs2) // second crash, possibly mid-recovery-flush
 
-		inner, err := core.Open(dir, core.Options{OperatorThreads: 2, DataThreads: 2})
+		inner, err := core.Open(dir, core.Options{DataThreads: 2})
 		if err != nil {
 			t.Fatalf("k=%d: final reopen: %v", k, err)
 		}

@@ -7,11 +7,12 @@
 // allocation count on the hot path is zero.
 //
 // Buffers handed out by a Scratch alias its internal storage: each family
-// (Raw, Body, Words/Bitmap, Ints, Pages) has one live buffer at a time, and a
-// later call with the same family invalidates the earlier result. Callers
-// must also never retain a scratch-backed buffer past Put. Decoded output
-// that aliases the page body (notably string decoding, which returns
-// subslices of the body) must therefore not flow through a Scratch.
+// (Raw, Body, Words/Bitmap, Ints, Floats, Pages) has one live buffer at a
+// time, and a later call with the same family invalidates the earlier
+// result. Callers must also never retain a scratch-backed buffer past Put.
+// Decoded output that aliases the page body (notably string decoding,
+// which returns subslices of the body) must therefore not flow through a
+// Scratch.
 package arena
 
 import (
@@ -24,11 +25,12 @@ import (
 // ready to use; buffers grow to the high-water mark of the pages they
 // serve and stay grown while the Scratch lives in the pool.
 type Scratch struct {
-	raw   []byte
-	body  []byte
-	words []uint64
-	ints  []int64
-	pages []int
+	raw    []byte
+	body   []byte
+	words  []uint64
+	ints   []int64
+	floats []float64
+	pages  []int
 }
 
 var pool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -98,6 +100,22 @@ func (s *Scratch) Ints(n int) []int64 {
 func (s *Scratch) KeepInts(v []int64) {
 	if cap(v) > cap(s.ints) {
 		s.ints = v
+	}
+}
+
+// Floats returns an empty float64 slice with capacity at least n.
+func (s *Scratch) Floats(n int) []float64 {
+	if cap(s.floats) < n {
+		s.floats = make([]float64, 0, n)
+	}
+	return s.floats[:0]
+}
+
+// KeepFloats records a (possibly reallocated) float buffer so its grown
+// capacity is retained.
+func (s *Scratch) KeepFloats(v []float64) {
+	if cap(v) > cap(s.floats) {
+		s.floats = v
 	}
 }
 

@@ -38,6 +38,15 @@ func TestScratchBufferFamilies(t *testing.T) {
 	if cap(s.Ints(1)) < 1024 {
 		t.Fatalf("KeepInts did not retain grown capacity")
 	}
+
+	floats := s.Floats(32)
+	if len(floats) != 0 || cap(floats) < 32 {
+		t.Fatalf("Floats(32): len=%d cap=%d", len(floats), cap(floats))
+	}
+	s.KeepFloats(make([]float64, 0, 1024))
+	if cap(s.Floats(1)) < 1024 {
+		t.Fatalf("KeepFloats did not retain grown capacity")
+	}
 }
 
 func TestScratchBitmapZeroed(t *testing.T) {

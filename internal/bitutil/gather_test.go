@@ -50,6 +50,8 @@ func TestGatherSelectedMatchesReader(t *testing.T) {
 		"99%":   func(int) bool { return rng.Intn(100) != 0 },
 		"first": func(i int) bool { return i == 0 },
 		"last":  func(i int) bool { return i == n-1 },
+		// Whole words alternately all ones and empty.
+		"runs": func(i int) bool { return (from+i)/64%2 == 0 },
 	}
 	for width := uint(1); width <= 64; width++ {
 		packed := packedOf(rng, n, width)
@@ -104,24 +106,36 @@ func firstDiff(a, b []int64) int {
 
 // FuzzGatherSelected holds the primitive to Reader on arbitrary streams —
 // including ones shorter than the window needs, whose missing bits read as
-// zero — arbitrary selections and every width.
+// zero — arbitrary selections and every width. The window starts at a
+// fuzzed row, zero or not, and a fuzzed share of the selection's words is
+// all ones, so the run path meets unaligned windows and short streams too.
 func FuzzGatherSelected(f *testing.F) {
-	f.Add([]byte{0xff, 0x01, 0x80, 0x7f, 0x00, 0x55, 0xaa, 0x11, 0x22}, uint8(5), uint8(3), uint16(40), int64(1))
-	f.Add([]byte{}, uint8(64), uint8(0), uint16(3), int64(2))
-	f.Add(make([]byte, 70), uint8(57), uint8(63), uint16(9), int64(3))
-	f.Fuzz(func(t *testing.T, packed []byte, width, from uint8, n uint16, seed int64) {
+	f.Add([]byte{0xff, 0x01, 0x80, 0x7f, 0x00, 0x55, 0xaa, 0x11, 0x22}, uint8(5), uint8(3), uint16(40), int64(1), uint8(0))
+	f.Add([]byte{}, uint8(64), uint8(0), uint16(3), int64(2), uint8(50))
+	f.Add(make([]byte, 70), uint8(57), uint8(63), uint16(9), int64(3), uint8(0))
+	f.Add(make([]byte, 300), uint8(13), uint8(64), uint16(500), int64(4), uint8(100))
+	f.Add(make([]byte, 700), uint8(20), uint8(0), uint16(256), int64(5), uint8(100))
+	f.Add(make([]byte, 200), uint8(7), uint8(100), uint16(150), int64(6), uint8(60))
+	f.Fuzz(func(t *testing.T, packed []byte, width, from uint8, n uint16, seed int64, fullShare uint8) {
 		w := uint(width) % 65
+		lo := int(from)
 		rng := rand.New(rand.NewSource(seed))
-		sel := NewBitmap(int(from) + int(n))
+		sel := NewBitmap(lo + int(n))
 		density := rng.Intn(101)
-		for i := int(from); i < sel.Len(); i++ {
+		for i := lo; i < sel.Len(); i++ {
 			if rng.Intn(100) < density {
 				sel.Set(i)
 			}
 		}
+		for wi := range sel.words {
+			if rng.Intn(100) < int(fullShare)%101 {
+				sel.words[wi] = ^uint64(0)
+			}
+		}
+		sel.Mask()
 		for _, zz := range []bool{false, true} {
-			want := readerGather(packed, w, zz, sel, int(from), sel.Len())
-			got := GatherSelected(nil, packed, w, zz, sel, int(from), sel.Len())
+			want := readerGather(packed, w, zz, sel, lo, sel.Len())
+			got := GatherSelected(nil, packed, w, zz, sel, lo, sel.Len())
 			if !slices.Equal(got, want) {
 				t.Fatalf("width %d zigzag %v: diverges from Reader at entry %d", w, zz, firstDiff(got, want))
 			}

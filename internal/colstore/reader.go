@@ -900,10 +900,34 @@ func appendRows[T any](out, vals []T, sel *bitutil.Bitmap, first, last int) ([]T
 	if sel == nil {
 		return append(out, vals...), nil
 	}
-	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
-		out = append(out, vals[i-first])
+	return bitutil.AppendSelected(out, vals, sel, first, last), nil
+}
+
+// gatherPage appends to out the rows of one page — [first, last) of the
+// chunk — that sel keeps, every row when sel is nil, where decode appends
+// the whole page onto a slice. Without a selection the page decodes
+// straight onto out; with one it decodes into buf, a scratch buffer, and
+// only the kept rows reach out, so neither path allocates per page. It
+// returns buf as decode grew it, for the scratch to keep.
+func gatherPage[T any](out, buf []T, sel *bitutil.Bitmap, first, last int,
+	decode func(dst []T) ([]T, error)) (res, grown []T, err error) {
+	if sel == nil {
+		base := len(out)
+		if out, err = decode(out); err != nil {
+			return nil, buf, err
+		}
+		if len(out)-base != last-first {
+			return nil, buf, ErrFormat
+		}
+		return out, buf, nil
 	}
-	return out, nil
+	// Sized to the page at once, so a fresh scratch allocates once.
+	vals, err := decode(slices.Grow(buf[:0], last-first))
+	if err != nil {
+		return nil, buf, err
+	}
+	out, err = appendRows(out, vals, sel, first, last)
+	return out, vals, err
 }
 
 // lookup maps every key to its dictionary entry, in out's storage when it
@@ -952,19 +976,31 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 		if err != nil {
 			return err
 		}
-		if sel != nil && c.column.Encoding == encoding.KindBitPacked {
-			n, width, packed, err := encoding.InspectBitPacked(body)
-			if err != nil || n != last-first {
-				return ErrFormat
+		if sel != nil {
+			// Bit-packed and plain pages are fixed-width streams (a plain
+			// page's at width 64): only the selected entries load.
+			switch c.column.Encoding {
+			case encoding.KindBitPacked:
+				n, width, packed, err := encoding.InspectBitPacked(body)
+				if err != nil || n != last-first {
+					return ErrFormat
+				}
+				out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
+				return nil
+			case encoding.KindPlain:
+				n, vals, err := encoding.InspectPlain(body)
+				if err != nil || n != last-first {
+					return ErrFormat
+				}
+				out = bitutil.GatherSelected(out, vals, 64, false, sel, first, last)
+				return nil
 			}
-			out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
-			return nil
 		}
-		vals, err := codec.Decode(body)
-		if err != nil {
-			return err
-		}
-		out, err = appendRows(out, vals, sel, first, last)
+		var buf []int64
+		out, buf, err = gatherPage(out, sc.Ints(0), sel, first, last, func(dst []int64) ([]int64, error) {
+			return encoding.AppendDecode(codec, dst, body)
+		})
+		sc.KeepInts(buf)
 		return err
 	})
 	if err != nil {
@@ -989,11 +1025,11 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 			return err
 		}
 		if c.column.Encoding == encoding.KindDictRLE {
-			vals, err := (encoding.RLEInt{}).Decode(body)
-			if err != nil {
-				return err
-			}
-			out, err = appendRows(out, vals, sel, first, last)
+			var buf []int64
+			out, buf, err = gatherPage(out, sc.Ints(0), sel, first, last, func(dst []int64) ([]int64, error) {
+				return encoding.RLEInt{}.AppendDecode(dst, body)
+			})
+			sc.KeepInts(buf)
 			return err
 		}
 		width, n, packed, err := decodePackedKeys(body)
@@ -1002,14 +1038,9 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 		}
 		if sel != nil {
 			out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
-			return nil
+		} else {
+			out = bitutil.AppendUnpacked(out, packed, width, n, false)
 		}
-		// A local slice keeps the per-key loop off the captured variable.
-		keys, r := out, bitutil.NewReader(packed)
-		for i := 0; i < n; i++ {
-			keys = append(keys, int64(r.ReadBits(width)))
-		}
-		out = keys
 		return nil
 	})
 	if err != nil {
@@ -1079,7 +1110,25 @@ func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, err
 		if err != nil {
 			return err
 		}
-		out, err = c.appendFloats(out, body, sel, first, last)
+		if sel != nil && c.column.Encoding == encoding.KindPlain {
+			// A plain page is a width-64 stream of float bits: only the
+			// selected entries load.
+			n, vals, err := encoding.InspectPlain(body)
+			if err != nil || n != last-first {
+				return ErrFormat
+			}
+			fbits := bitutil.GatherSelected(sc.Ints(n), vals, 64, false, sel, first, last)
+			sc.KeepInts(fbits)
+			for _, b := range fbits {
+				out = append(out, math.Float64frombits(uint64(b)))
+			}
+			return nil
+		}
+		var buf []float64
+		out, buf, err = gatherPage(out, sc.Floats(0), sel, first, last, func(dst []float64) ([]float64, error) {
+			return c.appendFloats(dst, body)
+		})
+		sc.KeepFloats(buf)
 		return err
 	})
 	if err != nil {
@@ -1088,43 +1137,19 @@ func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, err
 	return out, nil
 }
 
-// appendFloats decodes the rows of one float page, [first, last) of the
-// chunk, that sel keeps — every row when sel is nil — straight onto out.
-// Floats never alias the body, so it may live in scratch.
-func (c *Chunk) appendFloats(out []float64, body []byte, sel *bitutil.Bitmap, first, last int) ([]float64, error) {
+// appendFloats decodes one float page whole onto out. Floats never alias
+// the body, so it may live in scratch.
+func (c *Chunk) appendFloats(out []float64, body []byte) ([]float64, error) {
 	if c.column.Encoding == encoding.KindXorFloat {
-		// XOR pages decode sequentially: decode the page onto out, then
-		// compact the selected rows down over it.
-		base := len(out)
-		out, err := encoding.XorFloat{}.AppendDecode(out, body)
-		if err != nil {
-			return nil, err
-		}
-		if len(out)-base != last-first {
-			return nil, ErrFormat
-		}
-		if sel == nil {
-			return out, nil
-		}
-		k := base
-		for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
-			out[k] = out[base+i-first]
-			k++
-		}
-		return out[:k], nil
+		return encoding.XorFloat{}.AppendDecode(out, body)
 	}
 	n, vals, err := encoding.InspectPlain(body)
-	if err != nil || n != last-first {
+	if err != nil {
 		return nil, ErrFormat
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[i*8:])))
-		}
-		return out, nil
-	}
-	for i := sel.NextSet(first); i >= 0 && i < last; i = sel.NextSet(i + 1) {
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[(i-first)*8:])))
+	out = slices.Grow(out, n)
+	for i := 0; i < n; i++ {
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(vals[i*8:])))
 	}
 	return out, nil
 }

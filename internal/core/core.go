@@ -31,7 +31,8 @@ const sampleBytes = 1 << 20
 
 // Options configures a database instance.
 type Options struct {
-	// OperatorThreads sizes the operator pool (default GOMAXPROCS).
+	// OperatorThreads is ignored: no operator pool is left to size. It
+	// stays only while the benchmark module still sets it.
 	OperatorThreads int
 	// DataThreads sizes the shared data-processing pool, which bounds
 	// per-query memory (§5.2; default GOMAXPROCS).
@@ -63,7 +64,6 @@ type DB struct {
 	dir       string
 	opts      Options
 	fs        vfs.FS
-	opPool    *exec.Pool
 	dataPool  *exec.Pool
 	pageCache *colstore.PageCache
 
@@ -119,7 +119,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		dir:      dir,
 		opts:     opts,
 		fs:       fsys,
-		opPool:   exec.NewPool(opts.OperatorThreads),
 		dataPool: exec.NewPool(opts.DataThreads),
 		tables:   map[string]*Table{},
 		catalog:  catalog{Tables: map[string]tableMeta{}},
@@ -163,9 +162,6 @@ func (db *DB) Close() error {
 // PageCache returns the shared decompressed-page cache, nil when
 // disabled.
 func (db *DB) PageCache() *colstore.PageCache { return db.pageCache }
-
-// OperatorPool returns the operator-level pool.
-func (db *DB) OperatorPool() *exec.Pool { return db.opPool }
 
 // DataPool returns the block-level data pool.
 func (db *DB) DataPool() *exec.Pool { return db.dataPool }

@@ -34,17 +34,18 @@ func (BitPackedInt) Encode(values []int64) ([]byte, error) {
 }
 
 // Decode reverses Encode.
-func (BitPackedInt) Decode(data []byte) ([]int64, error) {
+func (b BitPackedInt) Decode(data []byte) ([]int64, error) {
+	return b.AppendDecode([]int64{}, data)
+}
+
+// AppendDecode is Decode appending onto dst: with room in dst (a pooled
+// buffer, say) it allocates nothing.
+func (BitPackedInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
 	n, width, packed, err := InspectBitPacked(data)
 	if err != nil {
 		return nil, err
 	}
-	r := bitutil.NewReader(packed)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = unzigzag(r.ReadBits(width))
-	}
-	return out, nil
+	return bitutil.AppendUnpacked(dst, packed, width, n, true), nil
 }
 
 // InspectBitPacked exposes the packed layout for in-situ scans: the number
@@ -123,21 +124,23 @@ func (NullSuppInt) Decode(data []byte) ([]int64, error) {
 	if len(rest) < tagBytes {
 		return nil, ErrCorrupt
 	}
-	tags := bitutil.NewReader(rest[:tagBytes])
-	body := rest[tagBytes:]
+	tags, body := rest[:tagBytes], rest[tagBytes:]
 	out := make([]int64, n)
+	var tbuf [unpackChunk]int64
 	off := 0
-	for i := range out {
-		size := int(nullSuppSizes[tags.ReadBits(2)])
-		if off+size > len(body) {
-			return nil, ErrCorrupt
+	for i := 0; i < len(out); i += unpackChunk {
+		for j, tag := range bitutil.AppendUnpacked(tbuf[:0], chunkAt(tags, 2, i), 2, min(unpackChunk, len(out)-i), false) {
+			size := int(nullSuppSizes[tag])
+			if off+size > len(body) {
+				return nil, ErrCorrupt
+			}
+			var u uint64
+			for b := 0; b < size; b++ {
+				u |= uint64(body[off+b]) << (8 * b)
+			}
+			off += size
+			out[i+j] = unzigzag(u)
 		}
-		var u uint64
-		for b := 0; b < size; b++ {
-			u |= uint64(body[off+b]) << (8 * b)
-		}
-		off += size
-		out[i] = unzigzag(u)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"slices"
+
 	"codecdb/internal/bitutil"
 )
 
@@ -62,56 +64,15 @@ func (DeltaInt) Encode(values []int64) ([]byte, error) {
 }
 
 // Decode reverses Encode.
-func (DeltaInt) Decode(data []byte) ([]int64, error) {
-	n, rest, err := readUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rest))*8 {
-		return nil, ErrCorrupt // every value takes at least one bit
-	}
-	out := make([]int64, 0, n)
-	if n == 0 {
-		return out, nil
-	}
-	firstZ, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	prev := unzigzag(firstZ)
-	out = append(out, prev)
-	remaining := int(n) - 1
-	for remaining > 0 {
-		blockLen := deltaBlockSize
-		if remaining < blockLen {
-			blockLen = remaining
-		}
-		minZ, r, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(r) < 1 {
-			return nil, ErrCorrupt
-		}
-		width := uint(r[0])
-		if width == 0 || width > 64 {
-			return nil, ErrCorrupt
-		}
-		r = r[1:]
-		packedBytes := (blockLen*int(width) + 7) / 8
-		if len(r) < packedBytes {
-			return nil, ErrCorrupt
-		}
-		br := bitutil.NewReader(r[:packedBytes])
-		min := unzigzag(minZ)
-		for i := 0; i < blockLen; i++ {
-			prev += min + int64(br.ReadBits(width))
-			out = append(out, prev)
-		}
-		rest = r[packedBytes:]
-		remaining -= blockLen
-	}
-	return out, nil
+func (d DeltaInt) Decode(data []byte) ([]int64, error) {
+	return d.AppendDecode([]int64{}, data)
+}
+
+// AppendDecode is Decode appending onto dst: with room in dst (a pooled
+// buffer, say) it allocates nothing.
+func (DeltaInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
+	_, out, err := deltaBlocks(dst, data, true)
+	return out, err
 }
 
 // AppendDeltas returns the first value and the raw delta sequence, appended
@@ -119,6 +80,16 @@ func (DeltaInt) Decode(data []byte) ([]int64, error) {
 // sum — the delta filter operator feeds these to the SWAR cumulative-sum
 // kernel (paper §5.3) and allocates nothing per page in the steady state.
 func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []int64, err error) {
+	return deltaBlocks(dst, data, false)
+}
+
+// deltaBlocks is the one block walk of a delta page: it returns the first
+// value and appends to dst, with sum set, every value of the page — the
+// first and each running sum — and otherwise the n-1 deltas alone. Each
+// block's offsets unpack in bulk straight into dst; their loads may read
+// past the block into the rest of the page body, so only the page's last
+// eight bytes take the unpack's slow path.
+func deltaBlocks(dst []int64, data []byte, sum bool) (first int64, out []int64, err error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {
 		return 0, nil, err
@@ -134,18 +105,13 @@ func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []in
 		return 0, nil, err
 	}
 	first = unzigzag(firstZ)
-	deltas = dst
-	if cap(deltas)-len(deltas) < int(n)-1 {
-		grown := make([]int64, len(deltas), len(deltas)+int(n)-1)
-		copy(grown, deltas)
-		deltas = grown
+	out = slices.Grow(dst, int(n))
+	if sum {
+		out = append(out, first)
 	}
-	remaining := int(n) - 1
-	for remaining > 0 {
-		blockLen := deltaBlockSize
-		if remaining < blockLen {
-			blockLen = remaining
-		}
+	prev := first
+	for remaining := int(n) - 1; remaining > 0; {
+		blockLen := min(remaining, deltaBlockSize)
 		minZ, r, err := readUvarint(rest)
 		if err != nil {
 			return 0, nil, err
@@ -162,15 +128,24 @@ func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []in
 		if len(r) < packedBytes {
 			return 0, nil, ErrCorrupt
 		}
-		br := bitutil.NewReader(r[:packedBytes])
-		min := unzigzag(minZ)
-		for i := 0; i < blockLen; i++ {
-			deltas = append(deltas, min+int64(br.ReadBits(width)))
+		base := len(out)
+		out = bitutil.AppendUnpacked(out, r, width, blockLen, false)
+		minDelta := unzigzag(minZ)
+		block := out[base:]
+		if sum {
+			for i, d := range block {
+				prev += minDelta + d
+				block[i] = prev
+			}
+		} else {
+			for i, d := range block {
+				block[i] = minDelta + d
+			}
 		}
 		rest = r[packedBytes:]
 		remaining -= blockLen
 	}
-	return first, deltas, nil
+	return first, out, nil
 }
 
 // FORInt is frame-of-reference encoding (Table 1, "fixed" reference):
@@ -219,9 +194,9 @@ func (FORInt) Decode(data []byte) ([]int64, error) {
 	if n == 0 {
 		return out, nil
 	}
-	r := bitutil.NewReader(packed)
-	for i := range out {
-		out[i] = ref + int64(r.ReadBits(width))
+	out = bitutil.AppendUnpacked(out[:0], packed, width, n, false)
+	for i, o := range out {
+		out[i] = ref + o
 	}
 	return out, nil
 }
@@ -384,9 +359,9 @@ func (PFORInt) Decode(data []byte) ([]int64, error) {
 	if n > uint64(len(rest))*8/uint64(width) {
 		return nil, ErrCorrupt
 	}
-	r := bitutil.NewReader(rest)
-	for i := range out {
-		out[i] = ref + int64(r.ReadBits(width))
+	out = bitutil.AppendUnpacked(out[:0], rest, width, int(n), false)
+	for i, o := range out {
+		out[i] = ref + o
 	}
 	for _, e := range excs {
 		out[e.idx] = ref + int64(e.off)

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"codecdb/internal/bitutil"
@@ -82,18 +83,7 @@ func (d DictInt) Decode(data []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := decodeDictKeys(view.KeysMode, view.KeyWidth, view.N, view.Packed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(keys))
-	for i, k := range keys {
-		if k < 0 || int(k) >= len(view.Entries) {
-			return nil, ErrCorrupt
-		}
-		out[i] = view.Entries[k]
-	}
-	return out, nil
+	return appendLookup([]int64{}, view.KeysMode, view.KeyWidth, view.N, view.Packed, view.Entries)
 }
 
 // InspectIntDict parses the dictionary header and key layout without
@@ -163,18 +153,7 @@ func (d DictString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := decodeDictKeys(view.KeysMode, view.KeyWidth, view.N, view.Packed)
-	if err != nil {
-		return nil, err
-	}
-	out := sliceFor(dst, len(keys))
-	for i, k := range keys {
-		if k < 0 || int(k) >= len(view.Entries) {
-			return nil, ErrCorrupt
-		}
-		out[i] = view.Entries[k]
-	}
-	return out, nil
+	return appendLookup(dst[:0], view.KeysMode, view.KeyWidth, view.N, view.Packed, view.Entries)
 }
 
 // InspectStringDict parses the dictionary header and key layout without
@@ -303,17 +282,45 @@ func inspectDictKeys(data []byte) (mode byte, width uint, n int, packed []byte, 
 func decodeDictKeys(mode byte, width uint, n int, packed []byte) ([]int64, error) {
 	switch mode {
 	case dictKeysBitPacked:
-		r := bitutil.NewReader(packed)
-		keys := make([]int64, n)
-		for i := range keys {
-			keys[i] = int64(r.ReadBits(width))
-		}
-		return keys, nil
+		return bitutil.AppendUnpacked(make([]int64, 0, n), packed, width, n, false), nil
 	case dictKeysRLE:
 		return RLEInt{}.Decode(packed)
 	default:
 		return nil, ErrCorrupt
 	}
+}
+
+// appendLookup appends the dictionary entry of each of a page's n keys to
+// out, unpackChunk keys at a time. Bit-packed keys unpack into a stack
+// buffer, so no key slice is allocated; RLE keys decode whole first, since
+// only their run lengths bound their count.
+func appendLookup[T any](out []T, mode byte, width uint, n int, packed []byte, entries []T) ([]T, error) {
+	var keys []int64
+	if mode != dictKeysBitPacked {
+		var err error
+		if keys, err = decodeDictKeys(mode, width, n, packed); err != nil {
+			return nil, err
+		}
+		n = len(keys)
+	}
+	out = slices.Grow(out, n)
+	var kbuf [unpackChunk]int64
+	for i := 0; i < n; i += unpackChunk {
+		c := min(unpackChunk, n-i)
+		var chunk []int64
+		if keys != nil {
+			chunk = keys[i : i+c]
+		} else {
+			chunk = bitutil.AppendUnpacked(kbuf[:0], chunkAt(packed, width, i), width, c, false)
+		}
+		for _, k := range chunk {
+			if uint64(k) >= uint64(len(entries)) {
+				return nil, ErrCorrupt
+			}
+			out = append(out, entries[k])
+		}
+	}
+	return out, nil
 }
 
 func distinctSortedInts(values []int64) []int64 {

@@ -76,6 +76,22 @@ type IntCodec interface {
 	Decode(data []byte) ([]int64, error)
 }
 
+// AppendDecode decodes an integer page onto dst, through the codec's own
+// append decoder when it has one (bit-packed, delta, RLE, plain), which
+// allocates nothing when dst has room; other codecs decode and copy.
+func AppendDecode(c IntCodec, dst []int64, data []byte) ([]int64, error) {
+	if a, ok := c.(interface {
+		AppendDecode(dst []int64, data []byte) ([]int64, error)
+	}); ok {
+		return a.AppendDecode(dst, data)
+	}
+	vals, err := c.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, vals...), nil
+}
+
 // StringCodec encodes and decodes byte-string columns.
 type StringCodec interface {
 	Kind() Kind

@@ -1,6 +1,9 @@
 package encoding
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // PlainInt stores values verbatim as little-endian 8-byte integers after a
 // varint count. It is the uncompressed baseline every other scheme's
@@ -23,16 +26,22 @@ func (PlainInt) Encode(values []int64) ([]byte, error) {
 }
 
 // Decode reverses Encode.
-func (PlainInt) Decode(data []byte) ([]int64, error) {
+func (p PlainInt) Decode(data []byte) ([]int64, error) {
+	return p.AppendDecode([]int64{}, data)
+}
+
+// AppendDecode is Decode appending onto dst: with room in dst (a pooled
+// buffer, say) it allocates nothing.
+func (PlainInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
 	n, vals, err := InspectPlain(data)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(vals[i*8:]))
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(vals[i*8:])))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // InspectPlain returns the value count of a PlainInt page and its

@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"slices"
+
 	"codecdb/internal/bitutil"
 )
 
@@ -60,50 +62,46 @@ func (RLEInt) Encode(values []int64) ([]byte, error) {
 }
 
 // Decode reverses Encode.
-func (RLEInt) Decode(data []byte) ([]int64, error) {
-	n, rest, err := readUvarint(data)
+func (e RLEInt) Decode(data []byte) ([]int64, error) {
+	return e.AppendDecode([]int64{}, data)
+}
+
+// AppendDecode is Decode appending onto dst: with room in dst (a pooled
+// buffer, say) it allocates nothing. Values and run lengths unpack in
+// bulk, unpackChunk runs at a time, into stack buffers.
+func (RLEInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
+	n, vw, rw, numRuns, vals, lens, err := inspectRLE(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 2 {
-		return nil, ErrCorrupt
-	}
-	vw, rw := uint(rest[0]), uint(rest[1])
-	if vw == 0 || vw > 64 || rw == 0 || rw > 64 {
-		return nil, ErrCorrupt
-	}
-	numRuns, rest, err := readUvarint(rest[2:])
-	if err != nil {
-		return nil, err
-	}
-	if numRuns > uint64(len(rest))*8/uint64(vw) {
-		return nil, ErrCorrupt
-	}
-	valBytes := (numRuns*uint64(vw) + 7) / 8
 	// Runs expand, so nothing but the run lengths bounds n: they must sum
 	// to it before it sizes the output.
-	rr := bitutil.NewReader(rest[valBytes:])
+	var vbuf, lbuf [unpackChunk]int64
 	left := n
-	for i := uint64(0); i < numRuns; i++ {
-		l := rr.ReadBits(rw)
-		if l > left {
-			return nil, ErrCorrupt
+	for i := 0; i < numRuns; i += unpackChunk {
+		for _, l := range bitutil.AppendUnpacked(lbuf[:0], chunkAt(lens, rw, i), rw, min(unpackChunk, numRuns-i), false) {
+			if uint64(l) > left {
+				return nil, ErrCorrupt
+			}
+			left -= uint64(l)
 		}
-		left -= l
 	}
 	if left != 0 {
 		return nil, ErrCorrupt
 	}
-	vr := bitutil.NewReader(rest[:valBytes])
-	rr = bitutil.NewReader(rest[valBytes:])
-	out := make([]int64, n)
-	for i, pos := uint64(0), uint64(0); i < numRuns; i++ {
-		v := unzigzag(vr.ReadBits(vw))
-		run := out[pos : pos+rr.ReadBits(rw)]
-		for j := range run {
-			run[j] = v
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < numRuns; i += unpackChunk {
+		c := min(unpackChunk, numRuns-i)
+		vs := bitutil.AppendUnpacked(vbuf[:0], chunkAt(vals, vw, i), vw, c, true)
+		ls := bitutil.AppendUnpacked(lbuf[:0], chunkAt(lens, rw, i), rw, c, false)
+		for j, v := range vs {
+			pos := len(out)
+			out = out[:pos+int(ls[j])]
+			run := out[pos:]
+			for k := range run {
+				run[k] = v
+			}
 		}
-		pos += uint64(len(run))
 	}
 	return out, nil
 }
@@ -111,32 +109,62 @@ func (RLEInt) Decode(data []byte) ([]int64, error) {
 // DecodeRuns returns the run decomposition without expanding it, letting
 // encoding-aware operators aggregate over runs directly.
 func (RLEInt) DecodeRuns(data []byte) (vals []int64, lengths []int, err error) {
-	_, rest, err := readUvarint(data)
+	_, vw, rw, numRuns, packedVals, packedLens, err := inspectRLE(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(rest) < 2 {
-		return nil, nil, ErrCorrupt
-	}
-	vw, rw := uint(rest[0]), uint(rest[1])
-	if vw == 0 || vw > 64 || rw == 0 || rw > 64 {
-		return nil, nil, ErrCorrupt
-	}
-	numRuns, rest, err := readUvarint(rest[2:])
-	if err != nil {
-		return nil, nil, err
-	}
-	if numRuns > uint64(len(rest))*8/uint64(vw) {
-		return nil, nil, ErrCorrupt
-	}
-	valBytes := (numRuns*uint64(vw) + 7) / 8
-	vr := bitutil.NewReader(rest[:valBytes])
-	rr := bitutil.NewReader(rest[valBytes:])
-	vals = make([]int64, numRuns)
-	lengths = make([]int, numRuns)
-	for i := range vals {
-		vals[i] = unzigzag(vr.ReadBits(vw))
-		lengths[i] = int(rr.ReadBits(rw))
+	vals = bitutil.AppendUnpacked(make([]int64, 0, numRuns), packedVals, vw, numRuns, true)
+	lengths = make([]int, 0, numRuns)
+	var lbuf [unpackChunk]int64
+	for i := 0; i < numRuns; i += unpackChunk {
+		for _, l := range bitutil.AppendUnpacked(lbuf[:0], chunkAt(packedLens, rw, i), rw, min(unpackChunk, numRuns-i), false) {
+			lengths = append(lengths, int(l))
+		}
 	}
 	return vals, lengths, nil
+}
+
+// inspectRLE parses an RLE buffer's header: the value count, the value
+// and run-length widths, the number of runs, and the packed values and
+// run lengths. The run count is bounded by the packed values' bytes. vals
+// runs on through the run lengths, so the unpack's 8-byte loads of the
+// last values stay on its fast path; only its first numRuns entries are
+// values.
+func inspectRLE(data []byte) (n uint64, vw, rw uint, numRuns int, vals, lens []byte, err error) {
+	n, rest, err := readUvarint(data)
+	if err != nil {
+		return 0, 0, 0, 0, nil, nil, err
+	}
+	if len(rest) < 2 {
+		return 0, 0, 0, 0, nil, nil, ErrCorrupt
+	}
+	vw, rw = uint(rest[0]), uint(rest[1])
+	if vw == 0 || vw > 64 || rw == 0 || rw > 64 {
+		return 0, 0, 0, 0, nil, nil, ErrCorrupt
+	}
+	runs, rest, err := readUvarint(rest[2:])
+	if err != nil {
+		return 0, 0, 0, 0, nil, nil, err
+	}
+	if runs > uint64(len(rest))*8/uint64(vw) {
+		return 0, 0, 0, 0, nil, nil, ErrCorrupt
+	}
+	valBytes := (runs*uint64(vw) + 7) / 8
+	return n, vw, rw, int(runs), rest, rest[valBytes:], nil
+}
+
+// unpackChunk is the number of entries the decoders that cannot unpack
+// into their output (run lengths, run values, null-suppression tags)
+// unpack at a time into a stack buffer. It is a multiple of 8, so every
+// chunk starts on a byte boundary of its packed stream.
+const unpackChunk = 128
+
+// chunkAt is the packed stream from entry i (a multiple of unpackChunk)
+// on; past the end it is empty, which reads as zero bits.
+func chunkAt(packed []byte, width uint, i int) []byte {
+	off := i * int(width) / 8
+	if off >= len(packed) {
+		return nil
+	}
+	return packed[off:]
 }

@@ -12,6 +12,7 @@
 package ops
 
 import (
+	"math/bits"
 	"sort"
 
 	"codecdb/internal/arena"
@@ -338,15 +339,23 @@ func decodeTest[T any](chunk *colstore.Chunk, secSel *bitutil.Bitmap,
 		return nil, err
 	}
 	section := bitutil.NewBitmap(chunk.Rows())
-	row := -1
-	for _, v := range vals {
-		if secSel == nil {
-			row++
-		} else {
-			row = secSel.NextSet(row + 1)
+	if secSel == nil {
+		for row, v := range vals {
+			if pred(v) {
+				section.Set(row)
+			}
 		}
-		if pred(v) {
-			section.Set(row)
+		return section, nil
+	}
+	// Value k is the k-th selected row's: walk the selection a word at a
+	// time, taking its set bits by trailing-zero count.
+	k := 0
+	for wi, word := range secSel.Words() {
+		for ; word != 0; word &= word - 1 {
+			if pred(vals[k]) {
+				section.Set(wi*64 + bits.TrailingZeros64(word))
+			}
+			k++
 		}
 	}
 	return section, nil

@@ -1,6 +1,7 @@
 package sboost
 
 import (
+	"math/bits"
 	"slices"
 
 	"codecdb/internal/bitutil"
@@ -137,15 +138,17 @@ func CompareStreamsIntoSel(out *bitutil.Bitmap, a, b []byte, width uint, op Op, 
 	default:
 		var bufA, bufB [selBlock]int64
 		for lo := 0; lo < n; lo += selBlock {
-			hi := min(lo+selBlock, n)
-			va := bitutil.GatherSelected(bufA[:0], blockBytes(a, lo, width), width, false, sel, selOff+lo, selOff+hi)
-			vb := bitutil.GatherSelected(bufB[:0], blockBytes(b, lo, width), width, false, sel, selOff+lo, selOff+hi)
+			from, to := selOff+lo, selOff+min(lo+selBlock, n)
+			va := bitutil.GatherSelected(bufA[:0], blockBytes(a, lo, width), width, false, sel, from, to)
+			vb := bitutil.GatherSelected(bufB[:0], blockBytes(b, lo, width), width, false, sel, from, to)
 			k := 0
-			for i := sel.NextSet(selOff + lo); i >= 0 && i < selOff+hi; i = sel.NextSet(i + 1) {
-				if evalOp(uint64(va[k]), op, uint64(vb[k])) {
-					out.Set(i - selOff)
+			for wi := from / 64; wi <= (to-1)/64; wi++ {
+				for word := sel.WordIn(wi, from, to); word != 0; word &= word - 1 {
+					if evalOp(uint64(va[k]), op, uint64(vb[k])) {
+						out.Set(wi*64 + bits.TrailingZeros64(word) - selOff)
+					}
+					k++
 				}
-				k++
 			}
 		}
 	}
@@ -171,16 +174,19 @@ func blockBytes(data []byte, lo int, width uint) []byte {
 // the window [selOff, selOff+n), invoking fn with the page-relative index
 // and the packed value; the stream between selected entries is skipped,
 // never decoded. Entries are extracted a block at a time by
-// bitutil.GatherSelected into a stack buffer.
+// bitutil.GatherSelected into a stack buffer, and their rows by walking
+// the block's selection words by trailing-zero count.
 func scanSelected(data []byte, n int, width uint, sel *bitutil.Bitmap, selOff int, fn func(i int, v uint64)) {
 	var buf [selBlock]int64
 	for lo := 0; lo < n; lo += selBlock {
-		hi := min(lo+selBlock, n)
-		vals := bitutil.GatherSelected(buf[:0], blockBytes(data, lo, width), width, false, sel, selOff+lo, selOff+hi)
+		from, to := selOff+lo, selOff+min(lo+selBlock, n)
+		vals := bitutil.GatherSelected(buf[:0], blockBytes(data, lo, width), width, false, sel, from, to)
 		k := 0
-		for i := sel.NextSet(selOff + lo); i >= 0 && i < selOff+hi; i = sel.NextSet(i + 1) {
-			fn(i-selOff, uint64(vals[k]))
-			k++
+		for wi := from / 64; wi <= (to-1)/64; wi++ {
+			for word := sel.WordIn(wi, from, to); word != 0; word &= word - 1 {
+				fn(wi*64+bits.TrailingZeros64(word)-selOff, uint64(vals[k]))
+				k++
+			}
 		}
 	}
 }
