@@ -170,11 +170,13 @@ fuzz:
 	$(GO) test ./internal/ops/ -run xxx -fuzz FuzzJoinTable -fuzztime $(FUZZTIME)
 
 # loc prints the line counts every simplicity PR states its delta in:
-# non-test Go lines of the root package, of internal/ops, of internal/serve,
-# of internal/colstore, of internal/obs, and of the repo outside bench/.
+# non-test Go lines of the root package, of internal/ops, of internal/sboost,
+# of internal/serve, of internal/colstore, of internal/obs, and of the repo
+# outside bench/.
 loc:
 	@printf 'root package, non-test Go lines: '; cat $$(ls *.go | grep -v _test.go) | wc -l
 	@printf 'internal/ops, non-test Go lines: '; cat $$(ls internal/ops/*.go | grep -v _test.go) | wc -l
+	@printf 'internal/sboost, non-test Go lines: '; cat $$(ls internal/sboost/*.go | grep -v _test.go) | wc -l
 	@printf 'internal/serve, non-test Go lines: '; cat $$(ls internal/serve/*.go | grep -v _test.go) | wc -l
 	@printf 'internal/colstore, non-test Go lines: '; cat $$(ls internal/colstore/*.go | grep -v _test.go) | wc -l
 	@printf 'internal/obs, non-test Go lines: '; cat $$(ls internal/obs/*.go | grep -v _test.go) | wc -l

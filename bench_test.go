@@ -341,7 +341,7 @@ func BenchmarkSBoostScanVsScalar(b *testing.B) {
 	b.Run("SWAR", func(b *testing.B) {
 		b.SetBytes(n * width / 8)
 		for i := 0; i < b.N; i++ {
-			sboost.ScanPacked(data, n, width, sboost.OpLe, 511)
+			sboost.ScanPackedInto(bitutil.NewBitmap(n), data, width, sboost.OpLe, 511)
 		}
 	})
 	b.Run("DecodeThenCompare", func(b *testing.B) {

@@ -284,6 +284,10 @@ func TestExplainFusedRange(t *testing.T) {
 			[]string{"DictFilter(d > 5 AND d <= 30 AND d = 27)", "BitPackedFilter(v < 3000 AND v = 77)", "3 conjuncts fused"}},
 		{[]cmp{{"v", Ge, 2000}, {"v", Lt, 1000}}, 1, []string{"provably empty"}},
 		{[]cmp{{"p", Ge, 10}, {"p", Lt, 20}}, 2, []string{"IntPredicateFilter(p >= 10)", "IntPredicateFilter(p < 20)"}},
+		// Comparisons metadata decides fuse too, and their verdict carries
+		// over: d > 49 keeps no key of d's 0..49.
+		{[]cmp{{"d", Gt, 49}, {"d", Ge, 10}}, 1, []string{"DictFilter(d > 49 AND d >= 10)", "provably empty"}},
+		{[]cmp{{"d", Ge, 0}, {"d", Le, 49}}, 1, []string{"DictFilter(d >= 0 AND d <= 49)", "provably all rows"}},
 	} {
 		q := tbl.Where(c.conj[0].col, c.conj[0].op, c.conj[0].v)
 		for _, k := range c.conj[1:] {

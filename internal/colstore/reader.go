@@ -753,9 +753,9 @@ type PackedPage struct {
 	Zigzag   bool   // entries are zigzag-mapped plain integers, not dict keys
 }
 
-// PackedScannable reports whether the chunk's pages have an in-situ
+// packedScannable reports whether the chunk's pages have an in-situ
 // scannable packed representation (PackedPageAt will succeed).
-func (c *Chunk) PackedScannable() bool {
+func (c *Chunk) packedScannable() bool {
 	return usesDict(c.column.Encoding) ||
 		(c.column.Encoding == encoding.KindBitPacked && c.column.Type == TypeInt64)
 }
@@ -820,7 +820,7 @@ func (c *Chunk) PackedPageAt(p int, sc *arena.Scratch) (PackedPage, error) {
 // bit-packed column chunk. It errors for encodings without a packed
 // representation (the caller then falls back to decode-then-filter).
 func (c *Chunk) PackedPages() ([]PackedPage, error) {
-	if !c.PackedScannable() {
+	if !c.packedScannable() {
 		return nil, fmt.Errorf("colstore: %v pages are not packed-scannable", c.column.Encoding)
 	}
 	c.declare(nil, nil, true)

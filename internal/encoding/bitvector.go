@@ -121,35 +121,6 @@ func (BitVectorString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// BitVectorLookupInt returns the position bitmap for value without decoding
-// the column — the bit-vector filter operator is a header scan plus one
-// memcpy.
-func BitVectorLookupInt(data []byte, value int64) (*bitutil.Bitmap, error) {
-	n, rest, err := readUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	nd, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	bmBytes := (int(n) + 7) / 8
-	for i := uint64(0); i < nd; i++ {
-		vz, r, err := readUvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if len(r) < bmBytes {
-			return nil, ErrCorrupt
-		}
-		if unzigzag(vz) == value {
-			return bitmapFromLEBytes(r[:bmBytes], int(n)), nil
-		}
-		rest = r[bmBytes:]
-	}
-	return bitutil.NewBitmap(int(n)), nil
-}
-
 func appendValueBitmap(out []byte, values []int64, match func(int64) bool) []byte {
 	bmBytes := (len(values) + 7) / 8
 	start := len(out)
@@ -172,14 +143,4 @@ func appendValueBitmapStr(out []byte, values [][]byte, e []byte) []byte {
 		}
 	}
 	return out
-}
-
-func bitmapFromLEBytes(b []byte, n int) *bitutil.Bitmap {
-	bm := bitutil.NewBitmap(n)
-	for i := 0; i < n; i++ {
-		if b[i/8]&(1<<(uint(i)%8)) != 0 {
-			bm.Set(i)
-		}
-	}
-	return bm
 }

@@ -186,7 +186,7 @@ func (FORInt) Encode(values []int64) ([]byte, error) {
 
 // Decode reverses Encode.
 func (FORInt) Decode(data []byte) ([]int64, error) {
-	n, ref, width, packed, err := InspectFOR(data)
+	n, ref, width, packed, err := inspectFOR(data)
 	if err != nil {
 		return nil, err
 	}
@@ -201,9 +201,9 @@ func (FORInt) Decode(data []byte) ([]int64, error) {
 	return out, nil
 }
 
-// InspectFOR exposes the FOR layout for in-situ scans: a predicate
+// inspectFOR exposes the FOR layout for in-situ scans: a predicate
 // value v rewrites to the packed-domain comparison against v-ref.
-func InspectFOR(data []byte) (n int, ref int64, width uint, packed []byte, err error) {
+func inspectFOR(data []byte) (n int, ref int64, width uint, packed []byte, err error) {
 	nv, rest, err := readUvarint(data)
 	if err != nil {
 		return 0, 0, 0, nil, err

@@ -353,21 +353,6 @@ func TestRLERunsHelper(t *testing.T) {
 	}
 }
 
-func TestRLEDecodeRuns(t *testing.T) {
-	input := []int64{5, 5, 5, 2, 2, 9}
-	buf, err := RLEInt{}.Encode(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, lens, err := RLEInt{}.DecodeRuns(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals, []int64{5, 2, 9}) || !reflect.DeepEqual(lens, []int{3, 2, 1}) {
-		t.Fatalf("DecodeRuns = %v/%v", vals, lens)
-	}
-}
-
 func TestCompressionRatioOrderings(t *testing.T) {
 	plain := PlainInt{}
 	// Sorted data: delta must beat plain comfortably.
@@ -420,30 +405,6 @@ func TestPFORHandlesOutliers(t *testing.T) {
 	}
 	if got[100] != 1<<40 || got[1500] != 1<<50 {
 		t.Fatal("PFOR exceptions not restored")
-	}
-}
-
-func TestBitVectorLookup(t *testing.T) {
-	vals := []int64{1, 2, 1, 3, 2, 2}
-	buf, err := BitVectorInt{}.Encode(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := BitVectorLookupInt(buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	bm.ForEach(func(i int) { got = append(got, i) })
-	if want := []int{1, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("positions = %v, want %v", got, want)
-	}
-	miss, err := BitVectorLookupInt(buf, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if miss.Any() {
-		t.Fatal("missing value should produce empty bitmap")
 	}
 }
 

@@ -106,24 +106,6 @@ func (RLEInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
 	return out, nil
 }
 
-// DecodeRuns returns the run decomposition without expanding it, letting
-// encoding-aware operators aggregate over runs directly.
-func (RLEInt) DecodeRuns(data []byte) (vals []int64, lengths []int, err error) {
-	_, vw, rw, numRuns, packedVals, packedLens, err := inspectRLE(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals = bitutil.AppendUnpacked(make([]int64, 0, numRuns), packedVals, vw, numRuns, true)
-	lengths = make([]int, 0, numRuns)
-	var lbuf [unpackChunk]int64
-	for i := 0; i < numRuns; i += unpackChunk {
-		for _, l := range bitutil.AppendUnpacked(lbuf[:0], chunkAt(packedLens, rw, i), rw, min(unpackChunk, numRuns-i), false) {
-			lengths = append(lengths, int(l))
-		}
-	}
-	return vals, lengths, nil
-}
-
 // inspectRLE parses an RLE buffer's header: the value count, the value
 // and run-length widths, the number of runs, and the packed values and
 // run lengths. The run count is bounded by the packed values' bytes. vals

@@ -23,7 +23,7 @@ import (
 // error wins and cancels the remaining workers at their next morsel
 // boundary; a panicking morsel surfaces as a *PanicError.
 func ParallelMorsels[S any](ctx context.Context, p *Pool, n int, newState func(worker int) S, fn func(ctx context.Context, state S, morsel int) error) ([]S, error) {
-	return ParallelMorselsHooked(ctx, p, n, newState, fn, MorselHooks{})
+	return ParallelMorselsLimited(ctx, p, n, 0, newState, fn, MorselHooks{})
 }
 
 // MorselHooks observe the morsel lifecycle. OnDone runs on the worker's
@@ -42,13 +42,8 @@ func (h *MorselHooks) done(m int) {
 	}
 }
 
-// ParallelMorselsHooked is ParallelMorsels with lifecycle hooks.
-func ParallelMorselsHooked[S any](ctx context.Context, p *Pool, n int, newState func(worker int) S, fn func(ctx context.Context, state S, morsel int) error, hooks MorselHooks) ([]S, error) {
-	return ParallelMorselsLimited(ctx, p, n, 0, newState, fn, hooks)
-}
-
-// ParallelMorselsLimited is ParallelMorselsHooked with an explicit
-// worker cap: at most limit workers run regardless of pool size (0 means
+// ParallelMorselsLimited is ParallelMorsels with lifecycle hooks and an
+// explicit worker cap: at most limit workers run regardless of pool size (0 means
 // pool size). This is the per-query parallelism budget a serving layer
 // imposes so one query cannot monopolise the shared pool.
 func ParallelMorselsLimited[S any](ctx context.Context, p *Pool, n, limit int, newState func(worker int) S, fn func(ctx context.Context, state S, morsel int) error, hooks MorselHooks) ([]S, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,26 +63,23 @@ type valueTest struct {
 
 // packedPred is a leaf's predicate in a column's packed domain — dictionary
 // keys, or zigzag(value) — where page zone maps and the SBoost kernels
-// live: one comparison against lo (== hi), the range [lo, hi], or
-// membership in a key set.
+// live: the key interval [lo, hi] (empty where lo > hi), its complement
+// where not (which only <> asks for), or membership in a key set.
 type packedPred struct {
-	op     sboost.Op
 	lo, hi uint64
-	keys   []uint64 // sorted and distinct; nil for a comparison or a range
-	rng    bool     // lo <= entry <= hi: contiguous keys, or fused comparisons
+	not    bool
+	keys   []uint64 // sorted, distinct and not contiguous; nil for an interval
 }
 
-// dispose classifies a page from its packed-domain zone map. A range (and
-// a contiguous key set) gets full all/none resolution; a scattered set
-// prunes when no member falls inside [Min, Max].
+// dispose classifies a page from its packed-domain zone map. An interval
+// gets full all/none resolution; a key set prunes when no member falls
+// inside [Min, Max].
 func (q *packedPred) dispose(st *colstore.PageStats) sboost.Disposition {
 	switch {
 	case st == nil:
 		return sboost.DispMixed
-	case q.rng:
-		return sboost.DisposeRange(q.lo, q.hi, st.Min, st.Max)
 	case q.keys == nil:
-		return sboost.Dispose(q.op, q.lo, st.Min, st.Max)
+		return sboost.DisposeRange(q.lo, q.hi, st.Min, st.Max, q.not)
 	}
 	if i := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min }); i == len(q.keys) || q.keys[i] > st.Max {
 		return sboost.DispNone
@@ -90,39 +88,27 @@ func (q *packedPred) dispose(st *colstore.PageStats) sboost.Disposition {
 }
 
 // fraction estimates the matching share of a page whose zone map straddles
-// the predicate, assuming values spread uniformly over [Min, Max].
+// the predicate, assuming values spread uniformly over [Min, Max] — and,
+// for a single key on a page that counts its distinct values, that the key
+// is one of them.
 func (q *packedPred) fraction(st *colstore.PageStats) float64 {
 	span := float64(st.Max-st.Min) + 1
-	if q.rng {
-		lo, hi := max(q.lo, st.Min), min(q.hi, st.Max)
-		if lo > hi {
-			return 0
-		}
-		return (float64(hi-lo) + 1) / span
-	}
 	if q.keys != nil {
 		in := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] > st.Max }) -
 			sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min })
 		return float64(in) / span
 	}
-	switch q.op {
-	case sboost.OpEq, sboost.OpNe:
-		f := 1 / span
-		if st.Distinct > 0 {
-			f = 1 / float64(st.Distinct)
-		}
-		if q.op == sboost.OpNe {
-			return 1 - f
-		}
-		return f
-	case sboost.OpLt:
-		return float64(q.lo-st.Min) / span
-	case sboost.OpLe:
-		return (float64(q.lo-st.Min) + 1) / span
-	case sboost.OpGt:
-		return float64(st.Max-q.lo) / span
+	f := 0.0
+	if lo, hi := max(q.lo, st.Min), min(q.hi, st.Max); lo <= hi {
+		f = (float64(hi-lo) + 1) / span
 	}
-	return (float64(st.Max-q.lo) + 1) / span // OpGe
+	if q.lo == q.hi && st.Distinct > 0 {
+		f = 1 / float64(st.Distinct)
+	}
+	if q.not {
+		return 1 - f
+	}
+	return f
 }
 
 // boundLeaf is a logical leaf bound to one part: the decision which kernel
@@ -133,16 +119,18 @@ type boundLeaf struct {
 	ci, cj int // column indexes the kernel reads; cj < 0 unless Cols
 	kern   kernelKind
 	q      packedPred
+	// table is q.keys as a lookup table, for a set larger than the SWAR
+	// disjunction takes: built once, read by every worker.
+	table []bool
 	// zigzag: q lives in the zigzag domain of a plain integer column.
-	// Zigzag is a bijection, so equality and key sets hold everywhere; it is
-	// monotone only on non-negative values, so an order comparison or range
-	// holds on a chunk only when its statistics prove Min >= 0 (inDomain).
-	// Elsewhere — and in the delta kernel, which reconstructs values — the
-	// leaf runs test.
-	zigzag bool
-	op     sboost.Op // the value-domain comparison: Cmp on integers, Cols
-	value  int64
-	test   valueTest
+	// Zigzag is a bijection, so one value's key and key sets hold
+	// everywhere; it is monotone only on non-negative values, so the image
+	// of a wider value interval (order) holds on a chunk only when its
+	// statistics prove Min >= 0 (inDomain). Elsewhere — and in the delta
+	// kernel, which reconstructs values — the leaf runs test.
+	zigzag, order bool
+	op            sboost.Op // Cols: the comparison of the two key streams
+	test          valueTest
 	// empty and all are whole-part verdicts (e.g. equality on a value absent
 	// from the dictionary): no row group is visited and no counter moves.
 	empty, all bool
@@ -168,7 +156,7 @@ func newBound(r *colstore.Reader, leaf Filter, ci int) *boundLeaf {
 
 // inDomain reports whether q means on this chunk what the leaf means.
 func (b *boundLeaf) inDomain(a *colstore.Chunk) bool {
-	return !b.zigzag || b.q.keys != nil || (!b.q.rng && (b.op == sboost.OpEq || b.op == sboost.OpNe)) || a.Stats().MinInt >= 0
+	return !b.order || a.Stats().MinInt >= 0
 }
 
 // verdict classifies page p of the leaf's chunk(s) from metadata alone: the
@@ -186,12 +174,6 @@ func (b *boundLeaf) verdict(a, bb *colstore.Chunk, p int) sboost.Disposition {
 			return sboost.DispMixed
 		}
 		return sboost.DisposeStreams(b.op, stA.Min, stA.Max, stB.Min, stB.Max)
-	case b.zigzag && b.q.keys == nil && b.value < 0 && b.op != sboost.OpEq && b.op != sboost.OpNe:
-		// A negative constant against a chunk proven non-negative.
-		if b.op == sboost.OpLt || b.op == sboost.OpLe {
-			return sboost.DispNone
-		}
-		return sboost.DispAll
 	}
 	return b.q.dispose(a.PageStatsOf(p))
 }
@@ -372,7 +354,6 @@ func (f *Cmp) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 		return nil, nil
 	}
 	b := newBound(r, f, ci)
-	b.op, b.value = f.Op, c.i
 	if col.HasDict() {
 		// §5.3: translate the constant to a key through the
 		// order-preserving dictionary and scan the packed keys in place.
@@ -380,10 +361,8 @@ func (f *Cmp) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 		if err != nil {
 			return nil, err
 		}
-		op, match, all := rewriteDictPredicate(f.Op, lb, exact, dictLen)
-		b.q = packedPred{op: op, lo: uint64(lb), hi: uint64(lb)}
-		b.empty, b.all = !match && !all, all
-		b.kernel, b.weight, b.guess = "DictFilter", costPacked, dictPositionSelectivity(op, lb, dictLen)
+		b.keyRange(f.Op, uint64(lb), exact, dictLen)
+		b.kernel, b.weight = "DictFilter", costPacked
 		b.details = func() []string {
 			switch {
 			case b.all:
@@ -392,43 +371,109 @@ func (f *Cmp) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 				return []string{fmt.Sprintf("dict rewrite: provably empty (dict=%d entries, no scan)", dictLen)}
 			}
 			return []string{
-				fmt.Sprintf("dict rewrite: value %s → key %s %d (dict=%d entries, exact=%v)", f.Op, op, lb, dictLen, exact),
-				"kernel=sboost.ScanPacked",
+				fmt.Sprintf("dict rewrite: value %s %s → key %s (dict=%d entries, exact=%v)", f.Op, c, b.q.interval(uint64(dictLen-1)), dictLen, exact),
+				"kernel=sboost.ScanPackedRangeIntoSel",
 				"zone-maps=key-domain min/max per page",
 			}
 		}
 		return b, nil
 	}
 	if kern, weight, name, _, ok := zigzagPaged(col); ok {
-		// Entries and zone maps are zigzag-mapped: equality rewrites
-		// directly; order comparisons rewrite chunk by chunk (inDomain).
-		b.kern, b.zigzag, b.test = kern, true, cmpTest(f.Op, c)
-		b.q = packedPred{op: f.Op, lo: zigzag(c.i), hi: zigzag(c.i)}
+		// Entries and zone maps are zigzag-mapped: the comparison is a value
+		// interval, scanned as its zigzag image (zigzagRange).
+		b.kern, b.zigzag = kern, true
+		b.zigzagRange(sboost.Interval(f.Op, c.i, math.MinInt64, math.MaxInt64))
 		b.kernel, b.weight, b.guess = name, weight, opGuess(f.Op, 1.0/3)
 		b.details = func() []string {
-			how, rest := "kernel=sboost.ScanPacked", "decode-and-test"
-			if kern == kernDelta {
-				how, rest = "kernel=sboost.CumSum (SWAR cumulative-sum reconstruct, then compare)", "reconstruct every page"
-			}
-			rewrite := fmt.Sprintf("zigzag rewrite: value %s %d → packed %s %d", f.Op, c.i, f.Op, b.q.lo)
-			if f.Op != sboost.OpEq && f.Op != sboost.OpNe {
-				in := 0
-				for rg := 0; rg < r.NumRowGroups(); rg++ {
-					if b.inDomain(r.Chunk(rg, b.ci)) {
-						in++
-					}
-				}
-				if c.i < 0 {
-					rewrite = fmt.Sprintf("zigzag rewrite: value %s %d is a negative bound, decided from chunk statistics", f.Op, c.i)
-				}
-				rewrite += fmt.Sprintf(" on %d of %d chunks with min >= 0, else %s", in, r.NumRowGroups(), rest)
-			}
-			return []string{rewrite, how, "zone-maps=zigzag-domain min/max per page"}
+			return b.zigzagDetails(fmt.Sprintf("zigzag rewrite: value %s %d → packed %s", f.Op, c.i, b.q.interval(zigzag(math.MaxInt64))))
 		}
 		return b, nil
 	}
 	b.decodeFirst(col, cmpTest(f.Op, c))
 	return b, nil
+}
+
+// keyRange binds the leaf to `v op x` over an order-preserving dictionary
+// of dictLen entries as the key interval it keeps (rejects, for <>), from
+// lb — the smallest key whose entry is >= x — and whether that entry is x
+// exactly: an absent x keeps no key for =, rejects none for <>, and splits
+// the keys at lb for the order comparisons. An interval keeping no key is
+// empty, one keeping every key all, and the guess is the share of the
+// dictionary it keeps.
+func (b *boundLeaf) keyRange(op sboost.Op, lb uint64, exact bool, dictLen int) {
+	if !exact {
+		switch op {
+		case sboost.OpLe:
+			op = sboost.OpLt
+		case sboost.OpGt:
+			op = sboost.OpGe
+		}
+	}
+	lo, hi, not := sboost.Interval(op, lb, 0, math.MaxUint64)
+	if !exact && (op == sboost.OpEq || op == sboost.OpNe) {
+		lo, hi = 1, 0 // no key holds x
+	}
+	b.q = packedPred{lo: lo, hi: hi, not: not}
+	share := 0.0
+	if top := uint64(dictLen) - 1; dictLen > 0 && lo <= min(hi, top) {
+		share = float64(min(hi, top)-lo+1) / float64(dictLen)
+	}
+	if not {
+		share = 1 - share
+	}
+	b.empty, b.all, b.guess = share == 0, share == 1, share
+}
+
+// zigzagRange binds the leaf to the value interval [vlo, vhi] of a
+// zigzag-packed column — its complement where not, which only a single
+// value takes: test is the interval in the value domain and q its zigzag
+// image. A single value's image is its key, which holds on every chunk; a
+// wider interval's is the image of its non-negative part, which holds on
+// chunks proven non-negative alone (order).
+func (b *boundLeaf) zigzagRange(vlo, vhi int64, not bool) {
+	b.empty = vlo > vhi
+	b.test.ints = func(v int64) bool { return (v >= vlo && v <= vhi) != not }
+	switch {
+	case vlo == vhi:
+		b.q = packedPred{lo: zigzag(vlo), hi: zigzag(vlo), not: not}
+	case vhi < 0:
+		b.q, b.order = packedPred{lo: 1, hi: 0}, true
+	default:
+		b.q, b.order = packedPred{lo: zigzag(max(vlo, 0)), hi: zigzag(vhi)}, true
+	}
+}
+
+// interval renders an interval q; an upper end at or past top, the
+// largest key of the domain, is open unless the interval is one key.
+func (q *packedPred) interval(top uint64) string {
+	switch {
+	case q.lo > q.hi:
+		return "range empty"
+	case q.not:
+		return fmt.Sprintf("<> %d", q.lo)
+	case q.hi >= top && q.lo < q.hi:
+		return fmt.Sprintf("range [%d, max]", q.lo)
+	}
+	return fmt.Sprintf("range [%d, %d]", q.lo, q.hi)
+}
+
+// zigzagDetails renders a zigzag-bound comparison's plan choices after the
+// rewrite line: where the image holds, and the kernel.
+func (b *boundLeaf) zigzagDetails(rewrite string) []string {
+	how, rest := "kernel=sboost.ScanPackedRangeIntoSel", "decode-and-test"
+	if b.kern == kernDelta {
+		how, rest = "kernel=sboost.CumulativeSum (SWAR cumulative-sum reconstruct, then range test)", "reconstruct every page"
+	}
+	if b.order {
+		in := 0
+		for rg := 0; rg < b.r.NumRowGroups(); rg++ {
+			if b.inDomain(b.r.Chunk(rg, b.ci)) {
+				in++
+			}
+		}
+		rewrite += fmt.Sprintf(" on %d of %d chunks with min >= 0, else %s", in, b.r.NumRowGroups(), rest)
+	}
+	return []string{rewrite, how, "zone-maps=zigzag-domain min/max per page"}
 }
 
 // rangeLeaf is comparisons on one column, from one conjunction, bound as a
@@ -466,12 +511,10 @@ func (f rangeLeaf) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 }
 
 // fusable reports whether a bound leaf is a comparison a range can absorb:
-// an order comparison or equality scanned in the packed domain (dictionary
-// keys or zigzag) that metadata has not already decided.
+// an interval of the packed domain, of dictionary keys or zigzag values.
 func fusable(b *boundLeaf) bool {
-	c, ok := b.leaf.(*Cmp)
-	return ok && c.Op != sboost.OpNe && (b.kern == kernPacked || b.kern == kernDelta) &&
-		b.q.keys == nil && !b.q.rng && !b.empty && !b.all
+	_, ok := b.leaf.(*Cmp)
+	return ok && !b.q.not && (b.kern == kernPacked || b.kern == kernDelta)
 }
 
 // fuseRanges binds the fusable comparisons of a conjunction that share a
@@ -506,10 +549,9 @@ func fuseRanges(kids []*PlanNode) []*PlanNode {
 }
 
 // fuse binds fusable comparisons on one column as the range they intersect
-// to. Dictionary keys intersect in the key domain. A zigzag column's range
-// is kept in the value domain as test and holds in the packed domain, as
-// the zigzag image of its non-negative part, on chunks proven non-negative
-// (inDomain).
+// to. Dictionary key intervals intersect in the key domain; a zigzag
+// column's value intervals intersect in the value domain and bind as a
+// comparison does (zigzagRange).
 func fuse(parts []*boundLeaf) *boundLeaf {
 	first := parts[0]
 	f := make(rangeLeaf, len(parts))
@@ -519,81 +561,45 @@ func fuse(parts []*boundLeaf) *boundLeaf {
 		f[i] = p.leaf.(*Cmp)
 		b.guess *= p.guess
 	}
-	b.q.rng = true
 	if !b.zigzag {
-		b.q.lo, b.q.hi = 0, math.MaxUint64
+		// A decided part's interval holds every key (all) or may still
+		// hold keys past the dictionary's (empty): its verdict carries over.
+		b.q.hi, b.all = math.MaxUint64, true
 		for _, p := range parts {
-			lo, hi := opRange(p.q.op, p.q.lo, 0, math.MaxUint64)
-			b.q.lo, b.q.hi = max(b.q.lo, lo), min(b.q.hi, hi)
+			b.q.lo, b.q.hi = max(b.q.lo, p.q.lo), min(b.q.hi, p.q.hi)
+			b.empty, b.all = b.empty || p.empty, b.all && p.all
 		}
-		b.empty = b.q.lo > b.q.hi
+		b.empty = b.empty || b.q.lo > b.q.hi
 		b.details = func() []string {
-			if b.empty {
-				return []string{fmt.Sprintf("dict rewrite: %d conjuncts fused, key ranges disjoint: provably empty (no scan)", len(f))}
+			switch {
+			case b.empty:
+				return []string{fmt.Sprintf("dict rewrite: %d conjuncts fused, no key in range: provably empty (no scan)", len(f))}
+			case b.all:
+				return []string{fmt.Sprintf("dict rewrite: %d conjuncts fused, every key in range: provably all rows (no scan)", len(f))}
 			}
 			return []string{
-				fmt.Sprintf("dict rewrite: %d conjuncts fused into key range [%d, %d], one walk", len(f), b.q.lo, b.q.hi),
-				"kernel=sboost.ScanPackedRange",
+				fmt.Sprintf("dict rewrite: %d conjuncts fused into key %s, one walk", len(f), b.q.interval(math.MaxUint64)),
+				"kernel=sboost.ScanPackedRangeIntoSel",
 				"zone-maps=key-domain min/max per page",
 			}
 		}
 		return b
 	}
 	vlo, vhi := int64(math.MinInt64), int64(math.MaxInt64)
-	for _, p := range parts {
-		lo, hi := opRange(p.op, p.value, math.MinInt64, math.MaxInt64)
+	for _, c := range f {
+		v, _ := constOf(c.Value)
+		lo, hi, _ := sboost.Interval(c.Op, v.i, math.MinInt64, math.MaxInt64)
 		vlo, vhi = max(vlo, lo), min(vhi, hi)
 	}
-	b.empty = vlo > vhi
-	b.test.ints = func(v int64) bool { return v >= vlo && v <= vhi }
-	b.q.lo, b.q.hi = 1, 0 // no non-negative value in range
-	if vhi >= 0 {
-		b.q.lo, b.q.hi = zigzag(max(vlo, 0)), zigzag(vhi)
-	}
+	b.zigzagRange(vlo, vhi, false)
 	b.details = func() []string {
 		if b.empty {
 			return []string{fmt.Sprintf("zigzag rewrite: %d conjuncts fused, value ranges disjoint: provably empty (no scan)", len(f))}
 		}
-		how, rest := "kernel=sboost.ScanPackedRange", "decode-and-test"
-		if b.kern == kernDelta {
-			how, rest = "kernel=sboost.CumSum (SWAR cumulative-sum reconstruct, then range test)", "reconstruct every page"
-		}
-		in := 0
-		for rg := 0; rg < b.r.NumRowGroups(); rg++ {
-			if b.inDomain(b.r.Chunk(rg, b.ci)) {
-				in++
-			}
-		}
-		return []string{
-			fmt.Sprintf("zigzag rewrite: %d conjuncts fused into value range [%d, %d] → packed range [%d, %d] on %d of %d chunks with min >= 0, else %s",
-				len(f), vlo, vhi, b.q.lo, b.q.hi, in, b.r.NumRowGroups(), rest),
-			how,
-			"zone-maps=zigzag-domain min/max per page",
-		}
+		return b.zigzagDetails(fmt.Sprintf("zigzag rewrite: %d conjuncts fused into value range [%d, %d] → packed %s",
+			len(f), vlo, vhi, b.q.interval(zigzag(math.MaxInt64))))
 	}
 	return b
-}
-
-// opRange is `x op v` as the interval [lo, hi] of the domain [least, most],
-// for the operators a range absorbs; lo > hi where it is empty.
-func opRange[T int64 | uint64](op sboost.Op, v, least, most T) (lo, hi T) {
-	switch op {
-	case sboost.OpEq:
-		return v, v
-	case sboost.OpLt:
-		if v == least {
-			return most, least
-		}
-		return least, v - 1
-	case sboost.OpLe:
-		return least, v
-	case sboost.OpGt:
-		if v == most {
-			return most, least
-		}
-		return v + 1, most
-	}
-	return v, most // OpGe
 }
 
 // cmpTest is `v op c` in the value domain.
@@ -721,25 +727,26 @@ func (f *In) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 	return b, nil
 }
 
-// keySet binds the leaf to set membership in the packed domain, choosing
-// the cheapest strategy per page (scanPage): a contiguous key set becomes
-// one SWAR range scan, a small set the SWAR disjunction, and a large
-// scattered set a lookup table.
+// keySet binds the leaf to set membership in the packed domain: a
+// contiguous key set is one interval; a set too large for the SWAR
+// disjunction, of keys small enough, gets its lookup table.
 func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 	resolved := len(keys)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	// Collapse duplicates: a multiset like [1,3,3] would otherwise pass the
-	// contiguity test and widen the range scan to keys never asked for.
-	uniq := keys[:min(1, len(keys))]
-	for _, k := range keys[len(uniq):] {
-		if k != uniq[len(uniq)-1] {
-			uniq = append(uniq, k)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	switch last := len(keys) - 1; {
+	case last < 0:
+		b.empty = true
+	case keys[last]-keys[0] == uint64(last):
+		b.q = packedPred{lo: keys[0], hi: keys[last]}
+	default:
+		b.q = packedPred{keys: keys}
+		if b.kern == kernPacked && last >= sboost.SWARKeys && keys[last] < maxTable {
+			b.table = make([]bool, keys[last]+1)
+			for _, k := range keys {
+				b.table[k] = true
+			}
 		}
-	}
-	b.q = packedPred{keys: uniq}
-	if b.empty = len(uniq) == 0; !b.empty {
-		b.q.lo, b.q.hi = uniq[0], uniq[len(uniq)-1]
-		b.q.rng = b.q.hi-b.q.lo == uint64(len(uniq)-1)
 	}
 	b.details = func() []string {
 		var how string
@@ -747,17 +754,23 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 		case b.empty:
 			how = "kernel=none (empty key set, provably empty)"
 		case b.kern == kernDelta:
-			how = "kernel=sboost.CumSum (SWAR cumulative-sum reconstruct, then set test)"
-		case b.q.rng:
-			how = fmt.Sprintf("kernel=sboost.ScanPackedRange (%d contiguous keys)", len(uniq))
-		case len(uniq) <= swarInThreshold:
-			how = fmt.Sprintf("kernel=sboost.ScanPackedIn (SWAR disjunction, %d keys)", len(uniq))
+			how = "kernel=sboost.CumulativeSum (SWAR cumulative-sum reconstruct, then set test)"
+		case b.q.keys == nil:
+			how = fmt.Sprintf("kernel=sboost.ScanPackedRangeIntoSel (%d contiguous keys)", len(keys))
+		case b.table != nil:
+			how = fmt.Sprintf("kernel=sboost.ScanPackedInIntoSel (lookup table, %d keys)", len(keys))
+		case len(keys) <= sboost.SWARKeys:
+			how = fmt.Sprintf("kernel=sboost.ScanPackedInIntoSel (SWAR disjunction, %d keys)", len(keys))
 		default:
-			how = fmt.Sprintf("kernel=lookup table (%d keys; sboost.ScanPackedIn above width 24)", len(uniq))
+			how = fmt.Sprintf("kernel=sboost.ScanPackedInIntoSel (binary search, %d keys)", len(keys))
 		}
 		return []string{fmt.Sprintf(rewrite, resolved, asked), how, "zone-maps=" + domain + "-domain per page (prune when no key in [min,max])"}
 	}
 }
+
+// maxTable bounds a key set's lookup table: a set with a larger key is
+// searched instead.
+const maxTable = 1 << 24
 
 func (f *Match) expr() string {
 	if f.Str != nil {
@@ -876,7 +889,7 @@ func (f *Cols) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 	b.details = func() []string {
 		return []string{
 			"two-column compare: shared order-preserving dictionary, packed key streams compared directly",
-			"kernel=sboost.CompareStreams",
+			"kernel=sboost.CompareStreamsIntoSel",
 			"zone-maps=key-domain, both pages (disjoint ranges resolve without a read)",
 		}
 	}
@@ -908,82 +921,10 @@ func dictLowerBound(r *colstore.Reader, ci int, col *colstore.Column, iv int64, 
 	return 0, false, 0, fmt.Errorf("ops: dictionary filter on %v column", col.Type)
 }
 
-// rewriteDictPredicate maps a value-domain comparison to a key-domain
-// comparison against the lower-bound key. match=false means the result is
-// provably empty; all=true means provably every row matches.
-func rewriteDictPredicate(op sboost.Op, lb int64, exact bool, dictLen int) (sboost.Op, bool, bool) {
-	switch op {
-	case sboost.OpEq:
-		return sboost.OpEq, exact, false
-	case sboost.OpNe:
-		if !exact {
-			return 0, false, true
-		}
-		return sboost.OpNe, true, false
-	case sboost.OpLt:
-		if lb == 0 {
-			return 0, false, false
-		}
-		if lb >= int64(dictLen) {
-			return 0, false, true // every entry is below the probe value
-		}
-		return sboost.OpLt, true, false
-	case sboost.OpLe:
-		if exact {
-			return sboost.OpLe, true, false
-		}
-		if lb == 0 {
-			return 0, false, false
-		}
-		if lb >= int64(dictLen) {
-			return 0, false, true
-		}
-		return sboost.OpLt, true, false
-	case sboost.OpGt:
-		if exact {
-			return sboost.OpGt, true, false
-		}
-		if lb >= int64(dictLen) {
-			return 0, false, false
-		}
-		return sboost.OpGe, true, false
-	case sboost.OpGe:
-		if lb >= int64(dictLen) {
-			return 0, false, false
-		}
-		return sboost.OpGe, true, false
-	}
-	return 0, false, false
-}
-
 func lowerBoundInt(dict []int64, v int64) int64 {
 	return int64(sort.Search(len(dict), func(i int) bool { return dict[i] >= v }))
 }
 
 func lowerBoundStr(dict [][]byte, v []byte) int64 {
 	return int64(sort.Search(len(dict), func(i int) bool { return bytes.Compare(dict[i], v) >= 0 }))
-}
-
-// dictPositionSelectivity is the zone-map-free guess for dictionary
-// comparisons: with an order-preserving dictionary, the rewritten key
-// bound's position inside the dictionary is itself a uniform-assumption
-// selectivity estimate.
-func dictPositionSelectivity(op sboost.Op, lb int64, dictLen int) float64 {
-	if dictLen == 0 {
-		return 0
-	}
-	d := float64(dictLen)
-	switch op {
-	case sboost.OpEq:
-		return 1 / d
-	case sboost.OpNe:
-		return 1 - 1/d
-	case sboost.OpLt:
-		return float64(lb) / d
-	case sboost.OpLe:
-		return (float64(lb) + 1) / d
-	case sboost.OpGt:
-		return (d - float64(lb) - 1) / d
-	}
-	return (d - float64(lb)) / d // OpGe
 }

@@ -13,7 +13,6 @@ package ops
 
 import (
 	"math/bits"
-	"sort"
 
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
@@ -87,15 +86,12 @@ type Decode struct {
 }
 
 // kernel is one worker's private instance of a bound leaf: the part's page
-// fetcher (nil outside a scan), the row group under the page walk, and
-// what outlives it (the key-set lookup table, built lazily and never
-// shared between workers).
+// fetcher (nil outside a scan) and the row group under the page walk.
 type kernel struct {
 	leaf            *boundLeaf
 	fetch           *colstore.PageFetcher
 	sc, scB         *arena.Scratch
 	secSel, section *bitutil.Bitmap
-	table           []bool
 }
 
 // skip records every page of the leaf's chunks in row group rg as bypassed
@@ -237,51 +233,15 @@ func (w *kernel) scanPage(a, bb *colstore.Chunk, p, first, last int) error {
 	if err != nil {
 		return err
 	}
-	// Entries of this page are below 1<<Width: resolve what lies beyond
-	// statically instead of letting a SWAR broadcast wrap. Dictionary keys
-	// get here only as the open end of a fused range; zigzag targets wider
-	// than a narrow page do too.
-	q := b.q
-	if pp.Width < 64 && q.hi >= 1<<pp.Width {
-		lim := uint64(1) << pp.Width
-		switch {
-		case q.keys == nil && !q.rng:
-			switch q.op {
-			case sboost.OpNe, sboost.OpLt, sboost.OpLe:
-				w.section.SetRange(first, last)
-			}
-			return nil // Eq/Gt/Ge: no row of this page matches
-		case q.lo >= lim:
-			return nil
-		}
-		q.keys = q.keys[:sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= lim })]
-		q.hi = lim - 1
-	}
 	bm := w.sc.Bitmap(pp.N)
-	switch {
-	case q.rng:
-		sboost.ScanPackedRangeIntoSel(bm, pp.Data, pp.Width, q.lo, q.hi, w.secSel, pp.FirstRow)
-	case q.keys == nil:
-		sboost.ScanPackedIntoSel(bm, pp.Data, pp.Width, q.op, q.lo, w.secSel, pp.FirstRow)
-	case len(q.keys) <= swarInThreshold || pp.Width > 24:
-		sboost.ScanPackedInIntoSel(bm, pp.Data, pp.Width, q.keys, w.secSel, pp.FirstRow)
-	default:
-		// The lookup table is built once per worker, not once per page.
-		if len(w.table) != 1<<pp.Width {
-			w.table = make([]bool, 1<<pp.Width)
-			for _, k := range q.keys {
-				w.table[k] = true
-			}
-		}
-		sboost.ScanPackedLookupIntoSel(bm, pp.Data, pp.Width, w.table, w.secSel, pp.FirstRow)
+	if q := &b.q; q.keys == nil {
+		sboost.ScanPackedRangeIntoSel(bm, pp.Data, pp.Width, q.lo, q.hi, q.not, w.secSel, pp.FirstRow)
+	} else {
+		sboost.ScanPackedInIntoSel(bm, pp.Data, pp.Width, q.keys, b.table, w.secSel, pp.FirstRow)
 	}
 	mergePage(w.section, bm, pp.FirstRow)
 	return nil
 }
-
-// swarInThreshold is the IN-set size above which the per-target SWAR
-// disjunction loses to a single lookup-table pass.
-const swarInThreshold = 8
 
 // mergePage transfers a page-local result bitmap into the section bitmap
 // at row offset firstRow. Word-aligned offsets (the common case: page rows

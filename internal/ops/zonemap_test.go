@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -40,54 +41,67 @@ func TestLowerBoundEdges(t *testing.T) {
 	}
 }
 
-// TestRewriteDictPredicateEdges pins the static resolutions at the dict
-// boundaries: a probe value below the first entry, past the last entry,
-// exactly on an entry, and against an empty dictionary.
+// TestRewriteDictPredicateEdges pins the key interval a dictionary
+// comparison binds to, and its static resolutions, at the dict boundaries:
+// a probe value below the first entry, past the last entry, exactly on an
+// entry, absent between entries, and against an empty dictionary.
 func TestRewriteDictPredicateEdges(t *testing.T) {
-	const dictLen = 8
+	const dictLen, top = 8, math.MaxUint64
+	const interval, empty, all = "interval", "empty", "all"
 	cases := []struct {
-		name      string
-		op        sboost.Op
-		lb        int64
-		exact     bool
-		dictLen   int
-		wantOp    sboost.Op
-		wantMatch bool
-		wantAll   bool
+		name    string
+		op      sboost.Op
+		lb      uint64
+		exact   bool
+		dictLen int
+		want    string
+		lo, hi  uint64 // the interval, when want is interval
+		not     bool
 	}{
 		// Empty dictionary: every predicate resolves statically.
-		{"empty/eq", sboost.OpEq, 0, false, 0, 0, false, false},
-		{"empty/ne", sboost.OpNe, 0, false, 0, 0, false, true},
-		{"empty/lt", sboost.OpLt, 0, false, 0, 0, false, false},
-		{"empty/ge", sboost.OpGe, 0, false, 0, 0, false, false},
-		// Below the first entry (lb=0, not exact).
-		{"below/eq", sboost.OpEq, 0, false, dictLen, sboost.OpEq, false, false},
-		{"below/lt", sboost.OpLt, 0, false, dictLen, 0, false, false},
-		{"below/le", sboost.OpLe, 0, false, dictLen, 0, false, false},
-		{"below/gt", sboost.OpGt, 0, false, dictLen, sboost.OpGe, true, false},
-		{"below/ge", sboost.OpGe, 0, false, dictLen, sboost.OpGe, true, false},
+		{"empty/eq", sboost.OpEq, 0, false, 0, empty, 0, 0, false},
+		{"empty/ne", sboost.OpNe, 0, false, 0, all, 0, 0, false},
+		{"empty/lt", sboost.OpLt, 0, false, 0, empty, 0, 0, false},
+		{"empty/ge", sboost.OpGe, 0, false, 0, empty, 0, 0, false},
+		// Below the first entry (lb=0, not exact): > and >= keep every key.
+		{"below/eq", sboost.OpEq, 0, false, dictLen, empty, 0, 0, false},
+		{"below/lt", sboost.OpLt, 0, false, dictLen, empty, 0, 0, false},
+		{"below/le", sboost.OpLe, 0, false, dictLen, empty, 0, 0, false},
+		{"below/gt", sboost.OpGt, 0, false, dictLen, all, 0, 0, false},
+		{"below/ge", sboost.OpGe, 0, false, dictLen, all, 0, 0, false},
 		// Past the last entry (lb=dictLen, not exact).
-		{"past/eq", sboost.OpEq, dictLen, false, dictLen, sboost.OpEq, false, false},
-		{"past/ne", sboost.OpNe, dictLen, false, dictLen, 0, false, true},
-		{"past/lt", sboost.OpLt, dictLen, false, dictLen, 0, false, true},
-		{"past/le", sboost.OpLe, dictLen, false, dictLen, 0, false, true},
-		{"past/gt", sboost.OpGt, dictLen, false, dictLen, 0, false, false},
-		{"past/ge", sboost.OpGe, dictLen, false, dictLen, 0, false, false},
-		// Exact hit on an interior entry: <= keeps Le, >= keeps Ge.
-		{"exact/le", sboost.OpLe, 3, true, dictLen, sboost.OpLe, true, false},
-		{"exact/ge", sboost.OpGe, 3, true, dictLen, sboost.OpGe, true, false},
-		{"exact/eq", sboost.OpEq, 3, true, dictLen, sboost.OpEq, true, false},
-		{"exact/ne", sboost.OpNe, 3, true, dictLen, sboost.OpNe, true, false},
-		// Absent interior value: <= and < both become Lt on the lower bound.
-		{"interior/le", sboost.OpLe, 3, false, dictLen, sboost.OpLt, true, false},
-		{"interior/lt", sboost.OpLt, 3, false, dictLen, sboost.OpLt, true, false},
-		{"interior/gt", sboost.OpGt, 3, false, dictLen, sboost.OpGe, true, false},
+		{"past/eq", sboost.OpEq, dictLen, false, dictLen, empty, 0, 0, false},
+		{"past/ne", sboost.OpNe, dictLen, false, dictLen, all, 0, 0, false},
+		{"past/lt", sboost.OpLt, dictLen, false, dictLen, all, 0, 0, false},
+		{"past/le", sboost.OpLe, dictLen, false, dictLen, all, 0, 0, false},
+		{"past/gt", sboost.OpGt, dictLen, false, dictLen, empty, 0, 0, false},
+		{"past/ge", sboost.OpGe, dictLen, false, dictLen, empty, 0, 0, false},
+		// Exact hit on an interior entry: <= and >= keep its key.
+		{"exact/le", sboost.OpLe, 3, true, dictLen, interval, 0, 3, false},
+		{"exact/ge", sboost.OpGe, 3, true, dictLen, interval, 3, top, false},
+		{"exact/eq", sboost.OpEq, 3, true, dictLen, interval, 3, 3, false},
+		{"exact/ne", sboost.OpNe, 3, true, dictLen, interval, 3, 3, true},
+		// Absent interior value: <= and < both end below the lower bound,
+		// > starts on it.
+		{"interior/le", sboost.OpLe, 3, false, dictLen, interval, 0, 2, false},
+		{"interior/lt", sboost.OpLt, 3, false, dictLen, interval, 0, 2, false},
+		{"interior/gt", sboost.OpGt, 3, false, dictLen, interval, 3, top, false},
 	}
 	for _, c := range cases {
-		op, match, all := rewriteDictPredicate(c.op, c.lb, c.exact, c.dictLen)
-		if all != c.wantAll || match != c.wantMatch || (match && op != c.wantOp) {
-			t.Errorf("%s: got (op=%v match=%v all=%v), want (op=%v match=%v all=%v)",
-				c.name, op, match, all, c.wantOp, c.wantMatch, c.wantAll)
+		b := &boundLeaf{}
+		b.keyRange(c.op, c.lb, c.exact, c.dictLen)
+		got := interval
+		switch {
+		case b.empty && b.all:
+			got = "empty and all"
+		case b.empty:
+			got = empty
+		case b.all:
+			got = all
+		}
+		q := b.q
+		if got != c.want || got == interval && (q.lo != c.lo || q.hi != c.hi || q.not != c.not || q.keys != nil) {
+			t.Errorf("%s: got %s [%d, %d] not=%v, want %s [%d, %d] not=%v", c.name, got, q.lo, q.hi, q.not, c.want, c.lo, c.hi, c.not)
 		}
 	}
 }

@@ -26,6 +26,7 @@ package sboost
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 
 	"codecdb/internal/bitutil"
@@ -76,68 +77,47 @@ const (
 	DispAll                      // provably every entry matches
 )
 
-// Dispose classifies `entry op target` against a page whose packed
-// entries all lie in [min, max]. Comparisons are in the unsigned packed
-// domain; the caller guarantees the predicate was rewritten into that
-// domain (dictionary keys, or zigzag with the monotonicity precondition).
-func Dispose(op Op, target, min, max uint64) Disposition {
-	switch op {
-	case OpEq:
-		if target < min || target > max {
-			return DispNone
-		}
-		if min == max {
-			return DispAll // single-valued page equal to the target
-		}
-	case OpNe:
-		if target < min || target > max {
-			return DispAll
-		}
-		if min == max {
-			return DispNone
-		}
-	case OpLt:
-		if max < target {
-			return DispAll
-		}
-		if min >= target {
-			return DispNone
-		}
-	case OpLe:
-		if max <= target {
-			return DispAll
-		}
-		if min > target {
-			return DispNone
-		}
-	case OpGt:
-		if min > target {
-			return DispAll
-		}
-		if max <= target {
-			return DispNone
-		}
-	case OpGe:
-		if min >= target {
-			return DispAll
-		}
-		if max < target {
-			return DispNone
-		}
+// DisposeRange classifies `lo <= entry <= hi` — its complement when not —
+// against a page whose packed entries all lie in [min, max]. Comparisons
+// are in the unsigned packed domain; the caller guarantees the predicate
+// was rewritten into that domain (dictionary keys, or zigzag with the
+// monotonicity precondition).
+func DisposeRange(lo, hi, min, max uint64, not bool) Disposition {
+	none, all := DispNone, DispAll
+	if not {
+		none, all = all, none
+	}
+	switch {
+	case lo > hi || hi < min || lo > max:
+		return none
+	case lo <= min && max <= hi:
+		return all
 	}
 	return DispMixed
 }
 
-// DisposeRange classifies `lo <= entry <= hi` against a page bounded by
-// [min, max] in the packed domain.
-func DisposeRange(lo, hi, min, max uint64) Disposition {
-	if lo > hi || hi < min || lo > max {
-		return DispNone
+// Interval is `x op v` over the domain [least, most] as the interval
+// [lo, hi] of x it keeps, lo > hi where that is empty — or, for <> (not),
+// the one-value interval it rejects. Every comparison the kernels run is
+// one of these.
+func Interval[T int64 | uint64](op Op, v, least, most T) (lo, hi T, not bool) {
+	switch op {
+	case OpEq, OpNe:
+		return v, v, op == OpNe
+	case OpLt:
+		if v == least {
+			return most, least, false
+		}
+		return least, v - 1, false
+	case OpLe:
+		return least, v, false
+	case OpGt:
+		if v == most {
+			return most, least, false
+		}
+		return v + 1, most, false
 	}
-	if lo <= min && max <= hi {
-		return DispAll
-	}
-	return DispMixed
+	return v, most, false // OpGe
 }
 
 // DisposeStreams classifies `a[i] op b[i]` from the two pages' zone maps:
@@ -315,46 +295,63 @@ func window(buf []byte, pos uint) uint64 {
 	return w>>r | uint64(buf[b+8])<<(64-r)
 }
 
-// ScanPacked evaluates `entry op target` for every width-bit entry in the
-// packed stream and returns the result as a bitmap of n bits. Entries and
-// target are compared in the unsigned packed domain.
-func ScanPacked(data []byte, n int, width uint, op Op, target uint64) *bitutil.Bitmap {
-	out := bitutil.NewBitmap(n)
-	ScanPackedInto(out, data, width, op, target)
-	return out
+// ScanPackedInto evaluates `entry op target` for every width-bit entry in
+// the packed stream into a caller-supplied all-zero bitmap of out.Len()
+// bits. Entries and target are compared in the unsigned packed domain.
+func ScanPackedInto(out *bitutil.Bitmap, data []byte, width uint, op Op, target uint64) {
+	lo, hi, not := Interval(op, target, 0, math.MaxUint64)
+	ScanPackedRangeIntoSel(out, data, width, lo, hi, not, nil, 0)
 }
 
-// ScanPackedInto is ScanPacked writing hits into a caller-supplied
-// all-zero bitmap (the pooled-buffer hot path); n is out.Len().
-func ScanPackedInto(out *bitutil.Bitmap, data []byte, width uint, op Op, target uint64) {
-	n := out.Len()
-	if n == 0 {
+// ScanPackedRangeInto evaluates `lo <= entry <= hi` over the packed stream
+// into a caller-supplied all-zero bitmap.
+func ScanPackedRangeInto(out *bitutil.Bitmap, data []byte, width uint, lo, hi uint64) {
+	ScanPackedRangeIntoSel(out, data, width, lo, hi, false, nil, 0)
+}
+
+// ScanPackedRangeIntoSel evaluates `lo <= entry <= hi` — its complement
+// when not — over the rows of sel's window (see restrict). The interval is
+// clipped to the entries the width can hold, and its shape picks the SWAR
+// test: one key is an equality, an interval from 0 or up to the widest
+// entry one unsigned comparison, any other interval two.
+func ScanPackedRangeIntoSel(out *bitutil.Bitmap, data []byte, width uint, lo, hi uint64, not bool, sel *bitutil.Bitmap, selOff int) {
+	top := ^uint64(0) >> (64 - width) // the widest entry
+	hi = min(hi, top)
+	if lo > hi || lo == 0 && hi == top {
+		// No entry, or every one, lies in the interval.
+		if (lo > hi) == not {
+			out.SetRange(0, out.Len())
+			if sel != nil {
+				out.AndRange(sel, selOff)
+			}
+		}
 		return
 	}
-	if width > 32 {
-		scanScalar(data, 0, n, width, op, target, out)
-		return
-	}
-	m := &widthMasks[width]
-	bc := m.broadcast(target)
-	// The op dispatch is hoisted out of the hot loop.
-	var cmp func(x uint64) uint64
-	switch op {
-	case OpEq:
-		cmp = func(x uint64) uint64 { return m.eq(x, bc) }
-	case OpNe:
-		cmp = func(x uint64) uint64 { return ^m.eq(x, bc) & m.h }
-	case OpLt:
-		cmp = func(x uint64) uint64 { return m.lt(x, bc) }
-	case OpGe:
-		cmp = func(x uint64) uint64 { return ^m.lt(x, bc) & m.h }
-	case OpGt:
-		cmp = func(x uint64) uint64 { return m.lt(bc, x) }
-	default: // OpLe
-		cmp = func(x uint64) uint64 { return ^m.lt(bc, x) & m.h }
-	}
-	i := scanWindows(data, n, m, cmp, out)
-	scanScalar(data, i, n, width, op, target, out)
+	test := func(v, _ uint64) bool { return (v >= lo && v <= hi) != not }
+	restrict(out, data, nil, width, sel, selOff, test, func() {
+		i := 0
+		if width <= 32 {
+			m := &widthMasks[width]
+			bcLo, bcHi := m.broadcast(lo), m.broadcast(hi)
+			var flip uint64
+			if not {
+				flip = m.h
+			}
+			var cmp func(x uint64) uint64
+			switch {
+			case lo == hi:
+				cmp = func(x uint64) uint64 { return m.eq(x, bcLo) ^ flip }
+			case lo == 0:
+				cmp = func(x uint64) uint64 { return ^m.lt(bcHi, x)&m.h ^ flip }
+			case hi == top:
+				cmp = func(x uint64) uint64 { return ^m.lt(x, bcLo)&m.h ^ flip }
+			default:
+				cmp = func(x uint64) uint64 { return ^m.lt(x, bcLo) & ^m.lt(bcHi, x) & m.h ^ flip }
+			}
+			i = scanWindows(data, out.Len(), m, cmp, out)
+		}
+		scanScalar(out, data, nil, i, width, test)
+	})
 }
 
 // scanWindows runs the SWAR loop over all complete windows — two 64-bit
@@ -400,71 +397,45 @@ func commit(words []uint64, idx, k uint, bits uint64) {
 	words[(idx+k-1)>>6] |= bits >> (64 - lo)
 }
 
-// ScanPackedRange evaluates `lo <= entry <= hi` over the packed stream.
-func ScanPackedRange(data []byte, n int, width uint, lo, hi uint64) *bitutil.Bitmap {
-	out := bitutil.NewBitmap(n)
-	ScanPackedRangeInto(out, data, width, lo, hi)
-	return out
-}
+// SWARKeys is the largest key set the IN kernel compares each window with
+// in one SWAR disjunction. Their broadcasts live in a stack array, so the
+// kernel allocates nothing.
+const SWARKeys = 8
 
-// ScanPackedRangeInto is ScanPackedRange into a caller-supplied all-zero
-// bitmap.
-func ScanPackedRangeInto(out *bitutil.Bitmap, data []byte, width uint, lo, hi uint64) {
-	n := out.Len()
-	if n == 0 || lo > hi {
-		return
-	}
-	i := 0
-	if width <= 32 {
-		m := &widthMasks[width]
-		bcLo, bcHi := m.broadcast(lo), m.broadcast(hi)
-		i = scanWindows(data, n, m, func(x uint64) uint64 {
-			return ^m.lt(x, bcLo) & ^m.lt(bcHi, x) & m.h
-		}, out)
-	}
-	r := bitutil.NewReader(data)
-	r.SkipBits(i * int(width))
-	for ; i < n; i++ {
-		v := r.ReadBits(width)
-		if v >= lo && v <= hi {
-			out.Set(i)
-		}
-	}
-}
-
-// ScanPackedIn evaluates `entry IN targets` — the disjunction-of-equalities
-// rewrite CodecDB uses for LIKE and IN predicates on dictionary columns
-// (paper §5.3).
-func ScanPackedIn(data []byte, n int, width uint, targets []uint64) *bitutil.Bitmap {
-	out := bitutil.NewBitmap(n)
-	ScanPackedInInto(out, data, width, targets)
-	return out
-}
-
-// inGroup is how many targets one SWAR pass of the IN kernel compares each
-// window with. Their broadcasts live in a stack array, so the kernel
-// allocates nothing; a larger set takes one pass per group, each OR-ing its
-// hits into the bitmap.
-const inGroup = 8
-
-// ScanPackedInInto is ScanPackedIn into a caller-supplied all-zero bitmap.
-// Targets sorted ascending (as the binder passes them) are looked up by
-// binary search where the scan decodes entries.
+// ScanPackedInInto evaluates `entry IN targets` over the packed stream
+// into a caller-supplied all-zero bitmap.
 func ScanPackedInInto(out *bitutil.Bitmap, data []byte, width uint, targets []uint64) {
-	n := out.Len()
-	if n == 0 || len(targets) == 0 {
+	ScanPackedInIntoSel(out, data, width, targets, nil, nil, 0)
+}
+
+// ScanPackedInIntoSel evaluates `entry IN keys` — the disjunction-of-
+// equalities rewrite CodecDB uses for IN, LIKE and computed predicates on
+// dictionary columns (paper §5.3) — over the rows of sel's window (see
+// restrict). Up to SWARKeys keys run as one SWAR disjunction. A larger set
+// probes table — the set as a lookup table, table[k] for every key k below
+// len(table) — once per entry; with no table it searches keys, by binary
+// search where they are sorted ascending, as the binder passes them.
+func ScanPackedInIntoSel(out *bitutil.Bitmap, data []byte, width uint, keys []uint64, table []bool, sel *bitutil.Bitmap, selOff int) {
+	if len(keys) == 0 {
 		return
 	}
-	i := 0
-	if width <= 32 {
-		m := &widthMasks[width]
-		for g := 0; g < len(targets); g += inGroup {
-			var bcs [inGroup]uint64
-			k := min(len(targets)-g, inGroup)
-			for j, t := range targets[g : g+k] {
-				bcs[j] = m.broadcast(t)
+	test := func(v, _ uint64) bool { return v < uint64(len(table)) && table[v] }
+	if table == nil {
+		sorted := slices.IsSorted(keys)
+		test = func(v, _ uint64) bool { return member(keys, sorted, v) }
+	}
+	restrict(out, data, nil, width, sel, selOff, test, func() {
+		i := 0
+		if width <= 32 && len(keys) <= SWARKeys {
+			m := &widthMasks[width]
+			var bcs [SWARKeys]uint64
+			k := 0
+			for _, t := range keys {
+				if t>>width == 0 { // a wider key matches nothing: keep it from wrapping
+					bcs[k], k = m.broadcast(t), k+1
+				}
 			}
-			i = scanWindows(data, n, m, func(x uint64) uint64 {
+			i = scanWindows(data, out.Len(), m, func(x uint64) uint64 {
 				var hit uint64
 				for _, bc := range bcs[:k] {
 					hit |= m.eq(x, bc)
@@ -472,15 +443,8 @@ func ScanPackedInInto(out *bitutil.Bitmap, data []byte, width uint, targets []ui
 				return hit
 			}, out)
 		}
-	}
-	sorted := slices.IsSorted(targets)
-	r := bitutil.NewReader(data)
-	r.SkipBits(i * int(width))
-	for ; i < n; i++ {
-		if member(targets, sorted, r.ReadBits(width)) {
-			out.Set(i)
-		}
-	}
+		scanScalar(out, data, nil, i, width, test)
+	})
 }
 
 // member reports whether v is one of targets.
@@ -492,60 +456,42 @@ func member(targets []uint64, sorted bool, v uint64) bool {
 	return slices.Contains(targets, v)
 }
 
-// ScanPackedLookupInto evaluates `table[entry]` over the packed stream
-// into a caller-supplied all-zero bitmap, for IN-sets too large for the
-// per-target SWAR disjunction: one table probe per entry instead of one
-// comparison per (entry, target) pair. The table must cover [0, 2^width).
-func ScanPackedLookupInto(out *bitutil.Bitmap, data []byte, width uint, table []bool) {
-	n := out.Len()
-	r := bitutil.NewReader(data)
-	for i := 0; i < n; i++ {
-		v := r.ReadBits(width)
-		if v < uint64(len(table)) && table[v] {
-			out.Set(i)
-		}
-	}
-}
-
-// CompareStreams evaluates `a[i] op b[i]` over two packed streams of the
-// same width and length — the two-column comparison operator the paper
-// uses for predicates like l_commitdate < l_receiptdate on columns sharing
-// an order-preserving dictionary (§5.3).
-func CompareStreams(a, b []byte, n int, width uint, op Op) *bitutil.Bitmap {
-	out := bitutil.NewBitmap(n)
-	CompareStreamsInto(out, a, b, width, op)
-	return out
-}
-
-// CompareStreamsInto is CompareStreams into a caller-supplied all-zero
-// bitmap.
+// CompareStreamsInto evaluates `a[i] op b[i]` over two packed streams of
+// the same width and length into a caller-supplied all-zero bitmap — the
+// two-column comparison operator the paper uses for predicates like
+// l_commitdate < l_receiptdate on columns sharing an order-preserving
+// dictionary (§5.3).
 func CompareStreamsInto(out *bitutil.Bitmap, a, b []byte, width uint, op Op) {
-	n := out.Len()
-	if n == 0 {
-		return
-	}
-	if width > 32 {
-		compareScalar(a, b, 0, n, width, op, out)
-		return
-	}
-	m := &widthMasks[width]
-	var cmp func(x, y uint64) uint64
-	switch op {
-	case OpEq:
-		cmp = func(x, y uint64) uint64 { return m.eq(x, y) }
-	case OpNe:
-		cmp = func(x, y uint64) uint64 { return ^m.eq(x, y) & m.h }
-	case OpLt:
-		cmp = func(x, y uint64) uint64 { return m.lt(x, y) }
-	case OpGe:
-		cmp = func(x, y uint64) uint64 { return ^m.lt(x, y) & m.h }
-	case OpGt:
-		cmp = func(x, y uint64) uint64 { return m.lt(y, x) }
-	default: // OpLe
-		cmp = func(x, y uint64) uint64 { return ^m.lt(y, x) & m.h }
-	}
-	i := compareWindows(a, b, n, m, cmp, out)
-	compareScalar(a, b, i, n, width, op, out)
+	CompareStreamsIntoSel(out, a, b, width, op, nil, 0)
+}
+
+// CompareStreamsIntoSel is CompareStreamsInto over the rows of sel's
+// window (see restrict).
+func CompareStreamsIntoSel(out *bitutil.Bitmap, a, b []byte, width uint, op Op, sel *bitutil.Bitmap, selOff int) {
+	test := func(x, y uint64) bool { return evalOp(x, op, y) }
+	restrict(out, a, b, width, sel, selOff, test, func() {
+		i := 0
+		if width <= 32 {
+			m := &widthMasks[width]
+			var cmp func(x, y uint64) uint64
+			switch op {
+			case OpEq:
+				cmp = func(x, y uint64) uint64 { return m.eq(x, y) }
+			case OpNe:
+				cmp = func(x, y uint64) uint64 { return ^m.eq(x, y) & m.h }
+			case OpLt:
+				cmp = func(x, y uint64) uint64 { return m.lt(x, y) }
+			case OpGe:
+				cmp = func(x, y uint64) uint64 { return ^m.lt(x, y) & m.h }
+			case OpGt:
+				cmp = func(x, y uint64) uint64 { return m.lt(y, x) }
+			default: // OpLe
+				cmp = func(x, y uint64) uint64 { return ^m.lt(y, x) & m.h }
+			}
+			i = compareWindows(a, b, out.Len(), m, cmp, out)
+		}
+		scanScalar(out, a, b, i, width, test)
+	})
 }
 
 // compareWindows is scanWindows for two parallel packed streams: two
@@ -571,29 +517,6 @@ func compareWindows(a, b []byte, n int, m *masks, cmp func(x, y uint64) uint64, 
 	}
 	out.Mask()
 	return i
-}
-
-// scanScalar is the decode-then-compare reference used for the stream tail
-// and widths above 32 bits.
-func scanScalar(data []byte, from, to int, width uint, op Op, target uint64, out *bitutil.Bitmap) {
-	r := bitutil.NewReader(data)
-	r.SkipBits(from * int(width))
-	for i := from; i < to; i++ {
-		if evalOp(r.ReadBits(width), op, target) {
-			out.Set(i)
-		}
-	}
-}
-
-func compareScalar(a, b []byte, from, to int, width uint, op Op, out *bitutil.Bitmap) {
-	ra, rb := bitutil.NewReader(a), bitutil.NewReader(b)
-	ra.SkipBits(from * int(width))
-	rb.SkipBits(from * int(width))
-	for i := from; i < to; i++ {
-		if evalOp(ra.ReadBits(width), op, rb.ReadBits(width)) {
-			out.Set(i)
-		}
-	}
 }
 
 func evalOp(v uint64, op Op, target uint64) bool {

@@ -41,7 +41,8 @@ func TestScanPackedAgainstReference(t *testing.T) {
 		for _, op := range allOps {
 			for trial := 0; trial < 4; trial++ {
 				target := vals[rng.Intn(n)] // ensure hits exist
-				bm := ScanPacked(data, n, width, op, target)
+				bm := bitutil.NewBitmap(n)
+				ScanPackedInto(bm, data, width, op, target)
 				for i, v := range vals {
 					if bm.Get(i) != evalOp(v, op, target) {
 						t.Fatalf("width=%d op=%v target=%d entry %d (%d): got %v",
@@ -59,7 +60,8 @@ func TestScanPackedEdgeTargets(t *testing.T) {
 	data := pack(vals, width)
 	for _, target := range []uint64{0, 1023, 512} {
 		for _, op := range allOps {
-			bm := ScanPacked(data, len(vals), width, op, target)
+			bm := bitutil.NewBitmap(len(vals))
+			ScanPackedInto(bm, data, width, op, target)
 			for i, v := range vals {
 				if bm.Get(i) != evalOp(v, op, target) {
 					t.Fatalf("target=%d op=%v entry %d", target, op, i)
@@ -84,7 +86,8 @@ func TestScanPackedRange(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		bm := ScanPackedRange(pack(vals, width), n, width, lo, hi)
+		bm := bitutil.NewBitmap(n)
+		ScanPackedRangeInto(bm, pack(vals, width), width, lo, hi)
 		for i, v := range vals {
 			if bm.Get(i) != (v >= lo && v <= hi) {
 				return false
@@ -99,7 +102,8 @@ func TestScanPackedRange(t *testing.T) {
 
 func TestScanPackedRangeEmptyWhenInverted(t *testing.T) {
 	vals := []uint64{1, 2, 3}
-	bm := ScanPackedRange(pack(vals, 4), 3, 4, 3, 1)
+	bm := bitutil.NewBitmap(3)
+	ScanPackedRangeInto(bm, pack(vals, 4), 4, 3, 1)
 	if bm.Any() {
 		t.Fatal("inverted range should match nothing")
 	}
@@ -122,7 +126,8 @@ func TestScanPackedIn(t *testing.T) {
 			targets[j] = rng.Uint64() & max & 0xF
 			want[targets[j]] = true
 		}
-		bm := ScanPackedIn(pack(vals, width), n, width, targets)
+		bm := bitutil.NewBitmap(n)
+		ScanPackedInInto(bm, pack(vals, width), width, targets)
 		for i, v := range vals {
 			if bm.Get(i) != want[v] {
 				return false
@@ -153,7 +158,8 @@ func TestCompareStreams(t *testing.T) {
 		}
 		pa, pb := pack(a, width), pack(b, width)
 		for _, op := range allOps {
-			bm := CompareStreams(pa, pb, n, width, op)
+			bm := bitutil.NewBitmap(n)
+			CompareStreamsInto(bm, pa, pb, width, op)
 			for i := range a {
 				if bm.Get(i) != evalOp(a[i], op, b[i]) {
 					return false
@@ -171,7 +177,8 @@ func TestCompareStreamsWide(t *testing.T) {
 	// width > 32 exercises the scalar fallback.
 	a := []uint64{1 << 40, 5, 1 << 40}
 	b := []uint64{1 << 40, 1 << 41, 2}
-	bm := CompareStreams(pack(a, 48), pack(b, 48), 3, 48, OpLt)
+	bm := bitutil.NewBitmap(3)
+	CompareStreamsInto(bm, pack(a, 48), pack(b, 48), 48, OpLt)
 	want := []bool{false, true, false}
 	for i := range want {
 		if bm.Get(i) != want[i] {
@@ -181,10 +188,11 @@ func TestCompareStreamsWide(t *testing.T) {
 }
 
 func TestScanEmptyStream(t *testing.T) {
-	if ScanPacked(nil, 0, 8, OpEq, 1).Len() != 0 {
+	bm := bitutil.NewBitmap(0)
+	if ScanPackedInto(bm, nil, 8, OpEq, 1); bm.Len() != 0 {
 		t.Fatal("empty scan should return empty bitmap")
 	}
-	if ScanPackedIn(nil, 0, 8, []uint64{1}).Len() != 0 {
+	if ScanPackedInInto(bm, nil, 8, []uint64{1}); bm.Len() != 0 {
 		t.Fatal("empty IN scan should return empty bitmap")
 	}
 }
@@ -200,7 +208,8 @@ func TestScanUnpaddedTail(t *testing.T) {
 		w.WriteBits(v, 3)
 	}
 	data := w.Bytes() // exactly ceil(300/8) bytes, no slack
-	bm := ScanPacked(data, 100, 3, OpEq, 5)
+	bm := bitutil.NewBitmap(100)
+	ScanPackedInto(bm, data, 3, OpEq, 5)
 	for i, v := range vals {
 		if bm.Get(i) != (v == 5) {
 			t.Fatalf("entry %d", i)
@@ -256,7 +265,8 @@ func TestSWARFasterThanScalarSanity(t *testing.T) {
 		vals[i] = rng.Uint64() & 1023
 	}
 	data := pack(vals, width)
-	bm := ScanPacked(data, n, width, OpLe, 511)
+	bm := bitutil.NewBitmap(n)
+	ScanPackedInto(bm, data, width, OpLe, 511)
 	// Correctness only here; timing claims are the benchmark's job.
 	count := 0
 	for _, v := range vals {
@@ -305,13 +315,14 @@ func TestSelKernelsSparseMatchFull(t *testing.T) {
 			}
 		}
 		out := bitutil.NewBitmap(n)
-		ScanPackedIntoSel(out, pa, width, OpLe, target, sel, selOff)
+		lo, hi, not := Interval(OpLe, target, 0, ^uint64(0))
+		ScanPackedRangeIntoSel(out, pa, width, lo, hi, not, sel, selOff)
 		check("scan", out, func(i int) bool { return a[i] <= target })
 		out = bitutil.NewBitmap(n)
-		ScanPackedRangeIntoSel(out, pa, width, target/2, target, sel, selOff)
+		ScanPackedRangeIntoSel(out, pa, width, target/2, target, false, sel, selOff)
 		check("range", out, func(i int) bool { return a[i] >= target/2 && a[i] <= target })
 		out = bitutil.NewBitmap(n)
-		ScanPackedInIntoSel(out, pa, width, []uint64{target, a[0]}, sel, selOff)
+		ScanPackedInIntoSel(out, pa, width, []uint64{target, a[0]}, nil, sel, selOff)
 		check("in", out, func(i int) bool { return a[i] == target || a[i] == a[0] })
 		out = bitutil.NewBitmap(n)
 		CompareStreamsIntoSel(out, pa, pb, width, OpLt, sel, selOff)
