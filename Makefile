@@ -47,22 +47,29 @@ race-obs:
 # the per-extra-row-group byte bound on a join + grouped relational morsel
 # (its vectors come from pooled worker slabs), zero allocations for gzip
 # and snappy page decompression into a large-enough buffer, zero
-# allocations for every SBoost scan kernel into a pre-sized bitmap, and
-# zero allocations for a selective gather of delta, bit-packed and
+# allocations for every SBoost scan kernel into a pre-sized bitmap, zero
+# allocations for a selective gather of delta, bit-packed and
 # dictionary-RLE chunks into a pre-sized destination (pages decode into
-# pooled scratch, not a fresh slice per page).
+# pooled scratch, not a fresh slice per page), and the filter walk's decode
+# primitive allocating no more on an 8-page chunk than on a 1-page one, for
+# a delta and a plain-int decode-first leaf (its values land in the
+# worker's buffers).
 guard-obs:
 	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded|TestRelMorselBytesPerRowGroupBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
 	$(GO) test -count=1 -run 'TestScanKernelsAllocFree' ./internal/sboost/
 	$(GO) test -count=1 -run 'TestGatherAllocFree' ./internal/colstore/
+	$(GO) test -count=1 -run 'TestDecodeLeafAllocsFlatInPages' ./internal/ops/
 
 # race-pipeline focuses the race detector on the morsel executor: the
 # worker-local-state scheduler tests and the pipeline ≡ naive-scan
-# property, IO acceptance, and trace tests, plus the two bound-leaf
-# Explain ≡ kernel cases (signed data, INT64 DICTIONARY_RLE).
+# property, IO acceptance, and trace tests, the two bound-leaf
+# Explain ≡ kernel cases (signed data, INT64 DICTIONARY_RLE), and the one
+# page walk of every leaf kind and encoding against a naive
+# decode-and-test.
 race-pipeline:
 	$(GO) test -race -count=1 -run TestParallelMorsels ./internal/exec/
+	$(GO) test -race -count=1 -run TestLeafWalkMatchesNaive ./internal/ops/
 	$(GO) test -race -count=1 -run 'TestPipeline|TestExplainAnalyze|TestExplainSigned|TestExplainDictRLE|TestTracedGatherSpans' .
 
 # race-prefetch focuses the race detector on the page fetcher: concurrent

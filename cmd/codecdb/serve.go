@@ -166,8 +166,6 @@ func parseWhere(s string) (codecdb.Pred, error) {
 }
 
 // parseLeaf parses one disjunct: `col op value` or `col in v1,v2,...`.
-// Integer-looking values compare as integers, decimal-looking values as
-// floats, anything else as a string.
 func parseLeaf(parts []string) (codecdb.Pred, error) {
 	if len(parts) != 3 {
 		return codecdb.Pred{}, fmt.Errorf(`want "col op value" or "col in v1,v2"`)
@@ -175,7 +173,11 @@ func parseLeaf(parts []string) (codecdb.Pred, error) {
 	if strings.EqualFold(parts[1], "in") {
 		var vals []any
 		for _, v := range strings.Split(parts[2], ",") {
-			vals = append(vals, coerceValue(v))
+			val, err := parseValue(v)
+			if err != nil {
+				return codecdb.Pred{}, err
+			}
+			vals = append(vals, val)
 		}
 		return codecdb.In(parts[0], vals...), nil
 	}
@@ -183,17 +185,32 @@ func parseLeaf(parts []string) (codecdb.Pred, error) {
 	if err != nil {
 		return codecdb.Pred{}, err
 	}
-	return codecdb.Col(parts[0], op, coerceValue(parts[2])), nil
+	val, err := parseValue(parts[2])
+	if err != nil {
+		return codecdb.Pred{}, err
+	}
+	return codecdb.Col(parts[0], op, val), nil
 }
 
-func coerceValue(s string) any {
+// parseValue reads one constant. A value in matching single or double
+// quotes is the string between them; otherwise integer-looking values
+// compare as integers, decimal-looking values as floats, anything else as
+// a string. A quote at one end only is an error.
+func parseValue(s string) (any, error) {
+	quote := func(b byte) bool { return b == '\'' || b == '"' }
+	if n := len(s); n > 0 && (quote(s[0]) || quote(s[n-1])) {
+		if n < 2 || s[0] != s[n-1] {
+			return nil, fmt.Errorf("unmatched quote in %s", s)
+		}
+		return s[1 : n-1], nil
+	}
 	if iv, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return iv
+		return iv, nil
 	}
 	if fv, err := strconv.ParseFloat(s, 64); err == nil {
-		return fv
+		return fv, nil
 	}
-	return s
+	return s, nil
 }
 
 func parseOp(s string) (codecdb.CmpOp, error) {

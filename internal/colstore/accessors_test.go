@@ -39,9 +39,9 @@ func TestReaderAccessors(t *testing.T) {
 	if chunk.PageValues(0) != 256 {
 		t.Fatalf("PageValues = %d", chunk.PageValues(0))
 	}
-	body, err := chunk.PageBody(0)
+	body, err := chunk.PageBodyScratch(0, nil)
 	if err != nil || len(body) == 0 {
-		t.Fatalf("PageBody: %v", err)
+		t.Fatalf("PageBodyScratch: %v", err)
 	}
 
 	// IO instrumentation.

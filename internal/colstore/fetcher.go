@@ -37,15 +37,14 @@ import (
 // behind the prefetch frontier.
 //
 // Memory is bounded by the bytes-in-flight budget: the background walk
-// sleeps while staging the next unit would exceed Budget, and every unit
+// sleeps while staging the next unit would exceed fetchBudget, and every unit
 // of a row group returns its buffers as soon as the morsel owning the
 // group finishes (FinishGroup) or the fetcher closes. A unit whose read
 // fails is marked failed and its consumers fall back to the synchronous
 // per-page path, which surfaces the same typed errors (retry-exhausted
 // read errors, *CorruptionError) the engine always had.
 type PageFetcher struct {
-	r   *Reader
-	cfg FetchConfig
+	r *Reader
 
 	mu       sync.Mutex
 	cond     sync.Cond
@@ -58,36 +57,29 @@ type PageFetcher struct {
 	ctx      context.Context
 	wg       sync.WaitGroup
 
-	// free is the fetcher-local buffer freelist, capped at Budget bytes.
+	// free is the fetcher-local buffer freelist, capped at fetchBudget bytes.
 	// Released run buffers recycle here instead of round-tripping through
 	// the global pool: a long scan cycles the whole table's bytes through
 	// its buffers, and parking them in a sync.Pool keeps them live until
 	// the next GC — peak RSS then grows with the table instead of the
-	// budget. The freelist pins at most Budget extra bytes, so fetcher
-	// memory stays ≤ 2×Budget no matter how many row groups stream by.
+	// budget. The freelist pins at most fetchBudget extra bytes, so fetcher
+	// memory stays ≤ 2×fetchBudget no matter how many row groups stream by.
 	free      [][]byte
 	freeBytes int64
 }
 
-// FetchConfig tunes a PageFetcher. Zero values take the defaults.
-type FetchConfig struct {
-	// Budget caps prefetched-but-unreleased bytes across all staged
-	// units; the background walk stalls rather than exceed it, so peak
-	// RSS tracks the budget, not the table size.
-	Budget int64
-	// Slop is the widest byte gap between two selected pages that still
-	// merges them into one coalesced ReadAt (negative: none). Unselected
-	// bytes dragged in by a gap are read but never booked or served.
-	Slop int64
-}
-
-// Defaults: an 8 MiB in-flight budget keeps SF-10 scans in constant
-// memory while covering several row groups of lookahead; 4 KiB of slop
-// merges across pruned pages smaller than one disk block, where a
-// single larger read beats two seeks.
+// fetchBudget caps prefetched-but-unreleased bytes across all staged
+// units; the background walk stalls rather than exceed it, so peak RSS
+// tracks the budget, not the table size: 8 MiB keeps SF-10 scans in
+// constant memory while covering several row groups of lookahead.
+// fetchSlop is the widest byte gap between two selected pages that still
+// merges them into one coalesced ReadAt; unselected bytes dragged in by a
+// gap are read but never booked or served. 4 KiB merges across pruned
+// pages smaller than one disk block, where a single larger read beats two
+// seeks.
 const (
-	DefaultFetchBudget = 8 << 20
-	DefaultFetchSlop   = 4 << 10
+	fetchBudget = 8 << 20
+	fetchSlop   = 4 << 10
 )
 
 // fetchDepth caps the walk goroutines of one fetcher, so at most that many
@@ -167,17 +159,8 @@ func (u *fetchUnit) run(pm *PageMeta) int {
 
 // NewPageFetcher creates a fetcher over r. Schedule every unit before
 // calling Start; demand units need neither.
-func NewPageFetcher(r *Reader, cfg FetchConfig) *PageFetcher {
-	if cfg.Budget <= 0 {
-		cfg.Budget = DefaultFetchBudget
-	}
-	switch {
-	case cfg.Slop == 0:
-		cfg.Slop = DefaultFetchSlop
-	case cfg.Slop < 0:
-		cfg.Slop = 0 // no gap tolerance: only adjacent pages merge
-	}
-	f := &PageFetcher{r: r, cfg: cfg, byRG: make([]*fetchUnit, r.NumRowGroups())}
+func NewPageFetcher(r *Reader) *PageFetcher {
+	f := &PageFetcher{r: r, byRG: make([]*fetchUnit, r.NumRowGroups())}
 	f.cond.L = &f.mu
 	return f
 }
@@ -206,7 +189,7 @@ func (f *PageFetcher) Schedule(rg, col int, pages []int) {
 	pms := f.r.meta.RowGroups[rg].Chunks[col].Pages
 	u := &fetchUnit{rg: rg, col: col}
 	for _, p := range pages {
-		u.add(&pms[p], f.cfg.Slop)
+		u.add(&pms[p], fetchSlop)
 	}
 	f.linkLocked(u)
 	f.order = append(f.order, u)
@@ -273,7 +256,7 @@ func (f *PageFetcher) loop() {
 				break
 			}
 			cand := f.order[f.next]
-			if f.inflight > 0 && f.inflight+cand.size > f.cfg.Budget {
+			if f.inflight > 0 && f.inflight+cand.size > fetchBudget {
 				// Over budget with the walk ahead of consumption: sleep
 				// until FinishGroup frees staged bytes. The inflight > 0
 				// guard guarantees progress for a single unit larger than
@@ -370,7 +353,7 @@ func (f *PageFetcher) dropBufsLocked(u *fetchUnit) {
 		if cap(b) == 0 {
 			continue
 		}
-		if f.freeBytes+int64(cap(b)) <= f.cfg.Budget {
+		if f.freeBytes+int64(cap(b)) <= fetchBudget {
 			f.free = append(f.free, b)
 			f.freeBytes += int64(cap(b))
 			continue
@@ -412,7 +395,7 @@ func (f *PageFetcher) demandLocked(c *Chunk, p int) *fetchUnit {
 	pms := c.meta.Pages
 	for q := p; q >= 0; q = c.nextWanted(q + 1) {
 		if q == p || f.coveringLocked(c, &pms[q]) == nil {
-			u.add(&pms[q], f.cfg.Slop)
+			u.add(&pms[q], fetchSlop)
 		}
 	}
 	f.linkLocked(u)

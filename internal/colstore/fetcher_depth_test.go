@@ -91,7 +91,7 @@ func TestPrefetchWalkDepth(t *testing.T) {
 		waitFor(t, "the walk goroutines to exit", func() bool { return runtime.NumGoroutine() == base })
 	}
 
-	f := NewPageFetcher(r, FetchConfig{})
+	f := NewPageFetcher(r)
 	units := 0
 	for rg := 0; rg < r.NumRowGroups(); rg++ {
 		for col := 0; col < 2; col++ {
@@ -113,7 +113,7 @@ func TestPrefetchWalkDepth(t *testing.T) {
 	closed(f)
 
 	fsys.gate = make(chan struct{})
-	one := NewPageFetcher(r, FetchConfig{})
+	one := NewPageFetcher(r)
 	one.Schedule(0, 0, pages(0, 0))
 	one.Start(context.Background())
 	// The one walker is held in ReadAt until the gate opens.

@@ -86,7 +86,7 @@ func TestPrefetchFailureFallsBackTyped(t *testing.T) {
 		}},
 	}
 	for _, shape := range shapes {
-		want, err := shape.read(clean, NewPageFetcher(clean, FetchConfig{}))
+		want, err := shape.read(clean, NewPageFetcher(clean))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestPrefetchFailureFallsBackTyped(t *testing.T) {
 			ffs.SetEnabled(true)
 			succeeded, failed := 0, 0
 			for i := 0; i < 200; i++ {
-				f := NewPageFetcher(r, FetchConfig{})
+				f := NewPageFetcher(r)
 				got, err := shape.read(r, f)
 				f.FinishGroup(0)
 				f.Close()
@@ -163,7 +163,7 @@ func TestPrefetchDemandUnitsReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := NewPageFetcher(r, FetchConfig{})
+	f := NewPageFetcher(r)
 	before := r.Stats()
 	got, err := r.Chunk(0, 1).Fetch(f).GatherStrings(sel, nil)
 	if err != nil {

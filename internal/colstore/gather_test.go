@@ -120,7 +120,7 @@ func picked[T any](vals []T, sel *bitutil.Bitmap) []T {
 func pageDecoded(t *testing.T, c *Chunk) (ints []int64, floats []float64) {
 	t.Helper()
 	for p := 0; p < c.NumPages(); p++ {
-		body, err := c.PageBody(p)
+		body, err := c.PageBodyScratch(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 // on different pages rarely contend; each shard holds its slice of the
 // byte budget with its own recency list. Bodies returned by Get are shared
 // and must be treated as read-only, the same aliasing contract
-// Chunk.PageBody already imposes.
+// Chunk.PageBodyScratch already imposes.
 //
 // Insertion is scan-resistant (bimodal insertion, Qureshi et al., ISCA
 // 2007): a hit moves its page to the most-recently-used end, but a new

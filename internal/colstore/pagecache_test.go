@@ -165,7 +165,7 @@ func TestPageCacheServesReader(t *testing.T) {
 		for rg := 0; rg < r.NumRowGroups(); rg++ {
 			ch := r.Chunk(rg, 0)
 			for p := 0; p < ch.NumPages(); p++ {
-				b, err := ch.PageBody(p)
+				b, err := ch.PageBodyScratch(p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

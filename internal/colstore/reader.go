@@ -583,13 +583,10 @@ func (c *Chunk) NumPages() int { return len(c.meta.Pages) }
 // PageValues returns the row count of page p.
 func (c *Chunk) PageValues(p int) int { return int(c.meta.Pages[p].NumValues) }
 
-// PageBody reads and decompresses page p, exposing the encoded page bytes
-// to encoding-aware operators.
-func (c *Chunk) PageBody(p int) ([]byte, error) { return c.pageBody(p) }
-
-// PageBodyScratch is PageBody through pooled scratch buffers: the returned
-// bytes alias the scratch and are valid only until its next use. Decoded
-// values that alias the body (string decoding) must not use this path.
+// PageBodyScratch reads and decompresses page p, exposing the encoded page
+// bytes to encoding-aware operators. With a non-nil sc the returned bytes
+// alias the scratch and are valid only until its next use; with a nil sc
+// they are the caller's to keep.
 func (c *Chunk) PageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 	return c.pageBodyScratch(p, sc)
 }
@@ -676,14 +673,12 @@ func (c *Chunk) rawPageBuf(p int, sc *arena.Scratch) (raw []byte, staged bool, e
 	}
 }
 
-// pageBody reads, verifies, and decompresses page p.
-func (c *Chunk) pageBody(p int) ([]byte, error) { return c.pageBodyScratch(p, nil) }
-
-// pageBodyScratch is pageBody through pooled scratch buffers: with a
-// non-nil sc the raw bytes land in sc.Raw and the decompressed body in
-// sc.Body, so the steady state allocates nothing. The returned body
-// aliases the scratch and is valid until the scratch's next use; decoded
-// values that alias the body (string decoding) must not use this path.
+// pageBodyScratch reads, verifies, and decompresses page p. With a non-nil
+// sc the raw bytes land in sc.Raw and the decompressed body in sc.Body, so
+// the steady state allocates nothing; the returned body aliases the
+// scratch and is valid until the scratch's next use. With a nil sc the
+// body is freshly allocated (or the shared cache's) and stays valid, for
+// values that alias it beyond one page's use.
 func (c *Chunk) pageBodyScratch(p int, sc *arena.Scratch) ([]byte, error) {
 	if c.r.cache != nil {
 		if body, ok := c.r.cache.Get(c.r.id, c.rg, c.col, p); ok {
@@ -854,25 +849,27 @@ func (c *Chunk) pageRange(p int) (int, int) {
 	return first, first + int(c.meta.Pages[p].NumValues)
 }
 
-// eachPage declares and then reads, in order, every page holding a row sel
-// keeps, calling read with the page and its [first, last) chunk rows; it
-// counts every other page skipped. A nil sel keeps every row.
-func (c *Chunk) eachPage(sel *bitutil.Bitmap, read func(p, first, last int) error) error {
+// eachPage is every gather: it declares and then reads, in order, every
+// page holding a row sel keeps — every row when sel is nil — appending
+// each page's kept values onto dst's storage when it has room, and counts
+// every other page skipped.
+func eachPage[T any](c *Chunk, sel *bitutil.Bitmap, dst []T, read func(p int, out []T) ([]T, error)) ([]T, error) {
 	if sel != nil && sel.Len() != c.rows {
-		return fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
+		return nil, fmt.Errorf("colstore: selection of %d bits for %d rows", sel.Len(), c.rows)
 	}
 	c.declare(nil, sel, sel == nil)
+	out := slices.Grow(dst[:0], c.kept(sel))
 	for p := range c.meta.Pages {
 		if sel != nil && !c.PageSelected(sel, p) {
 			c.MarkSkipped(1)
 			continue
 		}
-		first, last := c.pageRange(p)
-		if err := read(p, first, last); err != nil {
-			return err
+		var err error
+		if out, err = read(p, out); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // kept returns the number of rows sel keeps: every row when sel is nil.
@@ -893,6 +890,8 @@ func (c *Chunk) typed(t Type) error {
 
 // appendRows appends to out the values of one page decoded whole — rows
 // [first, last) of the chunk — that sel keeps, all of them when sel is nil.
+// vals may be out's own spare capacity: the k-th kept row sits at or past
+// index k, so no copy overtakes its source.
 func appendRows[T any](out, vals []T, sel *bitutil.Bitmap, first, last int) ([]T, error) {
 	if len(vals) != last-first {
 		return nil, ErrFormat
@@ -930,26 +929,30 @@ func gatherPage[T any](out, buf []T, sel *bitutil.Bitmap, first, last int,
 	return out, vals, err
 }
 
-// lookup maps every key to its dictionary entry, in out's storage when it
-// has room. out may be keys itself: entry i is written after key i is read.
+// lookup appends to out the dictionary entry of every key.
 func lookup[T any](out []T, keys []int64, dict []T) ([]T, error) {
-	out = slices.Grow(out[:0], len(keys))[:len(keys)]
+	base := len(out)
+	out = slices.Grow(out, len(keys))[:base+len(keys)]
 	for i, k := range keys {
-		if k < 0 || int(k) >= len(dict) {
+		if uint64(k) >= uint64(len(dict)) {
 			return nil, ErrFormat
 		}
-		out[i] = dict[k]
+		out[base+i] = dict[k]
 	}
 	return out, nil
 }
 
-// GatherInts returns the values at the selected chunk-relative rows, every
-// row when sel is nil, implementing page-level skipping (unselected pages
-// are never decompressed) and row-level skipping (bit-packed and
-// dictionary pages jump over unselected rows without decoding them) —
-// §5.2. Without a selection each page decodes whole through its codec. The
-// result reuses dst's storage when it has room; pass nil for a fresh slice.
-func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
+// The per-page readers below are the one place a page meets its decoder:
+// the gathers loop them over a chunk, and the filter kernel's decode
+// primitive calls them on the pages a zone-map verdict leaves to it. Each
+// appends to dst the values of page p at the rows sel keeps, every row
+// when sel is nil, implementing row-level skipping (§5.2): bit-packed,
+// plain and dictionary pages load only the kept entries; other pages
+// decode whole into the scratch and only the kept rows reach dst.
+
+// PageInts reads page p of an integer column, looking up dictionary keys.
+// sc must be non-nil; dst never aliases it.
+func (c *Chunk) PageInts(p int, sel *bitutil.Bitmap, sc *arena.Scratch, dst []int64) ([]int64, error) {
 	if err := c.typed(TypeInt64); err != nil {
 		return nil, err
 	}
@@ -958,55 +961,163 @@ func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := c.GatherKeys(sel, dst)
+		keys, err := c.pageKeys(p, sel, sc)
 		if err != nil {
 			return nil, err
 		}
-		return lookup(keys, keys, dict)
+		return lookup(dst, keys, dict)
+	}
+	body, err := c.pageBodyScratch(p, sc)
+	if err != nil {
+		return nil, err
+	}
+	first, last := c.pageRange(p)
+	if sel != nil {
+		// Bit-packed and plain pages are fixed-width streams (a plain
+		// page's at width 64): only the selected entries load.
+		switch c.column.Encoding {
+		case encoding.KindBitPacked:
+			n, width, packed, err := encoding.InspectBitPacked(body)
+			if err != nil || n != last-first {
+				return nil, ErrFormat
+			}
+			return bitutil.GatherSelected(dst, packed, width, true, sel, first, last), nil
+		case encoding.KindPlain:
+			n, vals, err := encoding.InspectPlain(body)
+			if err != nil || n != last-first {
+				return nil, ErrFormat
+			}
+			return bitutil.GatherSelected(dst, vals, 64, false, sel, first, last), nil
+		}
 	}
 	codec, err := encoding.IntCodecFor(c.column.Encoding)
 	if err != nil {
 		return nil, err
 	}
-	out := slices.Grow(dst[:0], c.kept(sel))
-	sc := arena.Get()
-	defer arena.Put(sc)
-	err = c.eachPage(sel, func(p, first, last int) error {
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return err
-		}
-		if sel != nil {
-			// Bit-packed and plain pages are fixed-width streams (a plain
-			// page's at width 64): only the selected entries load.
-			switch c.column.Encoding {
-			case encoding.KindBitPacked:
-				n, width, packed, err := encoding.InspectBitPacked(body)
-				if err != nil || n != last-first {
-					return ErrFormat
-				}
-				out = bitutil.GatherSelected(out, packed, width, true, sel, first, last)
-				return nil
-			case encoding.KindPlain:
-				n, vals, err := encoding.InspectPlain(body)
-				if err != nil || n != last-first {
-					return ErrFormat
-				}
-				out = bitutil.GatherSelected(out, vals, 64, false, sel, first, last)
-				return nil
-			}
-		}
-		var buf []int64
-		out, buf, err = gatherPage(out, sc.Ints(0), sel, first, last, func(dst []int64) ([]int64, error) {
-			return encoding.AppendDecode(codec, dst, body)
-		})
-		sc.KeepInts(buf)
-		return err
+	out, buf, err := gatherPage(dst, sc.Ints(0), sel, first, last, func(d []int64) ([]int64, error) {
+		return encoding.AppendDecode(codec, d, body)
 	})
+	sc.KeepInts(buf)
+	return out, err
+}
+
+// PageFloats reads page p of a float column. sc must be non-nil; dst
+// never aliases it.
+func (c *Chunk) PageFloats(p int, sel *bitutil.Bitmap, sc *arena.Scratch, dst []float64) ([]float64, error) {
+	if err := c.typed(TypeFloat64); err != nil {
+		return nil, err
+	}
+	body, err := c.pageBodyScratch(p, sc)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	first, last := c.pageRange(p)
+	if sel != nil && c.column.Encoding == encoding.KindPlain {
+		// A plain page is a width-64 stream of float bits: only the
+		// selected entries load.
+		n, vals, err := encoding.InspectPlain(body)
+		if err != nil || n != last-first {
+			return nil, ErrFormat
+		}
+		fbits := bitutil.GatherSelected(sc.Ints(n), vals, 64, false, sel, first, last)
+		sc.KeepInts(fbits)
+		for _, b := range fbits {
+			dst = append(dst, math.Float64frombits(uint64(b)))
+		}
+		return dst, nil
+	}
+	out, buf, err := gatherPage(dst, sc.Floats(0), sel, first, last, func(d []float64) ([]float64, error) {
+		return c.appendFloats(d, body)
+	})
+	sc.KeepFloats(buf)
+	return out, err
+}
+
+// PageStrings reads page p of a string column. Values alias the column's
+// dictionary or the page body, and callers must not mutate them: with a
+// scratch the body lives in sc and they are valid until its next use; with
+// a nil sc (a retained gather) they stay valid for as long as they are
+// held.
+func (c *Chunk) PageStrings(p int, sel *bitutil.Bitmap, sc *arena.Scratch, dst [][]byte) ([][]byte, error) {
+	if err := c.typed(TypeString); err != nil {
+		return nil, err
+	}
+	if usesDict(c.column.Encoding) {
+		dict, err := c.r.StrDict(c.col)
+		if err != nil {
+			return nil, err
+		}
+		if sc == nil {
+			// Entries alias the dictionary, never the page: its keys may
+			// pass through pooled scratch whatever the caller retains.
+			sc = arena.Get()
+			defer arena.Put(sc)
+		}
+		keys, err := c.pageKeys(p, sel, sc)
+		if err != nil {
+			return nil, err
+		}
+		return lookup(dst, keys, dict)
+	}
+	codec, err := encoding.StringCodecFor(c.column.Encoding)
+	if err != nil {
+		return nil, err
+	}
+	body, err := c.pageBodyScratch(p, sc)
+	if err != nil {
+		return nil, err
+	}
+	// The page decodes into dst's spare capacity, grown to hold it.
+	first, last := c.pageRange(p)
+	dst = slices.Grow(dst, last-first)
+	vals, err := codec.Decode(dst[len(dst):], body)
+	if err != nil {
+		return nil, err
+	}
+	return appendRows(dst, vals, sel, first, last)
+}
+
+// pageKeys returns the dictionary keys of page p at the rows sel keeps,
+// every row when sel is nil, in sc's int buffer: a page of packed keys
+// loads only the kept entries, and a dictionary-RLE page expands whole and
+// is squeezed down in place (appendRows).
+func (c *Chunk) pageKeys(p int, sel *bitutil.Bitmap, sc *arena.Scratch) ([]int64, error) {
+	body, err := c.pageBodyScratch(p, sc)
+	if err != nil {
+		return nil, err
+	}
+	first, last := c.pageRange(p)
+	keys := sc.Ints(last - first)
+	if c.column.Encoding == encoding.KindDictRLE {
+		if keys, err = (encoding.RLEInt{}).AppendDecode(keys, body); err != nil {
+			return nil, err
+		}
+		sc.KeepInts(keys)
+		return appendRows(keys[:0], keys, sel, first, last)
+	}
+	width, n, packed, err := decodePackedKeys(body)
+	if err != nil || n != last-first {
+		return nil, ErrFormat
+	}
+	if sel != nil {
+		return bitutil.GatherSelected(keys, packed, width, false, sel, first, last), nil
+	}
+	return bitutil.AppendUnpacked(keys, packed, width, n, false), nil
+}
+
+// GatherInts returns the values at the selected chunk-relative rows, every
+// row when sel is nil, page by page through PageInts: unselected pages are
+// never decompressed (§5.2). The result reuses dst's storage when it has
+// room; pass nil for a fresh slice.
+func (c *Chunk) GatherInts(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
+	if err := c.typed(TypeInt64); err != nil {
+		return nil, err
+	}
+	sc := arena.Get()
+	defer arena.Put(sc)
+	return eachPage(c, sel, dst, func(p int, out []int64) ([]int64, error) {
+		return c.PageInts(p, sel, sc, out)
+	})
 }
 
 // GatherKeys returns dictionary keys at the selected rows, every row when
@@ -1016,125 +1127,39 @@ func (c *Chunk) GatherKeys(sel *bitutil.Bitmap, dst []int64) ([]int64, error) {
 	if !usesDict(c.column.Encoding) {
 		return nil, fmt.Errorf("colstore: column %q is not dictionary encoded", c.column.Name)
 	}
-	out := slices.Grow(dst[:0], c.kept(sel))
 	sc := arena.Get()
 	defer arena.Put(sc)
-	err := c.eachPage(sel, func(p, first, last int) error {
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return err
-		}
-		if c.column.Encoding == encoding.KindDictRLE {
-			var buf []int64
-			out, buf, err = gatherPage(out, sc.Ints(0), sel, first, last, func(dst []int64) ([]int64, error) {
-				return encoding.RLEInt{}.AppendDecode(dst, body)
-			})
-			sc.KeepInts(buf)
-			return err
-		}
-		width, n, packed, err := decodePackedKeys(body)
-		if err != nil || n != last-first {
-			return ErrFormat
-		}
-		if sel != nil {
-			out = bitutil.GatherSelected(out, packed, width, false, sel, first, last)
-		} else {
-			out = bitutil.AppendUnpacked(out, packed, width, n, false)
-		}
-		return nil
+	return eachPage(c, sel, dst, func(p int, out []int64) ([]int64, error) {
+		keys, err := c.pageKeys(p, sel, sc)
+		return append(out, keys...), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // GatherStrings returns string values at the selected rows, every row when
-// sel is nil, with page-level skipping, reusing dst's storage when it has
-// room. Values alias the column's dictionary or the page bodies read;
-// callers must not mutate them.
+// sel is nil, page by page through PageStrings, reusing dst's storage when
+// it has room. Values alias the column's dictionary or the page bodies
+// read; callers must not mutate them.
 func (c *Chunk) GatherStrings(sel *bitutil.Bitmap, dst [][]byte) ([][]byte, error) {
 	if err := c.typed(TypeString); err != nil {
 		return nil, err
 	}
-	if usesDict(c.column.Encoding) {
-		dict, err := c.r.StrDict(c.col)
-		if err != nil {
-			return nil, err
-		}
-		sc := arena.Get()
-		defer arena.Put(sc)
-		keys, err := c.GatherKeys(sel, sc.Ints(0))
-		if err != nil {
-			return nil, err
-		}
-		sc.KeepInts(keys)
-		return lookup(dst, keys, dict)
-	}
-	codec, err := encoding.StringCodecFor(c.column.Encoding)
-	if err != nil {
-		return nil, err
-	}
-	out := slices.Grow(dst[:0], c.kept(sel))
-	err = c.eachPage(sel, func(p, first, last int) error {
-		// Strings alias the body, so it must not live in scratch.
-		body, err := c.pageBody(p)
-		if err != nil {
-			return err
-		}
-		vals, err := codec.Decode(nil, body)
-		if err != nil {
-			return err
-		}
-		out, err = appendRows(out, vals, sel, first, last)
-		return err
+	return eachPage(c, sel, dst, func(p int, out [][]byte) ([][]byte, error) {
+		return c.PageStrings(p, sel, nil, out)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // GatherFloats returns float values at the selected rows, every row when
-// sel is nil, with page-level skipping, reusing dst's storage when it has
-// room.
+// sel is nil, page by page through PageFloats, reusing dst's storage when
+// it has room.
 func (c *Chunk) GatherFloats(sel *bitutil.Bitmap, dst []float64) ([]float64, error) {
 	if err := c.typed(TypeFloat64); err != nil {
 		return nil, err
 	}
-	out := slices.Grow(dst[:0], c.kept(sel))
 	sc := arena.Get()
 	defer arena.Put(sc)
-	err := c.eachPage(sel, func(p, first, last int) error {
-		body, err := c.pageBodyScratch(p, sc)
-		if err != nil {
-			return err
-		}
-		if sel != nil && c.column.Encoding == encoding.KindPlain {
-			// A plain page is a width-64 stream of float bits: only the
-			// selected entries load.
-			n, vals, err := encoding.InspectPlain(body)
-			if err != nil || n != last-first {
-				return ErrFormat
-			}
-			fbits := bitutil.GatherSelected(sc.Ints(n), vals, 64, false, sel, first, last)
-			sc.KeepInts(fbits)
-			for _, b := range fbits {
-				out = append(out, math.Float64frombits(uint64(b)))
-			}
-			return nil
-		}
-		var buf []float64
-		out, buf, err = gatherPage(out, sc.Floats(0), sel, first, last, func(dst []float64) ([]float64, error) {
-			return c.appendFloats(dst, body)
-		})
-		sc.KeepFloats(buf)
-		return err
+	return eachPage(c, sel, dst, func(p int, out []float64) ([]float64, error) {
+		return c.PageFloats(p, sel, sc, out)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // appendFloats decodes one float page whole onto out. Floats never alias

@@ -69,83 +69,58 @@ func (d DeltaInt) Decode(data []byte) ([]int64, error) {
 }
 
 // AppendDecode is Decode appending onto dst: with room in dst (a pooled
-// buffer, say) it allocates nothing.
-func (DeltaInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
-	_, out, err := deltaBlocks(dst, data, true)
-	return out, err
-}
-
-// AppendDeltas returns the first value and the raw delta sequence, appended
-// into dst (typically a pooled buffer), without materialising the running
-// sum — the delta filter operator feeds these to the SWAR cumulative-sum
-// kernel (paper §5.3) and allocates nothing per page in the steady state.
-func (DeltaInt) AppendDeltas(dst []int64, data []byte) (first int64, deltas []int64, err error) {
-	return deltaBlocks(dst, data, false)
-}
-
-// deltaBlocks is the one block walk of a delta page: it returns the first
-// value and appends to dst, with sum set, every value of the page — the
-// first and each running sum — and otherwise the n-1 deltas alone. Each
-// block's offsets unpack in bulk straight into dst; their loads may read
+// buffer, say) it allocates nothing. It is the one block walk of a delta
+// page, summing as it unpacks: each block's offsets unpack in bulk straight
+// into dst and become running sums in place. The unpack's loads may read
 // past the block into the rest of the page body, so only the page's last
-// eight bytes take the unpack's slow path.
-func deltaBlocks(dst []int64, data []byte, sum bool) (first int64, out []int64, err error) {
+// eight bytes take its slow path.
+func (DeltaInt) AppendDecode(dst []int64, data []byte) ([]int64, error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if n > uint64(len(rest))*8 {
-		return 0, nil, ErrCorrupt // every value takes at least one bit
+		return nil, ErrCorrupt // every value takes at least one bit
 	}
 	if n == 0 {
-		return 0, dst, nil
+		return dst, nil
 	}
 	firstZ, rest, err := readUvarint(rest)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	first = unzigzag(firstZ)
-	out = slices.Grow(dst, int(n))
-	if sum {
-		out = append(out, first)
-	}
-	prev := first
+	prev := unzigzag(firstZ)
+	out := append(slices.Grow(dst, int(n)), prev)
 	for remaining := int(n) - 1; remaining > 0; {
 		blockLen := min(remaining, deltaBlockSize)
 		minZ, r, err := readUvarint(rest)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if len(r) < 1 {
-			return 0, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 		width := uint(r[0])
 		if width == 0 || width > 64 {
-			return 0, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 		r = r[1:]
 		packedBytes := (blockLen*int(width) + 7) / 8
 		if len(r) < packedBytes {
-			return 0, nil, ErrCorrupt
+			return nil, ErrCorrupt
 		}
 		base := len(out)
 		out = bitutil.AppendUnpacked(out, r, width, blockLen, false)
 		minDelta := unzigzag(minZ)
 		block := out[base:]
-		if sum {
-			for i, d := range block {
-				prev += minDelta + d
-				block[i] = prev
-			}
-		} else {
-			for i, d := range block {
-				block[i] = minDelta + d
-			}
+		for i, d := range block {
+			prev += minDelta + d
+			block[i] = prev
 		}
 		rest = r[packedBytes:]
 		remaining -= blockLen
 	}
-	return first, out, nil
+	return out, nil
 }
 
 // FORInt is frame-of-reference encoding (Table 1, "fixed" reference):

@@ -79,16 +79,16 @@ func (d DictInt) Encode(values []int64) ([]byte, error) {
 
 // Decode reverses Encode.
 func (d DictInt) Decode(data []byte) ([]int64, error) {
-	view, err := InspectIntDict(data)
+	view, err := inspectIntDict(data)
 	if err != nil {
 		return nil, err
 	}
 	return appendLookup([]int64{}, view.KeysMode, view.KeyWidth, view.N, view.Packed, view.Entries)
 }
 
-// InspectIntDict parses the dictionary header and key layout without
+// inspectIntDict parses the dictionary header and key layout without
 // expanding keys to values.
-func InspectIntDict(data []byte) (*IntDictView, error) {
+func inspectIntDict(data []byte) (*IntDictView, error) {
 	_, rest, err := readUvarint(data) // numEntries (redundant with dict)
 	if err != nil {
 		return nil, err
@@ -149,16 +149,16 @@ func (d DictString) Encode(values [][]byte) ([]byte, error) {
 
 // Decode reverses Encode. Decoded strings alias the dictionary buffer.
 func (d DictString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
-	view, err := InspectStringDict(data)
+	view, err := inspectStringDict(data)
 	if err != nil {
 		return nil, err
 	}
 	return appendLookup(dst[:0], view.KeysMode, view.KeyWidth, view.N, view.Packed, view.Entries)
 }
 
-// InspectStringDict parses the dictionary header and key layout without
+// inspectStringDict parses the dictionary header and key layout without
 // expanding keys to values.
-func InspectStringDict(data []byte) (*StringDictView, error) {
+func inspectStringDict(data []byte) (*StringDictView, error) {
 	_, rest, err := readUvarint(data)
 	if err != nil {
 		return nil, err
@@ -181,44 +181,9 @@ func InspectStringDict(data []byte) (*StringDictView, error) {
 	return &StringDictView{Entries: entries, N: n, KeysMode: mode, KeyWidth: width, Packed: packed}, nil
 }
 
-// DecodeKeys expands the packed keys of either dictionary view.
-func (v *IntDictView) DecodeKeys() ([]int64, error) {
+// decodeKeys expands the packed keys of the dictionary view.
+func (v *IntDictView) decodeKeys() ([]int64, error) {
 	return decodeDictKeys(v.KeysMode, v.KeyWidth, v.N, v.Packed)
-}
-
-// DecodeKeys expands the packed keys of the string dictionary view.
-func (v *StringDictView) DecodeKeys() ([]int64, error) {
-	return decodeDictKeys(v.KeysMode, v.KeyWidth, v.N, v.Packed)
-}
-
-// LookupKey returns the key for value, or -1 when value is absent.
-func (v *IntDictView) LookupKey(value int64) int64 {
-	i := sort.Search(len(v.Entries), func(j int) bool { return v.Entries[j] >= value })
-	if i < len(v.Entries) && v.Entries[i] == value {
-		return int64(i)
-	}
-	return -1
-}
-
-// LowerBoundKey returns the smallest key whose entry is >= value. It may
-// equal len(Entries) when every entry is smaller; range predicates use it
-// to rewrite value comparisons to key comparisons (order preservation).
-func (v *IntDictView) LowerBoundKey(value int64) int64 {
-	return int64(sort.Search(len(v.Entries), func(j int) bool { return v.Entries[j] >= value }))
-}
-
-// LookupKey returns the key for value, or -1 when value is absent.
-func (v *StringDictView) LookupKey(value []byte) int64 {
-	i := sort.Search(len(v.Entries), func(j int) bool { return bytes.Compare(v.Entries[j], value) >= 0 })
-	if i < len(v.Entries) && bytes.Equal(v.Entries[i], value) {
-		return int64(i)
-	}
-	return -1
-}
-
-// LowerBoundKey returns the smallest key whose entry is >= value.
-func (v *StringDictView) LowerBoundKey(value []byte) int64 {
-	return int64(sort.Search(len(v.Entries), func(j int) bool { return bytes.Compare(v.Entries[j], value) >= 0 }))
 }
 
 func appendDictKeys(out []byte, keys []int64, hybrid bool) ([]byte, error) {

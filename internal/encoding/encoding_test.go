@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -283,7 +284,7 @@ func TestDictOrderPreserving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := InspectIntDict(buf)
+	view, err := inspectIntDict(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +294,17 @@ func TestDictOrderPreserving(t *testing.T) {
 		}
 	}
 	// value order must equal key order
-	k10, k20, k30 := view.LookupKey(10), view.LookupKey(20), view.LookupKey(30)
+	k10, k20, k30 := keyOf(view.Entries, 10), keyOf(view.Entries, 20), keyOf(view.Entries, 30)
 	if !(k10 < k20 && k20 < k30) {
 		t.Fatalf("keys not order-preserving: %d %d %d", k10, k20, k30)
 	}
-	if view.LookupKey(11) != -1 {
+	if keyOf(view.Entries, 11) != -1 {
 		t.Fatal("missing value should look up to -1")
 	}
-	if view.LowerBoundKey(11) != k20 {
-		t.Fatalf("LowerBoundKey(11) = %d, want %d", view.LowerBoundKey(11), k20)
+	if lb, _ := slices.BinarySearch(view.Entries, 11); int64(lb) != k20 {
+		t.Fatalf("lower bound of 11 = %d, want %d", lb, k20)
 	}
-	keys, err := view.DecodeKeys()
+	keys, err := view.decodeKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,39 +318,52 @@ func TestDictOrderPreserving(t *testing.T) {
 	}
 }
 
+// keyOf returns the key of value in a sorted dictionary, or -1 when value
+// is absent.
+func keyOf(entries []int64, value int64) int64 {
+	if i, ok := slices.BinarySearch(entries, value); ok {
+		return int64(i)
+	}
+	return -1
+}
+
 func TestStringDictOrderPreserving(t *testing.T) {
 	vals := [][]byte{[]byte("pear"), []byte("apple"), []byte("mango"), []byte("apple")}
 	buf, err := DictString{}.Encode(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := InspectStringDict(buf)
+	view, err := inspectStringDict(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(view.Entries) != 3 {
 		t.Fatalf("distinct = %d", len(view.Entries))
 	}
-	ka := view.LookupKey([]byte("apple"))
-	km := view.LookupKey([]byte("mango"))
-	kp := view.LookupKey([]byte("pear"))
+	key := func(v string) int64 {
+		if i, ok := slices.BinarySearchFunc(view.Entries, []byte(v), bytes.Compare); ok {
+			return int64(i)
+		}
+		return -1
+	}
+	ka, km, kp := key("apple"), key("mango"), key("pear")
 	if !(ka < km && km < kp) {
 		t.Fatal("string dictionary keys not order-preserving")
 	}
-	if view.LookupKey([]byte("kiwi")) != -1 {
+	if key("kiwi") != -1 {
 		t.Fatal("missing string should look up to -1")
 	}
 }
 
 func TestRLERunsHelper(t *testing.T) {
-	vals, lens := Runs([]int64{7, 7, 3, 9, 9, 9, 9})
+	vals, lens := runsOf([]int64{7, 7, 3, 9, 9, 9, 9})
 	wantV, wantL := []int64{7, 3, 9}, []int{2, 1, 4}
 	if !reflect.DeepEqual(vals, wantV) || !reflect.DeepEqual(lens, wantL) {
 		t.Fatalf("Runs = %v/%v", vals, lens)
 	}
-	v, l := Runs(nil)
+	v, l := runsOf(nil)
 	if v != nil || l != nil {
-		t.Fatal("Runs(nil) should be nil")
+		t.Fatal("runsOf(nil) should be nil")
 	}
 }
 

@@ -18,9 +18,8 @@ type RLEInt struct{}
 // Kind returns KindRLE.
 func (RLEInt) Kind() Kind { return KindRLE }
 
-// Runs computes the (value, length) run decomposition of values. It is
-// shared with the feature extractor, which uses mean run length.
-func Runs(values []int64) (vals []int64, lengths []int) {
+// runsOf computes the (value, length) run decomposition of values.
+func runsOf(values []int64) (vals []int64, lengths []int) {
 	for i := 0; i < len(values); {
 		j := i + 1
 		for j < len(values) && values[j] == values[i] {
@@ -35,7 +34,7 @@ func Runs(values []int64) (vals []int64, lengths []int) {
 
 // Encode run-length encodes values with bit-packed pairs.
 func (RLEInt) Encode(values []int64) ([]byte, error) {
-	vals, lengths := Runs(values)
+	vals, lengths := runsOf(values)
 	zz := make([]uint64, len(vals))
 	for i, v := range vals {
 		zz[i] = zigzag(v)

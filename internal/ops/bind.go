@@ -35,15 +35,14 @@ type kernelKind uint8
 
 const (
 	kernPacked  kernelKind = iota // SBoost scan over packed keys or zigzag values
-	kernDelta                     // SWAR cumulative-sum reconstruct, then test
 	kernStreams                   // two packed key streams compared directly
-	kernDecode                    // decode-first: gather, then test row by row
+	kernDecode                    // colstore decodes the kept rows, then test
 )
 
 // Cost weights per scan primitive: in-situ packed SWAR scans touch each
 // byte once, key-set scans a little more, two-column scans touch two
-// streams, delta scans reconstruct values through the cumulative sum, and
-// decode-first scans fully decode.
+// streams, delta pages decode through the delta decoder's fused block walk,
+// and decode-first scans fully decode whatever the encoding.
 const (
 	costPacked = 1.0
 	costKeySet = 1.2
@@ -53,8 +52,8 @@ const (
 )
 
 // valueTest is a leaf's predicate in the value domain; the function for the
-// column's type is set. Decode-first kernels and the delta key-set loop
-// apply it row by row.
+// column's type is set. The decode primitive applies it to every kept row
+// of the pages it decodes.
 type valueTest struct {
 	ints   func(int64) bool
 	strs   func([]byte) bool
@@ -88,19 +87,33 @@ func (q *packedPred) dispose(st *colstore.PageStats) sboost.Disposition {
 }
 
 // fraction estimates the matching share of a page whose zone map straddles
-// the predicate, assuming values spread uniformly over [Min, Max] — and,
-// for a single key on a page that counts its distinct values, that the key
-// is one of them.
-func (q *packedPred) fraction(st *colstore.PageStats) float64 {
-	span := float64(st.Max-st.Min) + 1
+// the predicate, assuming values spread uniformly over the keys of [Min,
+// Max] — even keys only where evens is set: on a zigzag-packed chunk proven
+// non-negative no value maps to an odd key. For a single key on a page that
+// counts its distinct values, it assumes the key is one of them.
+func (q *packedPred) fraction(st *colstore.PageStats, evens bool) float64 {
+	count := func(lo, hi uint64) float64 { // keys in [lo, hi], lo <= hi
+		if evens {
+			return float64(hi/2 - (lo+1)/2 + 1)
+		}
+		return float64(hi-lo) + 1
+	}
+	span := count(st.Min, st.Max)
 	if q.keys != nil {
-		in := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] > st.Max }) -
-			sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min })
+		i := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min })
+		j := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] > st.Max })
+		in := j - i
+		if evens {
+			in = 0
+			for _, k := range q.keys[i:j] {
+				in += int(1 - k%2)
+			}
+		}
 		return float64(in) / span
 	}
 	f := 0.0
 	if lo, hi := max(q.lo, st.Min), min(q.hi, st.Max); lo <= hi {
-		f = (float64(hi-lo) + 1) / span
+		f = count(lo, hi) / span
 	}
 	if q.lo == q.hi && st.Distinct > 0 {
 		f = 1 / float64(st.Distinct)
@@ -126,8 +139,8 @@ type boundLeaf struct {
 	// Zigzag is a bijection, so one value's key and key sets hold
 	// everywhere; it is monotone only on non-negative values, so the image
 	// of a wider value interval (order) holds on a chunk only when its
-	// statistics prove Min >= 0 (inDomain). Elsewhere — and in the delta
-	// kernel, which reconstructs values — the leaf runs test.
+	// statistics prove Min >= 0 (inDomain). Elsewhere — and on delta pages,
+	// which decode — the leaf runs test.
 	zigzag, order bool
 	op            sboost.Op // Cols: the comparison of the two key streams
 	test          valueTest
@@ -159,13 +172,15 @@ func (b *boundLeaf) inDomain(a *colstore.Chunk) bool {
 	return !b.order || a.Stats().MinInt >= 0
 }
 
+// packed reports whether the leaf carries a packed-domain predicate q —
+// dictionary keys or a zigzag image — for page zone maps to judge.
+func (b *boundLeaf) packed() bool { return b.kern == kernPacked || b.zigzag }
+
 // verdict classifies page p of the leaf's chunk(s) from metadata alone: the
 // kernel scans exactly the pages it leaves mixed, so the estimate and the
 // prefetch schedule derived from it cannot drift from the reads.
 func (b *boundLeaf) verdict(a, bb *colstore.Chunk, p int) sboost.Disposition {
 	switch {
-	case b.kern == kernDecode || !b.inDomain(a):
-		return sboost.DispMixed
 	case b.kern == kernStreams:
 		// Shared dictionary: both zone maps live in the same key domain, so
 		// disjoint ranges resolve every row without reading either page.
@@ -174,6 +189,8 @@ func (b *boundLeaf) verdict(a, bb *colstore.Chunk, p int) sboost.Disposition {
 			return sboost.DispMixed
 		}
 		return sboost.DisposeStreams(b.op, stA.Min, stA.Max, stB.Min, stB.Max)
+	case !b.packed() || !b.inDomain(a):
+		return sboost.DispMixed
 	}
 	return b.q.dispose(a.PageStatsOf(p))
 }
@@ -233,8 +250,8 @@ func (b *boundLeaf) estimate() PredEstimate {
 				keep += n
 			case sboost.DispMixed:
 				f := b.guess
-				if st := a.PageStatsOf(p); st != nil && (b.kern == kernPacked || b.kern == kernDelta) && b.inDomain(a) {
-					f = b.q.fraction(st)
+				if st := a.PageStatsOf(p); st != nil && b.packed() && b.inDomain(a) {
+					f = b.q.fraction(st, b.zigzag && a.Stats().MinInt >= 0)
 				}
 				keep += n * f
 				mixed += n
@@ -303,17 +320,20 @@ func typeWord(t colstore.Type) string {
 
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
-// zigzagPaged reports whether the column's pages carry zigzag zone maps an
-// in-situ kernel exists for — bit-packed (scanned in place) and delta
-// (reconstructed by cumulative sum) integer columns — and that kernel's
-// cost weight and display names for comparisons and key sets.
+// deltaDecoder names what decodes a delta leaf's mixed pages in Explain.
+const deltaDecoder = "encoding.DeltaInt (fused block walk per page)"
+
+// zigzagPaged reports whether the column's pages carry zigzag zone maps —
+// bit-packed integer columns, scanned in place, and delta ones, whose
+// mixed pages decode — and the scan primitive's cost weight and display
+// names for comparisons and key sets.
 func zigzagPaged(col *colstore.Column) (kern kernelKind, weight float64, cmpName, inName string, ok bool) {
 	if col.Type == colstore.TypeInt64 {
 		switch col.Encoding {
 		case encoding.KindBitPacked:
 			return kernPacked, costPacked, "BitPackedFilter", "BitPackedInFilter", true
 		case encoding.KindDelta:
-			return kernDelta, costDelta, "DeltaFilter", "DeltaInFilter", true
+			return kernDecode, costDelta, "DeltaFilter", "DeltaInFilter", true
 		}
 	}
 	return 0, 0, "", "", false
@@ -461,8 +481,8 @@ func (q *packedPred) interval(top uint64) string {
 // rewrite line: where the image holds, and the kernel.
 func (b *boundLeaf) zigzagDetails(rewrite string) []string {
 	how, rest := "kernel=sboost.ScanPackedRangeIntoSel", "decode-and-test"
-	if b.kern == kernDelta {
-		how, rest = "kernel=sboost.CumulativeSum (SWAR cumulative-sum reconstruct, then range test)", "reconstruct every page"
+	if b.kern == kernDecode {
+		how, rest = "kernel="+deltaDecoder+", then range test", "decode every page"
 	}
 	if b.order {
 		in := 0
@@ -514,7 +534,7 @@ func (f rangeLeaf) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 // an interval of the packed domain, of dictionary keys or zigzag values.
 func fusable(b *boundLeaf) bool {
 	_, ok := b.leaf.(*Cmp)
-	return ok && !b.q.not && (b.kern == kernPacked || b.kern == kernDelta)
+	return ok && !b.q.not && b.packed()
 }
 
 // fuseRanges binds the fusable comparisons of a conjunction that share a
@@ -753,8 +773,8 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 		switch {
 		case b.empty:
 			how = "kernel=none (empty key set, provably empty)"
-		case b.kern == kernDelta:
-			how = "kernel=sboost.CumulativeSum (SWAR cumulative-sum reconstruct, then set test)"
+		case b.kern == kernDecode:
+			how = "kernel=" + deltaDecoder + ", then set test"
 		case b.q.keys == nil:
 			how = fmt.Sprintf("kernel=sboost.ScanPackedRangeIntoSel (%d contiguous keys)", len(keys))
 		case b.table != nil:

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -80,6 +81,32 @@ func TestBitPackedFilterWithNegatives(t *testing.T) {
 			if selCount(bm) != count {
 				t.Fatalf("cardinality mismatch")
 			}
+		}
+	}
+}
+
+// TestZigzagEstimateComplementsSumToOne prices complementary intervals on a
+// non-negative bit-packed column: every zigzag key there is even, so the
+// shares of `v < c` and `v >= c` sum to 1 on every mixed page, and so over
+// the column.
+func TestZigzagEstimateComplementsSumToOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = 1 + rng.Int63n(50)
+	}
+	r := bitpackedReader(t, vals)
+	est := func(op sboost.Op, c int64) float64 {
+		b, err := (&Cmp{Col: "v", Op: op, Value: c}).bind(r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.estimate().Sel
+	}
+	for _, c := range []int64{2, 7, 24, 25, 50} {
+		lt, ge := est(sboost.OpLt, c), est(sboost.OpGe, c)
+		if math.Abs(lt+ge-1) > 1e-9 {
+			t.Errorf("v < %d prices %.4f and v >= %d %.4f: sum %.4f, want 1", c, lt, c, ge, lt+ge)
 		}
 	}
 }

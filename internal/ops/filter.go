@@ -1,11 +1,11 @@
 // Package ops implements CodecDB's query operators (paper §5.3–§5.5) and
 // the one executor that runs them. A query is (predicate plan, stages,
-// sink): logical filter leaves (this file) bound once per part to the
-// SBoost in-situ scan kernels their column's encoding allows (bind.go,
-// plan.go), hash-join probe stages and residual row filters, and exactly
-// one sink — a collect or a group (rel.go, relgroup.go) — compiled into a
-// per-row-group pipeline (pipeline.go) and driven by one morsel pass over
-// a table's parts (parts.go) behind one entry point, Run.
+// sink): logical filter leaves (this file) bound once per part to an
+// SBoost in-situ scan or a per-page decode (bind.go, plan.go), hash-join
+// probe stages and residual row filters, and exactly one sink — a collect
+// or a group (rel.go, relgroup.go) — compiled into a per-row-group
+// pipeline (pipeline.go) and driven by one morsel pass over a table's
+// parts (parts.go) behind one entry point, Run.
 //
 // Beside the executor live the whole-column reads (gather.go) the
 // decode-first oblivious plans start from.
@@ -17,7 +17,6 @@ import (
 	"codecdb/internal/arena"
 	"codecdb/internal/bitutil"
 	"codecdb/internal/colstore"
-	"codecdb/internal/encoding"
 	"codecdb/internal/obs"
 	"codecdb/internal/sboost"
 )
@@ -86,12 +85,16 @@ type Decode struct {
 }
 
 // kernel is one worker's private instance of a bound leaf: the part's page
-// fetcher (nil outside a scan) and the row group under the page walk.
+// fetcher (nil outside a scan), the row group under the page walk, and the
+// value buffers the decode primitive reuses from page to page.
 type kernel struct {
 	leaf            *boundLeaf
 	fetch           *colstore.PageFetcher
 	sc, scB         *arena.Scratch
 	secSel, section *bitutil.Bitmap
+	ints            []int64
+	floats          []float64
+	strs            [][]byte
 }
 
 // skip records every page of the leaf's chunks in row group rg as bypassed
@@ -122,24 +125,19 @@ func (b *boundLeaf) second(rg int) *colstore.Chunk {
 // non-nil tap attributes the page IO to the caller (one pipeline stage on
 // one worker).
 //
-// Every in-situ kernel is the same page walk — selection, then the leaf's
-// metadata verdict, then the leaf's scan primitive on the pages the verdict
-// left mixed; decode-first leaves (and a bit-packed chunk an order
-// comparison cannot run in place on) hand the whole chunk to the gathering
-// decoder instead. The walk settles every page metadata can before reading
-// any, so the chunk knows the pages it will read up front: the first one
-// missing from the fetcher's staged units and the page cache brings in all
-// the rest with it.
+// Every leaf is the same page walk — selection, then the leaf's metadata
+// verdict, then one per-page primitive on the pages the verdict left
+// mixed: the leaf's SBoost scan, or on pages it cannot scan as stored the
+// decode primitive. The walk settles every page metadata can before
+// reading any, so the chunk knows the pages it will read up front: the
+// first one missing from the fetcher's staged units and the page cache
+// brings in all the rest with it.
 func (w *kernel) run(rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *obs.IOStats) (*bitutil.Bitmap, error) {
 	b := w.leaf
 	if b.all {
 		return fullGroupBitmap(b.r.RowGroupRows(rg)), nil
 	}
 	a, bb := b.r.Chunk(rg, b.ci), b.second(rg)
-	if b.kern == kernDecode || (b.kern == kernPacked && !b.inDomain(a)) {
-		// A chunk of its own: the decoders escape it, a stays on the stack.
-		return b.decodeChunk(b.r.Chunk(rg, b.ci).Tap(tap).Fetch(w.fetch), secSel)
-	}
 	a.Tap(tap).Fetch(w.fetch)
 	w.sc, w.secSel, w.section = sc, secSel, bitutil.NewBitmap(a.Rows())
 	if bb != nil {
@@ -186,36 +184,16 @@ func (w *kernel) run(rg int, sc *arena.Scratch, secSel *bitutil.Bitmap, tap *obs
 	return w.section, nil
 }
 
-// scanPage is the per-page scan primitive: fetch page p of the walked
-// chunk(s) and evaluate the leaf over it into w.section.
+// scanPage is the per-page primitive: fetch page p of the walked chunk(s)
+// and evaluate the leaf over it into w.section.
 func (w *kernel) scanPage(a, bb *colstore.Chunk, p, first, last int) error {
 	b := w.leaf
-	switch b.kern {
-	case kernDelta:
-		// Delta pages are self-contained (header value plus deltas), so a
-		// selected page reconstructs every row in it through the SWAR
-		// cumulative sum — the running sum needs them — and only rows the
-		// section keeps survive.
-		body, err := a.PageBodyScratch(p, w.sc)
-		if err != nil {
-			return err
-		}
-		head, sums, err := (encoding.DeltaInt{}).AppendDeltas(w.sc.Ints(last-first), body)
-		if err != nil {
-			return err
-		}
-		w.sc.KeepInts(sums)
-		sboost.CumulativeSum(sums, sums) // in-place prefix sum
-		if b.test.ints(head) {
-			w.section.Set(first)
-		}
-		for i, s := range sums {
-			if b.test.ints(head + s) {
-				w.section.Set(first + 1 + i)
-			}
-		}
-		return nil
-	case kernStreams:
+	switch {
+	case b.kern == kernDecode || !b.inDomain(a):
+		// A decode-first or delta leaf, or a zigzag order comparison on
+		// a chunk not proven non-negative.
+		return w.decodePage(a, p, first, last)
+	case b.kern == kernStreams:
 		pa, err := a.PackedPageAt(p, w.sc)
 		if err != nil {
 			return err
@@ -277,46 +255,47 @@ func chunkMatch(v int64, op sboost.Op, target int64) bool {
 	return false
 }
 
-// decodeChunk is the decode-first kernel: the chunk is read through the
-// gathering decoder — with a selection, pages holding no selected row are
-// skipped and only surviving entries decode; without one, every page
-// decodes whole — and every decoded row is tested.
-func (b *boundLeaf) decodeChunk(chunk *colstore.Chunk, secSel *bitutil.Bitmap) (*bitutil.Bitmap, error) {
-	switch {
-	case b.test.ints != nil:
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherInts, b.test.ints)
-	case b.test.strs != nil:
-		return decodeTest(chunk, secSel, (*colstore.Chunk).GatherStrings, b.test.strs)
+// decodePage is the decode primitive: colstore decodes page p's rows the
+// selection keeps into the kernel's value buffer, through whichever decoder
+// the page's encoding takes, and the leaf tests them.
+func (w *kernel) decodePage(a *colstore.Chunk, p, first, last int) (err error) {
+	switch t := &w.leaf.test; {
+	case t.ints != nil:
+		if w.ints, err = a.PageInts(p, w.secSel, w.sc, w.ints[:0]); err == nil {
+			testKept(w.section, w.secSel, first, last, w.ints, t.ints)
+		}
+	case t.strs != nil:
+		if w.strs, err = a.PageStrings(p, w.secSel, w.sc, w.strs[:0]); err == nil {
+			testKept(w.section, w.secSel, first, last, w.strs, t.strs)
+		}
+	default:
+		if w.floats, err = a.PageFloats(p, w.secSel, w.sc, w.floats[:0]); err == nil {
+			testKept(w.section, w.secSel, first, last, w.floats, t.floats)
+		}
 	}
-	return decodeTest(chunk, secSel, (*colstore.Chunk).GatherFloats, b.test.floats)
+	return err
 }
 
-func decodeTest[T any](chunk *colstore.Chunk, secSel *bitutil.Bitmap,
-	gather func(*colstore.Chunk, *bitutil.Bitmap, []T) ([]T, error),
-	pred func(T) bool) (*bitutil.Bitmap, error) {
-	vals, err := gather(chunk, secSel, nil)
-	if err != nil {
-		return nil, err
-	}
-	section := bitutil.NewBitmap(chunk.Rows())
-	if secSel == nil {
-		for row, v := range vals {
+// testKept sets in section each row of the page [first, last) whose value
+// pred keeps. vals[k] is the k-th row sel keeps, every row's when sel is
+// nil: the walk takes the page's selection a word at a time, its set bits
+// by trailing-zero count.
+func testKept[T any](section, sel *bitutil.Bitmap, first, last int, vals []T, pred func(T) bool) {
+	if sel == nil {
+		for i, v := range vals {
 			if pred(v) {
-				section.Set(row)
+				section.Set(first + i)
 			}
 		}
-		return section, nil
+		return
 	}
-	// Value k is the k-th selected row's: walk the selection a word at a
-	// time, taking its set bits by trailing-zero count.
 	k := 0
-	for wi, word := range secSel.Words() {
-		for ; word != 0; word &= word - 1 {
+	for wi := first / 64; wi <= (last-1)/64; wi++ {
+		for word := sel.WordIn(wi, first, last); word != 0; word &= word - 1 {
 			if pred(vals[k]) {
 				section.Set(wi*64 + bits.TrailingZeros64(word))
 			}
 			k++
 		}
 	}
-	return section, nil
 }

@@ -34,7 +34,7 @@ func readAll[T any](r *colstore.Reader, col string, pool *exec.Pool,
 		return nil, err
 	}
 	parts := make([][]T, r.NumRowGroups())
-	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
+	f := colstore.NewPageFetcher(r)
 	defer f.Close()
 	err = pool.ParallelChunksErr(context.Background(), r.NumRowGroups(), func(start, end int) error {
 		for rg := start; rg < end; rg++ {

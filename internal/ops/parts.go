@@ -193,7 +193,7 @@ func scanParts(ctx context.Context, pool *exec.Pool, parts []Part, members [][]*
 // nothing scheduled, no goroutine starts: lookahead is off, coalescing is
 // not.
 func startFetcher(ctx context.Context, r *colstore.Reader, members [][]*pipeline, part int) *colstore.PageFetcher {
-	f := colstore.NewPageFetcher(r, colstore.FetchConfig{})
+	f := colstore.NewPageFetcher(r)
 	for _, pipes := range members {
 		pipes[part].fetch = f
 	}

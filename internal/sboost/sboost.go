@@ -536,26 +536,3 @@ func evalOp(v uint64, op Op, target uint64) bool {
 	}
 	return false
 }
-
-// CumulativeSum computes the running sum of deltas into out (which must be
-// at least as long). out may be deltas itself — every unrolled iteration
-// reads its four inputs before the multi-assignment writes them — which is
-// how the delta filter runs the prefix sum in place over a pooled buffer.
-// It is the substitute for SBoost's 8-lane SIMD prefix sum used by the
-// delta filter (paper §5.3): the loop is unrolled four wide so the adds
-// pipeline, which is what the SIMD version buys.
-func CumulativeSum(deltas []int64, out []int64) {
-	var acc int64
-	i := 0
-	for ; i+4 <= len(deltas); i += 4 {
-		a := acc + deltas[i]
-		b := a + deltas[i+1]
-		c := b + deltas[i+2]
-		acc = c + deltas[i+3]
-		out[i], out[i+1], out[i+2], out[i+3] = a, b, c, acc
-	}
-	for ; i < len(deltas); i++ {
-		acc += deltas[i]
-		out[i] = acc
-	}
-}

@@ -217,30 +217,6 @@ func TestScanUnpaddedTail(t *testing.T) {
 	}
 }
 
-func TestCumulativeSum(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(200)
-		deltas := make([]int64, n)
-		for i := range deltas {
-			deltas[i] = rng.Int63n(100) - 50
-		}
-		out := make([]int64, n)
-		CumulativeSum(deltas, out)
-		var acc int64
-		for i, d := range deltas {
-			acc += d
-			if out[i] != acc {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpString(t *testing.T) {
 	want := map[Op]string{OpEq: "=", OpNe: "<>", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">="}
 	for op, s := range want {

@@ -16,7 +16,7 @@ import (
 // The mechanism is a scan-cost model layered on the ranking model's
 // predicted compression ratios. Dictionary encoding admits in-situ
 // key-domain scans (the fastest filter path), bit-packing admits in-situ
-// scans on non-negative data, delta forces a cumulative-sum decode, and
+// scans on non-negative data, delta forces a page decode before comparing, and
 // RLE forces full expansion. Each candidate's predicted ratio is divided
 // by a scan-efficiency factor weighted by how predicate-heavy the column
 // is, and the best adjusted score wins.
@@ -39,7 +39,7 @@ func scanEfficiency(k encoding.Kind) float64 {
 	case encoding.KindBitPacked:
 		return 0.8 // in-situ scan, but no dictionary pre-filtering of LIKE/IN
 	case encoding.KindDelta:
-		return 0.4 // SWAR cumulative-sum decode before comparing
+		return 0.4 // page decode (fused block walk) before comparing
 	case encoding.KindRLE:
 		return 0.5 // run-level evaluation possible but not vectorised
 	default:

@@ -23,9 +23,6 @@ type Config struct {
 	// DefaultTimeout bounds requests that declare no timeout_ms
 	// (default 30s; negative means unbounded).
 	DefaultTimeout time.Duration
-	// MaxWorkersPerQuery caps each wave's pool-worker share (0 = the
-	// engine default). Per-request budget.max_workers can only lower it.
-	MaxWorkersPerQuery int
 	// MaxBodyBytes bounds the request body (default 1 MiB).
 	MaxBodyBytes int64
 }
@@ -149,12 +146,8 @@ func (s *Server) Query(ctx context.Context, req *QueryRequest) (*QueryResponse, 
 	}
 	defer grant.Release()
 
-	workers := s.cfg.MaxWorkersPerQuery
-	if req.Budget.MaxWorkers > 0 && (workers == 0 || req.Budget.MaxWorkers < workers) {
-		workers = req.Budget.MaxWorkers
-	}
 	finish := record(req)
-	res, err := s.waves.run(s.base, m.tbl, m.wq, deadline, codecdb.ExecOptions{MaxWorkers: workers})
+	res, err := s.waves.run(s.base, m.tbl, m.wq, deadline, codecdb.ExecOptions{MaxWorkers: req.Budget.MaxWorkers})
 	if err == nil {
 		err = res.Err
 	}

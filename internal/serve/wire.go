@@ -55,7 +55,7 @@ type Budget struct {
 	// counts it against the global memory budget. 0 means the server's
 	// per-query default.
 	MemoryBytes int64 `json:"memory_bytes,omitempty"`
-	// MaxWorkers caps the query's pool-worker share (0 = server
+	// MaxWorkers caps the query's pool-worker share (0 = the engine
 	// default).
 	MaxWorkers int `json:"max_workers,omitempty"`
 }

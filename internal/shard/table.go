@@ -60,11 +60,6 @@ type Options struct {
 	// SealBytes is the memtable seal threshold (payload bytes); <= 0
 	// selects memtable.DefaultSealBytes.
 	SealBytes int
-	// SkipVerifyOnOpen skips the full checksum scrub of each shard
-	// during Open. The default (false) verifies every shard and
-	// quarantines failures; skipping trades open latency for detecting
-	// page-level damage only when a query touches it.
-	SkipVerifyOnOpen bool
 	// Name labels the table in structured log events and flight-recorder
 	// records; "" falls back to the directory base name.
 	Name string
@@ -234,8 +229,6 @@ func (t *Table) openShards() error {
 		r, err := colstore.OpenFS(t.fs, join(t.dir, sm.File))
 		if err == nil {
 			r.SetPageCache(t.opts.PageCache)
-		}
-		if err == nil && !t.opts.SkipVerifyOnOpen {
 			if verr := r.Verify(context.Background()); verr != nil {
 				r.Close()
 				r, err = nil, verr
