@@ -52,8 +52,9 @@ race-obs:
 # dictionary-RLE chunks into a pre-sized destination (pages decode into
 # pooled scratch, not a fresh slice per page), and the filter walk's decode
 # primitive allocating no more on an 8-page chunk than on a 1-page one, for
-# a delta and a plain-int decode-first leaf (its values land in the
-# worker's buffers).
+# a delta and a plain-int leaf and for decode-first string leaves over
+# PLAIN and DELTA_LENGTH pages (values and lengths land in the worker's
+# buffers).
 guard-obs:
 	$(GO) test -count=1 -run 'TestCountAllocsBounded|TestQueryRecorderConstantAllocOverhead|TestSinkAllocsPerMorselBounded|TestRelMorselBytesPerRowGroupBounded' .
 	$(GO) test -count=1 -run 'TestDecompressIntoAllocFree' ./internal/xcompress/
@@ -95,21 +96,25 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestWave|TestEpoch|TestWithExec|TestPageCacheOption' .
 
 # race-join focuses the race detector on the relational executor: the
-# join table (direct and hashed) against its nested-loop oracle, the
-# join/group/sort stages and sinks, the narrowed row basis against a
-# decode-first reference, members of one pass against their solo runs,
-# the relq builder against its nested-loop references (the whole
-# package, so every build-side test — TestJoinCompositeKey,
-# TestJoinGroupBuildSide, TestJoinEmptyBuildSide,
-# TestJoinBuildSideFailsAlone — runs here), the engine-compiled ≡
-# oblivious equivalence suites for TPC-H and SSB, and the public
-# relational Query API (joins under every terminal, order-by/limit, trace
-# spans).
+# join table (direct, hashed, and hashed with a presence bitmap, at both
+# span thresholds) against its nested-loop oracle, the join/group/sort
+# stages and sinks, the narrowed row basis against a decode-first
+# reference, members of one pass against their solo runs, a join key
+# set's packed-domain estimate against a brute-force count, the relq
+# builder against its nested-loop references (the whole package, so every
+# build-side test — TestJoinCompositeKey, TestJoinGroupBuildSide,
+# TestJoinEmptyBuildSide, TestJoinBuildSideFailsAlone — and
+# TestJoinKeySetMatchesNestedLoop, every join kind on every probe
+# encoding, build case and position over static and shards-plus-tail
+# tables, run here), the engine-compiled ≡ oblivious equivalence suites
+# for TPC-H and SSB, and the public relational Query API (joins under
+# every terminal, order-by/limit, trace spans, a semi join's key-set leaf
+# in Explain).
 race-join:
-	$(GO) test -race -count=1 -run 'TestHashJoin|TestJoinTable|TestRel|TestRunWave' ./internal/ops/
+	$(GO) test -race -count=1 -run 'TestHashJoin|TestJoinTable|TestRel|TestRunWave|TestZigzagKeySet' ./internal/ops/
 	$(GO) test -race -count=1 ./internal/relq/
 	$(GO) test -race -count=1 -run 'TestEngineMatchesOblivious' ./internal/tpch/ ./internal/ssb/
-	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestJoinWithEmptyBuildSide|TestAggRowsOverNoRows|TestExplainAnalyzeRel|TestTracedTopK' .
+	$(GO) test -race -count=1 -run 'TestQueryJoin|TestQuerySemiAnti|TestQueryRows|TestScalarTerminals|TestJoinWithEmptyBuildSide|TestAggRowsOverNoRows|TestExplainAnalyzeRel|TestExplainAnalyzeSemi|TestTracedTopK' .
 
 # crash runs the write-path fault-injection suite under the race
 # detector: the crash-point matrix (every write-side filesystem

@@ -1067,10 +1067,18 @@ func (c *Chunk) PageStrings(p int, sel *bitutil.Bitmap, sc *arena.Scratch, dst [
 	if err != nil {
 		return nil, err
 	}
-	// The page decodes into dst's spare capacity, grown to hold it.
+	// The page decodes into dst's spare capacity, grown to hold it; a
+	// DELTA_LENGTH page's lengths decode into the scratch's int buffer.
 	first, last := c.pageRange(p)
 	dst = slices.Grow(dst, last-first)
-	vals, err := codec.Decode(dst[len(dst):], body)
+	var vals [][]byte
+	if dl, ok := codec.(encoding.DeltaLengthString); ok && sc != nil {
+		var lens []int64
+		vals, lens, err = dl.DecodeWith(dst[len(dst):], body, sc.Ints(last-first))
+		sc.KeepInts(lens)
+	} else {
+		vals, err = codec.Decode(dst[len(dst):], body)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -30,30 +30,39 @@ func (DeltaLengthString) Encode(values [][]byte) ([]byte, error) {
 }
 
 // Decode reverses Encode. Decoded strings alias the input buffer.
-func (DeltaLengthString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
+func (d DeltaLengthString) Decode(dst [][]byte, data []byte) ([][]byte, error) {
+	out, _, err := d.DecodeWith(dst, data, nil)
+	return out, err
+}
+
+// DecodeWith is Decode with a buffer for the lengths: they decode onto
+// lens[:0] through DeltaInt.AppendDecode, which allocates nothing where
+// lens has room, and the buffer comes back, grown if it had to, for the
+// caller to keep.
+func (DeltaLengthString) DecodeWith(dst [][]byte, data []byte, lens []int64) ([][]byte, []int64, error) {
 	dataLen, rest, err := readUvarint(data)
 	if err != nil {
-		return nil, err
+		return nil, lens, err
 	}
 	if uint64(len(rest)) < dataLen {
-		return nil, ErrCorrupt
+		return nil, lens, ErrCorrupt
 	}
 	body := rest[:dataLen]
-	lengths, err := DeltaInt{}.Decode(rest[dataLen:])
+	lengths, err := DeltaInt{}.AppendDecode(lens[:0], rest[dataLen:])
 	if err != nil {
-		return nil, err
+		return nil, lens, err
 	}
 	out := sliceFor(dst, len(lengths))
 	off := int64(0)
 	for i, l := range lengths {
 		if l < 0 || off+l > int64(len(body)) {
-			return nil, ErrCorrupt
+			return nil, lengths, ErrCorrupt
 		}
 		out[i] = body[off : off+l : off+l]
 		off += l
 	}
 	if off != int64(len(body)) {
-		return nil, ErrCorrupt
+		return nil, lengths, ErrCorrupt
 	}
-	return out, nil
+	return out, lengths, nil
 }

@@ -68,6 +68,9 @@ type packedPred struct {
 	lo, hi uint64
 	not    bool
 	keys   []uint64 // sorted, distinct and not contiguous; nil for an interval
+	// evens is the set's even keys — keys itself where it holds no odd one:
+	// the keys a zigzag image takes on a chunk proven non-negative.
+	evens []uint64
 }
 
 // dispose classifies a page from its packed-domain zone map. An interval
@@ -99,17 +102,13 @@ func (q *packedPred) fraction(st *colstore.PageStats, evens bool) float64 {
 		return float64(hi-lo) + 1
 	}
 	span := count(st.Min, st.Max)
-	if q.keys != nil {
-		i := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] >= st.Min })
-		j := sort.Search(len(q.keys), func(i int) bool { return q.keys[i] > st.Max })
-		in := j - i
+	if keys := q.keys; keys != nil {
 		if evens {
-			in = 0
-			for _, k := range q.keys[i:j] {
-				in += int(1 - k%2)
-			}
+			keys = q.evens
 		}
-		return float64(in) / span
+		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= st.Min })
+		j := sort.Search(len(keys), func(i int) bool { return keys[i] > st.Max })
+		return float64(j-i) / span
 	}
 	f := 0.0
 	if lo, hi := max(q.lo, st.Min), min(q.hi, st.Max); lo <= hi {
@@ -715,8 +714,11 @@ func (f *In) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 				keys = append(keys, uint64(lb))
 			}
 		}
+		resolved := len(keys)
 		b.kernel, b.weight, b.guess = "DictInFilter", costKeySet, float64(len(keys))/float64(max(dictLen, 1))
-		b.keySet(keys, len(vals), "dict rewrite: %d of %d IN values present as keys", "key")
+		b.keySet(sortedSet(keys), func() string {
+			return fmt.Sprintf("dict rewrite: %d of %d IN values present as keys", resolved, len(vals))
+		}, "key")
 		return b, nil
 	}
 	test := valueTest{}
@@ -740,20 +742,26 @@ func (f *In) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 		}
 		b.kern, b.zigzag, b.test = kern, true, test
 		b.kernel, b.weight, b.guess = name, max(weight, costKeySet), min(0.1*float64(len(keys)), 0.9)
-		b.keySet(keys, len(vals), "zigzag rewrite: %d of %d IN values become a packed key set (zigzag is a bijection)", "zigzag")
+		b.keySet(sortedSet(keys), func() string {
+			return fmt.Sprintf("zigzag rewrite: %d of %d IN values become a packed key set (zigzag is a bijection)", len(vals), len(vals))
+		}, "zigzag")
 		return b, nil
 	}
 	b.decodeFirst(col, test)
 	return b, nil
 }
 
-// keySet binds the leaf to set membership in the packed domain: a
-// contiguous key set is one interval; a set too large for the SWAR
-// disjunction, of keys small enough, gets its lookup table.
-func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
-	resolved := len(keys)
+// sortedSet sorts keys and drops repeats, in place.
+func sortedSet(keys []uint64) []uint64 {
 	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	return slices.Compact(keys)
+}
+
+// keySet binds the leaf to membership in keys, a sorted set of distinct
+// packed-domain keys: a contiguous set is one interval; a set too large
+// for the SWAR disjunction, of keys small enough, gets its lookup table.
+// rewrite renders the detail line that says where the keys came from.
+func (b *boundLeaf) keySet(keys []uint64, rewrite func() string, domain string) {
 	switch last := len(keys) - 1; {
 	case last < 0:
 		b.empty = true
@@ -767,14 +775,27 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 				b.table[k] = true
 			}
 		}
+		if b.zigzag {
+			b.q.evens = keys
+			if slices.ContainsFunc(keys, func(k uint64) bool { return k%2 == 1 }) {
+				b.q.evens = nil
+				for _, k := range keys {
+					if k%2 == 0 {
+						b.q.evens = append(b.q.evens, k)
+					}
+				}
+			}
+		}
 	}
 	b.details = func() []string {
 		var how string
 		switch {
 		case b.empty:
 			how = "kernel=none (empty key set, provably empty)"
+		case b.all:
+			how = "kernel=none (every key in the set, provably all rows)"
 		case b.kern == kernDecode:
-			how = "kernel=" + deltaDecoder + ", then set test"
+			how = "kernel=" + b.decoder() + ", then set test"
 		case b.q.keys == nil:
 			how = fmt.Sprintf("kernel=sboost.ScanPackedRangeIntoSel (%d contiguous keys)", len(keys))
 		case b.table != nil:
@@ -784,8 +805,17 @@ func (b *boundLeaf) keySet(keys []uint64, asked int, rewrite, domain string) {
 		default:
 			how = fmt.Sprintf("kernel=sboost.ScanPackedInIntoSel (binary search, %d keys)", len(keys))
 		}
-		return []string{fmt.Sprintf(rewrite, resolved, asked), how, "zone-maps=" + domain + "-domain per page (prune when no key in [min,max])"}
+		return []string{rewrite(), how, "zone-maps=" + domain + "-domain per page (prune when no key in [min,max])"}
 	}
+}
+
+// decoder names what decodes a decode-primitive leaf's mixed pages in
+// Explain.
+func (b *boundLeaf) decoder() string {
+	if b.r.Schema().Columns[b.ci].Encoding == encoding.KindDelta {
+		return deltaDecoder
+	}
+	return "colstore page decode"
 }
 
 // maxTable bounds a key set's lookup table: a set with a larger key is
@@ -833,7 +863,9 @@ func (f *Match) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 		keys, dictLen = matching(dict, test.strs), len(dict)
 	}
 	b.weight, b.guess = costKeySet, float64(len(keys))/float64(max(dictLen, 1))
-	b.keySet(keys, dictLen, "predicate rewrite: evaluated per dictionary entry, %d of %d match and become a key set", "key")
+	b.keySet(keys, func() string {
+		return fmt.Sprintf("predicate rewrite: evaluated per dictionary entry, %d of %d match and become a key set", len(keys), dictLen)
+	}, "key")
 	return b, nil
 }
 
@@ -883,6 +915,115 @@ func (f *Decode) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
 	b := newBound(r, f, ci)
 	b.decodeFirst(col, test)
 	return b, nil
+}
+
+func (f *KeySet) expr() string { return fmt.Sprintf("%s IN <join %s>", f.Col, f.Join) }
+
+func (f *KeySet) bind(r *colstore.Reader, resolve bool) (*boundLeaf, error) {
+	ci, col, err := r.Column(f.Col)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case f.Codes && !col.HasDict():
+		return nil, fmt.Errorf("ops: join %s tests the dictionary codes of %s, which has none", f.Join, f.Col)
+	case f.Codes || col.Type == colstore.TypeInt64:
+		if f.Table == nil {
+			return nil, fmt.Errorf("ops: join %s has no int key table for %s", f.Join, f.Col)
+		}
+	case col.Type != colstore.TypeString || f.Strs == nil:
+		return nil, fmt.Errorf("ops: join %s's keys do not fit %v column %s", f.Join, col.Type, f.Col)
+	}
+	if !resolve {
+		return nil, nil
+	}
+	b := newBound(r, f, ci)
+	var test valueTest
+	if col.Type == colstore.TypeString && !f.Codes {
+		test.strs = func(v []byte) bool { _, ok := f.Strs[string(v)]; return ok }
+		b.empty = len(f.Strs) == 0
+	} else {
+		test.ints = f.Table.Contains
+		b.empty = f.Table.Len() == 0
+	}
+	switch kern, weight, _, name, zz := zigzagPaged(col); {
+	case f.Codes:
+		// The keys are the codes: no dictionary entry is read.
+		var keys []uint64
+		for _, k := range f.Table.DistinctKeys() {
+			if k >= 0 {
+				keys = append(keys, uint64(k))
+			}
+		}
+		b.kernel, b.weight, b.guess = "DictInFilter", costKeySet, 0.5
+		b.keySet(keys, func() string {
+			return fmt.Sprintf("join rewrite: %d build keys are dictionary codes", len(keys))
+		}, "key")
+	case col.HasDict():
+		// One pass over the dictionary: the codes whose entry is a build key.
+		var keys []uint64
+		var dictLen int
+		if test.ints != nil {
+			dict, err := r.IntDict(ci)
+			if err != nil {
+				return nil, err
+			}
+			keys, dictLen = matching(dict, test.ints), len(dict)
+		} else {
+			dict, err := r.StrDict(ci)
+			if err != nil {
+				return nil, err
+			}
+			keys, dictLen = matching(dict, test.strs), len(dict)
+		}
+		b.kernel, b.weight, b.guess = "DictInFilter", costKeySet, float64(len(keys))/float64(max(dictLen, 1))
+		b.keySet(keys, func() string {
+			return fmt.Sprintf("join rewrite: %d of %d dictionary entries are build keys", len(keys), dictLen)
+		}, "key")
+		b.all = len(keys) == dictLen && !b.empty
+	case zz:
+		// The build keys come off the table in order, and their zigzag
+		// images are scanned in place (bit-packed) or bound the zone maps of
+		// pages that decode (delta). A set past the lookup table's reach
+		// decodes too, testing each value against the table in O(1) rather
+		// than searching the keys.
+		keys := zigzagKeys(f.Table.DistinctKeys())
+		if kern == kernPacked && len(keys) > sboost.SWARKeys && keys[len(keys)-1] >= maxTable {
+			kern = kernDecode
+		}
+		b.kern, b.zigzag, b.test = kern, true, test
+		b.kernel, b.weight, b.guess = name, max(weight, costKeySet), 0.5
+		b.keySet(keys, func() string {
+			return fmt.Sprintf("join rewrite: %d distinct build keys become a packed key set (zigzag is a bijection)", len(keys))
+		}, "zigzag")
+	default:
+		b.decodeFirst(col, test)
+		b.details = func() []string {
+			if b.empty {
+				return []string{"join rewrite: empty build side, provably empty (no scan)"}
+			}
+			return []string{"join rewrite: decode every selected row, test it against the build keys in O(1)",
+				"kernel=" + b.decoder() + ", then set test"}
+		}
+	}
+	return b, nil
+}
+
+// zigzagKeys maps ascending distinct int keys to their zigzag images,
+// ascending. A negative key v maps to 2|v|−1 and a non-negative one to 2v,
+// so the images of the negative keys, read from the largest down, merge
+// with those of the rest in one pass: no sort.
+func zigzagKeys(keys []int64) []uint64 {
+	out := make([]uint64, 0, len(keys))
+	p, _ := slices.BinarySearch(keys, 0)
+	for i, j := p-1, p; i >= 0 || j < len(keys); {
+		if j == len(keys) || (i >= 0 && zigzag(keys[i]) < zigzag(keys[j])) {
+			out, i = append(out, zigzag(keys[i])), i-1
+		} else {
+			out, j = append(out, zigzag(keys[j])), j+1
+		}
+	}
+	return out
 }
 
 func (f *Cols) expr() string { return fmt.Sprintf("%s %s %s", f.A, f.Op, f.B) }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -107,6 +108,73 @@ func TestZigzagEstimateComplementsSumToOne(t *testing.T) {
 		lt, ge := est(sboost.OpLt, c), est(sboost.OpGe, c)
 		if math.Abs(lt+ge-1) > 1e-9 {
 			t.Errorf("v < %d prices %.4f and v >= %d %.4f: sum %.4f, want 1", c, lt, c, ge, lt+ge)
+		}
+	}
+}
+
+// TestZigzagKeySetFractionMatchesBruteForce prices a 50k-key join key set
+// on a bit-packed column: its zigzag images come off the table ascending
+// and distinct, and on every zone map — the column's pages and random
+// ranges — the estimate's share counts exactly the set's keys in [Min,
+// Max], only the even ones on a chunk proven non-negative, as a walk over
+// every key does.
+func TestZigzagKeySetFractionMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = rng.Int63n(70000)
+	}
+	r := bitpackedReader(t, vals)
+	for _, lo := range []int64{-40000, 0} { // with negative keys (odd images), and without
+		seen := map[int64]bool{}
+		var build []int64
+		for len(build) < 50000 {
+			if k := lo + rng.Int63n(100000); !seen[k] {
+				seen[k] = true
+				build = append(build, k, k) // duplicate rows carry one key
+			}
+		}
+		b, err := (&KeySet{Col: "v", Join: "j", Table: NewJoinTable(build)}).bind(r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := b.q.keys
+		if len(keys) != len(seen) || !slices.IsSorted(keys) {
+			t.Fatalf("lo=%d: %d keys (sorted %v), want %d distinct ascending", lo, len(keys), slices.IsSorted(keys), len(seen))
+		}
+		for _, k := range keys {
+			if v := int64(k>>1) ^ -int64(k&1); !seen[v] {
+				t.Fatalf("lo=%d: packed key %d is value %d, not a build key", lo, k, v)
+			}
+		}
+		var stats []colstore.PageStats
+		for rg := 0; rg < r.NumRowGroups(); rg++ {
+			a := r.Chunk(rg, 0)
+			for p := 0; p < a.NumPages(); p++ {
+				stats = append(stats, *a.PageStatsOf(p))
+			}
+		}
+		for i := 0; i < 200; i++ {
+			x, y := uint64(rng.Int63n(220000)), uint64(rng.Int63n(220000))
+			stats = append(stats, colstore.PageStats{Min: min(x, y), Max: max(x, y)})
+		}
+		for _, st := range stats {
+			for _, evens := range []bool{false, true} {
+				in, span := 0, 0
+				for k := st.Min; k <= st.Max; k++ {
+					if !evens || k%2 == 0 {
+						span++
+					}
+				}
+				for _, k := range keys {
+					if k >= st.Min && k <= st.Max && (!evens || k%2 == 0) {
+						in++
+					}
+				}
+				if got, want := b.q.fraction(&st, evens), float64(in)/float64(span); math.Abs(got-want) > 1e-12 {
+					t.Fatalf("lo=%d zone map [%d, %d] evens=%v: fraction %v, want %v", lo, st.Min, st.Max, evens, got, want)
+				}
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // it runs. bind (bind.go) is the one place a leaf meets a part's column —
 // its type, encoding, dictionary and statistics — and picks the kernel; the
 // planner keeps the bound leaf on the plan node and the morsel pipeline
-// compiles from it. The method is unexported: the leaves are the five in
+// compiles from it. The method is unexported: the leaves are the six in
 // this file.
 type Filter interface {
 	// bind validates the leaf against r's schema and, when resolve is set,
@@ -82,6 +82,22 @@ type Decode struct {
 	Int   func(int64) bool
 	Str   func([]byte) bool
 	Float func(float64) bool
+}
+
+// KeySet is `Col IN <join Join's build keys>`: a semi join's build side
+// as a filter leaf, and under NotPred an anti join's. An int column's
+// values are tested against Table, or its dictionary codes where Codes is
+// set; a string column's values against Strs, the build side's values (by
+// the number the join gave each). It binds like In: a dictionary column
+// scans the codes whose entries are build keys, a bit-packed one the
+// zigzag images of the keys, and any other encoding decodes and tests each
+// kept value in O(1).
+type KeySet struct {
+	Col   string
+	Join  string
+	Table *JoinTable
+	Strs  map[string]int64
+	Codes bool
 }
 
 // kernel is one worker's private instance of a bound leaf: the part's page

@@ -231,18 +231,19 @@ func TestJoinEmptyInputs(t *testing.T) {
 }
 
 // spanKeys returns n build keys spanning exactly [lo, lo+span]: both ends,
-// then keys drawn inside with repeats. span is taken in uint64, so the
-// keys may run past MaxInt64 into negative values.
+// then keys drawn inside with repeats, shuffled. span is taken in uint64,
+// so the keys may run past MaxInt64 into negative values.
 func spanKeys(rng *rand.Rand, n int, lo int64, span uint64) []int64 {
 	keys := []int64{lo, int64(uint64(lo) + span)}
 	for len(keys) < n {
-		keys = append(keys, int64(uint64(lo)+uint64(rng.Int63n(int64(span)+1))))
+		k := int64(uint64(lo) + uint64(rng.Int63n(int64(span)+1)))
 		if rng.Intn(4) == 0 {
-			keys = append(keys, keys[rng.Intn(len(keys))])
+			k = keys[rng.Intn(len(keys))]
 		}
+		keys = append(keys, k)
 	}
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	return keys[:n]
+	return keys
 }
 
 // edgeProbes returns probes around a key set: every key and its
@@ -258,38 +259,56 @@ func edgeProbes(keys []int64) []int64 {
 	return probe
 }
 
-// TestJoinTableSpanThreshold checks the layout rule at its edge — a key set
-// spanning one less than 8n+directSlack indexes directly, the threshold
-// itself and one past it hash — and that both layouts match the nested
-// loop on negative keys, keys ending at either int64 extreme, and probes
-// below the minimum, above the maximum and where k−min wraps.
+// TestJoinTableSpanThreshold checks the layout rules at their edges — a
+// key set spanning one less than 8n+directSlack indexes directly, the
+// threshold itself and one past it hash; a hashed set spanning one less
+// than 64n+presenceSlack keeps a presence bitmap, the threshold itself and
+// one past it do not — and that every layout matches the nested loop on
+// negative keys, keys straddling zero, keys ending at either int64
+// extreme, and probes below the minimum, above the maximum and where k−min
+// wraps, and lists its distinct keys ascending.
 func TestJoinTableSpanThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{2, 9, 300} {
 		thr := 8*uint64(n) + directSlack
-		for _, span := range []uint64{thr - 1, thr, thr + 1} {
-			for _, lo := range []int64{0, -int64(thr) / 2, -5000, math.MinInt64, math.MaxInt64 - int64(span), 1 << 40} {
+		pthr := 64*uint64(n) + presenceSlack
+		for _, span := range []uint64{thr - 1, thr, thr + 1, pthr - 1, pthr, pthr + 1} {
+			for _, lo := range []int64{0, -int64(span) / 2, -5000, math.MinInt64, math.MaxInt64 - int64(span), 1 << 40} {
 				keys := spanKeys(rng, n, lo, span)
 				name := fmt.Sprintf("n=%d span=%d lo=%d", n, span, lo)
-				if got, want := NewJoinTable(keys).direct, span < thr; got != want {
+				tbl := NewJoinTable(keys)
+				if got, want := tbl.direct, span < thr; got != want {
 					t.Fatalf("%s: direct = %v, want %v", name, got, want)
+				}
+				if got, want := tbl.present != nil, span >= thr && span < pthr; got != want {
+					t.Fatalf("%s: presence bitmap = %v, want %v", name, got, want)
 				}
 				if !matchesOracle(t, name, keys, edgeProbes(keys)) {
 					t.Fatalf("%s: the join differs from the nested loop", name)
 				}
+				want := slices.Clone(keys)
+				slices.Sort(want)
+				want = slices.Compact(want)
+				if got := tbl.DistinctKeys(); !slices.Equal(got, want) {
+					t.Fatalf("%s: distinct keys %v, want %v", name, got, want)
+				}
 			}
 		}
 	}
-	// A set holding both extremes spans 2^64−1 in uint64: it hashes.
+	// A set holding both extremes spans 2^64−1 in uint64: it hashes, with
+	// no presence bitmap.
 	both := []int64{math.MaxInt64, math.MinInt64, 0, math.MinInt64}
-	if NewJoinTable(both).direct {
-		t.Fatal("a key set holding both int64 extremes indexes directly")
+	if tbl := NewJoinTable(both); tbl.direct || tbl.present != nil {
+		t.Fatal("a key set holding both int64 extremes indexes directly or keeps a presence bitmap")
 	}
 	if !matchesOracle(t, "both extremes", both, edgeProbes(both)) {
 		t.Fatal("both extremes: the join differs from the nested loop")
 	}
-	if NewJoinTable(nil).direct {
-		t.Fatal("an empty key set indexes directly")
+	if got := NewJoinTable(both).DistinctKeys(); !slices.Equal(got, []int64{math.MinInt64, 0, math.MaxInt64}) {
+		t.Fatalf("both extremes: distinct keys %v", got)
+	}
+	if tbl := NewJoinTable(nil); tbl.direct || tbl.present != nil || tbl.DistinctKeys() != nil {
+		t.Fatal("an empty key set indexes directly, keeps a presence bitmap or lists a key")
 	}
 }
 
@@ -339,18 +358,23 @@ func FuzzJoinTable(f *testing.F) {
 	})
 }
 
-// BenchmarkJoinProbe reports ns per First of a direct and a hashed table at
-// 1k and 75k build keys, with 0%, 50% and 100% of probes hitting. The
-// direct keys are the even numbers and the hashed ones a wide stride, so a
-// miss lands inside the key range in both layouts.
+// BenchmarkJoinProbe reports ns per First of a direct table, a hashed one
+// whose keys are sparse enough for a presence bitmap and a hashed one
+// without, at 1k and 75k build keys, with 0%, 50% and 100% of probes
+// hitting — the sparse table at 0%, 5% and 50%, the hit rates of the
+// small build sides it serves. The direct keys are the even numbers, the
+// sparse ones a stride of 37 and the hashed ones a wide stride, so a miss
+// lands inside the key range in every layout.
 func BenchmarkJoinProbe(b *testing.B) {
 	const probes = 1 << 16
 	for _, layout := range []struct {
 		name string
 		key  func(i int) int64
+		hits []int
 	}{
-		{"direct", func(i int) int64 { return 2 * int64(i) }},
-		{"hashed", func(i int) int64 { return int64(i) * 1000003 }},
+		{"direct", func(i int) int64 { return 2 * int64(i) }, []int{0, 50, 100}},
+		{"sparse", func(i int) int64 { return 37 * int64(i) }, []int{0, 5, 50}},
+		{"hashed", func(i int) int64 { return int64(i) * 1000003 }, []int{0, 50, 100}},
 	} {
 		for _, n := range []int{1000, 75000} {
 			keys := make([]int64, n)
@@ -358,10 +382,10 @@ func BenchmarkJoinProbe(b *testing.B) {
 				keys[i] = layout.key(i)
 			}
 			tbl := NewJoinTable(keys)
-			if tbl.direct != (layout.name == "direct") {
-				b.Fatalf("%s keys: direct = %v", layout.name, tbl.direct)
+			if tbl.direct != (layout.name == "direct") || (tbl.present != nil) != (layout.name == "sparse") {
+				b.Fatalf("%s keys: direct = %v, presence bitmap = %v", layout.name, tbl.direct, tbl.present != nil)
 			}
-			for _, hit := range []int{0, 50, 100} {
+			for _, hit := range layout.hits {
 				rng := rand.New(rand.NewSource(int64(n + hit)))
 				probe := make([]int64, probes)
 				for i := range probe {

@@ -160,6 +160,7 @@ func TestRelNarrowMatchesDecodeFirst(t *testing.T) {
 	pool := exec.NewPool(2)
 	for trial := 0; trial < 150; trial++ {
 		var stages []RelStage
+		var keySets []*Pred // semi and anti joins: leaves after the plan's own
 		// ref evaluates the chain built so far over the decoded table: the
 		// filter's rows, then each stage in turn.
 		ref := func() []refRow {
@@ -215,6 +216,9 @@ func TestRelNarrowMatchesDecodeFirst(t *testing.T) {
 				continue
 			}
 			kin := narrowKeyInputs[rng.Intn(len(narrowKeyInputs))]
+			for (kind == RelSemi || kind == RelAnti) && kin.fn != nil {
+				kin = narrowKeyInputs[rng.Intn(len(narrowKeyInputs))] // a key set tests one column
+			}
 			var build []int64
 			for _, k := range nt.dom[kin.name] {
 				copies := 1
@@ -243,7 +247,34 @@ func TestRelNarrowMatchesDecodeFirst(t *testing.T) {
 				st.Payload = (&Batch{}).AddInts("w", w).AddFloats("x", x).AddStrs("y", y)
 				payloads = append(payloads, si)
 			}
-			stages = append(stages, st)
+			if kind == RelSemi || kind == RelAnti {
+				// A key set tests the probe column alone, so it commutes with
+				// every stage: it runs as a leaf after the plan's, and the
+				// reference applies it in chain order.
+				set := &KeySet{Col: kin.inputs[0].Col, Join: st.Name, Table: tbl, Codes: kin.inputs[0].Kind == RelKey}
+				if kin.name == "s strings" {
+					set.Table, set.Strs = nil, map[string]int64{}
+					for s, k := range nt.skeys {
+						if tbl.Contains(k) {
+							set.Strs[s] = k
+						}
+					}
+					if tbl.Contains(-1) { // -1 is every s value the map lacks
+						for i := 0; i < n; i++ {
+							if _, ok := nt.skeys[string(nt.strs["s"][i])]; !ok {
+								set.Strs[string(nt.strs["s"][i])] = -1
+							}
+						}
+					}
+				}
+				pred := LeafPred(set)
+				if kind == RelAnti {
+					pred = NotPred(set)
+				}
+				keySets = append(keySets, pred)
+			} else {
+				stages = append(stages, st)
+			}
 			ref = func() []refRow {
 				var out []refRow
 				for _, r := range prev() {
@@ -288,8 +319,15 @@ func TestRelNarrowMatchesDecodeFirst(t *testing.T) {
 			names[j] = fmt.Sprint("out", j)
 		}
 		var pl *Plan
+		var own *Pred
 		if trial%3 == 0 {
-			pl = mustPlan(LeafPred(&Cmp{Col: "a", Op: sboost.OpLt, Value: 150}), nt.r)
+			own = LeafPred(&Cmp{Col: "a", Op: sboost.OpLt, Value: 150})
+		}
+		if own != nil || len(keySets) > 0 {
+			var err error
+			if pl, err = BuildPlan(own, nt.r, keySets...); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
 		}
 		rp := &RelPlan{Stages: stages, Sink: RelSink{Inputs: sink, Collect: &RelCollect{}}, Names: names}
 		res, err := Run(context.Background(), PartsOf(nt.r), pool, []Member{{Plans: planList(pl), Rels: []*RelPlan{rp}}})
@@ -377,7 +415,7 @@ func (nt *narrowTable) checkRows(b *Batch, rp *RelPlan, want []refRow) error {
 }
 
 // TestRelNarrowSkipsPages checks that a narrowed basis reads only the pages
-// holding a live row: a semi join keeps the first rows of each row group
+// holding a live row: a row filter keeps the first rows of each row group
 // on c, and the sink's float column is read on exactly the pages those
 // rows sit on, where the filter's basis would have read them all.
 func TestRelNarrowSkipsPages(t *testing.T) {
@@ -391,9 +429,11 @@ func TestRelNarrowSkipsPages(t *testing.T) {
 			livePages[i/512*1000+i%512/32] = true
 		}
 	}
+	tbl := NewJoinTable(build)
 	rp := &RelPlan{
-		Stages: []RelStage{{Name: "first rows", Kind: RelSemi,
-			Keys: []RelInput{{FromStage: -1, Col: "c", Kind: RelInt}}, Table: NewJoinTable(build)}},
+		Stages: []RelStage{{Name: "first rows", Kind: RelRowFilter,
+			Inputs: []RelInput{{FromStage: -1, Col: "c", Kind: RelInt}},
+			Keep:   func(e *RelEnv, i int) bool { return tbl.Contains(e.I[0][i]) }}},
 		Sink:  RelSink{Inputs: []RelInput{{FromStage: -1, Col: "f", Kind: RelFloat}}, Collect: &RelCollect{}},
 		Names: []string{"f"},
 	}

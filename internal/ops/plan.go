@@ -117,10 +117,44 @@ type Plan struct {
 // fit the part (unknown column, mistyped constant, no shared dictionary) is
 // the error. Binding reads footers and dictionaries only; no page data is
 // fetched.
-func BuildPlan(p *Pred, r *colstore.Reader) (*Plan, error) {
-	root, err := buildNode(p, r)
-	if err != nil {
-		return nil, err
+//
+// then are conjuncts that run after p (nil: none), in the order given: they
+// are bound and estimated, zone maps still prune their pages, but the
+// planner does not reorder them. A join's key set is one: the rows it
+// eliminates per unit of work are rarely worth the query's own leaves'.
+func BuildPlan(p *Pred, r *colstore.Reader, then ...*Pred) (*Plan, error) {
+	var kids []*PlanNode
+	if p != nil {
+		root, err := buildNode(p, r)
+		if err != nil {
+			return nil, err
+		}
+		if len(then) == 0 {
+			return &Plan{Root: root}, nil
+		}
+		kids = append(kids, root)
+		if root.Pred.Kind == PredAnd {
+			kids = root.Kids
+		}
+	}
+	for _, t := range then {
+		kid, err := buildNode(t, r)
+		if err != nil {
+			return nil, err
+		}
+		kids = append(kids, kid)
+	}
+	switch len(kids) {
+	case 0:
+		return nil, fmt.Errorf("ops: a plan needs a predicate")
+	case 1:
+		return &Plan{Root: kids[0]}, nil
+	}
+	root := &PlanNode{Pred: &Pred{Kind: PredAnd}, Kids: kids, Est: PredEstimate{Sel: 1}}
+	for _, kid := range kids {
+		root.Pred.Kids = append(root.Pred.Kids, kid.Pred)
+		root.Est.Sel *= kid.Est.Sel
+		root.Est.Cost += kid.Est.Cost
 	}
 	return &Plan{Root: root}, nil
 }

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -44,9 +45,11 @@ const (
 type RelJoinKind int
 
 const (
-	// RelSemi keeps rows whose key exists in the build table.
+	// RelSemi keeps rows whose key exists in the build table. A query
+	// builder lowers it to a KeySet filter leaf; no RelPlan stage is one.
 	RelSemi RelJoinKind = iota
-	// RelAnti keeps rows whose key is absent from the build table.
+	// RelAnti keeps rows whose key is absent from the build table: the
+	// negation of RelSemi's leaf.
 	RelAnti
 	// RelInner expands each row by its build matches and attaches the
 	// build row for payload access.
@@ -138,15 +141,19 @@ func (b *Batch) AddStrs(name string, vals [][]byte) *Batch {
 }
 
 // JoinTable is a chained multi-map over build-side keys, probed per row
-// group by the pipeline's join stages. It is built before the pass starts
-// and only read after, so probes need no synchronization. Each key's chain
-// runs in insertion order, so probe output is deterministic run to run.
+// group by the pipeline's join stages and tested by semi and anti joins'
+// key-set leaves. It is built before the pass starts and only read after,
+// so probes need no synchronization. Each key's chain runs in insertion
+// order, so probe output is deterministic run to run.
 //
 // The chain heads take one of two layouts, chosen from the build keys.
 // Keys whose span max−min is small against their count (the dense
 // surrogate keys of nearly every build side) index heads directly by k−min,
 // so a probe is one bounds test and one load. Any other key set hashes into
-// a power-of-two slot array with linear probing.
+// a power-of-two slot array with linear probing; where the span is at most
+// a few bits per build row, a presence bitmap over [min, max] answers a
+// miss — most probes of a small build side — with one bit test, before any
+// hash.
 type JoinTable struct {
 	keys  []int64 // keys[r] is build row r's key
 	next  []int32 // next[r] is the next build row carrying keys[r], or -1
@@ -155,11 +162,18 @@ type JoinTable struct {
 	direct bool
 	min    int64
 	mask   uint64
+	// present (hashed tables only, nil where the span is too wide): bit
+	// k−min is set when a build row carries key k.
+	present []uint64
 }
 
 // directSlack is the span, beyond 8 slots per build row, a direct table may
 // add: it keeps small build sides with gaps in their keys direct.
 const directSlack = 1024
+
+// presenceSlack is the span, beyond 64 bits per build row, a hashed table's
+// presence bitmap may add: at most 8 bytes per row plus 8 KiB.
+const presenceSlack = 1 << 16
 
 // hashMask returns the slot mask of a hashed table over n keys: at least 2n
 // power-of-two slots, so at most half are taken.
@@ -189,18 +203,27 @@ func hash64(k int64) uint64 {
 func NewJoinTable(keys []int64) *JoinTable {
 	t := &JoinTable{keys: keys, next: make([]int32, len(keys))}
 	// Keys index directly when their span is below 8 slots per row plus
-	// directSlack. The span is taken in uint64, so a set holding both int64
-	// extremes hashes.
+	// directSlack, and hashed ones keep a presence bitmap when it is below
+	// 64 bits per row plus presenceSlack. The span is taken in uint64, so
+	// a set holding both int64 extremes hashes with no bitmap.
+	var span uint64
 	if n := len(keys); n > 0 {
 		lo, hi := slices.Min(keys), slices.Max(keys)
-		if span := uint64(hi) - uint64(lo); span < 8*uint64(n)+directSlack {
-			t.direct, t.min = true, lo
-			t.heads = make([]int32, span+1)
-		}
+		span, t.min = uint64(hi)-uint64(lo), lo
+		t.direct = span < 8*uint64(n)+directSlack
 	}
-	if !t.direct {
+	if t.direct {
+		t.heads = make([]int32, span+1)
+	} else {
 		t.mask = hashMask(len(keys))
 		t.heads = make([]int32, t.mask+1)
+		if len(keys) > 0 && span < 64*uint64(len(keys))+presenceSlack {
+			t.present = make([]uint64, span/64+1)
+			for _, k := range keys {
+				d := uint64(k) - uint64(t.min)
+				t.present[d/64] |= 1 << (d % 64)
+			}
+		}
 	}
 	for i := range t.heads {
 		t.heads[i] = -1
@@ -234,13 +257,17 @@ func (t *JoinTable) hashSlot(k int64) uint64 {
 func (t *JoinTable) Len() int { return len(t.keys) }
 
 // First returns the first build row carrying key k, or -1 if none does. A
-// direct table's probe below min wraps past the slots, so one bounds test
-// rejects every key outside [min, max].
+// probe below min wraps past the slots (or the presence bits), so one
+// bounds test rejects every key outside [min, max].
 func (t *JoinTable) First(k int64) int32 {
+	d := uint64(k) - uint64(t.min)
 	if t.direct {
-		if d := uint64(k) - uint64(t.min); d < uint64(len(t.heads)) {
+		if d < uint64(len(t.heads)) {
 			return t.heads[d]
 		}
+		return -1
+	}
+	if t.present != nil && (d/64 >= uint64(len(t.present)) || t.present[d/64]&(1<<(d%64)) == 0) {
 		return -1
 	}
 	return t.heads[t.hashSlot(k)]
@@ -252,6 +279,35 @@ func (t *JoinTable) Next(r int32) int32 { return t.next[r] }
 
 // Contains reports whether any build row carries key k.
 func (t *JoinTable) Contains(k int64) bool { return t.First(k) >= 0 }
+
+// DistinctKeys lists the build keys once each, ascending. The direct slots
+// and the presence bits hold them in order already; only a hashed table
+// too sparse for a bitmap sorts, and then its distinct keys, not its rows.
+func (t *JoinTable) DistinctKeys() []int64 {
+	var out []int64
+	switch {
+	case t.direct:
+		for d, h := range t.heads {
+			if h >= 0 {
+				out = append(out, t.min+int64(d))
+			}
+		}
+	case t.present != nil:
+		for wi, w := range t.present {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, int64(uint64(t.min)+uint64(wi*64+bits.TrailingZeros64(w))))
+			}
+		}
+	default:
+		for _, h := range t.heads {
+			if h >= 0 {
+				out = append(out, t.keys[h])
+			}
+		}
+		slices.Sort(out)
+	}
+	return out
+}
 
 // RelInput names one value vector a stage or sink consumes: a scan column
 // of the probe table (FromStage -1) in one of the four column kinds, the
@@ -277,7 +333,8 @@ type RelEnv struct {
 	S [][][]byte
 }
 
-// RelStage is one probe or residual-filter stage of a relational plan.
+// RelStage is one inner/left probe or residual-filter stage of a
+// relational plan.
 type RelStage struct {
 	Name string
 	Kind RelJoinKind
@@ -476,6 +533,8 @@ func (p *pipeline) buildRel(part Part) error {
 					return err
 				}
 			}
+		case RelSemi, RelAnti:
+			return fmt.Errorf("ops: %s join %q is a stage; it runs as a KeySet filter leaf", st.Kind, st.Name)
 		default:
 			if st.Table == nil {
 				return fmt.Errorf("ops: join stage %q has no build table", st.Name)
@@ -584,19 +643,6 @@ func (w *pipeWorker) runRelStage(si int) error {
 	rowsIn := rows.n
 	var err error
 	switch st.Kind {
-	case RelSemi, RelAnti:
-		var keys []int64
-		keys, err = w.probeKeys(st, tap)
-		if err == nil {
-			want := st.Kind == RelSemi
-			perm := m.idx.take(rows.n)[:0]
-			for i := 0; i < rows.n; i++ {
-				if st.Table.Contains(keys[i]) == want {
-					perm = append(perm, int32(i))
-				}
-			}
-			m.apply(perm)
-		}
 	case RelInner, RelLeft:
 		var keys []int64
 		keys, err = w.probeKeys(st, tap)

@@ -71,8 +71,8 @@ func runRel(t *testing.T, r *colstore.Reader, pl *Plan, rp *RelPlan) *Batch {
 	return res[0].Parts[0]
 }
 
-// TestRelSemiJoinOnDictKeys checks a semi join probing on dict codes
-// against a per-row oracle.
+// TestRelSemiJoinOnDictKeys checks a semi join's key-set leaf testing dict
+// codes, after a planned conjunct, against a per-row oracle.
 func TestRelSemiJoinOnDictKeys(t *testing.T) {
 	const n = 3000
 	r, _, cust, date, _ := relTestReader(t, n)
@@ -93,13 +93,12 @@ func TestRelSemiJoinOnDictKeys(t *testing.T) {
 			inBuild[string(dict[k])] = true
 		}
 	}
-	pl := mustPlan(LeafPred(&Cmp{Col: "date", Op: sboost.OpGe, Value: 1995}), r)
+	pl, err := BuildPlan(LeafPred(&Cmp{Col: "date", Op: sboost.OpGe, Value: 1995}), r,
+		LeafPred(&KeySet{Col: "cust", Join: "build", Table: NewJoinTable(keys), Codes: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rp := &RelPlan{
-		Stages: []RelStage{{
-			Name: "build", Kind: RelSemi,
-			Keys:  []RelInput{{FromStage: -1, Col: "cust", Kind: RelKey}},
-			Table: NewJoinTable(keys),
-		}},
 		Sink:  RelSink{Inputs: []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}}, Collect: &RelCollect{}},
 		Names: []string{"key"},
 	}
@@ -319,9 +318,9 @@ func TestRelStringGroupKeys(t *testing.T) {
 }
 
 // TestRelDictJoinNeverDecodesStrings pins the late-materialization
-// guarantee: probing a join on a dict-encoded string column reads exactly
-// the key pages a raw key gather reads — no value decode, no dictionary
-// fault. A value-materializing scan of the same column must read strictly
+// guarantee: a semi join's key set on the codes of a dict-encoded string
+// column reads exactly the key pages a raw key gather reads — no value
+// decode, no dictionary fault. A value-materializing scan of the same column must read strictly
 // more (the dictionary blob), proving the assertion has teeth.
 func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 	const n = 3000
@@ -343,16 +342,12 @@ func TestRelDictJoinNeverDecodesStrings(t *testing.T) {
 	buildKeys := []int64{0, 2, 4, 6, 8, 10, 12}
 
 	joinIO := measure(func(rr *colstore.Reader) {
+		pl := mustPlan(LeafPred(&KeySet{Col: "cust", Join: "b", Table: NewJoinTable(buildKeys), Codes: true}), rr)
 		rp := &RelPlan{
-			Stages: []RelStage{{
-				Name: "b", Kind: RelSemi,
-				Keys:  []RelInput{{FromStage: -1, Col: "cust", Kind: RelKey}},
-				Table: NewJoinTable(buildKeys),
-			}},
 			Sink:  RelSink{Group: &RelGroup{Aggs: []RelAgg{{Kind: RelAggCount}}}},
 			Names: []string{"count"},
 		}
-		res, err := Run(context.Background(), PartsOf(rr), pool, []Member{{Rels: []*RelPlan{rp}}})
+		res, err := Run(context.Background(), PartsOf(rr), pool, []Member{{Plans: []*Plan{pl}, Rels: []*RelPlan{rp}}})
 		if err == nil {
 			err = res[0].Err
 		}
@@ -467,26 +462,31 @@ func TestJoinTableReservedKeys(t *testing.T) {
 	}
 }
 
-// TestHashJoinEmptySides runs join stages of the engine with an empty
-// side: an empty build table leaves inner and semi joins no rows and an
-// anti join every row, and a probe leaf that selects nothing leaves an
-// inner join against a full build table no rows.
+// TestHashJoinEmptySides runs joins of the engine with an empty side: an
+// empty build table leaves an inner join stage and a semi join's key-set
+// leaf no rows and an anti join's every row, and a probe leaf that selects
+// nothing leaves an inner join against a full build table no rows.
 func TestHashJoinEmptySides(t *testing.T) {
 	const n = 1500
 	r, _, _, _, _ := relTestReader(t, n)
 	join := func(kind RelJoinKind, keys []int64, pl *Plan) int {
-		st := RelStage{
-			Name: "j", Kind: kind,
-			Keys:  []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}},
-			Table: NewJoinTable(keys),
-		}
-		if kind == RelInner {
-			st.Payload = (&Batch{}).AddInts("w", make([]int64, len(keys)))
-		}
 		rp := &RelPlan{
-			Stages: []RelStage{st},
-			Sink:   RelSink{Inputs: []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}}, Collect: &RelCollect{}},
-			Names:  []string{"key"},
+			Sink:  RelSink{Inputs: []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}}, Collect: &RelCollect{}},
+			Names: []string{"key"},
+		}
+		set := &KeySet{Col: "key", Join: "j", Table: NewJoinTable(keys)}
+		switch kind {
+		case RelSemi:
+			pl = mustPlan(LeafPred(set), r)
+		case RelAnti:
+			pl = mustPlan(NotPred(set), r)
+		default:
+			rp.Stages = []RelStage{{
+				Name: "j", Kind: kind,
+				Keys:    []RelInput{{FromStage: -1, Col: "key", Kind: RelInt}},
+				Table:   NewJoinTable(keys),
+				Payload: (&Batch{}).AddInts("w", make([]int64, len(keys))),
+			}}
 		}
 		return runRel(t, r, pl, rp).N
 	}

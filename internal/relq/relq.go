@@ -1,6 +1,7 @@
 // Package relq is the query builder over the morsel pipeline. A query is
-// (predicate plan, stages, sink): filters, then late-materialized hash
-// joins and residual row predicates, then exactly one sink — a collect
+// (predicate plan, stages, sink): filters — semi and anti joins among
+// them, as key-set leaves on their probe columns — then late-materialized
+// hash joins and residual row predicates, then exactly one sink — a collect
 // (Rows/Sorted/TopK; of no columns, a Count) or a group (multi-column
 // group-by; with no keys, a plain aggregate). Binding a sink (Collect,
 // Group) yields a Bound; Exec compiles each per part into an ops.Member and
@@ -130,10 +131,17 @@ func (q *Q) input(pi int, ref string) (ops.RelInput, error) {
 	}
 	if dot := strings.IndexByte(ref, '.'); dot >= 0 {
 		stage, col := ref[:dot], ref[dot+1:]
-		for si := range q.stages {
-			st := &q.stages[si]
+		si := 0 // the stage's index among the relational plan's stages
+		for i := range q.stages {
+			st := &q.stages[i]
 			if st.Name != stage {
+				if !st.keySet() {
+					si++
+				}
 				continue
+			}
+			if st.keySet() {
+				return ops.RelInput{}, fmt.Errorf("relq: %s join %q filters rows and carries no column %q", st.Kind, stage, col)
 			}
 			if st.build != nil && !slices.Contains(st.build.names, col) {
 				return ops.RelInput{}, fmt.Errorf("relq: stage %q has no column %q", stage, col)
@@ -183,14 +191,17 @@ func (q *Q) inputs(pi int, refs []string) ([]ops.RelInput, error) {
 // string column on relq's numbering of the build side's values — through
 // each part's own dictionary codes wherever the part has one, so the probe
 // never decodes a string. A build side binds and runs once, however many
-// stages share it.
+// stages share it. A semi or anti join is no stage: its build keys become
+// a key-set conjunct on the probe column (keySetPred), run after the
+// query's own.
 func (q *Q) Join(kind ops.RelJoinKind, name string, build *Bound, probeKey string) *Q {
 	return q.JoinOn(kind, name, build, []string{probeKey}, nil)
 }
 
 // JoinOn is Join on a composite int key: fn combines the probe keys'
 // values (given as vecs[j][i]) into one int64, and the build side's first
-// len(probeKeys) output columns the same way.
+// len(probeKeys) output columns the same way. Semi and anti joins take one
+// key column and no fn.
 func (q *Q) JoinOn(kind ops.RelJoinKind, name string, build *Bound, probeKeys []string,
 	fn func(vecs [][]int64, i int) int64) *Q {
 	if q.err != nil {
@@ -199,6 +210,9 @@ func (q *Q) JoinOn(kind ops.RelJoinKind, name string, build *Bound, probeKeys []
 	if build == nil {
 		return q.fail(fmt.Errorf("relq: join %q has no build side", name))
 	}
+	if (kind == ops.RelSemi || kind == ops.RelAnti) && (len(probeKeys) != 1 || fn != nil) {
+		return q.fail(fmt.Errorf("relq: %s join %q needs one key column and no key function, has %d", kind, name, len(probeKeys)))
+	}
 	st := stage{refs: probeKeys, build: build, RelStage: ops.RelStage{Name: name, Kind: kind, KeyFn: fn}}
 	if len(probeKeys) == 1 {
 		if _, c, err := q.parts[0].R.Column(probeKeys[0]); err == nil && c.Type == colstore.TypeString {
@@ -206,6 +220,29 @@ func (q *Q) JoinOn(kind ops.RelJoinKind, name string, build *Bound, probeKeys []
 		}
 	}
 	return q.addStage(st)
+}
+
+// keySet reports whether the stage is a semi or anti join, which binds as
+// a key-set filter leaf (keySetPred) rather than a relational stage.
+func (st *stage) keySet() bool { return st.Kind == ops.RelSemi || st.Kind == ops.RelAnti }
+
+// keySetPred is a semi join's build side as a filter conjunct on its probe
+// column — an anti join's is its negation: the build side's values for a
+// string key, its keys as dictionary codes for a "#col" key, as values
+// otherwise.
+func (st *stage) keySetPred() *ops.Pred {
+	ref := st.refs[0]
+	leaf := &ops.KeySet{Col: strings.TrimLeft(ref, "#@"), Join: st.Name, Table: st.Table}
+	switch {
+	case st.str:
+		leaf.Table, leaf.Strs = nil, st.strIDs
+	case strings.HasPrefix(ref, "#"):
+		leaf.Codes = true
+	}
+	if st.Kind == ops.RelAnti {
+		return ops.NotPred(leaf)
+	}
+	return ops.LeafPred(leaf)
 }
 
 // addStage appends a stage once its inputs resolve against the first
@@ -743,7 +780,9 @@ func (st *stage) buildTable(out *ops.Batch) error {
 }
 
 // bindParts fills b with one predicate plan, relational plan and decode
-// list per part.
+// list per part. Semi and anti joins leave the stages: each is a key-set
+// conjunct on its probe column, run after the query's own conjuncts in the
+// order the joins were written.
 func (q *Q) bindParts(b *Bound) (err error) {
 	n := len(q.parts)
 	b.member.Rels = make([]*ops.RelPlan, n)
@@ -751,22 +790,37 @@ func (q *Q) bindParts(b *Bound) (err error) {
 	var pred *ops.Pred
 	if len(q.preds) > 0 {
 		pred = ops.AndPred(q.preds...)
+	}
+	var keySets []*ops.Pred
+	stages := len(q.stages)
+	for si := range q.stages {
+		if st := &q.stages[si]; st.keySet() {
+			keySets = append(keySets, st.keySetPred())
+			stages--
+		}
+	}
+	if pred != nil || len(keySets) > 0 {
 		b.member.Plans = make([]*ops.Plan, n)
 	}
 	for pi, part := range q.parts {
-		if pred != nil {
-			if b.member.Plans[pi], err = ops.BuildPlan(pred, part.R); err != nil {
+		if b.member.Plans != nil {
+			if b.member.Plans[pi], err = ops.BuildPlan(pred, part.R, keySets...); err != nil {
 				return err
 			}
 		}
 		rp := &ops.RelPlan{Names: b.names}
-		if len(q.stages) > 0 {
-			rp.Stages = make([]ops.RelStage, len(q.stages))
+		if stages > 0 {
+			rp.Stages = make([]ops.RelStage, 0, stages)
 		}
 		for si := range q.stages {
-			if rp.Stages[si], err = q.bindStage(pi, si); err != nil {
+			if q.stages[si].keySet() {
+				continue
+			}
+			st, err := q.bindStage(pi, si)
+			if err != nil {
 				return err
 			}
+			rp.Stages = append(rp.Stages, st)
 		}
 		if rp.Sink, b.decode[pi], err = b.sink(pi); err != nil {
 			return err

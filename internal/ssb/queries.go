@@ -277,25 +277,43 @@ func (g *groupAgg) emit(spec *factSpec) *memtable.RowTable {
 			types = append(types, memtable.ColInt64)
 		}
 	}
-	if spec.orderByRevenueDesc {
-		sort.SliceStable(rows, func(a, b int) bool {
-			last := len(rows[a]) - 1
-			ra, rb := rows[a][last].(int64), rows[b][last].(int64)
-			if ra != rb {
-				return ra > rb
-			}
-			return fmt.Sprint(rows[a][:last]) < fmt.Sprint(rows[b][:last])
-		})
-	} else {
-		sort.SliceStable(rows, func(a, b int) bool {
-			return fmt.Sprint(rows[a]) < fmt.Sprint(rows[b])
-		})
-	}
 	out := memtable.NewRowTable(spec.names, types)
-	for _, r := range rows {
+	for _, r := range sortGroupRows(rows, spec.orderByRevenueDesc) {
 		out.Append(r...)
 	}
 	return out
+}
+
+// sortGroupRows orders result rows, stably, by their formatted values — or,
+// byRevenue, by the last column (the revenue) descending, then by the
+// formatted values before it. Each row is formatted once, not once per
+// comparison.
+func sortGroupRows(rows [][]any, byRevenue bool) [][]any {
+	type keyed struct {
+		key string
+		row []any
+	}
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		if byRevenue {
+			ks[i] = keyed{fmt.Sprint(r[:len(r)-1]), r}
+		} else {
+			ks[i] = keyed{fmt.Sprint(r), r}
+		}
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		if byRevenue {
+			last := len(ks[a].row) - 1
+			if ra, rb := ks[a].row[last].(int64), ks[b].row[last].(int64); ra != rb {
+				return ra > rb
+			}
+		}
+		return ks[a].key < ks[b].key
+	})
+	for i := range ks {
+		rows[i] = ks[i].row
+	}
+	return rows
 }
 
 // groupRowOf assembles the group key and output row prefix for one fact

@@ -1,7 +1,11 @@
 package ssb
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"testing"
 
 	"codecdb/internal/colstore"
@@ -179,5 +183,43 @@ func TestUnknownQueryRejected(t *testing.T) {
 	}
 	if _, err := sharedTables.Oblivious("9.9"); err == nil {
 		t.Fatal("unknown query should error")
+	}
+}
+
+// TestSortGroupRowsMatchesFormattedComparator checks that formatting each
+// row once orders result rows exactly as formatting both rows in every
+// comparison did: revenue ties fall back to the formatted prefix, and rows
+// whose formatted values are equal keep their input order.
+func TestSortGroupRowsMatchesFormattedComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var rows [][]any
+	for i := 0; i < 400; i++ {
+		// Few distinct values: many revenue ties and many equal prefixes,
+		// among them "AB"+"C" against "A"+"BC" and 1997 against 199+7.
+		a := []string{"A", "AB", "B", ""}[rng.Intn(4)]
+		b := []string{"C", "BC", "", "CC"}[rng.Intn(4)]
+		year := []int64{1992, 1997, 199}[rng.Intn(3)]
+		rows = append(rows, []any{memtable.Binary(a), memtable.Binary(b), year, int64(rng.Intn(5) * 100)})
+	}
+	for _, byRevenue := range []bool{false, true} {
+		old := slices.Clone(rows)
+		if byRevenue {
+			sort.SliceStable(old, func(a, b int) bool {
+				last := len(old[a]) - 1
+				ra, rb := old[a][last].(int64), old[b][last].(int64)
+				if ra != rb {
+					return ra > rb
+				}
+				return fmt.Sprint(old[a][:last]) < fmt.Sprint(old[b][:last])
+			})
+		} else {
+			sort.SliceStable(old, func(a, b int) bool { return fmt.Sprint(old[a]) < fmt.Sprint(old[b]) })
+		}
+		got := sortGroupRows(slices.Clone(rows), byRevenue)
+		for i := range old {
+			if &got[i][0] != &old[i][0] { // the same row, not an equal one
+				t.Fatalf("byRevenue=%v: row %d is %v, want %v", byRevenue, i, got[i], old[i])
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package codecdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -648,5 +649,88 @@ func TestExplainAnalyzeRendersJoin(t *testing.T) {
 	}
 	if !strings.Contains(out, "build rows=") {
 		t.Fatalf("ExplainAnalyze missing build row count:\n%s", out)
+	}
+}
+
+// TestExplainAnalyzeSemiJoinLeaf pins how a semi join renders: as its
+// probe column's key-set filter leaf, listed after the query's own leaf
+// under the probe's Plan span, and run as a Filter stage naming its kernel
+// — an SBoost scan of the build keys' zigzag images on a bit-packed int
+// column, of the build keys' dictionary codes on a dictionary string one.
+func TestExplainAnalyzeSemiJoinLeaf(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	const n = 3000
+	k := make([]int64, n)
+	s := make([][]byte, n)
+	y := make([]int64, n)
+	for i := range k {
+		k[i], s[i], y[i] = int64(i%500), []byte(fmt.Sprintf("s%03d", i%500)), int64(i%7)
+	}
+	probe, err := db.LoadTable("probe", []Column{
+		{Name: "k", Ints: k, ForceEncoding: BitPacked, Forced: true},
+		{Name: "s", Strings: s, ForceEncoding: Dictionary, Forced: true},
+		{Name: "y", Ints: y},
+	}, LoadOptions{RowGroupRows: 1024, PageRows: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bk []int64
+	var bs [][]byte
+	for v := 0; v < 140; v += 7 {
+		bk, bs = append(bk, int64(v)), append(bs, []byte(fmt.Sprintf("s%03d", v)))
+	}
+	build, err := db.LoadTable("build", []Column{{Name: "bk", Ints: bk}, {Name: "bs", Strings: bs}}, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		probeCol, buildCol, leaf string
+		details                  []string
+	}{
+		{"k", "bk", "BitPackedInFilter(k IN <join j1>)", []string{
+			"join rewrite: 20 distinct build keys become a packed key set (zigzag is a bijection)",
+			"kernel=sboost.ScanPackedInIntoSel (lookup table, 20 keys)",
+		}},
+		{"s", "bs", "DictInFilter(s IN <join j1>)", []string{
+			"join rewrite: 20 of 500 dictionary entries are build keys",
+			"kernel=sboost.ScanPackedInIntoSel (lookup table, 20 keys)",
+		}},
+	} {
+		root, got, err := probe.Where("y", Lt, 3).SemiJoin(build.All(), tc.probeCol, tc.buildCol).AnalyzeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(3 * 20 * n / 500 / 7); got < want/2 || got > want*2 {
+			t.Fatalf("%s: semi join kept %d rows, want about %d", tc.probeCol, got, want)
+		}
+		var plan *obs.Span // the probe's, not the build side's
+		for _, c := range root.Children() {
+			if c.Name() == "Plan" {
+				plan = c
+			}
+		}
+		if plan == nil {
+			t.Fatalf("%s: no Plan span:\n%s", tc.probeCol, root.Render())
+		}
+		lines := plan.Details()
+		if len(lines) == 0 || !strings.Contains(lines[len(lines)-1], tc.leaf) {
+			t.Fatalf("%s: the Plan span does not list %s last:\n%s", tc.probeCol, tc.leaf, root.Render())
+		}
+		filter := findSpan(root, "Filter["+tc.leaf+"]")
+		if filter == nil {
+			t.Fatalf("%s: no Filter[%s] stage:\n%s", tc.probeCol, tc.leaf, root.Render())
+		}
+		for _, d := range tc.details {
+			if !slices.Contains(filter.Details(), d) {
+				t.Fatalf("%s: the leaf's stage lacks %q:\n%s", tc.probeCol, d, root.Render())
+			}
+		}
+		if s := findSpan(root, "Join[j1 semi]"); s != nil {
+			t.Fatalf("%s: a semi join still runs as a stage:\n%s", tc.probeCol, root.Render())
+		}
 	}
 }
